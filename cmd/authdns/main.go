@@ -47,8 +47,7 @@ func main() {
 	udp := flag.String("udp", "127.0.0.1:5300", "UDP listen address ('' disables)")
 	tcp := flag.String("tcp", "127.0.0.1:5300", "TCP listen address ('' disables)")
 	udpWorkers := flag.Int("udp-workers", 0, "parallel UDP read loops (0 = GOMAXPROCS); SO_REUSEPORT sockets where available")
-	udpBatch := flag.Int("udp-batch", 0, "datagrams per UDP syscall via recvmmsg/sendmmsg (0 = default 32 where supported; 1 disables batching)")
-	udpRcvbuf := flag.Int("udp-rcvbuf", 0, "SO_RCVBUF bytes per UDP listener, clamped by net.core.rmem_max (0 = 4MiB when batching, OS default otherwise; negative keeps the OS default)")
+	udpRcvbuf := flag.Int("udp-rcvbuf", 0, "SO_RCVBUF bytes per UDP listener, clamped by net.core.rmem_max (0 = 4MiB; negative keeps the OS default)")
 	hotCache := flag.Int("hot-cache", 0, "packed-response hot cache entries (0 = default, negative disables)")
 	noAXFR := flag.Bool("no-axfr", false, "refuse zone transfers")
 	withFilters := flag.Bool("filters", false, "enable the query scoring pipeline")
@@ -114,7 +113,6 @@ func main() {
 	cfg.UDPAddr = *udp
 	cfg.TCPAddr = *tcp
 	cfg.UDPWorkers = *udpWorkers
-	cfg.UDPBatch = *udpBatch
 	cfg.UDPReadBuffer = *udpRcvbuf
 	cfg.HotCacheSize = *hotCache
 	cfg.AllowTransfer = !*noAXFR

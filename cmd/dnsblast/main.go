@@ -9,11 +9,12 @@
 //	dnsblast -selfserve -compare -json report.json    # the make bench-saturate shape
 //
 // -selfserve spins an in-process netserve server over blast.test;
-// -compare measures answered qps with server-side batching disabled
-// (-udp-batch=1) and enabled (-server-batch), then re-offers 2x the
-// batched saturation rate to report p50/p99 and the timeout fraction
-// under overload — the Fig-10 question: how much headroom does batched
-// syscall I/O buy before answers start dropping?
+// -compare runs the full battery against it: ramp the offered rate to the
+// server's saturation point, then re-offer -overload-x times that rate to
+// report p50/p99 and the timeout fraction under overload — the Fig-10
+// question: how much answering capacity does the server keep once a flood
+// outruns it? (The name is historical: the battery once alternated a
+// batched and an unbatched server loop; EXPERIMENTS.md keeps that A/B.)
 package main
 
 import (
@@ -59,8 +60,8 @@ type PhaseReport struct {
 	Probes []ProbePoint `json:"probes,omitempty"`
 }
 
-// Report is the JSON document -json emits; `make bench-saturate` embeds it
-// as the "saturation" key of BENCH_netserve.json.
+// Report is the JSON document -json emits (the `make bench-saturate`
+// output).
 type Report struct {
 	GeneratedUnix int64  `json:"generated_unix"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
@@ -68,46 +69,40 @@ type Report struct {
 	Mix           string `json:"mix"`
 	Workers       int    `json:"workers"`
 	ClientBatch   int    `json:"client_batch"`
-	ServerBatch   int    `json:"server_batch,omitempty"`
 	// GeneratorCeilingQPS is the generator's own flat-out send rate on this
 	// host, measured before the overload phases; the flood rate is capped
 	// at a fraction of it so overload runs measure the server's I/O path,
 	// not generator starvation on a shared core.
 	GeneratorCeilingQPS float64 `json:"generator_ceiling_qps,omitempty"`
 
-	Target    *PhaseReport `json:"target,omitempty"`    // -addr mode
-	Unbatched *PhaseReport `json:"unbatched,omitempty"` // -compare: -udp-batch=1
-	BatchedP  *PhaseReport `json:"batched,omitempty"`   // -compare: -server-batch
-	SpeedupX  float64      `json:"speedup_x,omitempty"` // capacity ratio at each server's own peak
+	Target     *PhaseReport `json:"target,omitempty"`     // -addr, or -selfserve alone
+	Saturation *PhaseReport `json:"saturation,omitempty"` // -compare: best probe of the ramp
 
-	// The Fig-10 shape: the same 2x-capacity offered load against both
-	// servers. Under overload an unbatched reader burns its core on
-	// syscalls for packets it then drops, so this ratio is where batched
-	// I/O pays — it is the throughput multiple a flooded nameserver keeps.
-	Overload          *PhaseReport `json:"overload,omitempty"`
-	OverloadUnbatched *PhaseReport `json:"overload_unbatched,omitempty"`
-	OverloadSpeedupX  float64      `json:"overload_speedup_x,omitempty"`
+	// The Fig-10 shape: -overload-x times the saturation rate, arriving
+	// cold. Under overload a reader that falls behind burns its core on
+	// packets it then drops, so answered qps here is the throughput a
+	// flooded nameserver keeps.
+	Overload *PhaseReport `json:"overload,omitempty"`
 }
 
 func main() {
 	addr := flag.String("addr", "", "blast this UDP server (host:port); mutually exclusive with -selfserve")
 	selfserve := flag.Bool("selfserve", false, "spin an in-process server over blast.test and blast it via loopback")
-	compare := flag.Bool("compare", false, "with -selfserve: measure -udp-batch=1 vs -server-batch saturation, then 2x overload")
+	compare := flag.Bool("compare", false, "with -selfserve: saturation ramp, then the -overload-x flood, each phase on a fresh server")
 	duration := flag.Duration("duration", 3*time.Second, "send window per phase")
 	workers := flag.Int("workers", 0, "generator sockets, each a sender+receiver goroutine pair (0 = half the CPUs, min 2)")
 	batch := flag.Int("batch", 32, "client-side datagrams per sendmmsg/recvmmsg")
-	serverBatch := flag.Int("server-batch", 0, "selfserve server batch size (0 = server default)")
 	mix := flag.String("mix", "hit=6,nx=2,deleg=1,flood=1", "query class weights: hit/nx/deleg/flood")
 	rate := flag.Float64("rate", 0, "total offered qps across workers (0 = unpaced, find saturation)")
 	timeout := flag.Duration("timeout", 300*time.Millisecond, "drain window for in-flight answers after each send phase")
 	seed := flag.Int64("seed", 1, "corpus seed")
 	rampStart := flag.Float64("ramp-start", 20e3, "saturation search: first offered rate (qps)")
 	rampGrowth := flag.Float64("ramp-growth", 1.5, "saturation search: rate multiplier between probes")
-	reps := flag.Int("reps", 3, "-compare: repeat every phase this many times, alternating configs, and report each config's median (damps scheduler noise on shared machines)")
-	satMode := flag.String("sat-mode", "ramp", "-compare saturation methodology: 'ramp' (paced offered-rate sweep — fair to both buffer sizings) or 'drain' (burst into the receive queue, clock the answer drain — isolates service rate, but the burst must fit the server's SO_RCVBUF)")
+	reps := flag.Int("reps", 3, "-compare: repeat every phase this many times and report the median (damps scheduler noise on shared machines)")
+	satMode := flag.String("sat-mode", "ramp", "-compare saturation methodology: 'ramp' (paced offered-rate sweep) or 'drain' (burst into the receive queue, clock the answer drain — isolates service rate, but the burst must fit the server's SO_RCVBUF)")
 	burst := flag.Int("burst", 2048, "queries per burst in drain mode (must fit the server's SO_RCVBUF)")
-	overloadX := flag.Float64("overload-x", 2, "-compare: overload phase offers this multiple of the unbatched saturation rate")
-	serverRcvbuf := flag.Int("server-rcvbuf", 0, "selfserve SO_RCVBUF for BOTH compare configs (0 = each config's own default; drain mode needs one deep enough for -burst)")
+	overloadX := flag.Float64("overload-x", 2, "-compare: overload phase offers this multiple of the saturation rate")
+	serverRcvbuf := flag.Int("server-rcvbuf", 0, "selfserve SO_RCVBUF (0 = server default, negative = OS default; drain mode needs one deep enough for -burst)")
 	jsonOut := flag.String("json", "", "write the JSON report here ('-' or '' = stdout)")
 	assertReceived := flag.Uint64("assert-received", 0, "exit 1 unless at least this many answers arrived (CI smoke guard)")
 	flag.Parse()
@@ -139,7 +134,6 @@ func main() {
 		Mix:           *mix,
 		Workers:       *workers,
 		ClientBatch:   *batch,
-		ServerBatch:   *serverBatch,
 	}
 
 	// -rate 0 means "find saturation": ramp the offered rate geometrically
@@ -167,8 +161,8 @@ func main() {
 		}
 		rep.Target = &ph
 	case *compare:
-		// Phase 1: server batching off. Phase 2: on. Fresh server each
-		// phase so one phase's socket backlog can't leak into the next.
+		// Fresh server each phase so one phase's socket backlog can't leak
+		// into the next.
 		if *reps < 1 {
 			*reps = 1
 		}
@@ -178,47 +172,36 @@ func main() {
 				return drainPhase(target, cps, *batch, *burst, *duration, *timeout)
 			}
 		}
-		// Saturation: alternate configs across reps, report each config's
-		// median (a one-core box is noisy: one bad scheduling run or a
-		// server that tips into drop-livelock early must not set the number).
-		var uns, bas []PhaseReport
+		// Saturation: report the median rep (a one-core box is noisy: one
+		// bad scheduling run or a server that tips into drop-livelock early
+		// must not set the number).
+		var sats []PhaseReport
 		for r := 0; r < *reps; r++ {
-			u, err := withSelfServe(1, *serverRcvbuf, sat)
+			ph, err := withSelfServe(*serverRcvbuf, sat)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "dnsblast: unbatched phase:", err)
+				fmt.Fprintln(os.Stderr, "dnsblast: saturation phase:", err)
 				os.Exit(1)
 			}
-			uns = append(uns, u)
-			b, err := withSelfServe(*serverBatch, *serverRcvbuf, sat)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dnsblast: batched phase:", err)
-				os.Exit(1)
-			}
-			bas = append(bas, b)
-			fmt.Fprintf(os.Stderr, "dnsblast: saturation rep %d/%d: unbatched %.0f qps, batched %.0f qps\n",
-				r+1, *reps, u.AnsweredQPS, b.AnsweredQPS)
+			sats = append(sats, ph)
+			fmt.Fprintf(os.Stderr, "dnsblast: saturation rep %d/%d: %.0f qps\n", r+1, *reps, ph.AnsweredQPS)
 		}
-		un, ba := medianPhase(uns), medianPhase(bas)
-		rep.Unbatched, rep.BatchedP = &un, &ba
-		if un.AnsweredQPS > 0 {
-			rep.SpeedupX = ba.AnsweredQPS / un.AnsweredQPS
-		}
-		// Overload: offer BOTH servers twice what the unbatched one can
-		// sustain and watch the latency tail, the timeout fraction, and how
-		// much answering capacity each I/O shape keeps. Deliberately cold:
-		// a flood does not ramp up politely, it arrives at full rate, and
-		// surviving that arrival is the point of batched reads — a
-		// one-packet-per-syscall reader that falls behind in the first
-		// burst spends the rest of the run servicing a full queue it keeps
-		// re-dropping (receive livelock), while a recvmmsg reader drains 32
-		// per wakeup and catches back up.
+		satMed := medianPhase(sats)
+		rep.Saturation = &satMed
+		// Overload: offer the server a multiple of what it can sustain and
+		// watch the latency tail, the timeout fraction, and how much
+		// answering capacity it keeps. Deliberately cold: a flood does not
+		// ramp up politely, it arrives at full rate, and surviving that
+		// arrival is the point of batched reads — a reader that falls
+		// behind in the first burst must drain many packets per wakeup to
+		// catch back up instead of servicing a full queue it keeps
+		// re-dropping (receive livelock).
 		// The generator shares the machine with the server under test: an
 		// offered rate near the generator's own flat-out ceiling starves
 		// the server of CPU and measures the generator instead of the I/O
 		// path. Calibrate that ceiling (a short unpaced burst) and keep the
 		// flood at a sustainable fraction of it (0.75 leaves the server roughly the
 		// CPU share it gets when a real flood arrives over a NIC).
-		ceil, err := withSelfServe(1, *serverRcvbuf, func(target string) (PhaseReport, error) {
+		ceil, err := withSelfServe(*serverRcvbuf, func(target string) (PhaseReport, error) {
 			return runPhase(target, cps, *workers, *batch, 300*time.Millisecond, 50*time.Millisecond, 0)
 		})
 		if err != nil {
@@ -226,39 +209,27 @@ func main() {
 			os.Exit(1)
 		}
 		rep.GeneratorCeilingQPS = ceil.OfferedQPS
-		overloadRate := *overloadX * un.AnsweredQPS
+		overloadRate := *overloadX * satMed.AnsweredQPS
 		if lid := 0.75 * ceil.OfferedQPS; lid > 0 && overloadRate > lid {
 			overloadRate = lid
 		}
-		overload := func(udpBatch int) (PhaseReport, error) {
-			return withSelfServe(udpBatch, *serverRcvbuf, func(target string) (PhaseReport, error) {
+		var ovs []PhaseReport
+		for r := 0; r < *reps; r++ {
+			ov, err := withSelfServe(*serverRcvbuf, func(target string) (PhaseReport, error) {
 				return runPhase(target, cps, *workers, *batch, *duration, *timeout, overloadRate)
 			})
-		}
-		var ovs, ovus []PhaseReport
-		for r := 0; r < *reps; r++ {
-			ov, err := overload(*serverBatch)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dnsblast: overload phase:", err)
 				os.Exit(1)
 			}
 			ovs = append(ovs, ov)
-			ovu, err := overload(1)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "dnsblast: unbatched overload phase:", err)
-				os.Exit(1)
-			}
-			ovus = append(ovus, ovu)
-			fmt.Fprintf(os.Stderr, "dnsblast: overload rep %d/%d at %.0f qps: batched %.0f, unbatched %.0f\n",
-				r+1, *reps, overloadRate, ov.AnsweredQPS, ovu.AnsweredQPS)
+			fmt.Fprintf(os.Stderr, "dnsblast: overload rep %d/%d at %.0f qps: answered %.0f\n",
+				r+1, *reps, overloadRate, ov.AnsweredQPS)
 		}
-		ov, ovu := medianPhase(ovs), medianPhase(ovus)
-		rep.Overload, rep.OverloadUnbatched = &ov, &ovu
-		if ovu.AnsweredQPS > 0 {
-			rep.OverloadSpeedupX = ov.AnsweredQPS / ovu.AnsweredQPS
-		}
+		ov := medianPhase(ovs)
+		rep.Overload = &ov
 	default: // -selfserve without -compare: one measurement, one server
-		ph, err := withSelfServe(*serverBatch, *serverRcvbuf, measure)
+		ph, err := withSelfServe(*serverRcvbuf, measure)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dnsblast:", err)
 			os.Exit(1)
@@ -284,7 +255,7 @@ func main() {
 	}
 
 	var received uint64
-	for _, ph := range []*PhaseReport{rep.Target, rep.Unbatched, rep.BatchedP, rep.Overload} {
+	for _, ph := range []*PhaseReport{rep.Target, rep.Saturation, rep.Overload} {
 		if ph != nil {
 			received += ph.Received
 		}
@@ -296,17 +267,16 @@ func main() {
 	fmt.Fprintf(os.Stderr, "dnsblast: %d answers received\n", received)
 }
 
-// withSelfServe starts a fresh in-process server with the given batch
-// size, runs fn against it, and tears it down. The watchdog stays
+// withSelfServe starts a fresh in-process server, runs fn against it, and
+// tears it down. The watchdog stays
 // disarmed (the flood class would trip the malformed-rate breaker
 // mid-measurement) and the flight recorder off (saturation measures the
 // serving path, not the forensics tax).
-func withSelfServe(udpBatch, rcvbuf int, fn func(target string) (PhaseReport, error)) (PhaseReport, error) {
+func withSelfServe(rcvbuf int, fn func(target string) (PhaseReport, error)) (PhaseReport, error) {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(blastZone, dnswire.MustName("blast.test")))
 	cfg := netserve.DefaultConfig()
 	cfg.TCPAddr = ""
-	cfg.UDPBatch = udpBatch
 	cfg.UDPReadBuffer = rcvbuf
 	cfg.Watchdog = nil
 	cfg.Flight = nil

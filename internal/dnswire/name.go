@@ -227,9 +227,15 @@ func (n Name) appendWire(buf []byte) ([]byte, error) {
 	if n.s == "" {
 		return nil, errors.New("dnswire: encoding zero Name")
 	}
-	for _, label := range n.Labels() {
-		buf = append(buf, byte(len(label)))
-		buf = append(buf, label...)
+	// Walk the canonical text in place (no Labels slice): the zone router
+	// renders every decoded qname through here.
+	if n.s != "." {
+		for rest := n.s; rest != ""; {
+			label, tail, _ := strings.Cut(rest, ".")
+			buf = append(buf, byte(len(label)))
+			buf = append(buf, label...)
+			rest = tail
+		}
 	}
 	return append(buf, 0), nil
 }

@@ -1,10 +1,10 @@
-// Batched UDP serving: the read loop variant that amortizes kernel
-// crossings with recvmmsg/sendmmsg (internal/udpbatch). Each worker
-// drains up to K datagrams per syscall into a preallocated arena, runs
-// every packet through the exact same handlePacket tiers as the
-// one-packet loop — hot cache, compiled views, slow path, quarantine,
+// The UDP read loop. Each worker drains up to udpBatch datagrams per
+// kernel crossing into a preallocated arena (internal/udpbatch:
+// recvmmsg/sendmmsg on linux/amd64 and linux/arm64, one datagram per
+// syscall elsewhere behind the same API), runs every packet through
+// handlePacket — hot cache, compiled views, slow path, quarantine,
 // watchdog, ladder, flight recorder — and flushes the accumulated
-// responses with one sendmmsg. Steady state allocates nothing.
+// responses with one send. Steady state allocates nothing.
 
 package netserve
 
@@ -15,31 +15,19 @@ import (
 	"akamaidns/internal/udpbatch"
 )
 
-// udpBatchK resolves Config.UDPBatch: 0 means DefaultUDPBatch, 1 or less
-// (or a platform without batched syscalls) disables batching.
-func (s *Server) udpBatchK() int {
-	if !udpbatch.Supported {
-		return 1
-	}
-	k := s.Cfg.UDPBatch
-	if k == 0 {
-		k = DefaultUDPBatch
-	}
-	if k < 2 {
-		return 1
-	}
-	if k > udpbatch.MaxBatch {
-		k = udpbatch.MaxBatch
-	}
-	return k
-}
+// udpBatch is K, the datagrams moved per UDP syscall. 32 amortizes the
+// kernel crossing to ~3% of its per-packet cost while keeping the
+// per-worker arena (two 4 KiB slots per packet) small. A datagram larger
+// than an arena slot is dropped rather than served clipped — far beyond
+// any real DNS query.
+const udpBatch = 32
 
-// serveUDPBatched is the batched read loop. The contract mirrors
-// serveUDPLoop exactly: return on read error (socket closed, or
+// serveUDP is one UDP worker: it returns on read error (socket closed, or
 // deadline-poked by Drain — udpbatch.ReadBatch honors SetReadDeadline),
-// count every packet, and read-and-discard whole batches while the
+// counts every packet, and reads-and-discards whole batches while the
 // watchdog holds a self-suspension.
-func (s *Server) serveUDPBatched(bc *udpbatch.Conn, conn *net.UDPConn) {
+func (s *Server) serveUDP(bc *udpbatch.Conn, conn *net.UDPConn) {
+	defer s.wg.Done()
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	for {
@@ -50,8 +38,10 @@ func (s *Server) serveUDPBatched(bc *udpbatch.Conn, conn *net.UDPConn) {
 		s.Metrics.UDPQueries.Add(uint64(n))
 		s.batchSize.Observe(float64(n))
 		if s.watchdog != nil && s.watchdog.Engaged() && s.watchdog.Suspended(time.Now()) {
-			// Live self-suspension: the whole batch is read and discarded
-			// unanswered, same as the one-packet loop (§4.2.1).
+			// Live self-suspension: traffic is read and discarded unanswered
+			// — the socket-level emulation of withdrawing the anycast route
+			// (§4.2.1). Reading (rather than pausing) keeps the kernel
+			// buffer from serving stale packets on resume.
 			continue
 		}
 		if staged := s.handleBatch(bc, conn, n, sc); staged > 0 {

@@ -34,21 +34,25 @@ ns1.sub  IN A 203.0.113.1
 ns2.sub  IN A 203.0.113.2
 `
 
-// startParityServer runs one server with the given batch size, a
-// capture-everything flight recorder, and the watchdog disabled (a
-// malformed-rate trip mid-corpus would fork the two servers' behavior
-// for reasons unrelated to batching).
-func startParityServer(t *testing.T, udpBatch int) *Server {
-	t.Helper()
+// newParityServer builds one single-worker server with a
+// capture-everything flight recorder and the watchdog disabled (a
+// malformed-rate trip mid-corpus would fork the socket server from its
+// socketless twin for reasons unrelated to the read loop).
+func newParityServer() *Server {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(batchParityZone, dnswire.MustName("ex.test")))
 	cfg := DefaultConfig()
 	cfg.TCPAddr = ""
 	cfg.UDPWorkers = 1
-	cfg.UDPBatch = udpBatch
 	cfg.Watchdog = nil
 	cfg.Flight = &flight.Config{SampleEvery: 1}
-	srv := New(cfg, nameserver.NewEngine(store), nil)
+	return New(cfg, nameserver.NewEngine(store), nil)
+}
+
+// startParityServer is newParityServer on a live socket.
+func startParityServer(t *testing.T) *Server {
+	t.Helper()
+	srv := newParityServer()
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,34 +155,42 @@ func verdictCounts(s *Server) map[flight.Verdict]int {
 	return counts
 }
 
-// TestBatchParity is the batch/fallback differential: the same seeded
-// corpus served through -udp-batch=32 and -udp-batch=1 must produce
-// byte-identical responses, identical flight-verdict tallies, and
-// identical serving-tier counters.
+// TestBatchParity is the read-loop differential: the same seeded corpus
+// served by the batched socket loop (recvmmsg arena, staging, sendmmsg
+// flush) and fed in order through handlePacket on a socketless twin must
+// produce byte-identical responses, identical flight-verdict tallies, and
+// identical serving-tier counters. The loop may add nothing and lose
+// nothing. One worker keeps the socket side in corpus order, so hot-cache
+// graduation happens at the same query on both servers.
 func TestBatchParity(t *testing.T) {
-	if !udpbatch.Supported {
-		t.Skip("no batched syscalls on this platform")
-	}
 	const queries = 384
 	corpus := parityCorpus(t, 7, queries)
-	batched := startParityServer(t, 32)
-	fallback := startParityServer(t, 1)
-	respA := collectResponses(t, batched.UDPAddrActual(), corpus, 32)
-	respB := collectResponses(t, fallback.UDPAddrActual(), corpus, 32)
+	served := startParityServer(t)
+	twin := newParityServer()
+	respA := collectResponses(t, served.UDPAddrActual(), corpus, 32)
+	respB := make(map[int][]byte, queries)
+	src := netip.MustParseAddrPort("127.0.0.1:5353")
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for id, wire := range corpus {
+		if out := twin.handlePacket(wire, src, false, sc); out != nil {
+			respB[id] = append([]byte(nil), out...)
+		}
+	}
 	if len(respA) != queries || len(respB) != queries {
-		t.Fatalf("response counts: batched %d, fallback %d, want %d", len(respA), len(respB), queries)
+		t.Fatalf("response counts: socket %d, twin %d, want %d", len(respA), len(respB), queries)
 	}
 	for id := 0; id < queries; id++ {
 		if !bytes.Equal(respA[id], respB[id]) {
-			t.Fatalf("response %d differs:\n  batched:  %x\n  fallback: %x\n  query:    %x",
+			t.Fatalf("response %d differs:\n  socket: %x\n  twin:   %x\n  query:  %x",
 				id, respA[id], respB[id], corpus[id])
 		}
 	}
-	va, vb := verdictCounts(batched), verdictCounts(fallback)
+	va, vb := verdictCounts(served), verdictCounts(twin)
 	for _, v := range []flight.Verdict{flight.VerdictServed, flight.VerdictCached,
 		flight.VerdictView, flight.VerdictError, flight.VerdictShed} {
 		if va[v] != vb[v] {
-			t.Errorf("verdict %s: batched %d, fallback %d", v, va[v], vb[v])
+			t.Errorf("verdict %s: socket %d, twin %d", v, va[v], vb[v])
 		}
 	}
 	type pair struct {
@@ -186,18 +198,18 @@ func TestBatchParity(t *testing.T) {
 		a, b uint64
 	}
 	for _, p := range []pair{
-		{"udp_queries", batched.Metrics.UDPQueries.Load(), fallback.Metrics.UDPQueries.Load()},
-		{"decode_errors", batched.Metrics.DecodeErrors.Load(), fallback.Metrics.DecodeErrors.Load()},
-		{"view_served", batched.Metrics.ViewServed.Load(), fallback.Metrics.ViewServed.Load()},
-		{"write_errors", batched.Metrics.WriteErrors.Load(), fallback.Metrics.WriteErrors.Load()},
-		{"send_shortfall", batched.Metrics.SendShortfall.Load(), fallback.Metrics.SendShortfall.Load()},
+		{"udp_queries", served.Metrics.UDPQueries.Load(), queries}, // counted by the loop itself
+		{"decode_errors", served.Metrics.DecodeErrors.Load(), twin.Metrics.DecodeErrors.Load()},
+		{"view_served", served.Metrics.ViewServed.Load(), twin.Metrics.ViewServed.Load()},
+		{"write_errors", served.Metrics.WriteErrors.Load(), twin.Metrics.WriteErrors.Load()},
+		{"send_shortfall", served.Metrics.SendShortfall.Load(), twin.Metrics.SendShortfall.Load()},
 	} {
 		if p.a != p.b {
-			t.Errorf("metric %s: batched %d, fallback %d", p.name, p.a, p.b)
+			t.Errorf("metric %s: socket %d, twin %d", p.name, p.a, p.b)
 		}
 	}
-	if c := batched.batchSize.Count(); c == 0 {
-		t.Error("batched server recorded no batch-size observations")
+	if c := served.batchSize.Count(); c == 0 {
+		t.Error("socket server recorded no batch-size observations")
 	}
 }
 
@@ -251,13 +263,9 @@ func TestBatchHandleZeroAlloc(t *testing.T) {
 }
 
 // TestBatchDrainWakes proves Drain's deadline poke interrupts a blocked
-// recvmmsg: batched workers must retire within the grace period exactly
-// like unbatched ones.
+// batch read: the workers must retire within the grace period.
 func TestBatchDrainWakes(t *testing.T) {
-	if !udpbatch.Supported {
-		t.Skip("no batched syscalls on this platform")
-	}
-	srv := startParityServer(t, 32)
+	srv := startParityServer(t)
 	// One query proves the read loop is live before the drain.
 	q := dnswire.NewQuery(9, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	if _, err := Exchange(srv.UDPAddrActual(), q, false, time.Second); err != nil {
@@ -265,10 +273,10 @@ func TestBatchDrainWakes(t *testing.T) {
 	}
 	start := time.Now()
 	if !srv.Drain(3 * time.Second) {
-		t.Fatal("drain deadline hit: batched reader did not wake")
+		t.Fatal("drain deadline hit: the blocked reader did not wake")
 	}
 	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("drain took %v; the deadline poke should wake recvmmsg immediately", waited)
+		t.Fatalf("drain took %v; the deadline poke should wake the read immediately", waited)
 	}
 }
 

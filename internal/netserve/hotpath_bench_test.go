@@ -7,6 +7,7 @@ import (
 
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/nameserver"
+	"akamaidns/internal/qod"
 	"akamaidns/internal/udpbatch"
 	"akamaidns/internal/zone"
 )
@@ -79,17 +80,24 @@ func BenchmarkHandleUDPEDNS(b *testing.B) {
 }
 
 // BenchmarkHandleUDPNoCache is the slow path every query took before the
-// hot cache and compiled views existed: full decode, zone lookup, and pack
-// per packet (DisableViewServe keeps the view tier out of the way).
+// hot cache and compiled views existed — full decode, zone lookup, and pack
+// per packet — reached by calling the reference tier directly.
 func BenchmarkHandleUDPNoCache(b *testing.B) {
 	srv := benchServer(b, -1)
-	srv.Cfg.DisableViewServe = true
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	wire, err := q.Pack()
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchHandle(b, srv, wire)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := srv.handleSlow(wire, benchSrc, false, sc, qod.LevelFull); out == nil {
+			b.Fatal("no response")
+		}
+	}
 }
 
 // benchHandleUnique runs the handle path with a fresh qname every iteration

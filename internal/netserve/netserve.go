@@ -48,28 +48,15 @@ type Config struct {
 	// the kernel load-balances packets across independent receive queues;
 	// elsewhere the workers share one socket.
 	UDPWorkers int
-	// UDPBatch sets K, the datagrams moved per UDP syscall: each read loop
-	// drains up to K packets with one recvmmsg and flushes their responses
-	// with one sendmmsg (0 = DefaultUDPBatch; 1 or negative disables
-	// batching; ignored where batched syscalls are unavailable, see
-	// udpbatch.Supported). The batch path reuses a per-worker arena, so a
-	// datagram larger than the 4 KiB arena slot is dropped rather than
-	// served clipped — far beyond any real DNS query.
-	UDPBatch int
 	// UDPReadBuffer sets SO_RCVBUF (bytes) on every UDP listener: queue
 	// depth is what turns a transient flood burst into latency instead of
-	// loss, and what keeps recvmmsg batches full (0 = DefaultUDPReadBuffer
-	// when the batched read loop is active, OS default otherwise; negative
-	// always keeps the OS default). The kernel clamps to
+	// loss, and what keeps recvmmsg batches full (0 = DefaultUDPReadBuffer;
+	// negative keeps the OS default). The kernel clamps to
 	// net.core.rmem_max; failures are ignored.
 	UDPReadBuffer int
 	// HotCacheSize bounds the packed-response hot cache (0 = default size,
 	// negative disables the cache entirely).
 	HotCacheSize int
-	// DisableViewServe forces cache-miss queries through the full decode
-	// path instead of the compiled-view wire assembly. A differential
-	// debugging and benchmarking aid; leave false in production.
-	DisableViewServe bool
 	// Smax discards queries outright when the pipeline scores at or above
 	// it (0 disables scoring-based discard).
 	Smax float64
@@ -126,12 +113,6 @@ type Config struct {
 
 // DefaultLatencySample is the 1-in-N answer-latency sampling period.
 const DefaultLatencySample = 64
-
-// DefaultUDPBatch is the default recvmmsg/sendmmsg batch size where
-// batched syscalls are supported. 32 amortizes the kernel crossing to
-// ~3% of its per-packet cost while keeping the per-worker arena (two
-// 4 KiB slots per packet) small.
-const DefaultUDPBatch = 32
 
 // DefaultUDPReadBuffer is the SO_RCVBUF request for each UDP listener:
 // 4 MiB absorbs several milliseconds of full-rate flood per socket
@@ -442,13 +423,9 @@ func (s *Server) Start() error {
 		// Deep receive queues: a flood arrives faster than any reader can
 		// drain for a few milliseconds at a time; queue depth is what turns
 		// that into latency instead of loss, and what keeps recvmmsg
-		// batches full. The deep default only applies when the batched
-		// read loop is active — it exists to feed recvmmsg; the one-packet
-		// loop keeps the OS default it has always run with. An explicit
-		// UDPReadBuffer applies to either loop. Clamped by
-		// net.core.rmem_max; best effort.
+		// batches full. Clamped by net.core.rmem_max; best effort.
 		rb := s.Cfg.UDPReadBuffer
-		if rb == 0 && s.udpBatchK() > 1 {
+		if rb == 0 {
 			rb = DefaultUDPReadBuffer
 		}
 		if rb > 0 {
@@ -456,28 +433,29 @@ func (s *Server) Start() error {
 				c.SetReadBuffer(rb)
 			}
 		}
+		// One read loop per worker, each owning its batch arena: a shared
+		// socket is drained by all of them, an SO_REUSEPORT group by one
+		// worker per kernel-balanced socket.
+		batches := make([]*udpbatch.Conn, workers)
+		for i := range batches {
+			if batches[i], err = udpbatch.New(conns[i%len(conns)], udpBatch); err != nil {
+				closeAll(conns)
+				return fmt.Errorf("netserve: udp batch arena: %w", err)
+			}
+		}
 		s.udps = conns
-		if len(conns) == 1 {
-			// Shared socket: N workers drain one receive queue.
-			for i := 0; i < workers; i++ {
-				s.wg.Add(1)
-				go s.serveUDP(conns[0])
-			}
-		} else {
-			// SO_REUSEPORT group: one worker per socket, kernel-balanced.
-			for _, c := range conns {
-				s.wg.Add(1)
-				go s.serveUDP(c)
-			}
+		for i, bc := range batches {
+			s.wg.Add(1)
+			go s.serveUDP(bc, conns[i%len(conns)])
 		}
 	}
 	if s.Cfg.TCPAddr != "" {
 		var err error
 		s.tcp, err = net.Listen("tcp", s.Cfg.TCPAddr)
 		if err != nil {
-			for _, c := range s.udps {
-				c.Close()
-			}
+			// The UDP loops are already running; closing their sockets
+			// retires them.
+			closeAll(s.udps)
 			return err
 		}
 		s.wg.Add(1)
@@ -516,9 +494,7 @@ func listenUDPGroup(addr string, n int) ([]*net.UDPConn, error) {
 	for len(conns) < n {
 		pc, err := lc.ListenPacket(context.Background(), "udp", bound)
 		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
+			closeAll(conns)
 			return nil, err
 		}
 		conns = append(conns, pc.(*net.UDPConn))
@@ -531,13 +507,17 @@ func listenUDPGroup(addr string, n int) ([]*net.UDPConn, error) {
 	port0 := conns[0].LocalAddr().(*net.UDPAddr).Port
 	for _, c := range conns[1:] {
 		if p := c.LocalAddr().(*net.UDPAddr).Port; p != port0 {
-			for _, cc := range conns {
-				cc.Close()
-			}
+			closeAll(conns)
 			return nil, fmt.Errorf("netserve: SO_REUSEPORT group split across ports %d and %d", port0, p)
 		}
 	}
 	return conns, nil
+}
+
+func closeAll(conns []*net.UDPConn) {
+	for _, c := range conns {
+		c.Close()
+	}
 }
 
 // UDPAddrActual reports the bound UDP address (for :0 listeners). With
@@ -564,61 +544,11 @@ func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	for _, c := range s.udps {
-		c.Close()
-	}
+	closeAll(s.udps)
 	if s.tcp != nil {
 		s.tcp.Close()
 	}
 	s.wg.Wait()
-}
-
-// serveUDP is one UDP worker: it owns the WaitGroup slot and routes the
-// socket onto the batched read loop (one recvmmsg/sendmmsg per K packets,
-// batch.go) when configured and supported, or the classic one-packet loop
-// otherwise.
-func (s *Server) serveUDP(conn *net.UDPConn) {
-	defer s.wg.Done()
-	if k := s.udpBatchK(); k > 1 {
-		if bc, err := udpbatch.New(conn, k); err == nil {
-			s.serveUDPBatched(bc, conn)
-			return
-		}
-	}
-	s.serveUDPLoop(conn)
-}
-
-// serveUDPLoop is the unbatched UDP read loop. Buffers, the query
-// message, and the response buffer are acquired once and reused for every
-// packet the worker handles; the address travels as a netip.AddrPort so
-// nothing on the read path allocates.
-func (s *Server) serveUDPLoop(conn *net.UDPConn) {
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	buf := *bp
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	for {
-		n, src, err := conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			return // closed (or deadline-poked by Drain)
-		}
-		s.Metrics.UDPQueries.Add(1)
-		if s.watchdog != nil && s.watchdog.Engaged() && s.watchdog.Suspended(time.Now()) {
-			// Live self-suspension: traffic is read and discarded unanswered
-			// — the socket-level emulation of withdrawing the anycast route
-			// (§4.2.1). Reading (rather than pausing) keeps the kernel
-			// buffer from serving stale packets on resume.
-			continue
-		}
-		resp := s.handlePacket(buf[:n], src, false, sc)
-		if resp == nil {
-			continue
-		}
-		if _, err := conn.WriteToUDPAddrPort(resp, src); err != nil {
-			s.Metrics.WriteErrors.Add(1)
-		}
-	}
 }
 
 // handlePacket serves one message and, when the flight recorder is on,
@@ -742,14 +672,6 @@ func noteQuery(sc *scratch, q *dnswire.Message, verdict flight.Verdict, rcode ui
 	}
 }
 
-// noteShed stamps the flight note for a pipeline or ladder shed.
-func (s *Server) noteShed(sc *scratch, qname string, qtype uint16, rcode uint8) {
-	sc.note.Verdict = flight.VerdictShed
-	sc.note.Qname = qname
-	sc.note.QType = qtype
-	sc.note.RCode = rcode
-}
-
 // zoneLabel renders a zone origin for the flight rollup ("" when none
 // matched; Name strings are interned, so this never allocates).
 func zoneLabel(n dnswire.Name) string {
@@ -776,16 +698,24 @@ func (s *Server) noteCrash(wire []byte, sc *scratch) {
 // dispatch is the unguarded serving pipeline, a ladder of progressively
 // more expensive tiers: the packed-response hot cache (exact repeats), the
 // compiled-view wire assembly (any canonical-shape query, including
-// cache-busting misses), then the full decode/score/answer/encode slow
-// path — shedding per the degradation level on the way. The canonical-shape
-// query parse happens once and feeds every tier.
+// cache-busting misses), then the full decode/answer/encode slow path —
+// shedding per the degradation level on the way. The canonical-shape parse
+// and the wire-tier eligibility test happen once and feed every tier; every
+// tier scores and sheds through the one admit gate.
 func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
 	var v dnswire.QueryView
-	viewOK := false
+	canonical := false
 	if !tcp {
-		v, viewOK = dnswire.ParseQueryView(wire)
+		v, canonical = dnswire.ParseQueryView(wire)
 	}
-	if viewOK && s.hot != nil && s.Engine.Tailor == nil && !s.Cfg.RequireCookies {
+	if canonical && v.Response() {
+		return nil // QR-bit filtering: reflection junk is dropped silently
+	}
+	// The wire tiers serve only answers that are the same for every client.
+	// Tailored answers, and the refuse-with-cookie every cookie-less UDP
+	// query must get under RequireCookies, are the slow path's business.
+	wireTiers := canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies
+	if wireTiers && s.hot != nil {
 		if out, done := s.handleFast(wire, v, src, sc); done {
 			return out
 		}
@@ -798,7 +728,7 @@ func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch
 		s.shed[qod.LevelDegraded].Add(1)
 		sc.insert = cacheIntent{}
 		sc.note.Verdict = flight.VerdictShed
-		if viewOK {
+		if canonical {
 			sc.note.QnameWire = v.QnameWire(wire)
 			sc.note.QType = uint16(v.QType)
 			if out := refusedFor(wire, v.QnameLen+4, sc.out[:0]); out != nil {
@@ -809,16 +739,67 @@ func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch
 		}
 		return nil
 	}
-	// Cookie-bearing queries bail inside handleView (v.HasCookie); with
-	// RequireCookies every cookie-less UDP query must reach the slow path's
-	// refuse-with-cookie, so the whole tier is skipped.
-	if viewOK && !s.Cfg.DisableViewServe && s.Engine.Tailor == nil &&
-		!s.Cfg.RequireCookies {
+	if wireTiers {
 		if out, done := s.handleView(wire, v, src, sc, level); done {
 			return out
 		}
 	}
 	return s.handleSlow(wire, src, tcp, sc, level)
+}
+
+// clientAgnostic reports whether a canonical-shape query is one the wire
+// tiers may answer from shared bytes: a plain IN-class QUERY for a concrete
+// type, carrying no option that makes the answer client-specific (ECS
+// tailoring, cookie echo).
+func clientAgnostic(v dnswire.QueryView) bool {
+	if v.OpCode() != dnswire.OpQuery || v.QClass != dnswire.ClassINET {
+		return false
+	}
+	switch v.QType {
+	case dnswire.TypeAXFR, dnswire.TypeIXFR, dnswire.TypeANY:
+		return false
+	}
+	return !v.HasECS && !v.HasCookie
+}
+
+// admit is the one §4.3.3 gate every tier passes a scored query through:
+// the pipeline's penalty decides discard (S >= Smax), tail drop (that
+// penalty's queue is full) or — at LevelCleanOnly, ≥85% of the in-flight
+// ceiling, where only the lowest-penalty rung is worth the remaining
+// capacity — a wire-level REFUSED. Serving is synchronous, so an admitted
+// query passes straight through the ladder; the decisions, the counters and
+// the depth gauges are the production ones. It reports ok=false when the
+// query was shed, with the reply to send (nil: drop silently); counters,
+// tracer marks and the flight note are all stamped here. Callers check
+// s.admission != nil first, so an unscored server builds no filters.Query.
+func (s *Server) admit(wire []byte, fq *filters.Query, level int, span *obs.Span, sc *scratch) (reply []byte, ok bool) {
+	fq.IPTTL = 64 // kernel does not expose arriving TTL portably
+	fq.Now = s.now()
+	score, _ := s.Pipeline.Score(fq)
+	span.Mark(obs.StageScore)
+	rcode := uint8(0)
+	outcome := s.admission.Admit(score)
+	switch {
+	case outcome == queue.Discarded:
+		s.Metrics.Discarded.Add(1)
+	case outcome == queue.TailDropped:
+		s.Metrics.TailDropped.Add(1)
+	case level >= qod.LevelCleanOnly && s.admission.Rung(score) > 0:
+		s.shed[qod.LevelCleanOnly].Add(1)
+		if reply = refusedFor(wire, questionLen(wire), sc.out[:0]); reply != nil {
+			rcode = uint8(dnswire.RCodeRefused)
+			sc.out = reply
+		}
+	default:
+		span.Mark(obs.StageQueue)
+		return nil, true
+	}
+	sc.insert = cacheIntent{}
+	sc.note.Verdict = flight.VerdictShed
+	sc.note.RCode = rcode
+	sc.note.Qname = fq.Name.String()
+	sc.note.QType = uint16(fq.Type)
+	return reply, false
 }
 
 // sizeClassUDP buckets a query's advertised payload limit so one cached
@@ -844,25 +825,11 @@ func sizeClassUDP(v dnswire.QueryView) (class byte, floor int, ok bool) {
 }
 
 // handleFast attempts the packed-response path. It reports done=false when
-// the query must take the slow path — either ineligible (client-specific
-// answer: cookies, ECS, odd shape) or a cache miss, in which case
-// sc.insert tells the slow path to populate the cache. On a hit the cached
-// wire is replayed with the ID, RD bit, and qname casing patched, so 0x20
-// mixed-case encoding round-trips exactly.
+// the query must go further down the tiers — an eccentric payload size or a
+// cache miss, in which case sc.insert tells the answering tier to populate
+// the cache. On a hit the cached wire is replayed with the ID, RD bit, and
+// qname casing patched, so 0x20 mixed-case encoding round-trips exactly.
 func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch) ([]byte, bool) {
-	if v.Response() {
-		return nil, true // QR-bit filtering: reflection junk is dropped silently
-	}
-	if v.OpCode() != dnswire.OpQuery || v.QClass != dnswire.ClassINET {
-		return nil, false
-	}
-	switch v.QType {
-	case dnswire.TypeAXFR, dnswire.TypeIXFR, dnswire.TypeANY:
-		return nil, false
-	}
-	if v.HasECS || v.HasCookie {
-		return nil, false
-	}
 	class, floor, ok := sizeClassUDP(v)
 	if !ok {
 		return nil, false
@@ -877,36 +844,14 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		sc.insert = cacheIntent{active: true, gen: gen, floor: floor, qnameLen: v.QnameLen}
 		return nil, false
 	}
-	// Pipeline parity: cached answers score and pass ladder admission
-	// exactly like slow-path ones, using the entry's parsed name and zone.
-	if s.Pipeline != nil && s.Cfg.Smax > 0 {
-		fq := filters.Query{
-			Resolver: s.resolverKey(src.Addr()),
-			Name:     e.Name,
-			Type:     v.QType,
-			Zone:     e.Zone,
-			IPTTL:    64,
-			Now:      s.now(),
+	// Cached answers score and pass admission exactly like slow-path ones,
+	// using the entry's parsed name and zone — but at LevelFull: a hot
+	// answer costs less than refusing it, so it survives clean-only.
+	if s.admission != nil {
+		fq := filters.Query{Resolver: s.resolverKey(src.Addr()), Name: e.Name, Type: v.QType, Zone: e.Zone}
+		if reply, ok := s.admit(wire, &fq, qod.LevelFull, &span, sc); !ok {
+			return reply, true
 		}
-		score, _ := s.Pipeline.Score(&fq)
-		span.Mark(obs.StageScore)
-		if s.admission != nil {
-			switch s.admission.Admit(score) {
-			case queue.Discarded:
-				s.Metrics.Discarded.Add(1)
-				s.noteShed(sc, e.Name.String(), uint16(v.QType), 0)
-				return nil, true
-			case queue.TailDropped:
-				s.Metrics.TailDropped.Add(1)
-				s.noteShed(sc, e.Name.String(), uint16(v.QType), 0)
-				return nil, true
-			}
-		} else if score >= s.Cfg.Smax {
-			s.Metrics.Discarded.Add(1)
-			s.noteShed(sc, e.Name.String(), uint16(v.QType), 0)
-			return nil, true
-		}
-		span.Mark(obs.StageQueue)
 	}
 	span.Mark(obs.StageLookup)
 	sc.note.Verdict = flight.VerdictCached
@@ -929,7 +874,8 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	return out, true
 }
 
-// handleSlow decodes, scores, answers, and encodes one message. Returns
+// handleSlow decodes, scores, answers, and encodes one message: the
+// reference path every wire tier is differentially tested against. Returns
 // nil when the query is dropped (discard or undecodable with no usable
 // header). The tracer stamps each stage: receive (decode) → cookie →
 // score → queue → lookup → write (encode/truncate).
@@ -1001,60 +947,15 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		}
 	}
 	span.Mark(obs.StageCookie)
-	srcKey := ""
-	if s.Pipeline != nil && len(q.Questions) == 1 && s.Cfg.Smax > 0 && !cookieValid {
-		srcKey = s.resolverKey(src.Addr())
-		fq := filters.Query{
-			Resolver: srcKey,
-			Name:     q.Questions[0].Name,
-			Type:     q.Questions[0].Type,
-			IPTTL:    64, // kernel does not expose arriving TTL portably
-			Now:      s.now(),
-		}
+	srcKey := s.resolverKey(src.Addr())
+	if s.admission != nil && len(q.Questions) == 1 && !cookieValid {
+		fq := filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
 		if z := s.Engine.Store.Find(fq.Name); z != nil {
 			fq.Zone = z.Origin()
 		}
-		score, _ := s.Pipeline.Score(&fq)
-		span.Mark(obs.StageScore)
-		if s.admission != nil {
-			// Queue admission (§4.3.3): serving is synchronous, so admitted
-			// queries pass straight through the ladder, but discard and tail
-			// drop decisions — and the depth gauges — are the production ones.
-			switch s.admission.Admit(score) {
-			case queue.Discarded:
-				s.Metrics.Discarded.Add(1)
-				noteQuery(sc, q, flight.VerdictShed, 0, "")
-				return nil
-			case queue.TailDropped:
-				s.Metrics.TailDropped.Add(1)
-				noteQuery(sc, q, flight.VerdictShed, 0, "")
-				return nil
-			}
-		} else if score >= s.Cfg.Smax {
-			// Pipeline attached after construction: no ladder, plain discard.
-			s.Metrics.Discarded.Add(1)
-			noteQuery(sc, q, flight.VerdictShed, 0, "")
-			return nil
+		if reply, ok := s.admit(wire, &fq, level, &span, sc); !ok {
+			return reply
 		}
-		if level >= qod.LevelCleanOnly && s.admission != nil && s.admission.Rung(score) > 0 {
-			// Clean-only: at ≥85% of the in-flight ceiling, only queries in
-			// the lowest-penalty rung are worth the remaining capacity;
-			// scored tiers above it are refused outright.
-			s.shed[qod.LevelCleanOnly].Add(1)
-			noteQuery(sc, q, flight.VerdictShed, uint8(dnswire.RCodeRefused), "")
-			r := dnswire.NewResponse(q)
-			r.RCode = dnswire.RCodeRefused
-			out, err := r.AppendPack(sc.out[:0])
-			if err != nil {
-				return nil
-			}
-			sc.out = out
-			return out
-		}
-		span.Mark(obs.StageQueue)
-	}
-	if srcKey == "" {
-		srcKey = s.resolverKey(src.Addr())
 	}
 	resp, matched, crashed := s.Engine.Answer(q, nameserver.ResolverKey(srcKey))
 	span.Mark(obs.StageLookup)

@@ -217,6 +217,26 @@ func refusedFor(wire []byte, qlen int, out []byte) []byte {
 	return append(out, wire[12:12+qlen]...)
 }
 
+// questionLen measures the first question of a packet — the name starting
+// at octet 12 (plain labels, optionally ended by a compression pointer) plus
+// the 4 type/class octets — so refusedFor can echo it for a query no tier
+// holds a QueryView of. A name that runs off the packet reports the packet
+// length, which refusedFor rejects.
+func questionLen(wire []byte) int {
+	off := 12
+	for off < len(wire) {
+		c := int(wire[off])
+		switch {
+		case c == 0:
+			return off + 1 + 4 - 12
+		case c >= 0xC0:
+			return off + 2 + 4 - 12
+		}
+		off += 1 + c
+	}
+	return len(wire)
+}
+
 // Suspended reports whether the watchdog currently holds the server in live
 // self-suspension (the socket-level §4.2.1 self-withdrawal).
 func (s *Server) Suspended() bool {
@@ -307,9 +327,7 @@ func (s *Server) Drain(timeout time.Duration) bool {
 		s.connMu.Unlock()
 		<-done
 	}
-	for _, c := range s.udps {
-		c.Close()
-	}
+	closeAll(s.udps)
 	return clean
 }
 

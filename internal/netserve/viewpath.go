@@ -17,8 +17,6 @@ import (
 	"akamaidns/internal/flight"
 	"akamaidns/internal/nameserver"
 	"akamaidns/internal/obs"
-	"akamaidns/internal/qod"
-	"akamaidns/internal/queue"
 	"akamaidns/internal/zone"
 )
 
@@ -33,30 +31,15 @@ var qodMarkerWire = []byte(dnswire.QoDMarkerLabel)
 // root owner, TYPE=OPT, CLASS=1232, zero TTL and RDLENGTH.
 var optEcho = []byte{0, 0, 0x29, 0x04, 0xD0, 0, 0, 0, 0, 0, 0}
 
-// handleView serves one UDP query from the matched zone's compiled view.
-// It reports done=false when the query needs the decode path: ineligible
-// (client-specific answer, unusual shape, crash-trap name), no compiled
-// wire available, or a response too large for the client's payload limit
-// (the decode path owns truncation). The fast-path cache intent in sc is
-// consumed when a response is produced, so bounded-name answers still
-// populate the hot cache while random-subdomain misses never do.
+// handleView serves one client-agnostic UDP query (see dispatch) from the
+// matched zone's compiled view. It reports done=false when the query needs
+// the decode path: a crash-trap name, a label byte the name parser would
+// reject, no compiled wire available, or a response too large for the
+// client's payload limit (the decode path owns truncation). The fast-path
+// cache intent in sc is consumed when a response is produced, so
+// bounded-name answers still populate the hot cache while random-subdomain
+// misses never do.
 func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch, level int) ([]byte, bool) {
-	if v.Response() {
-		sc.insert = cacheIntent{}
-		return nil, true // QR-bit filtering, same as the other tiers
-	}
-	if v.OpCode() != dnswire.OpQuery || v.QClass != dnswire.ClassINET {
-		return nil, false
-	}
-	switch v.QType {
-	case dnswire.TypeAXFR, dnswire.TypeIXFR, dnswire.TypeANY:
-		return nil, false
-	}
-	if v.HasECS || v.HasCookie {
-		// Client-specific answers (ECS tailoring, cookie echo) are the
-		// decode path's business.
-		return nil, false
-	}
 	qfold, ok := v.AppendQnameFolded(sc.vq[:0], wire)
 	sc.vq = qfold[:0]
 	if !ok {
@@ -73,56 +56,21 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	span.Mark(obs.StageReceive)
 	span.Mark(obs.StageCookie)
 	z, _, found := s.Engine.Store.FindWire(qfold)
-	// Pipeline parity: view-served queries score and pass ladder admission
-	// exactly like decode-path ones. Building the filters.Query costs the
-	// one Name allocation; without a pipeline the path stays allocation-free.
-	if s.Pipeline != nil && s.Cfg.Smax > 0 {
+	// View-served queries score and pass admission exactly like decode-path
+	// ones. Building the filters.Query costs the one Name allocation;
+	// without a pipeline the path stays allocation-free.
+	if s.admission != nil {
 		name, okN := dnswire.NameFromFoldedWire(qfold)
 		if !okN {
 			return nil, false
 		}
-		fq := filters.Query{
-			Resolver: s.resolverKey(src.Addr()),
-			Name:     name,
-			Type:     v.QType,
-			IPTTL:    64,
-			Now:      s.now(),
-		}
+		fq := filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
 		if found {
 			fq.Zone = z.Origin()
 		}
-		score, _ := s.Pipeline.Score(&fq)
-		span.Mark(obs.StageScore)
-		if s.admission != nil {
-			switch s.admission.Admit(score) {
-			case queue.Discarded:
-				s.Metrics.Discarded.Add(1)
-				sc.insert = cacheIntent{}
-				s.noteViewShed(sc, wire, v, 0)
-				return nil, true
-			case queue.TailDropped:
-				s.Metrics.TailDropped.Add(1)
-				sc.insert = cacheIntent{}
-				s.noteViewShed(sc, wire, v, 0)
-				return nil, true
-			}
-			if level >= qod.LevelCleanOnly && s.admission.Rung(score) > 0 {
-				s.shed[qod.LevelCleanOnly].Add(1)
-				sc.insert = cacheIntent{}
-				s.noteViewShed(sc, wire, v, uint8(dnswire.RCodeRefused))
-				out := refusedFor(wire, v.QnameLen+4, sc.out[:0])
-				if out != nil {
-					sc.out = out
-				}
-				return out, true
-			}
-		} else if score >= s.Cfg.Smax {
-			s.Metrics.Discarded.Add(1)
-			sc.insert = cacheIntent{}
-			s.noteViewShed(sc, wire, v, 0)
-			return nil, true
+		if reply, ok := s.admit(wire, &fq, level, &span, sc); !ok {
+			return reply, true
 		}
-		span.Mark(obs.StageQueue)
 	}
 	if !found {
 		sc.insert = cacheIntent{}
@@ -207,15 +155,6 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	sc.note.QType = uint16(v.QType)
 	sc.note.Zone = zoneLabel(view.Origin())
 	return out, true
-}
-
-// noteViewShed stamps the flight note for a view-tier shed (qname still in
-// wire form).
-func (s *Server) noteViewShed(sc *scratch, wire []byte, v dnswire.QueryView, rcode uint8) {
-	sc.note.Verdict = flight.VerdictShed
-	sc.note.RCode = rcode
-	sc.note.QnameWire = v.QnameWire(wire)
-	sc.note.QType = uint16(v.QType)
 }
 
 // viewRefused builds the REFUSED response for a query outside every hosted

@@ -8,20 +8,21 @@ import (
 
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/nameserver"
+	"akamaidns/internal/qod"
 	"akamaidns/internal/zone"
 )
 
-// viewTestServer builds a socketless server pair over the same store: one
-// serving through the compiled-view tier, one forced down the legacy decode
-// path. Differential tests compare their decoded responses.
+// viewTestServers builds a socketless server pair over the same store: one
+// serves through the tiers, the other is only ever asked through slowOnce —
+// the decode path called directly, the reference the differential tests
+// compare decoded responses against.
 func viewTestServers(t *testing.T, master string, origin dnswire.Name) (*Server, *Server, *zone.Store) {
 	t.Helper()
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(master, origin))
 	viewSrv := New(DefaultConfig(), nameserver.NewEngine(store), nil)
-	legacy := New(DefaultConfig(), nameserver.NewEngine(store), nil)
-	legacy.Cfg.DisableViewServe = true
-	return viewSrv, legacy, store
+	reference := New(DefaultConfig(), nameserver.NewEngine(store), nil)
+	return viewSrv, reference, store
 }
 
 func handleOnce(t *testing.T, srv *Server, wire []byte) []byte {
@@ -29,6 +30,19 @@ func handleOnce(t *testing.T, srv *Server, wire []byte) []byte {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	out := srv.handlePacket(wire, benchSrc, false, sc)
+	if out == nil {
+		return nil
+	}
+	return append([]byte(nil), out...)
+}
+
+// slowOnce answers one query on the reference decode path, bypassing the
+// hot-cache and compiled-view tiers.
+func slowOnce(t *testing.T, srv *Server, wire []byte) []byte {
+	t.Helper()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	out := srv.handleSlow(wire, benchSrc, false, sc, qod.LevelFull)
 	if out == nil {
 		return nil
 	}
@@ -80,10 +94,10 @@ var viewDiffQueries = []struct {
 }
 
 // TestViewServeDifferential sends the same queries through the compiled-view
-// tier and the legacy decode path and requires identical decoded responses —
-// plain and with an EDNS OPT attached.
+// tier and the reference decode path and requires identical decoded
+// responses — plain and with an EDNS OPT attached.
 func TestViewServeDifferential(t *testing.T) {
-	viewSrv, legacy, _ := viewTestServers(t, benchDelegationZone, dnswire.MustName("ex.test"))
+	viewSrv, reference, _ := viewTestServers(t, benchDelegationZone, dnswire.MustName("ex.test"))
 	id := uint16(100)
 	for _, edns := range []bool{false, true} {
 		for _, tc := range viewDiffQueries {
@@ -97,22 +111,22 @@ func TestViewServeDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := handleOnce(t, viewSrv, wire)
-			want := handleOnce(t, legacy, wire)
+			want := slowOnce(t, reference, wire)
 			if got == nil || want == nil {
-				t.Fatalf("%s/%v edns=%v: nil response (view=%v legacy=%v)",
+				t.Fatalf("%s/%v edns=%v: nil response (view=%v reference=%v)",
 					tc.qname, tc.qtype, edns, got != nil, want != nil)
 			}
 			gs, ws := messageSummary(t, got), messageSummary(t, want)
 			if gs != ws {
-				t.Errorf("%s/%v edns=%v:\n view   %s\n legacy %s", tc.qname, tc.qtype, edns, gs, ws)
+				t.Errorf("%s/%v edns=%v:\n view      %s\n reference %s", tc.qname, tc.qtype, edns, gs, ws)
 			}
 		}
 	}
 	if viewSrv.Metrics.ViewServed.Load() == 0 {
 		t.Fatal("view tier never served")
 	}
-	if legacy.Metrics.ViewServed.Load() != 0 {
-		t.Fatal("DisableViewServe did not bypass the view tier")
+	if reference.Metrics.ViewServed.Load() != 0 {
+		t.Fatal("the reference server answered from the view tier")
 	}
 }
 

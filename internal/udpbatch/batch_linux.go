@@ -54,10 +54,14 @@ type Conn struct {
 	snames []byte
 
 	// Ready-loop closures, built once so the hot path never allocates.
+	// Each direction reports through its own result fields: the reader and
+	// the writer goroutine never touch the same word.
 	readFn  func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
-	ioN     int
-	ioErr   syscall.Errno
+	rN      int
+	rErr    syscall.Errno
+	wN      int
+	wErr    syscall.Errno
 	wOff    int
 	wEnd    int
 }
@@ -104,10 +108,10 @@ func New(uc *net.UDPConn, k int) (*Conn, error) {
 		if e == syscall.EAGAIN {
 			return false // not readable: park in the poller (deadline-aware)
 		}
-		c.ioErr = e
-		c.ioN = int(n)
+		c.rErr = e
+		c.rN = int(n)
 		if e != 0 {
-			c.ioN = 0
+			c.rN = 0
 		}
 		return true
 	}
@@ -118,10 +122,10 @@ func New(uc *net.UDPConn, k int) (*Conn, error) {
 		if e == syscall.EAGAIN {
 			return false
 		}
-		c.ioErr = e
-		c.ioN = int(n)
+		c.wErr = e
+		c.wN = int(n)
 		if e != 0 {
-			c.ioN = 0
+			c.wN = 0
 		}
 		return true
 	}
@@ -146,10 +150,10 @@ func (c *Conn) ReadBatch() (int, error) {
 	if err := c.rc.Read(c.readFn); err != nil {
 		return 0, err
 	}
-	if c.ioErr != 0 {
-		return 0, c.ioErr
+	if c.rErr != 0 {
+		return 0, c.rErr
 	}
-	return c.ioN, nil
+	return c.rN, nil
 }
 
 // Packet returns the payload received into slot i of the last ReadBatch.
@@ -253,19 +257,19 @@ func (c *Conn) Flush(m int) (sent, dropped int, err error) {
 		if werr != nil {
 			return sent, dropped + (m - off), werr
 		}
-		if c.ioErr != 0 {
+		if c.wErr != 0 {
 			// sendmmsg reports an error only when the first message fails;
 			// skip it and press on with the rest of the batch.
 			if err == nil {
-				err = c.ioErr
+				err = c.wErr
 			}
 			dropped++
 			off++
 			continue
 		}
-		sent += c.ioN
-		off += c.ioN
-		if c.ioN == 0 {
+		sent += c.wN
+		off += c.wN
+		if c.wN == 0 {
 			// Defensive: a zero return without errno would otherwise spin.
 			return sent, dropped + (m - off), errors.New("udpbatch: sendmmsg sent nothing")
 		}

@@ -44,7 +44,7 @@ func New(uc *net.UDPConn, k int) (*Conn, error) {
 		uc:    uc,
 		k:     k,
 		slot:  DefaultSlot,
-		rbuf:  make([]byte, DefaultSlot),
+		rbuf:  make([]byte, DefaultSlot+1), // one spare byte exposes an oversized datagram
 		sbuf:  make([]byte, k*DefaultSlot),
 		slens: make([]int, k),
 		sdsts: make([]netip.AddrPort, k),
@@ -68,9 +68,10 @@ func (c *Conn) ReadBatch() (int, error) {
 	return 1, nil
 }
 
-// Packet returns the payload in slot i (only slot 0 is ever filled).
+// Packet returns the payload in slot i (only slot 0 is ever filled). A
+// datagram larger than the slot is reported as nil, never clipped.
 func (c *Conn) Packet(i int) []byte {
-	if i != 0 {
+	if i != 0 || c.rlen > c.slot {
 		return nil
 	}
 	return c.rbuf[:c.rlen]

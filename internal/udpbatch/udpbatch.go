@@ -12,12 +12,16 @@
 // architecture, the same way netserve spells out SO_REUSEPORT). On
 // platforms without recvmmsg/sendmmsg — anything but linux/amd64 and
 // linux/arm64 here — Supported is false and the same API degrades to one
-// datagram per syscall, so callers like cmd/dnsblast stay portable.
+// datagram per syscall. That fallback is what netserve's one UDP loop and
+// cmd/dnsblast run on every other platform, so it is a serving path, not a
+// stub.
 //
 // Concurrency: the receive state (ReadBatch/Packet/Src/LoadPacket) and
-// the send state (Stage*/Flush) are disjoint, so one goroutine may read
-// while another writes — the shape a load generator wants. Neither side
-// tolerates two goroutines of its own kind.
+// the send state (Stage*/Flush) are disjoint, down to the fields each
+// direction's syscall reports its result through, so one goroutine may
+// read while another writes — the shape a load generator wants
+// (TestReadWhileWrite holds this under -race). Neither side tolerates two
+// goroutines of its own kind.
 //
 // ReadBatch honors the usual net.Conn deadline plumbing: a
 // SetReadDeadline on the wrapped conn (or its expiry) interrupts a

@@ -245,3 +245,68 @@ func TestBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("batched I/O allocates: %.1f allocs per batch", allocs)
 	}
 }
+
+// TestReadWhileWrite holds the package's concurrency contract under the
+// race detector: one goroutine flushes batches through a Conn while
+// another blocks in ReadBatch on the same Conn, the load-generator shape.
+// A peer socket echoes every datagram back so both directions stay busy.
+func TestReadWhileWrite(t *testing.T) {
+	const k, rounds = 8, 200
+	peer := listen(t)
+	uc, err := net.DialUDP("udp", nil, peer.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	c, err := New(uc, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoDone := make(chan struct{})
+	go func() {
+		defer close(echoDone)
+		buf := make([]byte, 64)
+		for {
+			n, src, err := peer.ReadFromUDPAddrPort(buf)
+			if err != nil {
+				return // closed by the test body
+			}
+			peer.WriteToUDPAddrPort(buf[:n], src) // best effort: loss only lowers the echo count
+		}
+	}()
+	var received int
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		for {
+			n, err := c.ReadBatch()
+			if err != nil {
+				return // deadline-poked once the writer is done
+			}
+			for i := 0; i < n; i++ {
+				if p := c.Packet(i); len(p) != 1 {
+					t.Errorf("echoed payload %q, want one byte", p)
+				}
+			}
+			received += n
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		for j := 0; j < k; j++ {
+			if !c.StageConnected(j, []byte{byte(r)}) {
+				t.Fatal("StageConnected refused")
+			}
+		}
+		if sent, dropped, err := c.Flush(k); sent+dropped != k {
+			t.Fatalf("Flush = %d sent, %d dropped, %v", sent, dropped, err)
+		}
+	}
+	// Let the last echoes land, then wake the blocked reader.
+	uc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	<-readDone
+	peer.Close()
+	<-echoDone
+	if received == 0 {
+		t.Fatal("reader saw no echoes while the writer ran")
+	}
+}

@@ -14,11 +14,15 @@ import (
 // ParseMaster parses a zone in a pragmatic subset of RFC 1035 master-file
 // syntax: one record per line, "$ORIGIN" and "$TTL" directives, "@" for the
 // origin, relative names, comments with ";", and quoted TXT strings.
-// Parenthesized multi-line records are joined before parsing.
+// Parenthesized multi-line records are joined before parsing. A physical
+// line longer than maxMasterLine is an error.
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	z := New(origin)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// The scanner starts at its small default buffer and grows on demand;
+	// only the cap is raised, so a typical zone costs kilobytes, not a
+	// megabyte, of scratch per parse.
+	sc.Buffer(nil, maxMasterLine)
 	curOrigin := origin
 	defaultTTL := uint32(300)
 	var lastName dnswire.Name
@@ -58,6 +62,9 @@ func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	}
 	return z, nil
 }
+
+// maxMasterLine bounds one physical master-file line, newline included.
+const maxMasterLine = 1 << 20
 
 // MustParseMaster parses from a string and panics on error; for tests and
 // built-in configuration.

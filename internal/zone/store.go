@@ -2,7 +2,6 @@ package zone
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +19,7 @@ type Store struct {
 	// subscribing to individual zones.
 	gen atomic.Uint64
 	// router is the immutable longest-match index, sharded by an FNV hash of
-	// the origin key so an Update republishes only the shards its batch
+	// the wire-form origin so an Update republishes only the shards its batch
 	// dirtied. Find/FindWire take no locks on the serve path.
 	router         atomic.Pointer[routerView]
 	routerRebuilds atomic.Uint64
@@ -39,44 +38,34 @@ const (
 	routerShardMask = routerShards - 1
 )
 
-// routerView indexes the installed zones by origin, once by canonical text
-// and once by wire-form bytes, each space split into routerShards maps keyed
-// by an FNV-1a hash of the full origin key. The view and every shard map are
-// immutable once published: Update clones only the dirty shards and swaps
-// the whole view in one atomic store, so a reader never sees a half-applied
-// batch. Unused shards stay nil (a nil map reads as empty).
+// routerView indexes the installed zones by the wire form of their origin,
+// split into routerShards maps keyed by an FNV-1a hash of the full origin
+// key. The view and every shard map are immutable once published: Update
+// clones only the dirty shards and swaps the whole view in one atomic store,
+// so a reader never sees a half-applied batch. Unused shards stay nil (a nil
+// map reads as empty).
 type routerView struct {
-	text [routerShards]map[string]*Zone
-	wire [routerShards]map[string]*Zone
+	shards [routerShards]map[string]*Zone
 }
 
-// FNV-1a. The shard key hashes the entire origin key (not just the TLD-side
-// label): real and synthetic fleets cluster under shared parent suffixes,
-// and hashing only the trailing label would collapse them into one shard.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func shardIndex(s string) int {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
+// fnv1a hashes a key in either of its two spellings. The []byte
+// instantiation keeps FindWire allocation-free: converting a suffix to a
+// string for a plain argument would copy it, while m[string(b)] map probes
+// do not.
+func fnv1a[K string | []byte](k K) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
+		h *= 1099511628211
 	}
-	return int(h & routerShardMask)
+	return h
 }
 
-// shardIndexBytes is shardIndex for wire-form keys. A separate []byte body
-// keeps FindWire allocation-free: converting the suffix to a string for a
-// plain argument would copy it, while m[string(b)] map probes do not.
-func shardIndexBytes(b []byte) int {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
-	}
-	return int(h & routerShardMask)
+// shardIndex hashes the entire origin key (not just the TLD-side label):
+// real and synthetic fleets cluster under shared parent suffixes, and
+// hashing only the trailing label would collapse them into one shard.
+func shardIndex[K string | []byte](k K) int {
+	return int(fnv1a(k) & routerShardMask)
 }
 
 // publishDirtyLocked publishes a router snapshot covering the origins
@@ -86,28 +75,26 @@ func shardIndexBytes(b []byte) int {
 // independent of the total zone count. Callers hold s.mu.
 func (s *Store) publishDirtyLocked(dirty map[dnswire.Name]struct{}) {
 	prev := s.router.Load()
-	next := *prev // copy the shard pointer arrays; shard maps are shared
+	next := *prev // copy the shard pointer array; shard maps are shared
 
 	type patch struct {
 		key string
 		z   *Zone // nil: delete key from the shard
 	}
-	textPatches := make(map[int][]patch, 2)
-	wirePatches := make(map[int][]patch, 2)
+	patches := make(map[int][]patch, 1)
 	for o := range dirty {
 		z := s.zones[o] // nil when the batch deleted the zone
-		tkey := o.String()
-		var wkey string
+		var key string
 		if z != nil {
-			wkey = z.originWire
+			key = z.originWire
 		} else {
-			wkey = string(o.AppendWire(nil))
+			key = string(o.AppendWire(nil))
 		}
-		ti, wi := shardIndex(tkey), shardIndex(wkey)
-		textPatches[ti] = append(textPatches[ti], patch{tkey, z})
-		wirePatches[wi] = append(wirePatches[wi], patch{wkey, z})
+		si := shardIndex(key)
+		patches[si] = append(patches[si], patch{key, z})
 	}
-	patchShard := func(old map[string]*Zone, ps []patch) map[string]*Zone {
+	for si, ps := range patches {
+		old := prev.shards[si]
 		m := make(map[string]*Zone, len(old)+len(ps))
 		for k, v := range old {
 			m[k] = v
@@ -119,20 +106,11 @@ func (s *Store) publishDirtyLocked(dirty map[dnswire.Name]struct{}) {
 				delete(m, p.key)
 			}
 		}
-		return m
-	}
-	var rebuilt uint64
-	for si, ps := range textPatches {
-		next.text[si] = patchShard(prev.text[si], ps)
-		rebuilt++
-	}
-	for si, ps := range wirePatches {
-		next.wire[si] = patchShard(prev.wire[si], ps)
-		rebuilt++
+		next.shards[si] = m
 	}
 	s.router.Store(&next)
 	s.routerRebuilds.Add(1)
-	s.shardRebuilds.Add(rebuilt)
+	s.shardRebuilds.Add(uint64(len(patches)))
 }
 
 // RouterRebuilds reports how many batches have republished the routing index
@@ -254,46 +232,27 @@ func (s *Store) Get(origin dnswire.Name) *Zone {
 }
 
 // Find returns the zone with the longest origin that is an ancestor of (or
-// equal to) name, or nil when the server is not authoritative for name. It
-// walks the name's suffixes against the lock-free router index, so cost is
-// O(labels) hash+probe operations regardless of how many zones are
-// installed.
+// equal to) name, or nil when the server is not authoritative for name. A
+// Name is already canonical lower-case, so its wire rendering — into a stack
+// buffer sized for the longest legal name — is exactly the folded form
+// FindWire routes on.
 func (s *Store) Find(name dnswire.Name) *Zone {
-	if name.IsZero() {
-		return nil
-	}
-	r := s.router.Load()
-	t := name.String()
-	for t != "" {
-		if z := r.text[shardIndex(t)][t]; z != nil {
-			return z
-		}
-		i := strings.IndexByte(t, '.')
-		if i < 0 {
-			break
-		}
-		if i == len(t)-1 {
-			// Last label stripped: the remaining suffix is the root ".".
-			t = "."
-			if z := r.text[shardIndex(t)][t]; z != nil {
-				return z
-			}
-			break
-		}
-		t = t[i+1:]
-	}
-	return nil
+	var buf [256]byte
+	z, _, _ := s.FindWire(name.AppendWire(buf[:0]))
+	return z
 }
 
 // FindWire is Find for a folded wire-form query name: it returns the
 // longest-match zone plus the byte offset within qname where that zone's
 // origin starts (so the caller can point record owners at the origin bytes
-// already present in the question). Lock-free and allocation-free.
+// already present in the question). It walks the name's label suffixes
+// against the lock-free router index, so cost is O(labels) hash+probe
+// operations regardless of how many zones are installed. Allocation-free.
 func (s *Store) FindWire(qname []byte) (*Zone, int, bool) {
 	r := s.router.Load()
 	for o := 0; o < len(qname); {
 		suf := qname[o:]
-		if z := r.wire[shardIndexBytes(suf)][string(suf)]; z != nil {
+		if z := r.shards[shardIndex(suf)][string(suf)]; z != nil {
 			return z, o, true
 		}
 		if qname[o] == 0 {
@@ -310,8 +269,12 @@ func (s *Store) FindWire(qname []byte) (*Zone, int, bool) {
 type storeSnap struct {
 	gen     uint64
 	serials map[dnswire.Name]uint32
-	origins []dnswire.Name
 	sum     uint64
+	// origins is the canonical-order origin list, built by the first
+	// Origins call on this snapshot: only listings need order, and the
+	// serial audits that run on every generation must not pay for the sort.
+	originsOnce sync.Once
+	origins     []dnswire.Name
 }
 
 // snapshot returns the current generation's snapshot, building it at most
@@ -329,16 +292,13 @@ func (s *Store) snapshot() *storeSnap {
 	sn := &storeSnap{
 		gen:     gen,
 		serials: make(map[dnswire.Name]uint32, len(s.zones)),
-		origins: make([]dnswire.Name, 0, len(s.zones)),
 	}
 	for o, z := range s.zones {
 		ser := z.Serial()
 		sn.serials[o] = ser
-		sn.origins = append(sn.origins, o)
 		sn.sum += mixSerial(o, ser)
 	}
 	s.mu.RUnlock()
-	sort.Slice(sn.origins, func(i, j int) bool { return sn.origins[i].Compare(sn.origins[j]) < 0 })
 	s.snap.Store(sn)
 	return sn
 }
@@ -348,12 +308,7 @@ func (s *Store) snapshot() *storeSnap {
 // iteration order; the splitmix64 finalizer keeps near-identical pairs from
 // producing correlated summands.
 func mixSerial(o dnswire.Name, serial uint32) uint64 {
-	h := uint64(fnvOffset64)
-	t := o.String()
-	for i := 0; i < len(t); i++ {
-		h ^= uint64(t[i])
-		h *= fnvPrime64
-	}
+	h := fnv1a(o.String())
 	h ^= uint64(serial) * 0x9E3779B97F4A7C15
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
@@ -366,7 +321,15 @@ func mixSerial(o dnswire.Name, serial uint32) uint64 {
 // Origins lists the zone origins in canonical order. The returned slice is a
 // shared generation-keyed snapshot: treat it as read-only.
 func (s *Store) Origins() []dnswire.Name {
-	return s.snapshot().origins
+	sn := s.snapshot()
+	sn.originsOnce.Do(func() {
+		sn.origins = make([]dnswire.Name, 0, len(sn.serials))
+		for o := range sn.serials {
+			sn.origins = append(sn.origins, o)
+		}
+		sort.Slice(sn.origins, func(i, j int) bool { return sn.origins[i].Compare(sn.origins[j]) < 0 })
+	})
+	return sn.origins
 }
 
 // Serials snapshots every zone's SOA serial, keyed by origin. Callers that

@@ -84,7 +84,7 @@ func benchStore(n int) *Store {
 }
 
 // benchRouterRebuildFull measures what the pre-sharding monolithic router
-// paid on EVERY apply: re-rendering each origin's text and wire keys and
+// paid on EVERY apply: re-rendering each origin's wire key and
 // re-inserting all n zones into fresh maps, under the store write lock.
 func benchRouterRebuildFull(b *testing.B, n int) {
 	s := benchStore(n)
@@ -94,17 +94,12 @@ func benchRouterRebuildFull(b *testing.B, n int) {
 		s.mu.Lock()
 		r := &routerView{}
 		for o, z := range s.zones {
-			tkey := o.String()
-			wkey := string(o.AppendWire(nil))
-			ti, wi := shardIndex(tkey), shardIndex(wkey)
-			if r.text[ti] == nil {
-				r.text[ti] = make(map[string]*Zone)
+			key := string(o.AppendWire(nil))
+			si := shardIndex(key)
+			if r.shards[si] == nil {
+				r.shards[si] = make(map[string]*Zone)
 			}
-			if r.wire[wi] == nil {
-				r.wire[wi] = make(map[string]*Zone)
-			}
-			r.text[ti][tkey] = z
-			r.wire[wi][wkey] = z
+			r.shards[si][key] = z
 		}
 		s.router.Store(r)
 		s.mu.Unlock()
@@ -112,7 +107,7 @@ func benchRouterRebuildFull(b *testing.B, n int) {
 }
 
 // benchRouterRebuildDirty1 measures the sharded path for the same store: a
-// single-zone Update that clones and patches only the 1-2 shards the origin
+// single-zone Update that clones and patches only the one shard the origin
 // hashes into. The full/dirty ratio at each n is the apply-latency win.
 func benchRouterRebuildDirty1(b *testing.B, n int) {
 	s := benchStore(n)

@@ -7,14 +7,28 @@ import (
 	"akamaidns/internal/dnswire"
 )
 
+// bruteFind is the reference longest-match: scan every installed origin and
+// keep the deepest one that is an ancestor of (or equal to) name.
+func bruteFind(s *Store, name dnswire.Name) *Zone {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var best *Zone
+	for o, z := range s.zones {
+		if name.IsSubdomainOf(o) && (best == nil || o.NumLabels() > best.Origin().NumLabels()) {
+			best = z
+		}
+	}
+	return best
+}
+
 // TestShardedRouterParity installs enough zones to populate many shards and
-// checks Find/FindWire route every one of them — including a root zone, a
-// TLD zone, and deep multi-label origins — exactly as the monolithic index
-// did.
+// checks that Find (text in, rendered to wire), FindWire, and a brute-force
+// longest-suffix scan agree on every origin, on names below and beside
+// them, with and without a root zone catching the misses, and across a
+// batch that deletes and re-adds an origin in one Update.
 func TestShardedRouterParity(t *testing.T) {
 	s := NewStore()
 	origins := []dnswire.Name{
-		dnswire.MustName("."),
 		dnswire.MustName("example."),
 		dnswire.MustName("a.very.deep.origin.example.com."),
 	}
@@ -26,35 +40,67 @@ func TestShardedRouterParity(t *testing.T) {
 			tx.Put(New(o))
 		}
 	})
-	for _, o := range origins {
-		if z := s.Find(o); z == nil || z.Origin() != o {
-			t.Fatalf("Find(%s) = %v, want the zone itself", o, z)
+	probes := append([]dnswire.Name{
+		dnswire.Root,
+		dnswire.MustName("www.a.very.deep.origin.example.com."),
+		dnswire.MustName("deep.origin.example.com."), // above the deep zone: no match without a root zone
+		dnswire.MustName("x.y.z0007.shard.test."),
+		dnswire.MustName("shard.test."),
+		dnswire.MustName("nowhere.invalid."),
+	}, origins...)
+	check := func(stage string) {
+		t.Helper()
+		for _, name := range probes {
+			want := bruteFind(s, name)
+			if got := s.Find(name); got != want {
+				t.Fatalf("%s: Find(%s) = %v, brute force says %v", stage, name, got, want)
+			}
+			wire := name.AppendWire(nil)
+			got, off, ok := s.FindWire(wire)
+			if got != want || ok != (want != nil) {
+				t.Fatalf("%s: FindWire(%s) = %v,%v, brute force says %v", stage, name, got, ok, want)
+			}
+			if ok && string(wire[off:]) != got.originWire {
+				t.Fatalf("%s: FindWire(%s) offset %d does not start the origin %s", stage, name, off, got.Origin())
+			}
 		}
-		wire := o.AppendWire(nil)
-		z, off, ok := s.FindWire(wire)
-		if !ok || z.Origin() != o || off != 0 {
-			t.Fatalf("FindWire(%s) = %v,%d,%v", o, z, off, ok)
-		}
 	}
-	// Longest-match: a name under a deep zone routes to the deep zone, not
-	// to the root or TLD zone also installed above it.
-	deep := dnswire.MustName("www.a.very.deep.origin.example.com.")
-	if z := s.Find(deep); z == nil || z.Origin() != origins[2] {
-		t.Fatalf("Find(deep) routed to %v, want %s", z, origins[2])
+	check("no root zone")
+	if s.Find(dnswire.MustName("nowhere.invalid.")) != nil || s.Find(dnswire.Name{}) != nil {
+		t.Fatal("a miss or the zero Name routed somewhere without a root zone")
 	}
-	wire := deep.AppendWire(nil)
-	if z, off, ok := s.FindWire(wire); !ok || z.Origin() != origins[2] || off != 4 {
-		t.Fatalf("FindWire(deep) = %v,%d,%v, want deep zone at offset 4", z, off, ok)
-	}
-	// A miss under no zone falls through to the root zone (longest match ".").
-	if z := s.Find(dnswire.MustName("nowhere.invalid.")); z == nil || !z.Origin().IsRoot() {
+
+	// A root zone "." is the longest match for everything nothing else owns.
+	root := New(dnswire.Root)
+	s.Put(root)
+	check("root zone installed")
+	if z := s.Find(dnswire.MustName("nowhere.invalid.")); z != root {
 		t.Fatalf("miss did not fall through to the root zone: %v", z)
+	}
+
+	// Delete-then-re-add inside one Update: the batch's last word wins and
+	// the router serves the new zone object, never a hole.
+	readd := dnswire.MustName("z0007.shard.test.")
+	fresh := New(readd)
+	s.Update(func(tx *Tx) {
+		if !tx.Delete(readd) {
+			t.Error("delete of installed zone failed")
+		}
+		tx.Delete(dnswire.MustName("z0008.shard.test."))
+		tx.Put(fresh)
+	})
+	check("delete and re-add in one batch")
+	if z := s.Find(dnswire.MustName("x.y.z0007.shard.test.")); z != fresh {
+		t.Fatalf("re-added origin routes to %p, want the fresh zone %p", z, fresh)
+	}
+	if z := s.Find(dnswire.MustName("z0008.shard.test.")); z != root {
+		t.Fatalf("deleted origin routes to %v, want the root zone", z)
 	}
 }
 
 // TestDirtyShardAccounting pins the O(Δ) contract: a single-zone Update
-// republishes at most two shard maps (one text, one wire — possibly the
-// same index), no matter how many zones are installed.
+// republishes exactly one shard map, no matter how many zones are
+// installed.
 func TestDirtyShardAccounting(t *testing.T) {
 	s := NewStore()
 	s.Update(func(tx *Tx) {
@@ -64,19 +110,19 @@ func TestDirtyShardAccounting(t *testing.T) {
 	})
 	shards0, rebuilds0 := s.ShardRebuilds(), s.RouterRebuilds()
 	s.Put(New(dnswire.MustName("z0000.dirty.test."))) // replace one zone
-	if d := s.ShardRebuilds() - shards0; d == 0 || d > 2 {
-		t.Fatalf("single-zone update rebuilt %d shards, want 1-2", d)
+	if d := s.ShardRebuilds() - shards0; d != 1 {
+		t.Fatalf("single-zone update rebuilt %d shards, want exactly 1", d)
 	}
 	if d := s.RouterRebuilds() - rebuilds0; d != 1 {
 		t.Fatalf("single-zone update republished %d times, want 1", d)
 	}
-	// A delete patches the same shards it was installed into.
+	// A delete patches the same shard it was installed into.
 	shards1 := s.ShardRebuilds()
 	if !s.Delete(dnswire.MustName("z0001.dirty.test.")) {
 		t.Fatal("delete of installed zone failed")
 	}
-	if d := s.ShardRebuilds() - shards1; d == 0 || d > 2 {
-		t.Fatalf("single-zone delete rebuilt %d shards, want 1-2", d)
+	if d := s.ShardRebuilds() - shards1; d != 1 {
+		t.Fatalf("single-zone delete rebuilt %d shards, want exactly 1", d)
 	}
 	if s.Find(dnswire.MustName("www.z0001.dirty.test.")) != nil {
 		t.Fatal("deleted zone still routable")
@@ -107,6 +153,9 @@ www IN A 192.0.2.1
 	}
 	if org1[0].Compare(org1[1]) >= 0 {
 		t.Fatal("Origins not in canonical order")
+	}
+	if org2 := s.Origins(); &org1[0] != &org2[0] {
+		t.Fatal("unchanged store re-sorted the origin list")
 	}
 	// Unchanged store: the same shared snapshot comes back, no rebuild.
 	if s.SerialSum() != sum1 {
@@ -140,6 +189,44 @@ www IN A 192.0.2.1
 	s2.Put(z2)
 	if s.SerialSum() != s2.SerialSum() {
 		t.Fatalf("equal stores disagree on SerialSum: %d vs %d", s.SerialSum(), s2.SerialSum())
+	}
+}
+
+// TestSnapshotSortsLazily pins who pays for canonical order: Origins does,
+// once per generation; the serial audits that run on every generation
+// (Serials from the pull loop, SerialSum from the convergence sweeps) never
+// do. Name.Compare allocates per comparison, so a sort over n origins costs
+// far more than n allocations while a sort-free snapshot costs a handful.
+func TestSnapshotSortsLazily(t *testing.T) {
+	const zones = 512
+	s := NewStore()
+	first := MustParseMaster("@ IN SOA ns1 host ( 1 3600 600 604800 30 )\n", dnswire.MustName("z000.lazy.test."))
+	s.Update(func(tx *Tx) {
+		for i := zones - 1; i > 0; i-- {
+			tx.Put(New(dnswire.MustName(fmt.Sprintf("z%03d.lazy.test.", i))))
+		}
+		tx.Put(first)
+	})
+	serial := uint32(1)
+	freshGen := func() { serial++; first.SetSerial(serial) }
+	if a := testing.AllocsPerRun(20, func() { freshGen(); s.Serials() }); a >= zones {
+		t.Fatalf("Serials on a fresh generation made %.0f allocations: it is sorting", a)
+	}
+	if a := testing.AllocsPerRun(20, func() { freshGen(); s.SerialSum() }); a >= zones {
+		t.Fatalf("SerialSum on a fresh generation made %.0f allocations: it is sorting", a)
+	}
+	freshGen()
+	if got := s.Serials()[first.Origin()]; got != serial {
+		t.Fatalf("snapshot serial = %d, want %d", got, serial)
+	}
+	org := s.Origins()
+	if len(org) != zones {
+		t.Fatalf("Origins lists %d zones, want %d", len(org), zones)
+	}
+	for i := 1; i < len(org); i++ {
+		if org[i-1].Compare(org[i]) >= 0 {
+			t.Fatalf("Origins not canonical at %d: %s before %s", i, org[i-1], org[i])
+		}
 	}
 }
 

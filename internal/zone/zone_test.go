@@ -321,6 +321,29 @@ func TestParseMasterErrors(t *testing.T) {
 	}
 }
 
+// TestParseMasterLineCap pins the physical-line bound: a line that fills
+// the scanner's cap to the byte (newline included) still parses — the
+// buffer grows from its small start to the cap — and one byte more is a
+// reported error, not a panic or a silently clipped record.
+func TestParseMasterLineCap(t *testing.T) {
+	record := "www IN A 192.0.2.1 ;"
+	line := func(total int) string {
+		return "first IN A 192.0.2.9\n" + record + strings.Repeat("x", total-len(record)-1) + "\nlast IN A 192.0.2.2\n"
+	}
+	z, err := ParseMaster(strings.NewReader(line(maxMasterLine)), n("example.com"))
+	if err != nil {
+		t.Fatalf("line of exactly maxMasterLine bytes: %v", err)
+	}
+	for _, host := range []string{"first", "www", "last"} {
+		if a := z.Lookup(n(host+".example.com"), dnswire.TypeA); a.Result != Success {
+			t.Errorf("%s.example.com lost around the long line: %v", host, a.Result)
+		}
+	}
+	if _, err := ParseMaster(strings.NewReader(line(maxMasterLine+1)), n("example.com")); err == nil {
+		t.Fatal("line one byte over maxMasterLine parsed, want an error")
+	}
+}
+
 func TestParseMasterContinuationOwner(t *testing.T) {
 	text := "www IN A 192.0.2.1\n    IN A 192.0.2.2\n"
 	z, err := ParseMaster(strings.NewReader(text), n("example.com"))
