@@ -19,7 +19,8 @@ race:
 	go test -race ./...
 	go test -race -run='TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache' -count=2 ./internal/netserve/
 	go test -race -run='TestViewServeWhileMutating' -count=2 ./internal/netserve/
-	go test -race -run='TestViewConcurrentMutate' -count=2 ./internal/zone/
+	go test -race -run='TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters' -count=2 ./internal/zone/
+	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
 	go test -race -run='TestContainmentPanicStorm|TestQueryOfDeathDrill' -count=2 ./internal/netserve/
 	go test -race -run='TestScrapeWhileServing|TestFlightForensicsEndToEnd' -count=2 ./internal/netserve/
 	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort' -count=2 ./internal/netserve/
@@ -53,16 +54,19 @@ bench-smoke:
 # via a temp file: a direct redirect would truncate the old file before
 # benchjson reads its baseline block out of it. The -assert-zero-alloc
 # guard fails the run if any hot handle path (cached hit, EDNS hit,
-# view-path NXDOMAIN miss, delegation miss) starts allocating.
+# view-path NXDOMAIN miss, delegation miss, the cold 20 000-zone view
+# append) starts allocating. The BenchmarkView* rows are the cold-cache and
+# footprint numbers: what a view costs to route to and answer from when it
+# is not in cache, to compile, and to hold (extra: B/zone, objects/zone).
 bench-json:
-	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$' > BENCH_netserve.json.tmp
+	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
 	mv BENCH_netserve.json.tmp BENCH_netserve.json
 	@cat BENCH_netserve.json
 
 # CI-shaped allocation regression smoke: short benchtime, no file rewrite,
 # same zero-alloc guard as bench-json.
 bench-alloc-guard:
-	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkStoreFindWire' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$' > /dev/null
+	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
 
 # Loopback saturation battery (dnsblast): ramp a fresh in-process server
 # to its saturation point, then offer it -overload-x times that rate cold;

@@ -24,6 +24,9 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Extra holds a benchmark's own b.ReportMetric values by unit
+	// ("B/zone", "objects/zone") and SetBytes throughput ("MB/s").
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // Doc is the emitted document. Baseline and Saturation are carried over
@@ -110,15 +113,20 @@ func main() {
 			continue
 		}
 		for i := 4; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseInt(f[i], 10, 64)
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				continue
 			}
-			switch f[i+1] {
+			switch unit := f[i+1]; unit {
 			case "B/op":
-				r.BytesPerOp = v
+				r.BytesPerOp = int64(v)
 			case "allocs/op":
-				r.AllocsPerOp = v
+				r.AllocsPerOp = int64(v)
+			default:
+				if r.Extra == nil {
+					r.Extra = make(map[string]float64)
+				}
+				r.Extra[unit] = v
 			}
 		}
 		doc.Benchmarks = append(doc.Benchmarks, r)

@@ -30,17 +30,20 @@ func (cm *compressionMap) appendName(buf []byte, n Name) ([]byte, error) {
 	if n.IsZero() {
 		return nil, errors.New("dnswire: packing zero Name")
 	}
+	if cm.offsets == nil {
+		// Nothing to look up or record: render straight from the text,
+		// without the label split (view compiles pack every name this way).
+		return n.appendWire(buf)
+	}
 	labels := n.Labels()
 	for i := range labels {
-		if cm.offsets != nil {
-			suffix := joinFrom(labels, i)
-			if off, ok := cm.offsets[suffix]; ok {
-				// Emit pointer to the previously-written suffix.
-				return append(buf, 0xC0|byte(off>>8), byte(off)), nil
-			}
-			if off := len(buf) - cm.base; off <= 0x3FFF {
-				cm.offsets[suffix] = off
-			}
+		suffix := joinFrom(labels, i)
+		if off, ok := cm.offsets[suffix]; ok {
+			// Emit pointer to the previously-written suffix.
+			return append(buf, 0xC0|byte(off>>8), byte(off)), nil
+		}
+		if off := len(buf) - cm.base; off <= 0x3FFF {
+			cm.offsets[suffix] = off
 		}
 		buf = append(buf, byte(len(labels[i])))
 		buf = append(buf, labels[i]...)

@@ -109,16 +109,20 @@ type viewsZoneJSON struct {
 	Origin  string `json:"origin"`
 	Serial  uint32 `json:"serial"`
 	Records int    `json:"records"`
+	// ViewBytes is the heap footprint of the zone's published view (0 while
+	// it waits for its next reader to recompile it).
+	ViewBytes int `json:"view_bytes"`
 }
 
 // viewsDebugJSON is the /debug/views document.
 type viewsDebugJSON struct {
 	StoreGen       uint64 `json:"store_gen"`
 	ViewRebuilds   uint64 `json:"view_rebuilds_total"`
+	ViewBytes      int64  `json:"view_bytes"`
 	RouterRebuilds uint64 `json:"router_rebuilds_total"`
 	// RouterShardRebuilds counts shard maps cloned across republishes;
 	// divided by RouterRebuilds it is the mean dirty-shard width per apply
-	// (2 ≈ single-zone batches, RouterShards×2 ≈ full rebuilds).
+	// (1 ≈ single-zone batches, RouterShards ≈ full rebuilds).
 	RouterShardRebuilds uint64 `json:"router_shard_rebuilds_total"`
 	RouterShards        int    `json:"router_shards"`
 	// SerialSum is the order-independent (origin, serial) content hash off
@@ -136,6 +140,7 @@ func (s *Server) viewsDebug(w http.ResponseWriter, req *http.Request) {
 	doc := viewsDebugJSON{
 		StoreGen:            store.Gen(),
 		ViewRebuilds:        store.ViewRebuilds(),
+		ViewBytes:           store.ViewBytes(),
 		RouterRebuilds:      store.RouterRebuilds(),
 		RouterShardRebuilds: store.ShardRebuilds(),
 		RouterShards:        store.RouterShards(),
@@ -147,6 +152,7 @@ func (s *Server) viewsDebug(w http.ResponseWriter, req *http.Request) {
 		zj := viewsZoneJSON{Origin: origin.String(), Serial: serial}
 		if z := store.Get(origin); z != nil {
 			zj.Records = z.NumRecords()
+			zj.ViewBytes = z.ViewBytes()
 		}
 		doc.Zones = append(doc.Zones, zj)
 	}

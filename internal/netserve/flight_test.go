@@ -154,10 +154,12 @@ func TestFlightForensicsEndToEnd(t *testing.T) {
 
 	// /debug/views shows what is being served.
 	var viewsDoc struct {
-		Zones []struct {
-			Origin  string `json:"origin"`
-			Serial  uint32 `json:"serial"`
-			Records int    `json:"records"`
+		ViewBytes int64 `json:"view_bytes"`
+		Zones     []struct {
+			Origin    string `json:"origin"`
+			Serial    uint32 `json:"serial"`
+			Records   int    `json:"records"`
+			ViewBytes int64  `json:"view_bytes"`
 		} `json:"zones"`
 	}
 	getJSON(t, ms.Addr(), "/debug/views", &viewsDoc)
@@ -165,9 +167,17 @@ func TestFlightForensicsEndToEnd(t *testing.T) {
 		viewsDoc.Zones[0].Serial != 7 || viewsDoc.Zones[0].Records == 0 {
 		t.Fatalf("views debug = %+v", viewsDoc)
 	}
+	// The one hosted zone has been served from, so its view is compiled and
+	// is the whole of the store's view memory.
+	if viewsDoc.ViewBytes <= 0 || viewsDoc.Zones[0].ViewBytes != viewsDoc.ViewBytes {
+		t.Fatalf("view bytes: store %d, zone %d", viewsDoc.ViewBytes, viewsDoc.Zones[0].ViewBytes)
+	}
 
 	// The rollup series landed on /metrics.
 	_, body := scrape(t, ms.Addr(), "/metrics")
+	if got := metricValue(t, body, obs.MetricViewBytes); int64(got) != viewsDoc.ViewBytes {
+		t.Fatalf("%s = %v, /debug/views says %d", obs.MetricViewBytes, got, viewsDoc.ViewBytes)
+	}
 	for _, sample := range []string{
 		obs.MetricFlightZoneRcode + `{rcode="NOERROR",zone="ex.test."}`,
 		obs.MetricFlightZoneRcode + `{rcode="NXDOMAIN",zone="ex.test."}`,

@@ -255,10 +255,13 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 	s.batchSize = reg.Histogram(obs.MetricUDPBatchSize,
 		"Datagrams returned per batched UDP read.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-	// Compiled-view health: rebuild counts are pulled from the store at
-	// scrape time (a rebuild storm shows up as these gauges racing).
-	reg.GaugeFunc(obs.MetricViewRebuildsTotal, "Compiled zone view rebuilds across hosted zones.",
+	// Compiled-view health, read off the store's own atomics at scrape time
+	// (a rebuild storm shows up as these racing; view bytes over hosted
+	// zones is the memory each zone costs to serve).
+	reg.CounterFunc(obs.MetricViewRebuildsTotal, "Compiled zone view rebuilds of hosted zones.",
 		func() float64 { return float64(eng.Store.ViewRebuilds()) })
+	reg.GaugeFunc(obs.MetricViewBytes, "Heap bytes of the compiled views hosted zones currently publish.",
+		func() float64 { return float64(eng.Store.ViewBytes()) })
 	reg.GaugeFunc(obs.MetricRouterRebuilds, "Lock-free zone router index rebuilds.",
 		func() float64 { return float64(eng.Store.RouterRebuilds()) })
 	reg.GaugeFunc(obs.MetricRouterShardRebuilds,

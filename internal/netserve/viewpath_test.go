@@ -77,13 +77,16 @@ func messageSummary(t *testing.T, wire []byte) string {
 		m.Questions, render(m.Answers), render(m.Authority), render(m.Additional))
 }
 
+// viewDiffQuery is one (qname, qtype) of a differential run.
+type viewDiffQuery struct {
+	qname string
+	qtype dnswire.Type
+}
+
 // viewDiffQueries covers every response class the view tier can produce:
 // positive answers, CNAME chains, wildcards, referrals with and without
 // glue, NoData, NXDOMAIN, and out-of-zone REFUSED.
-var viewDiffQueries = []struct {
-	qname string
-	qtype dnswire.Type
-}{
+var viewDiffQueries = []viewDiffQuery{
 	{"www.ex.test", dnswire.TypeA},
 	{"www.ex.test", dnswire.TypeAAAA},    // NoData
 	{"ex.test", dnswire.TypeSOA},         // apex
@@ -93,40 +96,78 @@ var viewDiffQueries = []struct {
 	{"www.other.test", dnswire.TypeA},    // REFUSED
 }
 
+// rootDiffZone is hosted at the root, where the origin has no labels for a
+// wire-path offset table to hold: an apex wildcard, an empty non-terminal
+// (ent.) on the way to a record, a wildcard CNAME whose chain re-enters the
+// apex wildcard, and a delegation.
+const rootDiffZone = `
+$ORIGIN .
+$TTL 300
+@          IN SOA ns1 host ( 1 3600 600 604800 30 )
+@          IN NS ns1
+ns1        IN A 198.51.100.1
+*          IN A 192.0.2.42
+deep.ent   IN TXT "below an empty non-terminal"
+*.cw       IN CNAME landing.elsewhere
+sub        IN NS ns1.sub
+ns1.sub    IN A 198.51.100.2
+`
+
+var rootDiffQueries = []viewDiffQuery{
+	{".", dnswire.TypeSOA},       // apex
+	{"foo.bar", dnswire.TypeA},   // apex wildcard, two labels down
+	{"foo", dnswire.TypeA},       // apex wildcard, one label down
+	{"foo.bar", dnswire.TypeTXT}, // wildcard owner has no TXT: NXDOMAIN
+	{"ent", dnswire.TypeA},       // empty non-terminal: NoData
+	{"x.ent", dnswire.TypeA},     // ent exists and has no wildcard: NXDOMAIN
+	{"x.cw", dnswire.TypeA},      // wildcard CNAME, then the apex wildcard
+	{"host.sub", dnswire.TypeA},  // referral + glue
+	{"ns1", dnswire.TypeA},       // plain hit
+}
+
 // TestViewServeDifferential sends the same queries through the compiled-view
 // tier and the reference decode path and requires identical decoded
 // responses — plain and with an EDNS OPT attached.
 func TestViewServeDifferential(t *testing.T) {
-	viewSrv, reference, _ := viewTestServers(t, benchDelegationZone, dnswire.MustName("ex.test"))
-	id := uint16(100)
-	for _, edns := range []bool{false, true} {
-		for _, tc := range viewDiffQueries {
-			id++
-			q := dnswire.NewQuery(id, dnswire.MustName(tc.qname), tc.qtype)
-			if edns {
-				q.Additional = append(q.Additional, dnswire.NewOPT(1232))
-			}
-			wire, err := q.Pack()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := handleOnce(t, viewSrv, wire)
-			want := slowOnce(t, reference, wire)
-			if got == nil || want == nil {
-				t.Fatalf("%s/%v edns=%v: nil response (view=%v reference=%v)",
-					tc.qname, tc.qtype, edns, got != nil, want != nil)
-			}
-			gs, ws := messageSummary(t, got), messageSummary(t, want)
-			if gs != ws {
-				t.Errorf("%s/%v edns=%v:\n view      %s\n reference %s", tc.qname, tc.qtype, edns, gs, ws)
+	for _, zc := range []struct {
+		master  string
+		origin  dnswire.Name
+		queries []viewDiffQuery
+	}{
+		{benchDelegationZone, dnswire.MustName("ex.test"), viewDiffQueries},
+		{rootDiffZone, dnswire.Root, rootDiffQueries},
+	} {
+		viewSrv, reference, _ := viewTestServers(t, zc.master, zc.origin)
+		id := uint16(100)
+		for _, edns := range []bool{false, true} {
+			for _, tc := range zc.queries {
+				id++
+				q := dnswire.NewQuery(id, dnswire.MustName(tc.qname), tc.qtype)
+				if edns {
+					q.Additional = append(q.Additional, dnswire.NewOPT(1232))
+				}
+				wire, err := q.Pack()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := handleOnce(t, viewSrv, wire)
+				want := slowOnce(t, reference, wire)
+				if got == nil || want == nil {
+					t.Fatalf("%s/%v edns=%v: nil response (view=%v reference=%v)",
+						tc.qname, tc.qtype, edns, got != nil, want != nil)
+				}
+				gs, ws := messageSummary(t, got), messageSummary(t, want)
+				if gs != ws {
+					t.Errorf("%s/%v edns=%v:\n view      %s\n reference %s", tc.qname, tc.qtype, edns, gs, ws)
+				}
 			}
 		}
-	}
-	if viewSrv.Metrics.ViewServed.Load() == 0 {
-		t.Fatal("view tier never served")
-	}
-	if reference.Metrics.ViewServed.Load() != 0 {
-		t.Fatal("the reference server answered from the view tier")
+		if viewSrv.Metrics.ViewServed.Load() == 0 {
+			t.Fatalf("zone %s: view tier never served", zc.origin)
+		}
+		if reference.Metrics.ViewServed.Load() != 0 {
+			t.Fatalf("zone %s: the reference server answered from the view tier", zc.origin)
+		}
 	}
 }
 

@@ -77,6 +77,7 @@ const (
 	// Compiled zone views (RCU read path).
 	MetricViewServedTotal     = "akamaidns_server_view_served_total"
 	MetricViewRebuildsTotal   = "akamaidns_zone_view_rebuilds_total"
+	MetricViewBytes           = "akamaidns_zone_view_bytes"
 	MetricRouterRebuilds      = "akamaidns_zone_router_rebuilds_total"
 	MetricRouterShardRebuilds = "akamaidns_zone_router_shard_rebuilds_total"
 

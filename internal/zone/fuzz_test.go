@@ -33,20 +33,39 @@ func FuzzParseMaster(f *testing.F) {
 	})
 }
 
+// rootFuzzZone is hosted at the root: an apex wildcard, an empty
+// non-terminal, a wildcard CNAME whose chain runs back through the apex
+// wildcard, and a delegation.
+const rootFuzzZone = "$TTL 60\n@ IN SOA ns1 host ( 1 2 3 4 5 )\n@ IN NS ns1\nns1 IN A 192.0.2.1\n" +
+	"* IN A 192.0.2.2\ndeep.ent IN TXT \"t\"\n*.cw IN CNAME hop.cw2\n*.cw2 IN CNAME end.nowhere\n" +
+	"sub IN NS ns1.sub\nns1.sub IN A 192.0.2.3\n"
+
 // FuzzViewLookupParity holds the central differential invariant of the
-// compiled read path: for any zone the parser accepts and any (qname,
-// qtype), the lock-free View must answer exactly like the locked reference
-// lookup — structured results record for record, and the zero-alloc wire
-// assembly section for section once decoded.
+// compiled read path, three ways: for any zone the parser accepts at any
+// origin and any (qname, qtype), the locked reference lookup, the lock-free
+// View.Lookup and the decoded bytes of the zero-alloc View.AppendAnswer must
+// agree — record for record, section for section.
 func FuzzViewLookupParity(f *testing.F) {
-	f.Add(exampleZone, "www.example.com", uint16(dnswire.TypeA))
-	f.Add(exampleZone, "a.wild.example.com", uint16(dnswire.TypeA))
-	f.Add(exampleZone, "chain.example.com", uint16(dnswire.TypeAAAA))
-	f.Add(exampleZone, "www.sub.example.com", uint16(dnswire.TypeMX))
-	f.Add(exampleZone, "no.such.example.com", uint16(dnswire.TypeTXT))
-	f.Add("$ORIGIN fuzz.test.\n@ IN SOA ns1 host ( 1 2 3 4 5 )\n*.a IN CNAME b.a\nb.a IN CNAME c\n", "x.a.fuzz.test", uint16(dnswire.TypeA))
-	f.Fuzz(func(t *testing.T, text, qname string, qt uint16) {
-		z, err := ParseMaster(strings.NewReader(text), dnswire.MustName("fuzz.test"))
+	f.Add("example.com", exampleZone, "www.example.com", uint16(dnswire.TypeA))
+	f.Add("example.com", exampleZone, "a.wild.example.com", uint16(dnswire.TypeA))
+	f.Add("example.com", exampleZone, "chain.example.com", uint16(dnswire.TypeAAAA))
+	f.Add("example.com", exampleZone, "www.sub.example.com", uint16(dnswire.TypeMX))
+	f.Add("example.com", exampleZone, "no.such.example.com", uint16(dnswire.TypeTXT))
+	f.Add("example.com", exampleZone, "ext.example.com", uint16(dnswire.TypeA)) // out-of-zone CNAME target
+	f.Add("fuzz.test", "$ORIGIN fuzz.test.\n@ IN SOA ns1 host ( 1 2 3 4 5 )\n*.a IN CNAME b.a\nb.a IN CNAME c\n", "x.a.fuzz.test", uint16(dnswire.TypeA))
+	f.Add(".", rootFuzzZone, "foo.bar", uint16(dnswire.TypeA))  // apex wildcard
+	f.Add(".", rootFuzzZone, "ent", uint16(dnswire.TypeA))      // empty non-terminal
+	f.Add(".", rootFuzzZone, "x.ent", uint16(dnswire.TypeTXT))  // below it: no wildcard applies
+	f.Add(".", rootFuzzZone, "x.cw", uint16(dnswire.TypeA))     // wildcard CNAME chain
+	f.Add(".", rootFuzzZone, "h.sub", uint16(dnswire.TypeAAAA)) // referral
+	f.Add(".", rootFuzzZone, ".", uint16(dnswire.TypeNS))       // the apex itself
+	f.Add(".", "", "anything", uint16(dnswire.TypeA))           // empty zone
+	f.Fuzz(func(t *testing.T, originText, text, qname string, qt uint16) {
+		origin, err := dnswire.ParseName(originText)
+		if err != nil {
+			return
+		}
+		z, err := ParseMaster(strings.NewReader(text), origin)
 		if err != nil {
 			return
 		}

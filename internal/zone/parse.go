@@ -153,12 +153,18 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 		if up == "CH" || up == "HS" {
 			return fmt.Errorf("class %s not supported", up)
 		}
-		if t, err := parseTTL(rest[0]); err == nil {
-			ttl = t
-			rest = rest[1:]
-			continue
+		// A TTL starts with a digit. Asking parseTTL about anything else
+		// (here: the type mnemonic that ends the loop, once per record)
+		// would only buy an error value to throw away.
+		if c := rest[0][0]; c < '0' || c > '9' {
+			break
 		}
-		break
+		t, err := parseTTL(rest[0])
+		if err != nil {
+			break
+		}
+		ttl = t
+		rest = rest[1:]
 	}
 	if len(rest) == 0 {
 		return fmt.Errorf("missing record type")
@@ -179,7 +185,7 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 // tokenize splits on whitespace but keeps quoted strings intact (quotes
 // removed, content preserved verbatim).
 func tokenize(s string) ([]string, error) {
-	var out []string
+	out := make([]string, 0, 8) // a record line: owner, class, type, a few RDATA fields
 	i := 0
 	for i < len(s) {
 		c := s[i]

@@ -27,6 +27,12 @@ type Store struct {
 	// snap caches the generation-keyed Serials/Origins/SerialSum snapshot so
 	// invariant checks at large N stop serializing against writers.
 	snap atomic.Pointer[storeSnap]
+	// viewRebuilds counts view compiles of installed zones, monotonically;
+	// viewBytes is the footprint of the views currently published by
+	// installed zones. Both are moved by the zones themselves as they
+	// compile, invalidate, install and leave — never by walking the store.
+	viewRebuilds atomic.Uint64
+	viewBytes    atomic.Int64
 }
 
 // routerShards is the power-of-two shard count for the longest-match index.
@@ -125,17 +131,14 @@ func (s *Store) ShardRebuilds() uint64 { return s.shardRebuilds.Load() }
 // RouterShards reports the fixed shard count of the routing index.
 func (s *Store) RouterShards() int { return routerShards }
 
-// ViewRebuilds sums the compiled-view rebuild counts across installed zones
-// (an observability scrape, not a hot path).
-func (s *Store) ViewRebuilds() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n uint64
-	for _, z := range s.zones {
-		n += z.ViewRebuilds()
-	}
-	return n
-}
+// ViewRebuilds reports how many views zones have compiled while installed
+// in the store. It is a total: replacing or deleting a zone never lowers it.
+func (s *Store) ViewRebuilds() uint64 { return s.viewRebuilds.Load() }
+
+// ViewBytes reports the heap footprint of the compiled views the installed
+// zones currently publish (arena, table and slabs; a zone whose view is
+// invalidated and not yet recompiled contributes nothing).
+func (s *Store) ViewBytes() int64 { return s.viewBytes.Load() }
 
 // NewStore returns an empty zone store.
 func NewStore() *Store {
@@ -164,7 +167,10 @@ type Tx struct {
 
 // Put installs (or replaces) a zone within the batch.
 func (tx *Tx) Put(z *Zone) {
-	z.setChangeHook(tx.s.bump)
+	if old := tx.s.zones[z.Origin()]; old != nil && old != z {
+		old.setStore(nil)
+	}
+	z.setStore(tx.s)
 	tx.s.zones[z.Origin()] = z
 	tx.dirty[z.Origin()] = struct{}{}
 }
@@ -177,7 +183,7 @@ func (tx *Tx) Delete(origin dnswire.Name) bool {
 		return false
 	}
 	delete(tx.s.zones, origin)
-	z.setChangeHook(nil)
+	z.setStore(nil)
 	tx.dirty[origin] = struct{}{}
 	return true
 }

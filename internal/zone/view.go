@@ -7,10 +7,25 @@ package zone
 // (on the wire path) no allocations. The locked Zone.Lookup remains the
 // reference implementation; FuzzViewLookupParity holds the two to identical
 // answers.
+//
+// A View is flat: one header, one pointer-free byte arena, two pointer-free
+// index arrays and two pointer-bearing slabs, whatever the zone's size.
+//
+//	arena  [child table][node labels][set bodies and glue, set by set]
+//	nodes  one per owner name and empty non-terminal, apex first
+//	sets   one per RRset, node by node and type-sorted within a node
+//	names  nodes[i]'s owner as a dnswire.Name (strings shared with the zone)
+//	rrs    the zone's own records, set by set (shared, never deep-copied)
+//
+// Every name lookup is one top-down walk from the apex: each label below the
+// origin costs one probe of the child table, and the walk yields the topmost
+// delegation point, the exact node and the closest encloser together.
 
 import (
-	"bytes"
-	"sort"
+	"encoding/binary"
+	"math/bits"
+	"slices"
+	"unsafe"
 
 	"akamaidns/internal/dnswire"
 )
@@ -20,63 +35,67 @@ import (
 // them freely, and mutators never touch a published View (they invalidate the
 // zone's pointer and the next reader compiles a fresh one).
 type View struct {
-	origin       dnswire.Name
-	originWire   []byte
-	originLabels int
-	serial       uint32
+	// The fields a lookup reads come first, so a cold view costs it few
+	// cache lines of header.
 
-	// soa is the apex SOA for negative answers; soaBody its pre-packed
-	// owner-less wire form (nil when the zone has no SOA).
-	soa     *dnswire.SOA
-	soaBody []byte
-
-	// byName and byWire index the same nodes (every owner name, empty
-	// non-terminals included) by canonical text and by folded wire bytes, so
-	// both the structured and the zero-alloc wire lookup are one map probe.
-	byName map[dnswire.Name]*viewNode
-	byWire map[string]*viewNode
-
-	// cutsByName / cutsByWire hold the precompiled delegation points
-	// (non-apex NS owners) with their referral wire and glue.
-	cutsByName map[dnswire.Name]*viewCut
-	cutsByWire map[string]*viewCut
-
-	hasWildcard bool
 	// wireOK gates the wire path; a record that cannot be pre-packed (never
 	// expected in practice) downgrades the view to structured-only.
-	wireOK bool
-}
+	wireOK       bool
+	originLabels int32
+	// arena starts with the child table: tableMask+1 little-endian uint32
+	// slots, open-addressed with linear probing. A slot's low idxMask bits
+	// hold a node index + 1 (0 marks an empty slot), the remaining high bits
+	// a tag from the child hash so a colliding probe rarely touches a node.
+	// After the table come the nodes' labels and then, set by set, the
+	// records' bodies: owner-less wire (TYPE CLASS TTL RDLEN RDATA, names
+	// uncompressed so the bytes are position-independent), delimited by
+	// their RDLEN. A cut's glue is fully packed with literal owners.
+	tableMask uint32
+	idxMask   uint32
+	arena     []byte
+	// originWire is the origin's folded wire name. It is the zone's own
+	// routing key, the bytes Store.FindWire has just compared: holding a
+	// query to it costs no cache miss.
+	originWire string
+	// nodes and sets each end in a sentinel, so a node's sets end where the
+	// next node's begin and a set's records and bytes end where the next
+	// set's begin.
+	nodes []viewNode
+	sets  []viewSet
+	// soaBody aliases the arena: the apex SOA's pre-packed body for negative
+	// answers (nil when the zone has no SOA).
+	soaBody []byte
 
-// viewNode is one owner name with its compiled RRsets.
-type viewNode struct {
-	name dnswire.Name
-	sets map[dnswire.Type]*viewRRset
-	// anyRRs is the deterministic ANY answer: every set at the node, ordered
-	// by type then insertion order.
-	anyRRs []dnswire.RR
-	// wildcard links to the "*.<name>" node when one exists, so wildcard
-	// synthesis is a pointer chase instead of a name construction.
-	wildcard *viewNode
-}
-
-// viewRRset is a compiled RRset: the records themselves (shared, immutable)
-// plus each record's pre-packed owner-less wire body (TYPE CLASS TTL RDLEN
-// RDATA, names uncompressed so the bytes are position-independent).
-type viewRRset struct {
+	names  []dnswire.Name
 	rrs    []dnswire.RR
-	bodies [][]byte
+	soa    *dnswire.SOA
+	origin dnswire.Name
+	serial uint32
+	// size is the view's heap footprint in bytes: header, arena and slabs.
+	size int
 }
 
-// viewCut is a precompiled delegation point.
-type viewCut struct {
-	name dnswire.Name
-	ns   *viewRRset
-	// glueRRs are the in-zone A/AAAA records for the NS targets, in the
-	// legacy glue order; glueWire is the same records fully packed (literal
-	// owners, position-independent).
-	glueRRs   []dnswire.RR
-	glueWire  []byte
-	glueCount int
+// viewNode is one owner name (or empty non-terminal) of the zone tree.
+type viewNode struct {
+	parent uint32 // node index of the parent name
+	label  uint32 // arena offset of the node's own length-prefixed label
+	sets   uint32 // index of the node's first set
+	// wildcard is the node index of the "*" child, so wildcard synthesis is
+	// an array read instead of a name construction; 0 when there is none
+	// (the apex is nobody's child).
+	wildcard uint32
+	// cut marks a delegation point (non-apex NS owner). A cut's last set is
+	// its glue pseudo-set: the in-zone A/AAAA records of the NS targets in
+	// the legacy glue order, its bytes the same records fully packed.
+	cut bool
+}
+
+// viewSet is one compiled RRset: a range of the record slab plus the
+// records' pre-packed bodies in the arena.
+type viewSet struct {
+	rr   uint32
+	body uint32
+	typ  dnswire.Type
 }
 
 // Origin returns the compiled zone's apex.
@@ -88,7 +107,8 @@ func (v *View) Serial() uint32 { return v.serial }
 // View returns the zone's compiled snapshot, building it on first use after
 // a mutation. Publication is race-free: mutators invalidate under the write
 // lock, compilation happens under the read lock, so a compiled view can
-// never overwrite a later invalidation.
+// never overwrite a later invalidation; of two readers compiling the same
+// state at once, one publishes and both return that view.
 func (z *Zone) View() *View {
 	if v := z.view.Load(); v != nil {
 		return v
@@ -99,127 +119,285 @@ func (z *Zone) View() *View {
 		return v
 	}
 	v := z.compileViewLocked()
+	if !z.view.CompareAndSwap(nil, v) {
+		return z.view.Load()
+	}
 	z.viewRebuilds.Add(1)
-	z.view.Store(v)
+	if z.store != nil {
+		z.store.viewRebuilds.Add(1)
+		z.store.viewBytes.Add(int64(v.size))
+	}
 	return v
 }
 
 // ViewRebuilds reports how many times the zone's view has been compiled.
 func (z *Zone) ViewRebuilds() uint64 { return z.viewRebuilds.Load() }
 
+// ViewBytes reports the heap footprint of the zone's published view, 0
+// while none is compiled (it never triggers a compile).
+func (z *Zone) ViewBytes() int {
+	if v := z.view.Load(); v != nil {
+		return v.size
+	}
+	return 0
+}
+
 // compileViewLocked builds the snapshot from the live maps; z.mu held (read
 // suffices — mutators hold it exclusively).
 func (z *Zone) compileViewLocked() *View {
+	nn := len(z.names)
 	v := &View{
 		origin:       z.origin,
-		originWire:   z.origin.AppendWire(nil),
-		originLabels: z.origin.NumLabels(),
+		originWire:   z.originWire,
+		originLabels: int32(z.origin.NumLabels()),
 		serial:       z.serial,
-		byName:       make(map[dnswire.Name]*viewNode, len(z.names)),
-		byWire:       make(map[string]*viewNode, len(z.names)),
+		tableMask:    1<<bits.Len(uint(nn+nn/2)) - 1, // load factor under 2/3
+		idxMask:      1<<bits.Len(uint(nn)) - 1,
 		wireOK:       true,
 	}
-	node := func(n dnswire.Name) *viewNode {
-		if nd := v.byName[n]; nd != nil {
-			return nd
-		}
-		nd := &viewNode{name: n}
-		v.byName[n] = nd
-		v.byWire[string(n.AppendWire(nil))] = nd
-		return nd
+	// Pass 1: create the nodes and collect one (node, type) key per set;
+	// sorted, the keys give the set layout. Counting records and glue here
+	// lets every slab be allocated once, exactly.
+	keys := make([]uint64, 0, len(z.sets))
+	nsets, nrrs := len(z.sets)+1, 0
+	var glue []dnswire.RR
+	for _, rrs := range z.sets {
+		nrrs += len(rrs)
 	}
-	for n := range z.names {
-		node(n)
+	table := 4 * int(v.tableMask+1)
+	v.arena = make([]byte, table, table+8*nn+40*nrrs)
+	v.nodes = make([]viewNode, 0, nn+1)
+	v.names = make([]dnswire.Name, 0, nn)
+	if nn > 0 {
+		v.nodes = append(v.nodes, viewNode{})
+		v.names = append(v.names, z.origin)
 	}
 	for k, rrs := range z.sets {
-		nd := node(k.name)
-		set := &viewRRset{rrs: copyRRs(rrs), bodies: make([][]byte, 0, len(rrs))}
-		for _, rr := range set.rrs {
-			body, err := dnswire.AppendRRBody(nil, rr)
-			if err != nil {
-				v.wireOK = false
-				break
-			}
-			set.bodies = append(set.bodies, body)
-		}
-		if nd.sets == nil {
-			nd.sets = make(map[dnswire.Type]*viewRRset)
-		}
-		nd.sets[k.typ] = set
-	}
-	for n, nd := range v.byName {
-		if n.IsWildcard() {
-			if parent := v.byName[n.Parent()]; parent != nil {
-				parent.wildcard = nd
-				v.hasWildcard = true
-			}
-		}
-		if len(nd.sets) == 0 {
-			continue
-		}
-		types := make([]dnswire.Type, 0, len(nd.sets))
-		for t := range nd.sets {
-			types = append(types, t)
-		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			nd.anyRRs = append(nd.anyRRs, nd.sets[t].rrs...)
+		keys = append(keys, uint64(v.ensureNode(k.name))<<16|uint64(k.typ))
+		if k.typ == dnswire.TypeNS && k.name != z.origin {
+			glue = z.appendGlueLocked(glue[:0], rrs)
+			nsets, nrrs = nsets+1, nrrs+len(glue)
 		}
 	}
-	// Delegation points: non-apex NS sets, with glue resolved against the
-	// compiled sets so the records stay shared.
-	for k := range z.sets {
-		if k.typ != dnswire.TypeNS || k.name == z.origin {
-			continue
-		}
-		nsSet := v.byName[k.name].sets[dnswire.TypeNS]
-		cut := &viewCut{name: k.name, ns: nsSet}
-		for _, rr := range nsSet.rrs {
-			ns, ok := rr.(*dnswire.NS)
-			if !ok || !ns.Target.IsSubdomainOf(z.origin) {
-				continue
+	slices.Sort(keys)
+	// Pass 2: lay the sets out node by node.
+	v.sets = make([]viewSet, 0, nsets)
+	v.rrs = make([]dnswire.RR, 0, nrrs)
+	k := 0
+	for n := range v.nodes {
+		v.nodes[n].sets = uint32(len(v.sets))
+		var ns []dnswire.RR
+		for ; k < len(keys) && keys[k]>>16 == uint64(n); k++ {
+			typ := dnswire.Type(keys[k])
+			// A second map read per set, so the keys hold no pointers.
+			rrs := z.sets[rrKey{v.names[n], typ}]
+			v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena)), typ: typ})
+			v.rrs = append(v.rrs, rrs...)
+			for _, rr := range rrs {
+				v.appendPacked(dnswire.AppendRRBody, rr)
 			}
-			tn := v.byName[ns.Target]
-			if tn == nil {
-				continue
-			}
-			for _, t := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-				gs := tn.sets[t]
-				if gs == nil {
-					continue
-				}
-				cut.glueRRs = append(cut.glueRRs, gs.rrs...)
-				for _, g := range gs.rrs {
-					gw, err := dnswire.AppendRR(cut.glueWire, g)
-					if err != nil {
-						v.wireOK = false
-						break
-					}
-					cut.glueWire = gw
-				}
+			if typ == dnswire.TypeNS && n != 0 {
+				ns = rrs
 			}
 		}
-		cut.glueCount = len(cut.glueRRs)
-		if v.cutsByName == nil {
-			v.cutsByName = make(map[dnswire.Name]*viewCut)
-			v.cutsByWire = make(map[string]*viewCut)
+		if ns != nil {
+			v.nodes[n].cut = true
+			v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena))})
+			first := len(v.rrs)
+			v.rrs = z.appendGlueLocked(v.rrs, ns)
+			for _, rr := range v.rrs[first:] {
+				v.appendPacked(dnswire.AppendRR, rr)
+			}
 		}
-		v.cutsByName[k.name] = cut
-		v.cutsByWire[string(k.name.AppendWire(nil))] = cut
 	}
-	if apex := v.byName[z.origin]; apex != nil {
-		if ss := apex.sets[dnswire.TypeSOA]; ss != nil {
-			if soa, ok := ss.rrs[0].(*dnswire.SOA); ok {
+	v.nodes = append(v.nodes, viewNode{sets: uint32(len(v.sets))})
+	v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena))})
+	// The arena grew by append from an estimate: trim it to size.
+	v.arena = append(make([]byte, 0, len(v.arena)), v.arena...)
+	if nn > 0 {
+		if s, ok := v.findSet(0, dnswire.TypeSOA); ok {
+			if soa, isSOA := v.rrs[v.sets[s].rr].(*dnswire.SOA); isSOA {
 				v.soa = soa
-				if body, err := dnswire.AppendRRBody(nil, soa); err == nil {
-					v.soaBody = body
-				} else {
-					v.wireOK = false
+				if v.wireOK {
+					v.soaBody = firstBody(v.setWire(s))
 				}
 			}
 		}
 	}
+	v.size = int(unsafe.Sizeof(*v)) + cap(v.arena) +
+		cap(v.nodes)*int(unsafe.Sizeof(viewNode{})) + cap(v.sets)*int(unsafe.Sizeof(viewSet{})) +
+		cap(v.names)*int(unsafe.Sizeof(dnswire.Name{})) + cap(v.rrs)*int(unsafe.Sizeof(dnswire.RR(nil)))
 	return v
+}
+
+// appendPacked packs one record into the arena; a record that will not pack
+// leaves the arena as it was and switches the wire path off.
+func (v *View) appendPacked(pack func([]byte, dnswire.RR) ([]byte, error), rr dnswire.RR) {
+	if b, err := pack(v.arena, rr); err == nil {
+		v.arena = b
+	} else {
+		v.wireOK = false
+	}
+}
+
+// ensureNode returns the node for an in-zone name, creating it — and first
+// any ancestor below the apex that does not exist yet — on the way.
+func (v *View) ensureNode(n dnswire.Name) uint32 {
+	if n == v.origin {
+		return 0
+	}
+	parent := v.ensureNode(n.Parent())
+	first := n.FirstLabel()
+	var buf [64]byte
+	label := append(append(buf[:0], byte(len(first))), first...)
+	if idx, ok := v.child(parent, label); ok {
+		return idx
+	}
+	idx := uint32(len(v.nodes))
+	v.nodes = append(v.nodes, viewNode{parent: parent, label: uint32(len(v.arena))})
+	v.names = append(v.names, n)
+	v.arena = append(v.arena, label...)
+	if first == "*" {
+		v.nodes[parent].wildcard = idx
+	}
+	h := childHash(parent, label)
+	for s := uint32(h) & v.tableMask; ; s = (s + 1) & v.tableMask {
+		if slot := v.arena[4*s:]; binary.LittleEndian.Uint32(slot) == 0 {
+			binary.LittleEndian.PutUint32(slot, uint32(h>>32)&^v.idxMask|(idx+1))
+			return idx
+		}
+	}
+}
+
+// childHash mixes a parent node index with a child's length-prefixed label,
+// eight label bytes per multiply. The low word picks the table slot, the
+// high word supplies the slot's tag.
+func childHash(parent uint32, label []byte) uint64 {
+	h := (uint64(parent) + 1) * 0x9E3779B97F4A7C15
+	for ; len(label) >= 8; label = label[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(label)) * 0xFF51AFD7ED558CCD
+		h ^= h >> 32
+	}
+	var tail uint64
+	for i, b := range label {
+		tail |= uint64(b) << (8 * i)
+	}
+	h = (h ^ tail) * 0xC4CEB9FE1A85EC53
+	return h ^ h>>32
+}
+
+// child finds parent's child with the given length-prefixed folded label:
+// one table probe, plus one node and label compare per tag match.
+func (v *View) child(parent uint32, label []byte) (uint32, bool) {
+	h := childHash(parent, label)
+	tag := uint32(h>>32) &^ v.idxMask
+	for s := uint32(h) & v.tableMask; ; s = (s + 1) & v.tableMask {
+		e := binary.LittleEndian.Uint32(v.arena[4*s:])
+		if e == 0 {
+			return 0, false
+		}
+		if e&^v.idxMask != tag {
+			continue
+		}
+		idx := e&v.idxMask - 1
+		nd := &v.nodes[idx]
+		// The length octet leads both labels, so equal bytes over
+		// len(label) mean equal labels.
+		if have := v.arena[nd.label:]; nd.parent == parent && len(have) >= len(label) && string(have[:len(label)]) == string(label) {
+			return idx, true
+		}
+	}
+}
+
+// maxWireLabels bounds the per-name label-offset scratch (a 255-octet name
+// holds at most 127 labels).
+const maxWireLabels = 128
+
+// labelOffsets is the scratch splitLabels fills: one offset per label plus
+// the terminal root octet's.
+type labelOffsets [maxWireLabels + 1]uint16
+
+// splitLabels records where each label of a wire-form name starts, and after
+// them where its root octet sits, returning the label count (-1 for a name
+// with more than maxWireLabels labels).
+func splitLabels(name []byte, offs *labelOffsets) int {
+	nl, o := 0, 0
+	for ; name[o] != 0; o += 1 + int(name[o]) {
+		if nl == maxWireLabels {
+			return -1
+		}
+		offs[nl] = uint16(o)
+		nl++
+	}
+	offs[nl] = uint16(o)
+	return nl
+}
+
+// locate walks a folded wire-form name with rel labels below the origin
+// top-down from the apex, one child probe per label, and returns the deepest
+// existing node with the index of that node's leftmost label: 0 when the
+// name itself exists, rel when only the apex matched. The walk stops at the
+// first delegation point: cut reports that the name sits at or below one —
+// the topmost — and node is it; otherwise node is the name's closest
+// encloser. The view must not be empty (see View.empty).
+func (v *View) locate(name []byte, offs *labelOffsets, rel int) (node uint32, i int, cut bool) {
+	for i = rel; i > 0 && !cut; i-- {
+		c, found := v.child(node, name[offs[i-1]:offs[i]])
+		if !found {
+			break
+		}
+		node, cut = c, v.nodes[c].cut
+	}
+	return node, i, cut
+}
+
+// empty reports a zone with no records: it has no apex node (nodes holds
+// its sentinel alone), so every name in it — the origin included — is
+// NXDOMAIN.
+func (v *View) empty() bool { return len(v.nodes) == 1 }
+
+// findSet returns the index of node's RRset of type t. (A cut's trailing
+// glue pseudo-set carries type 0 and is only ever reached by index.)
+func (v *View) findSet(node uint32, t dnswire.Type) (uint32, bool) {
+	for s, end := v.nodes[node].sets, v.nodes[node+1].sets; s < end; s++ {
+		if typ := v.sets[s].typ; typ >= t {
+			return s, typ == t
+		}
+	}
+	return 0, false
+}
+
+// glueSet returns the index of a cut's glue pseudo-set: its last set.
+func (v *View) glueSet(cut uint32) uint32 { return v.nodes[cut+1].sets - 1 }
+
+// setRRs returns set s's records. The three-index slice keeps callers that
+// append (the engine chains glue ahead of its OPT record) from ever writing
+// into the slab, where the next set's records follow.
+func (v *View) setRRs(s uint32) []dnswire.RR {
+	lo, hi := v.sets[s].rr, v.sets[s+1].rr
+	return v.rrs[lo:hi:hi]
+}
+
+// setWire returns set s's arena bytes: its records' bodies back to back.
+func (v *View) setWire(s uint32) []byte {
+	return v.arena[v.sets[s].body:v.sets[s+1].body]
+}
+
+// firstBody cuts the first record body off a set's bytes.
+func firstBody(w []byte) []byte {
+	return w[:10+int(w[8])<<8+int(w[9])]
+}
+
+// source picks the node that answers for a located name: the node itself
+// when the name exists, else the closest encloser's wildcard child (matching
+// the legacy algorithm, which never looks past the first existing ancestor).
+// ok is false when neither exists.
+func (v *View) source(node uint32, exact bool) (src uint32, ok bool) {
+	if exact {
+		return node, true
+	}
+	src = v.nodes[node].wildcard
+	return src, src != 0
 }
 
 // Lookup is the structured read off the compiled view: the same algorithm
@@ -228,83 +406,56 @@ func (z *Zone) compileViewLocked() *View {
 // read-only (wildcard-synthesized records are fresh copies, as their owner
 // is rewritten).
 func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
-	if !qname.IsSubdomainOf(v.origin) {
+	if v.empty() || !qname.IsSubdomainOf(v.origin) {
 		return Answer{Result: NXDomain}
 	}
-	var ans Answer
+	var (
+		ans  Answer
+		buf  [256]byte
+		offs labelOffsets
+	)
 	name := qname
 	for hop := 0; ; hop++ {
-		if len(v.cutsByName) > 0 {
-			// Topmost cut wins: keep the highest hit while walking up.
-			var cut *viewCut
-			for n := name; n != v.origin && !n.IsRoot(); n = n.Parent() {
-				if c := v.cutsByName[n]; c != nil {
-					cut = c
-				}
-			}
-			if cut != nil {
-				ans.Result = Delegation
-				// Three-index slices: callers may append (the engine chains
-				// glue ahead of its OPT record) and must never write into
-				// the view's shared backing arrays.
-				ans.NS = cut.ns.rrs[:len(cut.ns.rrs):len(cut.ns.rrs)]
-				ans.Glue = cut.glueRRs[:len(cut.glueRRs):len(cut.glueRRs)]
-				return ans
-			}
+		wire := name.AppendWire(buf[:0])
+		node, i, cut := v.locate(wire, &offs, splitLabels(wire, &offs)-int(v.originLabels))
+		if cut {
+			ns, _ := v.findSet(node, dnswire.TypeNS)
+			ans.Result = Delegation
+			ans.NS = v.setRRs(ns)
+			ans.Glue = v.setRRs(v.glueSet(node))
+			return ans
 		}
-		if nd := v.byName[name]; nd != nil {
-			if set := nd.sets[qtype]; set != nil {
+		exact := i == 0
+		if src, found := v.source(node, exact); found {
+			if s, hit := v.findSet(src, qtype); hit {
 				ans.Result = Success
-				ans.Answer = append(ans.Answer, set.rrs...)
+				ans.Answer = appendOwned(ans.Answer, v.setRRs(s), name, exact)
 				return ans
 			}
-			if qtype == dnswire.TypeANY && len(nd.anyRRs) > 0 {
-				ans.Result = Success
-				ans.Answer = append(ans.Answer, nd.anyRRs...)
-				return ans
-			}
-			if set := nd.sets[dnswire.TypeCNAME]; set != nil && qtype != dnswire.TypeCNAME {
-				cname := set.rrs[0].(*dnswire.CNAME)
-				ans.Answer = append(ans.Answer, cname)
-				if hop >= maxCNAMEChain {
+			if exact && qtype == dnswire.TypeANY {
+				// Every set at the node, ordered by type then insertion
+				// order: its sets sit back to back in the slab.
+				lo, hi := v.sets[v.nodes[node].sets].rr, v.sets[v.nodes[node+1].sets].rr
+				if lo < hi {
 					ans.Result = Success
+					ans.Answer = append(ans.Answer, v.rrs[lo:hi]...)
 					return ans
 				}
-				if cname.Target.IsSubdomainOf(v.origin) {
+			}
+			if s, hit := v.findSet(src, dnswire.TypeCNAME); hit && qtype != dnswire.TypeCNAME {
+				ans.Answer = appendOwned(ans.Answer, v.setRRs(s)[:1], name, exact)
+				cname := ans.Answer[len(ans.Answer)-1].(*dnswire.CNAME)
+				if hop < maxCNAMEChain && cname.Target.IsSubdomainOf(v.origin) {
 					name = cname.Target
 					continue
 				}
+				// Chain limit or out-of-zone target: answer what we have.
 				ans.Result = Success
 				return ans
 			}
-			ans.Result = NoData
-			ans.SOA = v.soa
-			return ans
-		}
-		// Wildcard synthesis: the closest existing encloser's "*" child.
-		if wnode := v.wildcardFor(name); wnode != nil {
-			if set := wnode.sets[qtype]; set != nil {
-				for _, rr := range set.rrs {
-					c := rr.Copy()
-					c.Header().Name = name
-					ans.Answer = append(ans.Answer, c)
-				}
-				ans.Result = Success
-				return ans
-			}
-			if set := wnode.sets[dnswire.TypeCNAME]; set != nil && qtype != dnswire.TypeCNAME {
-				c := set.rrs[0].Copy().(*dnswire.CNAME)
-				c.Name = name
-				ans.Answer = append(ans.Answer, c)
-				if hop >= maxCNAMEChain {
-					ans.Result = Success
-					return ans
-				}
-				if c.Target.IsSubdomainOf(v.origin) {
-					name = c.Target
-					continue
-				}
-				ans.Result = Success
+			if exact {
+				ans.Result = NoData
+				ans.SOA = v.soa
 				return ans
 			}
 		}
@@ -314,21 +465,19 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 	}
 }
 
-// wildcardFor returns the wildcard node covering name: the "*" child of the
-// closest existing encloser, and only that encloser's (matching the legacy
-// algorithm, which never continues past the first existing ancestor).
-func (v *View) wildcardFor(name dnswire.Name) *viewNode {
-	if !v.hasWildcard {
-		return nil
+// appendOwned appends a set's records to an answer: shared as they are when
+// the owner matched exactly, as copies re-owned to name when a wildcard
+// synthesized them.
+func appendOwned(dst, rrs []dnswire.RR, name dnswire.Name, exact bool) []dnswire.RR {
+	if exact {
+		return append(dst, rrs...)
 	}
-	for enc := name.Parent(); ; enc = enc.Parent() {
-		if nd := v.byName[enc]; nd != nil {
-			return nd.wildcard
-		}
-		if enc == v.origin || enc.IsRoot() {
-			return nil
-		}
+	for _, rr := range rrs {
+		c := rr.Copy()
+		c.Header().Name = name
+		dst = append(dst, c)
 	}
+	return dst
 }
 
 // WireAnswer summarizes a response assembled by AppendAnswer.
@@ -345,94 +494,80 @@ type WireAnswer struct {
 	Name dnswire.Name
 }
 
-// maxWireLabels bounds the per-name label-offset scratch (a 255-octet name
-// holds at most 127 labels).
-const maxWireLabels = 128
-
 // AppendAnswer assembles the answer/authority/glue sections for (qname,
 // qtype) directly from pre-packed view bytes, appending to out. qname is
 // the folded wire-form query name (dnswire.QueryView.AppendQnameFolded),
 // already routed to this view (Store.FindWire), and qnameOff is the
 // absolute message offset where the client's qname bytes sit, so owners can
-// be rendered as compression pointers into the question. TypeANY and any
-// view that failed to pre-pack report ok=false: the caller must fall back
-// to the decode path. The structured results match Zone.Lookup exactly,
-// including the engine's convention that negative and referral responses
-// drop any chased CNAMEs from the answer section.
+// be rendered as compression pointers into the question. TypeANY, a name
+// outside the zone and any view that failed to pre-pack report ok=false:
+// the caller must fall back to the decode path. The structured results
+// match Zone.Lookup exactly, including the engine's convention that
+// negative and referral responses drop any chased CNAMEs from the answer
+// section.
 func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswire.Type) ([]byte, WireAnswer, bool) {
 	var wa WireAnswer
 	if !v.wireOK || qtype == dnswire.TypeANY {
 		return out, wa, false
 	}
+	if v.empty() {
+		wa.Result = NXDomain
+		return out, wa, true
+	}
 	base := len(out)
 	cur := qname       // wire bytes of the name being matched
-	curOff := qnameOff // absolute message offset of those bytes, -1 when unplaced
+	curOff := qnameOff // absolute message offset of those bytes
 	originPtr := 0
+	var offs labelOffsets
 	for hop := 0; ; hop++ {
-		var offs [maxWireLabels]uint16
-		nl := 0
-		for o := 0; cur[o] != 0; o += 1 + int(cur[o]) {
-			if nl == maxWireLabels {
-				return out[:base], wa, false
-			}
-			offs[nl] = uint16(o)
-			nl++
-		}
-		if nl < v.originLabels {
-			return out[:base], wa, false
-		}
+		// Split at label boundaries and hold the name to the origin there,
+		// so stray byte coincidences can never alias.
+		rel := splitLabels(cur, &offs) - int(v.originLabels)
+		inZone := rel >= 0 && string(cur[offs[rel]:]) == v.originWire
 		if hop == 0 {
-			if v.originLabels == 0 {
-				originPtr = qnameOff + len(qname) - 1
-			} else {
-				originPtr = qnameOff + int(offs[nl-v.originLabels])
+			if !inZone {
+				return out, wa, false
 			}
+			originPtr = qnameOff + int(offs[rel])
+		} else if !inZone {
+			// The chain left the zone: the resolver follows it from here.
+			wa.Result = Success
+			return out, wa, true
 		}
-		// 1. Delegation: the topmost NS cut strictly below the apex, at or
-		// above the current name. Walking top-down, the first hit wins.
-		if len(v.cutsByWire) > 0 && nl > v.originLabels {
-			for i := nl - v.originLabels - 1; i >= 0; i-- {
-				cut := v.cutsByWire[string(cur[offs[i]:])]
-				if cut == nil {
-					continue
-				}
-				// Referrals drop chased CNAMEs (engine parity); after the
-				// rewind, pointers into the chain would dangle, so owners
-				// fall back to their literal bytes on chased hops.
-				out = out[:base]
-				wa.Answer = 0
-				ptr := -1
-				if hop == 0 {
-					ptr = curOff + int(offs[i])
-				}
-				for _, body := range cut.ns.bodies {
-					out = appendWireOwner(out, ptr, cur[offs[i]:])
-					out = append(out, body...)
-				}
-				wa.Authority = len(cut.ns.bodies)
-				out = append(out, cut.glueWire...)
-				wa.Additional = cut.glueCount
-				wa.Result = Delegation
-				return out, wa, true
-			}
-		}
-		// 2. Exact node.
-		if nd := v.byWire[string(cur)]; nd != nil {
+		node, i, cut := v.locate(cur, &offs, rel)
+		if cut {
+			// Referrals drop chased CNAMEs (engine parity); after the
+			// rewind, pointers into the chain would dangle, so owners fall
+			// back to their literal bytes on chased hops.
+			out = out[:base]
+			wa.Answer = 0
+			ptr := -1
 			if hop == 0 {
-				wa.Cacheable = true
-				wa.Name = nd.name
+				ptr = curOff + int(offs[i])
 			}
-			if set := nd.sets[qtype]; set != nil {
-				for _, body := range set.bodies {
-					out = appendWireOwner(out, curOff, cur)
-					out = append(out, body...)
-				}
-				wa.Answer += len(set.bodies)
+			ns, _ := v.findSet(node, dnswire.TypeNS)
+			out, wa.Authority = appendBodies(out, ptr, cur[offs[i]:], v.setWire(ns))
+			glue := v.glueSet(node)
+			out = append(out, v.setWire(glue)...)
+			wa.Additional = len(v.setRRs(glue))
+			wa.Result = Delegation
+			return out, wa, true
+		}
+		exact := i == 0
+		if exact && hop == 0 {
+			wa.Cacheable = true
+			wa.Name = v.names[node]
+		}
+		if src, found := v.source(node, exact); found {
+			if s, hit := v.findSet(src, qtype); hit {
+				var n int
+				out, n = appendBodies(out, curOff, cur, v.setWire(s))
+				wa.Answer += n
 				wa.Result = Success
 				return out, wa, true
 			}
-			if set := nd.sets[dnswire.TypeCNAME]; set != nil && qtype != dnswire.TypeCNAME {
-				body := set.bodies[0]
+			if s, hit := v.findSet(src, dnswire.TypeCNAME); hit && qtype != dnswire.TypeCNAME {
+				body := firstBody(v.setWire(s))
 				out = appendWireOwner(out, curOff, cur)
 				bodyStart := len(out)
 				out = append(out, body...)
@@ -443,110 +578,46 @@ func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswir
 				}
 				// The body's RDATA is the uncompressed target name; its copy
 				// in the message becomes the next owner's pointer target.
-				target := body[10:]
-				if !v.inZone(target) {
-					wa.Result = Success
-					return out, wa, true
-				}
-				cur = target
+				cur = body[10:]
 				curOff = bodyStart + 10
 				continue
-			}
-			out = out[:base]
-			wa.Answer = 0
-			wa.Result = NoData
-			out, wa.Authority = v.appendNegative(out, originPtr)
-			return out, wa, true
-		}
-		// 3. Wildcard synthesis off the closest existing encloser.
-		if v.hasWildcard && nl > v.originLabels {
-			var wnode *viewNode
-			for i := 1; i <= nl-v.originLabels; i++ {
-				if enc := v.byWire[string(cur[offs[i]:])]; enc != nil {
-					wnode = enc.wildcard
-					break
-				}
-			}
-			if wnode != nil {
-				if set := wnode.sets[qtype]; set != nil {
-					for _, body := range set.bodies {
-						out = appendWireOwner(out, curOff, cur)
-						out = append(out, body...)
-					}
-					wa.Answer += len(set.bodies)
-					wa.Result = Success
-					return out, wa, true
-				}
-				if set := wnode.sets[dnswire.TypeCNAME]; set != nil && qtype != dnswire.TypeCNAME {
-					body := set.bodies[0]
-					out = appendWireOwner(out, curOff, cur)
-					bodyStart := len(out)
-					out = append(out, body...)
-					wa.Answer++
-					if hop >= maxCNAMEChain {
-						wa.Result = Success
-						return out, wa, true
-					}
-					target := body[10:]
-					if !v.inZone(target) {
-						wa.Result = Success
-						return out, wa, true
-					}
-					cur = target
-					curOff = bodyStart + 10
-					continue
-				}
 			}
 		}
 		out = out[:base]
 		wa.Answer = 0
 		wa.Result = NXDomain
-		out, wa.Authority = v.appendNegative(out, originPtr)
+		if exact {
+			wa.Result = NoData
+		}
+		if v.soaBody != nil {
+			// The owner points at the origin's bytes inside the question.
+			out = appendWireOwner(out, originPtr, v.originWire)
+			out = append(out, v.soaBody...)
+			wa.Authority = 1
+		}
 		return out, wa, true
 	}
+}
+
+// appendBodies appends every record of a set's bytes under one owner,
+// returning the record count.
+func appendBodies(out []byte, ptr int, literal, w []byte) ([]byte, int) {
+	n := 0
+	for ; len(w) > 0; n++ {
+		body := firstBody(w)
+		out = appendWireOwner(out, ptr, literal)
+		out = append(out, body...)
+		w = w[len(body):]
+	}
+	return out, n
 }
 
 // appendWireOwner renders a record owner: a compression pointer when the
 // name already sits at a pointable message offset, its literal bytes
 // otherwise.
-func appendWireOwner(out []byte, ptr int, literal []byte) []byte {
+func appendWireOwner[S []byte | string](out []byte, ptr int, literal S) []byte {
 	if ptr >= 0 && ptr <= 0x3FFF {
 		return append(out, 0xC0|byte(ptr>>8), byte(ptr))
 	}
 	return append(out, literal...)
-}
-
-// appendNegative appends the zone's SOA (when present) with the owner
-// pointing at the origin's bytes inside the question name.
-func (v *View) appendNegative(out []byte, originPtr int) ([]byte, int) {
-	if v.soaBody == nil {
-		return out, 0
-	}
-	out = appendWireOwner(out, originPtr, v.originWire)
-	return append(out, v.soaBody...), 1
-}
-
-// inZone reports whether a wire-form name sits at or below the view's
-// origin, comparing at a label boundary so stray byte coincidences can
-// never alias.
-func (v *View) inZone(name []byte) bool {
-	if v.originLabels == 0 {
-		return true
-	}
-	nl := 0
-	for o := 0; name[o] != 0; o += 1 + int(name[o]) {
-		nl++
-		if nl > maxWireLabels {
-			return false
-		}
-	}
-	skip := nl - v.originLabels
-	if skip < 0 {
-		return false
-	}
-	o := 0
-	for ; skip > 0; skip-- {
-		o += 1 + int(name[o])
-	}
-	return bytes.Equal(name[o:], v.originWire)
 }

@@ -2,6 +2,7 @@ package zone
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -378,5 +379,254 @@ func TestStoreFindWireZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("FindWire allocs = %v, want 0", allocs)
+	}
+}
+
+// TestViewFootprint pins what a compiled view costs to hold: compiled over
+// 2 000 bench-shaped zones (22 records, 20 names each), a view may add at
+// most 3 KB and 6 objects to the live heap — the header plus one slice each
+// for the arena, nodes, sets, names and records — of which only the names
+// and records slabs may hold pointers for the collector to trace, and
+// answering from it must not allocate.
+func TestViewFootprint(t *testing.T) {
+	const n = 2000
+	zones := benchZones(t, n)
+	bytes, objects := viewHeap(zones)
+	t.Logf("%d B and %.2f heap objects per view", bytes/n, float64(objects)/n)
+	if bytes > 3<<10*n {
+		t.Errorf("views cost %d B each, want <= 3072", bytes/n)
+	}
+	if objects > 6*n {
+		t.Errorf("views cost %.2f heap objects each, want <= 6", float64(objects)/n)
+	}
+	// Every slice field of the header is one heap object (originWire and
+	// soaBody alias the zone's routing key and the arena); count the ones
+	// whose elements the collector must scan.
+	slabs, scanned := 0, 0
+	vt := reflect.TypeOf(View{})
+	for i := 0; i < vt.NumField(); i++ {
+		f := vt.Field(i)
+		if f.Type.Kind() != reflect.Slice || f.Name == "soaBody" {
+			continue
+		}
+		slabs++
+		if hasPointers(f.Type.Elem()) {
+			scanned++
+		}
+	}
+	if slabs != 5 || scanned != 2 {
+		t.Errorf("View has %d slabs, %d of them pointer-bearing; want 5 and 2", slabs, scanned)
+	}
+	if got := zones[0].ViewBytes(); got <= 0 || got > 3<<10 {
+		t.Errorf("ViewBytes = %d, want within (0, 3072]", got)
+	}
+
+	v := zones[0].View()
+	origin := v.Origin().String()
+	buf := make([]byte, 0, 4096)
+	for _, q := range []string{"r4nd0m." + origin, "h.sub." + origin, "w.wild." + origin, "alias." + origin, "www." + origin} {
+		qw := n2w(q)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, _, ok := v.AppendAnswer(buf[:0], qw, 12, dnswire.TypeA); !ok {
+				t.Fatalf("%s: wire path declined", q)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: AppendAnswer allocates %v times, want 0", q, allocs)
+		}
+	}
+}
+
+func n2w(s string) []byte { return n(s).AppendWire(nil) }
+
+// hasPointers reports whether values of t hold anything the garbage
+// collector has to trace.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.String, reflect.Interface, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSetSerialCopyOnWrite: views share the zone's records, so a serial bump
+// must replace the SOA rather than write through it. A view taken before
+// the bump keeps returning and packing the old serial, while readers run
+// against both (the race detector sees any write-through).
+func TestSetSerialCopyOnWrite(t *testing.T) {
+	z := buildZone(t)
+	const oldSerial = 2020010101
+	old := z.View()
+	miss := n2w("nope.example.com")
+	check := func(v *View, serial uint32) error {
+		if got := v.Lookup(n("nope.example.com"), dnswire.TypeA); got.SOA == nil || got.SOA.Serial != serial {
+			return fmt.Errorf("Lookup SOA = %v, want serial %d", got.SOA, serial)
+		}
+		if got := v.Lookup(n("example.com"), dnswire.TypeSOA); len(got.Answer) != 1 || got.Answer[0].(*dnswire.SOA).Serial != serial {
+			return fmt.Errorf("SOA answer = %v, want serial %d", got.Answer, serial)
+		}
+		buf := append(make([]byte, 0, 512), 0, 0, 0x84, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+		buf = append(append(buf, miss...), 0, 1, 0, 1)
+		out, wa, ok := v.AppendAnswer(buf, miss, 12, dnswire.TypeA)
+		if !ok || wa.Result != NXDomain || wa.Authority != 1 {
+			return fmt.Errorf("wire miss: ok=%v %+v", ok, wa)
+		}
+		out[9] = 1
+		msg, err := dnswire.Unpack(out)
+		if err != nil {
+			return err
+		}
+		if got := msg.Authority[0].(*dnswire.SOA).Serial; got != serial {
+			return fmt.Errorf("packed SOA serial = %d, want %d", got, serial)
+		}
+		return nil
+	}
+	// The writer bumps for as long as the readers read.
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 300; i++ {
+				if err := check(old, oldSerial); err != nil {
+					t.Errorf("view taken before the bumps: %v", err)
+					return
+				}
+				v := z.View()
+				if err := check(v, v.Serial()); err != nil {
+					t.Errorf("current view: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { readers.Wait(); close(done) }()
+	serial := uint32(oldSerial)
+	for bumping := true; bumping; {
+		select {
+		case <-done:
+			bumping = false
+		default:
+			serial++
+			z.SetSerial(serial)
+		}
+	}
+	if err := check(old, oldSerial); err != nil {
+		t.Fatalf("view taken before the bumps, after them: %v", err)
+	}
+	if err := check(z.View(), serial); err != nil {
+		t.Fatalf("after the bumps: %v", err)
+	}
+	if z.Serial() != serial || z.SOA().Serial != serial {
+		t.Fatalf("zone serial = %d / %d, want %d", z.Serial(), z.SOA().Serial, serial)
+	}
+}
+
+// TestStoreViewCounters: the store's view counters are moved by the zones
+// as they compile, invalidate, get replaced and leave. ViewRebuilds is a
+// total — replacing a zone must not take its compiles back out — and
+// ViewBytes is exactly the footprint of the views installed zones publish.
+func TestStoreViewCounters(t *testing.T) {
+	s := NewStore()
+	zones := benchZones(t, 8)
+	s.Update(func(tx *Tx) {
+		for _, z := range zones {
+			tx.Put(z)
+		}
+	})
+	published := func() (sum int64) {
+		for _, o := range s.Origins() {
+			sum += int64(s.Get(o).ViewBytes())
+		}
+		return sum
+	}
+	if s.ViewRebuilds() != 0 || s.ViewBytes() != 0 {
+		t.Fatalf("fresh store: %d rebuilds, %d bytes", s.ViewRebuilds(), s.ViewBytes())
+	}
+	for _, z := range zones {
+		z.View()
+		z.View()
+	}
+	if s.ViewRebuilds() != 8 || s.ViewBytes() != published() || s.ViewBytes() <= 0 {
+		t.Fatalf("after compiling: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
+	}
+	// In-place mutation drops the view's bytes until the next reader.
+	zones[0].SetSerial(2)
+	if s.ViewBytes() != published() || zones[0].ViewBytes() != 0 {
+		t.Fatalf("after invalidation: %d bytes (zones publish %d)", s.ViewBytes(), published())
+	}
+	zones[0].View()
+	if s.ViewRebuilds() != 9 || s.ViewBytes() != published() {
+		t.Fatalf("after recompiling: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
+	}
+	// Replacing a zone (what every control-plane apply does) swaps its bytes
+	// for the newcomer's — here compiled before install — and keeps the total.
+	origin, text := benchZoneText(1)
+	repl := MustParseMaster(text, origin)
+	repl.View()
+	s.Put(repl)
+	if s.ViewRebuilds() != 9 || s.ViewBytes() != published() {
+		t.Fatalf("after replacing: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
+	}
+	// The replaced zone is out of the store: its compiles are its own.
+	zones[1].SetSerial(3)
+	zones[1].View()
+	if s.ViewRebuilds() != 9 || s.ViewBytes() != published() {
+		t.Fatalf("replaced zone still counted: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
+	}
+	s.Update(func(tx *Tx) {
+		for _, o := range s.Origins() {
+			tx.Delete(o)
+		}
+	})
+	if s.ViewRebuilds() != 9 || s.ViewBytes() != 0 {
+		t.Fatalf("emptied store: %d rebuilds, %d bytes", s.ViewRebuilds(), s.ViewBytes())
+	}
+}
+
+// TestViewLargeZoneParity drives the child table well past one cache line's
+// worth of slots: 30 000 names at depths 1 to 3 with shared and colliding
+// labels, every one of which — and a miss beside it — must resolve as the
+// locked lookup does.
+func TestViewLargeZoneParity(t *testing.T) {
+	z := New(n("big.test"))
+	add := func(owner string) {
+		t.Helper()
+		if err := z.Add(&dnswire.A{RRHeader: dnswire.RRHeader{Name: n(owner), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
+			Addr: mustAddr("192.0.2.1")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var owners []string
+	for i := 0; i < 10000; i++ {
+		owners = append(owners,
+			fmt.Sprintf("h%d.big.test", i),
+			fmt.Sprintf("h%d.h%d.big.test", i%100, i),   // same labels, other parents
+			fmt.Sprintf("x.ent%d.h%d.big.test", i, i%7), // below an empty non-terminal
+		)
+	}
+	for _, o := range owners {
+		add(o)
+	}
+	v := z.View()
+	buf := make([]byte, 0, 512)
+	for _, o := range owners {
+		for _, q := range []string{o, "nope." + o, n(o).Parent().String()} {
+			want := z.Lookup(n(q), dnswire.TypeA)
+			if diff := answersEqual(v.Lookup(n(q), dnswire.TypeA), want); diff != "" {
+				t.Fatalf("%s: %s", q, diff)
+			}
+			if _, wa, ok := v.AppendAnswer(buf[:0], n2w(q), 12, dnswire.TypeA); !ok || wa.Result != want.Result || wa.Answer != len(want.Answer) {
+				t.Fatalf("%s: wire ok=%v %+v, want %v with %d answers", q, ok, wa, want.Result, len(want.Answer))
+			}
+		}
 	}
 }

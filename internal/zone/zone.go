@@ -33,9 +33,10 @@ type Zone struct {
 	// ancestors, so NXDOMAIN vs NODATA is decided correctly.
 	names  map[dnswire.Name]bool
 	serial uint32
-	// hook, when set (by the Store the zone is installed in), is invoked
-	// after every in-place mutation so store-derived caches can invalidate.
-	hook func()
+	// store is the Store the zone is installed in (nil for a free zone). It
+	// hears of every in-place mutation, so store-derived caches can
+	// invalidate, and keeps the store-wide view counters.
+	store *Store
 	// view is the compiled read-only snapshot (see view.go), invalidated on
 	// every mutation and lazily recompiled by the next View() caller.
 	view         atomic.Pointer[View]
@@ -55,21 +56,33 @@ func New(origin dnswire.Name) *Zone {
 // Origin returns the zone apex.
 func (z *Zone) Origin() dnswire.Name { return z.origin }
 
-// setChangeHook installs (or clears, with nil) the mutation callback.
-func (z *Zone) setChangeHook(fn func()) {
+// setStore moves the zone into s (out of any store, with nil), carrying its
+// published view's bytes from the old store's gauge to the new one's.
+func (z *Zone) setStore(s *Store) {
 	z.mu.Lock()
-	z.hook = fn
+	size := int64(z.ViewBytes())
+	if z.store != nil {
+		z.store.viewBytes.Add(-size)
+	}
+	if s != nil {
+		s.viewBytes.Add(size)
+	}
+	z.store = s
 	z.mu.Unlock()
 }
 
-// notifyLocked fires the change hook and drops the compiled view; callers
-// hold z.mu exclusively, so no concurrent View() call can republish a stale
+// notifyLocked drops the compiled view and tells the store; callers hold
+// z.mu exclusively, so no concurrent View() call can republish a stale
 // snapshot after this store.
 func (z *Zone) notifyLocked() {
-	z.view.Store(nil)
-	if z.hook != nil {
-		z.hook()
+	v := z.view.Swap(nil)
+	if z.store == nil {
+		return
 	}
+	if v != nil {
+		z.store.viewBytes.Add(-int64(v.size))
+	}
+	z.store.bump()
 }
 
 // Serial returns the zone's SOA serial (0 when no SOA is present).
@@ -92,10 +105,14 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	k := rrKey{h.Name, h.Type}
-	render := rr.String()
-	for _, have := range z.sets[k] {
-		if have.String() == render {
-			return nil
+	// Nearly every RRset is a singleton: render the newcomer only when
+	// there is something to compare it against.
+	if set := z.sets[k]; len(set) > 0 {
+		render := rr.String()
+		for _, have := range set {
+			if have.String() == render {
+				return nil
+			}
 		}
 	}
 	if soa, ok := rr.(*dnswire.SOA); ok {
@@ -143,14 +160,18 @@ func (z *Zone) rebuildNamesLocked() {
 	}
 }
 
-// SetSerial bumps the SOA serial in place (no-op without an SOA).
+// SetSerial bumps the SOA serial (no-op without an SOA). The SOA record is
+// replaced, never written through: compiled views share the zone's records,
+// and a view taken before the bump keeps answering with the old serial.
 func (z *Zone) SetSerial(serial uint32) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	k := rrKey{z.origin, dnswire.TypeSOA}
-	for _, rr := range z.sets[k] {
+	set := z.sets[rrKey{z.origin, dnswire.TypeSOA}]
+	for i, rr := range set {
 		if soa, ok := rr.(*dnswire.SOA); ok {
-			soa.Serial = serial
+			bumped := *soa
+			bumped.Serial = serial
+			set[i] = &bumped
 			z.serial = serial
 		}
 	}
@@ -320,7 +341,7 @@ func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 		if cut, nsSet := z.findCutLocked(name); cut {
 			ans.Result = Delegation
 			ans.NS = copyRRs(nsSet)
-			ans.Glue = z.glueForLocked(nsSet)
+			ans.Glue = copyRRs(z.appendGlueLocked(nil, nsSet))
 			return ans
 		}
 		// 2. Exact-name data.
@@ -412,21 +433,18 @@ func (z *Zone) findCutLocked(name dnswire.Name) (bool, []dnswire.RR) {
 	return false, nil
 }
 
-// glueForLocked collects in-zone A/AAAA records for NS targets.
-func (z *Zone) glueForLocked(nsSet []dnswire.RR) []dnswire.RR {
-	var glue []dnswire.RR
+// appendGlueLocked appends the zone's own (shared, uncopied) in-zone A/AAAA
+// records for the NS set's targets to dst: per target, A then AAAA.
+func (z *Zone) appendGlueLocked(dst, nsSet []dnswire.RR) []dnswire.RR {
 	for _, rr := range nsSet {
 		ns, ok := rr.(*dnswire.NS)
-		if !ok {
+		if !ok || !ns.Target.IsSubdomainOf(z.origin) {
 			continue
 		}
-		if !ns.Target.IsSubdomainOf(z.origin) {
-			continue
-		}
-		glue = append(glue, copyRRs(z.sets[rrKey{ns.Target, dnswire.TypeA}])...)
-		glue = append(glue, copyRRs(z.sets[rrKey{ns.Target, dnswire.TypeAAAA}])...)
+		dst = append(dst, z.sets[rrKey{ns.Target, dnswire.TypeA}]...)
+		dst = append(dst, z.sets[rrKey{ns.Target, dnswire.TypeAAAA}]...)
 	}
-	return glue
+	return dst
 }
 
 // wildcardLocked finds a wildcard RRset covering name for qtype. Returns the
