@@ -23,7 +23,7 @@ race:
 	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
 	go test -race -run='TestContainmentPanicStorm|TestQueryOfDeathDrill' -count=2 ./internal/netserve/
 	go test -race -run='TestScrapeWhileServing|TestFlightForensicsEndToEnd' -count=2 ./internal/netserve/
-	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort' -count=2 ./internal/netserve/
+	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames' -count=2 ./internal/netserve/
 	go test -race -count=2 ./internal/udpbatch/
 	go test -race -run='TestReadWhileWrite' -count=10 ./internal/udpbatch/
 	go test -race -run='TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant' -count=2 ./internal/monitor/

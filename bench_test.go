@@ -9,7 +9,6 @@ package akamaidns
 import (
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -295,15 +294,15 @@ func BenchmarkQueueEnqueueDequeue(b *testing.B) {
 	}
 }
 
-func BenchmarkHostTreeValid(b *testing.B) {
-	store := benchStore(b)
-	tree := filters.BuildHostTree(nameserver.StoreZoneInfo{Store: store}, dnswire.MustName("bench.test"))
+func BenchmarkZoneInfoCanExist(b *testing.B) {
+	zi := nameserver.StoreZoneInfo{Store: benchStore(b)}
 	hit := dnswire.MustName("www.bench.test")
 	miss := dnswire.MustName("a3n92nv9.bench.test")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !tree.Valid(hit) || tree.Valid(miss) {
-			b.Fatal("tree wrong")
+		if !zi.CanExist(hit) || zi.CanExist(miss) {
+			b.Fatal("view wrong")
 		}
 	}
 }
@@ -390,54 +389,6 @@ func BenchmarkAblationLeakyVsFixedWindow(b *testing.B) {
 	}
 	b.ReportMetric(leakyFP*100, "%fp-leaky")
 	b.ReportMetric(fixedFP*100, "%fp-fixed")
-}
-
-// BenchmarkAblationNXDomainTreeMode compares per-hot-zone tree building with
-// the rejected build-all-zones alternative (§4.3.4: "this approach results
-// in a tree that is much larger and updating such a tree results in greater
-// contention").
-func BenchmarkAblationNXDomainTreeMode(b *testing.B) {
-	// A store with many zones, only one under attack.
-	store := zone.NewStore()
-	for i := 0; i < 200; i++ {
-		origin := dnswire.MustName(fmt.Sprintf("zone%03d.test", i))
-		z := zone.New(origin)
-		z.Add(&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300},
-			MName: dnswire.MustName("ns1." + origin.String()), RName: dnswire.MustName("host." + origin.String()),
-			Serial: 1, Minimum: 30})
-		for h := 0; h < 50; h++ {
-			name, _ := origin.Prepend(fmt.Sprintf("host%02d", h))
-			z.Add(&dnswire.A{RRHeader: dnswire.RRHeader{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
-				Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(h)})})
-		}
-		store.Put(z)
-	}
-	zi := nameserver.StoreZoneInfo{Store: store}
-	hot := dnswire.MustName("zone007.test")
-	run := func(mode filters.NXDomainMode) (builds uint64) {
-		f := filters.NewNXDomain(zi, mode)
-		f.Threshold = 10
-		for i := 0; i < 200; i++ {
-			// Every zone sees normal responses; only the hot zone sees
-			// NXDOMAIN volume.
-			f.ObserveResponse(dnswire.MustName(fmt.Sprintf("zone%03d.test", i%200)), false, 0)
-		}
-		for i := 0; i < 50; i++ {
-			f.ObserveResponse(hot, true, 0)
-		}
-		return f.TreeBuilds.Load()
-	}
-	var hotBuilds, allBuilds uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hotBuilds = run(filters.PerHotZone)
-		allBuilds = run(filters.AllZones)
-	}
-	if hotBuilds >= allBuilds {
-		b.Fatal("per-hot-zone mode built as many trees as all-zones mode")
-	}
-	b.ReportMetric(float64(hotBuilds), "trees-perhot")
-	b.ReportMetric(float64(allBuilds), "trees-all")
 }
 
 // BenchmarkAblationQoDFirewall quantifies §4.2.4 containment: crashes per

@@ -12,7 +12,6 @@ import (
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/filters"
 	"akamaidns/internal/nameserver"
-	"akamaidns/internal/queue"
 	"akamaidns/internal/simtime"
 	"akamaidns/internal/zone"
 )
@@ -57,13 +56,6 @@ func main() {
 	hc.SetActive(true)
 	lo.SetActive(true)
 
-	cfg := nameserver.DefaultConfig("frontline")
-	cfg.ComputeQPS = 5000
-	cfg.Queues = queue.DefaultConfig()
-	srv := nameserver.NewServer(sched, cfg, nameserver.NewEngine(store), pipe)
-	srv.NX = nx
-	srv.Loyalty = lo
-
 	rng := rand.New(rand.NewSource(1))
 	zoneName := dnswire.MustName("shop.test")
 	classes := []attack.Class{
@@ -84,7 +76,7 @@ func main() {
 			total += score
 			// Feed NXDOMAIN outcomes back (random-subdomain queries miss).
 			if class == attack.RandomSubdomain {
-				nx.ObserveResponse(zoneName, true, now)
+				pipe.ObserveAnswer(fq, true)
 			}
 			now = now.Add(time.Millisecond)
 		}
@@ -110,7 +102,7 @@ func main() {
 		Type: dnswire.TypeA, Zone: zoneName, IPTTL: 48, Now: now}
 	score, _ := pipe.Score(legit)
 	fmt.Printf("%-18s -> %6.1f\n", "legitimate", score)
-	fmt.Printf("\nNXDOMAIN filter hot zones: %v (tree of valid hostnames built)\n", nx.HotZones())
+	fmt.Printf("\nNXDOMAIN filter hot zones: %v\n", nx.HotZones())
 
 	// The operator's decision tree (Figure 9) for escalating situations.
 	fmt.Println("\ntraffic-engineering decisions:")

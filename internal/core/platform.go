@@ -275,10 +275,6 @@ func (p *Platform) addMachine(pp *pop.PoP, id string, delayed bool) {
 	}
 	spec := pop.MachineSpec{ID: id, Server: cfg, Delayed: delayed, Pipeline: pipe}
 	m := pop.BuildMachine(p.Sched, spec, store, p.Coord)
-	if p.Opts.EnableFilters {
-		m.Server.NX = mf.NXDomain
-		m.Server.Loyalty = mf.Loyalty
-	}
 	if !p.Opts.StartAgents {
 		m.Agent.Stop()
 	}

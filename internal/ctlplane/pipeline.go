@@ -71,8 +71,9 @@ func (t *Ticket) Wait() (*Plan, error) {
 // Done returns a channel closed when the changelist has finished.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
-// dirtyShardBuckets spans 1 shard to the full 2×256 text+wire shard space.
-var dirtyShardBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+// dirtyShardBuckets spans 1 shard to all 256 of the router's one wire-keyed
+// index: the most a publish can clone.
+var dirtyShardBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // NewPipeline starts the validate and commit stages over c and attaches
 // itself to the controller (HTTP mode=pipeline routes through it). Close

@@ -87,14 +87,12 @@ func fig10Run(small bool) []fig10Point {
 		cfg.IOQPS = ioQPS
 		cfg.IOBurst = 0.02
 		var pipe *filters.Pipeline
-		var nx *filters.NXDomain
 		if withFilter {
-			nx = filters.NewNXDomain(nameserver.StoreZoneInfo{Store: store}, filters.PerHotZone)
+			nx := filters.NewNXDomain(nameserver.StoreZoneInfo{Store: store}, filters.PerHotZone)
 			nx.Threshold = 50
 			pipe = filters.NewPipeline(nx)
 		}
 		srv := nameserver.NewServer(sched, cfg, nameserver.NewEngine(store), pipe)
-		srv.NX = nx
 		if !withFilter {
 			srv.UseFIFO()
 		}

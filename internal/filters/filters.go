@@ -5,7 +5,7 @@
 //
 // The five production filters are implemented: per-resolver leaky-bucket
 // rate limiting, the allowlist of historically-known resolvers, the
-// NXDOMAIN filter with its per-hot-zone valid-hostname tree, hop-count
+// NXDOMAIN filter over the zones' valid-hostname trees, hop-count
 // (IP TTL) filtering, and the per-nameserver loyalty filter.
 package filters
 
@@ -42,6 +42,15 @@ type Filter interface {
 	Name() string
 	// Score returns this filter's penalty contribution for q (0 = clean).
 	Score(q *Query) float64
+}
+
+// AnswerObserver is implemented by filters that learn from the answers the
+// server gives, not only from the queries it scores.
+type AnswerObserver interface {
+	// ObserveAnswer is told of one answered query — q as it was scored,
+	// Zone being the zone that answered — and whether the answer was
+	// NXDOMAIN.
+	ObserveAnswer(q *Query, nxdomain bool)
 }
 
 // Default penalty weights. Each filter's contribution is configurable at
@@ -113,6 +122,20 @@ func (p *Pipeline) Allowlisted(resolver string) bool {
 		}
 	}
 	return false
+}
+
+// ObserveAnswer forwards one answered query to every filter that learns from
+// answers. It is the filters' only feedback path: a server calls it once per
+// answer it sends and wires no filter by hand.
+func (p *Pipeline) ObserveAnswer(q *Query, nxdomain bool) {
+	p.mu.RLock()
+	fs := p.filters
+	p.mu.RUnlock()
+	for _, f := range fs {
+		if o, ok := f.(AnswerObserver); ok {
+			o.ObserveAnswer(q, nxdomain)
+		}
+	}
 }
 
 // Score runs every filter and returns the total penalty plus the per-filter

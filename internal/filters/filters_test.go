@@ -204,51 +204,17 @@ func TestLoyalty(t *testing.T) {
 	}
 }
 
-// fakeZoneInfo implements ZoneInfo for tests.
-type fakeZoneInfo struct {
-	names map[dnswire.Name][]dnswire.Name
-	cuts  map[dnswire.Name][]dnswire.Name
-}
+// fakeZoneInfo implements ZoneInfo for tests: a fixed set of names that can
+// exist.
+type fakeZoneInfo map[dnswire.Name]bool
 
-func (f *fakeZoneInfo) ValidNames(zone dnswire.Name) []dnswire.Name { return f.names[zone] }
-func (f *fakeZoneInfo) CutPoints(zone dnswire.Name) []dnswire.Name  { return f.cuts[zone] }
+func (f fakeZoneInfo) CanExist(name dnswire.Name) bool { return f[name] }
 
-func newFakeZone() (*fakeZoneInfo, dnswire.Name) {
-	zn := dnswire.MustName("example.com")
-	return &fakeZoneInfo{
-		names: map[dnswire.Name][]dnswire.Name{zn: {
-			zn,
-			dnswire.MustName("www.example.com"),
-			dnswire.MustName("mail.example.com"),
-			dnswire.MustName("wild.example.com"),
-			dnswire.MustName("*.wild.example.com"),
-		}},
-		cuts: map[dnswire.Name][]dnswire.Name{zn: {dnswire.MustName("sub.example.com")}},
-	}, zn
-}
-
-func TestHostTree(t *testing.T) {
-	zi, zn := newFakeZone()
-	tree := BuildHostTree(zi, zn)
-	valid := []string{
-		"example.com", "www.example.com",
-		"anything.wild.example.com", "deep.deeper.wild.example.com",
-		"sub.example.com", "below.sub.example.com",
-	}
-	for _, s := range valid {
-		if !tree.Valid(dnswire.MustName(s)) {
-			t.Errorf("Valid(%s) = false", s)
-		}
-	}
-	invalid := []string{"nope.example.com", "x.www.example.com", "a3n92nv9.example.com"}
-	for _, s := range invalid {
-		if tree.Valid(dnswire.MustName(s)) {
-			t.Errorf("Valid(%s) = true", s)
-		}
-	}
-	if tree.Size() != 5 {
-		t.Fatalf("Size = %d", tree.Size())
-	}
+func newFakeZone() (fakeZoneInfo, dnswire.Name) {
+	return fakeZoneInfo{
+		dnswire.MustName("example.com"):     true,
+		dnswire.MustName("www.example.com"): true,
+	}, dnswire.MustName("example.com")
 }
 
 func TestNXDomainActivatesOnThreshold(t *testing.T) {
@@ -301,37 +267,6 @@ func TestNXDomainWindowResets(t *testing.T) {
 	}
 }
 
-func TestNXDomainAllZonesEager(t *testing.T) {
-	zi, zn := newFakeZone()
-	f := NewNXDomain(zi, AllZones)
-	// A single *successful* response is enough to build the tree eagerly.
-	f.ObserveResponse(zn, false, 0)
-	attack := q("r1", "junk.example.com", 0)
-	attack.Zone = zn
-	if f.Score(attack) != PenaltyNXDomain {
-		t.Fatal("AllZones mode did not build tree eagerly")
-	}
-	if f.TreeBuilds.Load() != 1 {
-		t.Fatalf("TreeBuilds = %d", f.TreeBuilds.Load())
-	}
-}
-
-func TestNXDomainInvalidate(t *testing.T) {
-	zi, zn := newFakeZone()
-	f := NewNXDomain(zi, PerHotZone)
-	f.Threshold = 1
-	f.ObserveResponse(zn, true, 0)
-	attack := q("r1", "junk.example.com", 0)
-	attack.Zone = zn
-	if f.Score(attack) == 0 {
-		t.Fatal("not active")
-	}
-	f.Invalidate(zn)
-	if f.Score(attack) != 0 {
-		t.Fatal("Invalidate did not drop tree")
-	}
-}
-
 func TestNXDomainNoZoneNoScore(t *testing.T) {
 	zi, _ := newFakeZone()
 	f := NewNXDomain(zi, PerHotZone)
@@ -369,6 +304,66 @@ func TestPipelineSumsAndReports(t *testing.T) {
 	}
 }
 
+// TestPipelineObserveAnswer: the pipeline is the filters' one feedback path.
+// Answers forwarded through it make a zone hot and a resolver loyal; filters
+// that do not learn from answers are passed over.
+func TestPipelineObserveAnswer(t *testing.T) {
+	zi, zn := newFakeZone()
+	nx := NewNXDomain(zi, PerHotZone)
+	nx.Threshold = 10
+	lo := NewLoyalty()
+	lo.SetActive(true)
+	p := NewPipeline(NewRateLimit(), nx, NewAllowlist(), lo)
+	attack := q("r1", "a3n92nv9.example.com", 0)
+	attack.Zone = zn
+	if total, _ := p.Score(attack); total != PenaltyLoyalty {
+		t.Fatalf("before any answer: score %v, want the loyalty penalty alone", total)
+	}
+	p.ObserveAnswer(attack, false) // a non-NXDOMAIN answer counts nothing
+	for i := 0; i < 9; i++ {
+		p.ObserveAnswer(attack, true)
+	}
+	if len(nx.HotZones()) != 0 {
+		t.Fatalf("hot below threshold: %v", nx.HotZones())
+	}
+	p.ObserveAnswer(attack, true)
+	if hot := nx.HotZones(); len(hot) != 1 || hot[0] != zn {
+		t.Fatalf("HotZones = %v, want [%v]", hot, zn)
+	}
+	if total, detail := p.Score(attack); total != PenaltyNXDomain {
+		t.Fatalf("after ten NXDOMAIN answers: score %v (%v), want the nxdomain penalty alone", total, detail)
+	}
+}
+
+// TestRateLimitBucketsBounded: a flood of distinct sources cannot grow the
+// bucket map past its cap, and the sweep that bounds it keeps the state of a
+// resolver that is over its limit.
+func TestRateLimitBucketsBounded(t *testing.T) {
+	rl := NewRateLimit()
+	now := simtime.Time(0)
+	hog := q("hog", "a.example.com", now)
+	for rl.Score(hog) == 0 {
+	}
+	for i := 0; i < 1<<17; i++ {
+		now += 10 * simtime.Microsecond
+		rl.Score(q(fmt.Sprintf("spoofed-%d", i), "a.example.com", now))
+		if n := len(rl.buckets); n > maxBuckets {
+			t.Fatalf("after %d distinct resolvers: %d buckets, cap %d", i+1, n, maxBuckets)
+		}
+	}
+	// 1.3 s drained under 30 of the hog's 300 tokens: a bucket that
+	// survived the sweeps refills within that many queries, a forgotten one
+	// would take 300.
+	hog.Now = now
+	penalized := false
+	for i := 0; i < 30; i++ {
+		penalized = rl.Score(hog) > 0 || penalized
+	}
+	if !penalized {
+		t.Fatal("resolver over its limit was forgotten by the sweep")
+	}
+}
+
 func TestFiltersConcurrencySafety(t *testing.T) {
 	zi, zn := newFakeZone()
 	nx := NewNXDomain(zi, PerHotZone)
@@ -392,8 +387,7 @@ func TestFiltersConcurrencySafety(t *testing.T) {
 				query.Zone = zn
 				p.Score(query)
 				if i%3 == 0 {
-					nx.ObserveResponse(zn, i%5 == 0, query.Now)
-					lo.Observe(res, query.Now)
+					p.ObserveAnswer(query, i%5 == 0)
 					rl.Learn(res, float64(1+i%50))
 					hc.Learn(res, 40+i%20)
 					al.Add(res)

@@ -55,6 +55,10 @@ func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 	l.seen[resolver] = now
 }
 
+// ObserveAnswer implements AnswerObserver: an answered query is an accepted
+// one.
+func (l *Loyalty) ObserveAnswer(q *Query, _ bool) { l.Observe(q.Resolver, q.Now) }
+
 // SetLearning gates Observe.
 func (l *Loyalty) SetLearning(on bool) {
 	l.mu.Lock()

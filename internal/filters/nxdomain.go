@@ -8,78 +8,24 @@ import (
 	"akamaidns/internal/simtime"
 )
 
-// ZoneInfo supplies the data the NXDOMAIN filter needs to build a
-// valid-hostname tree for a zone. The nameserver adapts its zone store to
-// this interface.
+// ZoneInfo is the NXDOMAIN filter's view of the hosted zones: the paper's
+// "tree of valid hostnames" (§4.3.4). The nameserver adapts its zone store
+// to this interface.
 type ZoneInfo interface {
-	// ValidNames returns every owner name in the zone (including empty
-	// non-terminals and wildcard owners).
-	ValidNames(zone dnswire.Name) []dnswire.Name
-	// CutPoints returns delegation points; anything at or below a cut is
-	// answered with a referral, never NXDOMAIN.
-	CutPoints(zone dnswire.Name) []dnswire.Name
+	// CanExist reports whether a query for name, of any type, could get an
+	// answer other than NXDOMAIN from the zone that serves it: the name is
+	// an owner or empty non-terminal, sits at or below a delegation point,
+	// or is covered by a wildcard.
+	CanExist(name dnswire.Name) bool
 }
 
-// NXDomainMode selects the tree-building strategy.
+// NXDomainMode is vestigial: the filter builds no tree (the zones' compiled
+// views are the tree), so there is no strategy to select. The type and its
+// one value remain only so that callers of NewNXDomain keep compiling.
 type NXDomainMode int
 
-const (
-	// PerHotZone builds a tree only for zones whose NXDOMAIN count crossed
-	// the threshold — the production design: the tree stays small and
-	// updates contend less (§4.3.4).
-	PerHotZone NXDomainMode = iota
-	// AllZones eagerly builds trees for every zone the filter hears about —
-	// the rejected alternative, kept for the ablation benchmark.
-	AllZones
-)
-
-// HostTree is the set of valid hostnames for one zone.
-type HostTree struct {
-	exact     map[dnswire.Name]bool
-	wildcards map[dnswire.Name]bool // parents covered by a "*" label
-	cuts      []dnswire.Name
-}
-
-// BuildHostTree constructs the tree from zone info.
-func BuildHostTree(zi ZoneInfo, zone dnswire.Name) *HostTree {
-	t := &HostTree{exact: make(map[dnswire.Name]bool), wildcards: make(map[dnswire.Name]bool)}
-	for _, n := range zi.ValidNames(zone) {
-		t.exact[n] = true
-		if n.IsWildcard() {
-			t.wildcards[n.Parent()] = true
-		}
-	}
-	t.cuts = zi.CutPoints(zone)
-	return t
-}
-
-// Size reports the number of exact names in the tree.
-func (t *HostTree) Size() int { return len(t.exact) }
-
-// Valid reports whether a query for name could be answered with something
-// other than NXDOMAIN.
-func (t *HostTree) Valid(name dnswire.Name) bool {
-	if t.exact[name] {
-		return true
-	}
-	// Below a delegation cut: referral, not NXDOMAIN.
-	for _, cut := range t.cuts {
-		if name.IsSubdomainOf(cut) {
-			return true
-		}
-	}
-	// Wildcard coverage: find the closest existing ancestor; the wildcard
-	// applies when "*.<ancestor>" exists.
-	for anc := name.Parent(); !anc.IsZero(); anc = anc.Parent() {
-		if t.exact[anc] {
-			return t.wildcards[anc]
-		}
-		if anc.IsRoot() {
-			break
-		}
-	}
-	return false
-}
+// PerHotZone is the only mode.
+const PerHotZone NXDomainMode = 0
 
 // NXDomain is the random-subdomain-attack filter of §4.3.4 (attack class
 // 3). It tracks NXDOMAIN responses per zone; once a zone crosses the
@@ -88,104 +34,79 @@ func (t *HostTree) Valid(name dnswire.Name) bool {
 // responses), so false positives are few.
 type NXDomain struct {
 	source ZoneInfo
-	mode   NXDomainMode
 
 	// Threshold is the NXDOMAIN count within Window that makes a zone hot.
 	Threshold int
 	// Window is the counting window.
 	Window simtime.Time
-	// Penalty is the score for tree-missing names in hot zones.
+	// Penalty is the score for names that cannot exist in a hot zone.
 	Penalty float64
 
-	mu     sync.RWMutex
-	counts map[dnswire.Name]*nxWindow
-	trees  map[dnswire.Name]*HostTree
+	mu    sync.RWMutex
+	zones map[dnswire.Name]*nxZone
 
-	// Flagged counts penalized queries. TreeBuilds counts tree
-	// constructions (the ablation's contention proxy).
-	Flagged    atomic.Uint64
-	TreeBuilds atomic.Uint64
+	// Flagged counts penalized queries.
+	Flagged atomic.Uint64
 }
 
-type nxWindow struct {
+// nxZone is one zone's NXDOMAIN count in the current window, and whether it
+// has ever crossed the threshold: hot zones stay hot.
+type nxZone struct {
 	start simtime.Time
 	n     int
+	hot   bool
 }
 
-// NewNXDomain creates the filter over the given zone source.
-func NewNXDomain(source ZoneInfo, mode NXDomainMode) *NXDomain {
+// NewNXDomain creates the filter over the given zone source. The mode
+// argument is ignored (see NXDomainMode).
+func NewNXDomain(source ZoneInfo, _ NXDomainMode) *NXDomain {
 	return &NXDomain{
 		source:    source,
-		mode:      mode,
 		Threshold: 100,
 		Window:    10 * simtime.Second,
 		Penalty:   PenaltyNXDomain,
-		counts:    make(map[dnswire.Name]*nxWindow),
-		trees:     make(map[dnswire.Name]*HostTree),
+		zones:     make(map[dnswire.Name]*nxZone),
 	}
 }
 
 // Name implements Filter.
 func (f *NXDomain) Name() string { return "nxdomain" }
 
-// ObserveResponse feeds response outcomes back into the filter. The
-// nameserver calls this after answering; zone is the matched zone.
+// ObserveResponse counts one response from zone (the matched zone) towards
+// its NXDOMAIN window.
 func (f *NXDomain) ObserveResponse(zone dnswire.Name, nxdomain bool, now simtime.Time) {
-	if zone.IsZero() {
-		return
-	}
-	if f.mode == AllZones {
-		f.ensureTree(zone)
-	}
-	if !nxdomain {
+	if zone.IsZero() || !nxdomain {
 		return
 	}
 	f.mu.Lock()
-	w := f.counts[zone]
-	if w == nil || now.Sub(w.start) >= f.Window.Duration() {
-		w = &nxWindow{start: now}
-		f.counts[zone] = w
+	defer f.mu.Unlock()
+	z := f.zones[zone]
+	if z == nil {
+		z = &nxZone{start: now}
+		f.zones[zone] = z
+	} else if now.Sub(z.start) >= f.Window.Duration() {
+		z.start, z.n = now, 0
 	}
-	w.n++
-	hot := w.n >= f.Threshold
-	_, haveTree := f.trees[zone]
-	f.mu.Unlock()
-	if hot && !haveTree {
-		f.ensureTree(zone)
+	z.n++
+	if z.n >= f.Threshold {
+		z.hot = true
 	}
 }
 
-// ensureTree builds (once) the valid-hostname tree for a zone.
-func (f *NXDomain) ensureTree(zone dnswire.Name) {
-	f.mu.RLock()
-	_, ok := f.trees[zone]
-	f.mu.RUnlock()
-	if ok {
-		return
-	}
-	tree := BuildHostTree(f.source, zone)
-	f.TreeBuilds.Add(1)
-	f.mu.Lock()
-	if _, ok := f.trees[zone]; !ok {
-		f.trees[zone] = tree
-	}
-	f.mu.Unlock()
+// ObserveAnswer implements AnswerObserver.
+func (f *NXDomain) ObserveAnswer(q *Query, nxdomain bool) {
+	f.ObserveResponse(q.Zone, nxdomain, q.Now)
 }
 
-// Invalidate drops a zone's tree (call on zone updates).
-func (f *NXDomain) Invalidate(zone dnswire.Name) {
-	f.mu.Lock()
-	delete(f.trees, zone)
-	f.mu.Unlock()
-}
-
-// HotZones returns the zones that currently have an active tree.
+// HotZones returns the zones whose impossible names are being penalized.
 func (f *NXDomain) HotZones() []dnswire.Name {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	out := make([]dnswire.Name, 0, len(f.trees))
-	for z := range f.trees {
-		out = append(out, z)
+	var out []dnswire.Name
+	for name, z := range f.zones {
+		if z.hot {
+			out = append(out, name)
+		}
 	}
 	return out
 }
@@ -196,12 +117,10 @@ func (f *NXDomain) Score(q *Query) float64 {
 		return 0
 	}
 	f.mu.RLock()
-	tree := f.trees[q.Zone]
+	z := f.zones[q.Zone]
+	hot := z != nil && z.hot
 	f.mu.RUnlock()
-	if tree == nil {
-		return 0
-	}
-	if tree.Valid(q.Name) {
+	if !hot || f.source.CanExist(q.Name) {
 		return 0
 	}
 	f.Flagged.Add(1)

@@ -34,6 +34,10 @@ type bucket struct {
 	last  simtime.Time
 }
 
+// maxBuckets bounds RateLimit.buckets: a flood of distinct spoofed sources
+// must not grow the map without limit.
+const maxBuckets = 1 << 16
+
 // NewRateLimit returns a limiter with platform defaults.
 func NewRateLimit() *RateLimit {
 	return &RateLimit{
@@ -83,6 +87,9 @@ func (r *RateLimit) Score(q *Query) float64 {
 	cap := limit * r.BurstSeconds
 	b := r.buckets[q.Resolver]
 	if b == nil {
+		if len(r.buckets) >= maxBuckets {
+			r.sweepLocked(q.Now)
+		}
 		b = &bucket{last: q.Now}
 		r.buckets[q.Resolver] = b
 	}
@@ -102,6 +109,20 @@ func (r *RateLimit) Score(q *Query) float64 {
 		return r.Penalty
 	}
 	return 0
+}
+
+// sweepLocked drops every bucket that has drained to zero by now — it is
+// equivalent to an absent one — and, when a flood has left the map full of
+// live buckets all the same, starts over.
+func (r *RateLimit) sweepLocked(now simtime.Time) {
+	for resolver, b := range r.buckets {
+		if b.level <= now.Sub(b.last).Seconds()*r.limitLocked(resolver) {
+			delete(r.buckets, resolver)
+		}
+	}
+	if len(r.buckets) >= maxBuckets {
+		r.buckets = make(map[string]*bucket)
+	}
 }
 
 // ResetBuckets clears dynamic state (not learned limits); used when traffic

@@ -179,23 +179,17 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// StoreZoneInfo adapts a zone.Store to the filters.ZoneInfo interface.
+// StoreZoneInfo adapts a zone.Store to the filters.ZoneInfo interface: every
+// hosted zone's compiled view is its tree of valid hostnames, read lock-free
+// and never stale.
 type StoreZoneInfo struct{ Store *zone.Store }
 
-// ValidNames implements filters.ZoneInfo.
-func (s StoreZoneInfo) ValidNames(zn dnswire.Name) []dnswire.Name {
-	z := s.Store.Get(zn)
-	if z == nil {
-		return nil
-	}
-	return z.Names()
-}
-
-// CutPoints implements filters.ZoneInfo.
-func (s StoreZoneInfo) CutPoints(zn dnswire.Name) []dnswire.Name {
-	z := s.Store.Get(zn)
-	if z == nil {
-		return nil
-	}
-	return z.Cuts()
+// CanExist implements filters.ZoneInfo. It routes name afresh, so the answer
+// comes from the version of the zone that would serve the query now; a name
+// no zone serves any more gets REFUSED, which is not NXDOMAIN either.
+func (s StoreZoneInfo) CanExist(name dnswire.Name) bool {
+	var buf [256]byte
+	wire := name.AppendWire(buf[:0])
+	z, _, found := s.Store.FindWire(wire)
+	return !found || z.View().CanExist(wire)
 }

@@ -211,16 +211,30 @@ func findA(m *dnswire.Message) *dnswire.A {
 func TestStoreZoneInfoAdapter(t *testing.T) {
 	st := testStore(t)
 	zi := StoreZoneInfo{Store: st}
-	names := zi.ValidNames(n("ex.com"))
-	if len(names) == 0 {
-		t.Fatal("no names")
+	for name, want := range map[string]bool{
+		"ex.com":          true,  // apex
+		"www.ex.com":      true,  // owner
+		"edge.ex.com":     true,  // empty non-terminal
+		"sub.ex.com":      true,  // delegation point
+		"host.sub.ex.com": true,  // below it: a referral
+		"junk.ex.com":     false, // no node, no cut, no wildcard
+		"x.www.ex.com":    false, // below a leaf
+		"www.other.zone":  true,  // hosted nowhere: REFUSED, not NXDOMAIN
+	} {
+		if got := zi.CanExist(n(name)); got != want {
+			t.Errorf("CanExist(%s) = %v, want %v", name, got, want)
+		}
 	}
-	cuts := zi.CutPoints(n("ex.com"))
-	if len(cuts) != 1 || cuts[0] != n("sub.ex.com") {
-		t.Fatalf("cuts = %v", cuts)
+	// The adapter holds no copy of the zone: a new version is its new answer.
+	st.Put(zone.MustParseMaster(testZone+"junk IN A 192.0.2.9\n*.www IN A 192.0.2.8\n", n("ex.com")))
+	for _, name := range []string{"junk.ex.com", "x.www.ex.com"} {
+		if !zi.CanExist(n(name)) {
+			t.Errorf("CanExist(%s) = false after the zone gained it", name)
+		}
 	}
-	if zi.ValidNames(n("missing.zone")) != nil || zi.CutPoints(n("missing.zone")) != nil {
-		t.Fatal("missing zone returned data")
+	nope := n("nope.ex.com")
+	if allocs := testing.AllocsPerRun(100, func() { zi.CanExist(nope) }); allocs != 0 {
+		t.Errorf("CanExist allocates %v per call", allocs)
 	}
 }
 

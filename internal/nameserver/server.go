@@ -66,6 +66,16 @@ type Request struct {
 	Respond func(now simtime.Time, resp *dnswire.Message)
 }
 
+// filterQuery is the filter-visible view of the request at time now, its
+// zone left for the caller to fill in.
+func (r *Request) filterQuery(now simtime.Time) *filters.Query {
+	fq := &filters.Query{Resolver: r.Resolver, ASN: r.ASN, IPTTL: r.IPTTL, Now: now}
+	if len(r.Msg.Questions) == 1 {
+		fq.Name, fq.Type = r.Msg.Questions[0].Name, r.Msg.Questions[0].Type
+	}
+	return fq
+}
+
 // Metrics is a point-in-time copy of server activity counters (the
 // bespoke-struct view; the live counters are obs series on Obs()).
 type Metrics struct {
@@ -116,13 +126,10 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 // Server is one simulated nameserver machine: IO admission, scoring,
 // penalty queues, a compute pump, QoD containment, staleness tracking.
 type Server struct {
-	Cfg      Config
-	Engine   *Engine
+	Cfg    Config
+	Engine *Engine
+	// Pipeline scores every query and is told of every answer.
 	Pipeline *filters.Pipeline
-	// NX receives response feedback when set.
-	NX *filters.NXDomain
-	// Loyalty learns accepted resolvers when set.
-	Loyalty *filters.Loyalty
 
 	sched  *simtime.Scheduler
 	queues queue.Interface
@@ -364,14 +371,7 @@ func (s *Server) Receive(now simtime.Time, req *Request) {
 
 	score := 0.0
 	if s.Pipeline != nil && len(req.Msg.Questions) == 1 {
-		fq := &filters.Query{
-			Resolver: req.Resolver,
-			ASN:      req.ASN,
-			Name:     req.Msg.Questions[0].Name,
-			Type:     req.Msg.Questions[0].Type,
-			IPTTL:    req.IPTTL,
-			Now:      now,
-		}
+		fq := req.filterQuery(now)
 		if z := s.Engine.Store.Find(fq.Name); z != nil {
 			fq.Zone = z.Origin()
 		}
@@ -435,11 +435,10 @@ func (s *Server) processOne(now simtime.Time) {
 			s.zoneCounts[matchedZone]++
 		}
 		s.mu.Unlock()
-		if s.NX != nil {
-			s.NX.ObserveResponse(matchedZone, nx, now)
-		}
-		if s.Loyalty != nil {
-			s.Loyalty.Observe(req.Resolver, now)
+		if s.Pipeline != nil {
+			fq := req.filterQuery(now)
+			fq.Zone = matchedZone
+			s.Pipeline.ObserveAnswer(fq, nx)
 		}
 		if req.Respond != nil {
 			req.Respond(now, resp)

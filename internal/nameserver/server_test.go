@@ -9,6 +9,7 @@ import (
 	"akamaidns/internal/filters"
 	"akamaidns/internal/pubsub"
 	"akamaidns/internal/simtime"
+	"akamaidns/internal/zone"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*simtime.Scheduler, *Server) {
@@ -244,40 +245,42 @@ func TestServerQoDWithoutFirewallKeepsCrashing(t *testing.T) {
 	}
 }
 
-func TestServerNXFeedback(t *testing.T) {
+// TestServerFeedsPipeline: the server's only wiring to its filters is the
+// pipeline. The answers it sends make a zone hot and its resolvers loyal,
+// and a name a later zone version adds is never penalized.
+func TestServerFeedsPipeline(t *testing.T) {
 	sched := simtime.NewScheduler()
 	store := testStore(t)
 	nx := filters.NewNXDomain(StoreZoneInfo{Store: store}, filters.PerHotZone)
 	nx.Threshold = 5
-	pipe := filters.NewPipeline(nx)
-	cfg := DefaultConfig("m1")
-	srv := NewServer(sched, cfg, NewEngine(store), pipe)
-	srv.NX = nx
+	lo := filters.NewLoyalty()
+	srv := NewServer(sched, DefaultConfig("m1"), NewEngine(store), filters.NewPipeline(nx, lo))
 	// Drive 10 random-subdomain queries; after 5 NXDOMAIN responses the
-	// tree is built and later garbage is penalized.
+	// zone is hot and later garbage is penalized.
 	for i := 0; i < 10; i++ {
 		srv.Receive(sched.Now(), mkReq("r1", fmt.Sprintf("junk%d.ex.com", i), false, nil))
 		sched.Run()
 	}
-	if len(nx.HotZones()) != 1 {
-		t.Fatalf("hot zones = %v", nx.HotZones())
+	if hot := nx.HotZones(); len(hot) != 1 || hot[0] != n("ex.com") {
+		t.Fatalf("hot zones = %v", hot)
 	}
-	if nx.Flagged.Load() == 0 {
-		t.Fatal("nothing flagged after activation")
+	if got := nx.Flagged.Load(); got != 5 {
+		t.Fatalf("flagged %d of the 5 queries after activation", got)
 	}
-}
-
-func TestServerLoyaltyLearning(t *testing.T) {
-	sched := simtime.NewScheduler()
-	store := testStore(t)
-	lo := filters.NewLoyalty()
-	cfg := DefaultConfig("m1")
-	srv := NewServer(sched, cfg, NewEngine(store), nil)
-	srv.Loyalty = lo
-	srv.Receive(0, mkReq("r9", "www.ex.com", true, nil))
-	sched.Run()
-	if !lo.Known("r9", simtime.Second) {
+	if !lo.Known("r1", sched.Now()) {
 		t.Fatal("loyalty did not learn an answered resolver")
+	}
+	store.Put(zone.MustParseMaster(testZone+"fresh IN A 192.0.2.9\n", n("ex.com")))
+	answered := false
+	srv.Receive(sched.Now(), mkReq("r1", "fresh.ex.com", true, func(_ simtime.Time, resp *dnswire.Message) {
+		answered = resp.RCode == dnswire.RCodeNoError && len(resp.Answers) == 1
+	}))
+	sched.Run()
+	if !answered {
+		t.Fatal("name added after the zone went hot was not answered")
+	}
+	if got := nx.Flagged.Load(); got != 5 {
+		t.Fatalf("name added after the zone went hot was penalized (flagged %d)", got)
 	}
 }
 

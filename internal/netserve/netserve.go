@@ -805,6 +805,16 @@ func (s *Server) admit(wire []byte, fq *filters.Query, level int, span *obs.Span
 	return reply, false
 }
 
+// observe is the one feedback seam after the tiers, as admit is the one gate
+// before them: every answer to a scored query goes back through the pipeline,
+// so filters that learn from answers (a zone's NXDOMAIN count) learn from the
+// ones this server sends. fq is nil for a query that was never scored.
+func (s *Server) observe(fq *filters.Query, rcode dnswire.RCode) {
+	if fq != nil {
+		s.Pipeline.ObserveAnswer(fq, rcode == dnswire.RCodeNXDomain)
+	}
+}
+
 // sizeClassUDP buckets a query's advertised payload limit so one cached
 // wire can serve every client in the bucket: the cached response is fitted
 // to the bucket's floor, the smallest limit a member may have advertised.
@@ -855,6 +865,7 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		if reply, ok := s.admit(wire, &fq, qod.LevelFull, &span, sc); !ok {
 			return reply, true
 		}
+		s.observe(&fq, e.RCode)
 	}
 	span.Mark(obs.StageLookup)
 	sc.note.Verdict = flight.VerdictCached
@@ -951,12 +962,13 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 	}
 	span.Mark(obs.StageCookie)
 	srcKey := s.resolverKey(src.Addr())
+	var fq *filters.Query
 	if s.admission != nil && len(q.Questions) == 1 && !cookieValid {
-		fq := filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
+		fq = &filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
 		if z := s.Engine.Store.Find(fq.Name); z != nil {
 			fq.Zone = z.Origin()
 		}
-		if reply, ok := s.admit(wire, &fq, level, &span, sc); !ok {
+		if reply, ok := s.admit(wire, fq, level, &span, sc); !ok {
 			return reply
 		}
 	}
@@ -983,6 +995,7 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		return nil
 	}
 	noteQuery(sc, q, flight.VerdictServed, uint8(resp.RCode), zoneLabel(matched))
+	s.observe(fq, resp.RCode)
 	if resp.RCode == dnswire.RCodeFormErr {
 		s.Metrics.FormErr.Add(1)
 	}

@@ -59,20 +59,22 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	// View-served queries score and pass admission exactly like decode-path
 	// ones. Building the filters.Query costs the one Name allocation;
 	// without a pipeline the path stays allocation-free.
+	var fq *filters.Query
 	if s.admission != nil {
 		name, okN := dnswire.NameFromFoldedWire(qfold)
 		if !okN {
 			return nil, false
 		}
-		fq := filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
+		fq = &filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
 		if found {
 			fq.Zone = z.Origin()
 		}
-		if reply, ok := s.admit(wire, &fq, level, &span, sc); !ok {
+		if reply, ok := s.admit(wire, fq, level, &span, sc); !ok {
 			return reply, true
 		}
 	}
 	if !found {
+		s.observe(fq, dnswire.RCodeRefused)
 		sc.insert = cacheIntent{}
 		sc.note.Verdict = flight.VerdictView
 		sc.note.RCode = uint8(dnswire.RCodeRefused)
@@ -130,6 +132,7 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		return nil, false
 	}
 	sc.out = out
+	s.observe(fq, rcode)
 	intent := sc.insert
 	sc.insert = cacheIntent{}
 	// Populate the hot cache only for names that exist in the zone

@@ -80,6 +80,9 @@ func FuzzViewLookupParity(f *testing.F) {
 		if diff := answersEqual(got, want); diff != "" {
 			t.Fatalf("view parity %s %v: %s", name, typ, diff)
 		}
+		if diff := canExistChecker(z, v)(name); diff != "" {
+			t.Fatal(diff)
+		}
 		if typ == dnswire.TypeANY || !name.IsSubdomainOf(v.Origin()) {
 			return
 		}

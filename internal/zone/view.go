@@ -400,6 +400,23 @@ func (v *View) source(node uint32, exact bool) (src uint32, ok bool) {
 	return src, src != 0
 }
 
+// CanExist reports whether a query for the folded wire-form name, of any
+// type, could be answered with something other than NXDOMAIN: the name sits
+// at or below a delegation point, is a node of the zone (an empty
+// non-terminal included), or is covered by its closest encloser's wildcard.
+// It errs towards true only in that a wildcard may not hold the type asked
+// for; a name outside the zone cannot exist in it.
+func (v *View) CanExist(qname []byte) bool {
+	var offs labelOffsets
+	rel := splitLabels(qname, &offs) - int(v.originLabels)
+	if v.empty() || rel < 0 || string(qname[offs[rel]:]) != v.originWire {
+		return false
+	}
+	node, i, cut := v.locate(qname, &offs, rel)
+	_, ok := v.source(node, i == 0)
+	return cut || ok
+}
+
 // Lookup is the structured read off the compiled view: the same algorithm
 // and results as the locked Zone.Lookup, but with no lock and no RR copies —
 // returned records are shared with the view and must be treated as

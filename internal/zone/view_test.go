@@ -3,6 +3,7 @@ package zone
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -73,10 +74,57 @@ var parityTypes = []dnswire.Type{
 	dnswire.TypeSOA, dnswire.TypeTXT, dnswire.TypeMX, dnswire.TypeANY,
 }
 
+// canExistChecker holds View.CanExist to the locked zone, two ways. It must
+// agree with the zone's own name set and cut list: a name can exist when it
+// sits at or below a cut, is a node, or has a "*" under its closest encloser,
+// and not otherwise. And whatever that says, it must never deny a name that
+// Zone.Lookup answers other than NXDOMAIN for a type the zone holds: a false
+// negative penalizes legitimate traffic.
+func canExistChecker(z *Zone, v *View) func(name dnswire.Name) string {
+	cuts := z.Cuts()
+	var types []dnswire.Type
+	for _, rr := range z.AllRecords() {
+		if typ := rr.Header().Type; !slices.Contains(types, typ) {
+			types = append(types, typ)
+		}
+	}
+	oracle := func(name dnswire.Name) bool {
+		if !name.IsSubdomainOf(z.Origin()) {
+			return false
+		}
+		if z.NameExists(name) || slices.ContainsFunc(cuts, name.IsSubdomainOf) {
+			return true
+		}
+		for enc := name; enc != z.Origin() && !enc.IsRoot(); {
+			if enc = enc.Parent(); z.NameExists(enc) {
+				star, err := enc.Prepend("*")
+				return err == nil && z.NameExists(star)
+			}
+		}
+		return false
+	}
+	return func(name dnswire.Name) string {
+		got := v.CanExist(name.AppendWire(nil))
+		if want := oracle(name); got != want {
+			return fmt.Sprintf("CanExist(%s) = %v, zone says %v", name, got, want)
+		}
+		for _, typ := range types {
+			if res := z.Lookup(name, typ).Result; res != NXDomain && !got {
+				return fmt.Sprintf("CanExist(%s) = false, Lookup %v answers %v", name, typ, res)
+			}
+		}
+		return ""
+	}
+}
+
 func TestViewLookupParity(t *testing.T) {
 	z := buildZone(t)
 	v := z.View()
+	canExist := canExistChecker(z, v)
 	for _, q := range parityQueries {
+		if diff := canExist(n(q)); diff != "" {
+			t.Error(diff)
+		}
 		for _, typ := range parityTypes {
 			want := z.Lookup(n(q), typ)
 			got := v.Lookup(n(q), typ)
@@ -201,6 +249,9 @@ func TestViewWireZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s %v: %v allocs, want 0", q.name, q.qtype, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { v.CanExist(qw) }); allocs != 0 {
+			t.Errorf("CanExist(%s): %v allocs, want 0", q.name, allocs)
 		}
 	}
 }
@@ -617,9 +668,13 @@ func TestViewLargeZoneParity(t *testing.T) {
 		add(o)
 	}
 	v := z.View()
+	canExist := canExistChecker(z, v)
 	buf := make([]byte, 0, 512)
 	for _, o := range owners {
 		for _, q := range []string{o, "nope." + o, n(o).Parent().String()} {
+			if diff := canExist(n(q)); diff != "" {
+				t.Fatal(diff)
+			}
 			want := z.Lookup(n(q), dnswire.TypeA)
 			if diff := answersEqual(v.Lookup(n(q), dnswire.TypeA), want); diff != "" {
 				t.Fatalf("%s: %s", q, diff)

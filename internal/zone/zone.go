@@ -206,8 +206,7 @@ func (z *Zone) NameExists(name dnswire.Name) bool {
 }
 
 // Names returns all owner names (including empty non-terminals) in
-// canonical order. Used by the NXDOMAIN filter to build its valid-hostname
-// tree.
+// canonical order.
 func (z *Zone) Names() []dnswire.Name {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
@@ -221,7 +220,7 @@ func (z *Zone) Names() []dnswire.Name {
 
 // Cuts returns the zone's delegation points: non-apex names holding NS
 // records. Queries at or below a cut are answered with referrals, never
-// NXDOMAIN — the NXDOMAIN filter's hostname tree needs to know them.
+// NXDOMAIN.
 func (z *Zone) Cuts() []dnswire.Name {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
