@@ -19,7 +19,7 @@ race:
 	go test -race ./...
 	go test -race -run='TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache' -count=2 ./internal/netserve/
 	go test -race -run='TestViewServeWhileMutating' -count=2 ./internal/netserve/
-	go test -race -run='TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters' -count=2 ./internal/zone/
+	go test -race -run='TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel' -count=2 ./internal/zone/
 	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
 	go test -race -run='TestContainmentPanicStorm|TestQueryOfDeathDrill' -count=2 ./internal/netserve/
 	go test -race -run='TestScrapeWhileServing|TestFlightForensicsEndToEnd' -count=2 ./internal/netserve/
@@ -57,9 +57,11 @@ bench-smoke:
 # view-path NXDOMAIN miss, delegation miss, the cold 20 000-zone view
 # append) starts allocating. The BenchmarkView* rows are the cold-cache and
 # footprint numbers: what a view costs to route to and answer from when it
-# is not in cache, to compile, and to hold (extra: B/zone, objects/zone).
+# is not in cache, to compile, and to hold (extra: B/zone, objects/zone);
+# BenchmarkZoneHeapPerZone is the same pair of numbers for a whole hosted
+# zone at rest, record slab and view together.
 bench-json:
-	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
+	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
 	mv BENCH_netserve.json.tmp BENCH_netserve.json
 	@cat BENCH_netserve.json
 
@@ -94,6 +96,7 @@ fuzz:
 	go test -fuzz=FuzzAppendPack -fuzztime=30s ./internal/dnswire/
 	go test -fuzz=FuzzParseMaster -fuzztime=30s ./internal/zone/
 	go test -fuzz=FuzzViewLookupParity -fuzztime=30s ./internal/zone/
+	go test -fuzz=FuzzZoneModel -fuzztime=30s ./internal/zone/
 	go test -fuzz=FuzzTCPFrameReader -fuzztime=30s ./internal/netserve/
 	go test -fuzz=FuzzPlanApply -fuzztime=30s ./internal/ctlplane/
 

@@ -203,7 +203,7 @@ func BenchmarkZoneLookupExact(b *testing.B) {
 	name := dnswire.MustName("www.bench.test")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if a := z.Lookup(name, dnswire.TypeA); a.Result != zone.Success {
+		if a := z.View().Lookup(name, dnswire.TypeA); a.Result != zone.Success {
 			b.Fatal("lookup failed")
 		}
 	}
@@ -214,7 +214,7 @@ func BenchmarkZoneLookupWildcard(b *testing.B) {
 	name := dnswire.MustName("deep.label.w.bench.test")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if a := z.Lookup(name, dnswire.TypeA); a.Result != zone.Success {
+		if a := z.View().Lookup(name, dnswire.TypeA); a.Result != zone.Success {
 			b.Fatal("lookup failed")
 		}
 	}

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -175,29 +176,34 @@ func (n Name) FirstLabel() string {
 func (n Name) IsWildcard() bool { return n.FirstLabel() == "*" }
 
 // Compare orders names in canonical DNS order (by reversed label sequence),
-// which groups subdomains under their parents. Returns -1, 0, or 1.
+// which groups subdomains under their parents. Returns -1, 0, or 1. It
+// allocates nothing, and names that share an ancestor — any two owners of one
+// zone — cost one pass over the bytes they share: zones sort by it.
 func (n Name) Compare(m Name) int {
-	a, b := n.Labels(), m.Labels()
-	// Compare from the rightmost (top-level) label.
-	i, j := len(a)-1, len(b)-1
-	for i >= 0 && j >= 0 {
-		if a[i] != b[j] {
-			if a[i] < b[j] {
-				return -1
-			}
-			return 1
-		}
-		i--
-		j--
+	a, b := n.s, m.s
+	if a == "." {
+		a = ""
 	}
-	switch {
-	case i < 0 && j < 0:
-		return 0
-	case i < 0:
-		return -1
-	default:
-		return 1
+	if b == "." {
+		b = ""
 	}
+	// Skip the common suffix bytewise, then step forward to the first label
+	// boundary inside it: what is left of each name ends in the rightmost
+	// label the two do not share.
+	i, j := len(a), len(b)
+	for i > 0 && j > 0 && a[i-1] == b[j-1] {
+		i, j = i-1, j-1
+	}
+	if i > 0 && a[i-1] != '.' || j > 0 && b[j-1] != '.' {
+		k := strings.IndexByte(a[i:], '.') + 1
+		i, j = i+k, j+k
+	}
+	if i == 0 || j == 0 {
+		// Equal, or one is an ancestor of the other and sorts first.
+		return cmp.Compare(i, j)
+	}
+	a, b = a[:i-1], b[:j-1]
+	return strings.Compare(a[strings.LastIndexByte(a, '.')+1:], b[strings.LastIndexByte(b, '.')+1:])
 }
 
 // AppendWire appends the uncompressed wire encoding of the name to buf. The

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"cmp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,36 @@ func TestNameCompare(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("Compare(%v, %v) = %d, want %d", order[i], order[j], got, want)
+			}
+		}
+	}
+}
+
+// TestNameCompareMatchesLabelOrder holds Compare to its definition — labels
+// compared right to left, a shorter name first — over names built to share
+// suffixes, label prefixes and label tails.
+func TestNameCompareMatchesLabelOrder(t *testing.T) {
+	byLabels := func(n, m Name) int {
+		a, b := n.Labels(), m.Labels()
+		for i, j := len(a)-1, len(b)-1; i >= 0 && j >= 0; i, j = i-1, j-1 {
+			if c := strings.Compare(a[i], b[j]); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(len(a), len(b))
+	}
+	labels := []string{"a", "b", "ab", "ba", "a-b", "a-", "-a", "*", "_x", "a0", "b.a", "a.a", "a-b.b"}
+	names := []Name{Root, {}}
+	for _, x := range labels {
+		names = append(names, MustName(x))
+		for _, y := range labels {
+			names = append(names, MustName(x+"."+y), MustName(x+"."+y+".example.com"), MustName(y+".x"+x))
+		}
+	}
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := a.Compare(b), byLabels(a, b); got != want {
+				t.Fatalf("Compare(%q, %q) = %d, want %d", a.s, b.s, got, want)
 			}
 		}
 	}

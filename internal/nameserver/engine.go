@@ -106,9 +106,9 @@ func (e *Engine) Answer(q *dnswire.Message, client ClientKey) (resp *dnswire.Mes
 	}
 	matchedZone = z.Origin()
 	resp.Authoritative = true
-	// Serve from the compiled view: same algorithm as the locked Zone.Lookup
-	// (FuzzViewLookupParity holds them identical) with no lock acquisition
-	// and no per-record copies on the serve path.
+	// Serve from the compiled view: the lookup algorithm (FuzzViewLookupParity
+	// holds it to the reference oracle) with no lock acquisition and no
+	// per-record copies on the serve path.
 	ans := z.View().Lookup(question.Name, question.Type)
 	switch ans.Result {
 	case zone.Success:

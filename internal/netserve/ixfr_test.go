@@ -101,7 +101,7 @@ func TestSecondaryUsesIncrementals(t *testing.T) {
 		t.Fatalf("incrementals = %d, want 4", sec.Incrementals)
 	}
 	// The replica answers the incremental additions.
-	got := sec.Store.Get(dnswire.MustName("ex.test")).Lookup(dnswire.MustName("h10.ex.test"), dnswire.TypeA)
+	got := sec.Store.Get(dnswire.MustName("ex.test")).View().Lookup(dnswire.MustName("h10.ex.test"), dnswire.TypeA)
 	if got.Result != zone.Success {
 		t.Fatalf("incrementally-added record missing: %v", got.Result)
 	}
@@ -162,7 +162,7 @@ func TestIXFRWithDeletions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := next.Lookup(dnswire.MustName("www.ex.test"), dnswire.TypeA); got.Result == zone.Success {
+	if got := next.View().Lookup(dnswire.MustName("www.ex.test"), dnswire.TypeA); got.Result == zone.Success {
 		t.Fatal("deleted record survived incremental apply")
 	}
 }

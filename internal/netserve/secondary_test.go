@@ -95,7 +95,7 @@ func TestSecondaryPicksUpUpdates(t *testing.T) {
 	if r.sec.Serial() != 8 {
 		t.Fatalf("secondary serial = %d, want 8", r.sec.Serial())
 	}
-	got := r.secStore.Get(dnswire.MustName("ex.test")).Lookup(dnswire.MustName("new.ex.test"), dnswire.TypeA)
+	got := r.secStore.Get(dnswire.MustName("ex.test")).View().Lookup(dnswire.MustName("new.ex.test"), dnswire.TypeA)
 	if got.Result != zone.Success {
 		t.Fatal("new record missing on secondary")
 	}

@@ -76,7 +76,7 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 		delete(have, key)
 	}
 	for _, rr := range d.Added {
-		have[rr.String()] = rr
+		have[rr.String()] = rr.Copy()
 	}
 	// SOA: base's SOA advanced to the new serial.
 	soa := base.SOA()
@@ -84,7 +84,7 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 		return nil, fmt.Errorf("zone: base has no SOA")
 	}
 	soa.Serial = d.ToSerial
-	if err := out.Add(soa); err != nil {
+	if err := out.add(soa); err != nil {
 		return nil, err
 	}
 	keys := make([]string, 0, len(have))
@@ -93,7 +93,7 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if err := out.Add(have[k]); err != nil {
+		if err := out.add(have[k]); err != nil {
 			return nil, err
 		}
 	}
@@ -142,7 +142,7 @@ func (h *History) Record(z *Zone) {
 func snapshot(z *Zone) *Zone {
 	out := New(z.Origin())
 	for _, rr := range z.AllRecords() {
-		out.Add(rr)
+		out.add(rr)
 	}
 	return out
 }

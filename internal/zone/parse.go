@@ -27,30 +27,33 @@ func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	defaultTTL := uint32(300)
 	var lastName dnswire.Name
 	lineNo := 0
-	var pending string
+	var pending string   // the physical lines of a parenthesized record so far
 	pendingLead := false // first physical line of the record began with whitespace
-	inPending := false
 	parens := 0
 	for sc.Scan() {
 		lineNo++
 		line := stripComment(sc.Text())
-		parens += strings.Count(line, "(") - strings.Count(line, ")")
+		opens, closes := strings.Count(line, "("), strings.Count(line, ")")
+		parens += opens - closes
 		if parens < 0 {
 			return nil, fmt.Errorf("line %d: unbalanced parentheses", lineNo)
 		}
-		if !inPending {
+		if pending == "" {
 			// Leading whitespace on the record's first line means "same
 			// owner as the previous record" (RFC 1035 §5.1).
 			pendingLead = len(line) > 0 && (line[0] == ' ' || line[0] == '\t')
-			inPending = true
 		}
-		pending += " " + line
-		if parens > 0 {
-			continue
+		// Only a record that uses parentheses pays for joining its lines
+		// and blanking them out; nearly every line is a whole record as is.
+		if pending != "" || opens+closes > 0 {
+			pending += " " + line
+			if parens > 0 {
+				continue
+			}
+			line = strings.ReplaceAll(strings.ReplaceAll(pending, "(", " "), ")", " ")
+			pending = ""
 		}
-		full := strings.ReplaceAll(strings.ReplaceAll(pending, "(", " "), ")", " ")
-		pending, inPending = "", false
-		if err := parseLine(z, full, pendingLead, &curOrigin, &defaultTTL, &lastName); err != nil {
+		if err := parseLine(z, line, pendingLead, &curOrigin, &defaultTTL, &lastName); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
@@ -138,6 +141,10 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 			return fmt.Errorf("owner %q: %w", fields[0], err)
 		}
 		rest = fields[1:]
+		if owner == *lastName {
+			// Runs of records under one owner share one name string.
+			owner = *lastName
+		}
 	}
 	*lastName = owner
 
@@ -179,7 +186,7 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 	if err != nil {
 		return fmt.Errorf("%s %s: %w", owner, typ, err)
 	}
-	return z.Add(rr)
+	return z.add(rr)
 }
 
 // tokenize splits on whitespace but keeps quoted strings intact (quotes

@@ -384,7 +384,11 @@ func (s *Store) Transfer(origin dnswire.Name) []dnswire.RR {
 // FromTransfer reassembles a zone from an AXFR-style stream, validating
 // the SOA framing, without installing it anywhere — callers that must
 // verify content before serving it (the propagation plane) Put it
-// themselves once satisfied.
+// themselves once satisfied. The caller hands the stream's records over:
+// the zone keeps them, not copies, and serves them lock-free, so they must
+// not be modified afterwards (handing one unmodified stream to two zones is
+// fine — a zone never writes through a record). Store.Transfer's stream is
+// the caller's own and may be handed straight on.
 func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	if len(recs) < 2 {
 		return nil, errBadTransfer
@@ -396,7 +400,7 @@ func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	}
 	z := New(origin)
 	for _, rr := range recs[:len(recs)-1] {
-		if err := z.Add(rr); err != nil {
+		if err := z.add(rr); err != nil {
 			return nil, err
 		}
 	}
@@ -404,7 +408,8 @@ func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 }
 
 // ApplyTransfer installs a zone from an AXFR-style stream, validating the
-// SOA framing. It returns the installed zone.
+// SOA framing. It returns the installed zone. Like FromTransfer, it takes
+// the stream's records over: the caller must not modify them afterwards.
 func (s *Store) ApplyTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	z, err := FromTransfer(origin, recs)
 	if err != nil {

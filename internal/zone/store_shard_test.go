@@ -2,6 +2,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"akamaidns/internal/dnswire"
@@ -276,5 +277,31 @@ txt IN TXT "hello"
 	}
 	if got := z.RRset(dnswire.MustName("www.xfer.test."), dnswire.TypeA); len(got) != 1 || got[0].Header().TTL != 300 {
 		t.Fatalf("zone-owned record mutated through transfer stream: %v", got)
+	}
+}
+
+// TestApplyTransferTakesRecords pins the hand-over on the receiving side: the
+// installed zone serves the stream's own records, not copies — which is what
+// forbids the caller to modify them — while nothing ties it to the zone the
+// stream was taken from.
+func TestApplyTransferTakesRecords(t *testing.T) {
+	origin := dnswire.MustName("xfer.test.")
+	www := dnswire.MustName("www.xfer.test.")
+	src, dst := NewStore(), NewStore()
+	src.Put(MustParseMaster("$TTL 300\n@ IN SOA ns1 host ( 5 3600 600 604800 30 )\nwww IN A 192.0.2.1\n", origin))
+	stream := src.Transfer(origin)
+	z, err := dst.ApplyTransfer(origin, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := z.View().Lookup(www, dnswire.TypeA).Answer
+	if len(got) != 1 || !slices.Contains(stream, got[0]) {
+		t.Fatalf("installed zone serves %v, not the stream's own record", got)
+	}
+	// The source zone moves on; the installed one is a separate zone.
+	src.Get(origin).Remove(www, dnswire.TypeA)
+	src.Get(origin).SetSerial(6)
+	if z.Serial() != 5 || len(z.RRset(www, dnswire.TypeA)) != 1 {
+		t.Fatalf("installed zone followed its source: serial %d, www %v", z.Serial(), z.RRset(www, dnswire.TypeA))
 	}
 }

@@ -4,9 +4,9 @@ package zone
 // copy-on-write on any mutation and published through an atomic pointer, so
 // lookups — including the random-subdomain NXDOMAIN floods of §5.3 that are
 // cache-busting by construction — run with no locks, no RR deep copies, and
-// (on the wire path) no allocations. The locked Zone.Lookup remains the
-// reference implementation; FuzzViewLookupParity holds the two to identical
-// answers.
+// (on the wire path) no allocations. The reference implementation it is held
+// to lives in the tests (oracle_test.go): FuzzViewLookupParity holds the two
+// to identical answers.
 //
 // A View is flat: one header, one pointer-free byte arena, two pointer-free
 // index arrays and two pointer-bearing slabs, whatever the zone's size.
@@ -15,7 +15,8 @@ package zone
 //	nodes  one per owner name and empty non-terminal, apex first
 //	sets   one per RRset, node by node and type-sorted within a node
 //	names  nodes[i]'s owner as a dnswire.Name (strings shared with the zone)
-//	rrs    the zone's own records, set by set (shared, never deep-copied)
+//	rrs    the zone's own records, set by set (shared, never deep-copied),
+//	       each cut's glue after its sets
 //
 // Every name lookup is one top-down walk from the apex: each label below the
 // origin costs one probe of the child table, and the walk yields the topmost
@@ -24,7 +25,6 @@ package zone
 import (
 	"encoding/binary"
 	"math/bits"
-	"slices"
 	"unsafe"
 
 	"akamaidns/internal/dnswire"
@@ -105,15 +105,16 @@ func (v *View) Origin() dnswire.Name { return v.origin }
 func (v *View) Serial() uint32 { return v.serial }
 
 // View returns the zone's compiled snapshot, building it on first use after
-// a mutation. Publication is race-free: mutators invalidate under the write
-// lock, compilation happens under the read lock, so a compiled view can
-// never overwrite a later invalidation; of two readers compiling the same
-// state at once, one publishes and both return that view.
+// a mutation (which is also what sorts the zone's slab after a load).
+// Publication is race-free: mutators invalidate under the write lock,
+// compilation happens under the read lock, so a compiled view can never
+// overwrite a later invalidation; of two readers compiling the same state at
+// once, one publishes and both return that view.
 func (z *Zone) View() *View {
 	if v := z.view.Load(); v != nil {
 		return v
 	}
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
 	if v := z.view.Load(); v != nil {
 		return v
@@ -142,72 +143,75 @@ func (z *Zone) ViewBytes() int {
 	return 0
 }
 
-// compileViewLocked builds the snapshot from the live maps; z.mu held (read
-// suffices — mutators hold it exclusively).
+// compileViewLocked builds the snapshot from the sorted slab; z.mu held (read
+// suffices — mutators hold it exclusively). Canonical order puts a name
+// before everything below it and keeps an owner's records together by type,
+// so the slab is consumed front to back: nothing is sorted, and nothing is
+// looked up but glue.
 func (z *Zone) compileViewLocked() *View {
-	nn := len(z.names)
+	recs := z.recs
+	// Count names and sets and resolve each cut's glue first, so every slab
+	// is allocated once, exactly.
+	names := z.namesLocked()
+	nn, nsets := len(names), 1
+	var glue []dnswire.RR // every cut's glue, cut by cut in slab order
+	var glueEnd []int     // where each cut's glue ends in it
+	for i := 0; i < len(recs); {
+		k, j := keyOf(recs[i]), setEnd(recs, i)
+		nsets++
+		if k.typ == dnswire.TypeNS && k.name != z.origin {
+			nsets++
+			glue = z.appendGlueLocked(glue, recs[i:j])
+			glueEnd = append(glueEnd, len(glue))
+		}
+		i = j
+	}
 	v := &View{
 		origin:       z.origin,
 		originWire:   z.originWire,
 		originLabels: int32(z.origin.NumLabels()),
-		serial:       z.serial,
 		tableMask:    1<<bits.Len(uint(nn+nn/2)) - 1, // load factor under 2/3
 		idxMask:      1<<bits.Len(uint(nn)) - 1,
 		wireOK:       true,
 	}
-	// Pass 1: create the nodes and collect one (node, type) key per set;
-	// sorted, the keys give the set layout. Counting records and glue here
-	// lets every slab be allocated once, exactly.
-	keys := make([]uint64, 0, len(z.sets))
-	nsets, nrrs := len(z.sets)+1, 0
-	var glue []dnswire.RR
-	for _, rrs := range z.sets {
-		nrrs += len(rrs)
-	}
 	table := 4 * int(v.tableMask+1)
-	v.arena = make([]byte, table, table+8*nn+40*nrrs)
+	v.arena = make([]byte, table, table+8*nn+40*(len(recs)+len(glue)))
 	v.nodes = make([]viewNode, 0, nn+1)
 	v.names = make([]dnswire.Name, 0, nn)
-	if nn > 0 {
-		v.nodes = append(v.nodes, viewNode{})
-		v.names = append(v.names, z.origin)
-	}
-	for k, rrs := range z.sets {
-		keys = append(keys, uint64(v.ensureNode(k.name))<<16|uint64(k.typ))
-		if k.typ == dnswire.TypeNS && k.name != z.origin {
-			glue = z.appendGlueLocked(glue[:0], rrs)
-			nsets, nrrs = nsets+1, nrrs+len(glue)
-		}
-	}
-	slices.Sort(keys)
-	// Pass 2: lay the sets out node by node.
 	v.sets = make([]viewSet, 0, nsets)
-	v.rrs = make([]dnswire.RR, 0, nrrs)
-	k := 0
+	v.rrs = make([]dnswire.RR, 0, len(recs)+len(glue))
+	// The nodes: a name's parent is the last node made one label up.
+	var path [maxWireLabels + 1]uint32
+	for i, n := range names {
+		if i == 0 {
+			v.nodes, v.names = append(v.nodes, viewNode{}), append(v.names, n)
+			continue
+		}
+		d := n.NumLabels() - int(v.originLabels)
+		path[d] = v.addNode(path[d-1], n)
+	}
+	// The sets, node by node; a cut's glue follows its sets.
+	i, g := 0, 0
 	for n := range v.nodes {
 		v.nodes[n].sets = uint32(len(v.sets))
-		var ns []dnswire.RR
-		for ; k < len(keys) && keys[k]>>16 == uint64(n); k++ {
-			typ := dnswire.Type(keys[k])
-			// A second map read per set, so the keys hold no pointers.
-			rrs := z.sets[rrKey{v.names[n], typ}]
+		for i < len(recs) && recs[i].Header().Name == v.names[n] {
+			typ, j := recs[i].Header().Type, setEnd(recs, i)
 			v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena)), typ: typ})
-			v.rrs = append(v.rrs, rrs...)
-			for _, rr := range rrs {
+			v.rrs = append(v.rrs, recs[i:j]...)
+			for _, rr := range recs[i:j] {
 				v.appendPacked(dnswire.AppendRRBody, rr)
 			}
-			if typ == dnswire.TypeNS && n != 0 {
-				ns = rrs
-			}
+			v.nodes[n].cut = v.nodes[n].cut || typ == dnswire.TypeNS && n != 0
+			i = j
 		}
-		if ns != nil {
-			v.nodes[n].cut = true
+		if v.nodes[n].cut {
 			v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena))})
-			first := len(v.rrs)
-			v.rrs = z.appendGlueLocked(v.rrs, ns)
-			for _, rr := range v.rrs[first:] {
+			end := glueEnd[0]
+			for _, rr := range glue[g:end] {
 				v.appendPacked(dnswire.AppendRR, rr)
 			}
+			v.rrs = append(v.rrs, glue[g:end]...)
+			g, glueEnd = end, glueEnd[1:]
 		}
 	}
 	v.nodes = append(v.nodes, viewNode{sets: uint32(len(v.sets))})
@@ -217,7 +221,7 @@ func (z *Zone) compileViewLocked() *View {
 	if nn > 0 {
 		if s, ok := v.findSet(0, dnswire.TypeSOA); ok {
 			if soa, isSOA := v.rrs[v.sets[s].rr].(*dnswire.SOA); isSOA {
-				v.soa = soa
+				v.soa, v.serial = soa, soa.Serial
 				if v.wireOK {
 					v.soaBody = firstBody(v.setWire(s))
 				}
@@ -230,6 +234,14 @@ func (z *Zone) compileViewLocked() *View {
 	return v
 }
 
+// setEnd returns where the RRset that starts at recs[i] ends in a sorted slab.
+func setEnd(recs []dnswire.RR, i int) int {
+	k := keyOf(recs[i])
+	for i++; i < len(recs) && keyOf(recs[i]) == k; i++ {
+	}
+	return i
+}
+
 // appendPacked packs one record into the arena; a record that will not pack
 // leaves the arena as it was and switches the wire path off.
 func (v *View) appendPacked(pack func([]byte, dnswire.RR) ([]byte, error), rr dnswire.RR) {
@@ -240,27 +252,18 @@ func (v *View) appendPacked(pack func([]byte, dnswire.RR) ([]byte, error), rr dn
 	}
 }
 
-// ensureNode returns the node for an in-zone name, creating it — and first
-// any ancestor below the apex that does not exist yet — on the way.
-func (v *View) ensureNode(n dnswire.Name) uint32 {
-	if n == v.origin {
-		return 0
-	}
-	parent := v.ensureNode(n.Parent())
+// addNode appends the node for n, a child of node parent, and enters it in
+// the child table.
+func (v *View) addNode(parent uint32, n dnswire.Name) uint32 {
 	first := n.FirstLabel()
-	var buf [64]byte
-	label := append(append(buf[:0], byte(len(first))), first...)
-	if idx, ok := v.child(parent, label); ok {
-		return idx
-	}
 	idx := uint32(len(v.nodes))
 	v.nodes = append(v.nodes, viewNode{parent: parent, label: uint32(len(v.arena))})
 	v.names = append(v.names, n)
-	v.arena = append(v.arena, label...)
+	v.arena = append(append(v.arena, byte(len(first))), first...)
 	if first == "*" {
 		v.nodes[parent].wildcard = idx
 	}
-	h := childHash(parent, label)
+	h := childHash(parent, v.arena[v.nodes[idx].label:])
 	for s := uint32(h) & v.tableMask; ; s = (s + 1) & v.tableMask {
 		if slot := v.arena[4*s:]; binary.LittleEndian.Uint32(slot) == 0 {
 			binary.LittleEndian.PutUint32(slot, uint32(h>>32)&^v.idxMask|(idx+1))
@@ -417,11 +420,10 @@ func (v *View) CanExist(qname []byte) bool {
 	return cut || ok
 }
 
-// Lookup is the structured read off the compiled view: the same algorithm
-// and results as the locked Zone.Lookup, but with no lock and no RR copies —
-// returned records are shared with the view and must be treated as
-// read-only (wildcard-synthesized records are fresh copies, as their owner
-// is rewritten).
+// Lookup is the structured read off the compiled view: the RFC 1034 §4.3.2
+// algorithm with no lock and no RR copies — returned records are shared with
+// the view and must be treated as read-only (wildcard-synthesized records
+// are fresh copies, as their owner is rewritten).
 func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 	if v.empty() || !qname.IsSubdomainOf(v.origin) {
 		return Answer{Result: NXDomain}
@@ -519,7 +521,7 @@ type WireAnswer struct {
 // be rendered as compression pointers into the question. TypeANY, a name
 // outside the zone and any view that failed to pre-pack report ok=false:
 // the caller must fall back to the decode path. The structured results
-// match Zone.Lookup exactly, including the engine's convention that
+// match View.Lookup exactly, including the engine's convention that
 // negative and referral responses drop any chased CNAMEs from the answer
 // section.
 func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswire.Type) ([]byte, WireAnswer, bool) {

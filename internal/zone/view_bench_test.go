@@ -52,10 +52,31 @@ func benchZones(tb testing.TB, n int) []*Zone {
 
 // viewHeap compiles every zone's view and reports what the views added to
 // the live heap: bytes and objects, measured between two full collections.
+// The zones' first read comes before, so sorting their slabs is not counted.
 func viewHeap(zones []*Zone) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	for _, z := range zones {
+		z.NumRecords()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, z := range zones {
+		z.View()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(zones)
+	return after.HeapAlloc - before.HeapAlloc, after.HeapObjects - before.HeapObjects
+}
+
+// zoneHeap parses n bench-shaped zones, compiles their views and reports
+// what holding them at rest — zone, record slab, records, names and view —
+// adds to the live heap, measured between two full collections.
+func zoneHeap(tb testing.TB, n int) (bytes, objects uint64) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	zones := benchZones(tb, n)
 	for _, z := range zones {
 		z.View()
 	}
@@ -135,7 +156,7 @@ func BenchmarkViewCompile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z := zones[i%len(zones)]
-		z.mu.RLock()
+		z.rlockSorted()
 		v := z.compileViewLocked()
 		z.mu.RUnlock()
 		if v.Serial() != 1 {
@@ -159,12 +180,25 @@ func BenchmarkViewHeapPerZone(b *testing.B) {
 	b.ReportMetric(float64(objects)/n, "objects/zone")
 }
 
+// BenchmarkZoneHeapPerZone reports the live heap one hosted zone holds at
+// rest, zone and view together (B/zone, objects/zone); the timed loop is a
+// parse-and-compile-all over 2 000 zones.
+func BenchmarkZoneHeapPerZone(b *testing.B) {
+	const n = 2000
+	var bytes, objects uint64
+	for i := 0; i < b.N; i++ {
+		bytes, objects = zoneHeap(b, n)
+	}
+	b.ReportMetric(float64(bytes)/n, "B/zone")
+	b.ReportMetric(float64(objects)/n, "objects/zone")
+}
+
 // parseAllocCeiling bounds the allocations of parsing one 22-record
-// bench-shaped zone: 191 when written (about 8 per record: tokens, names,
-// the record and its stored copy, map growth), 436 before Zone.Add stopped
-// rendering records it had nothing to compare with and the TTL probe stopped
-// minting errors.
-const parseAllocCeiling = 220
+// bench-shaped zone: 125 when written (under 6 per record: the line, its
+// tokens, the names, the record), 191 while Zone.Add copied every record
+// into two maps and each line was re-joined and stripped of parentheses it
+// did not have.
+const parseAllocCeiling = 140
 
 // BenchmarkParseMasterBenchZone parses one bench-shaped zone per iteration
 // and fails when a parse allocates more than parseAllocCeiling times.

@@ -20,7 +20,7 @@ func TestViewWildcardCNAMEChain(t *testing.T) {
 	v := z.View()
 	qname := n("host.cwild.example.com")
 	got := v.Lookup(qname, dnswire.TypeA)
-	if diff := answersEqual(got, z.Lookup(qname, dnswire.TypeA)); diff != "" {
+	if diff := answersEqual(got, oracleLookup(z, qname, dnswire.TypeA)); diff != "" {
 		t.Fatalf("parity: %s", diff)
 	}
 	if got.Result != Success || len(got.Answer) != 3 {
@@ -56,7 +56,7 @@ func TestViewTypeANY(t *testing.T) {
 	z := buildZone(t)
 	v := z.View()
 	apex := v.Lookup(n("example.com"), dnswire.TypeANY)
-	if diff := answersEqual(apex, z.Lookup(n("example.com"), dnswire.TypeANY)); diff != "" {
+	if diff := answersEqual(apex, oracleLookup(z, n("example.com"), dnswire.TypeANY)); diff != "" {
 		t.Fatalf("apex parity: %s", diff)
 	}
 	if apex.Result != Success || len(apex.Answer) != 3 { // SOA + 2×NS
@@ -67,7 +67,7 @@ func TestViewTypeANY(t *testing.T) {
 		t.Fatalf("node ANY = %v %v", below.Result, rrStrings(below.Answer))
 	}
 	ref := v.Lookup(n("host.sub.example.com"), dnswire.TypeANY)
-	if diff := answersEqual(ref, z.Lookup(n("host.sub.example.com"), dnswire.TypeANY)); diff != "" {
+	if diff := answersEqual(ref, oracleLookup(z, n("host.sub.example.com"), dnswire.TypeANY)); diff != "" {
 		t.Fatalf("below-cut parity: %s", diff)
 	}
 	if ref.Result != Delegation {
@@ -103,7 +103,7 @@ func TestViewCNAMEChainLimit(t *testing.T) {
 	}
 	v := z.View()
 	qname := n("c0.loop.test")
-	want := z.Lookup(qname, dnswire.TypeA)
+	want := oracleLookup(z, qname, dnswire.TypeA)
 	got := v.Lookup(qname, dnswire.TypeA)
 	if diff := answersEqual(got, want); diff != "" {
 		t.Fatalf("parity: %s", diff)
@@ -155,7 +155,7 @@ func TestViewDelegationGlueScope(t *testing.T) {
 		{"host.out.parent.test", 0}, // sibling-zone targets: no glue
 	} {
 		qname := n(tc.qname)
-		want := z.Lookup(qname, dnswire.TypeA)
+		want := oracleLookup(z, qname, dnswire.TypeA)
 		got := v.Lookup(qname, dnswire.TypeA)
 		if diff := answersEqual(got, want); diff != "" {
 			t.Fatalf("%s parity: %s", tc.qname, diff)
@@ -182,7 +182,7 @@ func TestViewEmptyNonTerminal(t *testing.T) {
 	v := z.View()
 	for _, ent := range []string{"a.b.example.com", "b.example.com"} {
 		got := v.Lookup(n(ent), dnswire.TypeA)
-		if diff := answersEqual(got, z.Lookup(n(ent), dnswire.TypeA)); diff != "" {
+		if diff := answersEqual(got, oracleLookup(z, n(ent), dnswire.TypeA)); diff != "" {
 			t.Fatalf("%s parity: %s", ent, diff)
 		}
 		if got.Result != NoData || got.SOA == nil || len(got.Answer) != 0 {

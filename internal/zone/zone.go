@@ -5,9 +5,10 @@
 package zone
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,6 +21,21 @@ type rrKey struct {
 	typ  dnswire.Type
 }
 
+// compareKey orders a record against an RRset key: owner in canonical order,
+// then type.
+func compareKey(rr dnswire.RR, k rrKey) int {
+	h := rr.Header()
+	if h.Name != k.name {
+		return h.Name.Compare(k.name)
+	}
+	return cmp.Compare(h.Type, k.typ)
+}
+
+func keyOf(rr dnswire.RR) rrKey {
+	h := rr.Header()
+	return rrKey{h.Name, h.Type}
+}
+
 // Zone is one authoritative zone: an apex name and the records at or below
 // it. A Zone is safe for concurrent lookups interleaved with updates.
 type Zone struct {
@@ -28,11 +44,15 @@ type Zone struct {
 	// originWire is the origin's wire-form routing key, rendered once at
 	// construction so store router republishes never re-encode names.
 	originWire string
-	sets       map[rrKey][]dnswire.RR
-	// names tracks every owner name with data, plus all "empty non-terminal"
-	// ancestors, so NXDOMAIN vs NODATA is decided correctly.
-	names  map[dnswire.Name]bool
-	serial uint32
+	// recs is the zone at rest: every record in one slab. Sorted, it is in
+	// canonical order — owner (Name.Compare), then type, then insertion
+	// order — and holds no duplicate and at most one SOA. Add appends and
+	// leaves the slab unsorted; the first read after it sorts. The records
+	// are shared with compiled views and never written through. Empty
+	// non-terminals are not stored: a name exists iff the record at its
+	// lower bound is at or below it.
+	recs   []dnswire.RR
+	sorted bool
 	// store is the Store the zone is installed in (nil for a free zone). It
 	// hears of every in-place mutation, so store-derived caches can
 	// invalidate, and keeps the store-wide view counters.
@@ -48,8 +68,7 @@ func New(origin dnswire.Name) *Zone {
 	return &Zone{
 		origin:     origin,
 		originWire: string(origin.AppendWire(nil)),
-		sets:       make(map[rrKey][]dnswire.RR),
-		names:      make(map[dnswire.Name]bool),
+		sorted:     true,
 	}
 }
 
@@ -85,16 +104,105 @@ func (z *Zone) notifyLocked() {
 	z.store.bump()
 }
 
-// Serial returns the zone's SOA serial (0 when no SOA is present).
-func (z *Zone) Serial() uint32 {
+// rlockSorted takes the read lock with the slab sorted, sorting it first —
+// under the write lock — when an Add has left it unsorted.
+func (z *Zone) rlockSorted() {
 	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.serial
+	for !z.sorted {
+		z.mu.RUnlock()
+		z.mu.Lock()
+		z.sortLocked()
+		z.mu.Unlock()
+		z.mu.RLock()
+	}
 }
 
-// Add inserts a record. The owner name must be within the zone. Duplicate
-// records (same name/type/rdata rendering) are dropped silently.
-func (z *Zone) Add(rr dnswire.RR) error {
+// sortLocked puts an unsorted slab into its sorted state: a stable sort
+// (O(n log n) compares whatever order the records came in), then one pass
+// that drops duplicate records (same owner, type and rendering; the first
+// stays) and all but the last apex SOA, into an exactly sized slab. z.mu held
+// exclusively.
+func (z *Zone) sortLocked() {
+	if z.sorted {
+		return
+	}
+	recs := z.recs
+	slices.SortStableFunc(recs, func(a, b dnswire.RR) int { return compareKey(a, keyOf(b)) })
+	out := recs[:0]
+	var seen []string // renderings of the current set, once it has a second record
+	for i, set := 0, 0; i < len(recs); i++ {
+		rr := recs[i]
+		if i == 0 || keyOf(recs[i-1]) != keyOf(rr) {
+			set, seen = len(out), seen[:0]
+		} else if rr.Header().Type == dnswire.TypeSOA {
+			out = out[:set]
+		} else {
+			if len(seen) == 0 {
+				for _, have := range out[set:] {
+					seen = append(seen, have.String())
+				}
+			}
+			render := rr.String()
+			if slices.Contains(seen, render) {
+				continue
+			}
+			seen = append(seen, render)
+		}
+		out = append(out, rr)
+	}
+	z.recs = append(make([]dnswire.RR, 0, len(out)), out...)
+	z.sorted = true
+}
+
+// rangeLocked returns where in the sorted slab the RRset (name, typ) sits:
+// a binary search for its lower bound, then a scan to its end. z.mu held.
+func (z *Zone) rangeLocked(name dnswire.Name, typ dnswire.Type) (lo, hi int) {
+	k := rrKey{name, typ}
+	lo, _ = slices.BinarySearchFunc(z.recs, k, compareKey)
+	for hi = lo; hi < len(z.recs) && keyOf(z.recs[hi]) == k; hi++ {
+	}
+	return lo, hi
+}
+
+// setLocked returns the zone's own (shared, uncopied) records for (name,
+// typ). The three-index slice keeps appending callers out of the slab.
+func (z *Zone) setLocked(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
+	lo, hi := z.rangeLocked(name, typ)
+	return z.recs[lo:hi:hi]
+}
+
+// soaLocked returns the zone's own SOA record and its place in the sorted
+// slab, or nil. The apex sorts first and the SOA among its lowest types, so
+// this reads a record or three. z.mu held.
+func (z *Zone) soaLocked() (*dnswire.SOA, int) {
+	for i, rr := range z.recs {
+		if h := rr.Header(); h.Name != z.origin || h.Type > dnswire.TypeSOA {
+			break
+		}
+		if soa, ok := rr.(*dnswire.SOA); ok {
+			return soa, i
+		}
+	}
+	return nil, -1
+}
+
+// Serial returns the zone's SOA serial (0 when no SOA is present).
+func (z *Zone) Serial() uint32 {
+	z.rlockSorted()
+	defer z.mu.RUnlock()
+	if soa, _ := z.soaLocked(); soa != nil {
+		return soa.Serial
+	}
+	return 0
+}
+
+// Add inserts a copy of a record. The owner name must be within the zone.
+// Duplicate records (same name/type/rdata rendering) are dropped silently; a
+// zone holds one SOA, so a second apex SOA replaces the first.
+func (z *Zone) Add(rr dnswire.RR) error { return z.add(rr.Copy()) }
+
+// add is Add for a record the caller hands over: the zone stores rr itself.
+func (z *Zone) add(rr dnswire.RR) error {
 	h := rr.Header()
 	if !h.Name.IsSubdomainOf(z.origin) {
 		return fmt.Errorf("zone %s: record %s out of zone", z.origin, h.Name)
@@ -102,62 +210,29 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	if h.Type == dnswire.TypeOPT {
 		return errors.New("zone: OPT pseudo-records cannot be stored")
 	}
+	if h.Type == dnswire.TypeSOA && h.Name != z.origin {
+		return fmt.Errorf("zone %s: SOA at non-apex %s", z.origin, h.Name)
+	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	k := rrKey{h.Name, h.Type}
-	// Nearly every RRset is a singleton: render the newcomer only when
-	// there is something to compare it against.
-	if set := z.sets[k]; len(set) > 0 {
-		render := rr.String()
-		for _, have := range set {
-			if have.String() == render {
-				return nil
-			}
-		}
-	}
-	if soa, ok := rr.(*dnswire.SOA); ok {
-		if h.Name != z.origin {
-			return fmt.Errorf("zone %s: SOA at non-apex %s", z.origin, h.Name)
-		}
-		z.serial = soa.Serial
-	}
-	z.sets[k] = append(z.sets[k], rr.Copy())
-	// Record the owner and all ancestors up to the origin as existing names.
-	for n := h.Name; ; n = n.Parent() {
-		z.names[n] = true
-		if n == z.origin || n.IsRoot() {
-			break
-		}
-	}
+	z.recs, z.sorted = append(z.recs, rr), false
 	z.notifyLocked()
 	return nil
 }
 
 // Remove deletes the entire RRset for (name, typ). It reports whether
-// anything was removed. Empty-non-terminal bookkeeping is rebuilt.
+// anything was removed.
 func (z *Zone) Remove(name dnswire.Name, typ dnswire.Type) bool {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	k := rrKey{name, typ}
-	if _, ok := z.sets[k]; !ok {
+	z.sortLocked()
+	lo, hi := z.rangeLocked(name, typ)
+	if lo == hi {
 		return false
 	}
-	delete(z.sets, k)
-	z.rebuildNamesLocked()
+	z.recs = slices.Delete(z.recs, lo, hi)
 	z.notifyLocked()
 	return true
-}
-
-func (z *Zone) rebuildNamesLocked() {
-	z.names = make(map[dnswire.Name]bool)
-	for k := range z.sets {
-		for n := k.name; ; n = n.Parent() {
-			z.names[n] = true
-			if n == z.origin || n.IsRoot() {
-				break
-			}
-		}
-	}
 }
 
 // SetSerial bumps the SOA serial (no-op without an SOA). The SOA record is
@@ -166,99 +241,106 @@ func (z *Zone) rebuildNamesLocked() {
 func (z *Zone) SetSerial(serial uint32) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	set := z.sets[rrKey{z.origin, dnswire.TypeSOA}]
-	for i, rr := range set {
-		if soa, ok := rr.(*dnswire.SOA); ok {
-			bumped := *soa
-			bumped.Serial = serial
-			set[i] = &bumped
-			z.serial = serial
-		}
+	z.sortLocked()
+	soa, i := z.soaLocked()
+	if soa == nil {
+		return
 	}
+	bumped := *soa
+	bumped.Serial = serial
+	z.recs[i] = &bumped
 	z.notifyLocked()
 }
 
 // SOA returns the zone's SOA record, or nil.
 func (z *Zone) SOA() *dnswire.SOA {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
-	for _, rr := range z.sets[rrKey{z.origin, dnswire.TypeSOA}] {
-		if soa, ok := rr.(*dnswire.SOA); ok {
-			return soa.Copy().(*dnswire.SOA)
-		}
+	if soa, _ := z.soaLocked(); soa != nil {
+		return soa.Copy().(*dnswire.SOA)
 	}
 	return nil
 }
 
 // RRset returns a copy of the records for (name, typ).
 func (z *Zone) RRset(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
-	return copyRRs(z.sets[rrKey{name, typ}])
+	return copyRRs(z.setLocked(name, typ))
 }
 
 // NameExists reports whether the name exists in the zone (has records or is
 // an empty non-terminal).
 func (z *Zone) NameExists(name dnswire.Name) bool {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
-	return z.names[name]
+	// A name's subtree is contiguous in canonical order and starts at the
+	// name: it exists iff the record at its lower bound is at or below it.
+	lo, _ := slices.BinarySearchFunc(z.recs, rrKey{name: name}, compareKey)
+	return lo < len(z.recs) && name.IsSubdomainOf(z.origin) && z.recs[lo].Header().Name.IsSubdomainOf(name)
+}
+
+// namesLocked returns every name of the zone in canonical order: the apex,
+// then each owner, preceded by those of its ancestors no earlier owner sits
+// at or below (the empty non-terminals). z.mu held, slab sorted.
+func (z *Zone) namesLocked() []dnswire.Name {
+	if len(z.recs) == 0 {
+		return nil
+	}
+	out := append(make([]dnswire.Name, 0, len(z.recs)), z.origin)
+	for _, rr := range z.recs {
+		if owner := rr.Header().Name; owner != out[len(out)-1] {
+			out = z.appendNewNames(out, owner)
+		}
+	}
+	return out
+}
+
+// appendNewNames appends, top down, a and those of its ancestors that out
+// lacks: the ones its last name is not at or below.
+func (z *Zone) appendNewNames(out []dnswire.Name, a dnswire.Name) []dnswire.Name {
+	if a == z.origin || out[len(out)-1].IsSubdomainOf(a) {
+		return out
+	}
+	return append(z.appendNewNames(out, a.Parent()), a)
 }
 
 // Names returns all owner names (including empty non-terminals) in
 // canonical order.
 func (z *Zone) Names() []dnswire.Name {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
-	out := make([]dnswire.Name, 0, len(z.names))
-	for n := range z.names {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return z.namesLocked()
 }
 
 // Cuts returns the zone's delegation points: non-apex names holding NS
 // records. Queries at or below a cut are answered with referrals, never
 // NXDOMAIN.
 func (z *Zone) Cuts() []dnswire.Name {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
 	var out []dnswire.Name
-	for k := range z.sets {
-		if k.typ == dnswire.TypeNS && k.name != z.origin {
-			out = append(out, k.name)
+	for _, rr := range z.recs {
+		h := rr.Header()
+		if h.Type == dnswire.TypeNS && h.Name != z.origin && (len(out) == 0 || out[len(out)-1] != h.Name) {
+			out = append(out, h.Name)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
 // AllRecords returns a copy of every record in the zone (an AXFR-style
 // snapshot), SOA first, in canonical owner order.
 func (z *Zone) AllRecords() []dnswire.RR {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
-	keys := make([]rrKey, 0, len(z.sets))
-	for k := range z.sets {
-		keys = append(keys, k)
+	if len(z.recs) == 0 {
+		return nil
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if c := keys[i].name.Compare(keys[j].name); c != 0 {
-			return c < 0
-		}
-		return keys[i].typ < keys[j].typ
-	})
-	var out []dnswire.RR
-	// SOA first, per AXFR convention.
-	for _, rr := range z.sets[rrKey{z.origin, dnswire.TypeSOA}] {
-		out = append(out, rr.Copy())
-	}
-	for _, k := range keys {
-		if k.name == z.origin && k.typ == dnswire.TypeSOA {
-			continue
-		}
-		for _, rr := range z.sets[k] {
+	out := make([]dnswire.RR, 0, len(z.recs))
+	lo, hi := z.rangeLocked(z.origin, dnswire.TypeSOA)
+	for _, part := range [][]dnswire.RR{z.recs[lo:hi], z.recs[:lo], z.recs[hi:]} {
+		for _, rr := range part {
 			out = append(out, rr.Copy())
 		}
 	}
@@ -267,13 +349,9 @@ func (z *Zone) AllRecords() []dnswire.RR {
 
 // NumRecords reports the total record count.
 func (z *Zone) NumRecords() int {
-	z.mu.RLock()
+	z.rlockSorted()
 	defer z.mu.RUnlock()
-	n := 0
-	for _, rrs := range z.sets {
-		n += len(rrs)
-	}
-	return n
+	return len(z.recs)
 }
 
 // Result classifies the outcome of a lookup.
@@ -323,115 +401,6 @@ type Answer struct {
 // maxCNAMEChain bounds in-zone CNAME chasing.
 const maxCNAMEChain = 8
 
-// Lookup runs the authoritative lookup algorithm for (qname, qtype).
-func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-
-	if !qname.IsSubdomainOf(z.origin) {
-		return Answer{Result: NXDomain}
-	}
-	var ans Answer
-	name := qname
-	for hop := 0; ; hop++ {
-		// 1. Delegation check: walk from below the apex down towards name,
-		// looking for an NS cut at any ancestor strictly between apex and
-		// name (or at name itself when qtype != NS at a non-apex cut).
-		if cut, nsSet := z.findCutLocked(name); cut {
-			ans.Result = Delegation
-			ans.NS = copyRRs(nsSet)
-			ans.Glue = copyRRs(z.appendGlueLocked(nil, nsSet))
-			return ans
-		}
-		// 2. Exact-name data.
-		if z.names[name] {
-			if rrs := z.sets[rrKey{name, qtype}]; len(rrs) > 0 {
-				ans.Result = Success
-				ans.Answer = append(ans.Answer, copyRRs(rrs)...)
-				return ans
-			}
-			if qtype == dnswire.TypeANY {
-				if any := z.allAtNameLocked(name); len(any) > 0 {
-					ans.Result = Success
-					ans.Answer = append(ans.Answer, any...)
-					return ans
-				}
-			}
-			// CNAME at the name?
-			if cn := z.sets[rrKey{name, dnswire.TypeCNAME}]; len(cn) > 0 && qtype != dnswire.TypeCNAME {
-				cname := cn[0].(*dnswire.CNAME)
-				ans.Answer = append(ans.Answer, cname.Copy())
-				if hop >= maxCNAMEChain {
-					ans.Result = Success // answer what we have
-					return ans
-				}
-				if cname.Target.IsSubdomainOf(z.origin) {
-					name = cname.Target
-					continue
-				}
-				// Out-of-zone target: return the chain; resolver follows.
-				ans.Result = Success
-				return ans
-			}
-			ans.Result = NoData
-			ans.SOA = z.soaLocked()
-			return ans
-		}
-		// 3. Wildcard synthesis: find the closest encloser then try
-		// "*.<encloser>".
-		if wrrs, wname := z.wildcardLocked(name, qtype); wrrs != nil {
-			for _, rr := range wrrs {
-				c := rr.Copy()
-				c.Header().Name = name
-				ans.Answer = append(ans.Answer, c)
-			}
-			_ = wname
-			ans.Result = Success
-			return ans
-		}
-		// Wildcard CNAME?
-		if wcn, _ := z.wildcardLocked(name, dnswire.TypeCNAME); wcn != nil && qtype != dnswire.TypeCNAME {
-			c := wcn[0].Copy().(*dnswire.CNAME)
-			c.Name = name
-			ans.Answer = append(ans.Answer, c)
-			if hop >= maxCNAMEChain {
-				ans.Result = Success
-				return ans
-			}
-			if c.Target.IsSubdomainOf(z.origin) {
-				name = c.Target
-				continue
-			}
-			ans.Result = Success
-			return ans
-		}
-		// Does the name sit under an existing empty non-terminal? Then the
-		// query name itself does not exist.
-		ans.Result = NXDomain
-		ans.SOA = z.soaLocked()
-		return ans
-	}
-}
-
-// findCutLocked reports whether name is at or below a zone cut (an NS set at
-// a non-apex ancestor), returning the cut's NS records.
-func (z *Zone) findCutLocked(name dnswire.Name) (bool, []dnswire.RR) {
-	// Walk ancestors from just below the apex down to name.
-	var chain []dnswire.Name
-	for n := name; n != z.origin && !n.IsRoot(); n = n.Parent() {
-		chain = append(chain, n)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		n := chain[i]
-		if ns := z.sets[rrKey{n, dnswire.TypeNS}]; len(ns) > 0 {
-			// NS at the qname itself with qtype NS at a cut is still a
-			// delegation for an authoritative-only server below the cut.
-			return true, ns
-		}
-	}
-	return false, nil
-}
-
 // appendGlueLocked appends the zone's own (shared, uncopied) in-zone A/AAAA
 // records for the NS set's targets to dst: per target, A then AAAA.
 func (z *Zone) appendGlueLocked(dst, nsSet []dnswire.RR) []dnswire.RR {
@@ -440,51 +409,10 @@ func (z *Zone) appendGlueLocked(dst, nsSet []dnswire.RR) []dnswire.RR {
 		if !ok || !ns.Target.IsSubdomainOf(z.origin) {
 			continue
 		}
-		dst = append(dst, z.sets[rrKey{ns.Target, dnswire.TypeA}]...)
-		dst = append(dst, z.sets[rrKey{ns.Target, dnswire.TypeAAAA}]...)
+		dst = append(dst, z.setLocked(ns.Target, dnswire.TypeA)...)
+		dst = append(dst, z.setLocked(ns.Target, dnswire.TypeAAAA)...)
 	}
 	return dst
-}
-
-// wildcardLocked finds a wildcard RRset covering name for qtype. Returns the
-// RRset and the wildcard owner name, or nil.
-func (z *Zone) wildcardLocked(name dnswire.Name, qtype dnswire.Type) ([]dnswire.RR, dnswire.Name) {
-	// The closest encloser is the longest existing ancestor of name.
-	for enc := name.Parent(); ; enc = enc.Parent() {
-		if z.names[enc] {
-			wname, err := enc.Prepend("*")
-			if err != nil {
-				return nil, dnswire.Name{}
-			}
-			if rrs := z.sets[rrKey{wname, qtype}]; len(rrs) > 0 {
-				return rrs, wname
-			}
-			return nil, dnswire.Name{}
-		}
-		if enc == z.origin || enc.IsRoot() {
-			return nil, dnswire.Name{}
-		}
-	}
-}
-
-func (z *Zone) allAtNameLocked(name dnswire.Name) []dnswire.RR {
-	var out []dnswire.RR
-	for k, rrs := range z.sets {
-		if k.name == name {
-			out = append(out, copyRRs(rrs)...)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Header().Type < out[j].Header().Type })
-	return out
-}
-
-func (z *Zone) soaLocked() *dnswire.SOA {
-	for _, rr := range z.sets[rrKey{z.origin, dnswire.TypeSOA}] {
-		if soa, ok := rr.(*dnswire.SOA); ok {
-			return soa.Copy().(*dnswire.SOA)
-		}
-	}
-	return nil
 }
 
 func copyRRs(rrs []dnswire.RR) []dnswire.RR {

@@ -60,7 +60,7 @@ func TestParseMasterCounts(t *testing.T) {
 
 func TestLookupExact(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("www.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("www.example.com"), dnswire.TypeA)
 	if a.Result != Success || len(a.Answer) != 2 {
 		t.Fatalf("www A: %v answers=%d", a.Result, len(a.Answer))
 	}
@@ -71,7 +71,7 @@ func TestLookupExact(t *testing.T) {
 
 func TestLookupNoData(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("www.example.com"), dnswire.TypeAAAA)
+	a := lookupBoth(t, z, n("www.example.com"), dnswire.TypeAAAA)
 	if a.Result != NoData {
 		t.Fatalf("Result = %v, want NoData", a.Result)
 	}
@@ -82,7 +82,7 @@ func TestLookupNoData(t *testing.T) {
 
 func TestLookupNXDomain(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("nope.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("nope.example.com"), dnswire.TypeA)
 	if a.Result != NXDomain || a.SOA == nil {
 		t.Fatalf("Result = %v soa=%v", a.Result, a.SOA)
 	}
@@ -91,19 +91,19 @@ func TestLookupNXDomain(t *testing.T) {
 func TestLookupEmptyNonTerminal(t *testing.T) {
 	z := buildZone(t)
 	// "a.b.example.com" exists only as an ancestor of deep.a.b -> NODATA.
-	a := z.Lookup(n("a.b.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("a.b.example.com"), dnswire.TypeA)
 	if a.Result != NoData {
 		t.Fatalf("empty non-terminal: %v, want NoData", a.Result)
 	}
 	// And b.example.com likewise.
-	if got := z.Lookup(n("b.example.com"), dnswire.TypeA); got.Result != NoData {
+	if got := lookupBoth(t, z, n("b.example.com"), dnswire.TypeA); got.Result != NoData {
 		t.Fatalf("b.example.com: %v, want NoData", got.Result)
 	}
 }
 
 func TestLookupCNAMEChain(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("chain.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("chain.example.com"), dnswire.TypeA)
 	if a.Result != Success {
 		t.Fatalf("Result = %v", a.Result)
 	}
@@ -121,7 +121,7 @@ func TestLookupCNAMEChain(t *testing.T) {
 
 func TestLookupCNAMEQtypeCNAME(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("alias.example.com"), dnswire.TypeCNAME)
+	a := lookupBoth(t, z, n("alias.example.com"), dnswire.TypeCNAME)
 	if a.Result != Success || len(a.Answer) != 1 {
 		t.Fatalf("CNAME qtype: %v/%d", a.Result, len(a.Answer))
 	}
@@ -129,7 +129,7 @@ func TestLookupCNAMEQtypeCNAME(t *testing.T) {
 
 func TestLookupExternalCNAME(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("ext.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("ext.example.com"), dnswire.TypeA)
 	if a.Result != Success || len(a.Answer) != 1 {
 		t.Fatalf("external CNAME: %v/%d", a.Result, len(a.Answer))
 	}
@@ -141,7 +141,7 @@ func TestLookupExternalCNAME(t *testing.T) {
 
 func TestLookupWildcard(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("anything.wild.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("anything.wild.example.com"), dnswire.TypeA)
 	if a.Result != Success || len(a.Answer) != 1 {
 		t.Fatalf("wildcard: %v/%d", a.Result, len(a.Answer))
 	}
@@ -159,7 +159,7 @@ func TestLookupWildcardDoesNotCoverExisting(t *testing.T) {
 	z := buildZone(t)
 	// "wild.example.com" itself exists (empty non-terminal) -> NODATA, not
 	// wildcard synthesis.
-	a := z.Lookup(n("wild.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("wild.example.com"), dnswire.TypeA)
 	if a.Result != NoData {
 		t.Fatalf("wild apex: %v, want NoData", a.Result)
 	}
@@ -167,7 +167,7 @@ func TestLookupWildcardDoesNotCoverExisting(t *testing.T) {
 
 func TestLookupWildcardCNAME(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("x.cwild.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("x.cwild.example.com"), dnswire.TypeA)
 	if a.Result != Success {
 		t.Fatalf("wildcard cname: %v", a.Result)
 	}
@@ -182,7 +182,7 @@ func TestLookupWildcardCNAME(t *testing.T) {
 func TestLookupDelegation(t *testing.T) {
 	z := buildZone(t)
 	for _, q := range []string{"sub.example.com", "host.sub.example.com", "a.b.sub.example.com"} {
-		a := z.Lookup(n(q), dnswire.TypeA)
+		a := lookupBoth(t, z, n(q), dnswire.TypeA)
 		if a.Result != Delegation {
 			t.Fatalf("%s: %v, want Delegation", q, a.Result)
 		}
@@ -194,7 +194,7 @@ func TestLookupDelegation(t *testing.T) {
 
 func TestLookupApexNSNotDelegation(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("example.com"), dnswire.TypeNS)
+	a := lookupBoth(t, z, n("example.com"), dnswire.TypeNS)
 	if a.Result != Success || len(a.Answer) != 2 {
 		t.Fatalf("apex NS: %v/%d", a.Result, len(a.Answer))
 	}
@@ -202,7 +202,7 @@ func TestLookupApexNSNotDelegation(t *testing.T) {
 
 func TestLookupANY(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("ns2.example.com"), dnswire.TypeANY)
+	a := lookupBoth(t, z, n("ns2.example.com"), dnswire.TypeANY)
 	if a.Result != Success || len(a.Answer) != 2 {
 		t.Fatalf("ANY: %v/%d", a.Result, len(a.Answer))
 	}
@@ -210,7 +210,7 @@ func TestLookupANY(t *testing.T) {
 
 func TestLookupOutOfZone(t *testing.T) {
 	z := buildZone(t)
-	if got := z.Lookup(n("www.other.net"), dnswire.TypeA); got.Result != NXDomain {
+	if got := lookupBoth(t, z, n("www.other.net"), dnswire.TypeA); got.Result != NXDomain {
 		t.Fatalf("out of zone: %v", got.Result)
 	}
 }
@@ -220,7 +220,7 @@ func TestCNAMELoopBounded(t *testing.T) {
 	mustAdd(t, z, &dnswire.SOA{RRHeader: hdr("loop.test", dnswire.TypeSOA), MName: n("ns.loop.test"), RName: n("h.loop.test"), Serial: 1, Minimum: 30})
 	mustAdd(t, z, &dnswire.CNAME{RRHeader: hdr("a.loop.test", dnswire.TypeCNAME), Target: n("b.loop.test")})
 	mustAdd(t, z, &dnswire.CNAME{RRHeader: hdr("b.loop.test", dnswire.TypeCNAME), Target: n("a.loop.test")})
-	a := z.Lookup(n("a.loop.test"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("a.loop.test"), dnswire.TypeA)
 	if a.Result != Success {
 		t.Fatalf("loop result: %v", a.Result)
 	}
@@ -291,13 +291,15 @@ func TestSetSerial(t *testing.T) {
 	}
 }
 
-func TestLookupReturnsCopies(t *testing.T) {
+func TestReadsReturnCopies(t *testing.T) {
 	z := buildZone(t)
-	a := z.Lookup(n("www.example.com"), dnswire.TypeA)
-	a.Answer[0].Header().TTL = 9999
-	b := z.Lookup(n("www.example.com"), dnswire.TypeA)
-	if b.Answer[0].Header().TTL != 20 {
-		t.Fatal("Lookup result aliases zone storage")
+	z.RRset(n("www.example.com"), dnswire.TypeA)[0].Header().TTL = 9999
+	z.AllRecords()[0].Header().TTL = 9999
+	z.SOA().TTL = 9999
+	for _, rr := range z.AllRecords() {
+		if rr.Header().TTL == 9999 {
+			t.Fatalf("a read aliases zone storage: %s", rr)
+		}
 	}
 }
 
@@ -335,7 +337,7 @@ func TestParseMasterLineCap(t *testing.T) {
 		t.Fatalf("line of exactly maxMasterLine bytes: %v", err)
 	}
 	for _, host := range []string{"first", "www", "last"} {
-		if a := z.Lookup(n(host+".example.com"), dnswire.TypeA); a.Result != Success {
+		if a := lookupBoth(t, z, n(host+".example.com"), dnswire.TypeA); a.Result != Success {
 			t.Errorf("%s.example.com lost around the long line: %v", host, a.Result)
 		}
 	}
@@ -350,7 +352,7 @@ func TestParseMasterContinuationOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := z.Lookup(n("www.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("www.example.com"), dnswire.TypeA)
 	if len(a.Answer) != 2 {
 		t.Fatalf("continuation owner: %d answers", len(a.Answer))
 	}
@@ -364,7 +366,7 @@ func TestParseMasterTTLUnits(t *testing.T) {
 	}
 	cases := map[string]uint32{"www": 3600, "ttl2": 4000, "ttl3": 120}
 	for host, want := range cases {
-		a := z.Lookup(n(host+".example.com"), dnswire.TypeA)
+		a := lookupBoth(t, z, n(host+".example.com"), dnswire.TypeA)
 		if got := a.Answer[0].Header().TTL; got != want {
 			t.Errorf("%s TTL = %d, want %d", host, got, want)
 		}
@@ -377,7 +379,7 @@ func TestParseMasterComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txt := z.Lookup(n("txt.example.com"), dnswire.TypeTXT)
+	txt := lookupBoth(t, z, n("txt.example.com"), dnswire.TypeTXT)
 	if txt.Result != Success || txt.Answer[0].(*dnswire.TXT).Texts[0] != "has ; semicolon" {
 		t.Fatalf("quoted semicolon mishandled: %v", txt.Answer)
 	}
@@ -432,7 +434,7 @@ func TestTransferRoundTrip(t *testing.T) {
 		t.Fatalf("serial %d, want %d", z2.Serial(), z.Serial())
 	}
 	// And the transferred zone answers identically.
-	a := z2.Lookup(n("anything.wild.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z2, n("anything.wild.example.com"), dnswire.TypeA)
 	if a.Result != Success {
 		t.Fatalf("transferred zone wildcard: %v", a.Result)
 	}
@@ -553,13 +555,13 @@ func TestWildcardAtApexLevel(t *testing.T) {
 	z := New(n("example.com"))
 	mustAdd(t, z, &dnswire.SOA{RRHeader: hdr("example.com", dnswire.TypeSOA), MName: n("ns.example.com"), RName: n("h.example.com"), Serial: 1, Minimum: 30})
 	mustAdd(t, z, &dnswire.A{RRHeader: hdr("*.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("9.9.9.9")})
-	a := z.Lookup(n("anything.example.com"), dnswire.TypeA)
+	a := lookupBoth(t, z, n("anything.example.com"), dnswire.TypeA)
 	if a.Result != Success || len(a.Answer) != 1 {
 		t.Fatalf("apex wildcard: %v/%d", a.Result, len(a.Answer))
 	}
 	// But multi-label names under a nonexistent encloser are NOT covered
 	// when the closest encloser is the apex and the wildcard matched...
-	b := z.Lookup(n("deep.anything.example.com"), dnswire.TypeA)
+	b := lookupBoth(t, z, n("deep.anything.example.com"), dnswire.TypeA)
 	if b.Result != Success {
 		t.Fatalf("deep under apex wildcard: %v (closest encloser is apex)", b.Result)
 	}
@@ -567,7 +569,7 @@ func TestWildcardAtApexLevel(t *testing.T) {
 
 func TestParseMasterTXTMultiString(t *testing.T) {
 	z := MustParseMaster(`txt IN TXT "one" two "three words here"`, n("example.com"))
-	a := z.Lookup(n("txt.example.com"), dnswire.TypeTXT)
+	a := lookupBoth(t, z, n("txt.example.com"), dnswire.TypeTXT)
 	txt := a.Answer[0].(*dnswire.TXT)
 	if len(txt.Texts) != 3 || txt.Texts[2] != "three words here" {
 		t.Fatalf("TXT = %q", txt.Texts)
@@ -601,7 +603,7 @@ func TestPropertyLookupClassification(t *testing.T) {
 	f := func(pick uint16, label uint8) bool {
 		// An existing name.
 		ex := names[int(pick)%len(names)]
-		if got := z.Lookup(ex, dnswire.TypeTXT); got.Result == NXDomain {
+		if got := lookupBoth(t, z, ex, dnswire.TypeTXT); got.Result == NXDomain {
 			// Names under a delegation are referrals, never NXDomain —
 			// also fine; only NXDomain itself is a violation.
 			return false
@@ -611,7 +613,7 @@ func TestPropertyLookupClassification(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := z.Lookup(unknown, dnswire.TypeA)
+		got := lookupBoth(t, z, unknown, dnswire.TypeA)
 		return got.Result == NXDomain
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -633,8 +635,8 @@ func TestPropertyTransferPreservesAnswers(t *testing.T) {
 	copyZ := dst.Get(n("example.com"))
 	for _, name := range src.Names() {
 		for _, typ := range []dnswire.Type{dnswire.TypeA, dnswire.TypeNS, dnswire.TypeTXT, dnswire.TypeCNAME} {
-			a := src.Lookup(name, typ)
-			b := copyZ.Lookup(name, typ)
+			a := lookupBoth(t, src, name, typ)
+			b := lookupBoth(t, copyZ, name, typ)
 			if a.Result != b.Result || len(a.Answer) != len(b.Answer) {
 				t.Fatalf("%s %s: %v/%d vs %v/%d", name, typ, a.Result, len(a.Answer), b.Result, len(b.Answer))
 			}
