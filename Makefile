@@ -23,7 +23,7 @@ race:
 	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
 	go test -race -run='TestContainmentPanicStorm|TestQueryOfDeathDrill' -count=2 ./internal/netserve/
 	go test -race -run='TestScrapeWhileServing|TestFlightForensicsEndToEnd' -count=2 ./internal/netserve/
-	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames' -count=2 ./internal/netserve/
+	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery' -count=2 ./internal/netserve/
 	go test -race -count=2 ./internal/udpbatch/
 	go test -race -run='TestReadWhileWrite' -count=10 ./internal/udpbatch/
 	go test -race -run='TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant' -count=2 ./internal/monitor/
@@ -53,7 +53,7 @@ bench-smoke:
 # Measured UDP serving numbers, committed as BENCH_netserve.json. Written
 # via a temp file: a direct redirect would truncate the old file before
 # benchjson reads its baseline block out of it. The -assert-zero-alloc
-# guard fails the run if any hot handle path (cached hit, EDNS hit,
+# guard fails the run if any hot handle path (cached hit, scored hit, EDNS hit,
 # view-path NXDOMAIN miss, delegation miss, the cold 20 000-zone view
 # append) starts allocating. The BenchmarkView* rows are the cold-cache and
 # footprint numbers: what a view costs to route to and answer from when it
@@ -61,23 +61,18 @@ bench-smoke:
 # BenchmarkZoneHeapPerZone is the same pair of numbers for a whole hosted
 # zone at rest, record slab and view together.
 bench-json:
-	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
+	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
 	mv BENCH_netserve.json.tmp BENCH_netserve.json
 	@cat BENCH_netserve.json
 
 # CI-shaped allocation regression smoke: short benchtime, no file rewrite,
 # same zero-alloc guard as bench-json.
 bench-alloc-guard:
-	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
+	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
 
 # Loopback saturation battery (dnsblast): ramp a fresh in-process server
 # to its saturation point, then offer it -overload-x times that rate cold;
 # each phase reports the median of -reps. The JSON report goes to stdout.
-# The "saturation" key committed in BENCH_netserve.json is the PR 7
-# batched-vs-unbatched A/B that justified deleting the unbatched loop; it is
-# a historical record (cmd/benchjson carries it over untouched) and this
-# target no longer rewrites it — see EXPERIMENTS.md "Loopback saturation"
-# for the commit range that can rerun it.
 bench-saturate:
 	go run ./cmd/dnsblast -selfserve -compare -duration 2s -reps 5
 

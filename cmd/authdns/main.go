@@ -54,11 +54,10 @@ func main() {
 	cookies := flag.Bool("cookies", false, "enable DNS Cookies (RFC 7873)")
 	requireCookies := flag.Bool("require-cookies", false, "refuse UDP queries without a valid server cookie")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text /metrics and /healthz on this address ('' disables)")
-	qodQuarantine := flag.Int("qod-quarantine", 0, "query-of-death quarantine size (0 = default 128, negative disables containment)")
+	qodQuarantine := flag.Int("qod-quarantine", 0, "query-of-death quarantine size (0 = default 128)")
 	maxInflight := flag.Int("max-inflight", 0, "overload ladder in-flight handler ceiling (0 disables shedding)")
 	watchdog := flag.Bool("watchdog", true, "self-suspend on panic/malformed/latency storms (flips /healthz to 503)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "grace period for in-flight queries on SIGTERM before sockets are force-closed")
-	latencySample := flag.Int("latency-sample", 0, "time 1-in-N answers for the watchdog and flight recorder (0 = default 64, negative disables)")
 	flightSample := flag.Int("flight-sample", 0, "flight-recorder head sampling: capture 1-in-N normal queries, anomalies always (0 = default 16, negative disables the recorder)")
 	withCtl := flag.Bool("ctlplane", false, "mount the zone control-plane changelist API (/ctl/...) on the debug/metrics listener")
 	debugAddr := flag.String("debug-addr", "", "serve the /debug forensics endpoints on a separate address ('' = ride the metrics listener)")
@@ -124,7 +123,6 @@ func main() {
 	if !*watchdog {
 		cfg.Watchdog = nil
 	}
-	cfg.LatencySample = *latencySample
 	if *flightSample < 0 {
 		cfg.Flight = nil
 	} else if *flightSample > 0 {

@@ -29,50 +29,31 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Doc is the emitted document. Baseline and Saturation are carried over
-// verbatim from the previous version of the output file (see
-// -keep-baseline), so historical pre-optimization numbers and the last
-// committed saturation run survive regeneration; -saturation replaces the
-// latter with a fresh dnsblast report.
+// Doc is the emitted document. Baseline is carried over verbatim from the
+// previous version of the output file (see -keep-baseline), so the
+// pre-optimization numbers survive regeneration.
 type Doc struct {
 	Baseline   json.RawMessage `json:"baseline,omitempty"`
 	Goos       string          `json:"goos,omitempty"`
 	Goarch     string          `json:"goarch,omitempty"`
 	CPU        string          `json:"cpu,omitempty"`
 	Benchmarks []Result        `json:"benchmarks"`
-	Saturation json.RawMessage `json:"saturation,omitempty"`
 }
 
 func main() {
 	keep := flag.String("keep-baseline", "BENCH_netserve.json",
 		"preserve the 'baseline' key from this existing JSON file ('' disables)")
-	keepBenchmarks := flag.Bool("keep-benchmarks", false,
-		"when stdin carries no benchmark lines, preserve benchmarks/goos/goarch/cpu from the -keep-baseline file instead of emitting an empty list")
-	saturation := flag.String("saturation", "",
-		"embed this JSON file (a dnsblast report) as the 'saturation' key, replacing the carried-over one")
 	assertZeroAlloc := flag.String("assert-zero-alloc", "",
 		"regexp over (trimmed) benchmark names that must report 0 allocs/op; exits 1 on any allocation or if nothing matches")
 	flag.Parse()
-	var doc, old Doc
+	var doc Doc
 	if *keep != "" {
 		if prev, err := os.ReadFile(*keep); err == nil {
+			var old Doc
 			if json.Unmarshal(prev, &old) == nil {
 				doc.Baseline = old.Baseline
-				doc.Saturation = old.Saturation
 			}
 		}
-	}
-	if *saturation != "" {
-		raw, err := os.ReadFile(*saturation)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson: -saturation:", err)
-			os.Exit(1)
-		}
-		if !json.Valid(raw) {
-			fmt.Fprintf(os.Stderr, "benchjson: -saturation: %s is not valid JSON\n", *saturation)
-			os.Exit(1)
-		}
-		doc.Saturation = json.RawMessage(raw)
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -134,12 +115,6 @@ func main() {
 	if err := sc.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
-	}
-	// A saturation-only regeneration (`make bench-saturate`) pipes nothing on
-	// stdin; without this the committed benchmark table would be wiped.
-	if *keepBenchmarks && len(doc.Benchmarks) == 0 {
-		doc.Benchmarks = old.Benchmarks
-		doc.Goos, doc.Goarch, doc.CPU = old.Goos, old.Goarch, old.CPU
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

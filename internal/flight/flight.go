@@ -103,8 +103,8 @@ const (
 // their tail — the zone- and attack-identifying part.
 const SuffixBytes = 32
 
-// LatencyUnknown is the Latency value of a record whose query was not on
-// the 1-in-N timed path.
+// LatencyUnknown is the Latency value of a record whose query was not
+// answered (shed, dropped, crashed), so no answer latency exists.
 const LatencyUnknown int32 = -1
 
 // Record is one captured query: fixed size, no pointers, safe to copy
@@ -120,8 +120,8 @@ type Record struct {
 	Port uint16
 	// QType is the wire query type (0 if unparsed).
 	QType uint16
-	// Latency is the sampled handle latency in microseconds, or
-	// LatencyUnknown when this query was not timed.
+	// Latency is the answer latency in microseconds, or LatencyUnknown
+	// when the query was not answered.
 	Latency int32
 	// RCode is the response code sent (or that would label the action:
 	// REFUSED for quarantine hits, 0 for silent drops).
@@ -163,8 +163,8 @@ type Sample struct {
 	Zone string
 	// Src is the client source address.
 	Src netip.AddrPort
-	// Latency is the measured handle time when this query rode the
-	// 1-in-N timed path; negative when unmeasured.
+	// Latency is the measured handle time of an answered query; negative
+	// when there is none.
 	Latency time.Duration
 	// QType is the wire query type (0 if unknown).
 	QType uint16

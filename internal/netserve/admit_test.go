@@ -15,10 +15,12 @@ import (
 
 // TestAdmitEveryTier drives the one admission gate through each serving
 // tier with the same query and requires the same disposition from all of
-// them: per outcome, identical counter movement, identical flight note,
-// and — where a reply is owed — identical bytes. The single exception is
-// the policy itself: the hot tier enters at LevelFull, so a cached answer
-// survives clean-only shedding.
+// them: per outcome, identical counter movement, identical disposal in the
+// outcome, and — where a reply is owed — identical bytes. The single
+// exception is the policy itself: the hot tier enters at LevelFull, so a
+// cached answer survives clean-only shedding. Each call stands in for
+// dispatch: it resets the outcome the way the prologue does and stops short
+// of settle.
 func TestAdmitEveryTier(t *testing.T) {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
@@ -93,14 +95,13 @@ func TestAdmitEveryTier(t *testing.T) {
 				srv.admission.Enqueue(0, nil)
 			}
 		}
-		var refNote *flight.Sample // the first shedding tier's disposition
+		var ref *outcome // the first shedding tier's disposal
 		var refReply []byte
 		for _, tier := range tiers {
 			survives := tier.survive && oc.name == "clean-only refuse"
 			d0, td0 := srv.Metrics.Discarded.Load(), srv.Metrics.TailDropped.Load()
 			co0 := srv.shed[qod.LevelCleanOnly].Load()
-			sc.note = flight.Sample{Verdict: flight.VerdictNone}
-			sc.insert = cacheIntent{active: true} // a shed must cancel any pending cache insert
+			sc.oc = outcome{verdict: flight.VerdictNone}
 			reply := append([]byte(nil), tier.run(oc.level)...)
 			d := srv.Metrics.Discarded.Load() - d0
 			td := srv.Metrics.TailDropped.Load() - td0
@@ -109,8 +110,8 @@ func TestAdmitEveryTier(t *testing.T) {
 				if d != 0 || td != 0 || co != 0 {
 					t.Errorf("%s/%s: admitted query moved shed counters (%d/%d/%d)", oc.name, tier.name, d, td, co)
 				}
-				if sc.note.Verdict != tier.served {
-					t.Errorf("%s/%s: verdict %s, want %s", oc.name, tier.name, sc.note.Verdict, tier.served)
+				if sc.oc.verdict != tier.served {
+					t.Errorf("%s/%s: verdict %s, want %s", oc.name, tier.name, sc.oc.verdict, tier.served)
 				}
 				if m, err := dnswire.Unpack(reply); err != nil || m.RCode != dnswire.RCodeNoError || len(m.Answers) != 1 {
 					t.Errorf("%s/%s: admitted query not answered: %v %v", oc.name, tier.name, m, err)
@@ -121,24 +122,23 @@ func TestAdmitEveryTier(t *testing.T) {
 				t.Errorf("%s/%s: discarded/tail-dropped/clean-only moved %d/%d/%d, want %d/%d/%d",
 					oc.name, tier.name, d, td, co, oc.discarded, oc.tailDropped, oc.cleanOnly)
 			}
-			if sc.insert.active {
-				t.Errorf("%s/%s: shed left a cache insert pending", oc.name, tier.name)
+			if sc.oc.cacheable {
+				t.Errorf("%s/%s: shed marked its reply replayable", oc.name, tier.name)
 			}
 			if (len(reply) > 0) != oc.replies {
 				t.Errorf("%s/%s: reply %x, want a reply: %v", oc.name, tier.name, reply, oc.replies)
 			}
-			note := sc.note
-			if note.Verdict != flight.VerdictShed || note.RCode != uint8(oc.rcode) ||
-				note.Qname != "www.ex.test." || note.QType != uint16(dnswire.TypeA) {
-				t.Errorf("%s/%s: flight note %+v", oc.name, tier.name, note)
+			got := sc.oc
+			if got.verdict != flight.VerdictShed || got.rcode != oc.rcode || !got.scored ||
+				got.fq.Name.String() != "www.ex.test." || got.fq.Type != dnswire.TypeA {
+				t.Errorf("%s/%s: outcome %+v", oc.name, tier.name, got)
 			}
-			if refNote == nil {
-				refNote, refReply = &note, reply
+			if ref == nil {
+				ref, refReply = &got, reply
 				continue
 			}
-			if note.Verdict != refNote.Verdict || note.RCode != refNote.RCode || note.Qname != refNote.Qname ||
-				note.QType != refNote.QType || note.Zone != refNote.Zone || len(note.QnameWire) != len(refNote.QnameWire) {
-				t.Errorf("%s/%s: flight note %+v differs from the first shedding tier's %+v", oc.name, tier.name, note, *refNote)
+			if got.fq.Resolver != ref.fq.Resolver || got.fq.Zone != ref.fq.Zone || got.zone != ref.zone {
+				t.Errorf("%s/%s: outcome %+v differs from the first shedding tier's %+v", oc.name, tier.name, got, *ref)
 			}
 			if !bytes.Equal(reply, refReply) {
 				t.Errorf("%s/%s: reply %x differs from the first shedding tier's %x", oc.name, tier.name, reply, refReply)

@@ -69,24 +69,22 @@ type watchdogJSON struct {
 func (s *Server) qodDebug(w http.ResponseWriter, req *http.Request) {
 	now := time.Now()
 	doc := qodDebugJSON{
-		Enabled:    s.qodGuard != nil,
+		Enabled:    true,
 		Refused:    s.Metrics.QoDRefused.Load(),
 		Panics:     s.Metrics.Panics.Load(),
 		Signatures: []qodSignatureJSON{},
 		Overload:   qod.LevelName(s.OverloadLevel()),
 	}
-	if s.qodGuard != nil {
-		doc.Entries = s.qodGuard.Len()
-		doc.Capacity = s.qodGuard.Cap()
-		doc.Admitted = s.qodGuard.Admitted()
-		for _, sig := range s.qodGuard.Snapshot() {
-			doc.Signatures = append(doc.Signatures, qodSignatureJSON{
-				Suffix:    sig.Suffix,
-				QType:     sig.QType,
-				Strikes:   sig.Strikes,
-				ExpiresIn: sig.Expires.Sub(now).Round(time.Millisecond).String(),
-			})
-		}
+	doc.Entries = s.qodGuard.Len()
+	doc.Capacity = s.qodGuard.Cap()
+	doc.Admitted = s.qodGuard.Admitted()
+	for _, sig := range s.qodGuard.Snapshot() {
+		doc.Signatures = append(doc.Signatures, qodSignatureJSON{
+			Suffix:    sig.Suffix,
+			QType:     sig.QType,
+			Strikes:   sig.Strikes,
+			ExpiresIn: sig.Expires.Sub(now).Round(time.Millisecond).String(),
+		})
 	}
 	if s.watchdog != nil {
 		doc.Watchdog = &watchdogJSON{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"akamaidns/internal/dnswire"
+	"akamaidns/internal/filters"
 	"akamaidns/internal/nameserver"
 	"akamaidns/internal/qod"
 	"akamaidns/internal/udpbatch"
@@ -22,6 +23,21 @@ func benchServer(b *testing.B, hotCache int) *Server {
 	cfg := DefaultConfig()
 	cfg.HotCacheSize = hotCache
 	return New(cfg, nameserver.NewEngine(store), nil)
+}
+
+// benchScoredServer is benchServer with the pipeline `authdns -filters`
+// wires, tuned so that the bench traffic scores clean: the loopback
+// resolver's learned rate is out of reach and the zone never turns hot. What
+// is measured is the gate's own cost, not a penalty's bookkeeping.
+func benchScoredServer(b *testing.B) *Server {
+	b.Helper()
+	store := zone.NewStore()
+	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
+	rl := filters.NewRateLimit()
+	rl.Learn(benchSrc.Addr().String(), 1e12)
+	nx := filters.NewNXDomain(nameserver.StoreZoneInfo{Store: store}, filters.PerHotZone)
+	nx.Threshold = 1 << 40
+	return New(DefaultConfig(), nameserver.NewEngine(store), filters.NewPipeline(rl, nx))
 }
 
 // benchDelegationZone adds a delegated child below the bench zone so
@@ -64,6 +80,25 @@ func BenchmarkHandleUDP(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchHandle(b, srv, wire)
+}
+
+// BenchmarkHandleUDPScoredHit is BenchmarkHandleUDP with the scoring
+// pipeline on: the scored filters.Query lives in the worker scratch, so the
+// gate adds no allocation to a hot hit.
+func BenchmarkHandleUDPScoredHit(b *testing.B) {
+	srv := benchScoredServer(b)
+	wire, err := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA).Pack()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchHandle(b, srv, wire)
+}
+
+// BenchmarkHandleUDPScoredMissNXDOMAIN is BenchmarkHandleUDPMissNXDOMAIN
+// with the scoring pipeline on; what still allocates is the dnswire.Name the
+// view tier parses for the filters.
+func BenchmarkHandleUDPScoredMissNXDOMAIN(b *testing.B) {
+	benchHandleUnique(b, benchScoredServer(b), uniqueQueryWire(b, "ex.test"), true)
 }
 
 // BenchmarkHandleUDPEDNS is the same with an EDNS0 OPT attached (the common

@@ -77,14 +77,13 @@ type Config struct {
 	CookieSecret uint64
 
 	// QoDQuarantine bounds the query-of-death quarantine's signature set
-	// (0 = default 128; negative disables containment entirely, restoring
-	// the bare §4.2.4 crash emulation: poison goes unanswered and uncaught).
+	// (0 = default 128).
 	QoDQuarantine int
 	// QuarantineTTL is how long a signature stays quarantined before its
 	// probationary re-admission (0 = default 30s).
 	QuarantineTTL time.Duration
 	// Watchdog enables live self-suspension (nil disables): panic rate,
-	// malformed-packet rate, and sampled answer latency per window flip the
+	// malformed-packet rate, and 1-in-64 answer latency per window flip the
 	// server unhealthy and its UDP readers into discard mode until a quiet
 	// period passes (§4.2.1 applied to the sockets).
 	Watchdog *qod.WatchdogConfig
@@ -105,14 +104,7 @@ type Config struct {
 	// sketches, and the /debug/queries //debug/topk forensics surface.
 	// DefaultConfig attaches one at default sampling.
 	Flight *flight.Config
-	// LatencySample sets the 1-in-N answer-latency sampling period that
-	// feeds the watchdog latency tripwire and the flight recorder's
-	// latency fields (0 = default 64; negative disables timing).
-	LatencySample int
 }
-
-// DefaultLatencySample is the 1-in-N answer-latency sampling period.
-const DefaultLatencySample = 64
 
 // DefaultUDPReadBuffer is the SO_RCVBUF request for each UDP listener:
 // 4 MiB absorbs several milliseconds of full-rate flood per socket
@@ -207,14 +199,11 @@ type Server struct {
 	qodGuard   *qod.Quarantine
 	watchdog   *qod.Watchdog
 	ladder     *qod.Ladder
-	protected  bool
 	minimizing atomic.Bool
 	shed       [qod.LevelSaturated + 1]*obs.Counter
 
-	// flight is the query flight recorder (nil when disabled); latEvery is
-	// the 1-in-N answer-latency sampling period (0 when timing is off).
-	flight   *flight.Recorder
-	latEvery uint32
+	// flight is the query flight recorder (nil when disabled).
+	flight *flight.Recorder
 
 	// batchSize distributes how many datagrams each recvmmsg returned — a
 	// direct read on how much syscall amortization the traffic admits.
@@ -279,33 +268,16 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 		s.hot = nameserver.NewHotCache(cfg.HotCacheSize)
 		s.hot.Instrument(reg)
 	}
-	if cfg.QoDQuarantine >= 0 {
-		s.qodGuard = qod.NewQuarantine(cfg.QoDQuarantine, cfg.QuarantineTTL)
-	}
+	s.qodGuard = qod.NewQuarantine(cfg.QoDQuarantine, cfg.QuarantineTTL)
 	if cfg.Watchdog != nil {
 		s.watchdog = qod.NewWatchdog(*cfg.Watchdog)
 	}
 	if cfg.MaxInflight > 0 {
 		s.ladder = qod.NewLadder(cfg.MaxInflight)
 	}
-	s.protected = s.qodGuard != nil || s.watchdog != nil || s.ladder != nil
 	if cfg.Flight != nil {
 		s.flight = flight.New(*cfg.Flight, reg)
 	}
-	if latN := cfg.LatencySample; latN >= 0 && (s.watchdog != nil || s.flight != nil) {
-		if latN == 0 {
-			latN = DefaultLatencySample
-		}
-		s.latEvery = uint32(latN)
-	}
-	reg.GaugeFunc(obs.MetricLatencySampleRate,
-		"Fraction of handled queries whose answer latency is measured (0 = timing disabled).",
-		func() float64 {
-			if s.latEvery == 0 {
-				return 0
-			}
-			return 1 / float64(s.latEvery)
-		})
 	maxConns := cfg.MaxTCPConns
 	if maxConns == 0 {
 		maxConns = DefaultMaxTCPConns
@@ -364,38 +336,56 @@ func (t *internTable) key(a netip.Addr) string {
 func (s *Server) resolverKey(a netip.Addr) string { return s.resolvers.key(a) }
 
 // scratch is the per-worker reusable state: a query message whose section
-// slices survive across packets, a response wire buffer, and a hot-cache
-// key buffer. UDP read loops hold one for their lifetime; TCP connections
-// borrow one from the pool.
+// slices survive across packets, a response wire buffer, a hot-cache key
+// buffer, and the outcome of the query in hand. UDP read loops hold one for
+// their lifetime; TCP connections borrow one from the pool.
 type scratch struct {
 	q   dnswire.Message
 	out []byte
 	key []byte
 	// vq holds the case-folded wire-form qname for the compiled-view path
 	// (kept separate from key, which may carry a live cache-insert key).
-	vq     []byte
-	insert cacheIntent
+	vq []byte
+	oc outcome
 	// journal is the worker's crash journal, built lazily on the first
-	// protected packet and kept for the scratch's lifetime.
+	// packet and kept for the scratch's lifetime.
 	journal *qod.Journal
-	// tick drives the 1-in-N answer-latency sampling.
-	tick uint32
 	// fw is the flight-recorder capture handle, built lazily on the first
 	// packet and kept for the scratch's lifetime.
 	fw *flight.Worker
-	// note accumulates the flight-recorder sample for the packet in hand;
-	// the serving tiers stamp verdict/rcode/qname as they dispose of it.
-	note flight.Sample
+	// answers counts the answers settled through this scratch; every 64th
+	// feeds the watchdog's latency tripwire.
+	answers uint32
 }
 
-// cacheIntent carries a fast-path miss into the slow path: the key bytes
-// (left in scratch.key), the store generation snapshotted before the
-// lookup, and the size-class payload floor the packed response must fit.
-type cacheIntent struct {
-	active   bool
-	gen      uint64
-	floor    int
-	qnameLen int
+// outcome is the only state that crosses tiers: dispatch resets it, each
+// tier writes what it decided about the query in hand, and settle acts on
+// it. It lives in the scratch so that the scored filters.Query — which
+// escapes through the Filter interface — costs no allocation.
+type outcome struct {
+	span obs.Span
+	// fq is the query as the pipeline scored it, meaningful once scored is
+	// set — which is also what keeps a later tier from admitting it again.
+	fq     filters.Query
+	scored bool
+	// fill is a hot-cache miss asking for the answering tier's reply: the
+	// key is left in scratch.key, gen is the store generation snapshotted
+	// before the lookup, floor the size-class payload the reply must fit.
+	fill  bool
+	gen   uint64
+	floor int
+	// The disposal. verdict stays VerdictNone for a silently filtered
+	// packet. qnameWire aliases the packet when it parsed canonically, name
+	// is the parsed question name where a tier had one, zone the matched
+	// zone; cacheable marks a reply replayable for every client of its size
+	// class.
+	verdict   flight.Verdict
+	rcode     dnswire.RCode
+	qtype     dnswire.Type
+	qnameWire []byte
+	name      dnswire.Name
+	zone      dnswire.Name
+	cacheable bool
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -554,37 +544,15 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// handlePacket serves one message and, when the flight recorder is on,
-// offers the disposal note the serving tiers stamped into the scratch. The
-// returned slice is valid until the next handlePacket call with the same
-// scratch.
-func (s *Server) handlePacket(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) []byte {
-	if s.flight == nil {
-		return s.handle(wire, src, tcp, sc)
-	}
-	sc.note = flight.Sample{Src: src, TCP: tcp, Latency: -1, Verdict: flight.VerdictNone}
-	resp := s.handle(wire, src, tcp, sc)
-	if sc.note.Verdict != flight.VerdictNone {
-		// The scratch pool is process-global: a pooled scratch may carry a
-		// capture handle bound to another (test) server's recorder, so the
-		// lazy bind re-checks ownership, not just presence.
-		if sc.fw == nil || sc.fw.Recorder() != s.flight {
-			sc.fw = s.flight.Worker()
-		}
-		sc.fw.Observe(sc.note)
-	}
-	return resp
-}
-
-// handle serves one message under the self-protective layer (on by
-// default): the overload ladder, the pre-decode quarantine check, the crash
-// journal, and the recover boundary around dispatch. The steady-state
-// overhead is a handful of nil checks, one atomic quarantine-length load,
-// and a bounded copy into the journal slot.
-func (s *Server) handle(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) (resp []byte) {
-	if !s.protected {
-		return s.dispatchMaybeTimed(wire, src, tcp, sc, qod.LevelFull)
-	}
+// handlePacket serves one message under the self-protective layer: the
+// overload ladder, the pre-decode quarantine check, the crash journal, and
+// the recover boundary around dispatch. The steady-state overhead is a
+// handful of nil checks, one atomic quarantine-length load, and a bounded
+// copy into the journal slot. A query this layer disposes of itself —
+// saturated drop, quarantine refusal, contained panic — reaches settle with
+// its verdict like one a tier answered. The returned slice is valid until
+// the next handlePacket call with the same scratch.
+func (s *Server) handlePacket(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) (resp []byte) {
 	level := qod.LevelFull
 	if s.ladder != nil {
 		level = s.ladder.Enter()
@@ -594,160 +562,103 @@ func (s *Server) handle(wire []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 			// kernel would otherwise apply to the socket backlog, except
 			// accounted for.
 			s.shed[qod.LevelSaturated].Add(1)
-			sc.insert = cacheIntent{}
-			sc.note.Verdict = flight.VerdictShed
-			return nil
+			sc.oc = outcome{verdict: flight.VerdictShed}
+			return s.settle(nil, src, tcp, sc)
 		}
 	}
 	var probation *qod.Entry
-	if s.qodGuard != nil {
-		if s.qodGuard.Len() > 0 {
-			// Quarantine consultation happens before any decoding beyond the
-			// allocation-free view parse, so a quarantined pattern costs
-			// near-nothing no matter how hard it hits.
-			if v, ok := dnswire.ParseQueryView(wire); ok {
-				e, outcome := s.qodGuard.Check(v.QnameWire(wire), uint16(v.QType), v.Flags, time.Now())
-				switch outcome {
-				case qod.Blocked:
-					s.Metrics.QoDRefused.Add(1)
-					sc.insert = cacheIntent{}
-					sc.note.Verdict = flight.VerdictQuarantined
-					sc.note.RCode = uint8(dnswire.RCodeRefused)
-					sc.note.QnameWire = v.QnameWire(wire)
-					sc.note.QType = uint16(v.QType)
-					out := refusedFor(wire, v.QnameLen+4, sc.out[:0])
-					if out != nil {
-						sc.out = out
-					}
-					return out
-				case qod.Probation:
-					// TTL lapsed: this query is the re-admission probe. If it
-					// completes we acquit after dispatch; if it panics, the
-					// acquittal is never reached and containPanic re-strikes
-					// the entry with a longer TTL.
-					probation = e
-				}
+	if s.qodGuard.Len() > 0 {
+		// Quarantine consultation happens before any decoding beyond the
+		// allocation-free view parse, so a quarantined pattern costs
+		// near-nothing no matter how hard it hits.
+		if v, ok := dnswire.ParseQueryView(wire); ok {
+			e, state := s.qodGuard.Check(v.QnameWire(wire), uint16(v.QType), v.Flags, time.Now())
+			switch state {
+			case qod.Blocked:
+				s.Metrics.QoDRefused.Add(1)
+				sc.oc = outcome{verdict: flight.VerdictQuarantined, qnameWire: v.QnameWire(wire), qtype: v.QType}
+				return s.settle(s.refuse(wire, v.QnameLen+4, sc), src, tcp, sc)
+			case qod.Probation:
+				// TTL lapsed: this query is the re-admission probe. If it
+				// completes we acquit after dispatch; if it panics, the
+				// acquittal is never reached and containPanic re-strikes
+				// the entry with a longer TTL.
+				probation = e
 			}
 		}
-		if sc.journal == nil {
-			sc.journal = qod.NewJournal(0, 0)
-		}
-		sc.journal.Record(wire)
-		defer func() {
-			if r := recover(); r != nil {
-				resp = nil
-				sc.insert = cacheIntent{}
-				s.containPanic(r, wire, sc.journal)
-				s.noteCrash(wire, sc)
-			}
-		}()
 	}
-	resp = s.dispatchMaybeTimed(wire, src, tcp, sc, level)
+	if sc.journal == nil {
+		sc.journal = qod.NewJournal(0, 0)
+	}
+	sc.journal.Record(wire)
+	defer func() {
+		if r := recover(); r != nil {
+			s.containPanic(r, wire, sc.journal)
+			// The quarantine and journal have the packet; the recorder gets
+			// the verdict, beside whatever dispatch had stamped of the
+			// question before the panic.
+			sc.oc.verdict, sc.oc.rcode = flight.VerdictCrashed, 0
+			resp = s.settle(nil, src, tcp, sc)
+		}
+	}()
+	resp = s.dispatch(wire, src, tcp, sc, level)
 	if probation != nil {
 		s.qodGuard.Acquit(probation)
 	}
 	return resp
 }
 
-// dispatchMaybeTimed routes 1-in-N packets through the timed dispatch that
-// feeds the watchdog latency tripwire and the flight recorder's latency
-// fields; the rest never touch the clock.
-func (s *Server) dispatchMaybeTimed(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
-	if s.latEvery > 0 {
-		sc.tick++
-		if sc.tick >= s.latEvery {
-			sc.tick = 0
-			return s.dispatchTimed(wire, src, tcp, sc, level)
-		}
-	}
-	return s.dispatch(wire, src, tcp, sc, level)
-}
-
-// noteQuery stamps the flight note from a decoded message (slow path; Name
-// strings are interned, so this never allocates).
-func noteQuery(sc *scratch, q *dnswire.Message, verdict flight.Verdict, rcode uint8, zone string) {
-	sc.note.Verdict = verdict
-	sc.note.RCode = rcode
-	sc.note.Zone = zone
-	if len(q.Questions) == 1 {
-		sc.note.Qname = q.Questions[0].Name.String()
-		sc.note.QType = uint16(q.Questions[0].Type)
-	}
-}
-
-// zoneLabel renders a zone origin for the flight rollup ("" when none
-// matched; Name strings are interned, so this never allocates).
-func zoneLabel(n dnswire.Name) string {
-	if n.IsZero() {
-		return ""
-	}
-	return n.String()
-}
-
-// noteCrash stamps the flight note for a contained panic (the quarantine
-// and journal already have the packet; the recorder gets the verdict).
-func (s *Server) noteCrash(wire []byte, sc *scratch) {
-	if s.flight == nil {
-		return
-	}
-	sc.note.Verdict = flight.VerdictCrashed
-	sc.note.RCode = 0
-	if v, ok := dnswire.ParseQueryView(wire); ok {
-		sc.note.QnameWire = v.QnameWire(wire)
-		sc.note.QType = uint16(v.QType)
-	}
-}
-
-// dispatch is the unguarded serving pipeline, a ladder of progressively
-// more expensive tiers: the packed-response hot cache (exact repeats), the
-// compiled-view wire assembly (any canonical-shape query, including
-// cache-busting misses), then the full decode/answer/encode slow path —
-// shedding per the degradation level on the way. The canonical-shape parse
-// and the wire-tier eligibility test happen once and feed every tier; every
-// tier scores and sheds through the one admit gate.
+// dispatch is the read path between its one prologue and its one epilogue.
+// The prologue resets the worker's outcome, opens the query's single span
+// and parses the canonical shape once for every tier. The tiers are a
+// ladder of progressively more expensive ways to decide the answer: the
+// packed-response hot cache (exact repeats), the compiled-view wire
+// assembly (any canonical-shape query, including cache-busting misses),
+// then the full decode/answer/encode slow path — shedding per the
+// degradation level on the way. They only decide: each writes what it
+// concluded into the outcome and returns, and settle acts on it.
 func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
+	sc.oc = outcome{verdict: flight.VerdictNone, span: s.Tracer.Begin()}
+	oc := &sc.oc
 	var v dnswire.QueryView
 	canonical := false
 	if !tcp {
 		v, canonical = dnswire.ParseQueryView(wire)
 	}
-	if canonical && v.Response() {
-		return nil // QR-bit filtering: reflection junk is dropped silently
+	if canonical {
+		if v.Response() {
+			return nil // QR-bit filtering: reflection junk is dropped silently
+		}
+		oc.qnameWire, oc.qtype = v.QnameWire(wire), v.QType
 	}
 	// The wire tiers serve only answers that are the same for every client.
 	// Tailored answers, and the refuse-with-cookie every cookie-less UDP
 	// query must get under RequireCookies, are the slow path's business.
 	wireTiers := canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies
+	var resp []byte
+	done := false
 	if wireTiers && s.hot != nil {
-		if out, done := s.handleFast(wire, v, src, sc); done {
-			return out
-		}
+		resp, done = s.handleFast(wire, v, src, sc)
 	}
-	if level >= qod.LevelDegraded && s.Pipeline != nil &&
+	if !done && level >= qod.LevelDegraded && s.Pipeline != nil &&
 		!s.Pipeline.Allowlisted(s.resolverKey(src.Addr())) {
 		// Degraded: the expensive slow path is reserved for historically-
 		// known resolvers; everyone else gets hot-cache answers (above) or
 		// this cheap wire-level REFUSED.
 		s.shed[qod.LevelDegraded].Add(1)
-		sc.insert = cacheIntent{}
-		sc.note.Verdict = flight.VerdictShed
+		oc.verdict = flight.VerdictShed
 		if canonical {
-			sc.note.QnameWire = v.QnameWire(wire)
-			sc.note.QType = uint16(v.QType)
-			if out := refusedFor(wire, v.QnameLen+4, sc.out[:0]); out != nil {
-				sc.note.RCode = uint8(dnswire.RCodeRefused)
-				sc.out = out
-				return out
-			}
+			resp = s.refuse(wire, v.QnameLen+4, sc)
 		}
-		return nil
+		done = true
 	}
-	if wireTiers {
-		if out, done := s.handleView(wire, v, src, sc, level); done {
-			return out
-		}
+	if !done && wireTiers {
+		resp, done = s.handleView(wire, v, src, sc, level)
 	}
-	return s.handleSlow(wire, src, tcp, sc, level)
+	if !done {
+		resp = s.handleSlow(wire, src, tcp, sc, level)
+	}
+	return s.settle(resp, src, tcp, sc)
 }
 
 // clientAgnostic reports whether a canonical-shape query is one the wire
@@ -765,54 +676,125 @@ func clientAgnostic(v dnswire.QueryView) bool {
 	return !v.HasECS && !v.HasCookie
 }
 
-// admit is the one §4.3.3 gate every tier passes a scored query through:
-// the pipeline's penalty decides discard (S >= Smax), tail drop (that
-// penalty's queue is full) or — at LevelCleanOnly, ≥85% of the in-flight
-// ceiling, where only the lowest-penalty rung is worth the remaining
-// capacity — a wire-level REFUSED. Serving is synchronous, so an admitted
-// query passes straight through the ladder; the decisions, the counters and
-// the depth gauges are the production ones. It reports ok=false when the
-// query was shed, with the reply to send (nil: drop silently); counters,
-// tracer marks and the flight note are all stamped here. Callers check
-// s.admission != nil first, so an unscored server builds no filters.Query.
-func (s *Server) admit(wire []byte, fq *filters.Query, level int, span *obs.Span, sc *scratch) (reply []byte, ok bool) {
-	fq.IPTTL = 64 // kernel does not expose arriving TTL portably
-	fq.Now = s.now()
-	score, _ := s.Pipeline.Score(fq)
-	span.Mark(obs.StageScore)
-	rcode := uint8(0)
-	outcome := s.admission.Admit(score)
+// unscored reports whether the query in hand still owes the §4.3.3 gate its
+// one visit; a tier that sees true fills sc.oc.fq and calls admit. It is
+// false on a server that scores nothing, which therefore builds no
+// filters.Query, and false for a query an earlier tier admitted and then
+// could not answer, so no query is charged to its resolver twice.
+func (s *Server) unscored(sc *scratch) bool {
+	return s.admission != nil && !sc.oc.scored
+}
+
+// admit is the one §4.3.3 gate, passed once by a scored query whichever
+// tiers it crosses: the pipeline's penalty for sc.oc.fq decides discard
+// (S >= Smax), tail drop (that penalty's queue is full) or — at
+// LevelCleanOnly, ≥85% of the in-flight ceiling, where only the
+// lowest-penalty rung is worth the remaining capacity — a wire-level
+// REFUSED. Serving is synchronous, so an admitted query passes straight
+// through the ladder; the decisions, the counters and the depth gauges are
+// the production ones. It reports ok=false when the query was shed, with the
+// reply to send (nil: drop silently) and the shed verdict in the outcome.
+func (s *Server) admit(wire []byte, level int, sc *scratch) (reply []byte, ok bool) {
+	oc := &sc.oc
+	oc.scored = true
+	oc.fq.IPTTL = 64 // kernel does not expose arriving TTL portably
+	oc.fq.Now = s.now()
+	score, _ := s.Pipeline.Score(&oc.fq)
+	oc.span.Mark(obs.StageScore)
+	fate := s.admission.Admit(score)
 	switch {
-	case outcome == queue.Discarded:
+	case fate == queue.Discarded:
 		s.Metrics.Discarded.Add(1)
-	case outcome == queue.TailDropped:
+	case fate == queue.TailDropped:
 		s.Metrics.TailDropped.Add(1)
 	case level >= qod.LevelCleanOnly && s.admission.Rung(score) > 0:
 		s.shed[qod.LevelCleanOnly].Add(1)
-		if reply = refusedFor(wire, questionLen(wire), sc.out[:0]); reply != nil {
-			rcode = uint8(dnswire.RCodeRefused)
-			sc.out = reply
-		}
+		reply = s.refuse(wire, questionLen(wire), sc)
 	default:
-		span.Mark(obs.StageQueue)
+		oc.span.Mark(obs.StageQueue)
 		return nil, true
 	}
-	sc.insert = cacheIntent{}
-	sc.note.Verdict = flight.VerdictShed
-	sc.note.RCode = rcode
-	sc.note.Qname = fq.Name.String()
-	sc.note.QType = uint16(fq.Type)
+	oc.verdict = flight.VerdictShed
 	return reply, false
 }
 
-// observe is the one feedback seam after the tiers, as admit is the one gate
-// before them: every answer to a scored query goes back through the pipeline,
-// so filters that learn from answers (a zone's NXDOMAIN count) learn from the
-// ones this server sends. fq is nil for a query that was never scored.
-func (s *Server) observe(fq *filters.Query, rcode dnswire.RCode) {
-	if fq != nil {
-		s.Pipeline.ObserveAnswer(fq, rcode == dnswire.RCodeNXDomain)
+// refuse builds the wire-level REFUSED a shed or quarantined query gets
+// into the scratch's response buffer and stamps the rcode; a packet too
+// short to carry its question gets no reply.
+func (s *Server) refuse(wire []byte, qlen int, sc *scratch) []byte {
+	out := refusedFor(wire, qlen, sc.out[:0])
+	if out != nil {
+		sc.oc.rcode = dnswire.RCodeRefused
+		sc.out = out
 	}
+	return out
+}
+
+// watchdogLatencyEvery is the 1-in-N period at which an answer's measured
+// latency feeds the watchdog's tripwire (a mutex, kept off most packets).
+const watchdogLatencyEvery = 64
+
+// settle is the read path's one epilogue: everything that follows from how
+// a query was disposed of happens here, once, and nowhere else. In order:
+// the pipeline learns from the answer to a scored query (a zone's NXDOMAIN
+// count), the hot cache takes the reply a miss asked for, the span closes
+// (one end-to-end observation per answered query, none for a shed or
+// dropped one), the flight recorder is offered the sample, and every 64th
+// answer's latency feeds the watchdog. It returns resp.
+func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) []byte {
+	oc := &sc.oc
+	// Verdicts up to VerdictView mean a tier decided the answer (encoding it
+	// may still have failed); everything above is a disposal without one.
+	if oc.scored && oc.verdict <= flight.VerdictView {
+		s.Pipeline.ObserveAnswer(&oc.fq, oc.rcode == dnswire.RCodeNXDomain)
+	}
+	// Only an answering tier marks its reply replayable; it must also fit
+	// the smallest payload a member of the key's size class may advertise.
+	if oc.fill && oc.cacheable && resp != nil && len(resp) <= oc.floor {
+		s.hot.Insert(sc.key, &nameserver.HotEntry{
+			Wire:     append([]byte(nil), resp...),
+			QnameLen: len(oc.qnameWire),
+			Name:     oc.name,
+			Zone:     oc.zone,
+			RCode:    oc.rcode,
+		}, oc.gen)
+	}
+	answered := resp != nil && oc.verdict != flight.VerdictShed && oc.verdict != flight.VerdictQuarantined
+	latency := time.Duration(-1)
+	if answered {
+		latency = oc.span.End()
+	}
+	if s.flight != nil && oc.verdict != flight.VerdictNone {
+		// The scratch pool is process-global: a pooled scratch may carry a
+		// capture handle bound to another (test) server's recorder, so the
+		// lazy bind re-checks ownership, not just presence.
+		if sc.fw == nil || sc.fw.Recorder() != s.flight {
+			sc.fw = s.flight.Worker()
+		}
+		sample := flight.Sample{
+			QnameWire: oc.qnameWire,
+			Src:       src,
+			Latency:   latency,
+			QType:     uint16(oc.qtype),
+			RCode:     uint8(oc.rcode),
+			Verdict:   oc.verdict,
+			TCP:       tcp,
+		}
+		// Name strings are interned, so neither rendering allocates.
+		if sample.QnameWire == nil && !oc.name.IsZero() {
+			sample.Qname = oc.name.String()
+		}
+		if !oc.zone.IsZero() {
+			sample.Zone = oc.zone.String()
+		}
+		sc.fw.Observe(sample)
+	}
+	if answered {
+		if sc.answers++; sc.answers%watchdogLatencyEvery == 0 && s.watchdog != nil {
+			s.watchdog.RecordLatency(time.Now(), latency)
+		}
+	}
+	return resp
 }
 
 // sizeClassUDP buckets a query's advertised payload limit so one cached
@@ -839,40 +821,33 @@ func sizeClassUDP(v dnswire.QueryView) (class byte, floor int, ok bool) {
 
 // handleFast attempts the packed-response path. It reports done=false when
 // the query must go further down the tiers — an eccentric payload size or a
-// cache miss, in which case sc.insert tells the answering tier to populate
-// the cache. On a hit the cached wire is replayed with the ID, RD bit, and
+// cache miss, in which case the outcome asks the answering tier's reply to
+// be inserted. On a hit the cached wire is replayed with the ID, RD bit, and
 // qname casing patched, so 0x20 mixed-case encoding round-trips exactly.
 func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch) ([]byte, bool) {
 	class, floor, ok := sizeClassUDP(v)
 	if !ok {
 		return nil, false
 	}
-	span := s.Tracer.Begin()
-	span.Mark(obs.StageReceive)
-	span.Mark(obs.StageCookie)
+	oc := &sc.oc
 	gen := s.Engine.Store.Gen()
 	sc.key = v.AppendCacheKey(sc.key[:0], wire, class)
 	e, hit := s.hot.Lookup(sc.key, gen)
 	if !hit {
-		sc.insert = cacheIntent{active: true, gen: gen, floor: floor, qnameLen: v.QnameLen}
+		oc.fill, oc.gen, oc.floor = true, gen, floor
 		return nil, false
 	}
 	// Cached answers score and pass admission exactly like slow-path ones,
 	// using the entry's parsed name and zone — but at LevelFull: a hot
 	// answer costs less than refusing it, so it survives clean-only.
-	if s.admission != nil {
-		fq := filters.Query{Resolver: s.resolverKey(src.Addr()), Name: e.Name, Type: v.QType, Zone: e.Zone}
-		if reply, ok := s.admit(wire, &fq, qod.LevelFull, &span, sc); !ok {
+	if s.unscored(sc) {
+		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Name: e.Name, Type: v.QType, Zone: e.Zone}
+		if reply, ok := s.admit(wire, qod.LevelFull, sc); !ok {
 			return reply, true
 		}
-		s.observe(&fq, e.RCode)
 	}
-	span.Mark(obs.StageLookup)
-	sc.note.Verdict = flight.VerdictCached
-	sc.note.RCode = uint8(e.RCode)
-	sc.note.QnameWire = v.QnameWire(wire)
-	sc.note.QType = uint16(v.QType)
-	sc.note.Zone = zoneLabel(e.Zone)
+	oc.span.Mark(obs.StageLookup)
+	oc.verdict, oc.rcode, oc.name, oc.zone = flight.VerdictCached, e.RCode, e.Name, e.Zone
 	out := append(sc.out[:0], e.Wire...)
 	out[0], out[1] = byte(v.ID>>8), byte(v.ID)
 	if v.RecursionDesired() {
@@ -883,8 +858,7 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	// Restore the client's exact qname spelling (0x20 case randomization).
 	copy(out[12:12+v.QnameLen], wire[12:12+v.QnameLen])
 	sc.out = out
-	span.Mark(obs.StageWrite)
-	span.End()
+	oc.span.Mark(obs.StageWrite)
 	return out, true
 }
 
@@ -894,21 +868,19 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 // header). The tracer stamps each stage: receive (decode) → cookie →
 // score → queue → lookup → write (encode/truncate).
 func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
-	intent := sc.insert
-	sc.insert = cacheIntent{}
-	span := s.Tracer.Begin()
+	oc := &sc.oc
 	q := &sc.q
 	err := dnswire.UnpackInto(q, wire)
-	span.Mark(obs.StageReceive)
+	oc.span.Mark(obs.StageReceive)
 	if err != nil {
 		s.Metrics.DecodeErrors.Add(1)
 		if s.watchdog != nil {
 			s.watchdog.RecordMalformed(time.Now())
 		}
-		sc.note.Verdict = flight.VerdictError
+		oc.verdict = flight.VerdictError
 		out := formErrFor(wire, sc.out[:0])
 		if out != nil {
-			sc.note.RCode = uint8(dnswire.RCodeFormErr)
+			oc.rcode = dnswire.RCodeFormErr
 			sc.out = out
 		}
 		return out
@@ -916,11 +888,15 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 	if q.Response {
 		return nil // QR-bit filtering: reflection junk never reaches the engine
 	}
+	if len(q.Questions) == 1 {
+		oc.name, oc.qtype = q.Questions[0].Name, q.Questions[0].Type
+	}
 	if q.OpCode == dnswire.OpNotify {
 		// RFC 1996: acknowledge and hand off to the refresh machinery.
 		if s.OnNotify != nil && len(q.Questions) == 1 {
 			s.OnNotify(q.Questions[0].Name)
 		}
+		oc.verdict = flight.VerdictServed
 		r := dnswire.NewResponse(q)
 		r.Authoritative = true
 		out, err := r.AppendPack(sc.out[:0])
@@ -941,7 +917,7 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		if s.Cfg.RequireCookies && !tcp && !cookieValid {
 			// Refuse, attaching the correct cookie so a real (non-spoofed)
 			// client can immediately retry with it.
-			noteQuery(sc, q, flight.VerdictServed, uint8(dnswire.RCodeRefused), "")
+			oc.verdict, oc.rcode = flight.VerdictServed, dnswire.RCodeRefused
 			r := dnswire.NewResponse(q)
 			r.RCode = dnswire.RCodeRefused
 			opt := dnswire.NewOPT(1232)
@@ -960,21 +936,26 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 			return out
 		}
 	}
-	span.Mark(obs.StageCookie)
+	oc.span.Mark(obs.StageCookie)
 	srcKey := s.resolverKey(src.Addr())
-	var fq *filters.Query
-	if s.admission != nil && len(q.Questions) == 1 && !cookieValid {
-		fq = &filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
-		if z := s.Engine.Store.Find(fq.Name); z != nil {
-			fq.Zone = z.Origin()
+	if len(q.Questions) == 1 && !cookieValid && s.unscored(sc) {
+		oc.fq = filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
+		if z := s.Engine.Store.Find(oc.fq.Name); z != nil {
+			oc.fq.Zone = z.Origin()
 		}
-		if reply, ok := s.admit(wire, fq, level, &span, sc); !ok {
+		if reply, ok := s.admit(wire, level, sc); !ok {
 			return reply
 		}
 	}
 	resp, matched, crashed := s.Engine.Answer(q, nameserver.ResolverKey(srcKey))
-	span.Mark(obs.StageLookup)
-	if !crashed && s.Cfg.Cookies && clientCookie != nil {
+	oc.span.Mark(obs.StageLookup)
+	if crashed {
+		// Surface the crash as a real panic so the recover boundary
+		// journals, quarantines, and minimizes it — the path a genuine
+		// parsing bug would take.
+		panic(errQueryOfDeath)
+	}
+	if s.Cfg.Cookies && clientCookie != nil {
 		if ro := resp.OPT(); ro != nil {
 			ro.SetCookie(dnswire.Cookie{
 				Client: clientCookie.Client,
@@ -982,20 +963,7 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 			})
 		}
 	}
-	if crashed {
-		if s.qodGuard != nil {
-			// Containment is on: surface the crash as a real panic so the
-			// recover boundary journals, quarantines, and minimizes it —
-			// the path a genuine parsing bug would take.
-			panic(errQueryOfDeath)
-		}
-		// The real process would die; over sockets we emulate by not
-		// answering (the resolver times out), mirroring §4.2.4.
-		noteQuery(sc, q, flight.VerdictCrashed, 0, "")
-		return nil
-	}
-	noteQuery(sc, q, flight.VerdictServed, uint8(resp.RCode), zoneLabel(matched))
-	s.observe(fq, resp.RCode)
+	oc.verdict, oc.rcode, oc.zone = flight.VerdictServed, resp.RCode, matched
 	if resp.RCode == dnswire.RCodeFormErr {
 		s.Metrics.FormErr.Add(1)
 	}
@@ -1007,8 +975,7 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		limit = 65535
 	}
 	fitted, wireOut, err := resp.AppendTruncateTo(limit, sc.out[:0])
-	span.Mark(obs.StageWrite)
-	span.End()
+	oc.span.Mark(obs.StageWrite)
 	if err != nil {
 		s.Metrics.WriteErrors.Add(1)
 		return nil
@@ -1017,20 +984,10 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 	if fitted.Truncated {
 		s.Metrics.Truncated.Add(1)
 	}
-	// Populate the hot cache when the fast path asked for it and the
-	// response is replayable: untruncated, within the size class's floor,
-	// and not an error about the query's own form. Cookie echo cannot have
-	// happened here — cookie-bearing queries never set an intent.
-	if intent.active && !fitted.Truncated && len(wireOut) <= intent.floor &&
-		resp.RCode != dnswire.RCodeFormErr && len(q.Questions) == 1 {
-		s.hot.Insert(sc.key, &nameserver.HotEntry{
-			Wire:     append([]byte(nil), wireOut...),
-			QnameLen: intent.qnameLen,
-			Name:     q.Questions[0].Name,
-			Zone:     matched,
-			RCode:    resp.RCode,
-		}, intent.gen)
-	}
+	// Replayable from the hot cache: untruncated and not an error about the
+	// query's own form. Cookie echo cannot have happened here —
+	// cookie-bearing queries never ask for a fill.
+	oc.cacheable = !fitted.Truncated && resp.RCode != dnswire.RCodeFormErr && len(q.Questions) == 1
 	return wireOut
 }
 

@@ -1,0 +1,363 @@
+package netserve
+
+import (
+	"net/netip"
+	"strings"
+	"testing"
+
+	"akamaidns/internal/dnswire"
+	"akamaidns/internal/filters"
+	"akamaidns/internal/flight"
+	"akamaidns/internal/nameserver"
+	"akamaidns/internal/obs"
+	"akamaidns/internal/queue"
+	"akamaidns/internal/zone"
+)
+
+// rawZone's view cannot pre-pack (a TXT string over 255 octets, added below
+// the parser), so every query into it crosses hot miss → view → decode.
+const rawZone = `
+$ORIGIN raw.test.
+$TTL 300
+@    IN SOA ns1 host ( 3 3600 600 604800 30 )
+@    IN NS ns1
+ns1  IN A 198.51.100.2
+www  IN A 192.0.2.2
+`
+
+// probeFilter scores every query at penalty and counts what the pipeline is
+// told about answers.
+type probeFilter struct {
+	penalty float64
+	told    int
+	last    dnswire.Name
+}
+
+func (*probeFilter) Name() string                   { return "probe" }
+func (p *probeFilter) Score(*filters.Query) float64 { return p.penalty }
+func (p *probeFilter) ObserveAnswer(q *filters.Query, _ bool) {
+	p.told++
+	p.last = q.Name
+}
+
+// outcomeServer is a socketless server over ex.test and raw.test with every
+// query recorded (SampleEvery 1), an overload ladder to push, and whatever
+// filters the test scores with.
+func outcomeServer(t *testing.T, fs ...filters.Filter) *Server {
+	t.Helper()
+	store := zone.NewStore()
+	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
+	raw := zone.MustParseMaster(rawZone, dnswire.MustName("raw.test"))
+	if err := raw.Add(&dnswire.TXT{
+		RRHeader: dnswire.RRHeader{Name: dnswire.MustName("odd.raw.test"), Type: dnswire.TypeTXT, Class: dnswire.ClassINET, TTL: 300},
+		Texts:    []string{strings.Repeat("x", 300)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	store.Put(raw)
+	cfg := DefaultConfig()
+	cfg.Flight = &flight.Config{SampleEvery: 1}
+	cfg.MaxInflight = 100
+	return New(cfg, nameserver.NewEngine(store), filters.NewPipeline(fs...))
+}
+
+func packQuery(t *testing.T, name string, typ dnswire.Type, edit func(*dnswire.Message)) []byte {
+	t.Helper()
+	q := dnswire.NewQuery(0x1d1d, dnswire.MustName(name), typ)
+	if edit != nil {
+		edit(q)
+	}
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+func withECS(q *dnswire.Message) {
+	opt := dnswire.NewOPT(1232)
+	opt.SetClientSubnet(dnswire.ECS{Family: 1, SourcePrefix: 24, Addr: netip.MustParseAddr("203.0.113.0")})
+	q.Additional = append(q.Additional, opt)
+}
+
+func histCount(srv *Server, name string, labels ...string) uint64 {
+	want := ""
+	if len(labels) == 2 {
+		want = `{` + labels[0] + `="` + labels[1] + `"}`
+	}
+	for _, p := range srv.Reg.Snapshot() {
+		if p.Name == name && p.Labels == want {
+			return p.Count
+		}
+	}
+	return 0
+}
+
+func enqueued(srv *Server) float64 {
+	v, _ := srv.Reg.Snapshot().Value(obs.MetricQueueEnqueuedTotal)
+	return v
+}
+
+// TestAdmittedOnce: a query that the view tier admits and then cannot answer
+// — the reply would not fit, or the zone's view has no pre-packed wire — is
+// not admitted again by the decode path: one enqueue, one token from its
+// resolver's bucket.
+func TestAdmittedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		qnames    [3]string // distinct where an answer would graduate to the hot cache
+		qtype     dnswire.Type
+		truncated bool
+	}{
+		{"oversize TXT without EDNS", [3]string{"big.ex.test", "big.ex.test", "big.ex.test"}, dnswire.TypeTXT, true},
+		{"view without pre-packed wire", [3]string{"www.raw.test", "ns1.raw.test", "raw.test"}, dnswire.TypeA, false},
+	} {
+		rl := filters.NewRateLimit()
+		rl.DefaultQPS, rl.BurstSeconds = 0.001, 2500 // a bucket of 2.5 tokens that does not drain
+		srv := outcomeServer(t, rl)
+		sc := scratchPool.Get().(*scratch)
+		for i, qname := range tc.qnames {
+			m, err := dnswire.Unpack(srv.handlePacket(packQuery(t, qname, tc.qtype, nil), benchSrc, false, sc))
+			if err != nil || m.RCode != dnswire.RCodeNoError || m.Truncated != tc.truncated {
+				t.Fatalf("%s: reply %v %v", tc.name, m, err)
+			}
+			if got := enqueued(srv); got != float64(i+1) {
+				t.Errorf("%s: %v enqueues after %d queries", tc.name, got, i+1)
+			}
+			// The bucket overflows on the third token, not before.
+			if want := uint64(i / 2); rl.Over != want {
+				t.Errorf("%s: %d queries overflowed the 2.5-token bucket %d times, want %d", tc.name, i+1, rl.Over, want)
+			}
+		}
+		if srv.Metrics.ViewServed.Load() != 0 || histCount(srv, obs.MetricStageDuration, "stage", "receive") != 3 {
+			t.Errorf("%s: the queries did not fall through the view tier to the decode path", tc.name)
+		}
+		scratchPool.Put(sc)
+	}
+}
+
+// TestOneSpanPerQuery: a query opens one span whichever tiers it crosses, so
+// no stage is stamped more often than queries arrived, and the end-to-end
+// series counts exactly the answers sent.
+func TestOneSpanPerQuery(t *testing.T) {
+	srv := outcomeServer(t, filters.NewRateLimit())
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	stages := []string{"receive", "cookie", "score", "queue", "lookup", "write"}
+	sent, answers := uint64(0), uint64(0)
+	check := func(when string) {
+		t.Helper()
+		for _, st := range stages {
+			if got := histCount(srv, obs.MetricStageDuration, "stage", st); got > sent {
+				t.Errorf("%s: stage %s stamped %d times for %d queries", when, st, got, sent)
+			}
+		}
+		if got := histCount(srv, obs.MetricQueryDuration); got != answers {
+			t.Errorf("%s: %d end-to-end observations for %d answers", when, got, answers)
+		}
+	}
+	ask := func(wire []byte, tcp bool) {
+		sent++
+		if srv.handlePacket(wire, benchSrc, tcp, sc) != nil {
+			answers++
+		}
+	}
+	www := packQuery(t, "www.ex.test", dnswire.TypeA, nil)
+	ask(www, false) // cold: hot miss, view answer
+	check("one cold query")
+	if got := histCount(srv, obs.MetricStageDuration, "stage", "receive"); got != 0 {
+		t.Errorf("a wire tier stamped the decode stage %d times", got)
+	}
+	for _, tc := range []struct {
+		wire []byte
+		tcp  bool
+	}{
+		{www, false}, // warm: hot hit
+		{packQuery(t, "nope.ex.test", dnswire.TypeA, nil), false},    // view NXDOMAIN
+		{packQuery(t, "www.other.test", dnswire.TypeA, nil), false},  // view REFUSED
+		{packQuery(t, "big.ex.test", dnswire.TypeTXT, nil), false},   // view → decode, TC
+		{packQuery(t, "www.raw.test", dnswire.TypeA, nil), false},    // view → decode
+		{packQuery(t, "www.ex.test", dnswire.TypeA, withECS), false}, // decode
+		{packQuery(t, "www.ex.test", dnswire.TypeA, nil), true},      // decode over TCP
+		{append([]byte(nil), www[:len(www)-3]...), false},            // undecodable: FORMERR
+		{append([]byte{0, 1, 0x80}, www[3:]...), false},              // QR set: dropped
+	} {
+		for i := 0; i < 3; i++ { // cold, then whatever it graduated to
+			ask(tc.wire, tc.tcp)
+		}
+	}
+	check("every tier, cold then warm")
+	if sent-answers != 3 {
+		t.Errorf("%d of %d queries unanswered, want only the 3 with QR set", sent-answers, sent)
+	}
+}
+
+// TestOneOutcomePerQuery runs one query down every way out of the read path
+// and holds each to the same accounting: one flight sample carrying the
+// disposal, the pipeline told of the answer at most once and only if one
+// was decided, at most one hot-cache insert and only of this packet's own
+// reply, one end-to-end observation iff it was answered.
+func TestOneOutcomePerQuery(t *testing.T) {
+	const ceiling = 100 // outcomeServer's MaxInflight
+	refused, formErr, nx := dnswire.RCodeRefused, dnswire.RCodeFormErr, dnswire.RCodeNXDomain
+	www := func(t *testing.T) []byte { return packQuery(t, "www.ex.test", dnswire.TypeA, nil) }
+	poison := func(t *testing.T) []byte {
+		return packQuery(t, dnswire.QoDMarkerLabel+".ex.test", dnswire.TypeA, nil)
+	}
+	once := func(wire func(*testing.T) []byte) func(*testing.T, *Server, *scratch) {
+		return func(t *testing.T, srv *Server, sc *scratch) { srv.handlePacket(wire(t), benchSrc, false, sc) }
+	}
+	for _, tc := range []struct {
+		name      string
+		wire      func(t *testing.T) []byte
+		tcp       bool
+		prep      func(t *testing.T, srv *Server, sc *scratch) // state before the packet
+		penalty   float64                                      // what the pipeline scores it
+		known     bool                                         // the resolver is allowlisted
+		inflight  int                                          // ladder occupancy before the packet
+		fullQueue bool
+
+		verdict  flight.Verdict
+		rcode    dnswire.RCode
+		qname    string // "" when the packet gave none
+		reply    bool
+		observed bool // the pipeline is told of an answer
+		inserted bool // the reply enters the hot cache
+	}{
+		{name: "hot hit", wire: www, prep: once(www),
+			verdict: flight.VerdictCached, qname: "www.ex.test.", reply: true, observed: true},
+		{name: "view answer", wire: www,
+			verdict: flight.VerdictView, qname: "www.ex.test.", reply: true, observed: true, inserted: true},
+		{name: "view NXDOMAIN", wire: func(t *testing.T) []byte { return packQuery(t, "nope.ex.test", dnswire.TypeA, nil) },
+			verdict: flight.VerdictView, rcode: nx, qname: "nope.ex.test.", reply: true, observed: true},
+		{name: "view REFUSED", wire: func(t *testing.T) []byte { return packQuery(t, "www.other.test", dnswire.TypeA, nil) },
+			verdict: flight.VerdictView, rcode: refused, qname: "www.other.test.", reply: true, observed: true},
+		{name: "view to decode, oversize", wire: func(t *testing.T) []byte { return packQuery(t, "big.ex.test", dnswire.TypeTXT, nil) },
+			verdict: flight.VerdictServed, qname: "big.ex.test.", reply: true, observed: true},
+		{name: "view to decode, no pre-packed wire", wire: func(t *testing.T) []byte { return packQuery(t, "www.raw.test", dnswire.TypeA, nil) },
+			verdict: flight.VerdictServed, qname: "www.raw.test.", reply: true, observed: true, inserted: true},
+		{name: "decode, ECS", wire: func(t *testing.T) []byte { return packQuery(t, "www.ex.test", dnswire.TypeA, withECS) },
+			verdict: flight.VerdictServed, qname: "www.ex.test.", reply: true, observed: true},
+		{name: "decode, ANY", wire: func(t *testing.T) []byte { return packQuery(t, "www.ex.test", dnswire.TypeANY, nil) },
+			verdict: flight.VerdictServed, qname: "www.ex.test.", reply: true, observed: true},
+		{name: "decode, TCP", wire: www, tcp: true,
+			verdict: flight.VerdictServed, qname: "www.ex.test.", reply: true, observed: true},
+		{name: "decode, NOTIFY", wire: func(t *testing.T) []byte {
+			return packQuery(t, "ex.test", dnswire.TypeSOA, func(q *dnswire.Message) { q.OpCode = dnswire.OpNotify })
+		}, verdict: flight.VerdictServed, qname: "ex.test.", reply: true},
+		{name: "decode, FORMERR", wire: func(t *testing.T) []byte { w := www(t); return w[:len(w)-3] },
+			verdict: flight.VerdictError, rcode: formErr, reply: true},
+		{name: "discard", wire: www, penalty: queue.DefaultConfig().Smax,
+			verdict: flight.VerdictShed, qname: "www.ex.test."},
+		{name: "tail drop", wire: www, fullQueue: true,
+			verdict: flight.VerdictShed, qname: "www.ex.test."},
+		{name: "clean-only REFUSED", wire: www, penalty: queue.DefaultConfig().Smax / 2, known: true, inflight: ceiling * 85 / 100,
+			verdict: flight.VerdictShed, rcode: refused, qname: "www.ex.test.", reply: true},
+		{name: "degraded REFUSED", wire: www, inflight: ceiling / 2,
+			verdict: flight.VerdictShed, rcode: refused, qname: "www.ex.test.", reply: true},
+		{name: "saturated drop", wire: www, inflight: ceiling,
+			verdict: flight.VerdictShed},
+		{name: "quarantined", wire: poison, prep: once(poison),
+			verdict: flight.VerdictQuarantined, rcode: refused, qname: dnswire.QoDMarkerLabel + ".ex.test.", reply: true},
+		{name: "contained panic", wire: poison,
+			verdict: flight.VerdictCrashed, qname: dnswire.QoDMarkerLabel + ".ex.test."},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The allowlist penalizes nobody (it is not active); it is the
+			// degraded level's reserve of known resolvers.
+			reserve, probe := filters.NewAllowlist(), &probeFilter{}
+			if tc.known {
+				reserve.Add(benchSrc.Addr().String())
+			}
+			srv := outcomeServer(t, reserve, probe)
+			sc := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(sc)
+			if tc.prep != nil {
+				tc.prep(t, srv, sc)
+			}
+			probe.penalty = tc.penalty
+			if tc.fullQueue {
+				for i := 0; i < queue.DefaultConfig().Capacity; i++ {
+					srv.admission.Enqueue(0, nil)
+				}
+			}
+			for i := 0; i < tc.inflight; i++ {
+				srv.ladder.Enter()
+			}
+			wire := tc.wire(t)
+			recs0, told0, hot0 := srv.flight.Recorded(), probe.told, srv.hot.Len()
+			e2e0 := histCount(srv, obs.MetricQueryDuration)
+
+			reply := append([]byte(nil), srv.handlePacket(wire, benchSrc, tc.tcp, sc)...)
+
+			for i := 0; i < tc.inflight; i++ {
+				srv.ladder.Exit()
+			}
+			srv.admission.Drain()
+			probe.penalty = 0
+			if (len(reply) > 0) != tc.reply {
+				t.Fatalf("reply %x, want one: %v", reply, tc.reply)
+			}
+			if tc.reply {
+				// Every reply this table expects can be parsed down to its
+				// rcode, the 12-octet FORMERR included.
+				if got := dnswire.RCode(reply[3] & 0x0F); got != tc.rcode {
+					t.Errorf("reply rcode %v, want %v", got, tc.rcode)
+				}
+			}
+			if got := srv.flight.Recorded() - recs0; got != 1 {
+				t.Fatalf("%d flight samples, want 1", got)
+			}
+			rec := srv.flight.Snapshot(1)[0]
+			if rec.Verdict != tc.verdict || rec.RCode != uint8(tc.rcode) || rec.SuffixString() != tc.qname ||
+				(rec.Flags&flight.FlagTCP != 0) != tc.tcp {
+				t.Errorf("flight sample: verdict %s rcode %d qname %q flags %#x; want %s %d %q",
+					rec.Verdict, rec.RCode, rec.SuffixString(), rec.Flags, tc.verdict, uint8(tc.rcode), tc.qname)
+			}
+			answered := tc.reply && tc.verdict != flight.VerdictShed && tc.verdict != flight.VerdictQuarantined
+			if (rec.Latency != flight.LatencyUnknown) != answered {
+				t.Errorf("flight sample latency %d for answered = %v", rec.Latency, answered)
+			}
+			if got := histCount(srv, obs.MetricQueryDuration) - e2e0; (got == 1) != answered || got > 1 {
+				t.Errorf("%d end-to-end observations, answered = %v", got, answered)
+			}
+			if got := probe.told - told0; (got == 1) != tc.observed || got > 1 {
+				t.Errorf("pipeline told of %d answers, want told: %v", got, tc.observed)
+			} else if tc.observed && probe.last.String() != tc.qname {
+				t.Errorf("pipeline told of an answer for %s, want %s", probe.last, tc.qname)
+			}
+			if got := srv.hot.Len() - hot0; (got == 1) != tc.inserted || got > 1 {
+				t.Fatalf("%d hot-cache inserts, want one: %v", got, tc.inserted)
+			}
+
+			// A second name arrives by a route that never consults the hot
+			// cache (ECS goes straight to decode): whatever the first packet
+			// left pending must not put this reply under the first one's key.
+			other := packQuery(t, "ns1.ex.test", dnswire.TypeA, withECS)
+			if srv.handlePacket(other, benchSrc, false, sc) == nil {
+				t.Fatal("follow-up query went unanswered")
+			}
+			if got := srv.hot.Len() - hot0; (got == 1) != tc.inserted {
+				t.Errorf("follow-up query changed the hot cache by %d entries", got)
+			}
+			v, ok := dnswire.ParseQueryView(wire)
+			if !ok || tc.tcp {
+				return
+			}
+			class, _, _ := sizeClassUDP(v)
+			e, hit := srv.hot.Lookup(v.AppendCacheKey(nil, wire, class), srv.Engine.Store.Gen())
+			if hit != (tc.inserted || tc.verdict == flight.VerdictCached) {
+				t.Fatalf("hot entry under this packet's key: %v", hit)
+			}
+			if hit {
+				if e.Name.String() != tc.qname || e.RCode != tc.rcode {
+					t.Errorf("hot entry %s %v under the key of %s", e.Name, e.RCode, tc.qname)
+				}
+				cached, err := dnswire.Unpack(e.Wire)
+				if err != nil || len(cached.Questions) != 1 || cached.Questions[0].Name.String() != tc.qname {
+					t.Errorf("hot entry wire under the key of %s: %v %v", tc.qname, cached, err)
+				}
+			}
+		})
+	}
+}

@@ -10,7 +10,6 @@ package netserve
 import (
 	"errors"
 	"net"
-	"net/netip"
 	"strings"
 	"time"
 
@@ -29,22 +28,6 @@ var errQueryOfDeath = errors.New("netserve: query of death (engine crashed)")
 // sigFlagMask is the header-bit mask provisional signatures pin: opcode and
 // RD are the only request bits that steer query-processing code paths.
 const sigFlagMask = qod.FlagMaskOpcode | qod.FlagMaskRD
-
-// dispatchTimed is the 1-in-N sampled dispatch feeding the watchdog's
-// answer-latency tripwire and the flight recorder's latency fields; kept
-// out of line so the common path never touches the clock. The period is
-// Config.LatencySample (default DefaultLatencySample).
-func (s *Server) dispatchTimed(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
-	t0 := time.Now()
-	resp := s.dispatch(wire, src, tcp, sc, level)
-	now := time.Now()
-	d := now.Sub(t0)
-	if s.watchdog != nil {
-		s.watchdog.RecordLatency(now, d)
-	}
-	sc.note.Latency = d
-	return resp
-}
 
 // containPanic is the crash handler behind the recover boundary: it counts
 // the panic, feeds the watchdog, synchronously quarantines the provisional
@@ -259,8 +242,8 @@ func (s *Server) Healthy() bool {
 // Watchdog exposes the live watchdog (nil when suspension is disabled).
 func (s *Server) Watchdog() *qod.Watchdog { return s.watchdog }
 
-// Quarantine exposes the query-of-death quarantine (nil when containment is
-// disabled) for the snapshot endpoint and drills.
+// Quarantine exposes the query-of-death quarantine for the snapshot endpoint
+// and drills.
 func (s *Server) Quarantine() *qod.Quarantine { return s.qodGuard }
 
 // OverloadLevel reports the current degradation-ladder position.
@@ -343,14 +326,12 @@ func (s *Server) instrumentProtection(reg *obs.Registry) {
 	for _, lv := range []int{qod.LevelDegraded, qod.LevelCleanOnly, qod.LevelSaturated} {
 		s.shed[lv] = reg.Counter(obs.MetricShedTotal, helpShed, "level", qod.LevelName(lv))
 	}
-	if s.qodGuard != nil {
-		reg.GaugeFunc(obs.MetricQuarantineEntries,
-			"Signatures currently quarantined.",
-			func() float64 { return float64(s.qodGuard.Len()) })
-		reg.CounterFunc(obs.MetricQuarantinedTotal,
-			"Distinct query-of-death signatures ever quarantined.",
-			func() float64 { return float64(s.qodGuard.Admitted()) })
-	}
+	reg.GaugeFunc(obs.MetricQuarantineEntries,
+		"Signatures currently quarantined.",
+		func() float64 { return float64(s.qodGuard.Len()) })
+	reg.CounterFunc(obs.MetricQuarantinedTotal,
+		"Distinct query-of-death signatures ever quarantined.",
+		func() float64 { return float64(s.qodGuard.Admitted()) })
 	if s.watchdog != nil {
 		help := "Watchdog suspension trips, by tripwire."
 		for _, reason := range []string{qod.TripPanic, qod.TripMalformed, qod.TripLatency} {

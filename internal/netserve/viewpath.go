@@ -15,7 +15,6 @@ import (
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/filters"
 	"akamaidns/internal/flight"
-	"akamaidns/internal/nameserver"
 	"akamaidns/internal/obs"
 	"akamaidns/internal/zone"
 )
@@ -35,10 +34,9 @@ var optEcho = []byte{0, 0, 0x29, 0x04, 0xD0, 0, 0, 0, 0, 0, 0}
 // matched zone's compiled view. It reports done=false when the query needs
 // the decode path: a crash-trap name, a label byte the name parser would
 // reject, no compiled wire available, or a response too large for the
-// client's payload limit (the decode path owns truncation). The fast-path
-// cache intent in sc is consumed when a response is produced, so
-// bounded-name answers still populate the hot cache while random-subdomain
-// misses never do.
+// client's payload limit (the decode path owns truncation). A query this
+// tier admitted and then could not answer carries that in the outcome, so
+// the decode path does not admit it again.
 func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch, level int) ([]byte, bool) {
 	qfold, ok := v.AppendQnameFolded(sc.vq[:0], wire)
 	sc.vq = qfold[:0]
@@ -52,39 +50,30 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		// boundary so quarantine and journaling see them.
 		return nil, false
 	}
-	span := s.Tracer.Begin()
-	span.Mark(obs.StageReceive)
-	span.Mark(obs.StageCookie)
+	oc := &sc.oc
 	z, _, found := s.Engine.Store.FindWire(qfold)
 	// View-served queries score and pass admission exactly like decode-path
 	// ones. Building the filters.Query costs the one Name allocation;
 	// without a pipeline the path stays allocation-free.
-	var fq *filters.Query
-	if s.admission != nil {
+	if s.unscored(sc) {
 		name, okN := dnswire.NameFromFoldedWire(qfold)
 		if !okN {
 			return nil, false
 		}
-		fq = &filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
+		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
 		if found {
-			fq.Zone = z.Origin()
+			oc.fq.Zone = z.Origin()
 		}
-		if reply, ok := s.admit(wire, fq, level, &span, sc); !ok {
+		if reply, ok := s.admit(wire, level, sc); !ok {
 			return reply, true
 		}
 	}
 	if !found {
-		s.observe(fq, dnswire.RCodeRefused)
-		sc.insert = cacheIntent{}
-		sc.note.Verdict = flight.VerdictView
-		sc.note.RCode = uint8(dnswire.RCodeRefused)
-		sc.note.QnameWire = v.QnameWire(wire)
-		sc.note.QType = uint16(v.QType)
+		oc.verdict, oc.rcode = flight.VerdictView, dnswire.RCodeRefused
 		out := viewRefused(wire, v, sc.out[:0])
 		sc.out = out
-		span.Mark(obs.StageLookup)
-		span.Mark(obs.StageWrite)
-		span.End()
+		oc.span.Mark(obs.StageLookup)
+		oc.span.Mark(obs.StageWrite)
 		s.Metrics.ViewServed.Add(1)
 		return out, true
 	}
@@ -132,31 +121,14 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		return nil, false
 	}
 	sc.out = out
-	s.observe(fq, rcode)
-	intent := sc.insert
-	sc.insert = cacheIntent{}
-	// Populate the hot cache only for names that exist in the zone
-	// (wa.Cacheable): the key space is bounded by zone contents, so repeat
+	// Only names that exist in the zone are replayable (wa.Cacheable): the
+	// hot cache's key space stays bounded by zone contents, so repeat
 	// queries graduate to the packed-response tier while random-subdomain
 	// floods never insert (and never allocate).
-	if intent.active && wa.Cacheable && s.hot != nil && len(out) <= intent.floor {
-		s.hot.Insert(sc.key, &nameserver.HotEntry{
-			Wire:     append([]byte(nil), out...),
-			QnameLen: intent.qnameLen,
-			Name:     wa.Name,
-			Zone:     view.Origin(),
-			RCode:    rcode,
-		}, intent.gen)
-	}
-	span.Mark(obs.StageLookup)
-	span.Mark(obs.StageWrite)
-	span.End()
+	oc.verdict, oc.rcode, oc.name, oc.zone, oc.cacheable = flight.VerdictView, rcode, wa.Name, view.Origin(), wa.Cacheable
+	oc.span.Mark(obs.StageLookup)
+	oc.span.Mark(obs.StageWrite)
 	s.Metrics.ViewServed.Add(1)
-	sc.note.Verdict = flight.VerdictView
-	sc.note.RCode = uint8(rcode)
-	sc.note.QnameWire = v.QnameWire(wire)
-	sc.note.QType = uint16(v.QType)
-	sc.note.Zone = zoneLabel(view.Origin())
 	return out, true
 }
 

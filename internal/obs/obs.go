@@ -96,9 +96,8 @@ const (
 	MetricFlightSampleEvery  = "akamaidns_flight_sample_every"
 	MetricFlightZoneRcode    = "akamaidns_flight_zone_rcode_records_total" // labels: zone, rcode
 
-	// Serving-path instrumentation knobs and process identity.
-	MetricLatencySampleRate = "akamaidns_server_latency_sample_rate"
-	MetricBuildInfo         = "akamaidns_build_info" // labels: version, commit, go_version
+	// Process identity.
+	MetricBuildInfo = "akamaidns_build_info" // labels: version, commit, go_version
 )
 
 // Kind classifies a metric family.

@@ -90,10 +90,12 @@ func (s *Span) Mark(st Stage) {
 	s.last = now
 }
 
-// End records the end-to-end latency.
-func (s *Span) End() {
+// End records the end-to-end latency and returns it (0 from a no-op span).
+func (s *Span) End() time.Duration {
 	if s.t == nil {
-		return
+		return 0
 	}
-	s.t.e2e.ObserveDuration(s.t.now().Sub(s.start))
+	d := s.t.now().Sub(s.start)
+	s.t.e2e.ObserveDuration(d)
+	return d
 }
