@@ -18,6 +18,7 @@ test:
 race:
 	go test -race ./...
 	go test -race -run='TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache' -count=2 ./internal/netserve/
+	go test -race -run='TestHotCache|TestAnswerIntoMatchesAnswer' -count=2 ./internal/nameserver/
 	go test -race -run='TestViewServeWhileMutating' -count=2 ./internal/netserve/
 	go test -race -run='TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel' -count=2 ./internal/zone/
 	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
@@ -54,21 +55,22 @@ bench-smoke:
 # via a temp file: a direct redirect would truncate the old file before
 # benchjson reads its baseline block out of it. The -assert-zero-alloc
 # guard fails the run if any hot handle path (cached hit, scored hit, EDNS hit,
-# view-path NXDOMAIN miss, delegation miss, the cold 20 000-zone view
-# append) starts allocating. The BenchmarkView* rows are the cold-cache and
+# view-path NXDOMAIN miss, delegation miss, a view answer filled into a full
+# hot cache, the decode path's packer, the cold 20 000-zone view append)
+# starts allocating. The BenchmarkView* rows are the cold-cache and
 # footprint numbers: what a view costs to route to and answer from when it
 # is not in cache, to compile, and to hold (extra: B/zone, objects/zone);
 # BenchmarkZoneHeapPerZone is the same pair of numbers for a whole hosted
 # zone at rest, record slab and view together.
 bench-json:
-	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
+	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkAppendTruncateTo|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/dnswire/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^HandleUDPViewFill$$|^AppendTruncateTo$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
 	mv BENCH_netserve.json.tmp BENCH_netserve.json
 	@cat BENCH_netserve.json
 
 # CI-shaped allocation regression smoke: short benchtime, no file rewrite,
 # same zero-alloc guard as bench-json.
 bench-alloc-guard:
-	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
+	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkAppendTruncateTo|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/dnswire/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^HandleUDPViewFill$$|^AppendTruncateTo$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
 
 # Loopback saturation battery (dnsblast): ramp a fresh in-process server
 # to its saturation point, then offer it -overload-x times that rate cold;
@@ -89,6 +91,7 @@ fuzz:
 	go test -fuzz=FuzzUnpack\$$ -fuzztime=30s ./internal/dnswire/
 	go test -fuzz=FuzzUnpackInto -fuzztime=30s ./internal/dnswire/
 	go test -fuzz=FuzzAppendPack -fuzztime=30s ./internal/dnswire/
+	go test -fuzz=FuzzPackParity -fuzztime=30s ./internal/dnswire/
 	go test -fuzz=FuzzParseMaster -fuzztime=30s ./internal/zone/
 	go test -fuzz=FuzzViewLookupParity -fuzztime=30s ./internal/zone/
 	go test -fuzz=FuzzZoneModel -fuzztime=30s ./internal/zone/

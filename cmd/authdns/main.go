@@ -54,7 +54,6 @@ func main() {
 	cookies := flag.Bool("cookies", false, "enable DNS Cookies (RFC 7873)")
 	requireCookies := flag.Bool("require-cookies", false, "refuse UDP queries without a valid server cookie")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text /metrics and /healthz on this address ('' disables)")
-	qodQuarantine := flag.Int("qod-quarantine", 0, "query-of-death quarantine size (0 = default 128)")
 	maxInflight := flag.Int("max-inflight", 0, "overload ladder in-flight handler ceiling (0 disables shedding)")
 	watchdog := flag.Bool("watchdog", true, "self-suspend on panic/malformed/latency storms (flips /healthz to 503)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "grace period for in-flight queries on SIGTERM before sockets are force-closed")
@@ -118,7 +117,6 @@ func main() {
 	cfg.Cookies = *cookies || *requireCookies
 	cfg.RequireCookies = *requireCookies
 	cfg.CookieSecret = uint64(os.Getpid())*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
-	cfg.QoDQuarantine = *qodQuarantine
 	cfg.MaxInflight = *maxInflight
 	if !*watchdog {
 		cfg.Watchdog = nil

@@ -3,7 +3,6 @@ package dnswire
 import (
 	"cmp"
 	"errors"
-	"fmt"
 	"strings"
 )
 
@@ -49,37 +48,43 @@ func ParseName(s string) (Name, error) {
 	if !strings.HasSuffix(s, ".") {
 		s += "."
 	}
-	// Validate labels and wire length: each label costs len+1, plus the
-	// terminal zero octet.
+	if err := checkName(s); err != nil {
+		return Name{}, err
+	}
+	return Name{s: s}, nil
+}
+
+// checkName validates lower-case, dot-terminated text: its labels and its
+// wire length, where each label costs len+1, plus the terminal zero octet.
+func checkName[T string | []byte](s T) error {
 	wire := 1
-	rest := s
-	for rest != "" {
-		i := strings.IndexByte(rest, '.')
-		if i < 0 {
-			return Name{}, fmt.Errorf("dnswire: malformed name %q", s)
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] != '.' {
+			continue
 		}
-		label := rest[:i]
-		rest = rest[i+1:]
-		if label == "" {
-			return Name{}, errEmptyLabel
+		label := s[start:i]
+		start = i + 1
+		if len(label) == 0 {
+			return errEmptyLabel
 		}
 		if len(label) > maxLabelLen {
-			return Name{}, errLabelTooLong
+			return errLabelTooLong
 		}
 		for j := 0; j < len(label); j++ {
 			c := label[j]
 			ok := c == '-' || c == '_' || c == '*' ||
 				(c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
 			if !ok {
-				return Name{}, errBadLabelChar
+				return errBadLabelChar
 			}
 		}
 		wire += len(label) + 1
 	}
 	if wire > maxNameWire {
-		return Name{}, errNameTooLong
+		return errNameTooLong
 	}
-	return Name{s: s}, nil
+	return nil
 }
 
 // MustName is ParseName that panics on error; for literals in tests and

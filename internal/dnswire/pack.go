@@ -3,57 +3,158 @@ package dnswire
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // MaxUDPPayload is the classic 512-octet UDP message limit (RFC 1035 §4.2.1);
 // EDNS0 raises it per-message via the OPT record.
 const MaxUDPPayload = 512
 
-// compressionMap tracks name → offset for DNS name compression
-// (RFC 1035 §4.1.4). Only offsets representable in a 14-bit pointer are
-// recorded. Offsets are relative to base, the buffer index where the
-// message header starts (nonzero when packing into a shared buffer).
-type compressionMap struct {
-	offsets map[string]int
-	base    int
+// compressor does DNS name compression (RFC 1035 §4.1.4) without a map or
+// a string: it remembers the message offset of every name suffix written in
+// full and finds a repeat by comparing its text against the bytes already
+// in the output buffer. Only offsets a 14-bit pointer can carry are kept.
+// A suffix is recorded at most once (only after find missed it), so the
+// bytes match those of a suffix → offset map (pack_oracle_test.go holds the
+// packer to one).
+type compressor struct {
+	// base is the buffer index where the message header starts (nonzero
+	// when packing into a shared buffer); offsets are relative to it.
+	base int
+	n    int
+	offs [32]uint16
+	// spill indexes the offsets past len(offs) by a hash of the suffix each
+	// spells, so a lookup stays short however many names a large message
+	// (a zone transfer, an IXFR delta) holds. It is an open-addressed table
+	// of hash<<32 | offset+1 (0 = empty), its length a power of two at least
+	// twice spilled; only such messages allocate it.
+	spill   []uint64
+	spilled int
 }
 
-func newCompressionMap(base int) *compressionMap {
-	return &compressionMap{offsets: make(map[string]int), base: base}
+// add records that suffix is written in full at offset off.
+func (c *compressor) add(off int, suffix string) {
+	if c.n < len(c.offs) {
+		c.offs[c.n] = uint16(off)
+		c.n++
+		return
+	}
+	if 2*(c.spilled+1) > len(c.spill) {
+		old := c.spill
+		c.spill = make([]uint64, max(64, 2*len(old)))
+		for _, e := range old {
+			if e != 0 {
+				c.place(e)
+			}
+		}
+	}
+	c.place(uint64(suffixHash(suffix))<<32 | uint64(off+1))
+	c.spilled++
 }
 
-// appendName writes name to buf using compression pointers where a suffix
-// has been emitted before. A nil offsets map disables compression entirely
-// (names are written in full), which produces position-independent bytes
-// for pre-packed record blobs.
-func (cm *compressionMap) appendName(buf []byte, n Name) ([]byte, error) {
+func (c *compressor) place(e uint64) {
+	mask := len(c.spill) - 1
+	i := int(e>>32) & mask
+	for c.spill[i] != 0 {
+		i = (i + 1) & mask
+	}
+	c.spill[i] = e
+}
+
+// find returns the offset of a name already written that spells suffix, a
+// dot-terminated tail of some name's canonical text.
+func (c *compressor) find(buf []byte, suffix string) (int, bool) {
+	for _, off := range c.offs[:c.n] {
+		if c.spells(buf, int(off), suffix) {
+			return int(off), true
+		}
+	}
+	if c.spilled == 0 {
+		return 0, false
+	}
+	h := suffixHash(suffix)
+	mask := len(c.spill) - 1
+	for i := int(h) & mask; c.spill[i] != 0; i = (i + 1) & mask {
+		e := c.spill[i]
+		if off := int(uint16(e)) - 1; uint32(e>>32) == h && c.spells(buf, off, suffix) {
+			return off, true
+		}
+	}
+	return 0, false
+}
+
+// suffixHash is 32-bit FNV-1a over a suffix's text.
+func suffixHash(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+// spells reports whether the name written at message offset off — labels
+// ending in a root octet or a pointer to an earlier name — is text.
+func (c *compressor) spells(buf []byte, off int, text string) bool {
+	i := c.base + off
+	for {
+		l := int(buf[i])
+		switch {
+		case l&0xC0 == 0xC0:
+			i = c.base + ((l&0x3F)<<8 | int(buf[i+1]))
+			continue
+		case l == 0:
+			return text == ""
+		case len(text) <= l || text[l] != '.' || string(buf[i+1:i+1+l]) != text[:l]:
+			return false
+		}
+		text = text[l+1:]
+		i += 1 + l
+	}
+}
+
+// appendName writes name to buf, ending in a compression pointer at the
+// longest suffix written before. A nil compressor writes names in full,
+// which yields position-independent bytes for pre-packed record blobs.
+func (c *compressor) appendName(buf []byte, n Name) ([]byte, error) {
 	if n.IsZero() {
 		return nil, errors.New("dnswire: packing zero Name")
 	}
-	if cm.offsets == nil {
-		// Nothing to look up or record: render straight from the text,
-		// without the label split (view compiles pack every name this way).
+	if c == nil || n.IsRoot() {
 		return n.appendWire(buf)
 	}
-	labels := n.Labels()
-	for i := range labels {
-		suffix := joinFrom(labels, i)
-		if off, ok := cm.offsets[suffix]; ok {
-			// Emit pointer to the previously-written suffix.
+	for text := n.s; text != ""; {
+		if off, ok := c.find(buf, text); ok {
 			return append(buf, 0xC0|byte(off>>8), byte(off)), nil
 		}
-		if off := len(buf) - cm.base; off <= 0x3FFF {
-			cm.offsets[suffix] = off
+		if off := len(buf) - c.base; off <= 0x3FFF {
+			c.add(off, text)
 		}
-		buf = append(buf, byte(len(labels[i])))
-		buf = append(buf, labels[i]...)
+		l := strings.IndexByte(text, '.')
+		buf = append(buf, byte(l))
+		buf = append(buf, text[:l]...)
+		text = text[l+1:]
 	}
 	return append(buf, 0), nil
 }
 
-// noCompression packs names in full; pre-packed blobs must not contain
-// pointers because they are replayed at arbitrary message offsets.
-var noCompression = &compressionMap{}
+// appendRData packs RDATA with its names compressed where RFC 1035 allows.
+// The records that carry such names go through a type switch rather than
+// the RR interface, so c — stack memory of AppendPack — does not escape.
+func (c *compressor) appendRData(buf []byte, rr RR) ([]byte, error) {
+	switch r := rr.(type) {
+	case *NS:
+		return c.appendName(buf, r.Target)
+	case *CNAME:
+		return c.appendName(buf, r.Target)
+	case *PTR:
+		return c.appendName(buf, r.Target)
+	case *MX:
+		return c.appendName(appendUint16(buf, r.Preference), r.Exchange)
+	case *SOA:
+		return r.appendRData(buf, c)
+	}
+	return rr.packRData(buf)
+}
 
 // AppendRR appends one record in fully uncompressed wire form: owner name,
 // TYPE, CLASS, TTL, RDLENGTH, RDATA, with no compression pointers anywhere.
@@ -73,31 +174,7 @@ func AppendRR(buf []byte, rr RR) ([]byte, error) {
 // own owner encoding (a compression pointer into the question name, or a
 // literal name) when splicing the body into a response.
 func AppendRRBody(buf []byte, rr RR) ([]byte, error) {
-	h := rr.Header()
-	buf = appendUint16(buf, uint16(h.Type))
-	buf = appendUint16(buf, uint16(h.Class))
-	buf = appendUint32(buf, h.TTL)
-	lenAt := len(buf)
-	buf = append(buf, 0, 0)
-	buf, err := rr.packRData(buf, noCompression)
-	if err != nil {
-		return nil, err
-	}
-	rdlen := len(buf) - lenAt - 2
-	if rdlen > 0xFFFF {
-		return nil, fmt.Errorf("dnswire: RDATA length %d exceeds 65535", rdlen)
-	}
-	buf[lenAt] = byte(rdlen >> 8)
-	buf[lenAt+1] = byte(rdlen)
-	return buf, nil
-}
-
-func joinFrom(labels []string, i int) string {
-	s := ""
-	for j := i; j < len(labels); j++ {
-		s += labels[j] + "."
-	}
-	return s
+	return appendBody(buf, rr, nil)
 }
 
 // Pack serializes the message into wire format. Section counts are derived
@@ -110,7 +187,8 @@ func (m *Message) Pack() ([]byte, error) {
 // AppendPack serializes the message into wire format appended to buf,
 // which the caller owns (pass buf[:0] to reuse a pooled buffer on the hot
 // path). Compression offsets are relative to the message start, so several
-// messages may be packed back to back into one buffer.
+// messages may be packed back to back into one buffer. It allocates nothing
+// unless buf must grow or the message names more than 32 suffixes.
 func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	base := len(buf)
 	// Header.
@@ -148,18 +226,21 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	buf = appendUint16(buf, uint16(len(m.Authority)))
 	buf = appendUint16(buf, uint16(len(m.Additional)))
 
-	cm := newCompressionMap(base)
+	c := compressor{base: base}
 	var err error
 	for _, q := range m.Questions {
-		if buf, err = cm.appendName(buf, q.Name); err != nil {
+		if buf, err = c.appendName(buf, q.Name); err != nil {
 			return nil, err
 		}
 		buf = appendUint16(buf, uint16(q.Type))
 		buf = appendUint16(buf, uint16(q.Class))
 	}
-	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
+	for _, sec := range [...][]RR{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range sec {
-			if buf, err = packRR(buf, rr, cm); err != nil {
+			if buf, err = c.appendName(buf, rr.Header().Name); err != nil {
+				return nil, err
+			}
+			if buf, err = appendBody(buf, rr, &c); err != nil {
 				return nil, err
 			}
 		}
@@ -170,19 +251,22 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-func packRR(buf []byte, rr RR, cm *compressionMap) ([]byte, error) {
+// appendBody appends TYPE, CLASS, TTL, RDLENGTH and RDATA, compressing the
+// RDATA names RFC 1035 allows to be compressed when c is not nil.
+func appendBody(buf []byte, rr RR, c *compressor) ([]byte, error) {
 	h := rr.Header()
-	var err error
-	if buf, err = cm.appendName(buf, h.Name); err != nil {
-		return nil, err
-	}
 	buf = appendUint16(buf, uint16(h.Type))
 	buf = appendUint16(buf, uint16(h.Class))
 	buf = appendUint32(buf, h.TTL)
 	// Reserve RDLENGTH; fill after RDATA is known.
 	lenAt := len(buf)
 	buf = append(buf, 0, 0)
-	buf, err = rr.packRData(buf, cm)
+	var err error
+	if c != nil {
+		buf, err = c.appendRData(buf, rr)
+	} else {
+		buf, err = rr.packRData(buf)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -205,25 +289,33 @@ func (m *Message) TruncateTo(size int) (*Message, []byte, error) {
 
 // AppendTruncateTo is TruncateTo packing into a caller-owned buffer: the
 // fitted wire is appended to buf (pass buf[:0] to reuse a pooled buffer).
+// A message that fits is returned as it is, so the common case copies
+// nothing; only a truncation pass works on a copy, leaving m untouched.
 func (m *Message) AppendTruncateTo(size int, buf []byte) (*Message, []byte, error) {
 	base := len(buf)
+	wire, err := m.AppendPack(buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(wire)-base <= size {
+		return m, wire, nil
+	}
 	out := *m
 	out.Answers = append([]RR(nil), m.Answers...)
 	out.Authority = append([]RR(nil), m.Authority...)
 	out.Additional = append([]RR(nil), m.Additional...)
 	for {
-		wire, err := out.AppendPack(buf[:base])
-		if err != nil {
+		if !dropOne(&out) {
+			return nil, nil, fmt.Errorf("dnswire: cannot fit message into %d octets", size)
+		}
+		out.Truncated = true
+		// Keep any capacity grown by the oversized pass.
+		if wire, err = out.AppendPack(wire[:base]); err != nil {
 			return nil, nil, err
 		}
 		if len(wire)-base <= size {
 			return &out, wire, nil
 		}
-		if !dropOne(&out) {
-			return nil, nil, fmt.Errorf("dnswire: cannot fit message into %d octets", size)
-		}
-		out.Truncated = true
-		buf = wire // keep any capacity grown by the oversized pass
 	}
 }
 

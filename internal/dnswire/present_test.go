@@ -38,7 +38,7 @@ func TestRRPresentationFormats(t *testing.T) {
 	}
 	// Empty TXT still encodes one empty string.
 	empty := &TXT{h(TypeTXT), nil}
-	buf, err := empty.packRData(nil, newCompressionMap(0))
+	buf, err := empty.packRData(nil)
 	if err != nil || len(buf) != 1 || buf[0] != 0 {
 		t.Fatalf("empty TXT rdata = %x, %v", buf, err)
 	}

@@ -13,9 +13,10 @@ type RR interface {
 	Header() *RRHeader
 	// String renders the record in zone-file-like presentation format.
 	String() string
-	// packRData appends the RDATA encoding (names compressed via cm when
-	// the RFC permits it) and returns the extended buffer.
-	packRData(buf []byte, cm *compressionMap) ([]byte, error)
+	// packRData appends the RDATA encoding with every name written in full
+	// and returns the extended buffer (compressor.appendRData compresses the
+	// names the RFC allows to be compressed).
+	packRData(buf []byte) ([]byte, error)
 	// Copy returns a deep copy so cached/stored records cannot alias
 	// mutable state.
 	Copy() RR
@@ -43,7 +44,7 @@ type A struct {
 
 func (r *A) String() string { return r.headerString() + "\t" + r.Addr.String() }
 func (r *A) Copy() RR       { c := *r; return &c }
-func (r *A) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *A) packRData(buf []byte) ([]byte, error) {
 	if !r.Addr.Is4() {
 		return nil, fmt.Errorf("dnswire: A record %s has non-IPv4 address %s", r.Name, r.Addr)
 	}
@@ -59,7 +60,7 @@ type AAAA struct {
 
 func (r *AAAA) String() string { return r.headerString() + "\t" + r.Addr.String() }
 func (r *AAAA) Copy() RR       { c := *r; return &c }
-func (r *AAAA) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *AAAA) packRData(buf []byte) ([]byte, error) {
 	if !r.Addr.Is6() || r.Addr.Is4In6() {
 		return nil, fmt.Errorf("dnswire: AAAA record %s has non-IPv6 address %s", r.Name, r.Addr)
 	}
@@ -75,8 +76,8 @@ type NS struct {
 
 func (r *NS) String() string { return r.headerString() + "\t" + r.Target.String() }
 func (r *NS) Copy() RR       { c := *r; return &c }
-func (r *NS) packRData(buf []byte, cm *compressionMap) ([]byte, error) {
-	return cm.appendName(buf, r.Target)
+func (r *NS) packRData(buf []byte) ([]byte, error) {
+	return r.Target.appendWire(buf)
 }
 
 // CNAME is a canonical-name alias record.
@@ -87,8 +88,8 @@ type CNAME struct {
 
 func (r *CNAME) String() string { return r.headerString() + "\t" + r.Target.String() }
 func (r *CNAME) Copy() RR       { c := *r; return &c }
-func (r *CNAME) packRData(buf []byte, cm *compressionMap) ([]byte, error) {
-	return cm.appendName(buf, r.Target)
+func (r *CNAME) packRData(buf []byte) ([]byte, error) {
+	return r.Target.appendWire(buf)
 }
 
 // PTR is a pointer record.
@@ -99,8 +100,8 @@ type PTR struct {
 
 func (r *PTR) String() string { return r.headerString() + "\t" + r.Target.String() }
 func (r *PTR) Copy() RR       { c := *r; return &c }
-func (r *PTR) packRData(buf []byte, cm *compressionMap) ([]byte, error) {
-	return cm.appendName(buf, r.Target)
+func (r *PTR) packRData(buf []byte) ([]byte, error) {
+	return r.Target.appendWire(buf)
 }
 
 // SOA is a start-of-authority record.
@@ -120,12 +121,18 @@ func (r *SOA) String() string {
 		r.MName, r.RName, r.Serial, r.Refresh, r.Retry, r.Expire, r.Minimum)
 }
 func (r *SOA) Copy() RR { c := *r; return &c }
-func (r *SOA) packRData(buf []byte, cm *compressionMap) ([]byte, error) {
+func (r *SOA) packRData(buf []byte) ([]byte, error) {
+	return r.appendRData(buf, nil)
+}
+
+// appendRData packs the RDATA with its two names compressed through c (in
+// full when c is nil).
+func (r *SOA) appendRData(buf []byte, c *compressor) ([]byte, error) {
 	var err error
-	if buf, err = cm.appendName(buf, r.MName); err != nil {
+	if buf, err = c.appendName(buf, r.MName); err != nil {
 		return nil, err
 	}
-	if buf, err = cm.appendName(buf, r.RName); err != nil {
+	if buf, err = c.appendName(buf, r.RName); err != nil {
 		return nil, err
 	}
 	buf = appendUint32(buf, r.Serial)
@@ -147,9 +154,8 @@ func (r *MX) String() string {
 	return fmt.Sprintf("%s\t%d %s", r.headerString(), r.Preference, r.Exchange)
 }
 func (r *MX) Copy() RR { c := *r; return &c }
-func (r *MX) packRData(buf []byte, cm *compressionMap) ([]byte, error) {
-	buf = appendUint16(buf, r.Preference)
-	return cm.appendName(buf, r.Exchange)
+func (r *MX) packRData(buf []byte) ([]byte, error) {
+	return r.Exchange.appendWire(appendUint16(buf, r.Preference))
 }
 
 // TXT is a text record holding one or more character-strings.
@@ -170,7 +176,7 @@ func (r *TXT) Copy() RR {
 	c.Texts = append([]string(nil), r.Texts...)
 	return &c
 }
-func (r *TXT) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *TXT) packRData(buf []byte) ([]byte, error) {
 	if len(r.Texts) == 0 {
 		// A TXT record must carry at least one (possibly empty) string.
 		return append(buf, 0), nil
@@ -199,7 +205,7 @@ func (r *SRV) String() string {
 	return fmt.Sprintf("%s\t%d %d %d %s", r.headerString(), r.Priority, r.Weight, r.Port, r.Target)
 }
 func (r *SRV) Copy() RR { c := *r; return &c }
-func (r *SRV) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *SRV) packRData(buf []byte) ([]byte, error) {
 	buf = appendUint16(buf, r.Priority)
 	buf = appendUint16(buf, r.Weight)
 	buf = appendUint16(buf, r.Port)
@@ -218,7 +224,7 @@ func (r *CAA) String() string {
 	return fmt.Sprintf("%s\t%d %s %q", r.headerString(), r.Flags, r.Tag, r.Value)
 }
 func (r *CAA) Copy() RR { c := *r; return &c }
-func (r *CAA) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *CAA) packRData(buf []byte) ([]byte, error) {
 	if len(r.Tag) == 0 || len(r.Tag) > 255 {
 		return nil, fmt.Errorf("dnswire: CAA tag length %d invalid", len(r.Tag))
 	}
@@ -244,7 +250,7 @@ func (r *RawRecord) Copy() RR {
 	c.Data = append([]byte(nil), r.Data...)
 	return &c
 }
-func (r *RawRecord) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *RawRecord) packRData(buf []byte) ([]byte, error) {
 	return append(buf, r.Data...), nil
 }
 
@@ -273,6 +279,15 @@ type EDNSOption struct {
 type OPTRecord struct {
 	RRHeader // Name must be root; Type must be TypeOPT
 	Options  []EDNSOption
+	// ecs is the buffer SetClientSubnet writes the option's bytes into; the
+	// record owns it, and reset keeps it.
+	ecs []byte
+}
+
+// reset makes r a record with header h and no options, keeping the capacity
+// of its option slice and its subnet buffer for the message it is reused in.
+func (r *OPTRecord) reset(h RRHeader) {
+	*r = OPTRecord{RRHeader: h, Options: r.Options[:0], ecs: r.ecs}
 }
 
 // NewOPT builds an OPT record advertising the given UDP payload size.
@@ -306,12 +321,17 @@ func (r *OPTRecord) SetDo(on bool) {
 // Do reports the DNSSEC-OK flag.
 func (r *OPTRecord) Do() bool { return r.TTL&(1<<15) != 0 }
 
-// SetClientSubnet attaches an ECS option, replacing any existing one.
+// SetClientSubnet attaches an ECS option, replacing any existing one. The
+// option's bytes are written into a buffer the record keeps for them, so a
+// record reused from message to message (see ResetReply) sets a subnet
+// without allocating once it has set one; the bytes of a subnet it set
+// before are overwritten.
 func (r *OPTRecord) SetClientSubnet(e ECS) error {
-	data, err := packECS(e)
+	data, err := appendECS(r.ecs[:0], e)
 	if err != nil {
 		return err
 	}
+	r.ecs = data
 	out := r.Options[:0]
 	for _, o := range r.Options {
 		if o.Code != optCodeECS {
@@ -342,13 +362,14 @@ func (r *OPTRecord) String() string {
 }
 func (r *OPTRecord) Copy() RR {
 	c := *r
+	c.ecs = nil
 	c.Options = make([]EDNSOption, len(r.Options))
 	for i, o := range r.Options {
 		c.Options[i] = EDNSOption{Code: o.Code, Data: append([]byte(nil), o.Data...)}
 	}
 	return &c
 }
-func (r *OPTRecord) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
+func (r *OPTRecord) packRData(buf []byte) ([]byte, error) {
 	for _, o := range r.Options {
 		buf = appendUint16(buf, o.Code)
 		buf = appendUint16(buf, uint16(len(o.Data)))
@@ -357,7 +378,9 @@ func (r *OPTRecord) packRData(buf []byte, _ *compressionMap) ([]byte, error) {
 	return buf, nil
 }
 
-func packECS(e ECS) ([]byte, error) {
+// appendECS appends the ECS option data for e to buf, or reports why e
+// cannot be encoded (leaving buf untouched).
+func appendECS(buf []byte, e ECS) ([]byte, error) {
 	if e.Family != 1 && e.Family != 2 {
 		return nil, fmt.Errorf("dnswire: ECS family %d invalid", e.Family)
 	}
@@ -382,7 +405,6 @@ func packECS(e ECS) ([]byte, error) {
 		a := e.Addr.As16()
 		raw = a[:]
 	}
-	buf := make([]byte, 0, 4+addrLen)
 	buf = appendUint16(buf, e.Family)
 	buf = append(buf, e.SourcePrefix, e.ScopePrefix)
 	return append(buf, raw[:addrLen]...), nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"strings"
 )
 
 // Unpack errors.
@@ -18,6 +17,10 @@ var (
 type parser struct {
 	msg []byte
 	off int
+	// alias lets EDNS option data point into msg instead of being copied.
+	alias bool
+	// opt, when set, is the record the next OPT decodes into.
+	opt *OPTRecord
 }
 
 func (p *parser) uint8() (uint8, error) {
@@ -61,7 +64,8 @@ func (p *parser) bytes(n int) ([]byte, error) {
 // offset. Pointer chains are bounded: each pointer must point strictly
 // backwards, which both matches sane encoders and guarantees termination.
 func (p *parser) name() (Name, error) {
-	var sb strings.Builder
+	var text [maxNameWire]byte
+	n := 0
 	off := p.off
 	jumped := false
 	ptrBudget := 64 // generous; strictly-backwards rule already bounds chains
@@ -77,10 +81,10 @@ func (p *parser) name() (Name, error) {
 			if !jumped {
 				p.off = off
 			}
-			if sb.Len() == 0 {
+			if n == 0 {
 				return Root, nil
 			}
-			return ParseName(sb.String())
+			return nameFromText(text[:n])
 		case c&0xC0 == 0xC0:
 			if off+2 > len(p.msg) {
 				return Name{}, ErrTruncatedMessage
@@ -108,28 +112,65 @@ func (p *parser) name() (Name, error) {
 			if totalLen > maxNameWire {
 				return Name{}, errNameTooLong
 			}
-			sb.Write(p.msg[off+1 : off+1+l])
-			sb.WriteByte('.')
+			n += copy(text[n:], p.msg[off+1:off+1+l])
+			text[n] = '.'
+			n++
 			off += 1 + l
 		}
 	}
 }
 
+// nameFromText makes a Name of decoded label text, dot-terminated: ASCII
+// folded to lower case in place, as the wire tiers fold, then validated as
+// ParseName validates. The string is the one allocation.
+func nameFromText(b []byte) (Name, error) {
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	if err := checkName(b); err != nil {
+		return Name{}, err
+	}
+	return Name{s: string(b)}, nil
+}
+
 // Unpack parses a wire-format DNS message. It rejects trailing bytes, loops
-// in compression pointers, and out-of-bounds lengths.
+// in compression pointers, and out-of-bounds lengths. The message shares no
+// memory with wire.
 func Unpack(wire []byte) (*Message, error) {
 	m := &Message{}
-	if err := UnpackInto(m, wire); err != nil {
+	if err := unpack(m, &parser{msg: wire}); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
 // UnpackInto is Unpack decoding into a caller-owned Message, reusing its
-// section slices (hot paths keep a pooled Message per worker instead of
-// allocating one per packet). The message is fully reset first.
+// section slices and an OPT record an earlier decode left in them (hot paths
+// keep a Message per worker instead of allocating one per packet): in the
+// steady state a query costs one allocation, its name. The message is fully
+// reset first. EDNS option data aliases wire, so the message is valid while
+// wire is.
 func UnpackInto(m *Message, wire []byte) error {
-	p := &parser{msg: wire}
+	return unpack(m, &parser{msg: wire, alias: true, opt: spareOPT(m.Additional)})
+}
+
+// spareOPT finds an OPT record anywhere in the backing array of a message's
+// additional section — past its length too, where a previous message left
+// it — for the message's next occupant to reuse. It is how UnpackInto and
+// ResetReply reuse one; the record is the message's to overwrite.
+func spareOPT(additional []RR) *OPTRecord {
+	for _, rr := range additional[:cap(additional)] {
+		if o, ok := rr.(*OPTRecord); ok {
+			return o
+		}
+	}
+	return nil
+}
+
+func unpack(m *Message, p *parser) error {
+	wire := p.msg
 	m.Header = Header{}
 	m.Questions = m.Questions[:0]
 	m.Answers = m.Answers[:0]
@@ -345,7 +386,12 @@ func (p *parser) rdata(h RRHeader, end int) (RR, error) {
 		}
 		return &CAA{RRHeader: h, Flags: flags, Tag: string(tag), Value: string(val)}, nil
 	case TypeOPT:
-		opt := &OPTRecord{RRHeader: h}
+		opt := p.opt
+		p.opt = nil
+		if opt == nil {
+			opt = &OPTRecord{}
+		}
+		opt.reset(h)
 		for p.off < end {
 			code, err := p.uint16()
 			if err != nil {
@@ -362,7 +408,12 @@ func (p *parser) rdata(h RRHeader, end int) (RR, error) {
 			if err != nil {
 				return nil, err
 			}
-			opt.Options = append(opt.Options, EDNSOption{Code: code, Data: append([]byte(nil), data...)})
+			if p.alias {
+				data = data[:olen:olen]
+			} else {
+				data = append([]byte(nil), data...)
+			}
+			opt.Options = append(opt.Options, EDNSOption{Code: code, Data: data})
 		}
 		return opt, nil
 	default:
@@ -386,14 +437,39 @@ func NewQuery(id uint16, name Name, t Type) *Message {
 // NewResponse builds a response skeleton echoing the query's ID, question,
 // opcode, and RD bit.
 func NewResponse(q *Message) *Message {
-	r := &Message{
-		Header: Header{
-			ID:               q.ID,
-			Response:         true,
-			OpCode:           q.OpCode,
-			RecursionDesired: q.RecursionDesired,
-		},
-	}
-	r.Questions = append(r.Questions, q.Questions...)
+	r := &Message{}
+	r.reply(q)
 	return r
+}
+
+// ResetReply makes m, in place, the skeleton NewResponse builds for q: its
+// sections come back empty but keep their capacity. When q carries EDNS it
+// also returns an OPT record advertising udpSize for the reply to echo —
+// the one an earlier reply left in m, reset, when there is one — and nil
+// otherwise; the caller appends it where it belongs. A message kept per
+// worker thus replies without allocating. Records m held are m's to reuse.
+func (m *Message) ResetReply(q *Message, udpSize uint16) *OPTRecord {
+	opt := spareOPT(m.Additional)
+	m.reply(q)
+	if q.OPT() == nil {
+		return nil
+	}
+	h := RRHeader{Name: Root, Type: TypeOPT, Class: Class(udpSize)}
+	if opt == nil {
+		return &OPTRecord{RRHeader: h}
+	}
+	opt.reset(h)
+	return opt
+}
+
+// reply resets m to the response skeleton for q.
+func (m *Message) reply(q *Message) {
+	m.Header = Header{
+		ID:               q.ID,
+		Response:         true,
+		OpCode:           q.OpCode,
+		RecursionDesired: q.RecursionDesired,
+	}
+	m.Questions = append(m.Questions[:0], q.Questions...)
+	m.Answers, m.Authority, m.Additional = m.Answers[:0], m.Authority[:0], m.Additional[:0]
 }

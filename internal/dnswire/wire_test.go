@@ -178,17 +178,17 @@ func TestECSV6RoundTrip(t *testing.T) {
 		t.Fatalf("ECS v6 = %+v ok=%v", e, ok)
 	}
 	// Prefix truncation: a /56 should keep only 7 address bytes.
-	data, _ := packECS(want)
+	data, _ := appendECS(nil, want)
 	if len(data) != 4+7 {
 		t.Fatalf("ECS v6 /56 payload = %d bytes, want 11", len(data))
 	}
 }
 
 func TestECSInvalid(t *testing.T) {
-	if _, err := packECS(ECS{Family: 3}); err == nil {
+	if _, err := appendECS(nil, ECS{Family: 3}); err == nil {
 		t.Fatal("family 3 accepted")
 	}
-	if _, err := packECS(ECS{Family: 1, SourcePrefix: 33, Addr: netip.MustParseAddr("1.2.3.4")}); err == nil {
+	if _, err := appendECS(nil, ECS{Family: 1, SourcePrefix: 33, Addr: netip.MustParseAddr("1.2.3.4")}); err == nil {
 		t.Fatal("IPv4 /33 accepted")
 	}
 	if _, err := unpackECS([]byte{0, 1}); err == nil {
@@ -383,6 +383,84 @@ func TestMessageStringSmoke(t *testing.T) {
 	s := sampleMessage().String()
 	if !bytes.Contains([]byte(s), []byte("www.example.com.")) {
 		t.Fatalf("String output missing qname: %s", s)
+	}
+}
+
+// TestSetClientSubnetWritesOnlyItsOwnBytes decodes a query with a client
+// subnet and then one without into the same message, so the reused OPT
+// record's option slice still holds, past its length, an option aliasing
+// the first packet. Setting a subnet on it must leave that packet alone.
+func TestSetClientSubnetWritesOnlyItsOwnBytes(t *testing.T) {
+	ecsQuery := NewQuery(1, MustName("a.example.com"), TypeA)
+	opt := NewOPT(1232)
+	if err := opt.SetClientSubnet(ECS{Family: 1, SourcePrefix: 24, Addr: netip.MustParseAddr("198.51.100.0")}); err != nil {
+		t.Fatal(err)
+	}
+	ecsQuery.Additional = append(ecsQuery.Additional, opt)
+	first, err := ecsQuery.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := NewQuery(2, MustName("b.example.com"), TypeA)
+	plain.Additional = append(plain.Additional, NewOPT(1232))
+	second, err := plain.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	if err := UnpackInto(&m, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := UnpackInto(&m, second); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), first...)
+	if err := m.OPT().SetClientSubnet(ECS{Family: 1, SourcePrefix: 16, Addr: netip.MustParseAddr("203.0.0.0")}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, before) {
+		t.Fatalf("SetClientSubnet wrote into an earlier packet:\n%x\n%x", before, first)
+	}
+}
+
+// TestResetReplyReusesOPT replies through one message to EDNS queries with
+// and without a client subnet: each reply echoes exactly the query's EDNS,
+// and once the record and its subnet buffer exist a reply allocates nothing.
+func TestResetReplyReusesOPT(t *testing.T) {
+	subnet := ECS{Family: 1, SourcePrefix: 24, ScopePrefix: 24, Addr: netip.MustParseAddr("198.51.100.0")}
+	withECS := NewQuery(1, MustName("a.example.com"), TypeA)
+	qopt := NewOPT(4096)
+	if err := qopt.SetClientSubnet(subnet); err != nil {
+		t.Fatal(err)
+	}
+	withECS.Additional = append(withECS.Additional, qopt)
+	plain := NewQuery(2, MustName("b.example.com"), TypeA)
+	plain.Additional = append(plain.Additional, NewOPT(512))
+	var r Message
+	reply := func(q *Message) {
+		opt := r.ResetReply(q, 1232)
+		if ecs, ok := q.ClientSubnet(); ok {
+			if err := opt.SetClientSubnet(ecs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.Additional = append(r.Additional, opt)
+	}
+	for _, q := range []*Message{withECS, plain, withECS} {
+		reply(q)
+		if r.ID != q.ID || r.Questions[0] != q.Questions[0] || r.OPT().UDPSize() != 1232 {
+			t.Fatalf("reply to %d = %v", q.ID, &r)
+		}
+		got, ok := r.ClientSubnet()
+		if _, want := q.ClientSubnet(); ok != want || (ok && got != subnet) {
+			t.Fatalf("reply to %d echoes subnet %+v (%v)", q.ID, got, ok)
+		}
+	}
+	if opt := r.ResetReply(NewQuery(3, MustName("c.example.com"), TypeA), 1232); opt != nil {
+		t.Fatal("reply to a query without EDNS got an OPT record")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reply(withECS); reply(plain) }); allocs != 0 {
+		t.Fatalf("reused reply allocates %v times", allocs)
 	}
 }
 

@@ -2,6 +2,7 @@ package flight
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
@@ -372,5 +373,47 @@ func TestVerdictNames(t *testing.T) {
 		if want := v > VerdictView; v.Anomalous() != want {
 			t.Fatalf("verdict %s anomalous = %v", name, v.Anomalous())
 		}
+	}
+}
+
+// TestRollupCapped drives the rollup with twice its series cap of distinct
+// zones: the registered series stay bounded, every capture is still counted
+// (the overflow in zone="other"), and past the cap a new zone costs no
+// allocation.
+func TestRollupCapped(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := New(Config{}, reg)
+	zones := make([]string, 2*maxRollupSeries)
+	for i := range zones {
+		zones[i] = fmt.Sprintf("z%05d.test.", i)
+	}
+	const nx = 3 // NXDOMAIN
+	for _, z := range zones {
+		r.rollup(z, nx)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		r.rollup(zones[maxRollupSeries+i%maxRollupSeries], nx)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a capture past the cap allocates %.1f", allocs)
+	}
+	series, total, other := 0, 0.0, 0.0
+	for _, p := range reg.Snapshot() {
+		if p.Name != obs.MetricFlightZoneRcode {
+			continue
+		}
+		series++
+		total += p.Value
+		if strings.Contains(p.Labels, `zone="other"`) {
+			other = p.Value
+		}
+	}
+	if series != maxRollupSeries+1 {
+		t.Errorf("%d rollup series for %d zones, want the cap %d plus one other", series, len(zones), maxRollupSeries)
+	}
+	if want := float64(len(zones) + 101); total != want || other != want-maxRollupSeries {
+		t.Errorf("rollup counts %v (other %v), want %v (other %v)", total, other, want, want-maxRollupSeries)
 	}
 }

@@ -65,6 +65,13 @@ type rollKey struct {
 	rcode uint8
 }
 
+// maxRollupSeries caps the (zone, rcode) series the rollup registers, the
+// way the socket server's intern table and the rate limiter's buckets are
+// capped: a platform hosts far more zones than a scrape should carry. Past
+// the cap, a pair not yet registered counts into its rcode's zone="other"
+// series.
+const maxRollupSeries = 1 << 10
+
 // Recorder owns the rings, the sketches, and the rollup. All methods are
 // safe for concurrent use; the capture path allocates nothing in the
 // steady state.
@@ -85,6 +92,9 @@ type Recorder struct {
 
 	rollMu sync.RWMutex
 	roll   map[rollKey]*obs.Counter
+	// other holds, per rcode, the zone="other" series of pairs first seen
+	// past maxRollupSeries.
+	other [256]*obs.Counter
 }
 
 // New builds a recorder and registers its series on reg: the capture
@@ -278,30 +288,52 @@ func (w *Worker) foldQname(s *Sample) (text []byte, firstLen int) {
 }
 
 // rollup bumps the per-(zone, rcode) counter, registering the series on
-// first sight. The fast path is one RLock + map read + atomic add.
+// first sight while under the cap. The fast path — once every rcode in use
+// has its series — is one RLock + map read + atomic add, and allocates
+// nothing.
 func (r *Recorder) rollup(zone string, rcode uint8) {
 	key := rollKey{zone: zone, rcode: rcode}
 	r.rollMu.RLock()
 	c := r.roll[key]
+	if c == nil && len(r.roll) >= maxRollupSeries {
+		c = r.other[rcode]
+	}
 	r.rollMu.RUnlock()
 	if c == nil {
-		zl := zone
-		if zl == "" {
-			zl = "none"
-		}
-		c = r.reg.Counter(obs.MetricFlightZoneRcode,
-			"Flight-recorder captured records by matched zone and rcode "+
-				"(normal traffic head-sampled, anomalies complete).",
-			"zone", zl, "rcode", RCodeName(rcode))
-		r.rollMu.Lock()
-		if have := r.roll[key]; have != nil {
-			c = have
-		} else {
-			r.roll[key] = c
-		}
-		r.rollMu.Unlock()
+		c = r.register(key)
 	}
 	c.Add(1)
+}
+
+// register returns the series key counts into, registering it: its own
+// while the rollup is under the cap, its rcode's zone="other" one past it.
+func (r *Recorder) register(key rollKey) *obs.Counter {
+	r.rollMu.Lock()
+	defer r.rollMu.Unlock()
+	if c := r.roll[key]; c != nil {
+		return c
+	}
+	if len(r.roll) >= maxRollupSeries {
+		if r.other[key.rcode] == nil {
+			r.other[key.rcode] = r.rollupSeries("other", key.rcode)
+		}
+		return r.other[key.rcode]
+	}
+	zone := key.zone
+	if zone == "" {
+		zone = "none"
+	}
+	c := r.rollupSeries(zone, key.rcode)
+	r.roll[key] = c
+	return c
+}
+
+func (r *Recorder) rollupSeries(zone string, rcode uint8) *obs.Counter {
+	return r.reg.Counter(obs.MetricFlightZoneRcode,
+		"Flight-recorder captured records by matched zone and rcode "+
+			"(normal traffic head-sampled, anomalies complete; zones past the "+
+			"series cap as \"other\").",
+		"zone", zone, "rcode", RCodeName(rcode))
 }
 
 // Snapshot merges every ring and returns up to max records, newest first

@@ -68,67 +68,88 @@ type Engine struct {
 // NewEngine wraps a store.
 func NewEngine(store *zone.Store) *Engine { return &Engine{Store: store} }
 
+// ednsPayload is the UDP payload size the engine's OPT echo advertises.
+const ednsPayload = 1232
+
 // Answer produces the response for one query message. client identifies
 // the querying resolver (or its ECS subnet when present) for answer
 // tailoring. The crashed return simulates the process dying mid-query
 // (§4.2.4): the caller must treat the response as never sent.
 func (e *Engine) Answer(q *dnswire.Message, client ClientKey) (resp *dnswire.Message, matchedZone dnswire.Name, crashed bool) {
-	resp = dnswire.NewResponse(q)
+	resp = &dnswire.Message{}
+	if matchedZone, crashed = e.AnswerInto(resp, q, client); crashed {
+		return nil, dnswire.Name{}, true
+	}
+	return resp, matchedZone, false
+}
+
+// AnswerInto is Answer writing into a caller-owned response, which it resets
+// first (dnswire.Message.ResetReply). The sections are copied into resp's
+// own slices, and the OPT record and ECS bytes of an earlier answer are
+// reused, so a response kept per worker answers without allocating once its
+// slices have grown. Records in resp are shared with the zone and must not
+// be modified.
+func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (matchedZone dnswire.Name, crashed bool) {
+	// The EDNS echo; it is appended after any glue below.
+	opt := resp.ResetReply(q, ednsPayload)
 	if len(q.Questions) != 1 || q.OpCode != dnswire.OpQuery {
 		resp.RCode = dnswire.RCodeFormErr
-		return resp, dnswire.Name{}, false
+		return dnswire.Name{}, false
 	}
 	question := q.Questions[0]
 	if question.Class != dnswire.ClassINET && question.Class != dnswire.ClassANY {
 		resp.RCode = dnswire.RCodeRefused
-		return resp, dnswire.Name{}, false
+		return dnswire.Name{}, false
 	}
-	// Echo EDNS.
-	if opt := q.OPT(); opt != nil {
-		resp.Additional = append(resp.Additional, dnswire.NewOPT(1232))
-		if ecs, ok := opt.ClientSubnet(); ok {
+	if opt != nil {
+		if ecs, ok := q.ClientSubnet(); ok {
 			// Prefer the ECS prefix as the tailoring key (end-user mapping).
 			client = ECSClientKey(ecs)
-			ro := resp.OPT()
 			ecs.ScopePrefix = ecs.SourcePrefix
-			_ = ro.SetClientSubnet(ecs)
+			_ = opt.SetClientSubnet(ecs)
 		}
 	}
 	// The crash trap: a corner-case in complex query-processing code paths
 	// (§4.2.4). Fault-injection tests and attack generators set this label.
 	if strings.Contains(question.Name.String(), dnswire.QoDMarkerLabel) {
-		return nil, dnswire.Name{}, true
+		return dnswire.Name{}, true
 	}
-	z := e.Store.Find(question.Name)
-	if z == nil {
+	if z := e.Store.Find(question.Name); z != nil {
+		matchedZone = z.Origin()
+		e.lookup(resp, z, question, client)
+	} else {
 		resp.RCode = dnswire.RCodeRefused
-		return resp, dnswire.Name{}, false
 	}
-	matchedZone = z.Origin()
+	if opt != nil {
+		resp.Additional = append(resp.Additional, opt)
+	}
+	return matchedZone, false
+}
+
+// lookup fills resp's sections from z's compiled view: the lookup algorithm
+// (FuzzViewLookupParity holds it to the reference oracle) with no lock
+// acquisition and no per-record copies on the serve path.
+func (e *Engine) lookup(resp *dnswire.Message, z *zone.Zone, question dnswire.Question, client ClientKey) {
 	resp.Authoritative = true
-	// Serve from the compiled view: the lookup algorithm (FuzzViewLookupParity
-	// holds it to the reference oracle) with no lock acquisition and no
-	// per-record copies on the serve path.
 	ans := z.View().Lookup(question.Name, question.Type)
 	switch ans.Result {
 	case zone.Success:
-		resp.Answers = ans.Answer
+		resp.Answers = append(resp.Answers, ans.Answer...)
 		e.applyTailoring(resp, question, client)
 	case zone.Delegation:
 		resp.Authoritative = false
-		resp.Authority = ans.NS
-		resp.Additional = append(ans.Glue, resp.Additional...)
+		resp.Authority = append(resp.Authority, ans.NS...)
+		resp.Additional = append(resp.Additional, ans.Glue...)
 	case zone.NXDomain:
 		resp.RCode = dnswire.RCodeNXDomain
 		if ans.SOA != nil {
-			resp.Authority = []dnswire.RR{ans.SOA}
+			resp.Authority = append(resp.Authority, ans.SOA)
 		}
 	case zone.NoData:
 		if ans.SOA != nil {
-			resp.Authority = []dnswire.RR{ans.SOA}
+			resp.Authority = append(resp.Authority, ans.SOA)
 		}
 	}
-	return resp, matchedZone, false
 }
 
 // applyTailoring replaces terminal A answers via the Tailorer when it has an

@@ -1,6 +1,8 @@
 package nameserver
 
 import (
+	"bytes"
+	"math/rand"
 	"net/netip"
 	"strings"
 	"testing"
@@ -246,5 +248,67 @@ func TestQoDSignature(t *testing.T) {
 	plain := qodSignature(n("www.ex.com"))
 	if plain != "www.ex.com." {
 		t.Fatalf("plain sig = %q", plain)
+	}
+}
+
+// subnetTailor rewrites www.edge.ex.com for ECS clients only, so an answer
+// that reached into the zone's records would show in the next non-ECS one.
+type subnetTailor struct{}
+
+func (subnetTailor) TailorA(qname dnswire.Name, client ClientKey) ([]netip.Addr, uint32, bool) {
+	if qname != n("www.edge.ex.com") || !client.ECS {
+		return nil, 0, false
+	}
+	return []netip.Addr{netip.MustParseAddr("198.18.0.1")}, 20, true
+}
+
+// TestAnswerIntoMatchesAnswer runs a random query sequence through one
+// reused response and holds every answer to the fresh-message Answer of an
+// engine over a fresh copy of the zone: reuse leaks nothing from one
+// answer into the next (no stale EDNS option, section or flag), and writing
+// into the reused response — tailoring included — never writes into the
+// zone's shared record slices.
+func TestAnswerIntoMatchesAnswer(t *testing.T) {
+	got := &Engine{Store: testStore(t), Tailor: subnetTailor{}}
+	names := []string{"www.ex.com", "cdn.ex.com", "www.edge.ex.com", "host.sub.ex.com", "junk.ex.com", "ex.com", "www.other.net"}
+	types := []dnswire.Type{dnswire.TypeA, dnswire.TypeANY, dnswire.TypeTXT, dnswire.TypeNS}
+	edns := []func(*dnswire.Message){
+		nil,
+		func(q *dnswire.Message) { q.Additional = append(q.Additional, dnswire.NewOPT(4096)) },
+		func(q *dnswire.Message) {
+			opt := dnswire.NewOPT(1232)
+			opt.SetClientSubnet(dnswire.ECS{Family: 1, SourcePrefix: 24, Addr: netip.MustParseAddr("203.0.113.0")})
+			q.Additional = append(q.Additional, opt)
+		},
+		func(q *dnswire.Message) {
+			opt := dnswire.NewOPT(1232)
+			opt.SetClientSubnet(dnswire.ECS{Family: 2, SourcePrefix: 56, Addr: netip.MustParseAddr("2001:db8:aa00::")})
+			opt.SetCookie(dnswire.Cookie{Client: [8]byte{1, 2, 3, 4, 5, 6, 7, 8}})
+			q.Additional = append(q.Additional, opt)
+		},
+		func(q *dnswire.Message) { q.Questions = nil },
+	}
+	rng := rand.New(rand.NewSource(5))
+	var resp dnswire.Message
+	for i := 0; i < 2000; i++ {
+		q := dnswire.NewQuery(uint16(i), n(names[rng.Intn(len(names))]), types[rng.Intn(len(types))])
+		q.RecursionDesired = rng.Intn(2) == 0
+		if edit := edns[rng.Intn(len(edns))]; edit != nil {
+			edit(q)
+		}
+		ref := &Engine{Store: testStore(t), Tailor: subnetTailor{}}
+		want, wantZone, _ := ref.Answer(q, ResolverKey("r1"))
+		zone, _ := got.AnswerInto(&resp, q, ResolverKey("r1"))
+		ww, err := want.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw, err := resp.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ww, gw) || zone != wantZone {
+			t.Fatalf("query %d (%v): reused response differs\n got  %v\n want %v", i, q.Questions, &resp, want)
+		}
 	}
 }

@@ -1,39 +1,61 @@
 package nameserver
 
 import (
-	"sync"
+	"bytes"
+	"hash/maphash"
+	"math/rand/v2"
 	"sync/atomic"
 
 	"akamaidns/internal/dnswire"
-	"akamaidns/internal/obs"
 )
 
 // HotCache is the packed-response cache behind the UDP fast path: for
 // queries whose answers are identical for every client (no tailoring, no
 // ECS, no cookies), the fitted wire bytes of a previous response are kept
 // keyed on (case-folded qname, qtype, qclass, payload size class) and
-// replayed with only the ID, RD bit, and qname casing patched. Entries are
-// immutable after insert, so a Lookup may hand out a *HotEntry without
-// holding any lock while the caller copies from it.
+// replayed with only the ID, RD bit, and qname casing patched.
+//
+// A cache has one owner — a UDP read loop — and no lock: only the owner
+// calls Lookup and Insert. Entries live in a slab of slots whose key and
+// wire buffers grow on demand and are rewritten in place when the slot is
+// recycled, so once the cache is full (or has been full before a flush) an
+// insert allocates nothing. The index is an open-addressed table of slot
+// numbers keyed by a hash of the key bytes, with backward-shift deletion:
+// a Go map under the same steady delete/insert churn keeps allocating, as
+// it reclaims deleted slots only by growing. The counters are atomics the
+// owner writes and anyone may read (scrapes sum them across workers).
 //
 // Consistency is generation-based rather than per-entry: the zone store
 // advances a generation counter on every visible data change (zone
 // install/remove, record add/remove, serial bump), and the cache remembers
 // the generation its contents were computed at. Callers snapshot the store
 // generation BEFORE computing an answer and present it at Insert and
-// Lookup; any mismatch flushes the cache wholesale. A flush is cheap (drop
-// one map) and zone changes are rare relative to queries, so this trades a
-// tiny recompute burst after each change for zero per-entry bookkeeping on
-// hits.
+// Lookup; any mismatch flushes the cache wholesale. A flush is cheap (the
+// slab is truncated, the index cleared) and zone changes are rare relative
+// to queries, so this trades a tiny recompute burst after each change for
+// zero per-entry bookkeeping on hits.
 type HotCache struct {
-	mu      sync.RWMutex
-	entries map[string]*HotEntry
-	gen     uint64 // store generation the entries were computed at
-	max     int
+	max   int
+	gen   uint64 // store generation the entries were computed at
+	seed  maphash.Seed
+	slots []hotSlot
+	// index holds slot number + 1 per position (0 = empty), linear probing
+	// from the key hash; its length is a power of two at least twice the
+	// live slot count.
+	index []int32
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
+	entries   atomic.Int64
+}
+
+// hotSlot is one entry of the slab: the entry, its key and the key's hash.
+// Recycling a slot keeps the capacity of its Wire and key buffers.
+type hotSlot struct {
+	HotEntry
+	key  []byte
+	hash uint64
 }
 
 // HotEntry is one cached packed response plus the metadata the fast path
@@ -42,7 +64,7 @@ type HotEntry struct {
 	// Wire is the full packed response, already fitted to the size class's
 	// payload floor. Bytes 0-1 (ID), the RD bit in byte 2, and the qname
 	// region are patched per-hit into the caller's send buffer; the entry
-	// itself is never written after insert.
+	// itself is never written by a hit.
 	Wire []byte
 	// QnameLen is the question name's wire length (terminal zero included),
 	// so hits can restore the client's 0x20 mixed-case spelling.
@@ -58,98 +80,148 @@ type HotEntry struct {
 const DefaultHotCacheSize = 4096
 
 // NewHotCache builds a cache holding at most max packed responses
-// (DefaultHotCacheSize when max <= 0).
+// (DefaultHotCacheSize when max <= 0). Nothing is allocated up front.
 func NewHotCache(max int) *HotCache {
 	if max <= 0 {
 		max = DefaultHotCacheSize
 	}
-	return &HotCache{entries: make(map[string]*HotEntry), max: max}
+	return &HotCache{max: max, seed: maphash.MakeSeed()}
 }
 
 // Lookup returns the entry for key computed at the current store generation
-// gen. A generation mismatch flushes the cache and reports a miss. The key
-// is accepted as []byte so the compiler's map[string] lookup optimization
-// keeps the call allocation-free.
+// gen. A generation mismatch flushes the cache and reports a miss. The entry
+// stays valid until the owner's next Insert or flush.
 func (c *HotCache) Lookup(key []byte, gen uint64) (*HotEntry, bool) {
-	c.mu.RLock()
-	if c.gen == gen {
-		e, ok := c.entries[string(key)]
-		c.mu.RUnlock()
-		if ok {
-			c.hits.Add(1)
-			return e, true
+	if c.gen != gen {
+		if c.gen < gen && len(c.slots) > 0 {
+			c.flush(gen)
 		}
 		c.misses.Add(1)
 		return nil, false
 	}
-	stale := c.gen < gen && len(c.entries) > 0
-	c.mu.RUnlock()
-	if stale {
-		c.mu.Lock()
-		if c.gen < gen {
-			c.evictions.Add(uint64(len(c.entries)))
-			c.entries = make(map[string]*HotEntry)
-			c.gen = gen
-		}
-		c.mu.Unlock()
+	if _, slot := c.find(maphash.Bytes(c.seed, key), key); slot >= 0 {
+		c.hits.Add(1)
+		return &c.slots[slot].HotEntry, true
 	}
 	c.misses.Add(1)
 	return nil, false
 }
 
-// Insert stores an entry computed while the store was at generation gen.
+// Insert stores a copy of e computed while the store was at generation gen.
 // Entries computed against an older generation than the cache has already
 // seen are dropped (the data may describe deleted records); a newer
-// generation flushes the stale contents first. The key bytes are copied.
+// generation flushes the stale contents first. A full cache recycles a
+// slot picked at random.
 func (c *HotCache) Insert(key []byte, e *HotEntry, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if gen < c.gen {
 		return
 	}
 	if gen > c.gen {
-		c.evictions.Add(uint64(len(c.entries)))
-		c.entries = make(map[string]*HotEntry)
-		c.gen = gen
+		c.flush(gen)
 	}
-	if _, exists := c.entries[string(key)]; !exists && len(c.entries) >= c.max {
-		// Random replacement: Go map iteration order serves as the
-		// pseudo-random victim pick, which is plenty for a hot cache whose
-		// working set is far below max in steady state.
-		for k := range c.entries {
-			delete(c.entries, k)
-			c.evictions.Add(1)
-			break
+	h := maphash.Bytes(c.seed, key)
+	_, slot := c.find(h, key)
+	switch {
+	case slot >= 0:
+		// Same key: overwrite in place.
+	case len(c.slots) < c.max:
+		slot = len(c.slots)
+		if slot < cap(c.slots) {
+			c.slots = c.slots[:slot+1] // a slot a flush left behind
+		} else {
+			c.slots = append(c.slots, hotSlot{})
+		}
+		if 2*len(c.slots) > len(c.index) {
+			c.grow()
+		}
+		c.place(h, slot)
+	default:
+		// Random replacement, as a hot cache whose working set is far below
+		// max in steady state needs nothing smarter.
+		slot = rand.IntN(len(c.slots))
+		pos, _ := c.find(c.slots[slot].hash, c.slots[slot].key)
+		c.unplace(pos)
+		c.place(h, slot)
+		c.evictions.Add(1)
+	}
+	s := &c.slots[slot]
+	s.key = append(s.key[:0], key...)
+	s.hash = h
+	s.HotEntry = HotEntry{
+		Wire:     append(s.Wire[:0], e.Wire...),
+		QnameLen: e.QnameLen,
+		Name:     e.Name,
+		Zone:     e.Zone,
+		RCode:    e.RCode,
+	}
+	c.entries.Store(int64(len(c.slots)))
+}
+
+// find returns the index position and slot holding key, or slot -1.
+func (c *HotCache) find(h uint64, key []byte) (pos, slot int) {
+	if len(c.index) == 0 {
+		return 0, -1
+	}
+	mask := len(c.index) - 1
+	for pos = int(h) & mask; c.index[pos] != 0; pos = (pos + 1) & mask {
+		s := &c.slots[c.index[pos]-1]
+		if s.hash == h && bytes.Equal(s.key, key) {
+			return pos, int(c.index[pos] - 1)
 		}
 	}
-	c.entries[string(key)] = e
+	return pos, -1
 }
 
-// Len reports the current entry count.
-func (c *HotCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
+// place indexes slot under hash h.
+func (c *HotCache) place(h uint64, slot int) {
+	mask := len(c.index) - 1
+	pos := int(h) & mask
+	for c.index[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	c.index[pos] = int32(slot + 1)
 }
 
-// Stats returns cumulative hit/miss/eviction counts.
+// unplace empties index position pos, shifting later members of its probe
+// run back so every entry stays reachable from its home position.
+func (c *HotCache) unplace(pos int) {
+	mask := len(c.index) - 1
+	for next := (pos + 1) & mask; c.index[next] != 0; next = (next + 1) & mask {
+		home := int(c.slots[c.index[next]-1].hash) & mask
+		// The entry at next may move to pos unless its home lies cyclically
+		// in (pos, next].
+		if (next-home)&mask >= (next-pos)&mask {
+			c.index[pos] = c.index[next]
+			pos = next
+		}
+	}
+	c.index[pos] = 0
+}
+
+// grow doubles the index and re-places every slot but the last, which the
+// caller is filling.
+func (c *HotCache) grow() {
+	c.index = make([]int32, max(16, 2*len(c.index)))
+	for i := range c.slots[:len(c.slots)-1] {
+		c.place(c.slots[i].hash, i)
+	}
+}
+
+// flush drops every entry and adopts generation gen. Slots keep their
+// buffers for the entries that refill them.
+func (c *HotCache) flush(gen uint64) {
+	c.evictions.Add(uint64(len(c.slots)))
+	c.slots = c.slots[:0]
+	clear(c.index)
+	c.gen = gen
+	c.entries.Store(0)
+}
+
+// Len reports the current entry count. Safe from any goroutine.
+func (c *HotCache) Len() int { return int(c.entries.Load()) }
+
+// Stats returns cumulative hit/miss/eviction counts. Safe from any
+// goroutine.
 func (c *HotCache) Stats() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
-}
-
-// Instrument registers the cache's counters and entry gauge on reg.
-// Collection happens at scrape time; the hit path touches only the atomics.
-func (c *HotCache) Instrument(reg *obs.Registry) {
-	reg.CounterFunc(obs.MetricHotCacheHitsTotal,
-		"Queries answered from the packed-response hot cache.",
-		func() float64 { return float64(c.hits.Load()) })
-	reg.CounterFunc(obs.MetricHotCacheMissesTotal,
-		"Hot-cache-eligible queries that required a full lookup.",
-		func() float64 { return float64(c.misses.Load()) })
-	reg.CounterFunc(obs.MetricHotCacheEvictionsTotal,
-		"Hot-cache entries dropped by capacity or zone-change flushes.",
-		func() float64 { return float64(c.evictions.Load()) })
-	reg.GaugeFunc(obs.MetricHotCacheEntries,
-		"Packed responses currently resident in the hot cache.",
-		func() float64 { return float64(c.Len()) })
 }

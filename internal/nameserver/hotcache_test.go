@@ -1,7 +1,9 @@
 package nameserver
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"testing"
 
@@ -18,7 +20,7 @@ func TestHotCacheLookupInsert(t *testing.T) {
 	e := &HotEntry{Wire: []byte{1, 2, 3}, Name: dnswire.MustName("www.example.com")}
 	c.Insert(key, e, 1)
 	got, ok := c.Lookup(key, 1)
-	if !ok || got != e {
+	if !ok || !bytes.Equal(got.Wire, e.Wire) || got.Name != e.Name {
 		t.Fatal("inserted entry not returned")
 	}
 	hits, misses, _ := c.Stats()
@@ -66,6 +68,85 @@ func TestHotCacheCapacityEviction(t *testing.T) {
 	_, _, evictions := c.Stats()
 	if evictions < 6 {
 		t.Fatalf("evictions = %d, want >= 6", evictions)
+	}
+}
+
+// TestHotCacheRecyclesInPlace: once a cache is full, fresh keys recycle
+// slots — their key and wire buffers included — without allocating, the
+// size never passes the bound, and an entry is served until it is evicted.
+func TestHotCacheRecyclesInPlace(t *testing.T) {
+	const max, inserts = 64, 10000
+	c := NewHotCache(max)
+	keys := make([][]byte, max+inserts+1) // AllocsPerRun adds a warm-up call
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%06d.example.test\x00\x00\x01\x00\x01\x02", i))
+	}
+	wire := make([]byte, 200)
+	e := &HotEntry{Wire: wire, QnameLen: 20, Name: dnswire.MustName("www.example.test")}
+	for _, k := range keys[:max] {
+		c.Insert(k, e, 1)
+	}
+	i := max
+	allocs := testing.AllocsPerRun(inserts, func() {
+		c.Insert(keys[i], e, 1)
+		if c.Len() > max {
+			t.Fatalf("len %d passes the bound %d", c.Len(), max)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a full cache allocates %.2f per fresh-key insert", allocs)
+	}
+	// Every key still resident is served with its own entry, and exactly the
+	// bound's worth are resident.
+	resident := 0
+	for _, k := range keys {
+		if got, ok := c.Lookup(k, 1); ok {
+			resident++
+			if len(got.Wire) != len(wire) || got.Name != e.Name {
+				t.Fatalf("key %s serves a foreign entry", k)
+			}
+		}
+	}
+	if resident != max || c.Len() != max {
+		t.Fatalf("%d keys resident, Len %d, want %d", resident, c.Len(), max)
+	}
+	if _, ok := c.Lookup(keys[len(keys)-1], 1); !ok {
+		t.Fatal("the newest entry was evicted by its own insert")
+	}
+}
+
+// TestHotCacheModel drives random inserts over a small key universe and
+// holds the cache to a set model: the key just inserted is resident, at most
+// one other key left, nothing foreign appeared, and every resident key
+// serves the entry inserted under it.
+func TestHotCacheModel(t *testing.T) {
+	const max, universe = 16, 64
+	c := NewHotCache(max)
+	rng := rand.New(rand.NewSource(1))
+	model := map[int]bool{}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }
+	for op := 0; op < 5000; op++ {
+		k := rng.Intn(universe)
+		c.Insert(key(k), &HotEntry{Wire: key(k)}, 1)
+		model[k] = true
+		gone := 0
+		for i := 0; i < universe; i++ {
+			got, ok := c.Lookup(key(i), 1)
+			switch {
+			case ok && !model[i]:
+				t.Fatalf("op %d: key %d resident without an insert", op, i)
+			case ok && string(got.Wire) != string(key(i)):
+				t.Fatalf("op %d: key %d serves %q", op, i, got.Wire)
+			case !ok && model[i]:
+				delete(model, i)
+				gone++
+			}
+		}
+		if !model[k] || gone > 1 || len(model) != c.Len() || c.Len() > max {
+			t.Fatalf("op %d: inserted %d resident=%v, %d evicted, model %d, Len %d",
+				op, k, model[k], gone, len(model), c.Len())
+		}
 	}
 }
 

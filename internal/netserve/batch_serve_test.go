@@ -12,6 +12,7 @@ import (
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/flight"
 	"akamaidns/internal/nameserver"
+	"akamaidns/internal/qod"
 	"akamaidns/internal/udpbatch"
 	"akamaidns/internal/zone"
 )
@@ -34,25 +35,25 @@ ns1.sub  IN A 203.0.113.1
 ns2.sub  IN A 203.0.113.2
 `
 
-// newParityServer builds one single-worker server with a
+// newParityServer builds a server of the given UDP workers with a
 // capture-everything flight recorder and the watchdog disabled (a
 // malformed-rate trip mid-corpus would fork the socket server from its
 // socketless twin for reasons unrelated to the read loop).
-func newParityServer() *Server {
+func newParityServer(workers int) *Server {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(batchParityZone, dnswire.MustName("ex.test")))
 	cfg := DefaultConfig()
 	cfg.TCPAddr = ""
-	cfg.UDPWorkers = 1
+	cfg.UDPWorkers = workers
 	cfg.Watchdog = nil
 	cfg.Flight = &flight.Config{SampleEvery: 1}
 	return New(cfg, nameserver.NewEngine(store), nil)
 }
 
 // startParityServer is newParityServer on a live socket.
-func startParityServer(t *testing.T) *Server {
+func startParityServer(t *testing.T, workers int) *Server {
 	t.Helper()
-	srv := newParityServer()
+	srv := newParityServer(workers)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,24 +158,40 @@ func verdictCounts(s *Server) map[flight.Verdict]int {
 
 // TestBatchParity is the read-loop differential: the same seeded corpus
 // served by the batched socket loop (recvmmsg arena, staging, sendmmsg
-// flush) and fed in order through handlePacket on a socketless twin must
-// produce byte-identical responses, identical flight-verdict tallies, and
-// identical serving-tier counters. The loop may add nothing and lose
-// nothing. One worker keeps the socket side in corpus order, so hot-cache
-// graduation happens at the same query on both servers.
+// flush) must produce the bytes a socketless twin fed in order through
+// handlePacket produces, and the answer the decode path (handleSlow) gives
+// every query. The loop may add nothing and lose nothing: every
+// cache-eligible query is one hit or one miss of some worker's hot cache.
+// With one worker the socket side stays in corpus order, so hot-cache
+// graduation happens at the same query on both servers and the flight
+// verdicts and serving-tier counters agree too; with four, each worker
+// answers from a cache of its own.
 func TestBatchParity(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { testBatchParity(t, workers) })
+	}
+}
+
+func testBatchParity(t *testing.T, workers int) {
 	const queries = 384
 	corpus := parityCorpus(t, 7, queries)
-	served := startParityServer(t)
-	twin := newParityServer()
+	served := startParityServer(t, workers)
+	twin, slow := newParityServer(1), newParityServer(1)
 	respA := collectResponses(t, served.UDPAddrActual(), corpus, 32)
 	respB := make(map[int][]byte, queries)
 	src := netip.MustParseAddrPort("127.0.0.1:5353")
-	sc := scratchPool.Get().(*scratch)
+	sc, ssc := scratchPool.Get().(*scratch), scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	defer scratchPool.Put(ssc)
+	eligible := uint64(0)
 	for id, wire := range corpus {
 		if out := twin.handlePacket(wire, src, false, sc); out != nil {
 			respB[id] = append([]byte(nil), out...)
+		}
+		if v, ok := dnswire.ParseQueryView(wire); ok && !v.Response() && clientAgnostic(v) {
+			if _, _, ok := sizeClassUDP(v); ok {
+				eligible++
+			}
 		}
 	}
 	if len(respA) != queries || len(respB) != queries {
@@ -185,6 +202,22 @@ func TestBatchParity(t *testing.T) {
 			t.Fatalf("response %d differs:\n  socket: %x\n  twin:   %x\n  query:  %x",
 				id, respA[id], respB[id], corpus[id])
 		}
+		ref := slow.handleSlow(corpus[id], src, false, ssc, qod.LevelFull)
+		if got, want := messageSummary(t, respA[id]), messageSummary(t, ref); got != want {
+			t.Fatalf("response %d differs from the decode path's:\n  socket: %s\n  decode: %s", id, got, want)
+		}
+	}
+	if hits, misses, _, _ := served.hotTotals(); hits+misses != eligible {
+		t.Errorf("hot caches counted %d hits + %d misses for %d cache-eligible queries", hits, misses, eligible)
+	}
+	if c := served.batchSize.Count(); c == 0 {
+		t.Error("socket server recorded no batch-size observations")
+	}
+	if got := served.Metrics.UDPQueries.Load(); got != queries { // counted by the loop itself
+		t.Errorf("metric udp_queries: socket %d, want %d", got, queries)
+	}
+	if workers > 1 {
+		return
 	}
 	va, vb := verdictCounts(served), verdictCounts(twin)
 	for _, v := range []flight.Verdict{flight.VerdictServed, flight.VerdictCached,
@@ -198,7 +231,6 @@ func TestBatchParity(t *testing.T) {
 		a, b uint64
 	}
 	for _, p := range []pair{
-		{"udp_queries", served.Metrics.UDPQueries.Load(), queries}, // counted by the loop itself
 		{"decode_errors", served.Metrics.DecodeErrors.Load(), twin.Metrics.DecodeErrors.Load()},
 		{"view_served", served.Metrics.ViewServed.Load(), twin.Metrics.ViewServed.Load()},
 		{"write_errors", served.Metrics.WriteErrors.Load(), twin.Metrics.WriteErrors.Load()},
@@ -207,9 +239,6 @@ func TestBatchParity(t *testing.T) {
 		if p.a != p.b {
 			t.Errorf("metric %s: socket %d, twin %d", p.name, p.a, p.b)
 		}
-	}
-	if c := served.batchSize.Count(); c == 0 {
-		t.Error("socket server recorded no batch-size observations")
 	}
 }
 
@@ -265,7 +294,7 @@ func TestBatchHandleZeroAlloc(t *testing.T) {
 // TestBatchDrainWakes proves Drain's deadline poke interrupts a blocked
 // batch read: the workers must retire within the grace period.
 func TestBatchDrainWakes(t *testing.T) {
-	srv := startParityServer(t)
+	srv := startParityServer(t, 1)
 	// One query proves the read loop is live before the drain.
 	q := dnswire.NewQuery(9, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	if _, err := Exchange(srv.UDPAddrActual(), q, false, time.Second); err != nil {

@@ -46,6 +46,7 @@ func getJSON(t *testing.T, addr, path string, into any) {
 func TestFlightForensicsEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Flight = &flight.Config{SampleEvery: 1} // capture everything
+	cfg.UDPWorkers = 1                          // the repeat meets the cache the first query filled
 	srv := startServerCfg(t, cfg, nil)
 	ms, err := obs.ServeWith("127.0.0.1:0", srv.Reg, srv.Healthy, srv.RegisterDebug)
 	if err != nil {

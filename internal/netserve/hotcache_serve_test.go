@@ -18,8 +18,12 @@ import (
 // path end to end: after the first query primes the cache, later queries
 // with different IDs, 0x20-randomized qname casing, and different RD bits
 // get responses that echo each client's exact message — not the primer's.
+// One worker: each query comes from a fresh socket, and the cache a query
+// meets is its worker's.
 func TestHotCacheHitPatchesIDCaseAndRD(t *testing.T) {
-	srv := startServer(t, nil)
+	cfg := DefaultConfig()
+	cfg.UDPWorkers = 1
+	srv := startServerCfg(t, cfg, nil)
 	prime := dnswire.NewQuery(100, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	if _, err := Exchange(srv.UDPAddrActual(), prime, false, time.Second); err != nil {
 		t.Fatal(err)
@@ -30,7 +34,7 @@ func TestHotCacheHitPatchesIDCaseAndRD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _, _ := srv.hot.Stats()
+	hits, _, _, _ := srv.hotTotals()
 	if hits == 0 {
 		t.Fatal("second query did not hit the hot cache")
 	}
@@ -264,4 +268,10 @@ func startServerCfg(t *testing.T, cfg Config, pipe *filters.Pipeline) *Server {
 	}
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// hotLen is the number of entries resident across the server's worker caches.
+func (s *Server) hotLen() int {
+	_, _, _, n := s.hotTotals()
+	return n
 }

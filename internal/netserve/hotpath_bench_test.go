@@ -1,8 +1,10 @@
 package netserve
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"akamaidns/internal/dnswire"
@@ -228,5 +230,86 @@ func BenchmarkHandleUDPBatch32(b *testing.B) {
 		if staged := srv.handleBatch(bc, nil, k, sc); staged != k {
 			b.Fatalf("staged %d of %d", staged, k)
 		}
+	}
+}
+
+// viewFillHosts is the name universe of BenchmarkHandleUDPViewFill, and
+// viewFillCache the hot-cache bound it overflows.
+const (
+	viewFillHosts = 4096
+	viewFillCache = 64
+)
+
+// BenchmarkHandleUDPViewFill measures the view tier answering an existing
+// name the hot cache has not seen and filling the reply into a full cache:
+// every iteration asks the next of viewFillHosts names, so nearly every
+// fill recycles a slot. The warm-up pass fills the cache and grows the
+// slots' buffers; after it, 0 allocs/op.
+func BenchmarkHandleUDPViewFill(b *testing.B) {
+	var zoneText strings.Builder
+	zoneText.WriteString("$ORIGIN fill.test.\n$TTL 300\n@ IN SOA ns1 host ( 1 3600 600 604800 30 )\n@ IN NS ns1\nns1 IN A 198.51.100.1\n")
+	wires := make([][]byte, viewFillHosts)
+	for i := range wires {
+		fmt.Fprintf(&zoneText, "h%04d IN A 192.0.%d.%d\n", i, i>>8, i&0xFF)
+		wire, err := dnswire.NewQuery(1, dnswire.MustName(fmt.Sprintf("h%04d.fill.test", i)), dnswire.TypeA).Pack()
+		if err != nil {
+			b.Fatal(err)
+		}
+		wires[i] = wire
+	}
+	store := zone.NewStore()
+	store.Put(zone.MustParseMaster(zoneText.String(), dnswire.MustName("fill.test")))
+	cfg := DefaultConfig()
+	cfg.HotCacheSize = viewFillCache
+	srv := New(cfg, nameserver.NewEngine(store), nil)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	for _, wire := range wires {
+		if srv.handlePacket(wire, benchSrc, false, sc) == nil {
+			b.Fatal("no response")
+		}
+	}
+	if n := srv.hotLen(); n != viewFillCache {
+		b.Fatalf("warm-up left %d entries, want a full cache of %d", n, viewFillCache)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if srv.handlePacket(wires[i%viewFillHosts], benchSrc, false, sc) == nil {
+			b.Fatal("no response")
+		}
+	}
+}
+
+// TestDecodePathAllocs holds the decode path — UnpackInto, AnswerInto and
+// AppendTruncateTo on the worker's reused messages — to the one allocation
+// it cannot shed, the question name's string, for the queries the wire
+// tiers hand it on a real workload: ECS-bearing A and ANY for existing
+// hosts.
+func TestDecodePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	store := zone.NewStore()
+	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
+	srv := New(DefaultConfig(), nameserver.NewEngine(store), nil)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	// Alternated, as on a workload: a query without EDNS in between must not
+	// cost the next ECS query its reused OPT records.
+	wires := [][]byte{
+		packQuery(t, "www.ex.test", dnswire.TypeA, withECS),
+		packQuery(t, "www.ex.test", dnswire.TypeANY, nil),
+	}
+	ask := func() {
+		for _, wire := range wires {
+			if srv.handlePacket(wire, benchSrc, false, sc) == nil {
+				t.Fatal("no response")
+			}
+		}
+	}
+	ask() // the worker's messages grow their sections once
+	if allocs := testing.AllocsPerRun(200, ask) / float64(len(wires)); allocs > 1 {
+		t.Errorf("the decode path allocates %.2f per query, want at most 1", allocs)
 	}
 }

@@ -6,10 +6,10 @@
 //
 // The UDP side is built for throughput: a configurable number of read
 // loops over SO_REUSEPORT sockets (or a worker pool sharing one socket
-// where the option is unavailable), pooled read/write buffers and reused
-// message structs so the steady state allocates nothing per packet, and a
-// packed-response hot cache that replays ready-to-send wire bytes for
-// queries whose answers are identical for every client.
+// where the option is unavailable), each with its own reused buffers,
+// query and response messages, so the steady state makes no garbage per
+// packet, and its own packed-response hot cache that replays ready-to-send
+// wire bytes for queries whose answers are identical for every client.
 package netserve
 
 import (
@@ -54,8 +54,8 @@ type Config struct {
 	// negative keeps the OS default). The kernel clamps to
 	// net.core.rmem_max; failures are ignored.
 	UDPReadBuffer int
-	// HotCacheSize bounds the packed-response hot cache (0 = default size,
-	// negative disables the cache entirely).
+	// HotCacheSize bounds each UDP worker's packed-response hot cache (0 =
+	// default size, negative disables the cache entirely).
 	HotCacheSize int
 	// Smax discards queries outright when the pipeline scores at or above
 	// it (0 disables scoring-based discard).
@@ -76,9 +76,6 @@ type Config struct {
 	// CookieSecret keys server-cookie generation.
 	CookieSecret uint64
 
-	// QoDQuarantine bounds the query-of-death quarantine's signature set
-	// (0 = default 128).
-	QoDQuarantine int
 	// QuarantineTTL is how long a signature stays quarantined before its
 	// probationary re-admission (0 = default 30s).
 	QuarantineTTL time.Duration
@@ -181,9 +178,10 @@ type Server struct {
 	// drop on overload, and per-queue depth gauges on Reg.
 	admission *queue.Q
 
-	// hot caches packed responses for non-tailored answers, keyed on
-	// (case-folded qname, qtype, qclass, payload size class).
-	hot *nameserver.HotCache
+	// caches lists every worker's packed-response hot cache (see hotCache),
+	// for the scrape-time sums of their counters.
+	cachesMu sync.Mutex
+	caches   []*nameserver.HotCache
 	// resolvers interns source-address strings so the per-packet filter
 	// and engine keys stop allocating.
 	resolvers internTable
@@ -265,10 +263,9 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 		}
 	}
 	if cfg.HotCacheSize >= 0 {
-		s.hot = nameserver.NewHotCache(cfg.HotCacheSize)
-		s.hot.Instrument(reg)
+		s.instrumentHotCaches(reg)
 	}
-	s.qodGuard = qod.NewQuarantine(cfg.QoDQuarantine, cfg.QuarantineTTL)
+	s.qodGuard = qod.NewQuarantine(qod.DefaultQuarantineMax, cfg.QuarantineTTL)
 	if cfg.Watchdog != nil {
 		s.watchdog = qod.NewWatchdog(*cfg.Watchdog)
 	}
@@ -335,14 +332,20 @@ func (t *internTable) key(a netip.Addr) string {
 
 func (s *Server) resolverKey(a netip.Addr) string { return s.resolvers.key(a) }
 
-// scratch is the per-worker reusable state: a query message whose section
-// slices survive across packets, a response wire buffer, a hot-cache key
-// buffer, and the outcome of the query in hand. UDP read loops hold one for
-// their lifetime; TCP connections borrow one from the pool.
+// scratch is the per-worker reusable state: the query and response
+// messages whose sections survive across packets, a response wire buffer, a
+// hot-cache key buffer and the worker's hot cache, and the outcome of the
+// query in hand. UDP read loops hold one for their lifetime; TCP
+// connections borrow one from the pool.
 type scratch struct {
-	q   dnswire.Message
-	out []byte
-	key []byte
+	q    dnswire.Message
+	resp dnswire.Message
+	out  []byte
+	key  []byte
+	// hot is the worker's packed-response cache, bound to server hotFor on
+	// the first packet that consults it (see Server.hotCache).
+	hot    *nameserver.HotCache
+	hotFor *Server
 	// vq holds the case-folded wire-form qname for the compiled-view path
 	// (kept separate from key, which may carry a live cache-insert key).
 	vq []byte
@@ -637,7 +640,7 @@ func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch
 	wireTiers := canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies
 	var resp []byte
 	done := false
-	if wireTiers && s.hot != nil {
+	if wireTiers && s.Cfg.HotCacheSize >= 0 {
 		resp, done = s.handleFast(wire, v, src, sc)
 	}
 	if !done && level >= qod.LevelDegraded && s.Pipeline != nil &&
@@ -751,8 +754,8 @@ func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 	// Only an answering tier marks its reply replayable; it must also fit
 	// the smallest payload a member of the key's size class may advertise.
 	if oc.fill && oc.cacheable && resp != nil && len(resp) <= oc.floor {
-		s.hot.Insert(sc.key, &nameserver.HotEntry{
-			Wire:     append([]byte(nil), resp...),
+		sc.hot.Insert(sc.key, &nameserver.HotEntry{
+			Wire:     resp,
 			QnameLen: len(oc.qnameWire),
 			Name:     oc.name,
 			Zone:     oc.zone,
@@ -797,6 +800,48 @@ func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 	return resp
 }
 
+// hotCache returns the worker's packed-response cache, binding a new one to
+// the scratch on its first cache-eligible packet for this server. A UDP
+// read loop keeps its scratch, hence its cache, for its lifetime, so every
+// cache has one owner and needs no lock; TCP never consults one.
+func (s *Server) hotCache(sc *scratch) *nameserver.HotCache {
+	if sc.hotFor != s {
+		sc.hot, sc.hotFor = nameserver.NewHotCache(s.Cfg.HotCacheSize), s
+		s.cachesMu.Lock()
+		s.caches = append(s.caches, sc.hot)
+		s.cachesMu.Unlock()
+	}
+	return sc.hot
+}
+
+// hotTotals sums the workers' hot-cache counters and entry counts.
+func (s *Server) hotTotals() (hits, misses, evictions uint64, entries int) {
+	s.cachesMu.Lock()
+	defer s.cachesMu.Unlock()
+	for _, c := range s.caches {
+		h, m, e := c.Stats()
+		hits, misses, evictions, entries = hits+h, misses+m, evictions+e, entries+c.Len()
+	}
+	return hits, misses, evictions, entries
+}
+
+// instrumentHotCaches registers the hot-cache series, summed across the
+// workers' caches at scrape time.
+func (s *Server) instrumentHotCaches(reg *obs.Registry) {
+	reg.CounterFunc(obs.MetricHotCacheHitsTotal,
+		"Queries answered from the packed-response hot cache.",
+		func() float64 { h, _, _, _ := s.hotTotals(); return float64(h) })
+	reg.CounterFunc(obs.MetricHotCacheMissesTotal,
+		"Hot-cache-eligible queries that required a full lookup.",
+		func() float64 { _, m, _, _ := s.hotTotals(); return float64(m) })
+	reg.CounterFunc(obs.MetricHotCacheEvictionsTotal,
+		"Hot-cache entries dropped by capacity or zone-change flushes.",
+		func() float64 { _, _, e, _ := s.hotTotals(); return float64(e) })
+	reg.GaugeFunc(obs.MetricHotCacheEntries,
+		"Packed responses currently resident in the workers' hot caches.",
+		func() float64 { _, _, _, n := s.hotTotals(); return float64(n) })
+}
+
 // sizeClassUDP buckets a query's advertised payload limit so one cached
 // wire can serve every client in the bucket: the cached response is fitted
 // to the bucket's floor, the smallest limit a member may have advertised.
@@ -832,7 +877,7 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	oc := &sc.oc
 	gen := s.Engine.Store.Gen()
 	sc.key = v.AppendCacheKey(sc.key[:0], wire, class)
-	e, hit := s.hot.Lookup(sc.key, gen)
+	e, hit := s.hotCache(sc).Lookup(sc.key, gen)
 	if !hit {
 		oc.fill, oc.gen, oc.floor = true, gen, floor
 		return nil, false
@@ -947,7 +992,8 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 			return reply
 		}
 	}
-	resp, matched, crashed := s.Engine.Answer(q, nameserver.ResolverKey(srcKey))
+	resp := &sc.resp
+	matched, crashed := s.Engine.AnswerInto(resp, q, nameserver.ResolverKey(srcKey))
 	oc.span.Mark(obs.StageLookup)
 	if crashed {
 		// Surface the crash as a real panic so the recover boundary

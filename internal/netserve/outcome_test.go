@@ -285,7 +285,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 				srv.ladder.Enter()
 			}
 			wire := tc.wire(t)
-			recs0, told0, hot0 := srv.flight.Recorded(), probe.told, srv.hot.Len()
+			recs0, told0, hot0 := srv.flight.Recorded(), probe.told, srv.hotLen()
 			e2e0 := histCount(srv, obs.MetricQueryDuration)
 
 			reply := append([]byte(nil), srv.handlePacket(wire, benchSrc, tc.tcp, sc)...)
@@ -326,7 +326,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			} else if tc.observed && probe.last.String() != tc.qname {
 				t.Errorf("pipeline told of an answer for %s, want %s", probe.last, tc.qname)
 			}
-			if got := srv.hot.Len() - hot0; (got == 1) != tc.inserted || got > 1 {
+			if got := srv.hotLen() - hot0; (got == 1) != tc.inserted || got > 1 {
 				t.Fatalf("%d hot-cache inserts, want one: %v", got, tc.inserted)
 			}
 
@@ -337,7 +337,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			if srv.handlePacket(other, benchSrc, false, sc) == nil {
 				t.Fatal("follow-up query went unanswered")
 			}
-			if got := srv.hot.Len() - hot0; (got == 1) != tc.inserted {
+			if got := srv.hotLen() - hot0; (got == 1) != tc.inserted {
 				t.Errorf("follow-up query changed the hot cache by %d entries", got)
 			}
 			v, ok := dnswire.ParseQueryView(wire)
@@ -345,7 +345,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 				return
 			}
 			class, _, _ := sizeClassUDP(v)
-			e, hit := srv.hot.Lookup(v.AppendCacheKey(nil, wire, class), srv.Engine.Store.Gen())
+			e, hit := srv.hotCache(sc).Lookup(v.AppendCacheKey(nil, wire, class), srv.Engine.Store.Gen())
 			if hit != (tc.inserted || tc.verdict == flight.VerdictCached) {
 				t.Fatalf("hot entry under this packet's key: %v", hit)
 			}

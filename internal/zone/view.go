@@ -421,9 +421,10 @@ func (v *View) CanExist(qname []byte) bool {
 }
 
 // Lookup is the structured read off the compiled view: the RFC 1034 §4.3.2
-// algorithm with no lock and no RR copies — returned records are shared with
-// the view and must be treated as read-only (wildcard-synthesized records
-// are fresh copies, as their owner is rewritten).
+// algorithm with no lock and no RR copies — returned records, and the slices
+// holding them, are shared with the view and must be treated as read-only
+// (wildcard-synthesized records are fresh copies, as their owner is
+// rewritten). A shared slice is capped, so appending to it copies.
 func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 	if v.empty() || !qname.IsSubdomainOf(v.origin) {
 		return Answer{Result: NXDomain}
@@ -457,12 +458,12 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 				lo, hi := v.sets[v.nodes[node].sets].rr, v.sets[v.nodes[node+1].sets].rr
 				if lo < hi {
 					ans.Result = Success
-					ans.Answer = append(ans.Answer, v.rrs[lo:hi]...)
+					ans.Answer = appendOwned(ans.Answer, v.rrs[lo:hi:hi], name, true)
 					return ans
 				}
 			}
 			if s, hit := v.findSet(src, dnswire.TypeCNAME); hit && qtype != dnswire.TypeCNAME {
-				ans.Answer = appendOwned(ans.Answer, v.setRRs(s)[:1], name, exact)
+				ans.Answer = appendOwned(ans.Answer, v.setRRs(s)[:1:1], name, exact)
 				cname := ans.Answer[len(ans.Answer)-1].(*dnswire.CNAME)
 				if hop < maxCNAMEChain && cname.Target.IsSubdomainOf(v.origin) {
 					name = cname.Target
@@ -485,10 +486,14 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 }
 
 // appendOwned appends a set's records to an answer: shared as they are when
-// the owner matched exactly, as copies re-owned to name when a wildcard
-// synthesized them.
+// the owner matched exactly — the set's own capped slice when the answer is
+// still empty — and as copies re-owned to name when a wildcard synthesized
+// them.
 func appendOwned(dst, rrs []dnswire.RR, name dnswire.Name, exact bool) []dnswire.RR {
 	if exact {
+		if len(dst) == 0 {
+			return rrs
+		}
 		return append(dst, rrs...)
 	}
 	for _, rr := range rrs {
