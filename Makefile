@@ -24,7 +24,7 @@ race:
 	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
 	go test -race -run='TestContainmentPanicStorm|TestQueryOfDeathDrill' -count=2 ./internal/netserve/
 	go test -race -run='TestScrapeWhileServing|TestFlightForensicsEndToEnd' -count=2 ./internal/netserve/
-	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery' -count=2 ./internal/netserve/
+	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery|TestIXFRLargeDelta' -count=2 ./internal/netserve/
 	go test -race -count=2 ./internal/udpbatch/
 	go test -race -run='TestReadWhileWrite' -count=10 ./internal/udpbatch/
 	go test -race -run='TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant' -count=2 ./internal/monitor/
@@ -96,6 +96,7 @@ fuzz:
 	go test -fuzz=FuzzViewLookupParity -fuzztime=30s ./internal/zone/
 	go test -fuzz=FuzzZoneModel -fuzztime=30s ./internal/zone/
 	go test -fuzz=FuzzTCPFrameReader -fuzztime=30s ./internal/netserve/
+	go test -fuzz=FuzzTransferStream -fuzztime=30s ./internal/netserve/
 	go test -fuzz=FuzzPlanApply -fuzztime=30s ./internal/ctlplane/
 
 # Deterministic fault-injection harness: every scenario once at the default

@@ -28,8 +28,7 @@ func TestAdmitEveryTier(t *testing.T) {
 	// Penalty, which the test sets per outcome.
 	knob := filters.NewAllowlist()
 	knob.SetActive(true)
-	cfg := DefaultConfig()
-	srv := New(cfg, nameserver.NewEngine(store), filters.NewPipeline(knob))
+	srv := New(DefaultConfig(), nameserver.NewEngine(store), filters.NewPipeline(knob))
 	wire, err := dnswire.NewQuery(0x4242, dnswire.MustName("WWW.ex.test"), dnswire.TypeA).Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestAdmitEveryTier(t *testing.T) {
 		t.Fatal("priming query went unanswered")
 	}
 
-	smax := cfg.Smax
+	smax := queue.DefaultConfig().Smax
 	outcomes := []struct {
 		name    string
 		penalty float64

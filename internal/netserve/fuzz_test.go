@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"akamaidns/internal/dnswire"
+	"akamaidns/internal/zone"
 )
 
 // FuzzTCPFrameReader feeds arbitrary byte streams through the TCP frame
@@ -47,5 +48,80 @@ func FuzzTCPFrameReader(f *testing.F) {
 			}
 		}
 		t.Fatal("reader yielded more frames than input bytes")
+	})
+}
+
+// FuzzTransferStream feeds arbitrary frame sequences to the one client
+// transfer reader as the answer to an AXFR or an IXFR. It must never panic,
+// must stop once its input runs out, and must return exactly one of up to
+// date, a delta or a full stream — or an error. A delta's serials are those
+// of the SOA bracket its stream opens with, and a full stream opens and
+// closes with the same SOA serial.
+func FuzzTransferStream(f *testing.F) {
+	origin := dnswire.MustName("ex.test")
+	store := zone.NewStore()
+	store.Put(zone.MustParseMaster(serveZone, origin))
+	full := store.Transfer(origin)
+	soa := full[0].(*dnswire.SOA)
+	old := soa.Copy().(*dnswire.SOA)
+	old.Serial--
+	inc := []dnswire.RR{soa, old, full[2], soa}
+	for i := 0; i < 2*transferBatch; i++ {
+		inc = append(inc, hostA("h"+itoaTest(i)+".ex.test"))
+	}
+	inc = append(inc, soa)
+	stream := func(recs []dnswire.RR) []byte {
+		var b bytes.Buffer
+		if err := writeStream(&b, dnswire.NewQuery(1, origin, dnswire.TypeIXFR), dnswire.RCodeNoError, recs); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	incWire := stream(inc) // three frames
+	f.Add(stream([]dnswire.RR{soa}), true)
+	f.Add(incWire, true)
+	f.Add(stream(full), false)
+	f.Add(stream(full), true)
+	f.Add(incWire[:len(incWire)-9], true) // cut short inside its last frame
+	f.Fuzz(func(t *testing.T, data []byte, ixfr bool) {
+		res, err := readTransfer(bytes.NewReader(data), ixfr)
+		if err != nil {
+			if res != nil {
+				t.Fatalf("result %+v beside error %v", res, err)
+			}
+			return
+		}
+		n := 0
+		for _, set := range []bool{res.UpToDate, res.Delta != nil, res.Full != nil} {
+			if set {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Fatalf("%d outcomes in %+v", n, res)
+		}
+		if !ixfr && res.Full == nil {
+			t.Fatalf("an AXFR answer read as %+v", res)
+		}
+		// A stream's opening records are in its first frame: a first frame
+		// holding the lone SOA is already an answer.
+		frame, _ := readFrame(bytes.NewReader(data))
+		m, err := dnswire.Unpack(frame)
+		if err != nil {
+			t.Fatalf("accepted a stream whose first frame does not decode: %v", err)
+		}
+		open := m.Answers[0].(*dnswire.SOA)
+		switch {
+		case res.Delta != nil:
+			from, ok := m.Answers[1].(*dnswire.SOA)
+			if !ok || res.Delta.ToSerial != open.Serial || res.Delta.FromSerial != from.Serial || from.Serial == open.Serial {
+				t.Fatalf("delta %d→%d from a stream opening %v, %v", res.Delta.FromSerial, res.Delta.ToSerial, open, m.Answers[1])
+			}
+		case res.Full != nil:
+			last, ok := res.Full[len(res.Full)-1].(*dnswire.SOA)
+			if len(res.Full) < 2 || !ok || last.Serial != open.Serial {
+				t.Fatalf("full stream of %d records does not open and close with serial %d", len(res.Full), open.Serial)
+			}
+		}
 	})
 }

@@ -258,11 +258,14 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	})
 }
 
-func startServerCfg(t *testing.T, cfg Config, pipe *filters.Pipeline) *Server {
+func startServerCfg(t *testing.T, cfg Config, pipe *filters.Pipeline, tune ...func(*Server)) *Server {
 	t.Helper()
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
 	srv := New(cfg, nameserver.NewEngine(store), pipe)
+	for _, f := range tune {
+		f(srv)
+	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

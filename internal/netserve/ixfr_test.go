@@ -28,14 +28,19 @@ func ixfrRig(t *testing.T) (*Server, *zone.Store, *Secondary) {
 	return primary, priStore, sec
 }
 
+// hostA is an A record for host.
+func hostA(host string) *dnswire.A {
+	return &dnswire.A{
+		RRHeader: dnswire.RRHeader{Name: dnswire.MustName(host), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
+		Addr:     netip.MustParseAddr("192.0.2.77"),
+	}
+}
+
 // bump adds a record and advances the serial, recording history.
 func bump(t *testing.T, primary *Server, store *zone.Store, serial uint32, host string) {
 	t.Helper()
 	z := store.Get(dnswire.MustName("ex.test"))
-	z.Add(&dnswire.A{
-		RRHeader: dnswire.RRHeader{Name: dnswire.MustName(host), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
-		Addr:     netip.MustParseAddr("192.0.2.77"),
-	})
+	z.Add(hostA(host))
 	z.SetSerial(serial)
 	primary.History.Record(z)
 }
@@ -65,6 +70,41 @@ func TestIXFRIncrementalDelta(t *testing.T) {
 	if res.Delta.FromSerial != 7 || res.Delta.ToSerial != 8 ||
 		len(res.Delta.Added) != 1 || len(res.Delta.Deleted) != 0 {
 		t.Fatalf("delta = %+v", res.Delta)
+	}
+}
+
+// TestIXFRLargeDelta: a delta far larger than one message arrives as a
+// Delta spread over many frames, well inside the client's timeout.
+func TestIXFRLargeDelta(t *testing.T) {
+	const n = 4000
+	primary, store, _ := ixfrRig(t)
+	origin := dnswire.MustName("ex.test")
+	z := store.Get(origin)
+	for i := 0; i < n; i++ {
+		z.Add(hostA("h" + itoaTest(i) + ".ex.test"))
+	}
+	z.SetSerial(8)
+	primary.History.Record(z)
+	start := time.Now()
+	res, err := TransferIncremental(primary.TCPAddrActual(), origin, 7, time.Second)
+	if err != nil {
+		t.Fatalf("after %s: %v", time.Since(start), err)
+	}
+	if d := res.Delta; d == nil || d.FromSerial != 7 || d.ToSerial != 8 || len(d.Added) != n || len(d.Deleted) != 0 {
+		t.Fatalf("res = %+v, want a %d-record delta 7→8", res, n)
+	}
+	// On the wire the first frame carries one batch, not the whole delta.
+	conn := dialTCP(t, primary)
+	if err := writeFrame(conn, packQuery(t, "ex.test", dnswire.TypeIXFR, withSerial)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	frame, err := readFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := dnswire.Unpack(frame); err != nil || len(m.Answers) != transferBatch {
+		t.Fatalf("first frame: %v, want %d records", err, transferBatch)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package netserve runs the authoritative nameserver over real sockets:
-// UDP (with EDNS-aware truncation) and TCP (length-framed, including
-// AXFR-style zone transfer, RFC 5936 framing). It drives the exact same
+// UDP (with EDNS-aware truncation) and TCP (length-framed, including AXFR
+// and IXFR zone transfers on the same read path). It drives the exact same
 // zone store, engine, and scoring pipeline as the simulation, so the
 // Figure 10 testbed exercises production code paths.
 //
@@ -57,12 +57,7 @@ type Config struct {
 	// HotCacheSize bounds each UDP worker's packed-response hot cache (0 =
 	// default size, negative disables the cache entirely).
 	HotCacheSize int
-	// Smax discards queries outright when the pipeline scores at or above
-	// it (0 disables scoring-based discard).
-	Smax float64
-	// ReadTimeout bounds TCP reads.
-	ReadTimeout time.Duration
-	// AllowTransfer permits AXFR over TCP.
+	// AllowTransfer permits AXFR and IXFR over TCP.
 	AllowTransfer bool
 	// Cookies enables DNS Cookies (RFC 7873): server cookies are issued
 	// and verified; queries with a valid server cookie have proven address
@@ -88,13 +83,6 @@ type Config struct {
 	// ceiling (0 disables the ladder). Shedding by reputation needs a
 	// Pipeline; without one only the saturated-drop backstop applies.
 	MaxInflight int
-	// MaxTCPConns bounds concurrently-served TCP connections (0 = default
-	// 256; negative = unbounded). Connections beyond the cap are closed on
-	// accept, so a slowloris herd cannot pin every handler goroutine.
-	MaxTCPConns int
-	// MaxTCPQueries bounds queries served per TCP connection before it is
-	// closed (0 = default 1024; negative = unbounded).
-	MaxTCPQueries int
 
 	// Flight enables the query flight recorder (nil disables): sampled
 	// fixed-size query records with anomaly escalation, heavy-hitter
@@ -108,10 +96,14 @@ type Config struct {
 // (subject to the net.core.rmem_max clamp).
 const DefaultUDPReadBuffer = 4 << 20
 
-// TCP connection defaults.
+// TCP limits: concurrently served connections (one beyond the cap is closed
+// on accept, so a slowloris herd cannot pin every handler goroutine),
+// queries served per connection before it is closed, and the read deadline
+// each frame gets.
 const (
-	DefaultMaxTCPConns   = 256
-	DefaultMaxTCPQueries = 1024
+	tcpMaxConns    = 256
+	tcpMaxQueries  = 1024
+	tcpReadTimeout = 5 * time.Second
 )
 
 // DefaultConfig listens on localhost ephemeral ports.
@@ -119,8 +111,6 @@ func DefaultConfig() Config {
 	return Config{
 		UDPAddr:       "127.0.0.1:0",
 		TCPAddr:       "127.0.0.1:0",
-		Smax:          queue.DefaultConfig().Smax,
-		ReadTimeout:   5 * time.Second,
 		AllowTransfer: true,
 		Watchdog:      &qod.WatchdogConfig{},
 		Flight:        &flight.Config{},
@@ -174,8 +164,9 @@ type Server struct {
 	History *zone.History
 
 	// admission is the §4.3.3 penalty ladder applied to scored queries
-	// (built when a pipeline is configured): discard at S >= Smax, tail
-	// drop on overload, and per-queue depth gauges on Reg.
+	// (built when a pipeline is configured): the default three rungs,
+	// discard at S >= Smax, tail drop on overload, and per-queue depth
+	// gauges on Reg.
 	admission *queue.Q
 
 	// caches lists every worker's packed-response hot cache (see hotCache),
@@ -207,6 +198,11 @@ type Server struct {
 	// direct read on how much syscall amortization the traffic admits.
 	batchSize *obs.Histogram
 
+	// TCP limits, set by New to the tcp* constants; tests shrink them
+	// before Start.
+	maxTCPConns, maxTCPQueries int
+	readTimeout                time.Duration
+
 	// Graceful drain and TCP connection bookkeeping.
 	draining atomic.Bool
 	tcpSem   chan struct{}
@@ -223,7 +219,8 @@ func New(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipeline) *Server
 // NewWithRegistry builds a server reporting into an existing registry (for
 // processes that aggregate several subsystems onto one /metrics endpoint).
 func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipeline, reg *obs.Registry) *Server {
-	s := &Server{Cfg: cfg, Engine: eng, Pipeline: pipeline, Reg: reg, started: time.Now()}
+	s := &Server{Cfg: cfg, Engine: eng, Pipeline: pipeline, Reg: reg, started: time.Now(),
+		maxTCPConns: tcpMaxConns, maxTCPQueries: tcpMaxQueries, readTimeout: tcpReadTimeout}
 	helpQ := "Queries received over real sockets by transport."
 	s.Metrics = Metrics{
 		UDPQueries:   reg.Counter(obs.MetricQueriesTotal, helpQ, "transport", "udp"),
@@ -257,10 +254,8 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 	s.Tracer = obs.NewTracer(reg, nil)
 	if pipeline != nil {
 		pipeline.Instrument(reg)
-		if cfg.Smax > 0 {
-			s.admission = queue.MustNew(admissionConfig(cfg.Smax))
-			s.admission.Instrument(reg)
-		}
+		s.admission = queue.MustNew(queue.DefaultConfig())
+		s.admission.Instrument(reg)
 	}
 	if cfg.HotCacheSize >= 0 {
 		s.instrumentHotCaches(reg)
@@ -275,25 +270,8 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 	if cfg.Flight != nil {
 		s.flight = flight.New(*cfg.Flight, reg)
 	}
-	maxConns := cfg.MaxTCPConns
-	if maxConns == 0 {
-		maxConns = DefaultMaxTCPConns
-	}
-	if maxConns > 0 {
-		s.tcpSem = make(chan struct{}, maxConns)
-	}
 	s.instrumentProtection(reg)
 	return s
-}
-
-// admissionConfig scales the default three-rung penalty ladder to the
-// configured Smax (clean / suspicious / hostile-but-processable).
-func admissionConfig(smax float64) queue.Config {
-	return queue.Config{
-		MaxScores: []float64{0, 0.495 * smax, 0.995 * smax},
-		Smax:      smax,
-		Capacity:  queue.DefaultConfig().Capacity,
-	}
 }
 
 // now maps wall time onto the virtual timeline the filters expect.
@@ -336,7 +314,7 @@ func (s *Server) resolverKey(a netip.Addr) string { return s.resolvers.key(a) }
 // messages whose sections survive across packets, a response wire buffer, a
 // hot-cache key buffer and the worker's hot cache, and the outcome of the
 // query in hand. UDP read loops hold one for their lifetime; TCP
-// connections borrow one from the pool.
+// connections borrow one from the pool and set frames.
 type scratch struct {
 	q    dnswire.Message
 	resp dnswire.Message
@@ -359,6 +337,9 @@ type scratch struct {
 	// answers counts the answers settled through this scratch; every 64th
 	// feeds the watchdog's latency tripwire.
 	answers uint32
+	// frames is the TCP connection the query arrived on (nil on UDP): a
+	// zone transfer writes its stream of frames there itself.
+	frames io.Writer
 }
 
 // outcome is the only state that crosses tiers: dispatch resets it, each
@@ -397,12 +378,6 @@ var scratchPool = sync.Pool{New: func() any {
 		key: make([]byte, 0, 512),
 		vq:  make([]byte, 0, 256),
 	}
-}}
-
-// bufPool holds the 64 KiB UDP read buffers.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 64<<10)
-	return &b
 }}
 
 // Start opens the listeners and serves until Close.
@@ -454,6 +429,7 @@ func (s *Server) Start() error {
 			closeAll(s.udps)
 			return err
 		}
+		s.tcpSem = make(chan struct{}, s.maxTCPConns)
 		s.wg.Add(1)
 		go s.serveTCP()
 	}
@@ -623,21 +599,17 @@ func (s *Server) handlePacket(wire []byte, src netip.AddrPort, tcp bool, sc *scr
 func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
 	sc.oc = outcome{verdict: flight.VerdictNone, span: s.Tracer.Begin()}
 	oc := &sc.oc
-	var v dnswire.QueryView
-	canonical := false
-	if !tcp {
-		v, canonical = dnswire.ParseQueryView(wire)
-	}
+	v, canonical := dnswire.ParseQueryView(wire)
 	if canonical {
 		if v.Response() {
 			return nil // QR-bit filtering: reflection junk is dropped silently
 		}
 		oc.qnameWire, oc.qtype = v.QnameWire(wire), v.QType
 	}
-	// The wire tiers serve only answers that are the same for every client.
-	// Tailored answers, and the refuse-with-cookie every cookie-less UDP
-	// query must get under RequireCookies, are the slow path's business.
-	wireTiers := canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies
+	// The wire tiers serve only UDP answers that are the same for every
+	// client. Tailored answers, and the refuse-with-cookie every cookie-less
+	// UDP query must get under RequireCookies, are the slow path's business.
+	wireTiers := !tcp && canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies
 	var resp []byte
 	done := false
 	if wireTiers && s.Cfg.HotCacheSize >= 0 {
@@ -743,7 +715,9 @@ const watchdogLatencyEvery = 64
 // count), the hot cache takes the reply a miss asked for, the span closes
 // (one end-to-end observation per answered query, none for a shed or
 // dropped one), the flight recorder is offered the sample, and every 64th
-// answer's latency feeds the watchdog. It returns resp.
+// answer's latency feeds the watchdog. A zone transfer writes its own frames
+// and hands settle no reply, so it gets its flight sample and nothing else:
+// a multi-second stream never reaches the latency tripwire. It returns resp.
 func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) []byte {
 	oc := &sc.oc
 	// Verdicts up to VerdictView mean a tier decided the answer (encoding it
@@ -951,6 +925,13 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		sc.out = out
 		return out
 	}
+	if tcp && q.OpCode == dnswire.OpQuery && len(q.Questions) == 1 &&
+		(oc.qtype == dnswire.TypeAXFR || oc.qtype == dnswire.TypeIXFR) {
+		// A zone transfer writes its own frames and leaves settle no reply.
+		// Transfers are not scored.
+		oc.verdict, oc.rcode = flight.VerdictServed, s.transfer(q, sc.frames)
+		return nil
+	}
 	// DNS Cookies: a valid server cookie proves the source address.
 	var clientCookie *dnswire.Cookie
 	cookieValid := false
@@ -1064,16 +1045,14 @@ func (s *Server) serveTCP() {
 		if err != nil {
 			return
 		}
-		if s.tcpSem != nil {
-			select {
-			case s.tcpSem <- struct{}{}:
-			default:
-				// At the connection cap: shed the newcomer rather than let a
-				// slowloris herd pin every handler goroutine (§5.2).
-				s.Metrics.TCPRejected.Add(1)
-				conn.Close()
-				continue
-			}
+		select {
+		case s.tcpSem <- struct{}{}:
+		default:
+			// At the connection cap: shed the newcomer rather than let a
+			// slowloris herd pin every handler goroutine (§5.2).
+			s.Metrics.TCPRejected.Add(1)
+			conn.Close()
+			continue
 		}
 		s.trackConn(conn, true)
 		s.wg.Add(1)
@@ -1082,15 +1061,16 @@ func (s *Server) serveTCP() {
 			defer func() {
 				conn.Close()
 				s.trackConn(conn, false)
-				if s.tcpSem != nil {
-					<-s.tcpSem
-				}
+				<-s.tcpSem
 			}()
 			s.serveTCPConn(conn)
 		}()
 	}
 }
 
+// serveTCPConn serves one connection's frames through handlePacket, up to
+// the per-connection query budget. The connection rides in the scratch, so
+// a zone transfer can write its own stream of frames to it.
 func (s *Server) serveTCPConn(conn net.Conn) {
 	var src netip.AddrPort
 	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
@@ -1098,97 +1078,34 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 	} else if ap, err := netip.ParseAddrPort(conn.RemoteAddr().String()); err == nil {
 		src = ap
 	}
-	maxQueries := s.Cfg.MaxTCPQueries
-	if maxQueries == 0 {
-		maxQueries = DefaultMaxTCPQueries
-	}
-	served := 0
 	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	for {
+	sc.frames = conn
+	defer func() {
+		sc.frames = nil
+		scratchPool.Put(sc)
+	}()
+	for served := 0; served < s.maxTCPQueries; served++ {
 		if s.suspendedOrDraining() {
 			return // suspended or draining: the connection is shed whole
 		}
 		// The read deadline refreshes per message, so an idle or trickling
 		// peer is bounded per frame, not per connection lifetime.
-		if s.Cfg.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.Cfg.ReadTimeout))
-		}
+		conn.SetReadDeadline(time.Now().Add(s.readTimeout))
 		wire, err := readFrame(conn)
 		if err != nil {
 			return
 		}
-		if maxQueries > 0 {
-			if served++; served > maxQueries {
-				return // per-connection query budget spent
-			}
-		}
 		s.Metrics.TCPQueries.Add(1)
-		// Zone transfers?
-		if q, err := dnswire.Unpack(wire); err == nil && len(q.Questions) == 1 {
-			switch q.Questions[0].Type {
-			case dnswire.TypeAXFR:
-				s.serveTransfer(conn, q)
-				continue
-			case dnswire.TypeIXFR:
-				s.serveIXFR(conn, q)
-				continue
+		if resp := s.handlePacket(wire, src, true, sc); resp != nil {
+			if err := writeFrame(conn, resp); err != nil {
+				s.Metrics.WriteErrors.Add(1)
+				return
 			}
 		}
-		resp := s.handlePacket(wire, src, true, sc)
-		if resp == nil {
-			continue
-		}
-		if err := writeFrame(conn, resp); err != nil {
-			s.Metrics.WriteErrors.Add(1)
-			return
-		}
 	}
 }
 
-// serveTransfer streams the zone as a sequence of messages, SOA-first and
-// SOA-last (RFC 5936).
-func (s *Server) serveTransfer(conn net.Conn, q *dnswire.Message) {
-	origin := q.Questions[0].Name
-	refuse := func() {
-		r := dnswire.NewResponse(q)
-		r.RCode = dnswire.RCodeRefused
-		if wire, err := r.Pack(); err == nil {
-			writeFrame(conn, wire)
-		}
-	}
-	if !s.Cfg.AllowTransfer {
-		refuse()
-		return
-	}
-	store := s.Engine.Store
-	stream := store.Transfer(origin)
-	if stream == nil {
-		refuse()
-		return
-	}
-	s.Metrics.Transfers.Add(1)
-	// Batch records into messages of ~64 RRs.
-	const batch = 64
-	for i := 0; i < len(stream); i += batch {
-		end := i + batch
-		if end > len(stream) {
-			end = len(stream)
-		}
-		r := dnswire.NewResponse(q)
-		r.Authoritative = true
-		r.Answers = stream[i:end]
-		wire, err := r.Pack()
-		if err != nil {
-			return
-		}
-		if err := writeFrame(conn, wire); err != nil {
-			s.Metrics.WriteErrors.Add(1)
-			return
-		}
-	}
-}
-
+// readFrame reads one length-prefixed DNS message (RFC 1035 §4.2.2).
 func readFrame(r io.Reader) ([]byte, error) {
 	var lenBuf [2]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -1205,41 +1122,54 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
+// writeFrame sends msg behind its length prefix in one Write, so a message
+// leaves in one segment rather than a two-octet one and the rest.
 func writeFrame(w io.Writer, msg []byte) error {
 	if len(msg) > 65535 {
 		return fmt.Errorf("netserve: frame too large (%d)", len(msg))
 	}
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
+	frame := binary.BigEndian.AppendUint16(make([]byte, 0, 2+len(msg)), uint16(len(msg)))
+	_, err := w.Write(append(frame, msg...))
 	return err
+}
+
+// sendTCP dials addr and writes q as one frame; timeout bounds the whole
+// exchange. The caller reads the answer and closes the connection.
+func sendTCP(addr string, q *dnswire.Message, timeout time.Duration) (net.Conn, error) {
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, err
+	}
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	conn.SetDeadline(time.Now().Add(timeout))
+	if err := writeFrame(conn, wire); err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return conn, nil
 }
 
 // Exchange is a minimal client: sends one query over UDP (or TCP when tcp
 // is true) and returns the decoded response.
 func Exchange(addr string, q *dnswire.Message, tcp bool, timeout time.Duration) (*dnswire.Message, error) {
-	wire, err := q.Pack()
-	if err != nil {
-		return nil, err
-	}
 	if tcp {
-		conn, err := net.DialTimeout("tcp", addr, timeout)
+		conn, err := sendTCP(addr, q, timeout)
 		if err != nil {
 			return nil, err
 		}
 		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(timeout))
-		if err := writeFrame(conn, wire); err != nil {
-			return nil, err
-		}
 		resp, err := readFrame(conn)
 		if err != nil {
 			return nil, err
 		}
 		return dnswire.Unpack(resp)
+	}
+	wire, err := q.Pack()
+	if err != nil {
+		return nil, err
 	}
 	conn, err := net.DialTimeout("udp", addr, timeout)
 	if err != nil {
@@ -1250,60 +1180,12 @@ func Exchange(addr string, q *dnswire.Message, tcp bool, timeout time.Duration) 
 	if _, err := conn.Write(wire); err != nil {
 		return nil, err
 	}
-	bp := bufPool.Get().(*[]byte)
-	defer bufPool.Put(bp)
-	buf := *bp
+	buf := make([]byte, 64<<10)
 	n, err := conn.Read(buf)
 	if err != nil {
 		return nil, err
 	}
 	return dnswire.Unpack(buf[:n])
-}
-
-// Transfer performs an AXFR over TCP, returning all records.
-func Transfer(addr string, origin dnswire.Name, timeout time.Duration) ([]dnswire.RR, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-	q := dnswire.NewQuery(1, origin, dnswire.TypeAXFR)
-	wire, err := q.Pack()
-	if err != nil {
-		return nil, err
-	}
-	if err := writeFrame(conn, wire); err != nil {
-		return nil, err
-	}
-	var out []dnswire.RR
-	soaSeen := 0
-	for soaSeen < 2 {
-		frame, err := readFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		m, err := dnswire.Unpack(frame)
-		if err != nil {
-			return nil, err
-		}
-		if m.RCode != dnswire.RCodeNoError {
-			return nil, fmt.Errorf("netserve: transfer refused: %s", m.RCode)
-		}
-		if len(m.Answers) == 0 {
-			return nil, errors.New("netserve: empty transfer message")
-		}
-		for _, rr := range m.Answers {
-			if _, isSOA := rr.(*dnswire.SOA); isSOA {
-				soaSeen++
-			}
-			out = append(out, rr)
-			if soaSeen == 2 {
-				break
-			}
-		}
-	}
-	return out, nil
 }
 
 // LoadZonesInto parses origin=path pairs into the store (the authdns CLI's

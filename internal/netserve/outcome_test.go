@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"bytes"
 	"net/netip"
 	"strings"
 	"testing"
@@ -72,6 +73,15 @@ func packQuery(t *testing.T, name string, typ dnswire.Type, edit func(*dnswire.M
 		t.Fatal(err)
 	}
 	return wire
+}
+
+// withSerial makes q an IXFR that presents serial 7, ex.test's current one.
+func withSerial(q *dnswire.Message) {
+	origin := q.Questions[0].Name
+	q.Authority = append(q.Authority, &dnswire.SOA{
+		RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeSOA, Class: dnswire.ClassINET},
+		MName:    origin, RName: origin, Serial: 7,
+	})
 }
 
 func withECS(q *dnswire.Message) {
@@ -196,7 +206,8 @@ func TestOneSpanPerQuery(t *testing.T) {
 // and holds each to the same accounting: one flight sample carrying the
 // disposal, the pipeline told of the answer at most once and only if one
 // was decided, at most one hot-cache insert and only of this packet's own
-// reply, one end-to-end observation iff it was answered.
+// reply, one end-to-end observation iff it was answered. A zone transfer
+// writes its own frames instead of a reply; only transfers write frames.
 func TestOneOutcomePerQuery(t *testing.T) {
 	const ceiling = 100 // outcomeServer's MaxInflight
 	refused, formErr, nx := dnswire.RCodeRefused, dnswire.RCodeFormErr, dnswire.RCodeNXDomain
@@ -204,6 +215,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 	poison := func(t *testing.T) []byte {
 		return packQuery(t, dnswire.QoDMarkerLabel+".ex.test", dnswire.TypeA, nil)
 	}
+	axfr := func(t *testing.T) []byte { return packQuery(t, "ex.test", dnswire.TypeAXFR, nil) }
 	once := func(wire func(*testing.T) []byte) func(*testing.T, *Server, *scratch) {
 		return func(t *testing.T, srv *Server, sc *scratch) { srv.handlePacket(wire(t), benchSrc, false, sc) }
 	}
@@ -219,8 +231,10 @@ func TestOneOutcomePerQuery(t *testing.T) {
 
 		verdict  flight.Verdict
 		rcode    dnswire.RCode
-		qname    string // "" when the packet gave none
+		qname    string       // "" when the packet gave none
+		qtype    dnswire.Type // checked when set
 		reply    bool
+		frames   int  // transfer frames written, each carrying rcode
 		observed bool // the pipeline is told of an answer
 		inserted bool // the reply enters the hot cache
 	}{
@@ -261,6 +275,17 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			verdict: flight.VerdictQuarantined, rcode: refused, qname: dnswire.QoDMarkerLabel + ".ex.test.", reply: true},
 		{name: "contained panic", wire: poison,
 			verdict: flight.VerdictCrashed, qname: dnswire.QoDMarkerLabel + ".ex.test."},
+		{name: "AXFR", wire: axfr, tcp: true,
+			verdict: flight.VerdictServed, qname: "ex.test.", qtype: dnswire.TypeAXFR, frames: 1},
+		{name: "IXFR, up to date", wire: func(t *testing.T) []byte { return packQuery(t, "ex.test", dnswire.TypeIXFR, withSerial) }, tcp: true,
+			verdict: flight.VerdictServed, qname: "ex.test.", qtype: dnswire.TypeIXFR, frames: 1},
+		{name: "AXFR refused", wire: axfr, tcp: true, prep: func(_ *testing.T, srv *Server, _ *scratch) { srv.Cfg.AllowTransfer = false },
+			verdict: flight.VerdictServed, rcode: refused, qname: "ex.test.", qtype: dnswire.TypeAXFR, frames: 1},
+		{name: "AXFR, degraded REFUSED", wire: axfr, tcp: true, inflight: ceiling / 2,
+			verdict: flight.VerdictShed, rcode: refused, qname: "ex.test.", qtype: dnswire.TypeAXFR, reply: true},
+		{name: "AXFR with QR set", wire: func(t *testing.T) []byte {
+			return packQuery(t, "ex.test", dnswire.TypeAXFR, func(q *dnswire.Message) { q.Response = true })
+		}, tcp: true, verdict: flight.VerdictNone},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The allowlist penalizes nobody (it is not active); it is the
@@ -271,7 +296,12 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			}
 			srv := outcomeServer(t, reserve, probe)
 			sc := scratchPool.Get().(*scratch)
-			defer scratchPool.Put(sc)
+			var frames bytes.Buffer
+			sc.frames = &frames
+			defer func() {
+				sc.frames = nil
+				scratchPool.Put(sc)
+			}()
 			if tc.prep != nil {
 				tc.prep(t, srv, sc)
 			}
@@ -305,14 +335,29 @@ func TestOneOutcomePerQuery(t *testing.T) {
 					t.Errorf("reply rcode %v, want %v", got, tc.rcode)
 				}
 			}
+			n := 0
+			for f, err := readFrame(&frames); err == nil; f, err = readFrame(&frames) {
+				if n++; dnswire.RCode(f[3]&0x0F) != tc.rcode {
+					t.Errorf("frame %d rcode %v, want %v", n, dnswire.RCode(f[3]&0x0F), tc.rcode)
+				}
+			}
+			if n != tc.frames {
+				t.Errorf("%d frames written, want %d", n, tc.frames)
+			}
+			if tc.verdict == flight.VerdictNone {
+				if got := srv.flight.Recorded() - recs0; got != 0 {
+					t.Fatalf("%d flight samples for a dropped packet", got)
+				}
+				return
+			}
 			if got := srv.flight.Recorded() - recs0; got != 1 {
 				t.Fatalf("%d flight samples, want 1", got)
 			}
 			rec := srv.flight.Snapshot(1)[0]
 			if rec.Verdict != tc.verdict || rec.RCode != uint8(tc.rcode) || rec.SuffixString() != tc.qname ||
-				(rec.Flags&flight.FlagTCP != 0) != tc.tcp {
-				t.Errorf("flight sample: verdict %s rcode %d qname %q flags %#x; want %s %d %q",
-					rec.Verdict, rec.RCode, rec.SuffixString(), rec.Flags, tc.verdict, uint8(tc.rcode), tc.qname)
+				(rec.Flags&flight.FlagTCP != 0) != tc.tcp || tc.qtype != 0 && rec.QType != uint16(tc.qtype) {
+				t.Errorf("flight sample: verdict %s rcode %d qname %q qtype %d flags %#x; want %s %d %q",
+					rec.Verdict, rec.RCode, rec.SuffixString(), rec.QType, rec.Flags, tc.verdict, uint8(tc.rcode), tc.qname)
 			}
 			answered := tc.reply && tc.verdict != flight.VerdictShed && tc.verdict != flight.VerdictQuarantined
 			if (rec.Latency != flight.LatencyUnknown) != answered {

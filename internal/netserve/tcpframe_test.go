@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"bytes"
 	"net"
 	"testing"
 	"time"
@@ -64,13 +65,26 @@ func TestTCPZeroLengthFrame(t *testing.T) {
 	}
 }
 
+// TestTCPResponseNotAnswered: a message with the QR bit set — a zone
+// transfer request included — gets no frame, so the first frame back on the
+// connection answers the next query.
+func TestTCPResponseNotAnswered(t *testing.T) {
+	srv := startServer(t, nil)
+	conn := dialTCP(t, srv)
+	qr := packQuery(t, "ex.test", dnswire.TypeAXFR, func(q *dnswire.Message) { q.Response = true })
+	if err := writeFrame(conn, qr); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := queryOn(t, conn, 2); err != nil || resp.ID != 2 {
+		t.Fatalf("first frame after a QR-set AXFR: %v %v, want the answer to query 2", resp, err)
+	}
+}
+
 // TestTCPTruncatedLengthPrefix: half a length prefix then silence; the
 // per-message read deadline cuts the connection rather than pinning a
 // handler goroutine forever.
 func TestTCPTruncatedLengthPrefix(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadTimeout = 200 * time.Millisecond
-	srv := startServerCfg(t, cfg, nil)
+	srv := startServerCfg(t, DefaultConfig(), nil, func(s *Server) { s.readTimeout = 200 * time.Millisecond })
 	conn := dialTCP(t, srv)
 	if _, err := conn.Write([]byte{0x00}); err != nil {
 		t.Fatal(err)
@@ -81,9 +95,7 @@ func TestTCPTruncatedLengthPrefix(t *testing.T) {
 // TestTCPOversizedDeclaredLength: the prefix promises 65535 bytes that never
 // arrive; the read deadline bounds how long the server waits for them.
 func TestTCPOversizedDeclaredLength(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadTimeout = 200 * time.Millisecond
-	srv := startServerCfg(t, cfg, nil)
+	srv := startServerCfg(t, DefaultConfig(), nil, func(s *Server) { s.readTimeout = 200 * time.Millisecond })
 	conn := dialTCP(t, srv)
 	header := append([]byte{0xFF, 0xFF}, make([]byte, 32)...)
 	if _, err := conn.Write(header); err != nil {
@@ -110,12 +122,10 @@ func TestTCPMidFrameDisconnect(t *testing.T) {
 	}
 }
 
-// TestTCPConnCap: connections beyond MaxTCPConns are shed on accept; slots
+// TestTCPConnCap: connections beyond the connection cap are shed on accept; slots
 // free when holders disconnect.
 func TestTCPConnCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxTCPConns = 2
-	srv := startServerCfg(t, cfg, nil)
+	srv := startServerCfg(t, DefaultConfig(), nil, func(s *Server) { s.maxTCPConns = 2 })
 	// Two holders prove they occupy slots by completing a query each.
 	a := dialTCP(t, srv)
 	if _, err := queryOn(t, a, 1); err != nil {
@@ -154,9 +164,7 @@ func TestTCPConnCap(t *testing.T) {
 // TestTCPQueriesPerConnBudget: a connection is closed once it has spent its
 // per-connection query budget.
 func TestTCPQueriesPerConnBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxTCPQueries = 3
-	srv := startServerCfg(t, cfg, nil)
+	srv := startServerCfg(t, DefaultConfig(), nil, func(s *Server) { s.maxTCPQueries = 3 })
 	conn := dialTCP(t, srv)
 	for i := uint16(1); i <= 3; i++ {
 		resp, err := queryOn(t, conn, i)
@@ -173,9 +181,7 @@ func TestTCPQueriesPerConnBudget(t *testing.T) {
 // a handler past the per-message deadline — the frame has a time budget, not
 // each byte.
 func TestTCPSlowlorisTrickle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReadTimeout = 150 * time.Millisecond
-	srv := startServerCfg(t, cfg, nil)
+	srv := startServerCfg(t, DefaultConfig(), nil, func(s *Server) { s.readTimeout = 150 * time.Millisecond })
 	conn := dialTCP(t, srv)
 	if resp, err := queryOn(t, conn, 1); err != nil || resp.RCode != dnswire.RCodeNoError {
 		t.Fatalf("warmup query failed: resp=%v err=%v", resp, err)
@@ -199,5 +205,38 @@ func TestTCPSlowlorisTrickle(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("trickler held the connection for %s", elapsed)
+	}
+}
+
+// writeCounter is an io.Writer that counts the Write calls it takes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameOneWrite: a frame leaves in one Write, length prefix and
+// body together, and readFrame reads back exactly the message written.
+func TestWriteFrameOneWrite(t *testing.T) {
+	for _, size := range []int{1, 512, 65535} {
+		msg := make([]byte, size)
+		for i := range msg {
+			msg[i] = byte(i * 7)
+		}
+		var w writeCounter
+		if err := writeFrame(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%d-byte frame took %d writes", size, w.writes)
+		}
+		back, err := readFrame(&w.Buffer)
+		if err != nil || !bytes.Equal(back, msg) || w.Len() != 0 {
+			t.Errorf("%d-byte frame read back as %d bytes (%v), %d left over", size, len(back), err, w.Len())
+		}
 	}
 }
