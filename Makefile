@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race vet bench bench-compile bench-smoke bench-json bench-alloc-guard bench-saturate bench-saturate-smoke experiments fuzz chaos chaos-soak churn churn-smoke churn-smoke-sharded propagate-smoke examples clean
+.PHONY: all build test race race-suites vet bench bench-compile bench-smoke bench-json bench-alloc-guard bench-saturate bench-saturate-smoke experiments fuzz chaos chaos-soak churn churn-smoke churn-smoke-sharded propagate-smoke examples clean
 
 all: build test
 
@@ -12,24 +12,41 @@ test:
 	go test ./...
 	go test -run='^$$' -bench=BenchmarkNetServe -benchtime=1x .
 
-# The hot serving paths (parallel UDP workers, hot cache, pooled wire
-# buffers) get a dedicated high-iteration race pass on top of the full
-# -race sweep.
+# The full -race sweep, then the focused suites.
 race:
 	go test -race ./...
-	go test -race -run='TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache' -count=2 ./internal/netserve/
-	go test -race -run='TestHotCache|TestAnswerIntoMatchesAnswer' -count=2 ./internal/nameserver/
-	go test -race -run='TestViewServeWhileMutating' -count=2 ./internal/netserve/
-	go test -race -run='TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel' -count=2 ./internal/zone/
-	go test -race -run='^$$' -bench='BenchmarkView|BenchmarkParseMasterBenchZone' -benchtime=1x ./internal/zone/
-	go test -race -run='TestContainmentPanicStorm|TestQueryOfDeathDrill' -count=2 ./internal/netserve/
-	go test -race -run='TestScrapeWhileServing|TestFlightForensicsEndToEnd' -count=2 ./internal/netserve/
-	go test -race -run='TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery|TestIXFRLargeDelta' -count=2 ./internal/netserve/
+	@$(MAKE) --no-print-directory race-suites
+
+# race-suite runs one focused suite under -race: $(1) the package, $(2) the
+# selecting flag (-run or -bench), $(3) its pattern, $(4) further flags.
+# Every alternative of the pattern must first select something in the
+# package, so a renamed test fails the target instead of quietly leaving the
+# race pass.
+define race-suite
+	@for alt in $(subst |, ,$(3)); do \
+		go test -list "$$alt" $(1) | grep -qE '^(Test|Fuzz|Benchmark)' || \
+			{ echo "race-suites: $$alt selects nothing in $(1)"; exit 1; }; \
+	done
+	go test -race $(2)='$(3)' $(4) $(1)
+endef
+
+# The hot serving paths (parallel UDP workers, hot cache, pooled wire
+# buffers), the zone swap, the transfer planes and the coordinators, each
+# at a higher count than the sweep gives them. CI runs this list.
+race-suites:
+	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache,-count=2)
+	$(call race-suite,./internal/nameserver/,-run,TestHotCache|TestAnswerIntoMatchesAnswer,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
+	$(call race-suite,./internal/zone/,-run,TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel,-count=2)
+	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
+	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery|TestIXFRLargeDelta|TestSecondaryStatsWhileRefreshing,-count=2)
 	go test -race -count=2 ./internal/udpbatch/
-	go test -race -run='TestReadWhileWrite' -count=10 ./internal/udpbatch/
-	go test -race -run='TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant' -count=2 ./internal/monitor/
-	go test -race -run='TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace' ./internal/ctlplane/
-	go test -race -run='TestPullLoopRace' -count=2 ./internal/propagate/
+	$(call race-suite,./internal/udpbatch/,-run,TestReadWhileWrite,-count=10)
+	$(call race-suite,./internal/monitor/,-run,TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant,-count=2)
+	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace,)
+	$(call race-suite,./internal/propagate/,-run,TestPullLoopRace,-count=2)
 
 # The second and third lines cross-compile the portable udpbatch.Conn, the
 # only serving path off linux/{amd64,arm64}, which a native vet never builds.
@@ -87,17 +104,19 @@ bench-saturate-smoke:
 experiments:
 	go run ./cmd/experiments -fig all
 
+# Every fuzz target for FUZZTIME each; CI runs the list with FUZZTIME=10s.
+FUZZTIME ?= 30s
 fuzz:
-	go test -fuzz=FuzzUnpack\$$ -fuzztime=30s ./internal/dnswire/
-	go test -fuzz=FuzzUnpackInto -fuzztime=30s ./internal/dnswire/
-	go test -fuzz=FuzzAppendPack -fuzztime=30s ./internal/dnswire/
-	go test -fuzz=FuzzPackParity -fuzztime=30s ./internal/dnswire/
-	go test -fuzz=FuzzParseMaster -fuzztime=30s ./internal/zone/
-	go test -fuzz=FuzzViewLookupParity -fuzztime=30s ./internal/zone/
-	go test -fuzz=FuzzZoneModel -fuzztime=30s ./internal/zone/
-	go test -fuzz=FuzzTCPFrameReader -fuzztime=30s ./internal/netserve/
-	go test -fuzz=FuzzTransferStream -fuzztime=30s ./internal/netserve/
-	go test -fuzz=FuzzPlanApply -fuzztime=30s ./internal/ctlplane/
+	go test -fuzz=FuzzUnpack\$$ -fuzztime=$(FUZZTIME) ./internal/dnswire/
+	go test -fuzz=FuzzUnpackInto -fuzztime=$(FUZZTIME) ./internal/dnswire/
+	go test -fuzz=FuzzAppendPack -fuzztime=$(FUZZTIME) ./internal/dnswire/
+	go test -fuzz=FuzzPackParity -fuzztime=$(FUZZTIME) ./internal/dnswire/
+	go test -fuzz=FuzzParseMaster -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzViewLookupParity -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzZoneModel -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzTCPFrameReader -fuzztime=$(FUZZTIME) ./internal/netserve/
+	go test -fuzz=FuzzTransferStream -fuzztime=$(FUZZTIME) ./internal/netserve/
+	go test -fuzz=FuzzPlanApply -fuzztime=$(FUZZTIME) ./internal/ctlplane/
 
 # Deterministic fault-injection harness: every scenario once at the default
 # seed, plus the determinism and regression suites and the live-socket

@@ -79,15 +79,30 @@ func main() {
 	fmt.Printf("query via secondary: %s -> %s (server cookie %x... issued)\n",
 		"www.shop.test A", resp.Answers[0].(*dnswire.A).Addr, ck.Server[:4])
 
-	// The enterprise updates its zone on the primary; the portal bumps the
-	// serial and NOTIFYs the secondary, which re-transfers immediately.
-	z := priStore.Get(origin)
-	z.Add(&dnswire.A{
-		RRHeader: dnswire.RRHeader{Name: dnswire.MustName("api.shop.test"), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
-		Addr:     netip.MustParseAddr("192.0.2.11"),
-	})
-	z.SetSerial(2026070502)
-	primary.History.Record(z)
+	// The enterprise updates its zone on the primary. A served version never
+	// changes: the portal builds the next one from a delta, swaps it in,
+	// records it for IXFR and NOTIFYs the secondary, which fetches the same
+	// delta immediately.
+	cur := priStore.Get(origin)
+	delta := zone.Delta{
+		FromSerial: cur.Serial(),
+		ToSerial:   2026070502,
+		Added: []dnswire.RR{&dnswire.A{
+			RRHeader: dnswire.RRHeader{Name: dnswire.MustName("api.shop.test"), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
+			Addr:     netip.MustParseAddr("192.0.2.11"),
+		}},
+	}
+	next, err := zone.Apply(cur, delta)
+	if err != nil {
+		log.Fatal(err)
+	}
+	priStore.Put(next)
+	primary.History.Record(next)
+	fmt.Printf("primary:   IXFR delta %d -> %d: -%d +%d records\n",
+		delta.FromSerial, delta.ToSerial, len(delta.Deleted), len(delta.Added))
+	for _, rr := range delta.Added {
+		fmt.Printf("             + %s\n", rr)
+	}
 	if err := netserve.SendNotify(secondary.UDPAddrActual(), origin, 2*time.Second); err != nil {
 		log.Fatal(err)
 	}
@@ -95,8 +110,9 @@ func main() {
 	for sec.Serial() != 2026070502 && time.Now().Before(deadline) {
 		time.Sleep(20 * time.Millisecond)
 	}
+	st := sec.Stats()
 	fmt.Printf("after NOTIFY: secondary serial %d (transfers: %d, of which incremental IXFR: %d)\n",
-		sec.Serial(), sec.Transfers, sec.Incrementals)
+		sec.Serial(), st.Transfers, st.Incrementals)
 
 	q2 := dnswire.NewQuery(2, dnswire.MustName("api.shop.test"), dnswire.TypeA)
 	resp2, err := netserve.Exchange(secondary.UDPAddrActual(), q2, false, 2*time.Second)

@@ -37,6 +37,7 @@ import (
 	"akamaidns/internal/netsim"
 	"akamaidns/internal/pop"
 	"akamaidns/internal/simtime"
+	"akamaidns/internal/zone"
 )
 
 // Config parameterizes one chaos run.
@@ -411,9 +412,10 @@ func (h *Harness) violate(invariant, format string, args ...any) {
 	})
 }
 
-// startHeartbeat bumps a rotating enterprise zone serial and publishes the
-// update, keeping the §4.2.2 input-staleness machinery exercised: machines
-// whose subscriptions stall will see their input age grow past StaleWindow.
+// startHeartbeat swaps in the next version of a rotating enterprise zone —
+// the same records at serial+1 — and publishes the update, keeping the
+// §4.2.2 input-staleness machinery exercised: machines whose subscriptions
+// stall will see their input age grow past StaleWindow.
 func (h *Harness) startHeartbeat() {
 	beat := 0
 	h.p.Sched.Every(h.cfg.HeartbeatEvery, func(now simtime.Time) {
@@ -426,8 +428,13 @@ func (h *Harness) startHeartbeat() {
 		if z == nil {
 			return
 		}
-		z.SetSerial(z.Serial() + 1)
-		h.p.Bus.Publish(core.TopicZones, fmt.Sprintf("zone:%s:serial:%d", ent.Zones[0], z.Serial()))
+		serial := z.Serial()
+		next, err := zone.Apply(z, zone.Delta{FromSerial: serial, ToSerial: serial + 1})
+		if err != nil {
+			return // no SOA: the zone has no serial to bump
+		}
+		h.p.Store.Put(next)
+		h.p.Bus.Publish(core.TopicZones, fmt.Sprintf("zone:%s:serial:%d", ent.Zones[0], next.Serial()))
 	})
 }
 

@@ -149,13 +149,21 @@ func (p *Platform) AddCDNProperty(label string, edges ...string) (*CDNProperty, 
 		return nil, fmt.Errorf("core: SetupCDN not called")
 	}
 	// A static fallback record exists so the zone lookup succeeds; the
-	// mapper replaces the address per client.
-	if err := z.Add(&dnswire.A{
-		RRHeader: dnswire.RRHeader{Name: entry, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 20},
-		Addr:     CloudAddr(0),
-	}); err != nil {
+	// mapper replaces the address per client. The zone's next version keeps
+	// its serial: the record is platform plumbing, not a zone change to
+	// propagate.
+	next, err := zone.Apply(z, zone.Delta{
+		FromSerial: z.Serial(),
+		ToSerial:   z.Serial(),
+		Added: []dnswire.RR{&dnswire.A{
+			RRHeader: dnswire.RRHeader{Name: entry, Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 20},
+			Addr:     CloudAddr(0),
+		}},
+	})
+	if err != nil {
 		return nil, err
 	}
+	p.Store.Put(next)
 	if err := p.Mapper.BindProperty(entry, edges...); err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func testSample(verdict Verdict, rcode uint8) Sample {
 }
 
 func TestHeadSampling(t *testing.T) {
-	rec := New(Config{SampleEvery: 4, Rings: 1, RingSize: 64}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 4}, obs.NewRegistry())
 	w := rec.Worker()
 	for i := 0; i < 16; i++ {
 		w.Observe(testSample(VerdictCached, 0))
@@ -66,7 +66,7 @@ func TestAnomalyEscalation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := New(Config{SampleEvery: 1000, Rings: 1, RingSize: 8}, obs.NewRegistry())
+			rec := New(Config{SampleEvery: 1000}, obs.NewRegistry())
 			w := rec.Worker()
 			// Despite 1-in-1000 head sampling, every observation must record.
 			for i := 0; i < 3; i++ {
@@ -94,7 +94,7 @@ func TestVerdictNoneIgnored(t *testing.T) {
 }
 
 func TestRecordContents(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 1}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w := rec.Worker()
 	s := testSample(VerdictView, 3)
 	s.QnameWire = wireName("WWW", "Ex", "Test") // folded on capture
@@ -127,7 +127,7 @@ func TestRecordContents(t *testing.T) {
 }
 
 func TestLongNameKeepsTail(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 1}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w := rec.Worker()
 	s := testSample(VerdictServed, 5)
 	s.QnameWire = wireName(strings.Repeat("a", 60), "flood", "ex", "test")
@@ -140,7 +140,7 @@ func TestLongNameKeepsTail(t *testing.T) {
 }
 
 func TestQnameTextFallback(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 1}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w := rec.Worker()
 	s := testSample(VerdictShed, 0)
 	s.QnameWire = nil
@@ -156,7 +156,7 @@ func TestQnameTextFallback(t *testing.T) {
 }
 
 func TestTopDimensions(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 1, TopK: 8}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w := rec.Worker()
 	for i := 0; i < 10; i++ {
 		s := testSample(VerdictServed, 0)
@@ -206,7 +206,7 @@ func TestRingWrap(t *testing.T) {
 }
 
 func TestSnapshotMaxAndOrder(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 2, RingSize: 8}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w1, w2 := rec.Worker(), rec.Worker()
 	for i := 0; i < 6; i++ {
 		w1.Observe(testSample(VerdictCached, 0))
@@ -225,7 +225,7 @@ func TestSnapshotMaxAndOrder(t *testing.T) {
 
 func TestRollupSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := New(Config{SampleEvery: 1, Rings: 1}, reg)
+	rec := New(Config{SampleEvery: 1}, reg)
 	w := rec.Worker()
 	w.Observe(testSample(VerdictCached, 0)) // zone ex.test., NOERROR, sampled
 	s := testSample(VerdictQuarantined, 3)
@@ -253,7 +253,7 @@ func TestRollupSeries(t *testing.T) {
 // rollup and sketch slots exist, Observe allocates nothing — sampled
 // captures, anomalous captures, and skipped observations alike.
 func TestObserveZeroAlloc(t *testing.T) {
-	rec := New(Config{SampleEvery: 4, Rings: 1, RingSize: 64}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 4}, obs.NewRegistry())
 	w := rec.Worker()
 	warm := testSample(VerdictCached, 0)
 	anomalous := testSample(VerdictQuarantined, 5)
@@ -270,7 +270,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 }
 
 func TestQueriesHandlerFilters(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 1}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w := rec.Worker()
 	w.Observe(testSample(VerdictCached, 0))
 	q := testSample(VerdictQuarantined, 5)
@@ -330,7 +330,7 @@ func TestQueriesHandlerFilters(t *testing.T) {
 }
 
 func TestTopKHandler(t *testing.T) {
-	rec := New(Config{SampleEvery: 1, Rings: 1}, obs.NewRegistry())
+	rec := New(Config{SampleEvery: 1}, obs.NewRegistry())
 	w := rec.Worker()
 	for i := 0; i < 5; i++ {
 		w.Observe(testSample(VerdictServed, 0))

@@ -9,55 +9,31 @@ import (
 	"akamaidns/internal/obs"
 )
 
-// Config tunes the recorder. The zero value takes every default, which is
+// Config tunes the recorder. The zero value takes the default, which is
 // what the socket server ships with.
 type Config struct {
-	// Rings is the number of record rings (default 8). Workers are dealt
-	// rings round-robin; two workers sharing a ring is safe, just noisier.
-	Rings int
-	// RingSize is the record capacity per ring (default 512).
-	RingSize int
 	// SampleEvery is the head-sampling rate for normal-verdict records:
-	// 1-in-N captured (default 16; 1 captures everything). Anomalies are
-	// always captured regardless.
+	// 1-in-N captured (default DefaultSampleEvery; 1 captures everything).
+	// Anomalies are always captured regardless.
 	SampleEvery int
-	// TopK is the heavy-hitter slot count per dimension (default 32).
-	TopK int
-	// LatencyOutlier escalates a timed query to forced capture when its
-	// handle latency meets or exceeds it (default 25ms; negative disables
-	// the escalation).
-	LatencyOutlier time.Duration
 }
 
-// Config defaults.
+// DefaultSampleEvery is the head-sampling period of the zero Config.
+const DefaultSampleEvery = 16
+
+// The recorder's fixed shape.
 const (
-	DefaultRings       = 8
-	DefaultRingSize    = 512
-	DefaultSampleEvery = 16
-	DefaultTopK        = 32
+	// numRings is the number of record rings. Workers are dealt rings
+	// round-robin; two workers sharing a ring is safe, just noisier.
+	numRings = 8
+	// ringSize is the record capacity per ring.
+	ringSize = 512
+	// topKSlots is the heavy-hitter slot count per dimension.
+	topKSlots = 32
+	// latencyOutlier escalates a timed query to forced capture when its
+	// handle latency meets or exceeds it.
+	latencyOutlier = 25 * time.Millisecond
 )
-
-// DefaultLatencyOutlier is the forced-capture latency threshold.
-const DefaultLatencyOutlier = 25 * time.Millisecond
-
-func (c Config) withDefaults() Config {
-	if c.Rings <= 0 {
-		c.Rings = DefaultRings
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = DefaultRingSize
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = DefaultSampleEvery
-	}
-	if c.TopK <= 0 {
-		c.TopK = DefaultTopK
-	}
-	if c.LatencyOutlier == 0 {
-		c.LatencyOutlier = DefaultLatencyOutlier
-	}
-	return c
-}
 
 // rollKey indexes the per-(zone, rcode) rollup without building strings.
 type rollKey struct {
@@ -101,19 +77,21 @@ type Recorder struct {
 // counters, the effective sampling-rate gauge, and (lazily, as traffic
 // arrives) the per-(zone, rcode) rollup family.
 func New(cfg Config, reg *obs.Registry) *Recorder {
-	cfg = cfg.withDefaults()
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = DefaultSampleEvery
+	}
 	r := &Recorder{
 		cfg:         cfg,
 		epoch:       time.Now(),
 		reg:         reg,
-		rings:       make([]*ring, cfg.Rings),
-		topSuffix:   NewTopK(cfg.TopK),
-		topQType:    NewTopK(cfg.TopK),
-		topResolver: NewTopK(cfg.TopK),
+		rings:       make([]*ring, numRings),
+		topSuffix:   NewTopK(topKSlots),
+		topQType:    NewTopK(topKSlots),
+		topResolver: NewTopK(topKSlots),
 		roll:        make(map[rollKey]*obs.Counter),
 	}
 	for i := range r.rings {
-		r.rings[i] = newRing(cfg.RingSize)
+		r.rings[i] = newRing(ringSize)
 	}
 	help := "Flight-recorder records captured, by capture reason."
 	r.sampledC = reg.Counter(obs.MetricFlightRecordsTotal, help, "reason", "sampled")
@@ -168,7 +146,7 @@ func (w *Worker) Observe(s Sample) {
 	}
 	anomalous := s.Verdict.Anomalous() ||
 		s.RCode == 2 /* SERVFAIL */ || s.RCode == 5 /* REFUSED */ || s.RCode == 1 /* FORMERR */ ||
-		(s.Latency >= 0 && w.rec.cfg.LatencyOutlier > 0 && s.Latency >= w.rec.cfg.LatencyOutlier)
+		s.Latency >= latencyOutlier
 	if !anomalous {
 		w.tick++
 		if w.tick < uint32(w.rec.cfg.SampleEvery) {

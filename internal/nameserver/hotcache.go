@@ -25,15 +25,16 @@ import (
 // it reclaims deleted slots only by growing. The counters are atomics the
 // owner writes and anyone may read (scrapes sum them across workers).
 //
-// Consistency is generation-based rather than per-entry: the zone store
-// advances a generation counter on every visible data change (zone
-// install/remove, record add/remove, serial bump), and the cache remembers
-// the generation its contents were computed at. Callers snapshot the store
-// generation BEFORE computing an answer and present it at Insert and
-// Lookup; any mismatch flushes the cache wholesale. A flush is cheap (the
-// slab is truncated, the index cleared) and zone changes are rare relative
-// to queries, so this trades a tiny recompute burst after each change for
-// zero per-entry bookkeeping on hits.
+// Consistency is generation-based rather than per-entry: an installed zone
+// never changes, so the zone store sees data change only when an Update
+// swaps a zone version in or out, and advances a generation counter once
+// per such Update; the cache remembers the generation its contents were
+// computed at. Callers snapshot the store generation BEFORE computing an
+// answer and present it at Insert and Lookup; any mismatch flushes the
+// cache wholesale. A flush is cheap (the slab is truncated, the index
+// cleared) and zone changes are rare relative to queries, so this trades a
+// tiny recompute burst after each change for zero per-entry bookkeeping on
+// hits.
 type HotCache struct {
 	max   int
 	gen   uint64 // store generation the entries were computed at

@@ -150,50 +150,63 @@ func TestHotCacheModel(t *testing.T) {
 	}
 }
 
+// TestStoreGenAdvancesOnChanges: the generation that guards the hot cache
+// moves exactly once per Update that installs or removes a zone, however
+// many zones it touches, and never when a zone that is not installed is
+// edited.
 func TestStoreGenAdvancesOnChanges(t *testing.T) {
 	store := zone.NewStore()
-	g0 := store.Gen()
-	z := zone.New(dnswire.MustName("ex.test"))
-	soa := &dnswire.SOA{RRHeader: dnswire.RRHeader{Name: dnswire.MustName("ex.test"),
-		Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300},
-		MName: dnswire.MustName("ns1.ex.test"), RName: dnswire.MustName("host.ex.test"),
-		Serial: 1, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: 30}
-	if err := z.Add(soa); err != nil {
-		t.Fatal(err)
+	origin := dnswire.MustName("ex.test")
+	build := func(o dnswire.Name) *zone.Zone {
+		z := zone.New(o)
+		if err := z.Add(&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: o,
+			Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300},
+			MName: dnswire.MustName("ns1.ex.test"), RName: dnswire.MustName("host.ex.test"),
+			Serial: 1, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: 30}); err != nil {
+			t.Fatal(err)
+		}
+		return z
 	}
-	store.Put(z)
-	g1 := store.Gen()
-	if g1 == g0 {
-		t.Fatal("Put did not advance the generation")
+	free := build(origin)
+	edit := func() {
+		free.SetSerial(free.Serial() + 1)
+		if err := free.Add(&dnswire.A{RRHeader: dnswire.RRHeader{Name: dnswire.MustName("www.ex.test"),
+			Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
+			Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(free.Serial())})}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// In-place mutations of an installed zone advance it too.
-	z.SetSerial(2)
-	g2 := store.Gen()
-	if g2 == g1 {
-		t.Fatal("SetSerial did not advance the generation")
+	next := func(tx *zone.Tx) {
+		cur := tx.Get(origin)
+		z, err := zone.Apply(cur, zone.Delta{FromSerial: cur.Serial(), ToSerial: cur.Serial() + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Put(z)
 	}
-	if err := z.Add(&dnswire.A{RRHeader: dnswire.RRHeader{Name: dnswire.MustName("www.ex.test"),
-		Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
-		Addr: netip.MustParseAddr("192.0.2.1")}); err != nil {
-		t.Fatal(err)
-	}
-	if store.Gen() == g2 {
-		t.Fatal("Add did not advance the generation")
-	}
-	g3 := store.Gen()
-	z.Remove(dnswire.MustName("www.ex.test"), dnswire.TypeA)
-	if store.Gen() == g3 {
-		t.Fatal("Remove did not advance the generation")
-	}
-	// Deleting the zone detaches the hook and advances once more.
-	g4 := store.Gen()
-	store.Delete(dnswire.MustName("ex.test"))
-	if store.Gen() == g4 {
-		t.Fatal("Delete did not advance the generation")
-	}
-	g5 := store.Gen()
-	z.SetSerial(9) // detached zone: no further effect on the store
-	if store.Gen() != g5 {
-		t.Fatal("detached zone still bumps the store generation")
+	for _, step := range []struct {
+		name   string
+		update func(tx *zone.Tx)
+		moves  uint64 // how far the update moves the generation
+	}{
+		{"Put", func(tx *zone.Tx) { tx.Put(build(origin)) }, 1},
+		{"next version", next, 1},
+		{"three zones in one batch", func(tx *zone.Tx) {
+			next(tx)
+			tx.Put(build(dnswire.MustName("a.test")))
+			tx.Put(build(dnswire.MustName("b.test")))
+		}, 1},
+		{"reads only", func(tx *zone.Tx) { tx.Get(origin); tx.Delete(dnswire.MustName("missing.test")) }, 0},
+		{"Delete", func(tx *zone.Tx) { tx.Delete(origin) }, 1},
+	} {
+		g := store.Gen()
+		edit()
+		if store.Gen() != g {
+			t.Fatalf("before %s: editing a free zone moved the generation", step.name)
+		}
+		store.Update(step.update)
+		if store.Gen() != g+step.moves {
+			t.Fatalf("%s: generation %d -> %d, want %d", step.name, g, store.Gen(), g+step.moves)
+		}
 	}
 }

@@ -107,8 +107,8 @@ type viewsZoneJSON struct {
 	Origin  string `json:"origin"`
 	Serial  uint32 `json:"serial"`
 	Records int    `json:"records"`
-	// ViewBytes is the heap footprint of the zone's published view (0 while
-	// it waits for its next reader to recompile it).
+	// ViewBytes is the heap footprint of the zone's compiled view (0 until
+	// the installed version's first reader compiles it).
 	ViewBytes int `json:"view_bytes"`
 }
 

@@ -77,8 +77,8 @@ func exchangeRaw(t *testing.T, addr string, wire []byte) []byte {
 	return buf[:n]
 }
 
-// TestHotCacheInvalidatedByZoneChange checks the generation plumbing: an
-// in-place record change on a live zone must flush cached responses, so no
+// TestHotCacheInvalidatedByZoneChange checks the generation plumbing:
+// swapping in a zone's next version must flush cached responses, so no
 // client sees pre-change data afterwards.
 func TestHotCacheInvalidatedByZoneChange(t *testing.T) {
 	srv := startServer(t, nil)
@@ -90,18 +90,16 @@ func TestHotCacheInvalidatedByZoneChange(t *testing.T) {
 	if len(resp.Answers) != 1 {
 		t.Fatalf("pre-change answers = %d", len(resp.Answers))
 	}
-	// Prime the cache, then mutate the live zone.
+	// Prime the cache, then swap in a version with a second www address at
+	// the same serial.
 	if _, err := Exchange(srv.UDPAddrActual(), q, false, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	z := srv.Engine.Store.Get(dnswire.MustName("ex.test"))
-	if err := z.Add(&dnswire.A{
+	putNext(t, srv.Engine.Store, zone.Delta{ToSerial: 7, Added: []dnswire.RR{&dnswire.A{
 		RRHeader: dnswire.RRHeader{Name: dnswire.MustName("www.ex.test"),
 			Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
 		Addr: netip.MustParseAddr("192.0.2.99"),
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}}})
 	resp, err = Exchange(srv.UDPAddrActual(), q, false, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -120,26 +118,30 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.UDPWorkers = 4
 		srv := startServerCfg(t, cfg, nil)
-		z := srv.Engine.Store.Get(dnswire.MustName("ex.test"))
+		store := srv.Engine.Store
 		stop := make(chan struct{})
+		errs := make(chan error, 16)
 		var mutWG sync.WaitGroup
 		mutWG.Add(1)
-		go func() { // serial bumps force continual cache invalidation
+		go func() { // serial swaps force continual cache invalidation
 			defer mutWG.Done()
-			serial := uint32(100)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					z.SetSerial(serial)
-					serial++
+					cur := store.Get(dnswire.MustName("ex.test"))
+					next, err := zone.Apply(cur, zone.Delta{FromSerial: cur.Serial(), ToSerial: cur.Serial() + 1})
+					if err != nil {
+						errs <- err
+						return
+					}
+					store.Put(next)
 					time.Sleep(500 * time.Microsecond)
 				}
 			}
 		}()
 		var wg sync.WaitGroup
-		errs := make(chan error, 16)
 		for c := 0; c < 8; c++ {
 			wg.Add(1)
 			go func(c int) {

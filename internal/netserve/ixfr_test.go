@@ -36,13 +36,25 @@ func hostA(host string) *dnswire.A {
 	}
 }
 
-// bump adds a record and advances the serial, recording history.
+// putNext builds the next version of ex.test from d, which chains from the
+// serving serial, and installs it in store.
+func putNext(t *testing.T, store *zone.Store, d zone.Delta) *zone.Zone {
+	t.Helper()
+	cur := store.Get(dnswire.MustName("ex.test"))
+	d.FromSerial = cur.Serial()
+	next, err := zone.Apply(cur, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Put(next)
+	return next
+}
+
+// bump installs a version with one more record at serial and records it for
+// IXFR.
 func bump(t *testing.T, primary *Server, store *zone.Store, serial uint32, host string) {
 	t.Helper()
-	z := store.Get(dnswire.MustName("ex.test"))
-	z.Add(hostA(host))
-	z.SetSerial(serial)
-	primary.History.Record(z)
+	primary.History.Record(putNext(t, store, zone.Delta{ToSerial: serial, Added: []dnswire.RR{hostA(host)}}))
 }
 
 func TestIXFRUpToDate(t *testing.T) {
@@ -79,12 +91,11 @@ func TestIXFRLargeDelta(t *testing.T) {
 	const n = 4000
 	primary, store, _ := ixfrRig(t)
 	origin := dnswire.MustName("ex.test")
-	z := store.Get(origin)
+	d := zone.Delta{ToSerial: 8}
 	for i := 0; i < n; i++ {
-		z.Add(hostA("h" + itoaTest(i) + ".ex.test"))
+		d.Added = append(d.Added, hostA("h"+itoaTest(i)+".ex.test"))
 	}
-	z.SetSerial(8)
-	primary.History.Record(z)
+	primary.History.Record(putNext(t, store, d))
 	start := time.Now()
 	res, err := TransferIncremental(primary.TCPAddrActual(), origin, 7, time.Second)
 	if err != nil {
@@ -127,7 +138,7 @@ func TestSecondaryUsesIncrementals(t *testing.T) {
 	primary, store, sec := ixfrRig(t)
 	sec.MinInterval = time.Millisecond
 	sec.RefreshOnce() // AXFR to serial 7
-	if sec.Incrementals != 0 {
+	if sec.Stats().Incrementals != 0 {
 		t.Fatal("initial pull counted as incremental")
 	}
 	for s := uint32(8); s <= 11; s++ {
@@ -137,8 +148,8 @@ func TestSecondaryUsesIncrementals(t *testing.T) {
 			t.Fatalf("secondary at %d, want %d", sec.Serial(), s)
 		}
 	}
-	if sec.Incrementals != 4 {
-		t.Fatalf("incrementals = %d, want 4", sec.Incrementals)
+	if st := sec.Stats(); st.Incrementals != 4 {
+		t.Fatalf("incrementals = %d, want 4", st.Incrementals)
 	}
 	// The replica answers the incremental additions.
 	got := sec.Store.Get(dnswire.MustName("ex.test")).View().Lookup(dnswire.MustName("h10.ex.test"), dnswire.TypeA)
@@ -185,10 +196,8 @@ func TestIXFRUnknownZoneRefused(t *testing.T) {
 
 func TestIXFRWithDeletions(t *testing.T) {
 	primary, store, _ := ixfrRig(t)
-	z := store.Get(dnswire.MustName("ex.test"))
-	z.Remove(dnswire.MustName("www.ex.test"), dnswire.TypeA)
-	z.SetSerial(8)
-	primary.History.Record(z)
+	www := store.Get(dnswire.MustName("ex.test")).RRset(dnswire.MustName("www.ex.test"), dnswire.TypeA)
+	primary.History.Record(putNext(t, store, zone.Delta{ToSerial: 8, Deleted: www}))
 	res, err := TransferIncremental(primary.TCPAddrActual(), dnswire.MustName("ex.test"), 7, time.Second)
 	if err != nil {
 		t.Fatal(err)

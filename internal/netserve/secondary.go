@@ -30,10 +30,15 @@ type Secondary struct {
 	stopCh  chan struct{}
 	kick    chan struct{}
 	running bool
+	stats   SecondaryStats
+}
+
+// SecondaryStats is a snapshot of a Secondary's counters.
+type SecondaryStats struct {
 	// Transfers counts successful zone pulls; Incrementals counts those
 	// served as IXFR deltas; Polls counts SOA checks.
 	Transfers, Incrementals, Polls uint64
-	// LastErr records the most recent failure.
+	// LastErr records the most recent refresh's failure (nil on success).
 	LastErr error
 }
 
@@ -102,12 +107,16 @@ func (s *Secondary) loop(stop chan struct{}) {
 	}
 }
 
+// Stats snapshots the secondary's counters.
+func (s *Secondary) Stats() SecondaryStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
 // RefreshOnce performs one poll/transfer cycle and returns the time to wait
 // before the next (the zone's Refresh, or Retry after a failure).
 func (s *Secondary) RefreshOnce() time.Duration {
-	s.mu.Lock()
-	s.Polls++
-	s.mu.Unlock()
 	refresh, retry := 3600*time.Second, 600*time.Second
 	if z := s.Store.Get(s.Origin); z != nil {
 		if soa := z.SOA(); soa != nil {
@@ -115,67 +124,61 @@ func (s *Secondary) RefreshOnce() time.Duration {
 			retry = time.Duration(soa.Retry) * time.Second
 		}
 	}
-	remote, err := s.remoteSerial()
+	next, incremental, err := s.pull()
+	if next != nil {
+		s.Store.Put(next)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Polls++
+	s.stats.LastErr = err
+	if next != nil {
+		s.stats.Transfers++
+		if incremental {
+			s.stats.Incrementals++
+		}
+	}
 	if err != nil {
-		s.setErr(fmt.Errorf("netserve: secondary poll %s: %w", s.Origin, err))
 		return retry
 	}
-	if remote == s.Serial() && s.Serial() != 0 {
-		s.setErr(nil)
-		return refresh
+	return refresh
+}
+
+// pull fetches the primary's version when it is not the one held: built
+// from an IXFR delta when one chains from the held version, from a full
+// transfer otherwise. It returns nil when the held version is current.
+func (s *Secondary) pull() (next *zone.Zone, incremental bool, err error) {
+	remote, err := s.remoteSerial()
+	if err != nil {
+		return nil, false, fmt.Errorf("netserve: secondary poll %s: %w", s.Origin, err)
 	}
-	// Prefer IXFR when we hold a version; fall back to AXFR.
-	if have := s.Serial(); have != 0 {
-		res, err := TransferIncremental(s.Primary, s.Origin, have, s.Timeout)
-		if err == nil {
+	have := s.Serial()
+	if have != 0 && remote == have {
+		return nil, false, nil
+	}
+	if have != 0 {
+		if res, err := TransferIncremental(s.Primary, s.Origin, have, s.Timeout); err == nil {
 			switch {
 			case res.UpToDate:
-				s.setErr(nil)
-				return refresh
+				return nil, false, nil
 			case res.Delta != nil:
-				cur := s.Store.Get(s.Origin)
-				next, err := zone.Apply(cur, *res.Delta)
-				if err == nil {
-					s.Store.Put(next)
-					s.mu.Lock()
-					s.Transfers++
-					s.Incrementals++
-					s.mu.Unlock()
-					s.setErr(nil)
-					return refresh
+				// A delta that does not chain falls through to a full transfer.
+				if next, err := zone.Apply(s.Store.Get(s.Origin), *res.Delta); err == nil {
+					return next, true, nil
 				}
-				// Delta did not chain; fall through to full transfer.
 			case res.Full != nil:
-				if _, err := s.Store.ApplyTransfer(s.Origin, res.Full); err == nil {
-					s.mu.Lock()
-					s.Transfers++
-					s.mu.Unlock()
-					s.setErr(nil)
-					return refresh
+				if next, err := zone.FromTransfer(s.Origin, res.Full); err == nil {
+					return next, false, nil
 				}
 			}
 		}
 	}
 	recs, err := Transfer(s.Primary, s.Origin, s.Timeout)
 	if err != nil {
-		s.setErr(fmt.Errorf("netserve: secondary transfer %s: %w", s.Origin, err))
-		return retry
+		return nil, false, fmt.Errorf("netserve: secondary transfer %s: %w", s.Origin, err)
 	}
-	if _, err := s.Store.ApplyTransfer(s.Origin, recs); err != nil {
-		s.setErr(err)
-		return retry
-	}
-	s.mu.Lock()
-	s.Transfers++
-	s.mu.Unlock()
-	s.setErr(nil)
-	return refresh
-}
-
-func (s *Secondary) setErr(err error) {
-	s.mu.Lock()
-	s.LastErr = err
-	s.mu.Unlock()
+	next, err = zone.FromTransfer(s.Origin, recs)
+	return next, false, err
 }
 
 func (s *Secondary) remoteSerial() (uint32, error) {

@@ -63,34 +63,33 @@ func TestSecondaryInitialTransfer(t *testing.T) {
 	if !resp.Authoritative || len(resp.Answers) != 1 {
 		t.Fatalf("secondary answer = %v", resp)
 	}
-	if r.sec.LastErr != nil {
-		t.Fatalf("LastErr = %v", r.sec.LastErr)
+	if err := r.sec.Stats().LastErr; err != nil {
+		t.Fatalf("LastErr = %v", err)
 	}
 }
 
 func TestSecondarySkipsWhenSerialUnchanged(t *testing.T) {
 	r := newRig(t)
 	r.sec.RefreshOnce()
-	before := r.sec.Transfers
+	before := r.sec.Stats().Transfers
 	r.sec.RefreshOnce()
-	if r.sec.Transfers != before {
+	st := r.sec.Stats()
+	if st.Transfers != before {
 		t.Fatal("transferred despite unchanged serial")
 	}
-	if r.sec.Polls != 2 {
-		t.Fatalf("polls = %d", r.sec.Polls)
+	if st.Polls != 2 {
+		t.Fatalf("polls = %d", st.Polls)
 	}
 }
 
 func TestSecondaryPicksUpUpdates(t *testing.T) {
 	r := newRig(t)
 	r.sec.RefreshOnce()
-	// Update the primary: add a record, bump the serial.
-	z := r.priStore.Get(dnswire.MustName("ex.test"))
-	z.Add(&dnswire.A{
+	// Update the primary: a version with one more record, at serial 8.
+	putNext(t, r.priStore, zone.Delta{ToSerial: 8, Added: []dnswire.RR{&dnswire.A{
 		RRHeader: dnswire.RRHeader{Name: dnswire.MustName("new.ex.test"), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
 		Addr:     netip.MustParseAddr("192.0.2.99"),
-	})
-	z.SetSerial(8)
+	}}})
 	r.sec.RefreshOnce()
 	if r.sec.Serial() != 8 {
 		t.Fatalf("secondary serial = %d, want 8", r.sec.Serial())
@@ -107,8 +106,7 @@ func TestSecondaryNotifyTriggersRefresh(t *testing.T) {
 	r.sec.Start()
 	defer r.sec.Stop()
 	// Update primary and NOTIFY the secondary's server socket.
-	z := r.priStore.Get(dnswire.MustName("ex.test"))
-	z.SetSerial(9)
+	putNext(t, r.priStore, zone.Delta{ToSerial: 9})
 	if err := SendNotify(r.secondary.UDPAddrActual(), dnswire.MustName("ex.test"), time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestSecondaryRetryOnDeadPrimary(t *testing.T) {
 	sec := NewSecondary(store, dnswire.MustName("ex.test"), "127.0.0.1:1") // nothing there
 	sec.Timeout = 200 * time.Millisecond
 	d := sec.RefreshOnce()
-	if sec.LastErr == nil {
+	if sec.Stats().LastErr == nil {
 		t.Fatal("no error recorded for dead primary")
 	}
 	if d <= 0 {
@@ -140,4 +138,34 @@ func TestSecondaryStartStopIdempotent(t *testing.T) {
 	r.sec.Start()
 	r.sec.Stop()
 	r.sec.Stop()
+}
+
+// TestSecondaryStatsWhileRefreshing reads the counters while the refresh
+// loop writes them (run under -race): every snapshot is whole, and the
+// counters only grow.
+func TestSecondaryStatsWhileRefreshing(t *testing.T) {
+	r := newRig(t)
+	r.sec.MinInterval = time.Millisecond
+	r.sec.Start()
+	defer r.sec.Stop()
+	var last SecondaryStats
+	deadline := time.Now().Add(5 * time.Second)
+	for serial := uint32(8); last.Transfers < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("refresh loop stalled at %+v", last)
+		}
+		if r.sec.Serial() == serial-1 {
+			putNext(t, r.priStore, zone.Delta{ToSerial: serial})
+			serial++
+		}
+		r.sec.Notify()
+		st := r.sec.Stats()
+		if st.Polls < last.Polls || st.Transfers < last.Transfers || st.Transfers > st.Polls {
+			t.Fatalf("stats went from %+v to %+v", last, st)
+		}
+		last = st
+	}
+	if last.LastErr != nil {
+		t.Fatalf("LastErr = %v", last.LastErr)
+	}
 }

@@ -212,11 +212,11 @@ func TestViewServeGraduation(t *testing.T) {
 	}
 }
 
-// TestViewServeWhileMutating hammers the handle path from several goroutines
-// while the store is concurrently mutated — zone records flipped and whole
-// zones added/removed. Run under -race this proves the serve path takes no
-// read-side locks on shared mutable state.
-func TestViewServeWhileMutating(t *testing.T) {
+// TestViewServeWhileSwapping hammers the handle path from several goroutines
+// while the store concurrently swaps zone versions — a zone's next version
+// installed, whole zones added/removed. Run under -race this proves the
+// serve path takes no read-side locks on shared mutable state.
+func TestViewServeWhileSwapping(t *testing.T) {
 	srv, _, store := viewTestServers(t, benchDelegationZone, dnswire.MustName("ex.test"))
 	queries := make([][]byte, 0, len(viewDiffQueries))
 	for i, tc := range viewDiffQueries {
@@ -255,10 +255,7 @@ ns1  IN A 198.51.100.9
 www  IN A 192.0.2.9
 `
 	for i := 0; i < 200; i++ {
-		z := store.Find(dnswire.MustName("www.ex.test"))
-		if z != nil {
-			z.SetSerial(uint32(100 + i))
-		}
+		putNext(t, store, zone.Delta{ToSerial: uint32(100 + i)})
 		if i%2 == 0 {
 			store.Put(zone.MustParseMaster(otherZone, other))
 		} else {

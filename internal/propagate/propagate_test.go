@@ -100,7 +100,11 @@ func TestPullSerialOnlyBump(t *testing.T) {
 	r.ctl.Put(z)
 	r.puller.Start()
 	r.sched.RunFor(3 * time.Second)
-	z.SetSerial(2)
+	next, err := zone.Apply(z, zone.Delta{FromSerial: 1, ToSerial: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ctl.Put(next)
 	r.puller.Poke()
 	r.sched.RunFor(100 * time.Millisecond)
 	r.convergedEqual(t)

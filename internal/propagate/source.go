@@ -13,10 +13,11 @@ import (
 //
 // Versions reach the history two ways: the control plane records each
 // committed version explicitly (ctlplane.Config.History), and the source
-// lazily snapshots any zone whose live serial has moved past the newest
-// retained one (covering direct store mutations such as heartbeat serial
-// bumps). Either way the serial discipline holds: a mutation without a
-// serial bump is invisible to propagation, exactly as in real DNS.
+// lazily records any installed version whose serial is not the newest
+// retained one (covering versions swapped into the store directly, such as
+// heartbeat serial bumps). Either way the serial discipline holds: a new
+// version at the same serial is invisible to propagation, exactly as in
+// real DNS.
 type Source struct {
 	store *zone.Store
 	hist  *zone.History
@@ -37,7 +38,9 @@ func (s *Source) History() *zone.History { return s.hist }
 // Store exposes the authoritative store the source serves from.
 func (s *Source) Store() *zone.Store { return s.store }
 
-// sync records any zone whose live serial is not the newest retained one.
+// sync records any installed version whose serial is not the newest
+// retained one. The history keeps the store's own zone, copying nothing: an
+// installed version never changes.
 func (s *Source) sync() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

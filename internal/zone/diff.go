@@ -60,8 +60,9 @@ func sortRRs(rrs []dnswire.RR) {
 	sort.Slice(rrs, func(i, j int) bool { return rrs[i].String() < rrs[j].String() })
 }
 
-// Apply produces a new zone by applying the delta to base. It fails when a
-// deleted record is absent (the delta does not chain from this version).
+// Apply produces a new zone by applying the delta to base — how the next
+// version of a published zone is built. It fails when a deleted record is
+// absent (the delta does not chain from this version).
 func Apply(base *Zone, d Delta) (*Zone, error) {
 	if base.Serial() != d.FromSerial {
 		return nil, fmt.Errorf("zone: delta chains from serial %d, zone is at %d", d.FromSerial, base.Serial())
@@ -104,7 +105,7 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 // serial and the current one can be served. It is safe for concurrent use.
 type History struct {
 	mu sync.Mutex
-	// per origin: snapshots in serial order, newest last.
+	// per origin: published versions in serial order, newest last.
 	versions map[dnswire.Name][]*Zone
 	// Keep bounds retained versions per origin.
 	Keep int
@@ -120,31 +121,23 @@ func NewHistory(keep int) *History {
 	return &History{versions: make(map[dnswire.Name][]*Zone), Keep: keep}
 }
 
-// Record snapshots a zone version (call after each serial bump). Recording
-// the same serial twice replaces the snapshot.
+// Record keeps a zone version (call after each serial change) and publishes
+// it: the history holds the zone itself, which from then on never changes.
+// Recording the same serial twice replaces the version.
 func (h *History) Record(z *Zone) {
+	z.publish()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	snap := snapshot(z)
 	vs := h.versions[z.Origin()]
-	if n := len(vs); n > 0 && vs[n-1].Serial() == snap.Serial() {
-		vs[n-1] = snap
+	if n := len(vs); n > 0 && vs[n-1].Serial() == z.Serial() {
+		vs[n-1] = z
 	} else {
-		vs = append(vs, snap)
+		vs = append(vs, z)
 	}
 	if len(vs) > h.Keep {
 		vs = vs[len(vs)-h.Keep:]
 	}
 	h.versions[z.Origin()] = vs
-}
-
-// snapshot deep-copies a zone.
-func snapshot(z *Zone) *Zone {
-	out := New(z.Origin())
-	for _, rr := range z.AllRecords() {
-		out.add(rr)
-	}
-	return out
 }
 
 // DeltaStatus classifies a DeltaFrom result so callers can tell "this
@@ -203,9 +196,8 @@ func (h *History) DeltaFrom(origin dnswire.Name, fromSerial uint32) (Delta, Delt
 	return Diff(from, vs[len(vs)-1]), DeltaOK
 }
 
-// Version returns the retained snapshot at exactly serial, or nil when it
-// is not retained. The returned zone is the history's own snapshot:
-// treat it as read-only (its accessors copy records, so reads are safe).
+// Version returns the retained version at exactly serial, or nil when it
+// is not retained. The returned zone is published: it never changes.
 func (h *History) Version(origin dnswire.Name, serial uint32) *Zone {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -134,25 +134,36 @@ func TestHistoryRecordSameSerialReplaces(t *testing.T) {
 	if st != DeltaOK || !d.Empty() {
 		t.Fatalf("same-serial re-record: %+v st=%v", d, st)
 	}
-	// The replacement (with x) is the retained snapshot.
+	// The replacement (with x) is the retained version.
 	h.Record(zoneV(t, 2, ""))
 	d2, _ := h.DeltaFrom(n("ex.test"), 1)
 	if len(d2.Deleted) != 1 {
-		t.Fatalf("delta from replaced snapshot: %+v", d2)
+		t.Fatalf("delta from replaced version: %+v", d2)
 	}
 }
 
-func TestSnapshotIsDeep(t *testing.T) {
+// TestRecordPublishes: History.Record keeps the zone it is given, copying
+// nothing, and publishes it, so a retained version cannot change under the
+// history; the next version is a new zone.
+func TestRecordPublishes(t *testing.T) {
 	h := NewHistory(4)
 	z := zoneV(t, 1, "")
 	h.Record(z)
-	// Mutate the live zone after recording.
-	z.Add(&dnswire.TXT{RRHeader: dnswire.RRHeader{Name: n("late.ex.test"), Type: dnswire.TypeTXT, Class: dnswire.ClassINET, TTL: 60}, Texts: []string{"x"}})
-	z.SetSerial(2)
-	h.Record(z)
+	if h.Version(n("ex.test"), 1) != z {
+		t.Fatal("Record kept a copy, not the zone")
+	}
+	late := &dnswire.TXT{RRHeader: dnswire.RRHeader{Name: n("late.ex.test"), Type: dnswire.TypeTXT, Class: dnswire.ClassINET, TTL: 60}, Texts: []string{"x"}}
+	if panicMessage(func() { z.Add(late) }) == "" {
+		t.Fatal("Add on a recorded zone did not panic")
+	}
+	next, err := Apply(z, Delta{FromSerial: 1, ToSerial: 2, Added: []dnswire.RR{late}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Record(next)
 	d, st := h.DeltaFrom(n("ex.test"), 1)
-	if st != DeltaOK || len(d.Added) != 1 {
-		t.Fatalf("snapshot aliased live zone: %+v", d)
+	if st != DeltaOK || len(d.Added) != 1 || len(d.Deleted) != 0 || z.NumRecords() != 4 {
+		t.Fatalf("delta 1->2 = %+v st=%v; version 1 holds %d records", d, st, z.NumRecords())
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 type Store struct {
 	mu    sync.RWMutex
 	zones map[dnswire.Name]*Zone
-	// gen advances on every visible data change: zone install/remove and
-	// in-place mutation of an installed zone (record add/remove, serial
-	// bump). Caches keyed on store contents compare generations instead of
-	// subscribing to individual zones.
+	// gen advances once per Update that installs or removes a zone, and
+	// nowhere else: an installed zone is a published version that never
+	// changes, so a swap is the only change a store sees. Caches keyed on
+	// store contents compare generations instead of watching zones.
 	gen atomic.Uint64
 	// router is the immutable longest-match index, sharded by an FNV hash of
 	// the wire-form origin so an Update republishes only the shards its batch
@@ -30,7 +30,7 @@ type Store struct {
 	// viewRebuilds counts view compiles of installed zones, monotonically;
 	// viewBytes is the footprint of the views currently published by
 	// installed zones. Both are moved by the zones themselves as they
-	// compile, invalidate, install and leave — never by walking the store.
+	// compile, install and leave — never by walking the store.
 	viewRebuilds atomic.Uint64
 	viewBytes    atomic.Int64
 }
@@ -137,7 +137,7 @@ func (s *Store) ViewRebuilds() uint64 { return s.viewRebuilds.Load() }
 
 // ViewBytes reports the heap footprint of the compiled views the installed
 // zones currently publish (arena, table and slabs; a zone whose view is
-// invalidated and not yet recompiled contributes nothing).
+// not yet compiled contributes nothing).
 func (s *Store) ViewBytes() int64 { return s.viewBytes.Load() }
 
 // NewStore returns an empty zone store.
@@ -151,8 +151,6 @@ func NewStore() *Store {
 // artifact derived from the store is valid only while Gen is unchanged.
 func (s *Store) Gen() uint64 { return s.gen.Load() }
 
-func (s *Store) bump() { s.gen.Add(1) }
-
 // Tx batches zone installs and removals under one store lock: every
 // mutation made inside a single Update call becomes visible together, with
 // exactly one router republish and one generation bump for the whole batch
@@ -165,11 +163,13 @@ type Tx struct {
 	dirty map[dnswire.Name]struct{}
 }
 
-// Put installs (or replaces) a zone within the batch.
+// Put installs (or replaces) a zone within the batch and publishes it: from
+// here on the zone never changes.
 func (tx *Tx) Put(z *Zone) {
 	if old := tx.s.zones[z.Origin()]; old != nil && old != z {
 		old.setStore(nil)
 	}
+	z.publish()
 	z.setStore(tx.s)
 	tx.s.zones[z.Origin()] = z
 	tx.dirty[z.Origin()] = struct{}{}
@@ -208,16 +208,15 @@ func (s *Store) Update(fn func(tx *Tx)) {
 	fn(tx)
 	if len(tx.dirty) > 0 {
 		s.publishDirtyLocked(tx.dirty)
-		// Bump inside the lock: generation-keyed snapshots read gen under
-		// RLock, so gen and content move together.
-		s.bump()
+		// The generation's one writer, inside the lock: generation-keyed
+		// snapshots read gen under RLock, so gen and content move together.
+		s.gen.Add(1)
 	}
 	s.mu.Unlock()
 }
 
-// Put installs (or replaces) a zone and subscribes to its in-place
-// mutations, so serial bumps on a live zone invalidate store-derived caches.
-// A single-zone batch: use Update to install many zones with one republish.
+// Put installs (or replaces) a zone and publishes it. A single-zone batch:
+// use Update to install many zones with one republish.
 func (s *Store) Put(z *Zone) {
 	s.Update(func(tx *Tx) { tx.Put(z) })
 }
@@ -290,13 +289,11 @@ func (s *Store) snapshot() *storeSnap {
 	if sn := s.snap.Load(); sn != nil && sn.gen == s.gen.Load() {
 		return sn
 	}
+	// Under RLock no Update runs, and installed zones never change, so gen
+	// and content are read together.
 	s.mu.RLock()
-	// Read gen before the content: an in-place zone mutation mid-iteration
-	// can only make the content newer than the recorded gen, so the worst
-	// case is an immediately-stale snapshot, never a stale-content one.
-	gen := s.gen.Load()
 	sn := &storeSnap{
-		gen:     gen,
+		gen:     s.gen.Load(),
 		serials: make(map[dnswire.Name]uint32, len(s.zones)),
 	}
 	for o, z := range s.zones {
@@ -382,9 +379,9 @@ func (s *Store) Transfer(origin dnswire.Name) []dnswire.RR {
 }
 
 // FromTransfer reassembles a zone from an AXFR-style stream, validating
-// the SOA framing, without installing it anywhere — callers that must
-// verify content before serving it (the propagation plane) Put it
-// themselves once satisfied. The caller hands the stream's records over:
+// the SOA framing, without installing it anywhere: callers Put it, the
+// propagation plane once it has verified the content. The caller hands the
+// stream's records over:
 // the zone keeps them, not copies, and serves them lock-free, so they must
 // not be modified afterwards (handing one unmodified stream to two zones is
 // fine — a zone never writes through a record). Store.Transfer's stream is
@@ -404,18 +401,6 @@ func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 			return nil, err
 		}
 	}
-	return z, nil
-}
-
-// ApplyTransfer installs a zone from an AXFR-style stream, validating the
-// SOA framing. It returns the installed zone. Like FromTransfer, it takes
-// the stream's records over: the caller must not modify them afterwards.
-func (s *Store) ApplyTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
-	z, err := FromTransfer(origin, recs)
-	if err != nil {
-		return nil, err
-	}
-	s.Put(z)
 	return z, nil
 }
 

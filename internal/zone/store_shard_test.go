@@ -135,7 +135,7 @@ func TestDirtyShardAccounting(t *testing.T) {
 
 // TestSnapshotCache checks the generation-keyed Serials/Origins/SerialSum
 // snapshot: identical pointers while the store is unchanged, invalidation on
-// batch updates AND on in-place serial bumps of installed zones.
+// every update — a zone's next version swapped in as much as a delete.
 func TestSnapshotCache(t *testing.T) {
 	s := NewStore()
 	z := MustParseMaster(`
@@ -167,15 +167,18 @@ www IN A 192.0.2.1
 		t.Fatal("unchanged store rebuilt the snapshot map")
 	}
 
-	// An in-place serial bump (no Update batch) must invalidate the cache:
-	// the zone hook bumps the store generation.
-	z.SetSerial(7)
+	// Swapping in a zone's next version must invalidate the cache.
+	next, err := Apply(z, Delta{FromSerial: 1, ToSerial: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Put(next)
 	ser3 := s.Serials()
 	if ser3[dnswire.MustName("snap.test.")] != 7 {
-		t.Fatalf("snapshot missed in-place serial bump: %v", ser3)
+		t.Fatalf("snapshot missed the swapped-in version: %v", ser3)
 	}
 	if s.SerialSum() == sum1 {
-		t.Fatal("SerialSum unchanged after serial bump")
+		t.Fatal("SerialSum unchanged after the swap")
 	}
 
 	// A batch change invalidates too, and the sum is order-independent
@@ -208,17 +211,26 @@ func TestSnapshotSortsLazily(t *testing.T) {
 		}
 		tx.Put(first)
 	})
-	serial := uint32(1)
-	freshGen := func() { serial++; first.SetSerial(serial) }
+	// 43 fresh generations, each a next version of the first zone, built
+	// outside the measured calls.
+	var versions []*Zone
+	for serial := 2; serial < 2+43; serial++ {
+		versions = append(versions, MustParseMaster(fmt.Sprintf("@ IN SOA ns1 host ( %d 3600 600 604800 30 )\n", serial), first.Origin()))
+	}
+	freshGen := func() *Zone {
+		v := versions[0]
+		versions = versions[1:]
+		s.Put(v)
+		return v
+	}
 	if a := testing.AllocsPerRun(20, func() { freshGen(); s.Serials() }); a >= zones {
 		t.Fatalf("Serials on a fresh generation made %.0f allocations: it is sorting", a)
 	}
 	if a := testing.AllocsPerRun(20, func() { freshGen(); s.SerialSum() }); a >= zones {
 		t.Fatalf("SerialSum on a fresh generation made %.0f allocations: it is sorting", a)
 	}
-	freshGen()
-	if got := s.Serials()[first.Origin()]; got != serial {
-		t.Fatalf("snapshot serial = %d, want %d", got, serial)
+	if v := freshGen(); s.Serials()[first.Origin()] != v.Serial() {
+		t.Fatalf("snapshot serial = %d, want %d", s.Serials()[first.Origin()], v.Serial())
 	}
 	org := s.Origins()
 	if len(org) != zones {
@@ -281,26 +293,32 @@ txt IN TXT "hello"
 }
 
 // TestApplyTransferTakesRecords pins the hand-over on the receiving side: the
-// installed zone serves the stream's own records, not copies — which is what
-// forbids the caller to modify them — while nothing ties it to the zone the
-// stream was taken from.
+// zone FromTransfer builds, once installed, serves the stream's own records,
+// not copies — which is what forbids the caller to modify them — while
+// nothing ties it to the zone the stream was taken from.
 func TestApplyTransferTakesRecords(t *testing.T) {
 	origin := dnswire.MustName("xfer.test.")
 	www := dnswire.MustName("www.xfer.test.")
 	src, dst := NewStore(), NewStore()
 	src.Put(MustParseMaster("$TTL 300\n@ IN SOA ns1 host ( 5 3600 600 604800 30 )\nwww IN A 192.0.2.1\n", origin))
 	stream := src.Transfer(origin)
-	z, err := dst.ApplyTransfer(origin, stream)
+	z, err := FromTransfer(origin, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := z.View().Lookup(www, dnswire.TypeA).Answer
+	dst.Put(z)
+	got := dst.Get(origin).View().Lookup(www, dnswire.TypeA).Answer
 	if len(got) != 1 || !slices.Contains(stream, got[0]) {
 		t.Fatalf("installed zone serves %v, not the stream's own record", got)
 	}
-	// The source zone moves on; the installed one is a separate zone.
-	src.Get(origin).Remove(www, dnswire.TypeA)
-	src.Get(origin).SetSerial(6)
+	// The source moves on to a version without www; the installed zone is a
+	// separate one.
+	cur := src.Get(origin)
+	next, err := Apply(cur, Delta{FromSerial: 5, ToSerial: 6, Deleted: cur.RRset(www, dnswire.TypeA)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Put(next)
 	if z.Serial() != 5 || len(z.RRset(www, dnswire.TypeA)) != 1 {
 		t.Fatalf("installed zone followed its source: serial %d, www %v", z.Serial(), z.RRset(www, dnswire.TypeA))
 	}

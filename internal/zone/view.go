@@ -1,7 +1,7 @@
 package zone
 
-// This file is the compiled read path: an immutable per-zone View rebuilt
-// copy-on-write on any mutation and published through an atomic pointer, so
+// This file is the compiled read path: an immutable per-zone View compiled
+// on first use and published through an atomic pointer, so
 // lookups — including the random-subdomain NXDOMAIN floods of §5.3 that are
 // cache-busting by construction — run with no locks, no RR deep copies, and
 // (on the wire path) no allocations. The reference implementation it is held
@@ -32,8 +32,8 @@ import (
 
 // View is an immutable compiled snapshot of one zone. All fields — including
 // every RR reachable through it — are frozen at compile time: readers share
-// them freely, and mutators never touch a published View (they invalidate the
-// zone's pointer and the next reader compiles a fresh one).
+// them freely, and edits to a zone being built never touch a compiled View
+// (they drop the zone's pointer and the next reader compiles a fresh one).
 type View struct {
 	// The fields a lookup reads come first, so a cold view costs it few
 	// cache lines of header.
@@ -105,11 +105,12 @@ func (v *View) Origin() dnswire.Name { return v.origin }
 func (v *View) Serial() uint32 { return v.serial }
 
 // View returns the zone's compiled snapshot, building it on first use after
-// a mutation (which is also what sorts the zone's slab after a load).
-// Publication is race-free: mutators invalidate under the write lock,
-// compilation happens under the read lock, so a compiled view can never
-// overwrite a later invalidation; of two readers compiling the same state at
-// once, one publishes and both return that view.
+// an edit (which is also what sorts the zone's slab after a load); a
+// published zone compiles at most once. Publication is race-free: edits
+// invalidate under the write lock, compilation happens under the read lock,
+// so a compiled view can never overwrite a later invalidation; of two
+// readers compiling the same state at once, one publishes and both return
+// that view.
 func (z *Zone) View() *View {
 	if v := z.view.Load(); v != nil {
 		return v
@@ -123,16 +124,12 @@ func (z *Zone) View() *View {
 	if !z.view.CompareAndSwap(nil, v) {
 		return z.view.Load()
 	}
-	z.viewRebuilds.Add(1)
 	if z.store != nil {
 		z.store.viewRebuilds.Add(1)
 		z.store.viewBytes.Add(int64(v.size))
 	}
 	return v
 }
-
-// ViewRebuilds reports how many times the zone's view has been compiled.
-func (z *Zone) ViewRebuilds() uint64 { return z.viewRebuilds.Load() }
 
 // ViewBytes reports the heap footprint of the zone's published view, 0
 // while none is compiled (it never triggers a compile).

@@ -278,9 +278,6 @@ func TestViewInvalidation(t *testing.T) {
 	if got := v1.Lookup(n("new.example.com"), dnswire.TypeA); got.Result != NXDomain {
 		t.Fatalf("old snapshot must be immutable: %v", got.Result)
 	}
-	if z.ViewRebuilds() != 2 {
-		t.Fatalf("ViewRebuilds = %d, want 2", z.ViewRebuilds())
-	}
 }
 
 func mustRRHelper(t *testing.T, owner, typ, rdata string) dnswire.RR {
@@ -297,7 +294,7 @@ func mustRRHelper(t *testing.T, owner, typ, rdata string) dnswire.RR {
 }
 
 // TestViewConcurrentMutate hammers the compiled view from reader goroutines
-// while a writer mutates the zone; run under -race this proves the serve
+// while a writer builds the zone on; run under -race this proves the serve
 // path takes no read-side locks yet never observes a torn snapshot.
 func TestViewConcurrentMutate(t *testing.T) {
 	z := buildZone(t)
@@ -336,9 +333,6 @@ func TestViewConcurrentMutate(t *testing.T) {
 		rr := mustRRHelper(t, fmt.Sprintf("gen%d.example.com.", i), "A", "192.0.2.77")
 		if err := z.Add(rr); err != nil {
 			t.Fatal(err)
-		}
-		if i%3 == 0 {
-			z.Remove(dnswire.MustName(fmt.Sprintf("gen%d.example.com.", i)), dnswire.TypeA)
 		}
 		z.SetSerial(uint32(2020010102 + i))
 	}
@@ -599,9 +593,9 @@ func TestSetSerialCopyOnWrite(t *testing.T) {
 }
 
 // TestStoreViewCounters: the store's view counters are moved by the zones
-// as they compile, invalidate, get replaced and leave. ViewRebuilds is a
-// total — replacing a zone must not take its compiles back out — and
-// ViewBytes is exactly the footprint of the views installed zones publish.
+// as they compile, get replaced and leave. ViewRebuilds is a total —
+// replacing a zone must not take its compiles back out — and ViewBytes is
+// exactly the footprint of the views installed zones publish.
 func TestStoreViewCounters(t *testing.T) {
 	s := NewStore()
 	zones := benchZones(t, 8)
@@ -626,14 +620,19 @@ func TestStoreViewCounters(t *testing.T) {
 	if s.ViewRebuilds() != 8 || s.ViewBytes() != published() || s.ViewBytes() <= 0 {
 		t.Fatalf("after compiling: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
 	}
-	// In-place mutation drops the view's bytes until the next reader.
-	zones[0].SetSerial(2)
-	if s.ViewBytes() != published() || zones[0].ViewBytes() != 0 {
-		t.Fatalf("after invalidation: %d bytes (zones publish %d)", s.ViewBytes(), published())
+	// Swapping in a zone's next version takes the old view's bytes out until
+	// the newcomer's first reader compiles it.
+	next, err := Apply(zones[0], Delta{FromSerial: zones[0].Serial(), ToSerial: zones[0].Serial() + 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	zones[0].View()
+	s.Put(next)
+	if s.ViewBytes() != published() || next.ViewBytes() != 0 {
+		t.Fatalf("after the swap: %d bytes (zones publish %d)", s.ViewBytes(), published())
+	}
+	next.View()
 	if s.ViewRebuilds() != 9 || s.ViewBytes() != published() {
-		t.Fatalf("after recompiling: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
+		t.Fatalf("after compiling the next version: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
 	}
 	// Replacing a zone (what every control-plane apply does) swaps its bytes
 	// for the newcomer's — here compiled before install — and keeps the total.
@@ -644,9 +643,10 @@ func TestStoreViewCounters(t *testing.T) {
 	if s.ViewRebuilds() != 9 || s.ViewBytes() != published() {
 		t.Fatalf("after replacing: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
 	}
-	// The replaced zone is out of the store: its compiles are its own.
-	zones[1].SetSerial(3)
-	zones[1].View()
+	// The replaced zone is out of the store: reading it counts for nothing.
+	if zones[1].View() == nil || zones[1].ViewBytes() <= 0 {
+		t.Fatal("replaced zone lost its view")
+	}
 	if s.ViewRebuilds() != 9 || s.ViewBytes() != published() {
 		t.Fatalf("replaced zone still counted: %d rebuilds, %d bytes (zones publish %d)", s.ViewRebuilds(), s.ViewBytes(), published())
 	}

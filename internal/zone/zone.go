@@ -37,7 +37,12 @@ func keyOf(rr dnswire.RR) rrKey {
 }
 
 // Zone is one authoritative zone: an apex name and the records at or below
-// it. A Zone is safe for concurrent lookups interleaved with updates.
+// it. A zone has one lifecycle: built (Add, SetSerial), then published — by
+// Tx.Put installing it or History.Record keeping it — then replaced. A
+// published zone is a version and never changes: the next version is a new
+// zone (Apply builds one from a Delta) swapped in through Store.Update. A
+// Zone is safe for concurrent lookups interleaved with the edits that build
+// it.
 type Zone struct {
 	mu     sync.RWMutex
 	origin dnswire.Name
@@ -53,14 +58,15 @@ type Zone struct {
 	// lower bound is at or below it.
 	recs   []dnswire.RR
 	sorted bool
-	// store is the Store the zone is installed in (nil for a free zone). It
-	// hears of every in-place mutation, so store-derived caches can
-	// invalidate, and keeps the store-wide view counters.
+	// published marks a version: Add and SetSerial panic once it is set.
+	published bool
+	// store is the Store the zone is installed in (nil otherwise), whose
+	// view counters the zone's compile moves.
 	store *Store
-	// view is the compiled read-only snapshot (see view.go), invalidated on
-	// every mutation and lazily recompiled by the next View() caller.
-	view         atomic.Pointer[View]
-	viewRebuilds atomic.Uint64
+	// view is the compiled read-only snapshot (see view.go), dropped by every
+	// edit of a free zone and lazily compiled by the next View() caller — at
+	// most once after the zone is published.
+	view atomic.Pointer[View]
 }
 
 // New creates an empty zone rooted at origin.
@@ -90,18 +96,22 @@ func (z *Zone) setStore(s *Store) {
 	z.mu.Unlock()
 }
 
-// notifyLocked drops the compiled view and tells the store; callers hold
-// z.mu exclusively, so no concurrent View() call can republish a stale
-// snapshot after this store.
-func (z *Zone) notifyLocked() {
-	v := z.view.Swap(nil)
-	if z.store == nil {
-		return
+// publish makes the zone a version: from now on it never changes.
+func (z *Zone) publish() {
+	z.mu.Lock()
+	z.published = true
+	z.mu.Unlock()
+}
+
+// editLocked readies the zone for an edit — op names it — and drops the
+// compiled view. Editing a published version is a programming error. Callers
+// hold z.mu exclusively, so no concurrent View() call can republish a stale
+// snapshot after the drop.
+func (z *Zone) editLocked(op string) {
+	if z.published {
+		panic(fmt.Sprintf("zone %s: %s on a published version; build the next version with zone.Apply and Put it", z.origin, op))
 	}
-	if v != nil {
-		z.store.viewBytes.Add(-int64(v.size))
-	}
-	z.store.bump()
+	z.view.Store(nil)
 }
 
 // rlockSorted takes the read lock with the slab sorted, sorting it first —
@@ -196,9 +206,10 @@ func (z *Zone) Serial() uint32 {
 	return 0
 }
 
-// Add inserts a copy of a record. The owner name must be within the zone.
-// Duplicate records (same name/type/rdata rendering) are dropped silently; a
-// zone holds one SOA, so a second apex SOA replaces the first.
+// Add inserts a copy of a record into a zone being built; it panics on a
+// published one. The owner name must be within the zone. Duplicate records
+// (same name/type/rdata rendering) are dropped silently; a zone holds one
+// SOA, so a second apex SOA replaces the first.
 func (z *Zone) Add(rr dnswire.RR) error { return z.add(rr.Copy()) }
 
 // add is Add for a record the caller hands over: the zone stores rr itself.
@@ -215,32 +226,19 @@ func (z *Zone) add(rr dnswire.RR) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
+	z.editLocked("Add")
 	z.recs, z.sorted = append(z.recs, rr), false
-	z.notifyLocked()
 	return nil
 }
 
-// Remove deletes the entire RRset for (name, typ). It reports whether
-// anything was removed.
-func (z *Zone) Remove(name dnswire.Name, typ dnswire.Type) bool {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.sortLocked()
-	lo, hi := z.rangeLocked(name, typ)
-	if lo == hi {
-		return false
-	}
-	z.recs = slices.Delete(z.recs, lo, hi)
-	z.notifyLocked()
-	return true
-}
-
-// SetSerial bumps the SOA serial (no-op without an SOA). The SOA record is
-// replaced, never written through: compiled views share the zone's records,
-// and a view taken before the bump keeps answering with the old serial.
+// SetSerial sets the SOA serial of a zone being built (no-op without an
+// SOA); it panics on a published one. The SOA record is replaced, never
+// written through: compiled views share the zone's records, and a view taken
+// before the change keeps answering with the old serial.
 func (z *Zone) SetSerial(serial uint32) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
+	z.editLocked("SetSerial")
 	z.sortLocked()
 	soa, i := z.soaLocked()
 	if soa == nil {
@@ -249,7 +247,6 @@ func (z *Zone) SetSerial(serial uint32) {
 	bumped := *soa
 	bumped.Serial = serial
 	z.recs[i] = &bumped
-	z.notifyLocked()
 }
 
 // SOA returns the zone's SOA record, or nil.

@@ -3,6 +3,7 @@ package zone
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -266,20 +267,35 @@ func TestAddDeduplicates(t *testing.T) {
 	}
 }
 
+// without builds the next version of z, at the same serial, lacking the
+// RRset (name, typ): how a record set leaves a zone.
+func without(t *testing.T, z *Zone, name dnswire.Name, typ dnswire.Type) *Zone {
+	t.Helper()
+	next, err := Apply(z, Delta{FromSerial: z.Serial(), ToSerial: z.Serial(), Deleted: z.RRset(name, typ)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+func withSOA(t *testing.T, z *Zone) *Zone {
+	t.Helper()
+	mustAdd(t, z, &dnswire.SOA{RRHeader: hdr(z.Origin().String(), dnswire.TypeSOA), MName: n("ns.example.com"), RName: n("h.example.com"), Serial: 1, Minimum: 30})
+	return z
+}
+
 func TestRemoveRebuildsNames(t *testing.T) {
-	z := New(n("example.com"))
+	z := withSOA(t, New(n("example.com")))
 	mustAdd(t, z, &dnswire.A{RRHeader: hdr("deep.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")})
 	if !z.NameExists(n("a.example.com")) {
 		t.Fatal("empty non-terminal missing")
 	}
-	if !z.Remove(n("deep.a.example.com"), dnswire.TypeA) {
-		t.Fatal("Remove returned false")
+	next := without(t, z, n("deep.a.example.com"), dnswire.TypeA)
+	if next.NameExists(n("a.example.com")) || next.NameExists(n("deep.a.example.com")) {
+		t.Fatal("empty non-terminal survived the record's removal")
 	}
-	if z.NameExists(n("a.example.com")) {
-		t.Fatal("empty non-terminal survived Remove")
-	}
-	if z.Remove(n("deep.a.example.com"), dnswire.TypeA) {
-		t.Fatal("second Remove returned true")
+	if !z.NameExists(n("deep.a.example.com")) {
+		t.Fatal("building the next version changed the one it was built from")
 	}
 }
 
@@ -288,6 +304,47 @@ func TestSetSerial(t *testing.T) {
 	z.SetSerial(42)
 	if z.Serial() != 42 || z.SOA().Serial != 42 {
 		t.Fatalf("serial after SetSerial: %d / %d", z.Serial(), z.SOA().Serial)
+	}
+}
+
+// panicMessage runs f and returns what it panicked with ("" when it did not).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestPublishedZoneIsFrozen: Tx.Put and History.Record publish a zone, and a
+// published zone is a version. Add and SetSerial on it panic with a message
+// naming the fix and leave it as it was; before publication they edit.
+func TestPublishedZoneIsFrozen(t *testing.T) {
+	late := &dnswire.A{RRHeader: hdr("late.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("192.0.2.99")}
+	for name, publish := range map[string]func(*Zone){
+		"Store.Put":      func(z *Zone) { NewStore().Put(z) },
+		"History.Record": func(z *Zone) { NewHistory(2).Record(z) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			z := buildZone(t)
+			z.SetSerial(7)
+			mustAdd(t, z, &dnswire.A{RRHeader: hdr("early.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("192.0.2.98")})
+			publish(z)
+			want := inOrder(z.AllRecords())
+			for op, edit := range map[string]func(){
+				"Add":       func() { z.Add(late) },
+				"SetSerial": func() { z.SetSerial(8) },
+			} {
+				if msg := panicMessage(edit); !strings.Contains(msg, op) || !strings.Contains(msg, "zone.Apply") {
+					t.Errorf("%s on a published zone: panic %q, want one naming %s and zone.Apply", op, msg, op)
+				}
+			}
+			if got := inOrder(z.AllRecords()); z.Serial() != 7 || !slices.Equal(got, want) {
+				t.Errorf("published zone changed: serial %d, records %q", z.Serial(), got)
+			}
+		})
 	}
 }
 
@@ -422,8 +479,7 @@ func TestTransferRoundTrip(t *testing.T) {
 	if _, ok := stream[len(stream)-1].(*dnswire.SOA); !ok {
 		t.Fatal("transfer does not end with SOA")
 	}
-	dst := NewStore()
-	z2, err := dst.ApplyTransfer(n("example.com"), stream)
+	z2, err := FromTransfer(n("example.com"), stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,13 +501,13 @@ func TestApplyTransferRejectsBadFraming(t *testing.T) {
 	z := buildZone(t)
 	s.Put(z)
 	stream := s.Transfer(n("example.com"))
-	if _, err := NewStore().ApplyTransfer(n("example.com"), stream[:len(stream)-1]); err == nil {
+	if _, err := FromTransfer(n("example.com"), stream[:len(stream)-1]); err == nil {
 		t.Fatal("missing trailing SOA accepted")
 	}
-	if _, err := NewStore().ApplyTransfer(n("example.com"), stream[1:]); err == nil {
+	if _, err := FromTransfer(n("example.com"), stream[1:]); err == nil {
 		t.Fatal("missing leading SOA accepted")
 	}
-	if _, err := NewStore().ApplyTransfer(n("example.com"), nil); err == nil {
+	if _, err := FromTransfer(n("example.com"), nil); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }
@@ -535,10 +591,10 @@ func TestMustParseMasterOK(t *testing.T) {
 }
 
 func TestRemoveKeepsSiblingNames(t *testing.T) {
-	z := New(n("example.com"))
+	z := withSOA(t, New(n("example.com")))
 	mustAdd(t, z, &dnswire.A{RRHeader: hdr("x.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")})
 	mustAdd(t, z, &dnswire.A{RRHeader: hdr("y.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.5")})
-	z.Remove(n("x.a.example.com"), dnswire.TypeA)
+	z = without(t, z, n("x.a.example.com"), dnswire.TypeA)
 	if !z.NameExists(n("a.example.com")) {
 		t.Fatal("shared ancestor lost after removing one child")
 	}
@@ -621,18 +677,17 @@ func TestPropertyLookupClassification(t *testing.T) {
 	}
 }
 
-// Property: AllRecords always round-trips through ApplyTransfer to a zone
-// answering identically on every stored name.
+// Property: AllRecords always round-trips through an applied transfer to a
+// zone answering identically on every stored name.
 func TestPropertyTransferPreservesAnswers(t *testing.T) {
 	src := buildZone(t)
 	store := NewStore()
 	store.Put(src)
 	stream := store.Transfer(n("example.com"))
-	dst := NewStore()
-	if _, err := dst.ApplyTransfer(n("example.com"), stream); err != nil {
+	copyZ, err := FromTransfer(n("example.com"), stream)
+	if err != nil {
 		t.Fatal(err)
 	}
-	copyZ := dst.Get(n("example.com"))
 	for _, name := range src.Names() {
 		for _, typ := range []dnswire.Type{dnswire.TypeA, dnswire.TypeNS, dnswire.TypeTXT, dnswire.TypeCNAME} {
 			a := lookupBoth(t, src, name, typ)
