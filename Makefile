@@ -34,7 +34,7 @@ endef
 # buffers), the zone swap, the transfer planes and the coordinators, each
 # at a higher count than the sweep gives them. CI runs this list.
 race-suites:
-	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache|FuzzHotCacheVersions,-count=2)
 	$(call race-suite,./internal/nameserver/,-run,TestHotCache|TestAnswerIntoMatchesAnswer,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
 	$(call race-suite,./internal/zone/,-run,TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel,-count=2)
@@ -44,6 +44,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery|TestIXFRLargeDelta|TestSecondaryStatsWhileRefreshing,-count=2)
 	go test -race -count=2 ./internal/udpbatch/
 	$(call race-suite,./internal/udpbatch/,-run,TestReadWhileWrite,-count=10)
+	$(call race-suite,./internal/filters/,-run,TestLoyaltyBounded|TestRateLimitBucketsBounded|TestFiltersConcurrencySafety,)
 	$(call race-suite,./internal/monitor/,-run,TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant,-count=2)
 	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace,)
 	$(call race-suite,./internal/propagate/,-run,TestPullLoopRace,-count=2)
@@ -116,6 +117,7 @@ fuzz:
 	go test -fuzz=FuzzZoneModel -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzTCPFrameReader -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzTransferStream -fuzztime=$(FUZZTIME) ./internal/netserve/
+	go test -fuzz=FuzzHotCacheVersions -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzPlanApply -fuzztime=$(FUZZTIME) ./internal/ctlplane/
 
 # Deterministic fault-injection harness: every scenario once at the default

@@ -48,7 +48,7 @@ func main() {
 	tcp := flag.String("tcp", "127.0.0.1:5300", "TCP listen address ('' disables)")
 	udpWorkers := flag.Int("udp-workers", 0, "parallel UDP read loops (0 = GOMAXPROCS); SO_REUSEPORT sockets where available")
 	udpRcvbuf := flag.Int("udp-rcvbuf", 0, "SO_RCVBUF bytes per UDP listener, clamped by net.core.rmem_max (0 = 4MiB; negative keeps the OS default)")
-	hotCache := flag.Int("hot-cache", 0, "packed-response hot cache entries (0 = default, negative disables)")
+	hotCache := flag.Int("hot-cache", 0, "packed-response hot cache entries per UDP worker (0 = default)")
 	noAXFR := flag.Bool("no-axfr", false, "refuse zone transfers")
 	withFilters := flag.Bool("filters", false, "enable the query scoring pipeline")
 	cookies := flag.Bool("cookies", false, "enable DNS Cookies (RFC 7873)")

@@ -97,6 +97,9 @@ func suffixHash(s string) uint32 {
 func (c *compressor) spells(buf []byte, off int, text string) bool {
 	i := c.base + off
 	for {
+		if i == len(buf) {
+			return false // the name appendName is still writing ("a.a."): unterminated
+		}
 		l := int(buf[i])
 		switch {
 		case l&0xC0 == 0xC0:

@@ -364,6 +364,31 @@ func TestRateLimitBucketsBounded(t *testing.T) {
 	}
 }
 
+// TestLoyaltyBounded: a flood of distinct sources answered while the filter
+// learns cannot grow the loyalty set past its cap, a resolver learned before
+// the flood keeps its standing, and once the flood has passed Retention a
+// newcomer is learned again.
+func TestLoyaltyBounded(t *testing.T) {
+	lo := NewLoyalty()
+	now := simtime.Time(0)
+	lo.ObserveAnswer(q("incumbent", "a.example.com", now), false)
+	for i := 0; i < 2*maxLoyal; i++ {
+		now += 10 * simtime.Microsecond
+		lo.ObserveAnswer(q(fmt.Sprintf("spoofed-%d", i), "a.example.com", now), false)
+		if n := lo.Len(); n > maxLoyal {
+			t.Fatalf("after %d distinct resolvers: %d learned, cap %d", i+1, n, maxLoyal)
+		}
+	}
+	if !lo.Known("incumbent", now) {
+		t.Fatal("the flood pushed out a resolver learned before it")
+	}
+	later := now + lo.Retention + 1
+	lo.Observe("newcomer", later)
+	if !lo.Known("newcomer", later) || lo.Len() != 1 {
+		t.Fatalf("after Retention: newcomer known %v, %d learned; want true, 1", lo.Known("newcomer", later), lo.Len())
+	}
+}
+
 func TestFiltersConcurrencySafety(t *testing.T) {
 	zi, zn := newFakeZone()
 	nx := NewNXDomain(zi, PerHotZone)

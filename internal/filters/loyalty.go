@@ -15,8 +15,11 @@ import (
 type Loyalty struct {
 	mu sync.RWMutex
 	// seen maps resolver -> last-observed time, learned during calm traffic.
-	seen   map[string]simtime.Time
-	active bool
+	seen map[string]simtime.Time
+	// sweepAt is when the oldest resolver the last sweep of a full seen kept
+	// passes Retention: a flood of newcomers is swept once per expiry.
+	sweepAt simtime.Time
+	active  bool
 	// learning gates whether Observe records new resolvers; during an
 	// attack learning is frozen so attack sources don't launder themselves
 	// into the set.
@@ -29,6 +32,10 @@ type Loyalty struct {
 	// Flagged counts penalized queries.
 	Flagged atomic.Uint64
 }
+
+// maxLoyal bounds Loyalty.seen, which is keyed by client-supplied source
+// addresses and filled on every answered query while learning.
+const maxLoyal = 1 << 16
 
 // NewLoyalty returns a learning, non-enforcing loyalty filter with 7-day
 // retention (Figure 4 shows heavy-hitter resolvers stable over a week).
@@ -45,12 +52,31 @@ func NewLoyalty() *Loyalty {
 func (l *Loyalty) Name() string { return "loyalty" }
 
 // Observe records that a resolver was seen at this nameserver (call on each
-// accepted query while learning is on).
+// accepted query while learning is on). A full set first forgets resolvers
+// past Retention; if it is full all the same, the newcomer is not learned,
+// so a flood of spoofed sources cannot push the incumbents out.
 func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.learning {
 		return
+	}
+	if _, ok := l.seen[resolver]; !ok && len(l.seen) >= maxLoyal {
+		if now < l.sweepAt {
+			return
+		}
+		oldest := now
+		for r, last := range l.seen {
+			if now.Sub(last) > l.Retention.Duration() {
+				delete(l.seen, r)
+			} else {
+				oldest = min(oldest, last)
+			}
+		}
+		l.sweepAt = oldest.Add(l.Retention.Duration() + 1)
+		if len(l.seen) >= maxLoyal {
+			return
+		}
 	}
 	l.seen[resolver] = now
 }

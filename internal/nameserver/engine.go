@@ -7,6 +7,7 @@ package nameserver
 
 import (
 	"net/netip"
+	"strconv"
 	"strings"
 
 	"akamaidns/internal/dnswire"
@@ -42,7 +43,7 @@ func (k ClientKey) String() string {
 	if !k.ECS {
 		return k.Resolver
 	}
-	return k.Addr.String() + "/" + itoa(int(k.Prefix))
+	return k.Addr.String() + "/" + strconv.Itoa(int(k.Prefix))
 }
 
 // Tailorer lets the Mapping Intelligence rewrite address answers per
@@ -77,29 +78,33 @@ const ednsPayload = 1232
 // (§4.2.4): the caller must treat the response as never sent.
 func (e *Engine) Answer(q *dnswire.Message, client ClientKey) (resp *dnswire.Message, matchedZone dnswire.Name, crashed bool) {
 	resp = &dnswire.Message{}
-	if matchedZone, crashed = e.AnswerInto(resp, q, client); crashed {
+	switch z, crashed := e.AnswerInto(resp, q, client); {
+	case crashed:
 		return nil, dnswire.Name{}, true
+	case z != nil:
+		matchedZone = z.Origin()
 	}
 	return resp, matchedZone, false
 }
 
 // AnswerInto is Answer writing into a caller-owned response, which it resets
-// first (dnswire.Message.ResetReply). The sections are copied into resp's
-// own slices, and the OPT record and ECS bytes of an earlier answer are
-// reused, so a response kept per worker answers without allocating once its
-// slices have grown. Records in resp are shared with the zone and must not
-// be modified.
-func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (matchedZone dnswire.Name, crashed bool) {
+// first (dnswire.Message.ResetReply), and reporting the zone version it
+// answered from (nil when none). The sections are copied into resp's own
+// slices, and the OPT record and ECS bytes of an earlier answer are reused,
+// so a response kept per worker answers without allocating once its slices
+// have grown. Records in resp are shared with the zone and must not be
+// modified.
+func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (z *zone.Zone, crashed bool) {
 	// The EDNS echo; it is appended after any glue below.
 	opt := resp.ResetReply(q, ednsPayload)
 	if len(q.Questions) != 1 || q.OpCode != dnswire.OpQuery {
 		resp.RCode = dnswire.RCodeFormErr
-		return dnswire.Name{}, false
+		return nil, false
 	}
 	question := q.Questions[0]
 	if question.Class != dnswire.ClassINET && question.Class != dnswire.ClassANY {
 		resp.RCode = dnswire.RCodeRefused
-		return dnswire.Name{}, false
+		return nil, false
 	}
 	if opt != nil {
 		if ecs, ok := q.ClientSubnet(); ok {
@@ -112,10 +117,9 @@ func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (matched
 	// The crash trap: a corner-case in complex query-processing code paths
 	// (§4.2.4). Fault-injection tests and attack generators set this label.
 	if strings.Contains(question.Name.String(), dnswire.QoDMarkerLabel) {
-		return dnswire.Name{}, true
+		return nil, true
 	}
-	if z := e.Store.Find(question.Name); z != nil {
-		matchedZone = z.Origin()
+	if z = e.Store.Find(question.Name); z != nil {
 		e.lookup(resp, z, question, client)
 	} else {
 		resp.RCode = dnswire.RCodeRefused
@@ -123,7 +127,7 @@ func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (matched
 	if opt != nil {
 		resp.Additional = append(resp.Additional, opt)
 	}
-	return matchedZone, false
+	return z, false
 }
 
 // lookup fills resp's sections from z's compiled view: the lookup algorithm
@@ -184,20 +188,6 @@ func (e *Engine) applyTailoring(resp *dnswire.Message, q dnswire.Question, clien
 		})
 	}
 	resp.Answers = kept
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [4]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
 
 // StoreZoneInfo adapts a zone.Store to the filters.ZoneInfo interface: every

@@ -18,26 +18,18 @@ import (
 // A cache has one owner — a UDP read loop — and no lock: only the owner
 // calls Lookup and Insert. Entries live in a slab of slots whose key and
 // wire buffers grow on demand and are rewritten in place when the slot is
-// recycled, so once the cache is full (or has been full before a flush) an
-// insert allocates nothing. The index is an open-addressed table of slot
-// numbers keyed by a hash of the key bytes, with backward-shift deletion:
-// a Go map under the same steady delete/insert churn keeps allocating, as
-// it reclaims deleted slots only by growing. The counters are atomics the
-// owner writes and anyone may read (scrapes sum them across workers).
+// recycled, so once the cache is full an insert allocates nothing. The index
+// is an open-addressed table of slot numbers keyed by a hash of the key
+// bytes, with backward-shift deletion: a Go map under the same steady
+// delete/insert churn keeps allocating, as it reclaims deleted slots only by
+// growing. The counters are atomics the owner writes and anyone may read
+// (scrapes sum them across workers).
 //
-// Consistency is generation-based rather than per-entry: an installed zone
-// never changes, so the zone store sees data change only when an Update
-// swaps a zone version in or out, and advances a generation counter once
-// per such Update; the cache remembers the generation its contents were
-// computed at. Callers snapshot the store generation BEFORE computing an
-// answer and present it at Insert and Lookup; any mismatch flushes the
-// cache wholesale. A flush is cheap (the slab is truncated, the index
-// cleared) and zone changes are rare relative to queries, so this trades a
-// tiny recompute burst after each change for zero per-entry bookkeeping on
-// hits.
+// One invalidation rule: an entry is filed under the version of the zone
+// whose data produced its bytes, and is served only while the zone that
+// routes its name has that version.
 type HotCache struct {
 	max   int
-	gen   uint64 // store generation the entries were computed at
 	seed  maphash.Seed
 	slots []hotSlot
 	// index holds slot number + 1 per position (0 = empty), linear probing
@@ -51,12 +43,14 @@ type HotCache struct {
 	entries   atomic.Int64
 }
 
-// hotSlot is one entry of the slab: the entry, its key and the key's hash.
-// Recycling a slot keeps the capacity of its Wire and key buffers.
+// hotSlot is one entry of the slab: the entry, its key, the key's hash and
+// the zone version it is filed under. Recycling a slot keeps the capacity of
+// its Wire and key buffers.
 type hotSlot struct {
 	HotEntry
-	key  []byte
-	hash uint64
+	key     []byte
+	hash    uint64
+	version uint64
 }
 
 // HotEntry is one cached packed response plus the metadata the fast path
@@ -89,18 +83,11 @@ func NewHotCache(max int) *HotCache {
 	return &HotCache{max: max, seed: maphash.MakeSeed()}
 }
 
-// Lookup returns the entry for key computed at the current store generation
-// gen. A generation mismatch flushes the cache and reports a miss. The entry
-// stays valid until the owner's next Insert or flush.
-func (c *HotCache) Lookup(key []byte, gen uint64) (*HotEntry, bool) {
-	if c.gen != gen {
-		if c.gen < gen && len(c.slots) > 0 {
-			c.flush(gen)
-		}
-		c.misses.Add(1)
-		return nil, false
-	}
-	if _, slot := c.find(maphash.Bytes(c.seed, key), key); slot >= 0 {
+// Lookup returns the entry for key filed under version — the version of the
+// zone that routes the key's name now. The entry stays valid until the
+// owner's next Insert.
+func (c *HotCache) Lookup(key []byte, version uint64) (*HotEntry, bool) {
+	if _, slot := c.find(maphash.Bytes(c.seed, key), key); slot >= 0 && c.slots[slot].version == version {
 		c.hits.Add(1)
 		return &c.slots[slot].HotEntry, true
 	}
@@ -108,30 +95,22 @@ func (c *HotCache) Lookup(key []byte, gen uint64) (*HotEntry, bool) {
 	return nil, false
 }
 
-// Insert stores a copy of e computed while the store was at generation gen.
-// Entries computed against an older generation than the cache has already
-// seen are dropped (the data may describe deleted records); a newer
-// generation flushes the stale contents first. A full cache recycles a
-// slot picked at random.
-func (c *HotCache) Insert(key []byte, e *HotEntry, gen uint64) {
-	if gen < c.gen {
-		return
-	}
-	if gen > c.gen {
-		c.flush(gen)
-	}
+// Insert stores a copy of e filed under version, the version of the zone
+// whose data produced it. It replaces the entry under the same key — an
+// eviction when that entry was of another version — and a full cache
+// recycles a slot picked at random, evicting its entry.
+func (c *HotCache) Insert(key []byte, e *HotEntry, version uint64) {
 	h := maphash.Bytes(c.seed, key)
 	_, slot := c.find(h, key)
 	switch {
 	case slot >= 0:
 		// Same key: overwrite in place.
+		if c.slots[slot].version != version {
+			c.evictions.Add(1)
+		}
 	case len(c.slots) < c.max:
 		slot = len(c.slots)
-		if slot < cap(c.slots) {
-			c.slots = c.slots[:slot+1] // a slot a flush left behind
-		} else {
-			c.slots = append(c.slots, hotSlot{})
-		}
+		c.slots = append(c.slots, hotSlot{})
 		if 2*len(c.slots) > len(c.index) {
 			c.grow()
 		}
@@ -147,7 +126,7 @@ func (c *HotCache) Insert(key []byte, e *HotEntry, gen uint64) {
 	}
 	s := &c.slots[slot]
 	s.key = append(s.key[:0], key...)
-	s.hash = h
+	s.hash, s.version = h, version
 	s.HotEntry = HotEntry{
 		Wire:     append(s.Wire[:0], e.Wire...),
 		QnameLen: e.QnameLen,
@@ -206,16 +185,6 @@ func (c *HotCache) grow() {
 	for i := range c.slots[:len(c.slots)-1] {
 		c.place(c.slots[i].hash, i)
 	}
-}
-
-// flush drops every entry and adopts generation gen. Slots keep their
-// buffers for the entries that refill them.
-func (c *HotCache) flush(gen uint64) {
-	c.evictions.Add(uint64(len(c.slots)))
-	c.slots = c.slots[:0]
-	clear(c.index)
-	c.gen = gen
-	c.entries.Store(0)
 }
 
 // Len reports the current entry count. Safe from any goroutine.

@@ -29,31 +29,38 @@ func TestHotCacheLookupInsert(t *testing.T) {
 	}
 }
 
-func TestHotCacheGenerationFlush(t *testing.T) {
+// TestHotCacheVersions: an entry is served only under the version it was
+// filed under. A lookup under another version misses and leaves the entry in
+// place — the version it carries may route the name again — and an insert
+// under another version replaces it, counting the one entry dropped. Entries
+// of other keys are untouched throughout.
+func TestHotCacheVersions(t *testing.T) {
 	c := NewHotCache(8)
-	key := []byte("k")
-	c.Insert(key, &HotEntry{}, 1)
-	// A lookup at a newer generation flushes and misses.
+	key, other := []byte("k"), []byte("other")
+	c.Insert(key, &HotEntry{Wire: []byte("v1")}, 1)
+	c.Insert(other, &HotEntry{Wire: []byte("o")}, 5)
 	if _, ok := c.Lookup(key, 2); ok {
-		t.Fatal("stale entry served after generation bump")
+		t.Fatal("entry of version 1 served under version 2")
 	}
-	if c.Len() != 0 {
-		t.Fatal("cache not flushed")
+	if got, ok := c.Lookup(key, 1); !ok || string(got.Wire) != "v1" {
+		t.Fatal("a lookup under another version dropped the entry")
 	}
-	// An insert computed at an older generation than the cache has seen is
-	// dropped: its data may describe deleted records.
-	c.Insert(key, &HotEntry{}, 1)
-	if _, ok := c.Lookup(key, 2); ok {
-		t.Fatal("old-generation insert accepted")
+	c.Insert(key, &HotEntry{Wire: []byte("v2")}, 2)
+	if _, ok := c.Lookup(key, 1); ok {
+		t.Fatal("replaced entry of version 1 still served")
 	}
-	// A newer-generation insert flushes the old contents.
-	c.Insert([]byte("k2"), &HotEntry{}, 2)
-	c.Insert([]byte("k3"), &HotEntry{}, 3)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if got, ok := c.Lookup(key, 2); !ok || string(got.Wire) != "v2" {
+		t.Fatal("entry of version 2 not served")
 	}
-	if _, ok := c.Lookup([]byte("k3"), 3); !ok {
-		t.Fatal("current-generation entry lost")
+	if _, _, ev := c.Stats(); ev != 1 || c.Len() != 2 {
+		t.Fatalf("%d evictions, Len %d; want 1 and 2", ev, c.Len())
+	}
+	c.Insert(key, &HotEntry{Wire: []byte("v2 again")}, 2)
+	if _, _, ev := c.Stats(); ev != 1 {
+		t.Fatalf("a same-version overwrite counted as an eviction: %d", ev)
+	}
+	if got, ok := c.Lookup(other, 5); !ok || string(got.Wire) != "o" {
+		t.Fatal("another key's entry lost")
 	}
 }
 
@@ -150,10 +157,9 @@ func TestHotCacheModel(t *testing.T) {
 	}
 }
 
-// TestStoreGenAdvancesOnChanges: the generation that guards the hot cache
-// moves exactly once per Update that installs or removes a zone, however
-// many zones it touches, and never when a zone that is not installed is
-// edited.
+// TestStoreGenAdvancesOnChanges: the store generation moves exactly once per
+// Update that installs or removes a zone, however many zones it touches, and
+// never when a zone that is not installed is edited.
 func TestStoreGenAdvancesOnChanges(t *testing.T) {
 	store := zone.NewStore()
 	origin := dnswire.MustName("ex.test")

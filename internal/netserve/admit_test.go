@@ -20,7 +20,7 @@ import (
 // exception is the policy itself: the hot tier enters at LevelFull, so a
 // cached answer survives clean-only shedding. Each call stands in for
 // dispatch: it resets the outcome the way the prologue does and stops short
-// of settle.
+// of settle, routing the query first for the wire tiers as dispatch does.
 func TestAdmitEveryTier(t *testing.T) {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
@@ -48,6 +48,9 @@ func TestAdmitEveryTier(t *testing.T) {
 		run     func(level int) []byte
 	}{
 		{"hot", flight.VerdictCached, true, func(int) []byte {
+			if !srv.route(wire, v, sc) {
+				t.Fatal("probe query not routed")
+			}
 			out, done := srv.handleFast(wire, v, benchSrc, sc)
 			if !done {
 				t.Fatal("hot tier missed a primed entry")
@@ -55,6 +58,9 @@ func TestAdmitEveryTier(t *testing.T) {
 			return out
 		}},
 		{"view", flight.VerdictView, false, func(level int) []byte {
+			if !srv.route(wire, v, sc) {
+				t.Fatal("probe query not routed")
+			}
 			out, done := srv.handleView(wire, v, benchSrc, sc, level)
 			if !done {
 				t.Fatal("view tier bailed on a plain query")

@@ -12,10 +12,10 @@ import (
 
 // Churn-active benchmarks: the handle path measured while a control-plane
 // apply stream rewrites other zones in the same store. The acceptance bar
-// is that churn elsewhere costs the hot path nothing — per-zone view
-// invalidation means an untouched zone's compiled view survives every
-// apply, and the packed-response cache re-inserts (store generation moved)
-// amortize to zero across an apply interval. Applies run inside
+// is that churn elsewhere costs the hot path nothing: an untouched zone
+// keeps its version through every apply, so its compiled view survives and
+// its packed-response cache entries stay filed under the version that still
+// routes their names. Applies run inside
 // StopTimer/StartTimer windows, so the benchmark isolates the *served*
 // cost of churn (invalidation fallout), not the apply work itself.
 
@@ -110,9 +110,9 @@ func benchHandleChurn(b *testing.B, srv *Server, ctl *ctlplane.Controller, wire 
 }
 
 // BenchmarkHandleUDPChurnHit: the cached-answer path for an untouched zone
-// while 32-zone apply batches land around it. Must stay 0 allocs/op — the
-// occasional packed-cache re-insert after a store generation bump amortizes
-// across the apply interval.
+// while 32-zone apply batches land around it. Must stay 0 allocs/op, and
+// every iteration after the first is a hit: no apply moves ex.test's
+// version.
 func BenchmarkHandleUDPChurnHit(b *testing.B) {
 	srv, ctl := churnBenchServer(b)
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)
@@ -121,6 +121,9 @@ func BenchmarkHandleUDPChurnHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchHandleChurn(b, srv, ctl, wire, false)
+	if _, misses, _, _ := srv.hotTotals(); misses != 1 {
+		b.Fatalf("%d hot misses in %d iterations: an apply elsewhere cost ex.test its entry", misses, b.N)
+	}
 }
 
 // BenchmarkHandleUDPChurnMiss: the cache-busting NXDOMAIN flood path

@@ -77,9 +77,9 @@ func exchangeRaw(t *testing.T, addr string, wire []byte) []byte {
 	return buf[:n]
 }
 
-// TestHotCacheInvalidatedByZoneChange checks the generation plumbing:
-// swapping in a zone's next version must flush cached responses, so no
-// client sees pre-change data afterwards.
+// TestHotCacheInvalidatedByZoneChange checks the version plumbing over
+// sockets: once a zone's next version is swapped in, no client is served
+// the previous version's cached response.
 func TestHotCacheInvalidatedByZoneChange(t *testing.T) {
 	srv := startServer(t, nil)
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)

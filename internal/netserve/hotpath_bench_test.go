@@ -16,15 +16,12 @@ import (
 )
 
 // benchServer builds a server without opening sockets: the handle path is
-// pure computation, so it can be benchmarked directly. hotCache < 0
-// disables the packed-response cache (the pre-optimization baseline shape).
-func benchServer(b *testing.B, hotCache int) *Server {
+// pure computation, so it can be benchmarked directly.
+func benchServer(b *testing.B) *Server {
 	b.Helper()
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
-	cfg := DefaultConfig()
-	cfg.HotCacheSize = hotCache
-	return New(cfg, nameserver.NewEngine(store), nil)
+	return New(DefaultConfig(), nameserver.NewEngine(store), nil)
 }
 
 // benchScoredServer is benchServer with the pipeline `authdns -filters`
@@ -75,7 +72,7 @@ func benchHandle(b *testing.B, srv *Server, wire []byte) {
 // (decode, lookup, encode) with no sockets in the way: the cached-answer
 // hot path after the first iteration populates the packed-response cache.
 func BenchmarkHandleUDP(b *testing.B) {
-	srv := benchServer(b, 0)
+	srv := benchServer(b)
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	wire, err := q.Pack()
 	if err != nil {
@@ -106,7 +103,7 @@ func BenchmarkHandleUDPScoredMissNXDOMAIN(b *testing.B) {
 // BenchmarkHandleUDPEDNS is the same with an EDNS0 OPT attached (the common
 // modern resolver shape: larger advertised payload, OPT echo in response).
 func BenchmarkHandleUDPEDNS(b *testing.B) {
-	srv := benchServer(b, 0)
+	srv := benchServer(b)
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	q.Additional = append(q.Additional, dnswire.NewOPT(1232))
 	wire, err := q.Pack()
@@ -120,7 +117,7 @@ func BenchmarkHandleUDPEDNS(b *testing.B) {
 // hot cache and compiled views existed — full decode, zone lookup, and pack
 // per packet — reached by calling the reference tier directly.
 func BenchmarkHandleUDPNoCache(b *testing.B) {
-	srv := benchServer(b, -1)
+	srv := benchServer(b)
 	q := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	wire, err := q.Pack()
 	if err != nil {
@@ -178,7 +175,7 @@ func uniqueQueryWire(b *testing.B, suffix string) []byte {
 // been seen before, so the packed-response hot cache cannot help and the
 // cost is the full zone-routing + lookup + negative-answer assembly.
 func BenchmarkHandleUDPMissNXDOMAIN(b *testing.B) {
-	srv := benchServer(b, 0)
+	srv := benchServer(b)
 	benchHandleUnique(b, srv, uniqueQueryWire(b, "ex.test"), true)
 }
 
@@ -200,7 +197,7 @@ func BenchmarkHandleUDPBatch32(b *testing.B) {
 		b.Skip("no batched syscalls on this platform")
 	}
 	const k = 32
-	srv := benchServer(b, 0)
+	srv := benchServer(b)
 	dummy, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		b.Skipf("no loopback sockets: %v", err)

@@ -13,6 +13,7 @@
 package netserve
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,8 +56,7 @@ type Config struct {
 	// negative keeps the OS default). The kernel clamps to
 	// net.core.rmem_max; failures are ignored.
 	UDPReadBuffer int
-	// HotCacheSize bounds each UDP worker's packed-response hot cache (0 =
-	// default size, negative disables the cache entirely).
+	// HotCacheSize bounds each UDP worker's hot cache (0 = nameserver.DefaultHotCacheSize).
 	HotCacheSize int
 	// AllowTransfer permits AXFR and IXFR over TCP.
 	AllowTransfer bool
@@ -257,9 +258,19 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 		s.admission = queue.MustNew(queue.DefaultConfig())
 		s.admission.Instrument(reg)
 	}
-	if cfg.HotCacheSize >= 0 {
-		s.instrumentHotCaches(reg)
-	}
+	// The hot-cache series, summed across the workers' caches at scrape time.
+	reg.CounterFunc(obs.MetricHotCacheHitsTotal,
+		"Queries answered from the packed-response hot cache.",
+		func() float64 { h, _, _, _ := s.hotTotals(); return float64(h) })
+	reg.CounterFunc(obs.MetricHotCacheMissesTotal,
+		"Hot-cache-eligible queries that required a full lookup.",
+		func() float64 { _, m, _, _ := s.hotTotals(); return float64(m) })
+	reg.CounterFunc(obs.MetricHotCacheEvictionsTotal,
+		"Hot-cache entries dropped: recycled at capacity, or replaced after their zone's version changed.",
+		func() float64 { _, _, e, _ := s.hotTotals(); return float64(e) })
+	reg.GaugeFunc(obs.MetricHotCacheEntries,
+		"Packed responses currently resident in the workers' hot caches.",
+		func() float64 { _, _, _, n := s.hotTotals(); return float64(n) })
 	s.qodGuard = qod.NewQuarantine(qod.DefaultQuarantineMax, cfg.QuarantineTTL)
 	if cfg.Watchdog != nil {
 		s.watchdog = qod.NewWatchdog(*cfg.Watchdog)
@@ -324,7 +335,7 @@ type scratch struct {
 	// the first packet that consults it (see Server.hotCache).
 	hot    *nameserver.HotCache
 	hotFor *Server
-	// vq holds the case-folded wire-form qname for the compiled-view path
+	// vq holds the case-folded wire-form qname the wire tiers routed on
 	// (kept separate from key, which may carry a live cache-insert key).
 	vq []byte
 	oc outcome
@@ -353,11 +364,14 @@ type outcome struct {
 	fq     filters.Query
 	scored bool
 	// fill is a hot-cache miss asking for the answering tier's reply: the
-	// key is left in scratch.key, gen is the store generation snapshotted
-	// before the lookup, floor the size-class payload the reply must fit.
+	// key is left in scratch.key, floor the size-class payload the reply must
+	// fit.
 	fill  bool
-	gen   uint64
 	floor int
+	// from is the zone version the reply is built from: the one route found,
+	// or the one the decode path answered from (nil: no zone). A fill is
+	// filed under its Version.
+	from *zone.Zone
 	// The disposal. verdict stays VerdictNone for a silently filtered
 	// packet. qnameWire aliases the packet when it parsed canonically, name
 	// is the parsed question name where a tier had one, zone the matched
@@ -609,10 +623,11 @@ func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch
 	// The wire tiers serve only UDP answers that are the same for every
 	// client. Tailored answers, and the refuse-with-cookie every cookie-less
 	// UDP query must get under RequireCookies, are the slow path's business.
-	wireTiers := !tcp && canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies
+	wireTiers := !tcp && canonical && clientAgnostic(v) && s.Engine.Tailor == nil && !s.Cfg.RequireCookies &&
+		s.route(wire, v, sc)
 	var resp []byte
 	done := false
-	if wireTiers && s.Cfg.HotCacheSize >= 0 {
+	if wireTiers {
 		resp, done = s.handleFast(wire, v, src, sc)
 	}
 	if !done && level >= qod.LevelDegraded && s.Pipeline != nil &&
@@ -634,6 +649,21 @@ func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch
 		resp = s.handleSlow(wire, src, tcp, sc, level)
 	}
 	return s.settle(resp, src, tcp, sc)
+}
+
+// route folds the question name into sc.vq and routes it once for both wire
+// tiers, leaving the zone version — nil when none is authoritative — in
+// sc.oc.from. It reports false for a name the wire tiers leave to the decode
+// path: a label byte the name parser would reject, or a crash-trap name,
+// which must reach the engine inside the containment boundary.
+func (s *Server) route(wire []byte, v dnswire.QueryView, sc *scratch) bool {
+	qfold, ok := v.AppendQnameFolded(sc.vq[:0], wire)
+	sc.vq = qfold
+	if !ok || bytes.Contains(qfold, qodMarkerWire) {
+		return false
+	}
+	sc.oc.from, _, _ = s.Engine.Store.FindWire(qfold)
+	return true
 }
 
 // clientAgnostic reports whether a canonical-shape query is one the wire
@@ -734,7 +764,7 @@ func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 			Name:     oc.name,
 			Zone:     oc.zone,
 			RCode:    oc.rcode,
-		}, oc.gen)
+		}, oc.from.Version())
 	}
 	answered := resp != nil && oc.verdict != flight.VerdictShed && oc.verdict != flight.VerdictQuarantined
 	latency := time.Duration(-1)
@@ -799,23 +829,6 @@ func (s *Server) hotTotals() (hits, misses, evictions uint64, entries int) {
 	return hits, misses, evictions, entries
 }
 
-// instrumentHotCaches registers the hot-cache series, summed across the
-// workers' caches at scrape time.
-func (s *Server) instrumentHotCaches(reg *obs.Registry) {
-	reg.CounterFunc(obs.MetricHotCacheHitsTotal,
-		"Queries answered from the packed-response hot cache.",
-		func() float64 { h, _, _, _ := s.hotTotals(); return float64(h) })
-	reg.CounterFunc(obs.MetricHotCacheMissesTotal,
-		"Hot-cache-eligible queries that required a full lookup.",
-		func() float64 { _, m, _, _ := s.hotTotals(); return float64(m) })
-	reg.CounterFunc(obs.MetricHotCacheEvictionsTotal,
-		"Hot-cache entries dropped by capacity or zone-change flushes.",
-		func() float64 { _, _, e, _ := s.hotTotals(); return float64(e) })
-	reg.GaugeFunc(obs.MetricHotCacheEntries,
-		"Packed responses currently resident in the workers' hot caches.",
-		func() float64 { _, _, _, n := s.hotTotals(); return float64(n) })
-}
-
 // sizeClassUDP buckets a query's advertised payload limit so one cached
 // wire can serve every client in the bucket: the cached response is fitted
 // to the bucket's floor, the smallest limit a member may have advertised.
@@ -838,22 +851,22 @@ func sizeClassUDP(v dnswire.QueryView) (class byte, floor int, ok bool) {
 	}
 }
 
-// handleFast attempts the packed-response path. It reports done=false when
-// the query must go further down the tiers — an eccentric payload size or a
-// cache miss, in which case the outcome asks the answering tier's reply to
-// be inserted. On a hit the cached wire is replayed with the ID, RD bit, and
-// qname casing patched, so 0x20 mixed-case encoding round-trips exactly.
+// handleFast attempts the packed-response path for a routed query. It
+// reports done=false when the query must go further down the tiers — an
+// eccentric payload size, or no entry filed under the routed zone's version,
+// in which case the outcome asks the answering tier's reply to be inserted.
+// On a hit the cached wire is replayed with the ID, RD bit, and qname casing
+// patched, so 0x20 mixed-case encoding round-trips exactly.
 func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch) ([]byte, bool) {
 	class, floor, ok := sizeClassUDP(v)
 	if !ok {
 		return nil, false
 	}
 	oc := &sc.oc
-	gen := s.Engine.Store.Gen()
 	sc.key = v.AppendCacheKey(sc.key[:0], wire, class)
-	e, hit := s.hotCache(sc).Lookup(sc.key, gen)
+	e, hit := s.hotCache(sc).Lookup(sc.key, oc.from.Version())
 	if !hit {
-		oc.fill, oc.gen, oc.floor = true, gen, floor
+		oc.fill, oc.floor = true, floor
 		return nil, false
 	}
 	// Cached answers score and pass admission exactly like slow-path ones,
@@ -974,7 +987,7 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 		}
 	}
 	resp := &sc.resp
-	matched, crashed := s.Engine.AnswerInto(resp, q, nameserver.ResolverKey(srcKey))
+	from, crashed := s.Engine.AnswerInto(resp, q, nameserver.ResolverKey(srcKey))
 	oc.span.Mark(obs.StageLookup)
 	if crashed {
 		// Surface the crash as a real panic so the recover boundary
@@ -990,7 +1003,10 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 			})
 		}
 	}
-	oc.verdict, oc.rcode, oc.zone = flight.VerdictServed, resp.RCode, matched
+	oc.verdict, oc.rcode, oc.from = flight.VerdictServed, resp.RCode, from
+	if from != nil {
+		oc.zone = from.Origin()
+	}
 	if resp.RCode == dnswire.RCodeFormErr {
 		s.Metrics.FormErr.Add(1)
 	}
@@ -1192,21 +1208,10 @@ func Exchange(addr string, q *dnswire.Message, tcp bool, timeout time.Duration) 
 // -zone flag).
 func LoadZonesInto(store *zone.Store, specs []string, open func(string) (io.ReadCloser, error)) error {
 	for _, spec := range specs {
-		var origin, path string
-		if n, err := fmt.Sscanf(spec, "%s", &path); n != 1 || err != nil {
-			return fmt.Errorf("netserve: bad zone spec %q", spec)
-		}
-		eq := -1
-		for i := range spec {
-			if spec[i] == '=' {
-				eq = i
-				break
-			}
-		}
-		if eq < 0 {
+		origin, path, ok := strings.Cut(spec, "=")
+		if !ok {
 			return fmt.Errorf("netserve: zone spec %q needs origin=path", spec)
 		}
-		origin, path = spec[:eq], spec[eq+1:]
 		name, err := dnswire.ParseName(origin)
 		if err != nil {
 			return err

@@ -390,7 +390,9 @@ func TestOneOutcomePerQuery(t *testing.T) {
 				return
 			}
 			class, _, _ := sizeClassUDP(v)
-			e, hit := srv.hotCache(sc).Lookup(v.AppendCacheKey(nil, wire, class), srv.Engine.Store.Gen())
+			qfold, _ := v.AppendQnameFolded(nil, wire)
+			routed, _, _ := srv.Engine.Store.FindWire(qfold)
+			e, hit := srv.hotCache(sc).Lookup(v.AppendCacheKey(nil, wire, class), routed.Version())
 			if hit != (tc.inserted || tc.verdict == flight.VerdictCached) {
 				t.Fatalf("hot entry under this packet's key: %v", hit)
 			}

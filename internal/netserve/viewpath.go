@@ -9,7 +9,6 @@ package netserve
 // message decode, no per-query allocations.
 
 import (
-	"bytes"
 	"net/netip"
 
 	"akamaidns/internal/dnswire"
@@ -31,27 +30,15 @@ var qodMarkerWire = []byte(dnswire.QoDMarkerLabel)
 var optEcho = []byte{0, 0, 0x29, 0x04, 0xD0, 0, 0, 0, 0, 0, 0}
 
 // handleView serves one client-agnostic UDP query (see dispatch) from the
-// matched zone's compiled view. It reports done=false when the query needs
-// the decode path: a crash-trap name, a label byte the name parser would
-// reject, no compiled wire available, or a response too large for the
-// client's payload limit (the decode path owns truncation). A query this
-// tier admitted and then could not answer carries that in the outcome, so
-// the decode path does not admit it again.
+// compiled view of the zone it was routed to (see route). It reports
+// done=false when the query needs the decode path: no compiled wire
+// available, or a response too large for the client's payload limit (the
+// decode path owns truncation). A query this tier admitted and then could
+// not answer carries that in the outcome, so the decode path does not admit
+// it again.
 func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch, level int) ([]byte, bool) {
-	qfold, ok := v.AppendQnameFolded(sc.vq[:0], wire)
-	sc.vq = qfold[:0]
-	if !ok {
-		// A label byte the name parser would reject: let the decode path
-		// produce its FORMERR handling.
-		return nil, false
-	}
-	if bytes.Contains(qfold, qodMarkerWire) {
-		// Crash-trap names must reach the engine inside the containment
-		// boundary so quarantine and journaling see them.
-		return nil, false
-	}
 	oc := &sc.oc
-	z, _, found := s.Engine.Store.FindWire(qfold)
+	qfold, z := sc.vq, oc.from
 	// View-served queries score and pass admission exactly like decode-path
 	// ones. Building the filters.Query costs the one Name allocation;
 	// without a pipeline the path stays allocation-free.
@@ -61,14 +48,14 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 			return nil, false
 		}
 		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
-		if found {
+		if z != nil {
 			oc.fq.Zone = z.Origin()
 		}
 		if reply, ok := s.admit(wire, level, sc); !ok {
 			return reply, true
 		}
 	}
-	if !found {
+	if z == nil {
 		oc.verdict, oc.rcode = flight.VerdictView, dnswire.RCodeRefused
 		out := viewRefused(wire, v, sc.out[:0])
 		sc.out = out

@@ -92,6 +92,7 @@ var viewDiffQueries = []viewDiffQuery{
 	{"ex.test", dnswire.TypeSOA},         // apex
 	{"nope.ex.test", dnswire.TypeA},      // NXDOMAIN
 	{"deep.miss.ex.test", dnswire.TypeA}, // NXDOMAIN, multi-label
+	{"sub.sub.ex.test", dnswire.TypeA},   // a label repeated right after itself
 	{"host.sub.ex.test", dnswire.TypeA},  // referral + glue
 	{"www.other.test", dnswire.TypeA},    // REFUSED
 }

@@ -15,8 +15,8 @@ type Store struct {
 	zones map[dnswire.Name]*Zone
 	// gen advances once per Update that installs or removes a zone, and
 	// nowhere else: an installed zone is a published version that never
-	// changes, so a swap is the only change a store sees. Caches keyed on
-	// store contents compare generations instead of watching zones.
+	// changes, so a swap is the only change a store sees. It dates snapshots
+	// of the whole zone set; a cache of one zone's answers keys on its Version.
 	gen atomic.Uint64
 	// router is the immutable longest-match index, sharded by an FNV hash of
 	// the wire-form origin so an Update republishes only the shards its batch
@@ -147,8 +147,8 @@ func NewStore() *Store {
 	return s
 }
 
-// Gen returns the store's change generation (see Store.gen). A cached
-// artifact derived from the store is valid only while Gen is unchanged.
+// Gen returns the store's change generation (see Store.gen). A snapshot of
+// the whole zone set is current only while Gen is unchanged.
 func (s *Store) Gen() uint64 { return s.gen.Load() }
 
 // Tx batches zone installs and removals under one store lock: every

@@ -58,8 +58,9 @@ type Zone struct {
 	// lower bound is at or below it.
 	recs   []dnswire.RR
 	sorted bool
-	// published marks a version: Add and SetSerial panic once it is set.
-	published bool
+	// version numbers the zone once published (see Version); 0 while it is
+	// still being built. Add and SetSerial panic once it is set.
+	version uint64
 	// store is the Store the zone is installed in (nil otherwise), whose
 	// view counters the zone's compile moves.
 	store *Store
@@ -96,11 +97,27 @@ func (z *Zone) setStore(s *Store) {
 	z.mu.Unlock()
 }
 
-// publish makes the zone a version: from now on it never changes.
+var versionSeq atomic.Uint64 // numbers published zones, process-wide
+
+// publish makes the zone a version: from now on it never changes. The first
+// publish numbers it; a later one (History.Record, then Tx.Put) keeps it.
 func (z *Zone) publish() {
 	z.mu.Lock()
-	z.published = true
+	if z.version == 0 {
+		z.version = versionSeq.Add(1)
+	}
 	z.mu.Unlock()
+}
+
+// Version identifies a published zone: no two zones published in one
+// process share it, and it never changes. It is 0 for a zone still being
+// built and for a nil zone (no zone at all). It takes no lock: a published
+// zone reaches readers through the Store or History that published it.
+func (z *Zone) Version() uint64 {
+	if z == nil {
+		return 0
+	}
+	return z.version
 }
 
 // editLocked readies the zone for an edit — op names it — and drops the
@@ -108,7 +125,7 @@ func (z *Zone) publish() {
 // hold z.mu exclusively, so no concurrent View() call can republish a stale
 // snapshot after the drop.
 func (z *Zone) editLocked(op string) {
-	if z.published {
+	if z.version != 0 {
 		panic(fmt.Sprintf("zone %s: %s on a published version; build the next version with zone.Apply and Put it", z.origin, op))
 	}
 	z.view.Store(nil)

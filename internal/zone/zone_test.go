@@ -348,6 +348,29 @@ func TestPublishedZoneIsFrozen(t *testing.T) {
 	}
 }
 
+// TestZoneVersion: a zone has version 0 until it is published, the first
+// publish numbers it and a later one keeps the number, and two zones
+// published in one Update — which share a store generation — do not share a
+// version. A nil zone, no zone at all, is version 0.
+func TestZoneVersion(t *testing.T) {
+	z := buildZone(t)
+	if z.Version() != 0 || (*Zone)(nil).Version() != 0 {
+		t.Fatalf("versions before publishing: %d, nil %d", z.Version(), (*Zone)(nil).Version())
+	}
+	NewHistory(2).Record(z)
+	v := z.Version()
+	s := NewStore()
+	s.Put(z)
+	if v == 0 || z.Version() != v {
+		t.Fatalf("version %d after History.Record, %d after Put", v, z.Version())
+	}
+	a, b := New(n("a.example.com")), New(n("b.example.com"))
+	s.Update(func(tx *Tx) { tx.Put(a); tx.Put(b) })
+	if a.Version() == b.Version() || a.Version() == v || b.Version() == v {
+		t.Fatalf("versions %d, %d beside %d", a.Version(), b.Version(), v)
+	}
+}
+
 func TestReadsReturnCopies(t *testing.T) {
 	z := buildZone(t)
 	z.RRset(n("www.example.com"), dnswire.TypeA)[0].Header().TTL = 9999
