@@ -37,7 +37,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache|FuzzHotCacheVersions,-count=2)
 	$(call race-suite,./internal/nameserver/,-run,TestHotCache|TestAnswerIntoMatchesAnswer,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
-	$(call race-suite,./internal/zone/,-run,TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel,-count=2)
+	$(call race-suite,./internal/zone/,-run,TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzStoreModel,-count=2)
 	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
 	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
@@ -46,7 +46,7 @@ race-suites:
 	$(call race-suite,./internal/udpbatch/,-run,TestReadWhileWrite,-count=10)
 	$(call race-suite,./internal/filters/,-run,TestLoyaltyBounded|TestRateLimitBucketsBounded|TestFiltersConcurrencySafety,)
 	$(call race-suite,./internal/monitor/,-run,TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant,-count=2)
-	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace,)
+	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace|TestApplyCatchesSameSerialSwap,)
 	$(call race-suite,./internal/propagate/,-run,TestPullLoopRace,-count=2)
 
 # The second and third lines cross-compile the portable udpbatch.Conn, the
@@ -115,6 +115,7 @@ fuzz:
 	go test -fuzz=FuzzParseMaster -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzViewLookupParity -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzZoneModel -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzStoreModel -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzTCPFrameReader -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzTransferStream -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzHotCacheVersions -fuzztime=$(FUZZTIME) ./internal/netserve/

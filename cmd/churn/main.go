@@ -210,7 +210,7 @@ func main() {
 	if len(seedDoc.Zones) > 0 {
 		flushSeed()
 	}
-	rebuildsAfterSeed := store.RouterRebuilds()
+	rebuildsAfterSeed := store.Gen()
 	shardsAfterSeed := store.ShardRebuilds()
 
 	// Baseline: the control zone's answer bytes with a fixed query, the
@@ -374,7 +374,7 @@ func main() {
 		controlMismatch.Add(1)
 	}
 
-	rebuilds := store.RouterRebuilds() - rebuildsAfterSeed
+	rebuilds := store.Gen() - rebuildsAfterSeed
 	shardClones := store.ShardRebuilds() - shardsAfterSeed
 	rep := report{
 		Zones:           *zones,

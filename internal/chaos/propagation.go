@@ -114,9 +114,10 @@ func (h *Harness) checkPropagationConvergence(now simtime.Time) {
 			continue
 		}
 		// SerialSum fast path: equal order-independent (origin, serial)
-		// hashes off the generation-keyed snapshot caches mean the per-zone
-		// serial sweep below cannot find a mismatch; the content-hash
-		// comparison still runs, because serials alone don't prove bytes.
+		// hashes, each a field of its store's installed zone set, mean the
+		// per-zone serial sweep below cannot find a mismatch; the
+		// content-hash comparison still runs, because serials alone don't
+		// prove bytes.
 		serialsMatch := m.LocalStore.SerialSum() == h.p.Store.SerialSum()
 		local := m.LocalStore.Serials()
 		if len(local) != len(ctl) {

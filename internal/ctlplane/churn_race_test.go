@@ -65,7 +65,7 @@ func TestChurnWhileServing(t *testing.T) {
 	if p, err := c.SubmitApply(seed); err != nil || p.Status != StatusApplied {
 		t.Fatalf("seed apply: %v %+v", err, p)
 	}
-	rebuildsAfterSeed := store.RouterRebuilds()
+	rebuildsAfterSeed := store.Gen()
 
 	var (
 		stop         atomic.Bool
@@ -155,7 +155,7 @@ func TestChurnWhileServing(t *testing.T) {
 				} else {
 					lastGen = g
 				}
-				if rb := store.RouterRebuilds(); rb < lastRebuilds {
+				if rb := store.Gen(); rb < lastRebuilds {
 					fail("reader %d: router rebuilds went backwards %d→%d", rd, lastRebuilds, rb)
 					return
 				} else {
@@ -182,7 +182,7 @@ func TestChurnWhileServing(t *testing.T) {
 	if applied != writers*rounds {
 		t.Fatalf("applied %d plans, want %d", applied, writers*rounds)
 	}
-	rebuilds := store.RouterRebuilds() - rebuildsAfterSeed
+	rebuilds := store.Gen() - rebuildsAfterSeed
 	if rebuilds > applied {
 		t.Fatalf("%d router rebuilds for %d applied plans (>1 per batch)", rebuilds, applied)
 	}
@@ -252,7 +252,7 @@ func TestChurnPipelinedWhileServing(t *testing.T) {
 	if p, err := c.SubmitApply(seed); err != nil || p.Status != StatusApplied {
 		t.Fatalf("seed apply: %v %+v", err, p)
 	}
-	rebuildsAfterSeed := store.RouterRebuilds()
+	rebuildsAfterSeed := store.Gen()
 
 	var (
 		stop         atomic.Bool
@@ -418,7 +418,7 @@ api IN A 192.0.2.200
 	if want := uint64((ownedWriters + sharedWriters) * rounds); applied != want {
 		t.Fatalf("applied %d plans, want %d", applied, want)
 	}
-	rebuilds := store.RouterRebuilds() - rebuildsAfterSeed
+	rebuilds := store.Gen() - rebuildsAfterSeed
 	if rebuilds > applied {
 		t.Fatalf("%d router republishes for %d applied plans (>1 per batch)", rebuilds, applied)
 	}

@@ -17,9 +17,9 @@
 //	→ propagate increments             (publish hook onto the pubsub fabric,
 //	                                    IXFR history for secondaries)
 //
-// Applies are optimistic: each zone plan records the serving serial it was
-// computed against, and a zone whose serial moved between plan and apply is
-// marked as a conflict and skipped rather than clobbered.
+// Applies are optimistic: each zone plan pins the serving zone version it
+// was computed against, and a zone whose version moved between plan and
+// apply is marked as a conflict and skipped rather than clobbered.
 package ctlplane
 
 import (
@@ -80,13 +80,17 @@ type ZonePlan struct {
 	FromSerial uint32
 	ToSerial   uint32
 	Changes    []RRsetChange
-	// Conflict is set at apply time when the serving serial no longer
-	// matches FromSerial (someone else changed the zone since planning);
-	// the zone is skipped, not clobbered.
+	// Conflict is set at apply time when the serving version is no longer
+	// the one planned against (someone else changed the zone since
+	// planning, even at the same serial); the zone is skipped, not
+	// clobbered.
 	Conflict bool
 	// Revalidated is set when the pipelined apply path re-pinned this zone
-	// against a serving serial that moved after planning (see applyPlan).
+	// against a serving version that moved after planning (see applyPlan).
 	Revalidated bool
+	// fromVersion is the Version of the serving zone the plan was computed
+	// against (0 for creates).
+	fromVersion uint64
 	// desired is the fully validated new zone content (nil for deletes).
 	desired *zone.Zone
 	// inheritSOA records that the SOA was carried forward from serving
@@ -137,10 +141,6 @@ type Plan struct {
 	// Revalidated counts zones re-pinned by the pipelined apply path.
 	Revalidated int
 	AppliedAt   time.Time
-	// gen is the store generation the plan was computed against. A commit
-	// that observes the same generation knows no zone moved since planning
-	// and can skip per-zone revalidation entirely.
-	gen uint64
 }
 
 // Empty reports whether the plan carries no zone changes — the fixed point
@@ -234,7 +234,7 @@ func New(store *zone.Store, cfg Config) *Controller {
 		c.rrsetChanges[op] = reg.Counter("akamaidns_ctl_rrset_changes_total", helpRRsets, "op", string(op))
 	}
 	c.conflictsTotal = reg.Counter("akamaidns_ctl_conflicts_total",
-		"Zone plans skipped at apply because the serving serial moved after planning.")
+		"Zone plans skipped at apply because the serving version moved after planning.")
 	c.noopsTotal = reg.Counter("akamaidns_ctl_noops_total",
 		"Changelist entries that already matched serving state.")
 	c.planSize = reg.Histogram("akamaidns_ctl_plan_rrset_changes",
@@ -266,7 +266,7 @@ func (c *Controller) rejectCounter(reason string) *obs.Counter {
 // rejections has Status == StatusRejected and cannot be applied; nothing
 // was installed.
 func (c *Controller) Plan(cl Changelist) *Plan {
-	p := &Plan{Created: time.Now(), Status: StatusPlanned, gen: c.store.Gen()}
+	p := &Plan{Created: time.Now(), Status: StatusPlanned}
 	if len(cl.Zones) > c.cfg.MaxZones {
 		p.Rejections = append(p.Rejections, Rejection{
 			Reason: "changelist-too-large",
@@ -317,10 +317,11 @@ func (c *Controller) planZone(p *Plan, zc *ZoneChange) {
 		}
 		delta := zone.Diff(cur, zone.New(zc.Origin))
 		zp := &ZonePlan{
-			Origin:     zc.Origin,
-			Op:         OpDelete,
-			FromSerial: cur.Serial(),
-			Changes:    rrsetChanges(delta),
+			Origin:      zc.Origin,
+			Op:          OpDelete,
+			FromSerial:  cur.Serial(),
+			Changes:     rrsetChanges(delta),
+			fromVersion: cur.Version(),
 		}
 		p.Zones = append(p.Zones, zp)
 		p.RRsets += len(zp.Changes)
@@ -404,13 +405,14 @@ func (c *Controller) planZone(p *Plan, zc *ZoneChange) {
 		return
 	}
 	zp := &ZonePlan{
-		Origin:     zc.Origin,
-		Op:         OpUpdate,
-		FromSerial: curSerial,
-		ToSerial:   desired.Serial(),
-		Changes:    rrsetChanges(delta),
-		desired:    desired,
-		inheritSOA: inheritSOA,
+		Origin:      zc.Origin,
+		Op:          OpUpdate,
+		FromSerial:  curSerial,
+		ToSerial:    desired.Serial(),
+		Changes:     rrsetChanges(delta),
+		fromVersion: cur.Version(),
+		desired:     desired,
+		inheritSOA:  inheritSOA,
 	}
 	p.Zones = append(p.Zones, zp)
 	p.RRsets += len(zp.Changes)
@@ -476,7 +478,7 @@ func sortRRsetChanges(out []RRsetChange) {
 // Apply installs a planned changelist: one store batch (one dirty-shard
 // router republish, one generation bump) swapping each zone wholesale, then
 // IXFR history and pubsub propagation for every applied zone. Zones whose
-// serving serial moved since planning are marked Conflict and skipped. A
+// serving version moved since planning are marked Conflict and skipped. A
 // plan applies at most once.
 func (c *Controller) Apply(p *Plan) error {
 	_, err := c.applyPlan(p, false)
@@ -496,7 +498,7 @@ type revalUpdate struct {
 // applyPlan is Apply with an optional revalidation-on-conflict fast path,
 // used by the pipelined commit stage: when a later changelist's plan was
 // computed while an earlier one was still committing, zones whose serving
-// serial moved are re-pinned inside the same store batch instead of being
+// version moved are re-pinned inside the same store batch instead of being
 // skipped as conflicts. Only updates are eligible — a records-only
 // submission (inheritSOA) re-inherits the new serving serial +1, and an
 // explicitly versioned update goes through as long as its serial still
@@ -522,18 +524,11 @@ func (c *Controller) applyPlan(p *Plan, revalidate bool) (int, error) {
 		revalNoops          []*revalUpdate
 	)
 	c.store.Update(func(tx *zone.Tx) {
-		// Generation fast path: if nothing changed the store since this
-		// plan was computed, every per-zone serial pin still holds.
-		revalidate = revalidate && c.store.Gen() != p.gen
 		for _, zp := range p.Zones {
 			cur := tx.Get(zp.Origin)
-			var curSerial uint32
-			if cur != nil {
-				curSerial = cur.Serial()
-			}
 			switch zp.Op {
 			case OpDelete:
-				if cur == nil || curSerial != zp.FromSerial {
+				if cur.Version() != zp.fromVersion {
 					conflicted = append(conflicted, zp)
 					continue
 				}
@@ -549,11 +544,12 @@ func (c *Controller) applyPlan(p *Plan, revalidate bool) (int, error) {
 					conflicted = append(conflicted, zp)
 					continue
 				}
-				if curSerial != zp.FromSerial {
+				if cur.Version() != zp.fromVersion {
 					if !revalidate {
 						conflicted = append(conflicted, zp)
 						continue
 					}
+					curSerial := cur.Serial()
 					switch {
 					case zp.inheritSOA:
 						// Re-inherit: the platform owns this zone's serial,
@@ -697,10 +693,11 @@ type Status struct {
 	Conflicts     uint64
 	NoOps         uint64
 	ZonesServing  int
-	StoreGen      uint64
-	RouterRebuild uint64
+	// StoreGen is the ordinal of the installed zone set: one per applied
+	// batch that changed it.
+	StoreGen uint64
 	// ShardRebuilds counts router shard maps cloned across all republishes;
-	// ShardRebuilds/RouterRebuild is the mean dirty-shard width per apply.
+	// ShardRebuilds/StoreGen is the mean dirty-shard width per apply.
 	ShardRebuilds uint64
 	PlansRetained int
 	// ApplyP50 and ApplyP99 are plan-to-applied latency quantiles.
@@ -722,7 +719,6 @@ func (c *Controller) StatusNow() Status {
 		NoOps:         c.noopsTotal.Load(),
 		ZonesServing:  c.store.Len(),
 		StoreGen:      c.store.Gen(),
-		RouterRebuild: c.store.RouterRebuilds(),
 		ShardRebuilds: c.store.ShardRebuilds(),
 		PlansRetained: retained,
 	}

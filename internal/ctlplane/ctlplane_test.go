@@ -245,6 +245,63 @@ func TestApplyConflictSkipsZone(t *testing.T) {
 	}
 }
 
+// TestApplyCatchesSameSerialSwap: a plan pins the zone version it was
+// computed against, not the version's serial. Another writer swapping in
+// different content at the same serial moves the pin: a strict apply skips
+// the zone as a conflict, and a pipelined one re-diffs the plan against the
+// version now serving.
+func TestApplyCatchesSameSerialSwap(t *testing.T) {
+	origin := dnswire.MustName("swap.test")
+	other := dnswire.MustName("other.swap.test")
+	planThenSwap := func(t *testing.T) (*Controller, *Plan) {
+		c := newTestController(t)
+		submitOK(t, c, Changelist{Zones: []ZoneChange{{Origin: origin, Desired: testZone(t, "swap.test", 1, "")}}})
+		p := c.Plan(Changelist{Zones: []ZoneChange{
+			{Origin: origin, Desired: testZone(t, "swap.test", 2, "api IN A 192.0.2.1")},
+		}})
+		if p.Status != StatusPlanned {
+			t.Fatalf("plan status = %s: %+v", p.Status, p.Rejections)
+		}
+		c.Store().Put(testZone(t, "swap.test", 1, "other IN A 192.0.2.9"))
+		return c, p
+	}
+
+	t.Run("strict", func(t *testing.T) {
+		c, p := planThenSwap(t)
+		if err := c.Apply(p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Status != StatusPartial || p.Conflicts != 1 || !p.Zones[0].Conflict {
+			t.Fatalf("status=%s conflicts=%d conflict=%v, want partial/1/true", p.Status, p.Conflicts, p.Zones[0].Conflict)
+		}
+		if rr := c.Store().Get(origin).RRset(other, dnswire.TypeA); len(rr) != 1 {
+			t.Fatalf("the other writer's version was clobbered: other/A = %v", rr)
+		}
+	})
+
+	t.Run("pipelined", func(t *testing.T) {
+		c, p := planThenSwap(t)
+		reval, err := c.applyPlan(p, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zp := p.Zones[0]
+		if reval != 1 || p.Status != StatusApplied || !zp.Revalidated {
+			t.Fatalf("reval=%d status=%s revalidated=%v, want 1/applied/true", reval, p.Status, zp.Revalidated)
+		}
+		deletesOther := false
+		for _, ch := range zp.Changes {
+			deletesOther = deletesOther || (ch.Name == other && ch.Op == OpDelete)
+		}
+		if !deletesOther {
+			t.Fatalf("changes not re-diffed against the swapped-in version: %+v", zp.Changes)
+		}
+		if got := c.Store().Get(origin).Serial(); got != 2 {
+			t.Fatalf("serial = %d, want 2", got)
+		}
+	})
+}
+
 func TestApplyBatchSingleRebuild(t *testing.T) {
 	c := newTestController(t)
 	const n = 50
@@ -256,9 +313,9 @@ func TestApplyBatchSingleRebuild(t *testing.T) {
 			Desired: testZone(t, origin, 1, ""),
 		})
 	}
-	r0 := c.Store().RouterRebuilds()
+	r0 := c.Store().Gen()
 	submitOK(t, c, cl)
-	if got := c.Store().RouterRebuilds() - r0; got != 1 {
+	if got := c.Store().Gen() - r0; got != 1 {
 		t.Fatalf("%d-zone apply rebuilt the router %d times, want 1", n, got)
 	}
 }

@@ -298,7 +298,6 @@ func (c *Controller) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"noops":                 st.NoOps,
 		"zones_serving":         st.ZonesServing,
 		"store_gen":             st.StoreGen,
-		"router_rebuilds":       st.RouterRebuild,
 		"router_shard_rebuilds": st.ShardRebuilds,
 		"plans_retained":        st.PlansRetained,
 		"apply_p50":             st.ApplyP50.String(),

@@ -16,7 +16,7 @@ import (
 // by a bounded queue, changelist N+1 validates while N commits — the
 // control plane's version of instruction pipelining. Commits run with the
 // revalidation-on-conflict fast path enabled, so the overlap does not turn
-// plan-time serial pins into spurious conflicts (see applyPlan).
+// plan-time version pins into spurious conflicts (see applyPlan).
 //
 // Ordering: changelists commit in submission order, one at a time, over the
 // controller's store. The pipeline buys throughput (validation cost off the

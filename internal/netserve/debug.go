@@ -114,18 +114,18 @@ type viewsZoneJSON struct {
 
 // viewsDebugJSON is the /debug/views document.
 type viewsDebugJSON struct {
-	StoreGen       uint64 `json:"store_gen"`
-	ViewRebuilds   uint64 `json:"view_rebuilds_total"`
-	ViewBytes      int64  `json:"view_bytes"`
-	RouterRebuilds uint64 `json:"router_rebuilds_total"`
+	// StoreGen is the ordinal of the installed zone set.
+	StoreGen     uint64 `json:"store_gen"`
+	ViewRebuilds uint64 `json:"view_rebuilds_total"`
+	ViewBytes    int64  `json:"view_bytes"`
 	// RouterShardRebuilds counts shard maps cloned across republishes;
-	// divided by RouterRebuilds it is the mean dirty-shard width per apply
+	// divided by StoreGen it is the mean dirty-shard width per apply
 	// (1 ≈ single-zone batches, RouterShards ≈ full rebuilds).
 	RouterShardRebuilds uint64 `json:"router_shard_rebuilds_total"`
 	RouterShards        int    `json:"router_shards"`
-	// SerialSum is the order-independent (origin, serial) content hash off
-	// the generation-keyed snapshot — compare across machines to spot
-	// divergence without diffing zone lists.
+	// SerialSum is the order-independent (origin, serial) content hash of
+	// the installed set — compare across machines to spot divergence
+	// without diffing zone lists.
 	SerialSum  uint64          `json:"serial_sum"`
 	ViewServed uint64          `json:"view_served_total"`
 	Zones      []viewsZoneJSON `json:"zones"`
@@ -139,7 +139,6 @@ func (s *Server) viewsDebug(w http.ResponseWriter, req *http.Request) {
 		StoreGen:            store.Gen(),
 		ViewRebuilds:        store.ViewRebuilds(),
 		ViewBytes:           store.ViewBytes(),
-		RouterRebuilds:      store.RouterRebuilds(),
 		RouterShardRebuilds: store.ShardRebuilds(),
 		RouterShards:        store.RouterShards(),
 		SerialSum:           store.SerialSum(),

@@ -247,8 +247,8 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 		func() float64 { return float64(eng.Store.ViewRebuilds()) })
 	reg.GaugeFunc(obs.MetricViewBytes, "Heap bytes of the compiled views hosted zones currently publish.",
 		func() float64 { return float64(eng.Store.ViewBytes()) })
-	reg.GaugeFunc(obs.MetricRouterRebuilds, "Lock-free zone router index rebuilds.",
-		func() float64 { return float64(eng.Store.RouterRebuilds()) })
+	reg.GaugeFunc(obs.MetricRouterRebuilds, "Zone set republishes: the store generation.",
+		func() float64 { return float64(eng.Store.Gen()) })
 	reg.GaugeFunc(obs.MetricRouterShardRebuilds,
 		"Router shard maps cloned across rebuilds (dirty-shard width).",
 		func() float64 { return float64(eng.Store.ShardRebuilds()) })

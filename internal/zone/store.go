@@ -1,7 +1,7 @@
 package zone
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,22 +11,12 @@ import (
 // Store holds the set of zones a nameserver is authoritative for and routes
 // each query name to its longest-match zone. It is safe for concurrent use.
 type Store struct {
-	mu    sync.RWMutex
-	zones map[dnswire.Name]*Zone
-	// gen advances once per Update that installs or removes a zone, and
-	// nowhere else: an installed zone is a published version that never
-	// changes, so a swap is the only change a store sees. It dates snapshots
-	// of the whole zone set; a cache of one zone's answers keys on its Version.
-	gen atomic.Uint64
-	// router is the immutable longest-match index, sharded by an FNV hash of
-	// the wire-form origin so an Update republishes only the shards its batch
-	// dirtied. Find/FindWire take no locks on the serve path.
-	router         atomic.Pointer[routerView]
-	routerRebuilds atomic.Uint64
-	shardRebuilds  atomic.Uint64
-	// snap caches the generation-keyed Serials/Origins/SerialSum snapshot so
-	// invariant checks at large N stop serializing against writers.
-	snap atomic.Pointer[storeSnap]
+	// mu serializes writers (Update); readers never take it.
+	mu sync.Mutex
+	// set is the installed zone set: an immutable version, swapped whole by
+	// each Update that installs or removes a zone. Every reader reads it.
+	set           atomic.Pointer[zoneSet]
+	shardRebuilds atomic.Uint64
 	// viewRebuilds counts view compiles of installed zones, monotonically;
 	// viewBytes is the footprint of the views currently published by
 	// installed zones. Both are moved by the zones themselves as they
@@ -44,14 +34,41 @@ const (
 	routerShardMask = routerShards - 1
 )
 
-// routerView indexes the installed zones by the wire form of their origin,
-// split into routerShards maps keyed by an FNV-1a hash of the full origin
-// key. The view and every shard map are immutable once published: Update
-// clones only the dirty shards and swaps the whole view in one atomic store,
-// so a reader never sees a half-applied batch. Unused shards stay nil (a nil
-// map reads as empty).
-type routerView struct {
+// zoneSet is one version of the installed zone set. It indexes the zones by
+// the wire form of their origin, split into routerShards maps keyed by an
+// FNV-1a hash of the full origin key, and carries the set's ordinal, zone
+// count and serial sum. A set and every shard map are immutable once
+// published: Update clones only the dirty shards into the next set and
+// swaps it in one atomic store, so a reader never sees a half-applied batch.
+// Unused shards stay nil (a nil map reads as empty). The serial map and the
+// origin list are derived once per set, by their first reader.
+type zoneSet struct {
 	shards [routerShards]map[string]*Zone
+	gen    uint64 // ordinal: the number of dirty Updates before this set
+	n      int    // zone count
+	sum    uint64 // SerialSum: mixSerial summed over the set
+
+	serialsOnce sync.Once
+	serials     map[dnswire.Name]uint32
+	// origins is the canonical-order origin list, built by the first Origins
+	// call on this set: only listings need order, and the serial audits that
+	// run on every set must not pay for the sort.
+	originsOnce sync.Once
+	origins     []dnswire.Name
+}
+
+// get is the exact probe: the zone whose wire-form origin is key, or nil.
+func (zs *zoneSet) get(key []byte) *Zone {
+	return zs.shards[shardIndex(key)][string(key)]
+}
+
+// each calls fn for every zone of the set, in no particular order.
+func (zs *zoneSet) each(fn func(*Zone)) {
+	for _, m := range &zs.shards {
+		for _, z := range m {
+			fn(z)
+		}
+	}
 }
 
 // fnv1a hashes a key in either of its two spellings. The []byte
@@ -74,22 +91,21 @@ func shardIndex[K string | []byte](k K) int {
 	return int(fnv1a(k) & routerShardMask)
 }
 
-// publishDirtyLocked publishes a router snapshot covering the origins
-// changed in one batch: dirty shards are cloned and patched, clean shards
-// carry their map pointers over untouched, and the new view becomes visible
-// in a single atomic swap. Cost is O(dirty origins + size of dirty shards),
-// independent of the total zone count. Callers hold s.mu.
-func (s *Store) publishDirtyLocked(dirty map[dnswire.Name]struct{}) {
-	prev := s.router.Load()
-	next := *prev // copy the shard pointer array; shard maps are shared
+// publishLocked publishes the set that follows prev once the batch's
+// overlay is applied: dirty shards are cloned and patched, clean shards
+// carry their map pointers over untouched, the count and the serial sum are
+// patched per dirty origin, and the new set becomes visible in a single
+// atomic swap. Cost is O(dirty origins + size of dirty shards), independent
+// of the total zone count. Callers hold s.mu.
+func (s *Store) publishLocked(prev *zoneSet, overlay map[dnswire.Name]*Zone) {
+	next := &zoneSet{shards: prev.shards, gen: prev.gen + 1, n: prev.n, sum: prev.sum}
 
 	type patch struct {
 		key string
 		z   *Zone // nil: delete key from the shard
 	}
 	patches := make(map[int][]patch, 1)
-	for o := range dirty {
-		z := s.zones[o] // nil when the batch deleted the zone
+	for o, z := range overlay {
 		var key string
 		if z != nil {
 			key = z.originWire
@@ -97,6 +113,14 @@ func (s *Store) publishDirtyLocked(dirty map[dnswire.Name]struct{}) {
 			key = string(o.AppendWire(nil))
 		}
 		si := shardIndex(key)
+		if old := prev.shards[si][key]; old != nil {
+			next.n--
+			next.sum -= mixSerial(o, old.Serial())
+		}
+		if z != nil {
+			next.n++
+			next.sum += mixSerial(o, z.Serial())
+		}
 		patches[si] = append(patches[si], patch{key, z})
 	}
 	for si, ps := range patches {
@@ -114,18 +138,13 @@ func (s *Store) publishDirtyLocked(dirty map[dnswire.Name]struct{}) {
 		}
 		next.shards[si] = m
 	}
-	s.router.Store(&next)
-	s.routerRebuilds.Add(1)
+	s.set.Store(next)
 	s.shardRebuilds.Add(uint64(len(patches)))
 }
 
-// RouterRebuilds reports how many batches have republished the routing index
-// (one per dirty Update, regardless of how many shards the batch touched).
-func (s *Store) RouterRebuilds() uint64 { return s.routerRebuilds.Load() }
-
 // ShardRebuilds reports the total number of shard maps cloned across all
-// router republishes. ShardRebuilds/RouterRebuilds is the average dirty-shard
-// width per batch; callers diff before/after an apply to histogram it.
+// set republishes. ShardRebuilds/Gen is the average dirty-shard width per
+// batch; callers diff before/after an apply to histogram it.
 func (s *Store) ShardRebuilds() uint64 { return s.shardRebuilds.Load() }
 
 // RouterShards reports the fixed shard count of the routing index.
@@ -142,75 +161,75 @@ func (s *Store) ViewBytes() int64 { return s.viewBytes.Load() }
 
 // NewStore returns an empty zone store.
 func NewStore() *Store {
-	s := &Store{zones: make(map[dnswire.Name]*Zone)}
-	s.router.Store(&routerView{})
+	s := &Store{}
+	s.set.Store(&zoneSet{})
 	return s
 }
 
-// Gen returns the store's change generation (see Store.gen). A snapshot of
-// the whole zone set is current only while Gen is unchanged.
-func (s *Store) Gen() uint64 { return s.gen.Load() }
+// Gen returns the ordinal of the installed set: it advances once per
+// Update that installs or removes a zone, and nowhere else. A listing of
+// the whole set is current only while Gen is unchanged.
+func (s *Store) Gen() uint64 { return s.set.Load().gen }
 
-// Tx batches zone installs and removals under one store lock: every
-// mutation made inside a single Update call becomes visible together, with
-// exactly one router republish and one generation bump for the whole batch
-// instead of one per zone. The Tx tracks which origins the batch dirtied so
-// the republish clones only the router shards those origins hash into —
-// apply cost is O(change), not O(store). A Tx is only valid inside the
-// Update callback that provided it.
+// Tx batches zone installs and removals under the store's writer lock:
+// every mutation made inside a single Update call becomes visible together,
+// in exactly one set republish for the whole batch instead of one per zone.
+// The Tx keeps the batch's changes in an overlay over the installed set, so
+// the republish clones only the router shards the changed origins hash
+// into — apply cost is O(change), not O(store). A Tx is only valid inside
+// the Update callback that provided it.
 type Tx struct {
-	s     *Store
-	dirty map[dnswire.Name]struct{}
+	s    *Store
+	base *zoneSet
+	// overlay holds every origin the batch touched: its zone as of now in
+	// the batch, nil when the batch deleted it.
+	overlay map[dnswire.Name]*Zone
 }
 
 // Put installs (or replaces) a zone within the batch and publishes it: from
 // here on the zone never changes.
 func (tx *Tx) Put(z *Zone) {
-	if old := tx.s.zones[z.Origin()]; old != nil && old != z {
+	if old := tx.Get(z.Origin()); old != nil && old != z {
 		old.setStore(nil)
 	}
 	z.publish()
 	z.setStore(tx.s)
-	tx.s.zones[z.Origin()] = z
-	tx.dirty[z.Origin()] = struct{}{}
+	tx.overlay[z.Origin()] = z
 }
 
 // Delete removes the zone with the given origin within the batch, reporting
 // whether it existed.
 func (tx *Tx) Delete(origin dnswire.Name) bool {
-	z, ok := tx.s.zones[origin]
-	if !ok {
+	z := tx.Get(origin)
+	if z == nil {
 		return false
 	}
-	delete(tx.s.zones, origin)
 	z.setStore(nil)
-	tx.dirty[origin] = struct{}{}
+	tx.overlay[origin] = nil
 	return true
 }
 
 // Get returns the currently installed zone for origin (including zones
 // installed earlier in this same batch), or nil.
-func (tx *Tx) Get(origin dnswire.Name) *Zone { return tx.s.zones[origin] }
+func (tx *Tx) Get(origin dnswire.Name) *Zone {
+	if z, ok := tx.overlay[origin]; ok {
+		return z
+	}
+	var buf [256]byte
+	return tx.base.get(origin.AppendWire(buf[:0]))
+}
 
-// Len reports the number of installed zones as of this point in the batch.
-func (tx *Tx) Len() int { return len(tx.s.zones) }
-
-// Update runs fn against a batch transaction holding the store lock. If fn
-// mutated anything, the dirty router shards are republished once and the
-// generation bumped once before the lock is released — the debounce that
-// turns an N-zone apply into a single republish. Lock-free readers
-// (Find/FindWire) keep routing on the old snapshot until the swap publishes,
-// so a batch is atomic with respect to the router: no reader ever observes a
-// half-applied zone set.
+// Update runs fn against a batch transaction holding the writer lock. If fn
+// changed anything, the next set is published once before the lock is
+// released — the debounce that turns an N-zone apply into a single
+// republish. Readers keep routing on the old set until the swap publishes,
+// so a batch is atomic: no reader ever observes a half-applied zone set.
 func (s *Store) Update(fn func(tx *Tx)) {
-	tx := &Tx{s: s, dirty: make(map[dnswire.Name]struct{})}
 	s.mu.Lock()
+	tx := &Tx{s: s, base: s.set.Load(), overlay: make(map[dnswire.Name]*Zone)}
 	fn(tx)
-	if len(tx.dirty) > 0 {
-		s.publishDirtyLocked(tx.dirty)
-		// The generation's one writer, inside the lock: generation-keyed
-		// snapshots read gen under RLock, so gen and content move together.
-		s.gen.Add(1)
+	if len(tx.overlay) > 0 {
+		s.publishLocked(tx.base, tx.overlay)
 	}
 	s.mu.Unlock()
 }
@@ -229,11 +248,11 @@ func (s *Store) Delete(origin dnswire.Name) (ok bool) {
 	return ok
 }
 
-// Get returns the zone with exactly the given origin, or nil.
+// Get returns the zone with exactly the given origin, or nil: one probe of
+// the installed set, rendered into a stack buffer as Find renders.
 func (s *Store) Get(origin dnswire.Name) *Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.zones[origin]
+	var buf [256]byte
+	return s.set.Load().get(origin.AppendWire(buf[:0]))
 }
 
 // Find returns the zone with the longest origin that is an ancestor of (or
@@ -254,7 +273,7 @@ func (s *Store) Find(name dnswire.Name) *Zone {
 // against the lock-free router index, so cost is O(labels) hash+probe
 // operations regardless of how many zones are installed. Allocation-free.
 func (s *Store) FindWire(qname []byte) (*Zone, int, bool) {
-	r := s.router.Load()
+	r := s.set.Load()
 	for o := 0; o < len(qname); {
 		suf := qname[o:]
 		if z := r.shards[shardIndex(suf)][string(suf)]; z != nil {
@@ -268,48 +287,10 @@ func (s *Store) FindWire(qname []byte) (*Zone, int, bool) {
 	return nil, 0, false
 }
 
-// storeSnap is an immutable, generation-keyed snapshot of the store's
-// origin/serial state. Serials and Origins hand out the snapshot's shared
-// map/slice directly — callers own a read-only view and must not mutate it.
-type storeSnap struct {
-	gen     uint64
-	serials map[dnswire.Name]uint32
-	sum     uint64
-	// origins is the canonical-order origin list, built by the first
-	// Origins call on this snapshot: only listings need order, and the
-	// serial audits that run on every generation must not pay for the sort.
-	originsOnce sync.Once
-	origins     []dnswire.Name
-}
-
-// snapshot returns the current generation's snapshot, building it at most
-// once per generation. Repeated invariant sweeps (chaos checks every event)
-// hit the cached pointer and never touch the store lock.
-func (s *Store) snapshot() *storeSnap {
-	if sn := s.snap.Load(); sn != nil && sn.gen == s.gen.Load() {
-		return sn
-	}
-	// Under RLock no Update runs, and installed zones never change, so gen
-	// and content are read together.
-	s.mu.RLock()
-	sn := &storeSnap{
-		gen:     s.gen.Load(),
-		serials: make(map[dnswire.Name]uint32, len(s.zones)),
-	}
-	for o, z := range s.zones {
-		ser := z.Serial()
-		sn.serials[o] = ser
-		sn.sum += mixSerial(o, ser)
-	}
-	s.mu.RUnlock()
-	s.snap.Store(sn)
-	return sn
-}
-
 // mixSerial hashes one (origin, serial) pair into a 64-bit summand. The
 // per-zone hashes are combined by addition, making SerialSum independent of
-// iteration order; the splitmix64 finalizer keeps near-identical pairs from
-// producing correlated summands.
+// iteration order and patchable per changed zone; the splitmix64 finalizer
+// keeps near-identical pairs from producing correlated summands.
 func mixSerial(o dnswire.Name, serial uint32) uint64 {
 	h := fnv1a(o.String())
 	h ^= uint64(serial) * 0x9E3779B97F4A7C15
@@ -321,43 +302,41 @@ func mixSerial(o dnswire.Name, serial uint32) uint64 {
 	return h
 }
 
-// Origins lists the zone origins in canonical order. The returned slice is a
-// shared generation-keyed snapshot: treat it as read-only.
+// Origins lists the zone origins in canonical order. The returned slice
+// belongs to the installed set: treat it as read-only.
 func (s *Store) Origins() []dnswire.Name {
-	sn := s.snapshot()
-	sn.originsOnce.Do(func() {
-		sn.origins = make([]dnswire.Name, 0, len(sn.serials))
-		for o := range sn.serials {
-			sn.origins = append(sn.origins, o)
-		}
-		sort.Slice(sn.origins, func(i, j int) bool { return sn.origins[i].Compare(sn.origins[j]) < 0 })
+	zs := s.set.Load()
+	zs.originsOnce.Do(func() {
+		zs.origins = make([]dnswire.Name, 0, zs.n)
+		zs.each(func(z *Zone) { zs.origins = append(zs.origins, z.Origin()) })
+		slices.SortFunc(zs.origins, dnswire.Name.Compare)
 	})
-	return sn.origins
+	return zs.origins
 }
 
-// Serials snapshots every zone's SOA serial, keyed by origin. Callers that
-// audit propagation (the chaos harness's zone-stall invariants, soak
-// summaries) compare snapshots instead of holding zone references. The
-// returned map is a shared generation-keyed snapshot: treat it as read-only
-// and copy before mutating.
+// Serials maps every zone's origin to its SOA serial. Callers that audit
+// propagation (the chaos harness's zone-stall invariants, soak summaries)
+// compare these maps instead of holding zone references. The returned map
+// belongs to the installed set: treat it as read-only and copy before
+// mutating.
 func (s *Store) Serials() map[dnswire.Name]uint32 {
-	return s.snapshot().serials
+	zs := s.set.Load()
+	zs.serialsOnce.Do(func() {
+		zs.serials = make(map[dnswire.Name]uint32, zs.n)
+		zs.each(func(z *Zone) { zs.serials[z.Origin()] = z.Serial() })
+	})
+	return zs.serials
 }
 
 // SerialSum returns an order-independent hash over every (origin, serial)
 // pair. Two stores with equal sums almost certainly hold identical serial
-// maps; unequal sums definitely differ. Convergence sweeps compare sums in
-// O(1) off the snapshot cache instead of diffing N-entry maps per check.
-func (s *Store) SerialSum() uint64 {
-	return s.snapshot().sum
-}
+// maps; unequal sums definitely differ. It is a field of the installed set,
+// patched per changed zone by each Update, so convergence sweeps compare
+// sums in O(1).
+func (s *Store) SerialSum() uint64 { return s.set.Load().sum }
 
 // Len reports the number of zones.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.zones)
-}
+func (s *Store) Len() int { return s.set.Load().n }
 
 // Transfer produces an AXFR-style record stream for the zone at origin:
 // SOA, all other records, SOA again (RFC 5936 framing). Returns nil when

@@ -92,16 +92,17 @@ func benchRouterRebuildFull(b *testing.B, n int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.mu.Lock()
-		r := &routerView{}
-		for o, z := range s.zones {
-			key := string(o.AppendWire(nil))
+		prev := s.set.Load()
+		r := &zoneSet{gen: prev.gen, n: prev.n, sum: prev.sum}
+		prev.each(func(z *Zone) {
+			key := string(z.Origin().AppendWire(nil))
 			si := shardIndex(key)
 			if r.shards[si] == nil {
 				r.shards[si] = make(map[string]*Zone)
 			}
 			r.shards[si][key] = z
-		}
-		s.router.Store(r)
+		})
+		s.set.Store(r)
 		s.mu.Unlock()
 	}
 }

@@ -11,14 +11,12 @@ import (
 // bruteFind is the reference longest-match: scan every installed origin and
 // keep the deepest one that is an ancestor of (or equal to) name.
 func bruteFind(s *Store, name dnswire.Name) *Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var best *Zone
-	for o, z := range s.zones {
-		if name.IsSubdomainOf(o) && (best == nil || o.NumLabels() > best.Origin().NumLabels()) {
+	s.set.Load().each(func(z *Zone) {
+		if o := z.Origin(); name.IsSubdomainOf(o) && (best == nil || o.NumLabels() > best.Origin().NumLabels()) {
 			best = z
 		}
-	}
+	})
 	return best
 }
 
@@ -109,12 +107,12 @@ func TestDirtyShardAccounting(t *testing.T) {
 			tx.Put(New(dnswire.MustName(fmt.Sprintf("z%04d.dirty.test.", i))))
 		}
 	})
-	shards0, rebuilds0 := s.ShardRebuilds(), s.RouterRebuilds()
+	shards0, rebuilds0 := s.ShardRebuilds(), s.Gen()
 	s.Put(New(dnswire.MustName("z0000.dirty.test."))) // replace one zone
 	if d := s.ShardRebuilds() - shards0; d != 1 {
 		t.Fatalf("single-zone update rebuilt %d shards, want exactly 1", d)
 	}
-	if d := s.RouterRebuilds() - rebuilds0; d != 1 {
+	if d := s.Gen() - rebuilds0; d != 1 {
 		t.Fatalf("single-zone update republished %d times, want 1", d)
 	}
 	// A delete patches the same shard it was installed into.
@@ -133,7 +131,7 @@ func TestDirtyShardAccounting(t *testing.T) {
 	}
 }
 
-// TestSnapshotCache checks the generation-keyed Serials/Origins/SerialSum
+// TestSnapshotCache checks the per-set Serials/Origins/SerialSum
 // snapshot: identical pointers while the store is unchanged, invalidation on
 // every update — a zone's next version swapped in as much as a delete.
 func TestSnapshotCache(t *testing.T) {

@@ -402,7 +402,7 @@ func TestStoreFindParity(t *testing.T) {
 	if got := s.Find(n("unmatched.test.")); got != nil {
 		t.Errorf("after delete: got %v", got.Origin())
 	}
-	if s.RouterRebuilds() == 0 {
+	if s.Gen() == 0 {
 		t.Error("router rebuilds not counted")
 	}
 }

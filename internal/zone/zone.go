@@ -319,14 +319,6 @@ func (z *Zone) appendNewNames(out []dnswire.Name, a dnswire.Name) []dnswire.Name
 	return append(z.appendNewNames(out, a.Parent()), a)
 }
 
-// Names returns all owner names (including empty non-terminals) in
-// canonical order.
-func (z *Zone) Names() []dnswire.Name {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	return z.namesLocked()
-}
-
 // Cuts returns the zone's delegation points: non-apex names holding NS
 // records. Queries at or below a cut are answered with referrals, never
 // NXDOMAIN.
