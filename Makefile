@@ -44,7 +44,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneOutcomePerQuery|TestIXFRLargeDelta|TestSecondaryStatsWhileRefreshing,-count=2)
 	go test -race -count=2 ./internal/udpbatch/
 	$(call race-suite,./internal/udpbatch/,-run,TestReadWhileWrite,-count=10)
-	$(call race-suite,./internal/filters/,-run,TestLoyaltyBounded|TestRateLimitBucketsBounded|TestFiltersConcurrencySafety,)
+	$(call race-suite,./internal/filters/,-run,TestLoyaltyBounded|TestRateLimitBucketsBounded|TestHopCountBounded|TestNXDomainHotWhileScoring|TestFiltersConcurrencySafety,)
 	$(call race-suite,./internal/monitor/,-run,TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant,-count=2)
 	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace|TestApplyCatchesSameSerialSwap,)
 	$(call race-suite,./internal/propagate/,-run,TestPullLoopRace,-count=2)
@@ -72,23 +72,23 @@ bench-smoke:
 # Measured UDP serving numbers, committed as BENCH_netserve.json. Written
 # via a temp file: a direct redirect would truncate the old file before
 # benchjson reads its baseline block out of it. The -assert-zero-alloc
-# guard fails the run if any hot handle path (cached hit, scored hit, EDNS hit,
-# view-path NXDOMAIN miss, delegation miss, a view answer filled into a full
-# hot cache, the decode path's packer, the cold 20 000-zone view append)
-# starts allocating. The BenchmarkView* rows are the cold-cache and
+# guard fails the run if any hot handle path (cached hit, scored hit, scored
+# NXDOMAIN miss, scored flood packet, EDNS hit, view-path NXDOMAIN miss,
+# delegation miss, a view answer filled into a full hot cache, the decode
+# path's packer, the cold 20 000-zone view append) starts allocating. The BenchmarkView* rows are the cold-cache and
 # footprint numbers: what a view costs to route to and answer from when it
 # is not in cache, to compile, and to hold (extra: B/zone, objects/zone);
 # BenchmarkZoneHeapPerZone is the same pair of numbers for a whole hosted
 # zone at rest, record slab and view together.
 bench-json:
-	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkAppendTruncateTo|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/dnswire/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^HandleUDPViewFill$$|^AppendTruncateTo$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
+	go test -run='^$$' -bench='BenchmarkNetServeUDP|BenchmarkHandleUDP|BenchmarkAppendTruncateTo|BenchmarkStoreFind|BenchmarkRouterRebuild|BenchmarkCtlApply|BenchmarkView|BenchmarkZoneHeapPerZone|BenchmarkParseMasterBenchZone' -benchmem -benchtime=2s . ./internal/netserve/ ./internal/dnswire/ ./internal/zone/ ./internal/ctlplane/ | go run ./cmd/benchjson -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPScoredMissNXDOMAIN$$|^HandleUDPScoredFlood$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^HandleUDPViewFill$$|^AppendTruncateTo$$|^StoreFindWire$$|^ViewAppendCold$$' > BENCH_netserve.json.tmp
 	mv BENCH_netserve.json.tmp BENCH_netserve.json
 	@cat BENCH_netserve.json
 
 # CI-shaped allocation regression smoke: short benchtime, no file rewrite,
 # same zero-alloc guard as bench-json.
 bench-alloc-guard:
-	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkAppendTruncateTo|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/dnswire/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^HandleUDPViewFill$$|^AppendTruncateTo$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
+	go test -run='^$$' -bench='BenchmarkHandleUDP|BenchmarkAppendTruncateTo|BenchmarkStoreFindWire|BenchmarkViewAppendCold' -benchmem -benchtime=0.2s ./internal/netserve/ ./internal/dnswire/ ./internal/zone/ | go run ./cmd/benchjson -keep-baseline='' -assert-zero-alloc='^HandleUDP$$|^HandleUDPScoredHit$$|^HandleUDPScoredMissNXDOMAIN$$|^HandleUDPScoredFlood$$|^HandleUDPEDNS$$|^HandleUDPMissNXDOMAIN$$|^HandleUDPDelegation$$|^HandleUDPBatch32$$|^HandleUDPChurnHit$$|^HandleUDPChurnMiss$$|^HandleUDPViewFill$$|^AppendTruncateTo$$|^StoreFindWire$$|^ViewAppendCold$$' > /dev/null
 
 # Loopback saturation battery (dnsblast): ramp a fresh in-process server
 # to its saturation point, then offer it -overload-x times that rate cold;
@@ -119,6 +119,7 @@ fuzz:
 	go test -fuzz=FuzzTCPFrameReader -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzTransferStream -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzHotCacheVersions -fuzztime=$(FUZZTIME) ./internal/netserve/
+	go test -fuzz=FuzzCanExistWire -fuzztime=$(FUZZTIME) ./internal/nameserver/
 	go test -fuzz=FuzzPlanApply -fuzztime=$(FUZZTIME) ./internal/ctlplane/
 
 # Deterministic fault-injection harness: every scenario once at the default

@@ -296,8 +296,8 @@ func BenchmarkQueueEnqueueDequeue(b *testing.B) {
 
 func BenchmarkZoneInfoCanExist(b *testing.B) {
 	zi := nameserver.StoreZoneInfo{Store: benchStore(b)}
-	hit := dnswire.MustName("www.bench.test")
-	miss := dnswire.MustName("a3n92nv9.bench.test")
+	hit := dnswire.MustName("www.bench.test").AppendWire(nil)
+	miss := dnswire.MustName("a3n92nv9.bench.test").AppendWire(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,7 +10,7 @@
 package filters
 
 import (
-	"sync"
+	"sync/atomic"
 
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/obs"
@@ -22,16 +22,34 @@ type Query struct {
 	// Resolver is the source address key (one per resolver IP).
 	Resolver string
 	// ASN is the source AS (used only for reporting).
-	ASN  int
-	Name dnswire.Name
-	Type dnswire.Type
-	// Zone is the authoritative zone matched for Name (zero when the
-	// server is not authoritative); set by the nameserver before scoring.
+	ASN int
+	// Qname is the case-folded wire-form question name. The socket server
+	// sets it to the bytes its tiers routed on, which alias a per-worker
+	// buffer: valid until ObserveAnswer for the query returns, so no filter
+	// may keep it. Callers holding only a parsed name leave it nil and set
+	// Name; filters read the name through qnameWire.
+	Qname []byte
+	Name  dnswire.Name
+	Type  dnswire.Type
+	// Zone is the authoritative zone matched for the question name (zero
+	// when the server is not authoritative); set by the nameserver before
+	// scoring.
 	Zone dnswire.Name
 	// IPTTL is the received packet's IP TTL.
 	IPTTL int
 	// Now is the virtual arrival time.
 	Now simtime.Time
+}
+
+// qnameWire returns the folded wire-form question name: Qname when the
+// caller set it, else Name rendered afresh. Only callers that carry Name
+// alone pay for the render, one allocation of the name's length: a stack
+// buffer would escape all the same, through the ZoneInfo interface call.
+func (q *Query) qnameWire() []byte {
+	if q.Qname != nil {
+		return q.Qname
+	}
+	return q.Name.AppendWire(make([]byte, 0, q.Name.WireLen()))
 }
 
 // Filter scores one query. Implementations must be safe for concurrent use:
@@ -63,47 +81,47 @@ const (
 	PenaltyLoyalty   = 20
 )
 
-// Pipeline runs filters in order and sums penalties.
+// maxSources bounds every per-resolver table (RateLimit.buckets,
+// Loyalty.seen, HopCount.expected): they are keyed by source addresses a
+// flood of spoofed packets can vary at will.
+const maxSources = 1 << 16
+
+// Pipeline runs filters in order and sums penalties. Its filter list is
+// fixed at construction, so reading it takes no lock.
 type Pipeline struct {
-	mu      sync.RWMutex
-	filters []Filter
-	// hits, when instrumented, holds one per-filter hit counter parallel
-	// to filters (incremented whenever the filter contributes a penalty).
-	hits []*obs.Counter
-	reg  *obs.Registry
+	filters    []Filter
+	observers  []AnswerObserver
+	allowlists []*Allowlist
+	// hits, once Instrument has published it, holds one per-filter hit
+	// counter parallel to filters (incremented whenever the filter
+	// contributes a penalty).
+	hits atomic.Pointer[[]*obs.Counter]
 }
 
 // NewPipeline builds a pipeline over the given filters.
 func NewPipeline(fs ...Filter) *Pipeline {
-	return &Pipeline{filters: fs}
+	p := &Pipeline{filters: fs}
+	for _, f := range fs {
+		if o, ok := f.(AnswerObserver); ok {
+			p.observers = append(p.observers, o)
+		}
+		if a, ok := f.(*Allowlist); ok {
+			p.allowlists = append(p.allowlists, a)
+		}
+	}
+	return p
 }
 
 // Instrument registers per-filter hit counters on reg
 // (akamaidns_filter_hits_total{filter=...}). Counters are resolved once
 // here, so scoring pays one atomic add per contributing filter.
 func (p *Pipeline) Instrument(reg *obs.Registry) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reg = reg
-	p.hits = make([]*obs.Counter, len(p.filters))
+	hits := make([]*obs.Counter, len(p.filters))
 	for i, f := range p.filters {
-		p.hits[i] = filterHitCounter(reg, f)
+		hits[i] = reg.Counter(obs.MetricFilterHitsTotal,
+			"Queries penalized by each scoring filter.", "filter", f.Name())
 	}
-}
-
-func filterHitCounter(reg *obs.Registry, f Filter) *obs.Counter {
-	return reg.Counter(obs.MetricFilterHitsTotal,
-		"Queries penalized by each scoring filter.", "filter", f.Name())
-}
-
-// Append adds a filter at the end of the pipeline.
-func (p *Pipeline) Append(f Filter) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.filters = append(p.filters, f)
-	if p.reg != nil {
-		p.hits = append(p.hits, filterHitCounter(p.reg, f))
-	}
+	p.hits.Store(&hits)
 }
 
 // Allowlisted reports whether the resolver is on any Allowlist filter's
@@ -113,11 +131,8 @@ func (p *Pipeline) Append(f Filter) {
 // expensive slow path for known resolvers when the machine nears its
 // in-flight ceiling (§5.2: shed by reputation, not at random).
 func (p *Pipeline) Allowlisted(resolver string) bool {
-	p.mu.RLock()
-	fs := p.filters
-	p.mu.RUnlock()
-	for _, f := range fs {
-		if a, ok := f.(*Allowlist); ok && a.Contains(resolver) {
+	for _, a := range p.allowlists {
+		if a.Contains(resolver) {
 			return true
 		}
 	}
@@ -128,37 +143,24 @@ func (p *Pipeline) Allowlisted(resolver string) bool {
 // answers. It is the filters' only feedback path: a server calls it once per
 // answer it sends and wires no filter by hand.
 func (p *Pipeline) ObserveAnswer(q *Query, nxdomain bool) {
-	p.mu.RLock()
-	fs := p.filters
-	p.mu.RUnlock()
-	for _, f := range fs {
-		if o, ok := f.(AnswerObserver); ok {
-			o.ObserveAnswer(q, nxdomain)
-		}
+	for _, o := range p.observers {
+		o.ObserveAnswer(q, nxdomain)
 	}
 }
 
-// Score runs every filter and returns the total penalty plus the per-filter
-// breakdown (keyed by filter name; zero contributions omitted).
+// Score runs every filter and returns the total penalty. The second result
+// is always nil: per-filter hits are counted on akamaidns_filter_hits_total,
+// and no breakdown is built per query.
 func (p *Pipeline) Score(q *Query) (float64, map[string]float64) {
-	p.mu.RLock()
-	fs := p.filters
-	hits := p.hits
-	p.mu.RUnlock()
+	hits := p.hits.Load()
 	total := 0.0
-	var detail map[string]float64
-	for i, f := range fs {
-		s := f.Score(q)
-		if s > 0 {
+	for i, f := range p.filters {
+		if s := f.Score(q); s > 0 {
 			total += s
-			if detail == nil {
-				detail = make(map[string]float64, 2)
-			}
-			detail[f.Name()] += s
 			if hits != nil {
-				hits[i].Inc()
+				(*hits)[i].Inc()
 			}
 		}
 	}
-	return total, detail
+	return total, nil
 }

@@ -3,9 +3,11 @@ package filters
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"akamaidns/internal/dnswire"
+	"akamaidns/internal/obs"
 	"akamaidns/internal/simtime"
 )
 
@@ -204,17 +206,18 @@ func TestLoyalty(t *testing.T) {
 	}
 }
 
-// fakeZoneInfo implements ZoneInfo for tests: a fixed set of names that can
-// exist.
-type fakeZoneInfo map[dnswire.Name]bool
+// fakeZoneInfo implements ZoneInfo for tests: a fixed set of names, in wire
+// form, that can exist.
+type fakeZoneInfo map[string]bool
 
-func (f fakeZoneInfo) CanExist(name dnswire.Name) bool { return f[name] }
+func (f fakeZoneInfo) CanExist(qname []byte) bool { return f[string(qname)] }
 
 func newFakeZone() (fakeZoneInfo, dnswire.Name) {
-	return fakeZoneInfo{
-		dnswire.MustName("example.com"):     true,
-		dnswire.MustName("www.example.com"): true,
-	}, dnswire.MustName("example.com")
+	zi := fakeZoneInfo{}
+	for _, name := range []string{"example.com", "www.example.com"} {
+		zi[string(dnswire.MustName(name).AppendWire(nil))] = true
+	}
+	return zi, dnswire.MustName("example.com")
 }
 
 func TestNXDomainActivatesOnThreshold(t *testing.T) {
@@ -282,25 +285,24 @@ func TestPipelineSumsAndReports(t *testing.T) {
 	al.SetActive(true)
 	lo := NewLoyalty()
 	lo.SetActive(true)
-	p := NewPipeline(al, lo)
+	p := NewPipeline(al, lo, NewHopCount())
+	reg := obs.NewRegistry()
+	p.Instrument(reg)
 	total, detail := p.Score(q("stranger", "a.example.com", 0))
-	if total != PenaltyAllowlist+PenaltyLoyalty {
-		t.Fatalf("total = %v", total)
+	if total != PenaltyAllowlist+PenaltyLoyalty || detail != nil {
+		t.Fatalf("score = %v %v, want %v and no breakdown", total, detail, PenaltyAllowlist+PenaltyLoyalty)
 	}
-	if detail["allowlist"] != PenaltyAllowlist || detail["loyalty"] != PenaltyLoyalty {
-		t.Fatalf("detail = %v", detail)
+	// The per-filter breakdown lives on the hit counters.
+	for filter, want := range map[string]float64{"allowlist": 1, "loyalty": 1, "hopcount": 0} {
+		if got, _ := reg.Snapshot().Value(obs.MetricFilterHitsTotal, "filter", filter); got != want {
+			t.Errorf("%s hits = %v, want %v", filter, got, want)
+		}
 	}
-	// Clean query: zero with nil detail.
+	// Clean query: zero, and the inactive hop-count filter adds nothing.
 	al.Add("known")
 	lo.Observe("known", 0)
-	total, detail = p.Score(q("known", "a.example.com", 0))
-	if total != 0 || detail != nil {
-		t.Fatalf("clean query: %v %v", total, detail)
-	}
-	p.Append(NewHopCount())
-	total, _ = p.Score(q("known", "a.example.com", 0))
-	if total != 0 {
-		t.Fatal("appended inactive filter changed score")
+	if total, _ = p.Score(q("known", "a.example.com", 0)); total != 0 {
+		t.Fatalf("clean query scored %v", total)
 	}
 }
 
@@ -347,8 +349,8 @@ func TestRateLimitBucketsBounded(t *testing.T) {
 	for i := 0; i < 1<<17; i++ {
 		now += 10 * simtime.Microsecond
 		rl.Score(q(fmt.Sprintf("spoofed-%d", i), "a.example.com", now))
-		if n := len(rl.buckets); n > maxBuckets {
-			t.Fatalf("after %d distinct resolvers: %d buckets, cap %d", i+1, n, maxBuckets)
+		if n := len(rl.buckets); n > maxSources {
+			t.Fatalf("after %d distinct resolvers: %d buckets, cap %d", i+1, n, maxSources)
 		}
 	}
 	// 1.3 s drained under 30 of the hog's 300 tokens: a bucket that
@@ -372,11 +374,11 @@ func TestLoyaltyBounded(t *testing.T) {
 	lo := NewLoyalty()
 	now := simtime.Time(0)
 	lo.ObserveAnswer(q("incumbent", "a.example.com", now), false)
-	for i := 0; i < 2*maxLoyal; i++ {
+	for i := 0; i < 2*maxSources; i++ {
 		now += 10 * simtime.Microsecond
 		lo.ObserveAnswer(q(fmt.Sprintf("spoofed-%d", i), "a.example.com", now), false)
-		if n := lo.Len(); n > maxLoyal {
-			t.Fatalf("after %d distinct resolvers: %d learned, cap %d", i+1, n, maxLoyal)
+		if n := lo.Len(); n > maxSources {
+			t.Fatalf("after %d distinct resolvers: %d learned, cap %d", i+1, n, maxSources)
 		}
 	}
 	if !lo.Known("incumbent", now) {
@@ -421,4 +423,85 @@ func TestFiltersConcurrencySafety(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestHopCountBounded: learning twice the cap in distinct resolvers leaves
+// the table at the cap, and a resolver learned before them is still scored.
+func TestHopCountBounded(t *testing.T) {
+	hc := NewHopCount()
+	hc.SetActive(true)
+	hc.Learn("incumbent", 56)
+	for i := 0; i < 2*maxSources; i++ {
+		hc.Learn(fmt.Sprintf("spoofed-%d", i), 40)
+		if n := len(hc.expected); n > maxSources {
+			t.Fatalf("after %d distinct resolvers: %d learned, cap %d", i+1, n, maxSources)
+		}
+	}
+	probe := q("incumbent", "a.example.com", 0)
+	probe.IPTTL = 40
+	if hc.Score(probe) != PenaltyHopCount {
+		t.Fatal("the flood pushed out a resolver learned before it")
+	}
+	hc.Learn("incumbent", 40) // a known resolver's TTL still updates
+	if hc.Score(probe) != 0 {
+		t.Fatal("a full table did not update a resolver it holds")
+	}
+}
+
+// TestNXDomainHotWhileScoring: scorers run against a zone while observers
+// push it across the threshold. A Score that starts once the zone is hot
+// penalizes an impossible name, and the hot zone keeps no window count.
+func TestNXDomainHotWhileScoring(t *testing.T) {
+	zi, zn := newFakeZone()
+	f := NewNXDomain(zi, PerHotZone)
+	f.Threshold = 2000
+	const observers, scorers = 4, 4
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for g := 0; g < observers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < f.Threshold; i++ {
+				f.ObserveResponse(zn, true, 0)
+			}
+		}()
+	}
+	var late atomic.Int64 // Scores that started after the transition
+	errs := make(chan string, scorers)
+	var sg sync.WaitGroup
+	for g := 0; g < scorers; g++ {
+		sg.Add(1)
+		go func(g int) {
+			defer sg.Done()
+			for i := 0; !done.Load() || i < 100; i++ {
+				attack := q("r1", fmt.Sprintf("x%d-%d.example.com", g, i), 0)
+				attack.Zone = zn
+				hot := f.isHot(zn)
+				if s := f.Score(attack); hot {
+					late.Add(1)
+					if s != PenaltyNXDomain {
+						errs <- fmt.Sprintf("a Score started on a hot zone returned %v", s)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	done.Store(true)
+	sg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if hot := f.HotZones(); len(hot) != 1 || hot[0] != zn {
+		t.Fatalf("HotZones = %v, want [%v]", hot, zn)
+	}
+	if late.Load() == 0 {
+		t.Fatal("no Score ran after the transition")
+	}
+	if len(f.counts) != 0 {
+		t.Errorf("a hot zone kept its window: %v", f.counts)
+	}
 }

@@ -13,7 +13,7 @@ import (
 // different topological location almost always arrives with a different TTL.
 type HopCount struct {
 	mu sync.RWMutex
-	// expected maps resolver -> learned TTL.
+	// expected maps resolver -> learned TTL, at most maxSources of them.
 	expected map[string]int
 	active   bool
 
@@ -33,10 +33,15 @@ func NewHopCount() *HopCount {
 // Name implements Filter.
 func (h *HopCount) Name() string { return "hopcount" }
 
-// Learn records the expected TTL for a resolver (from historical data).
+// Learn records the expected TTL for a resolver (from historical data). A
+// full table still updates the resolvers it holds but learns no newcomer,
+// so a flood of spoofed sources cannot push the incumbents out.
 func (h *HopCount) Learn(resolver string, ttl int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if _, ok := h.expected[resolver]; !ok && len(h.expected) >= maxSources {
+		return
+	}
 	h.expected[resolver] = ttl
 }
 

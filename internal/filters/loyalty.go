@@ -33,10 +33,6 @@ type Loyalty struct {
 	Flagged atomic.Uint64
 }
 
-// maxLoyal bounds Loyalty.seen, which is keyed by client-supplied source
-// addresses and filled on every answered query while learning.
-const maxLoyal = 1 << 16
-
 // NewLoyalty returns a learning, non-enforcing loyalty filter with 7-day
 // retention (Figure 4 shows heavy-hitter resolvers stable over a week).
 func NewLoyalty() *Loyalty {
@@ -61,7 +57,7 @@ func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 	if !l.learning {
 		return
 	}
-	if _, ok := l.seen[resolver]; !ok && len(l.seen) >= maxLoyal {
+	if _, ok := l.seen[resolver]; !ok && len(l.seen) >= maxSources {
 		if now < l.sweepAt {
 			return
 		}
@@ -74,7 +70,7 @@ func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 			}
 		}
 		l.sweepAt = oldest.Add(l.Retention.Duration() + 1)
-		if len(l.seen) >= maxLoyal {
+		if len(l.seen) >= maxSources {
 			return
 		}
 	}

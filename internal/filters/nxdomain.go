@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +13,12 @@ import (
 // "tree of valid hostnames" (§4.3.4). The nameserver adapts its zone store
 // to this interface.
 type ZoneInfo interface {
-	// CanExist reports whether a query for name, of any type, could get an
-	// answer other than NXDOMAIN from the zone that serves it: the name is
-	// an owner or empty non-terminal, sits at or below a delegation point,
-	// or is covered by a wildcard.
-	CanExist(name dnswire.Name) bool
+	// CanExist reports whether a query for the case-folded wire-form name
+	// qname, of any type, could get an answer other than NXDOMAIN from the
+	// zone that serves it: the name is an owner or empty non-terminal, sits
+	// at or below a delegation point, or is covered by a wildcard. It must
+	// not keep qname.
+	CanExist(qname []byte) bool
 }
 
 // NXDomainMode is vestigial: the filter builds no tree (the zones' compiled
@@ -42,55 +44,75 @@ type NXDomain struct {
 	// Penalty is the score for names that cannot exist in a hot zone.
 	Penalty float64
 
-	mu    sync.RWMutex
-	zones map[dnswire.Name]*nxZone
+	// hot is the set of zones that crossed the threshold, read by every
+	// Score without a lock. The map is never written: a zone turning hot
+	// publishes a copy holding it. Hot zones stay hot, so that happens once
+	// per zone.
+	hot atomic.Pointer[map[dnswire.Name]struct{}]
+	// mu guards counts, the NXDOMAIN windows of zones not yet hot.
+	mu     sync.Mutex
+	counts map[dnswire.Name]*nxWindow
 
 	// Flagged counts penalized queries.
 	Flagged atomic.Uint64
 }
 
-// nxZone is one zone's NXDOMAIN count in the current window, and whether it
-// has ever crossed the threshold: hot zones stay hot.
-type nxZone struct {
+// nxWindow is one zone's NXDOMAIN count in the current window.
+type nxWindow struct {
 	start simtime.Time
 	n     int
-	hot   bool
 }
 
 // NewNXDomain creates the filter over the given zone source. The mode
 // argument is ignored (see NXDomainMode).
 func NewNXDomain(source ZoneInfo, _ NXDomainMode) *NXDomain {
-	return &NXDomain{
+	f := &NXDomain{
 		source:    source,
 		Threshold: 100,
 		Window:    10 * simtime.Second,
 		Penalty:   PenaltyNXDomain,
-		zones:     make(map[dnswire.Name]*nxZone),
+		counts:    make(map[dnswire.Name]*nxWindow),
 	}
+	f.hot.Store(&map[dnswire.Name]struct{}{})
+	return f
 }
 
 // Name implements Filter.
 func (f *NXDomain) Name() string { return "nxdomain" }
 
+// isHot reports whether zone's impossible names are penalized.
+func (f *NXDomain) isHot(zone dnswire.Name) bool {
+	_, ok := (*f.hot.Load())[zone]
+	return ok
+}
+
 // ObserveResponse counts one response from zone (the matched zone) towards
-// its NXDOMAIN window.
+// its NXDOMAIN window. Only an NXDOMAIN from a zone that is not hot yet
+// takes the lock.
 func (f *NXDomain) ObserveResponse(zone dnswire.Name, nxdomain bool, now simtime.Time) {
-	if zone.IsZero() || !nxdomain {
+	if zone.IsZero() || !nxdomain || f.isHot(zone) {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	z := f.zones[zone]
+	hot := *f.hot.Load()
+	if _, ok := hot[zone]; ok {
+		return
+	}
+	z := f.counts[zone]
 	if z == nil {
-		z = &nxZone{start: now}
-		f.zones[zone] = z
+		z = &nxWindow{start: now}
+		f.counts[zone] = z
 	} else if now.Sub(z.start) >= f.Window.Duration() {
 		z.start, z.n = now, 0
 	}
-	z.n++
-	if z.n >= f.Threshold {
-		z.hot = true
+	if z.n++; z.n < f.Threshold {
+		return
 	}
+	next := maps.Clone(hot)
+	next[zone] = struct{}{}
+	f.hot.Store(&next)
+	delete(f.counts, zone)
 }
 
 // ObserveAnswer implements AnswerObserver.
@@ -100,27 +122,16 @@ func (f *NXDomain) ObserveAnswer(q *Query, nxdomain bool) {
 
 // HotZones returns the zones whose impossible names are being penalized.
 func (f *NXDomain) HotZones() []dnswire.Name {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	var out []dnswire.Name
-	for name, z := range f.zones {
-		if z.hot {
-			out = append(out, name)
-		}
+	for name := range *f.hot.Load() {
+		out = append(out, name)
 	}
 	return out
 }
 
 // Score implements Filter. The query must carry its matched zone.
 func (f *NXDomain) Score(q *Query) float64 {
-	if q.Zone.IsZero() {
-		return 0
-	}
-	f.mu.RLock()
-	z := f.zones[q.Zone]
-	hot := z != nil && z.hot
-	f.mu.RUnlock()
-	if !hot || f.source.CanExist(q.Name) {
+	if q.Zone.IsZero() || !f.isHot(q.Zone) || f.source.CanExist(q.qnameWire()) {
 		return 0
 	}
 	f.Flagged.Add(1)

@@ -34,10 +34,6 @@ type bucket struct {
 	last  simtime.Time
 }
 
-// maxBuckets bounds RateLimit.buckets: a flood of distinct spoofed sources
-// must not grow the map without limit.
-const maxBuckets = 1 << 16
-
 // NewRateLimit returns a limiter with platform defaults.
 func NewRateLimit() *RateLimit {
 	return &RateLimit{
@@ -87,7 +83,7 @@ func (r *RateLimit) Score(q *Query) float64 {
 	cap := limit * r.BurstSeconds
 	b := r.buckets[q.Resolver]
 	if b == nil {
-		if len(r.buckets) >= maxBuckets {
+		if len(r.buckets) >= maxSources {
 			r.sweepLocked(q.Now)
 		}
 		b = &bucket{last: q.Now}
@@ -120,7 +116,7 @@ func (r *RateLimit) sweepLocked(now simtime.Time) {
 			delete(r.buckets, resolver)
 		}
 	}
-	if len(r.buckets) >= maxBuckets {
+	if len(r.buckets) >= maxSources {
 		r.buckets = make(map[string]*bucket)
 	}
 }

@@ -195,12 +195,10 @@ func (e *Engine) applyTailoring(resp *dnswire.Message, q dnswire.Question, clien
 // and never stale.
 type StoreZoneInfo struct{ Store *zone.Store }
 
-// CanExist implements filters.ZoneInfo. It routes name afresh, so the answer
-// comes from the version of the zone that would serve the query now; a name
-// no zone serves any more gets REFUSED, which is not NXDOMAIN either.
-func (s StoreZoneInfo) CanExist(name dnswire.Name) bool {
-	var buf [256]byte
-	wire := name.AppendWire(buf[:0])
-	z, _, found := s.Store.FindWire(wire)
-	return !found || z.View().CanExist(wire)
+// CanExist implements filters.ZoneInfo. It routes qname afresh, so the
+// answer comes from the version of the zone that would serve the query now;
+// a name no zone serves any more gets REFUSED, which is not NXDOMAIN either.
+func (s StoreZoneInfo) CanExist(qname []byte) bool {
+	z, _, found := s.Store.FindWire(qname)
+	return !found || z.View().CanExist(qname)
 }

@@ -223,18 +223,18 @@ func TestStoreZoneInfoAdapter(t *testing.T) {
 		"x.www.ex.com":    false, // below a leaf
 		"www.other.zone":  true,  // hosted nowhere: REFUSED, not NXDOMAIN
 	} {
-		if got := zi.CanExist(n(name)); got != want {
+		if got := zi.CanExist(n(name).AppendWire(nil)); got != want {
 			t.Errorf("CanExist(%s) = %v, want %v", name, got, want)
 		}
 	}
 	// The adapter holds no copy of the zone: a new version is its new answer.
 	st.Put(zone.MustParseMaster(testZone+"junk IN A 192.0.2.9\n*.www IN A 192.0.2.8\n", n("ex.com")))
 	for _, name := range []string{"junk.ex.com", "x.www.ex.com"} {
-		if !zi.CanExist(n(name)) {
+		if !zi.CanExist(n(name).AppendWire(nil)) {
 			t.Errorf("CanExist(%s) = false after the zone gained it", name)
 		}
 	}
-	nope := n("nope.ex.com")
+	nope := n("nope.ex.com").AppendWire(nil)
 	if allocs := testing.AllocsPerRun(100, func() { zi.CanExist(nope) }); allocs != 0 {
 		t.Errorf("CanExist allocates %v per call", allocs)
 	}

@@ -135,7 +135,7 @@ func TestAdmitEveryTier(t *testing.T) {
 			}
 			got := sc.oc
 			if got.verdict != flight.VerdictShed || got.rcode != oc.rcode || !got.scored ||
-				got.fq.Name.String() != "www.ex.test." || got.fq.Type != dnswire.TypeA {
+				string(got.fq.Qname) != "\x03www\x02ex\x04test\x00" || got.fq.Type != dnswire.TypeA {
 				t.Errorf("%s/%s: outcome %+v", oc.name, tier.name, got)
 			}
 			if ref == nil {

@@ -54,7 +54,10 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 	al := filters.NewAllowlist()
 	al.SetActive(true)
 	al.Penalty = 50 // scored but admitted (Smax 200)
-	pipe := filters.NewPipeline(al)
+	// heavy scores nothing until the test escalates by activating it.
+	heavy := filters.NewAllowlist()
+	heavy.Penalty = 1000
+	pipe := filters.NewPipeline(al, heavy)
 	srv := startServer(t, pipe)
 
 	ms, err := obs.Serve("127.0.0.1:0", srv.Reg, func() bool { return true })
@@ -80,12 +83,10 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 	if _, err := Exchange(srv.TCPAddrActual(), qt, true, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Escalate via Append (mutex-synchronized with Score) rather than
-	// mutating the live filter: now everything scores past Smax → discard.
-	heavy := filters.NewAllowlist()
+	// Escalate through SetActive (synchronized with Score) rather than
+	// writing a live filter's Penalty: now everything scores past Smax →
+	// discard.
 	heavy.SetActive(true)
-	heavy.Penalty = 1000
-	pipe.Append(heavy)
 	qd := dnswire.NewQuery(100, dnswire.MustName("www.ex.test"), dnswire.TypeA)
 	if _, err := Exchange(srv.UDPAddrActual(), qd, false, 300*time.Millisecond); err == nil {
 		t.Fatal("discarded query got an answer")

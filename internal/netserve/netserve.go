@@ -335,8 +335,9 @@ type scratch struct {
 	// the first packet that consults it (see Server.hotCache).
 	hot    *nameserver.HotCache
 	hotFor *Server
-	// vq holds the case-folded wire-form qname the wire tiers routed on
-	// (kept separate from key, which may carry a live cache-insert key).
+	// vq holds the case-folded wire-form qname the wire tiers routed on, or
+	// the decode path scored; a scored query's oc.fq.Qname aliases it (kept
+	// separate from key, which may carry a live cache-insert key).
 	vq []byte
 	oc outcome
 	// journal is the worker's crash journal, built lazily on the first
@@ -870,10 +871,11 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		return nil, false
 	}
 	// Cached answers score and pass admission exactly like slow-path ones,
-	// using the entry's parsed name and zone — but at LevelFull: a hot
-	// answer costs less than refusing it, so it survives clean-only.
+	// using the folded name route compared and the entry's zone — but at
+	// LevelFull: a hot answer costs less than refusing it, so it survives
+	// clean-only.
 	if s.unscored(sc) {
-		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Name: e.Name, Type: v.QType, Zone: e.Zone}
+		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Qname: sc.vq, Type: v.QType, Zone: e.Zone}
 		if reply, ok := s.admit(wire, qod.LevelFull, sc); !ok {
 			return reply, true
 		}
@@ -978,8 +980,10 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 	oc.span.Mark(obs.StageCookie)
 	srcKey := s.resolverKey(src.Addr())
 	if len(q.Questions) == 1 && !cookieValid && s.unscored(sc) {
-		oc.fq = filters.Query{Resolver: srcKey, Name: q.Questions[0].Name, Type: q.Questions[0].Type}
-		if z := s.Engine.Store.Find(oc.fq.Name); z != nil {
+		// The wire tiers are done with sc.vq: it takes the folded name here.
+		sc.vq = q.Questions[0].Name.AppendWire(sc.vq[:0])
+		oc.fq = filters.Query{Resolver: srcKey, Qname: sc.vq, Type: q.Questions[0].Type}
+		if z, _, found := s.Engine.Store.FindWire(sc.vq); found {
 			oc.fq.Zone = z.Origin()
 		}
 		if reply, ok := s.admit(wire, level, sc); !ok {

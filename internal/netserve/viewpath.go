@@ -40,14 +40,10 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	oc := &sc.oc
 	qfold, z := sc.vq, oc.from
 	// View-served queries score and pass admission exactly like decode-path
-	// ones. Building the filters.Query costs the one Name allocation;
-	// without a pipeline the path stays allocation-free.
+	// ones, on the folded name route compared: scored or not, the path makes
+	// no allocation.
 	if s.unscored(sc) {
-		name, okN := dnswire.NameFromFoldedWire(qfold)
-		if !okN {
-			return nil, false
-		}
-		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Name: name, Type: v.QType}
+		oc.fq = filters.Query{Resolver: s.resolverKey(src.Addr()), Qname: qfold, Type: v.QType}
 		if z != nil {
 			oc.fq.Zone = z.Origin()
 		}
