@@ -55,9 +55,9 @@ func main() {
 	requireCookies := flag.Bool("require-cookies", false, "refuse UDP queries without a valid server cookie")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text /metrics and /healthz on this address ('' disables)")
 	maxInflight := flag.Int("max-inflight", 0, "overload ladder in-flight handler ceiling (0 disables shedding)")
-	watchdog := flag.Bool("watchdog", true, "self-suspend on panic/malformed/latency storms (flips /healthz to 503)")
+	watchdog := flag.Bool("watchdog", true, "self-suspend on panic/malformed storms (flips /healthz to 503)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "grace period for in-flight queries on SIGTERM before sockets are force-closed")
-	flightSample := flag.Int("flight-sample", 0, "flight-recorder head sampling: capture 1-in-N normal queries, anomalies always (0 = default 16, negative disables the recorder)")
+	flightSample := flag.Int("flight-sample", 0, "head sampling: 1-in-N queries stamp the stage histograms and are captured by the flight recorder, anomalies always (0 = default 16, negative disables the recorder)")
 	withCtl := flag.Bool("ctlplane", false, "mount the zone control-plane changelist API (/ctl/...) on the debug/metrics listener")
 	debugAddr := flag.String("debug-addr", "", "serve the /debug forensics endpoints on a separate address ('' = ride the metrics listener)")
 	withPprof := flag.Bool("pprof", false, "mount net/http/pprof on the debug/metrics listener")

@@ -16,7 +16,8 @@
 //   - Records are fixed-size structs copied into pre-allocated rings; no
 //     interface boxing, no per-record heap allocation.
 //   - Normal traffic (served / cached / view verdicts with benign rcodes)
-//     is head-sampled 1-in-N by a per-worker counter.
+//     is head-sampled 1-in-N: the serving path draws the decision once per
+//     query and hands it over in Sample.Sampled.
 //   - Anomalies are always recorded: SERVFAIL/REFUSED/FORMERR responses,
 //     quarantine hits, ladder-shed drops, contained crashes, and latency
 //     outliers escalate to 100% capture regardless of the sampling rate.
@@ -27,6 +28,7 @@ package flight
 
 import (
 	"net/netip"
+	"strconv"
 	"time"
 )
 
@@ -174,6 +176,9 @@ type Sample struct {
 	Verdict Verdict
 	// TCP marks TCP arrival.
 	TCP bool
+	// Sampled is the serving path's head-sampling decision: a sample that is
+	// not anomalous is captured only when it is set.
+	Sampled bool
 }
 
 // fnv1a64 hashes b (FNV-1a, 64-bit) without touching hash/fnv's
@@ -199,7 +204,7 @@ func RCodeName(rc uint8) string {
 	if s, ok := rcodeNames[rc]; ok {
 		return s
 	}
-	return "RCODE" + itoa(int(rc))
+	return "RCODE" + strconv.Itoa(int(rc))
 }
 
 // QTypeName renders a query type ("A", "AAAA", or "TYPE64").
@@ -213,7 +218,7 @@ func QTypeName(t uint16) string {
 	if s, ok := qtypeNames[t]; ok {
 		return s
 	}
-	return "TYPE" + itoa(int(t))
+	return "TYPE" + strconv.Itoa(int(t))
 }
 
 // QTypeFromString inverts QTypeName (for query filters).
@@ -224,28 +229,4 @@ func QTypeFromString(s string) (uint16, bool) {
 		}
 	}
 	return 0, false
-}
-
-// itoa is strconv.Itoa without the import weight creep in call sites that
-// must stay allocation-aware (this one allocates; forensics-path only).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -30,17 +30,22 @@ func testSample(verdict Verdict, rcode uint8) Sample {
 		QType:     1,
 		RCode:     rcode,
 		Verdict:   verdict,
+		Sampled:   true,
 	}
 }
 
+// TestHeadSampling: the recorder keeps no sampling state of its own; a
+// normal sample is captured exactly when the serving path sampled it.
 func TestHeadSampling(t *testing.T) {
 	rec := New(Config{SampleEvery: 4}, obs.NewRegistry())
 	w := rec.Worker()
 	for i := 0; i < 16; i++ {
-		w.Observe(testSample(VerdictCached, 0))
+		s := testSample(VerdictCached, 0)
+		s.Sampled = i%4 == 3
+		w.Observe(s)
 	}
 	if got := rec.Recorded(); got != 4 {
-		t.Fatalf("sampled 1-in-4 over 16 observations: recorded %d, want 4", got)
+		t.Fatalf("4 of 16 observations sampled: recorded %d, want 4", got)
 	}
 	if got := rec.sampledC.Load(); got != 4 {
 		t.Fatalf("sampled counter = %d, want 4", got)
@@ -66,11 +71,13 @@ func TestAnomalyEscalation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := New(Config{SampleEvery: 1000}, obs.NewRegistry())
+			rec := New(Config{}, obs.NewRegistry())
 			w := rec.Worker()
-			// Despite 1-in-1000 head sampling, every observation must record.
+			// Unsampled, every observation must still record.
+			s := tc.s
+			s.Sampled = false
 			for i := 0; i < 3; i++ {
-				w.Observe(tc.s)
+				w.Observe(s)
 			}
 			if got := rec.anomalousC.Load(); got != 3 {
 				t.Fatalf("anomalous captures = %d, want 3", got)
@@ -256,6 +263,8 @@ func TestObserveZeroAlloc(t *testing.T) {
 	rec := New(Config{SampleEvery: 4}, obs.NewRegistry())
 	w := rec.Worker()
 	warm := testSample(VerdictCached, 0)
+	skipped := warm
+	skipped.Sampled = false
 	anomalous := testSample(VerdictQuarantined, 5)
 	for i := 0; i < 64; i++ { // populate rollup counters and sketch slots
 		w.Observe(warm)
@@ -266,6 +275,9 @@ func TestObserveZeroAlloc(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, func() { w.Observe(anomalous) }); got != 0 {
 		t.Fatalf("anomalous Observe allocates %v/op", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { w.Observe(skipped) }); got != 0 {
+		t.Fatalf("skipped Observe allocates %v/op", got)
 	}
 }
 

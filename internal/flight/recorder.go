@@ -12,9 +12,10 @@ import (
 // Config tunes the recorder. The zero value takes the default, which is
 // what the socket server ships with.
 type Config struct {
-	// SampleEvery is the head-sampling rate for normal-verdict records:
-	// 1-in-N captured (default DefaultSampleEvery; 1 captures everything).
-	// Anomalies are always captured regardless.
+	// SampleEvery is the head-sampling period the serving path draws its
+	// one per-query decision at: 1-in-N normal-verdict records are captured
+	// (default DefaultSampleEvery; 1 captures everything). Anomalies are
+	// always captured regardless.
 	SampleEvery int
 }
 
@@ -53,7 +54,7 @@ const maxRollupSeries = 1 << 10
 // steady state.
 type Recorder struct {
 	cfg   Config
-	epoch time.Time
+	epoch time.Time // record When values are nanosecond offsets from it
 	reg   *obs.Registry
 
 	rings []*ring
@@ -105,10 +106,6 @@ func New(cfg Config, reg *obs.Registry) *Recorder {
 // SampleEvery reports the effective head-sampling period.
 func (r *Recorder) SampleEvery() int { return r.cfg.SampleEvery }
 
-// Epoch reports the recorder's start time (record When values are
-// nanosecond offsets from it).
-func (r *Recorder) Epoch() time.Time { return r.epoch }
-
 // Recorded reports the total records ever captured.
 func (r *Recorder) Recorded() uint64 {
 	return r.sampledC.Load() + r.anomalousC.Load()
@@ -116,8 +113,7 @@ func (r *Recorder) Recorded() uint64 {
 
 // Worker deals out a capture handle bound to one ring. Each serving
 // worker (or pooled scratch) holds one for its lifetime; the handle
-// carries the sampling counter and the fold buffer so Observe never
-// allocates.
+// carries the fold buffer so Observe never allocates.
 func (r *Recorder) Worker() *Worker {
 	i := r.next.Add(1) - 1
 	return &Worker{rec: r, ring: r.rings[int(i)%len(r.rings)]}
@@ -132,14 +128,13 @@ func (w *Worker) Recorder() *Recorder { return w.rec }
 type Worker struct {
 	rec  *Recorder
 	ring *ring
-	tick uint32
 	// fold holds the case-folded dotted qname text between Observe's
 	// parse and the record/sketch writes (a stack buffer would escape).
 	fold [260]byte
 }
 
-// Observe applies the sampling decision to one sample and captures it if
-// it qualifies. Zero allocations in the steady state.
+// Observe captures one sample if the serving path sampled it or it is
+// anomalous. Zero allocations in the steady state.
 func (w *Worker) Observe(s Sample) {
 	if s.Verdict == VerdictNone {
 		return
@@ -147,14 +142,9 @@ func (w *Worker) Observe(s Sample) {
 	anomalous := s.Verdict.Anomalous() ||
 		s.RCode == 2 /* SERVFAIL */ || s.RCode == 5 /* REFUSED */ || s.RCode == 1 /* FORMERR */ ||
 		s.Latency >= latencyOutlier
-	if !anomalous {
-		w.tick++
-		if w.tick < uint32(w.rec.cfg.SampleEvery) {
-			return
-		}
-		w.tick = 0
+	if anomalous || s.Sampled {
+		w.capture(&s, anomalous)
 	}
-	w.capture(&s, anomalous)
 }
 
 // capture folds the qname, writes the record, and feeds the sketches and

@@ -92,7 +92,6 @@ func (s *Server) qodDebug(w http.ResponseWriter, req *http.Request) {
 			Trips: map[string]uint64{
 				qod.TripPanic:     s.watchdog.Trips(qod.TripPanic),
 				qod.TripMalformed: s.watchdog.Trips(qod.TripMalformed),
-				qod.TripLatency:   s.watchdog.Trips(qod.TripLatency),
 			},
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/filters"
+	"akamaidns/internal/flight"
 	"akamaidns/internal/obs"
 )
 
@@ -58,7 +59,10 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 	heavy := filters.NewAllowlist()
 	heavy.Penalty = 1000
 	pipe := filters.NewPipeline(al, heavy)
-	srv := startServer(t, pipe)
+	// Every query sampled, so each stage histogram sees the few sent here.
+	cfg := DefaultConfig()
+	cfg.Flight = &flight.Config{SampleEvery: 1}
+	srv := startServerCfg(t, cfg, pipe)
 
 	ms, err := obs.Serve("127.0.0.1:0", srv.Reg, func() bool { return true })
 	if err != nil {

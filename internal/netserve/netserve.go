@@ -75,10 +75,10 @@ type Config struct {
 	// QuarantineTTL is how long a signature stays quarantined before its
 	// probationary re-admission (0 = default 30s).
 	QuarantineTTL time.Duration
-	// Watchdog enables live self-suspension (nil disables): panic rate,
-	// malformed-packet rate, and 1-in-64 answer latency per window flip the
-	// server unhealthy and its UDP readers into discard mode until a quiet
-	// period passes (§4.2.1 applied to the sockets).
+	// Watchdog enables live self-suspension (nil disables): the panic rate
+	// and the malformed-packet rate per window flip the server unhealthy and
+	// its UDP readers into discard mode until a quiet period passes (§4.2.1
+	// applied to the sockets).
 	Watchdog *qod.WatchdogConfig
 	// MaxInflight is the overload degradation ladder's in-flight handler
 	// ceiling (0 disables the ladder). Shedding by reputation needs a
@@ -88,7 +88,8 @@ type Config struct {
 	// Flight enables the query flight recorder (nil disables): sampled
 	// fixed-size query records with anomaly escalation, heavy-hitter
 	// sketches, and the /debug/queries //debug/topk forensics surface.
-	// DefaultConfig attaches one at default sampling.
+	// DefaultConfig attaches one at default sampling. Its SampleEvery is also
+	// the period at which the tracer stamps stage histograms.
 	Flight *flight.Config
 }
 
@@ -155,7 +156,8 @@ type Server struct {
 	// Reg is the server's metric registry; serve it with obs.Serve for a
 	// Prometheus-style /metrics endpoint.
 	Reg *obs.Registry
-	// Tracer stamps each query's lifecycle stages into Reg.
+	// Tracer stamps each query's end-to-end latency, and the lifecycle stages
+	// of head-sampled queries, into Reg.
 	Tracer *obs.Tracer
 	// OnNotify, when set, receives RFC 1996 NOTIFY messages (secondaries
 	// wire this to Secondary.Notify).
@@ -194,6 +196,9 @@ type Server struct {
 
 	// flight is the query flight recorder (nil when disabled).
 	flight *flight.Recorder
+	// sampleEvery is the head-sampling period: every sampleEvery-th query a
+	// worker dispatches is sampled (see scratch.sample).
+	sampleEvery uint32
 
 	// batchSize distributes how many datagrams each recvmmsg returned — a
 	// direct read on how much syscall amortization the traffic admits.
@@ -252,7 +257,7 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 	reg.GaugeFunc(obs.MetricRouterShardRebuilds,
 		"Router shard maps cloned across rebuilds (dirty-shard width).",
 		func() float64 { return float64(eng.Store.ShardRebuilds()) })
-	s.Tracer = obs.NewTracer(reg, nil)
+	s.Tracer = obs.NewTracer(reg)
 	if pipeline != nil {
 		pipeline.Instrument(reg)
 		s.admission = queue.MustNew(queue.DefaultConfig())
@@ -278,8 +283,10 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 	if cfg.MaxInflight > 0 {
 		s.ladder = qod.NewLadder(cfg.MaxInflight)
 	}
+	s.sampleEvery = flight.DefaultSampleEvery
 	if cfg.Flight != nil {
 		s.flight = flight.New(*cfg.Flight, reg)
+		s.sampleEvery = uint32(s.flight.SampleEvery())
 	}
 	s.instrumentProtection(reg)
 	return s
@@ -346,12 +353,23 @@ type scratch struct {
 	// fw is the flight-recorder capture handle, built lazily on the first
 	// packet and kept for the scratch's lifetime.
 	fw *flight.Worker
-	// answers counts the answers settled through this scratch; every 64th
-	// feeds the watchdog's latency tripwire.
-	answers uint32
+	// tick counts the queries dispatched through this scratch since the last
+	// sampled one: the serving path's one sampling counter (see sample).
+	tick uint32
 	// frames is the TCP connection the query arrived on (nil on UDP): a
 	// zone transfer writes its stream of frames there itself.
 	frames io.Writer
+}
+
+// sample draws a query's head-sampling decision: one query in every
+// dispatched through the scratch is sampled. The span's stage marks and the
+// flight recorder's head sample both follow it, so neither counts on its own.
+func (sc *scratch) sample(every uint32) bool {
+	if sc.tick++; sc.tick < every {
+		return false
+	}
+	sc.tick = 0
+	return true
 }
 
 // outcome is the only state that crosses tiers: dispatch resets it, each
@@ -359,7 +377,9 @@ type scratch struct {
 // it. It lives in the scratch so that the scored filters.Query — which
 // escapes through the Filter interface — costs no allocation.
 type outcome struct {
-	span obs.Span
+	// sampled is the query's head-sampling decision; span carries it too.
+	sampled bool
+	span    obs.Span
 	// fq is the query as the pipeline scored it, meaningful once scored is
 	// set — which is also what keeps a later tier from admitting it again.
 	fq     filters.Query
@@ -603,16 +623,18 @@ func (s *Server) handlePacket(wire []byte, src netip.AddrPort, tcp bool, sc *scr
 }
 
 // dispatch is the read path between its one prologue and its one epilogue.
-// The prologue resets the worker's outcome, opens the query's single span
-// and parses the canonical shape once for every tier. The tiers are a
-// ladder of progressively more expensive ways to decide the answer: the
+// The prologue draws the query's sampling decision, resets the worker's
+// outcome, opens the query's single span and parses the canonical shape
+// once for every tier. The tiers are a ladder of progressively more
+// expensive ways to decide the answer: the
 // packed-response hot cache (exact repeats), the compiled-view wire
 // assembly (any canonical-shape query, including cache-busting misses),
 // then the full decode/answer/encode slow path — shedding per the
 // degradation level on the way. They only decide: each writes what it
 // concluded into the outcome and returns, and settle acts on it.
 func (s *Server) dispatch(wire []byte, src netip.AddrPort, tcp bool, sc *scratch, level int) []byte {
-	sc.oc = outcome{verdict: flight.VerdictNone, span: s.Tracer.Begin()}
+	sampled := sc.sample(s.sampleEvery)
+	sc.oc = outcome{verdict: flight.VerdictNone, sampled: sampled, span: s.Tracer.Begin(sampled)}
 	oc := &sc.oc
 	v, canonical := dnswire.ParseQueryView(wire)
 	if canonical {
@@ -736,19 +758,14 @@ func (s *Server) refuse(wire []byte, qlen int, sc *scratch) []byte {
 	return out
 }
 
-// watchdogLatencyEvery is the 1-in-N period at which an answer's measured
-// latency feeds the watchdog's tripwire (a mutex, kept off most packets).
-const watchdogLatencyEvery = 64
-
 // settle is the read path's one epilogue: everything that follows from how
 // a query was disposed of happens here, once, and nowhere else. In order:
 // the pipeline learns from the answer to a scored query (a zone's NXDOMAIN
 // count), the hot cache takes the reply a miss asked for, the span closes
 // (one end-to-end observation per answered query, none for a shed or
-// dropped one), the flight recorder is offered the sample, and every 64th
-// answer's latency feeds the watchdog. A zone transfer writes its own frames
-// and hands settle no reply, so it gets its flight sample and nothing else:
-// a multi-second stream never reaches the latency tripwire. It returns resp.
+// dropped one), and the flight recorder is offered the sample. A zone
+// transfer writes its own frames and hands settle no reply, so it gets its
+// flight sample and nothing else. It returns resp.
 func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) []byte {
 	oc := &sc.oc
 	// Verdicts up to VerdictView mean a tier decided the answer (encoding it
@@ -787,6 +804,7 @@ func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 			RCode:     uint8(oc.rcode),
 			Verdict:   oc.verdict,
 			TCP:       tcp,
+			Sampled:   oc.sampled,
 		}
 		// Name strings are interned, so neither rendering allocates.
 		if sample.QnameWire == nil && !oc.name.IsZero() {
@@ -796,11 +814,6 @@ func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 			sample.Zone = oc.zone.String()
 		}
 		sc.fw.Observe(sample)
-	}
-	if answered {
-		if sc.answers++; sc.answers%watchdogLatencyEvery == 0 && s.watchdog != nil {
-			s.watchdog.RecordLatency(time.Now(), latency)
-		}
 	}
 	return resp
 }

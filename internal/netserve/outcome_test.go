@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -41,10 +42,10 @@ func (p *probeFilter) ObserveAnswer(q *filters.Query, _ bool) {
 	p.last = string(q.Qname)
 }
 
-// outcomeServer is a socketless server over ex.test and raw.test with every
-// query recorded (SampleEvery 1), an overload ladder to push, and whatever
-// filters the test scores with.
-func outcomeServer(t *testing.T, fs ...filters.Filter) *Server {
+// outcomeServer is a socketless server over ex.test and raw.test sampling
+// 1-in-every queries (1 records every query and stamps its every stage), an
+// overload ladder to push, and whatever filters the test scores with.
+func outcomeServer(t *testing.T, every int, fs ...filters.Filter) *Server {
 	t.Helper()
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
@@ -57,7 +58,7 @@ func outcomeServer(t *testing.T, fs ...filters.Filter) *Server {
 	}
 	store.Put(raw)
 	cfg := DefaultConfig()
-	cfg.Flight = &flight.Config{SampleEvery: 1}
+	cfg.Flight = &flight.Config{SampleEvery: every}
 	cfg.MaxInflight = 100
 	return New(cfg, nameserver.NewEngine(store), filters.NewPipeline(fs...))
 }
@@ -124,7 +125,7 @@ func TestAdmittedOnce(t *testing.T) {
 	} {
 		rl := filters.NewRateLimit()
 		rl.DefaultQPS, rl.BurstSeconds = 0.001, 2500 // a bucket of 2.5 tokens that does not drain
-		srv := outcomeServer(t, rl)
+		srv := outcomeServer(t, 1, rl)
 		sc := scratchPool.Get().(*scratch)
 		for i, qname := range tc.qnames {
 			m, err := dnswire.Unpack(srv.handlePacket(packQuery(t, qname, tc.qtype, nil), benchSrc, false, sc))
@@ -150,7 +151,7 @@ func TestAdmittedOnce(t *testing.T) {
 // no stage is stamped more often than queries arrived, and the end-to-end
 // series counts exactly the answers sent.
 func TestOneSpanPerQuery(t *testing.T) {
-	srv := outcomeServer(t, filters.NewRateLimit())
+	srv := outcomeServer(t, 1, filters.NewRateLimit())
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	stages := []string{"receive", "cookie", "score", "queue", "lookup", "write"}
@@ -199,6 +200,117 @@ func TestOneSpanPerQuery(t *testing.T) {
 	check("every tier, cold then warm")
 	if sent-answers != 3 {
 		t.Errorf("%d of %d queries unanswered, want only the 3 with QR set", sent-answers, sent)
+	}
+}
+
+// TestOneSamplingDecision: dispatch draws one sampling decision per query and
+// both instruments follow it. Each stage histogram counts only the sampled
+// queries that reached the stage, the end-to-end series counts every answer,
+// and the flight recorder head-samples exactly the sampled normal-verdict
+// queries while capturing every anomaly.
+func TestOneSamplingDecision(t *testing.T) {
+	const every, rounds = 4, 8
+	probe := &probeFilter{}
+	srv := outcomeServer(t, every, probe)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	www := packQuery(t, "www.ex.test", dnswire.TypeA, nil)
+	poison := packQuery(t, dnswire.QoDMarkerLabel+".ex.test", dnswire.TypeA, nil)
+	srv.handlePacket(www, benchSrc, false, sc)    // fills the hot cache
+	srv.handlePacket(poison, benchSrc, false, sc) // quarantines its signature
+	unique := func(i int) []byte { return packQuery(t, fmt.Sprintf("r%d.ex.test", i), dnswire.TypeA, nil) }
+
+	all := []string{"receive", "cookie", "score", "queue", "lookup", "write"}
+	// Five dispatched kinds against a period of 4: over the rounds each kind
+	// takes its turn at being the sampled one.
+	kinds := []struct {
+		name      string
+		wire      func(i int) []byte
+		penalty   float64
+		stages    []string // what a sampled query of the kind stamps
+		refused   bool     // turned away before dispatch: draws no decision
+		answered  bool
+		anomalous bool
+	}{
+		{name: "hot", wire: func(int) []byte { return www }, stages: []string{"score", "queue", "lookup", "write"}, answered: true},
+		{name: "view NXDOMAIN", wire: unique, stages: []string{"score", "queue", "lookup"}, answered: true},
+		{name: "decode", wire: func(int) []byte { return packQuery(t, "www.ex.test", dnswire.TypeA, withECS) },
+			stages: all, answered: true},
+		{name: "FORMERR", wire: func(int) []byte { return www[:len(www)-3] }, stages: []string{"receive"},
+			answered: true, anomalous: true},
+		{name: "shed", wire: unique, penalty: queue.DefaultConfig().Smax, stages: []string{"score"}, anomalous: true},
+		{name: "quarantine", wire: func(int) []byte { return poison }, refused: true, anomalous: true},
+	}
+
+	stage0 := map[string]uint64{}
+	for _, st := range all {
+		stage0[st] = histCount(srv, obs.MetricStageDuration, "stage", st)
+	}
+	e2e0, rec0 := histCount(srv, obs.MetricQueryDuration), srv.flight.Recorded()
+	flightRecords := func(reason string) uint64 {
+		v, _ := srv.Reg.Snapshot().Value(obs.MetricFlightRecordsTotal, "reason", reason)
+		return uint64(v)
+	}
+	sampled0, anomalous0 := flightRecords("sampled"), flightRecords("anomalous")
+
+	sc.tick = 0
+	want := map[string]uint64{}
+	var dispatched, answers, headSampled, anomalies uint64
+	for i := 0; i < rounds; i++ {
+		for _, k := range kinds {
+			sampled := false
+			if !k.refused {
+				dispatched++
+				sampled = dispatched%every == 0
+			}
+			probe.penalty = k.penalty
+			resp := srv.handlePacket(k.wire(i), benchSrc, false, sc)
+			probe.penalty = 0
+			srv.admission.Drain()
+			if (resp != nil) != (k.answered || k.refused) {
+				t.Fatalf("%s: reply %x", k.name, resp)
+			}
+			if sampled {
+				for _, st := range k.stages {
+					want[st]++
+				}
+			}
+			switch {
+			case k.anomalous:
+				anomalies++
+			case sampled:
+				headSampled++
+			}
+			if k.answered {
+				answers++
+			}
+		}
+	}
+	if headSampled == 0 || want["receive"] == 0 || want["write"] == 0 {
+		t.Fatalf("the run sampled too little to test: %d head samples, stages %v", headSampled, want)
+	}
+	for _, st := range all {
+		if got := histCount(srv, obs.MetricStageDuration, "stage", st) - stage0[st]; got != want[st] {
+			t.Errorf("stage %s stamped %d times, want the %d sampled queries that reached it", st, got, want[st])
+		}
+	}
+	if got := histCount(srv, obs.MetricQueryDuration) - e2e0; got != answers {
+		t.Errorf("%d end-to-end observations for %d answers", got, answers)
+	}
+	// A normal query held past the recorder's latency outlier bound (a
+	// stalled machine) is captured as an anomaly instead: allow for it.
+	late := uint64(0)
+	for _, r := range srv.flight.Snapshot(int(srv.flight.Recorded() - rec0)) {
+		if r.Anomalous() && !r.Verdict.Anomalous() {
+			late++
+		}
+	}
+	gotSampled, gotAnomalous := flightRecords("sampled")-sampled0, flightRecords("anomalous")-anomalous0
+	if gotSampled > headSampled || gotSampled+late < headSampled {
+		t.Errorf("%d head-sampled flight records, want the %d sampled normal queries", gotSampled, headSampled)
+	}
+	if gotAnomalous != anomalies+late {
+		t.Errorf("%d anomalous flight records, want all %d anomalies", gotAnomalous, anomalies)
 	}
 }
 
@@ -294,7 +406,7 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			if tc.known {
 				reserve.Add(benchSrc.Addr().String())
 			}
-			srv := outcomeServer(t, reserve, probe)
+			srv := outcomeServer(t, 1, reserve, probe)
 			sc := scratchPool.Get().(*scratch)
 			var frames bytes.Buffer
 			sc.frames = &frames

@@ -334,7 +334,7 @@ func (s *Server) instrumentProtection(reg *obs.Registry) {
 		func() float64 { return float64(s.qodGuard.Admitted()) })
 	if s.watchdog != nil {
 		help := "Watchdog suspension trips, by tripwire."
-		for _, reason := range []string{qod.TripPanic, qod.TripMalformed, qod.TripLatency} {
+		for _, reason := range []string{qod.TripPanic, qod.TripMalformed} {
 			reason := reason
 			reg.CounterFunc(obs.MetricWatchdogTripsTotal, help,
 				func() float64 { return float64(s.watchdog.Trips(reason)) },

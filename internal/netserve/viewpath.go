@@ -56,7 +56,6 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		out := viewRefused(wire, v, sc.out[:0])
 		sc.out = out
 		oc.span.Mark(obs.StageLookup)
-		oc.span.Mark(obs.StageWrite)
 		s.Metrics.ViewServed.Add(1)
 		return out, true
 	}
@@ -109,8 +108,8 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	// queries graduate to the packed-response tier while random-subdomain
 	// floods never insert (and never allocate).
 	oc.verdict, oc.rcode, oc.name, oc.zone, oc.cacheable = flight.VerdictView, rcode, wa.Name, view.Origin(), wa.Cacheable
+	// AppendAnswer looks up and writes in one call: one lookup stage.
 	oc.span.Mark(obs.StageLookup)
-	oc.span.Mark(obs.StageWrite)
 	s.Metrics.ViewServed.Add(1)
 	return out, true
 }

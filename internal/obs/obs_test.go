@@ -209,20 +209,26 @@ func TestHTTPEndpoint(t *testing.T) {
 
 func TestTracerStages(t *testing.T) {
 	r := NewRegistry()
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	tr := NewTracer(r, clock)
-	sp := tr.Begin()
-	now = now.Add(10 * time.Microsecond)
+	tr := NewTracer(r)
+	// Moving the epoch back moves the tracer's clock forward.
+	advance := func(d time.Duration) { tr.epoch = tr.epoch.Add(-d) }
+	sp := tr.Begin(true)
+	advance(10 * time.Microsecond)
 	sp.Mark(StageReceive)
-	now = now.Add(30 * time.Microsecond)
+	advance(30 * time.Microsecond)
 	sp.Mark(StageLookup)
-	now = now.Add(5 * time.Microsecond)
+	advance(5 * time.Microsecond)
 	sp.Mark(StageWrite)
-	sp.End()
+	if d := sp.End(); d < 45*time.Microsecond {
+		t.Fatalf("End = %v, want at least the 45us advanced", d)
+	}
+	// An unsampled span stamps no stage but still ends.
+	un := tr.Begin(false)
+	un.Mark(StageReceive)
+	un.End()
 
 	snap := r.Snapshot()
-	for stage, wantLo := range map[string]float64{"receive": 9e-6, "lookup": 29e-6, "write": 4e-6} {
+	for stage, wantLo := range map[string]float64{"receive": 10e-6, "lookup": 30e-6, "write": 5e-6} {
 		found := false
 		for _, p := range snap {
 			if p.Name == MetricStageDuration && strings.Contains(p.Labels, `stage="`+stage+`"`) {
@@ -236,15 +242,45 @@ func TestTracerStages(t *testing.T) {
 			t.Fatalf("stage %s not registered", stage)
 		}
 	}
+	for _, p := range snap {
+		if p.Name == MetricQueryDuration && p.Count != 2 {
+			t.Fatalf("e2e count = %d, want both spans", p.Count)
+		}
+	}
 	if q, ok := snap.HistogramQuantile(MetricQueryDuration, 0.5); !ok || q <= 0 {
 		t.Fatalf("e2e histogram: %v %v", q, ok)
 	}
 	// Nil tracer is a usable no-op.
 	var nilTr *Tracer
-	sp2 := nilTr.Begin()
+	sp2 := nilTr.Begin(true)
 	sp2.Mark(StageReceive)
 	sp2.End()
 }
+
+// BenchmarkSpan is the instrument's own cost per query: a span with the
+// hot tier's four marks, sampled and unsampled.
+func BenchmarkSpan(b *testing.B) {
+	for _, sampled := range []bool{true, false} {
+		name := "unsampled"
+		if sampled {
+			name = "sampled"
+		}
+		b.Run(name, func(b *testing.B) {
+			tr := NewTracer(NewRegistry())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sp := tr.Begin(sampled)
+				sp.Mark(StageScore)
+				sp.Mark(StageQueue)
+				sp.Mark(StageLookup)
+				sp.Mark(StageWrite)
+				spanSink += sp.End()
+			}
+		})
+	}
+}
+
+var spanSink time.Duration
 
 // TestRegistryConcurrent hammers get-or-create, increments, and snapshots
 // from many goroutines; run with -race.

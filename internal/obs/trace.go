@@ -39,23 +39,22 @@ func (s Stage) String() string {
 
 // Tracer stamps query lifecycles into per-stage and end-to-end latency
 // histograms. A nil *Tracer is a valid no-op tracer, so callers can leave
-// tracing unwired without branching.
+// tracing unwired without branching. Every reading is an offset from the
+// tracer's epoch: one monotonic clock read, not the wall+monotonic pair
+// time.Now takes.
 type Tracer struct {
-	now    func() time.Time
+	epoch  time.Time
 	stages [numStages]*Histogram
 	e2e    *Histogram
 }
 
-// NewTracer registers the lifecycle histograms on reg. clock may be nil
-// (wall clock); tests and the simulation can inject their own.
-func NewTracer(reg *Registry, clock func() time.Time) *Tracer {
-	if clock == nil {
-		clock = time.Now
-	}
-	t := &Tracer{now: clock}
+// NewTracer registers the lifecycle histograms on reg.
+func NewTracer(reg *Registry) *Tracer {
+	t := &Tracer{epoch: time.Now()}
 	for st := Stage(0); st < numStages; st++ {
 		t.stages[st] = reg.Histogram(MetricStageDuration,
-			"Time spent in each query-lifecycle stage.", nil, "stage", st.String())
+			"Time spent in each query-lifecycle stage (head-sampled queries only).",
+			nil, "stage", st.String())
 	}
 	t.e2e = reg.Histogram(MetricQueryDuration,
 		"End-to-end query handling latency (receive to encoded response).", nil)
@@ -65,28 +64,30 @@ func NewTracer(reg *Registry, clock func() time.Time) *Tracer {
 // Span is one query's passage through the stages. The zero Span (from a
 // nil Tracer) is a no-op. Spans are values: no allocation per query.
 type Span struct {
-	t     *Tracer
-	start time.Time
-	last  time.Time
+	t           *Tracer
+	start, last time.Duration
+	sampled     bool
 }
 
-// Begin opens a span at the receive instant.
-func (t *Tracer) Begin() Span {
+// Begin opens a span at the receive instant. sampled is the query's
+// head-sampling decision: only a sampled span stamps its stages, while
+// every span's End is observed.
+func (t *Tracer) Begin(sampled bool) Span {
 	if t == nil {
 		return Span{}
 	}
-	now := t.now()
-	return Span{t: t, start: now, last: now}
+	now := time.Since(t.epoch)
+	return Span{t: t, start: now, last: now, sampled: sampled}
 }
 
 // Mark records the time since the previous mark (or Begin) into the given
-// stage's histogram.
+// stage's histogram, for a sampled span.
 func (s *Span) Mark(st Stage) {
-	if s.t == nil {
+	if !s.sampled {
 		return
 	}
-	now := s.t.now()
-	s.t.stages[st].ObserveDuration(now.Sub(s.last))
+	now := time.Since(s.t.epoch)
+	s.t.stages[st].ObserveDuration(now - s.last)
 	s.last = now
 }
 
@@ -95,7 +96,7 @@ func (s *Span) End() time.Duration {
 	if s.t == nil {
 		return 0
 	}
-	d := s.t.now().Sub(s.start)
+	d := time.Since(s.t.epoch) - s.start
 	s.t.e2e.ObserveDuration(d)
 	return d
 }

@@ -183,9 +183,6 @@ type Entry struct {
 	strikes int
 }
 
-// Sig returns the entry's signature.
-func (e *Entry) Sig() Signature { return e.sig }
-
 // SignatureStatus is one row of a quarantine snapshot.
 type SignatureStatus struct {
 	Suffix  string

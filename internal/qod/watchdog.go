@@ -15,11 +15,6 @@ type WatchdogConfig struct {
 	// MaxMalformed undecodable packets per window trips suspension
 	// (a machine drowning in garbage it cannot even parse).
 	MaxMalformed int
-	// MaxLatency trips suspension when the sampled mean answer latency over
-	// the window exceeds it (0 disables the latency tripwire).
-	MaxLatency time.Duration
-	// MinLatencySamples guards the latency tripwire against tiny samples.
-	MinLatencySamples int
 	// Quiet is how long after the last trip the machine stays suspended;
 	// any further trip (still possible over TCP, or from probes) extends it.
 	Quiet time.Duration
@@ -29,12 +24,10 @@ type WatchdogConfig struct {
 // isolated contained panics (quarantine handles those), suspend on a storm.
 func DefaultWatchdogConfig() WatchdogConfig {
 	return WatchdogConfig{
-		Window:            time.Second,
-		MaxPanics:         5,
-		MaxMalformed:      50000,
-		MaxLatency:        50 * time.Millisecond,
-		MinLatencySamples: 32,
-		Quiet:             3 * time.Second,
+		Window:       time.Second,
+		MaxPanics:    5,
+		MaxMalformed: 50000,
+		Quiet:        3 * time.Second,
 	}
 }
 
@@ -49,9 +42,6 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	if c.MaxMalformed <= 0 {
 		c.MaxMalformed = d.MaxMalformed
 	}
-	if c.MinLatencySamples <= 0 {
-		c.MinLatencySamples = d.MinLatencySamples
-	}
 	if c.Quiet <= 0 {
 		c.Quiet = d.Quiet
 	}
@@ -62,12 +52,11 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 const (
 	TripPanic     = "panic"
 	TripMalformed = "malformed"
-	TripLatency   = "latency"
 )
 
 // Watchdog mirrors the §4.2.1 monitoring-agent cap logic onto the real
-// sockets: it counts contained panics, undecodable packets, and sampled
-// answer latency per window, and while tripped the server reports
+// sockets: it counts contained panics and undecodable packets per window,
+// and while tripped the server reports
 // unhealthy (503 on /healthz, anycast withdrawal upstream) and its UDP
 // workers discard traffic unread. Recovery is lazy: once the quiet period
 // passes with no further trips, Suspended flips back on its own — the
@@ -75,7 +64,7 @@ const (
 //
 // Suspended is a single atomic load, cheap enough for the per-packet path;
 // the Record methods take the window lock but run only on the rare paths
-// (panics, decode errors, 1-in-N latency samples).
+// (panics, decode errors).
 type Watchdog struct {
 	cfg WatchdogConfig
 
@@ -84,23 +73,17 @@ type Watchdog struct {
 
 	tripsPanic     atomic.Uint64
 	tripsMalformed atomic.Uint64
-	tripsLatency   atomic.Uint64
 
 	mu          sync.Mutex
 	windowStart time.Time
 	panics      int
 	malformed   int
-	latSum      time.Duration
-	latN        int
 }
 
 // NewWatchdog builds a watchdog (zero config fields take defaults).
 func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	return &Watchdog{cfg: cfg.withDefaults()}
 }
-
-// Config reports the effective (defaulted) configuration.
-func (w *Watchdog) Config() WatchdogConfig { return w.cfg }
 
 // Suspended reports whether the machine is currently self-suspended. A
 // lapsed deadline is cleared here, so Engaged returns to its fast false
@@ -130,8 +113,6 @@ func (w *Watchdog) Trips(reason string) uint64 {
 		return w.tripsPanic.Load()
 	case TripMalformed:
 		return w.tripsMalformed.Load()
-	case TripLatency:
-		return w.tripsLatency.Load()
 	}
 	return 0
 }
@@ -166,31 +147,11 @@ func (w *Watchdog) RecordMalformed(now time.Time) {
 	}
 }
 
-// RecordLatency folds one sampled answer latency into the window mean.
-func (w *Watchdog) RecordLatency(now time.Time, d time.Duration) {
-	if w.cfg.MaxLatency <= 0 {
-		return
-	}
-	w.mu.Lock()
-	w.rotateLocked(now)
-	w.latSum += d
-	w.latN++
-	trip := w.latN >= w.cfg.MinLatencySamples && w.latSum/time.Duration(w.latN) > w.cfg.MaxLatency
-	if trip {
-		w.latSum, w.latN = 0, 0
-	}
-	w.mu.Unlock()
-	if trip {
-		w.trip(now, &w.tripsLatency)
-	}
-}
-
 // rotateLocked starts a fresh window when the current one has lapsed.
 func (w *Watchdog) rotateLocked(now time.Time) {
 	if w.windowStart.IsZero() || now.Sub(w.windowStart) > w.cfg.Window {
 		w.windowStart = now
 		w.panics, w.malformed = 0, 0
-		w.latSum, w.latN = 0, 0
 	}
 }
 
