@@ -112,6 +112,7 @@ fuzz:
 	go test -fuzz=FuzzUnpackInto -fuzztime=$(FUZZTIME) ./internal/dnswire/
 	go test -fuzz=FuzzAppendPack -fuzztime=$(FUZZTIME) ./internal/dnswire/
 	go test -fuzz=FuzzPackParity -fuzztime=$(FUZZTIME) ./internal/dnswire/
+	go test -fuzz=FuzzIsSubdomainOf -fuzztime=$(FUZZTIME) ./internal/dnswire/
 	go test -fuzz=FuzzParseMaster -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzViewLookupParity -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzZoneModel -fuzztime=$(FUZZTIME) ./internal/zone/

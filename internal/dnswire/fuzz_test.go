@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -173,6 +174,40 @@ func FuzzParseName(f *testing.F) {
 		buf, err := n.appendWire(nil)
 		if err != nil || len(buf) > 255 {
 			t.Fatalf("wire form invalid: %d bytes, %v", len(buf), err)
+		}
+	})
+}
+
+// isSubdomainOfRef is IsSubdomainOf as first written: a suffix test against
+// a freshly built "."+parent string.
+func isSubdomainOfRef(n, parent Name) bool {
+	if n.s == "" || parent.s == "" {
+		return false
+	}
+	if parent.s == "." || n.s == parent.s {
+		return true
+	}
+	return strings.HasSuffix(n.s, "."+parent.s)
+}
+
+// FuzzIsSubdomainOf holds IsSubdomainOf to isSubdomainOfRef on two arbitrary
+// strings and on the pairs built from them that share a suffix, so random
+// input reaches the true branch too. Name's invariants are not required: the
+// in-place comparison must agree on any bytes.
+func FuzzIsSubdomainOf(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"www.example.com.", "example.com."}, {"www.example.com.", "ample.com."},
+		{"example.com.", "www.example.com."}, {"a.", "."}, {".", "."}, {"", "a."},
+		{"xexample.com.", "example.com."}, {".example.com.", "example.com."},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, p := range [][2]string{{a, b}, {b, a}, {a + "." + b, b}, {a + b, b}, {a + "." + b, "." + b}, {a, "."}} {
+			n, parent := Name{s: p[0]}, Name{s: p[1]}
+			if got, want := n.IsSubdomainOf(parent), isSubdomainOfRef(n, parent); got != want {
+				t.Fatalf("Name{%q}.IsSubdomainOf(Name{%q}) = %v, reference says %v", p[0], p[1], got, want)
+			}
 		}
 	})
 }

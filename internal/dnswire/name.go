@@ -154,7 +154,10 @@ func (n Name) IsSubdomainOf(parent Name) bool {
 	if n.s == parent.s {
 		return true
 	}
-	return strings.HasSuffix(n.s, "."+parent.s)
+	// n ends in parent, with a label boundary just before it; compared in
+	// place, so routing and zone loads build no "."+parent string.
+	d := len(n.s) - len(parent.s)
+	return d > 0 && n.s[d-1] == '.' && n.s[d:] == parent.s
 }
 
 // Prepend returns the name formed by adding one label in front of n.

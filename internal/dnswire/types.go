@@ -50,9 +50,22 @@ func (t Type) String() string {
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
 
-// TypeFromString parses a textual RR type name ("A", "AAAA", ...). It
-// reports false for unknown names.
+// typesByName inverts typeNames: the upper-case mnemonics master files use.
+var typesByName = func() map[string]Type {
+	m := make(map[string]Type, len(typeNames))
+	for t, name := range typeNames {
+		m[name] = t
+	}
+	return m
+}()
+
+// TypeFromString parses a textual RR type name ("A", "AAAA", ...), in any
+// case. It reports false for unknown names. The usual upper-case spelling is
+// one map probe; only a miss folds case.
 func TypeFromString(s string) (Type, bool) {
+	if t, ok := typesByName[s]; ok {
+		return t, true
+	}
 	for t, name := range typeNames {
 		if strings.EqualFold(s, name) {
 			return t, true

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -370,6 +371,18 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if _, ok := TypeFromString("BOGUS"); ok {
 		t.Fatal("TypeFromString accepted BOGUS")
+	}
+	// Every mnemonic in upper, lower and mixed case.
+	for typ, name := range typeNames {
+		mixed := []byte(strings.ToLower(name))
+		for i := 0; i < len(mixed); i += 2 {
+			mixed[i] -= 'a' - 'A'
+		}
+		for _, s := range []string{name, strings.ToLower(name), string(mixed)} {
+			if got, ok := TypeFromString(s); !ok || got != typ {
+				t.Errorf("TypeFromString(%q) = %v, %v; want %v", s, got, ok, typ)
+			}
+		}
 	}
 	if RCodeNXDomain.String() != "NXDOMAIN" {
 		t.Fatal("rcode name wrong")

@@ -106,12 +106,11 @@ func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (z *zone
 		resp.RCode = dnswire.RCodeRefused
 		return nil, false
 	}
+	ecs, hasECS := dnswire.ECS{}, false
 	if opt != nil {
-		if ecs, ok := q.ClientSubnet(); ok {
+		if ecs, hasECS = q.ClientSubnet(); hasECS {
 			// Prefer the ECS prefix as the tailoring key (end-user mapping).
 			client = ECSClientKey(ecs)
-			ecs.ScopePrefix = ecs.SourcePrefix
-			_ = opt.SetClientSubnet(ecs)
 		}
 	}
 	// The crash trap: a corner-case in complex query-processing code paths
@@ -119,10 +118,21 @@ func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (z *zone
 	if strings.Contains(question.Name.String(), dnswire.QoDMarkerLabel) {
 		return nil, true
 	}
+	tailored := false
 	if z = e.Store.Find(question.Name); z != nil {
-		e.lookup(resp, z, question, client)
+		tailored = e.lookup(resp, z, question, client)
 	} else {
 		resp.RCode = dnswire.RCodeRefused
+	}
+	if hasECS {
+		// The answer's scope (RFC 7871 §7.2.1): the source prefix when the
+		// subnet chose it, 0 when it holds for every client, so a resolver
+		// caches an untailored answer once, not once per subnet.
+		ecs.ScopePrefix = 0
+		if tailored {
+			ecs.ScopePrefix = ecs.SourcePrefix
+		}
+		_ = opt.SetClientSubnet(ecs)
 	}
 	if opt != nil {
 		resp.Additional = append(resp.Additional, opt)
@@ -132,14 +142,15 @@ func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (z *zone
 
 // lookup fills resp's sections from z's compiled view: the lookup algorithm
 // (FuzzViewLookupParity holds it to the reference oracle) with no lock
-// acquisition and no per-record copies on the serve path.
-func (e *Engine) lookup(resp *dnswire.Message, z *zone.Zone, question dnswire.Question, client ClientKey) {
+// acquisition and no per-record copies on the serve path. It reports
+// whether tailoring rewrote the answer.
+func (e *Engine) lookup(resp *dnswire.Message, z *zone.Zone, question dnswire.Question, client ClientKey) (tailored bool) {
 	resp.Authoritative = true
 	ans := z.View().Lookup(question.Name, question.Type)
 	switch ans.Result {
 	case zone.Success:
 		resp.Answers = append(resp.Answers, ans.Answer...)
-		e.applyTailoring(resp, question, client)
+		tailored = e.applyTailoring(resp, question, client)
 	case zone.Delegation:
 		resp.Authoritative = false
 		resp.Authority = append(resp.Authority, ans.NS...)
@@ -154,13 +165,15 @@ func (e *Engine) lookup(resp *dnswire.Message, z *zone.Zone, question dnswire.Qu
 			resp.Authority = append(resp.Authority, ans.SOA)
 		}
 	}
+	return tailored
 }
 
 // applyTailoring replaces terminal A answers via the Tailorer when it has an
-// opinion about the final owner name of the answer chain.
-func (e *Engine) applyTailoring(resp *dnswire.Message, q dnswire.Question, client ClientKey) {
+// opinion about the final owner name of the answer chain, and reports
+// whether it had one.
+func (e *Engine) applyTailoring(resp *dnswire.Message, q dnswire.Question, client ClientKey) bool {
 	if e.Tailor == nil || (q.Type != dnswire.TypeA && q.Type != dnswire.TypeANY) {
-		return
+		return false
 	}
 	// The final owner: follow any CNAMEs in the answer.
 	owner := q.Name
@@ -171,7 +184,7 @@ func (e *Engine) applyTailoring(resp *dnswire.Message, q dnswire.Question, clien
 	}
 	addrs, ttl, ok := e.Tailor.TailorA(owner, client)
 	if !ok {
-		return
+		return false
 	}
 	// Drop existing terminal A records, keep the CNAME chain.
 	kept := resp.Answers[:0]
@@ -188,6 +201,7 @@ func (e *Engine) applyTailoring(resp *dnswire.Message, q dnswire.Question, clien
 		})
 	}
 	resp.Answers = kept
+	return true
 }
 
 // StoreZoneInfo adapts a zone.Store to the filters.ZoneInfo interface: every

@@ -120,9 +120,42 @@ func TestEngineEDNSEcho(t *testing.T) {
 	if ro == nil {
 		t.Fatal("response missing OPT")
 	}
+	// No tailorer: the answer holds for every subnet, scope 0.
 	re, ok := ro.ClientSubnet()
-	if !ok || re.ScopePrefix != 24 {
+	if !ok || re.SourcePrefix != 24 || re.ScopePrefix != 0 || re.Addr != ecs.Addr {
 		t.Fatalf("response ECS = %+v ok=%v", re, ok)
+	}
+}
+
+// TestEngineECSScope: the response's scope prefix is the source prefix only
+// when tailoring rewrote the answer for the client's subnet (RFC 7871
+// §7.2.1); an answer the tailorer had no opinion on is scoped 0.
+func TestEngineECSScope(t *testing.T) {
+	e := NewEngine(testStore(t))
+	e.Tailor = &fixedTailor{name: n("www.ex.com"), addr: netip.MustParseAddr("198.51.100.1")}
+	for _, c := range []struct {
+		qname string
+		qtype dnswire.Type
+		scope uint8
+	}{
+		{"www.ex.com", dnswire.TypeA, 20},     // tailored
+		{"www.ex.com", dnswire.TypeAAAA, 0},   // tailoring is for A only
+		{"cdn.ex.com", dnswire.TypeA, 0},      // the chain ends at a name the tailorer has no opinion on
+		{"nope.ex.com", dnswire.TypeA, 0},     // NXDOMAIN
+		{"host.sub.ex.com", dnswire.TypeA, 0}, // referral
+		{"www.other.zone", dnswire.TypeA, 0},  // REFUSED
+	} {
+		q := dnswire.NewQuery(12, n(c.qname), c.qtype)
+		opt := dnswire.NewOPT(4096)
+		if err := opt.SetClientSubnet(dnswire.ECS{Family: 1, SourcePrefix: 20, Addr: netip.MustParseAddr("203.0.112.0")}); err != nil {
+			t.Fatal(err)
+		}
+		q.Additional = append(q.Additional, opt)
+		resp, _, _ := e.Answer(q, ResolverKey("r1"))
+		re, ok := resp.OPT().ClientSubnet()
+		if !ok || re.SourcePrefix != 20 || re.ScopePrefix != c.scope {
+			t.Errorf("%s %v: response ECS = %+v ok=%v, want scope %d", c.qname, c.qtype, re, ok, c.scope)
+		}
 	}
 }
 

@@ -67,7 +67,6 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 	if base.Serial() != d.FromSerial {
 		return nil, fmt.Errorf("zone: delta chains from serial %d, zone is at %d", d.FromSerial, base.Serial())
 	}
-	out := New(base.Origin())
 	have := renderSet(base)
 	for _, rr := range d.Deleted {
 		key := rr.String()
@@ -85,7 +84,10 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 		return nil, fmt.Errorf("zone: base has no SOA")
 	}
 	soa.Serial = d.ToSerial
-	if err := out.add(soa); err != nil {
+	origin := base.Origin()
+	sc := getScratch()
+	defer putScratch(sc)
+	if err := sc.add(origin, soa); err != nil {
 		return nil, err
 	}
 	keys := make([]string, 0, len(have))
@@ -94,11 +96,11 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if err := out.add(have[k]); err != nil {
+		if err := sc.add(origin, have[k]); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return sc.zone(origin), nil
 }
 
 // History retains recent versions of zones so deltas between any retained

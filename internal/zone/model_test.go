@@ -114,7 +114,7 @@ func inOrder(rrs []dnswire.RR) []string {
 func copyOf(z *Zone) *Zone {
 	out := New(z.Origin())
 	for _, rr := range z.AllRecords() {
-		out.add(rr)
+		out.Add(rr)
 	}
 	return out
 }

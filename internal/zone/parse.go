@@ -15,24 +15,26 @@ import (
 // syntax: one record per line, "$ORIGIN" and "$TTL" directives, "@" for the
 // origin, relative names, comments with ";", and quoted TXT strings.
 // Parenthesized multi-line records are joined before parsing. A physical
-// line longer than maxMasterLine is an error.
+// line longer than maxMasterLine is an error. The returned zone is already
+// sorted: its records sit in one exactly sized slab.
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
-	z := New(origin)
-	sc := bufio.NewScanner(r)
-	// The scanner starts at its small default buffer and grows on demand;
-	// only the cap is raised, so a typical zone costs kilobytes, not a
-	// megabyte, of scratch per parse.
-	sc.Buffer(nil, maxMasterLine)
-	curOrigin := origin
-	defaultTTL := uint32(300)
-	var lastName dnswire.Name
+	sc := getScratch()
+	defer putScratch(sc)
+	lines := bufio.NewScanner(r)
+	// The scanner starts at the pooled buffer and grows past it on demand;
+	// only the cap is raised, so a typical zone costs no scanner buffer at
+	// all, not a megabyte.
+	lines.Buffer(sc.line, maxMasterLine)
+	p := lineParser{origin: origin, curOrigin: origin, defaultTTL: 300, sc: sc}
 	lineNo := 0
 	var pending string   // the physical lines of a parenthesized record so far
 	pendingLead := false // first physical line of the record began with whitespace
 	parens := 0
-	for sc.Scan() {
+	for lines.Scan() {
 		lineNo++
-		line := stripComment(sc.Text())
+		// Text copies the line out of the scanner's buffer, which the next
+		// Scan and the next parse reuse: names and TXT strings may alias it.
+		line := stripComment(lines.Text())
 		opens, closes := strings.Count(line, "("), strings.Count(line, ")")
 		parens += opens - closes
 		if parens < 0 {
@@ -53,17 +55,17 @@ func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 			line = strings.ReplaceAll(strings.ReplaceAll(pending, "(", " "), ")", " ")
 			pending = ""
 		}
-		if err := parseLine(z, line, pendingLead, &curOrigin, &defaultTTL, &lastName); err != nil {
+		if err := p.parseLine(line, pendingLead); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lines.Err(); err != nil {
 		return nil, err
 	}
 	if parens != 0 {
 		return nil, fmt.Errorf("unclosed parentheses at end of file")
 	}
-	return z, nil
+	return sc.zone(origin), nil
 }
 
 // maxMasterLine bounds one physical master-file line, newline included.
@@ -94,15 +96,32 @@ func stripComment(s string) string {
 	return s
 }
 
-func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name, defaultTTL *uint32, lastName *dnswire.Name) error {
-	fields, err := tokenize(line)
+// lineParser carries a master file's state from line to line.
+type lineParser struct {
+	origin     dnswire.Name // the zone's apex: every record must be at or below it
+	curOrigin  dnswire.Name // the $ORIGIN relative names are completed with
+	defaultTTL uint32
+	lastName   dnswire.Name // the previous record's owner
+	sc         *scratch     // tokens and records
+}
+
+// parseLine parses one logical line into the scratch's records.
+func (p *lineParser) parseLine(line string, ownerFromPrev bool) error {
+	var err error
+	p.sc.toks, err = tokenize(p.sc.toks[:0], line)
 	if err != nil {
 		return err
 	}
+	fields := p.sc.toks
 	if len(fields) == 0 {
 		return nil
 	}
-	switch strings.ToUpper(fields[0]) {
+	// Directives start with "$"; only they are compared in upper case.
+	directive := ""
+	if fields[0][0] == '$' {
+		directive = strings.ToUpper(fields[0])
+	}
+	switch directive {
 	case "$ORIGIN":
 		if len(fields) != 2 {
 			return fmt.Errorf("$ORIGIN wants 1 argument")
@@ -111,7 +130,8 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 		if err != nil {
 			return err
 		}
-		*curOrigin = n
+		p.curOrigin = n
+		clear(p.sc.names) // relative names now resolve differently
 		return nil
 	case "$TTL":
 		if len(fields) != 2 {
@@ -121,7 +141,7 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 		if err != nil {
 			return err
 		}
-		*defaultTTL = ttl
+		p.defaultTTL = ttl
 		return nil
 	case "$INCLUDE":
 		return fmt.Errorf("$INCLUDE is not supported")
@@ -131,34 +151,29 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 	var owner dnswire.Name
 	rest := fields
 	if ownerFromPrev {
-		if lastName.IsZero() {
+		if p.lastName.IsZero() {
 			return fmt.Errorf("continuation line with no previous owner")
 		}
-		owner = *lastName
+		owner = p.lastName
 	} else {
-		owner, err = resolveName(fields[0], *curOrigin)
+		owner, err = p.name(fields[0])
 		if err != nil {
 			return fmt.Errorf("owner %q: %w", fields[0], err)
 		}
 		rest = fields[1:]
-		if owner == *lastName {
-			// Runs of records under one owner share one name string.
-			owner = *lastName
-		}
 	}
-	*lastName = owner
+	p.lastName = owner
 
 	// Optional TTL and class in either order.
-	ttl := *defaultTTL
+	ttl := p.defaultTTL
 	class := dnswire.ClassINET
 	for len(rest) > 0 {
-		up := strings.ToUpper(rest[0])
-		if up == "IN" {
+		if strings.EqualFold(rest[0], "IN") {
 			rest = rest[1:]
 			continue
 		}
-		if up == "CH" || up == "HS" {
-			return fmt.Errorf("class %s not supported", up)
+		if strings.EqualFold(rest[0], "CH") || strings.EqualFold(rest[0], "HS") {
+			return fmt.Errorf("class %s not supported", strings.ToUpper(rest[0]))
 		}
 		// A TTL starts with a digit. Asking parseTTL about anything else
 		// (here: the type mnemonic that ends the loop, once per record)
@@ -182,17 +197,17 @@ func parseLine(z *Zone, line string, ownerFromPrev bool, curOrigin *dnswire.Name
 	}
 	rdata := rest[1:]
 	h := dnswire.RRHeader{Name: owner, Type: typ, Class: class, TTL: ttl}
-	rr, err := buildRR(h, rdata, *curOrigin)
+	rr, err := p.buildRR(h, rdata)
 	if err != nil {
 		return fmt.Errorf("%s %s: %w", owner, typ, err)
 	}
-	return z.add(rr)
+	return p.sc.add(p.origin, rr)
 }
 
-// tokenize splits on whitespace but keeps quoted strings intact (quotes
-// removed, content preserved verbatim).
-func tokenize(s string) ([]string, error) {
-	out := make([]string, 0, 8) // a record line: owner, class, type, a few RDATA fields
+// tokenize appends to out the fields of s, split on whitespace but keeping
+// quoted strings intact (quotes removed, content preserved verbatim). The
+// tokens alias s.
+func tokenize(out []string, s string) ([]string, error) {
 	i := 0
 	for i < len(s) {
 		c := s[i]
@@ -227,6 +242,21 @@ func unquote(tok string) (string, bool) {
 		return tok[1:], true
 	}
 	return tok, false
+}
+
+// name resolves a name token against the current $ORIGIN. A zone names its
+// hosts again and again — as owners, and as the targets of NS, CNAME, SOA
+// and MX records — so each distinct token is resolved once per $ORIGIN, and
+// the records that name one host share one name string.
+func (p *lineParser) name(tok string) (dnswire.Name, error) {
+	if n, ok := p.sc.names[tok]; ok {
+		return n, nil
+	}
+	n, err := resolveName(tok, p.curOrigin)
+	if err == nil {
+		p.sc.names[tok] = n
+	}
+	return n, err
 }
 
 func resolveName(tok string, origin dnswire.Name) (dnswire.Name, error) {
@@ -275,7 +305,7 @@ func parseTTL(tok string) (uint32, error) {
 	return uint32(v), nil
 }
 
-func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.RR, error) {
+func (p *lineParser) buildRR(h dnswire.RRHeader, rdata []string) (dnswire.RR, error) {
 	need := func(n int) error {
 		if len(rdata) != n {
 			return fmt.Errorf("want %d RDATA fields, have %d", n, len(rdata))
@@ -305,7 +335,7 @@ func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.R
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		n, err := resolveName(rdata[0], origin)
+		n, err := p.name(rdata[0])
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +344,7 @@ func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.R
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		n, err := resolveName(rdata[0], origin)
+		n, err := p.name(rdata[0])
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +353,7 @@ func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.R
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		n, err := resolveName(rdata[0], origin)
+		n, err := p.name(rdata[0])
 		if err != nil {
 			return nil, err
 		}
@@ -332,11 +362,11 @@ func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.R
 		if err := need(7); err != nil {
 			return nil, err
 		}
-		mname, err := resolveName(rdata[0], origin)
+		mname, err := p.name(rdata[0])
 		if err != nil {
 			return nil, err
 		}
-		rname, err := resolveName(rdata[1], origin)
+		rname, err := p.name(rdata[1])
 		if err != nil {
 			return nil, err
 		}
@@ -358,7 +388,7 @@ func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.R
 		if err != nil {
 			return nil, fmt.Errorf("bad MX preference %q", rdata[0])
 		}
-		n, err := resolveName(rdata[1], origin)
+		n, err := p.name(rdata[1])
 		if err != nil {
 			return nil, err
 		}
@@ -384,7 +414,7 @@ func buildRR(h dnswire.RRHeader, rdata []string, origin dnswire.Name) (dnswire.R
 			}
 			nums[i] = uint16(v)
 		}
-		n, err := resolveName(rdata[3], origin)
+		n, err := p.name(rdata[3])
 		if err != nil {
 			return nil, err
 		}

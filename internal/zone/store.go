@@ -374,13 +374,14 @@ func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	if !okF || !okL || first.Serial != last.Serial || first.Name != origin {
 		return nil, errBadTransfer
 	}
-	z := New(origin)
+	sc := getScratch()
+	defer putScratch(sc)
 	for _, rr := range recs[:len(recs)-1] {
-		if err := z.add(rr); err != nil {
+		if err := sc.add(origin, rr); err != nil {
 			return nil, err
 		}
 	}
-	return z, nil
+	return sc.zone(origin), nil
 }
 
 var errBadTransfer = errSentinel("zone: malformed transfer stream")

@@ -38,10 +38,10 @@ func below(o dnswire.Name, labels ...string) dnswire.Name {
 func storeModelVersion(origin dnswire.Name, serial uint32, compile bool) *Zone {
 	z := New(origin)
 	if serial != 0 {
-		z.add(&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 60},
+		z.Add(&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 60},
 			MName: n("ns.model.test"), RName: n("host.model.test"), Serial: serial, Refresh: 2, Retry: 3, Expire: 4, Minimum: 5})
 	}
-	z.add(modelRR(below(origin, "www"), dnswire.TypeA, byte(serial)))
+	z.Add(modelRR(below(origin, "www"), dnswire.TypeA, byte(serial)))
 	if compile {
 		z.View()
 	}

@@ -25,6 +25,7 @@ package zone
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"akamaidns/internal/dnswire"
@@ -105,7 +106,7 @@ func (v *View) Origin() dnswire.Name { return v.origin }
 func (v *View) Serial() uint32 { return v.serial }
 
 // View returns the zone's compiled snapshot, building it on first use after
-// an edit (which is also what sorts the zone's slab after a load); a
+// an edit (and sorting the slab first if an Add left it unsorted); a
 // published zone compiles at most once. Publication is race-free: edits
 // invalidate under the write lock, compilation happens under the read lock,
 // so a compiled view can never overwrite a later invalidation; of two
@@ -147,12 +148,14 @@ func (z *Zone) ViewBytes() int {
 // looked up but glue.
 func (z *Zone) compileViewLocked() *View {
 	recs := z.recs
+	sc := getScratch()
+	defer putScratch(sc)
 	// Count names and sets and resolve each cut's glue first, so every slab
-	// is allocated once, exactly.
+	// is allocated once, exactly; the glue and the arena are gathered in
+	// scratch.
 	names := z.namesLocked()
 	nn, nsets := len(names), 1
-	var glue []dnswire.RR // every cut's glue, cut by cut in slab order
-	var glueEnd []int     // where each cut's glue ends in it
+	glue, glueEnd := sc.recs[:0], sc.ends[:0] // every cut's glue, cut by cut in slab order, and where each ends
 	for i := 0; i < len(recs); {
 		k, j := keyOf(recs[i]), setEnd(recs, i)
 		nsets++
@@ -163,6 +166,7 @@ func (z *Zone) compileViewLocked() *View {
 		}
 		i = j
 	}
+	sc.recs, sc.ends = glue, glueEnd
 	v := &View{
 		origin:       z.origin,
 		originWire:   z.originWire,
@@ -170,18 +174,19 @@ func (z *Zone) compileViewLocked() *View {
 		tableMask:    1<<bits.Len(uint(nn+nn/2)) - 1, // load factor under 2/3
 		idxMask:      1<<bits.Len(uint(nn)) - 1,
 		wireOK:       true,
+		names:        names,
 	}
 	table := 4 * int(v.tableMask+1)
-	v.arena = make([]byte, table, table+8*nn+40*(len(recs)+len(glue)))
+	v.arena = slices.Grow(sc.arena[:0], table)[:table]
+	clear(v.arena)
 	v.nodes = make([]viewNode, 0, nn+1)
-	v.names = make([]dnswire.Name, 0, nn)
 	v.sets = make([]viewSet, 0, nsets)
 	v.rrs = make([]dnswire.RR, 0, len(recs)+len(glue))
 	// The nodes: a name's parent is the last node made one label up.
 	var path [maxWireLabels + 1]uint32
 	for i, n := range names {
 		if i == 0 {
-			v.nodes, v.names = append(v.nodes, viewNode{}), append(v.names, n)
+			v.nodes = append(v.nodes, viewNode{})
 			continue
 		}
 		d := n.NumLabels() - int(v.originLabels)
@@ -213,8 +218,8 @@ func (z *Zone) compileViewLocked() *View {
 	}
 	v.nodes = append(v.nodes, viewNode{sets: uint32(len(v.sets))})
 	v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena))})
-	// The arena grew by append from an estimate: trim it to size.
-	v.arena = append(make([]byte, 0, len(v.arena)), v.arena...)
+	// The arena was packed in scratch: the view keeps an exact copy.
+	sc.arena, v.arena = v.arena[:0], append(make([]byte, 0, len(v.arena)), v.arena...)
 	if nn > 0 {
 		if s, ok := v.findSet(0, dnswire.TypeSOA); ok {
 			if soa, isSOA := v.rrs[v.sets[s].rr].(*dnswire.SOA); isSOA {
@@ -255,7 +260,6 @@ func (v *View) addNode(parent uint32, n dnswire.Name) uint32 {
 	first := n.FirstLabel()
 	idx := uint32(len(v.nodes))
 	v.nodes = append(v.nodes, viewNode{parent: parent, label: uint32(len(v.arena))})
-	v.names = append(v.names, n)
 	v.arena = append(append(v.arena, byte(len(first))), first...)
 	if first == "*" {
 		v.nodes[parent].wildcard = idx

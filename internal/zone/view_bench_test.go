@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -50,38 +51,42 @@ func benchZones(tb testing.TB, n int) []*Zone {
 	return zones
 }
 
-// viewHeap compiles every zone's view and reports what the views added to
-// the live heap: bytes and objects, measured between two full collections.
-// The zones' first read comes before, so sorting their slabs is not counted.
-func viewHeap(zones []*Zone) (bytes, objects uint64) {
-	var before, after runtime.MemStats
-	for _, z := range zones {
-		z.NumRecords()
-	}
+// settledHeap reads the live heap after two full collections: the first
+// moves the load scratch pool's contents to its victim cache and the second
+// frees them, so pooled scratch (which the race detector's pool drops and
+// replaces at random) is never counted as what the zones keep.
+func settledHeap() (m runtime.MemStats) {
 	runtime.GC()
-	runtime.ReadMemStats(&before)
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m
+}
+
+// viewHeap compiles every zone's view and reports what the views added to
+// the live heap: bytes and objects, measured between settled heaps. No
+// collection runs while they compile: a background cycle is what most often
+// leaves a runtime object of its own live across the measurement.
+func viewHeap(zones []*Zone) (bytes, objects uint64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := settledHeap()
 	for _, z := range zones {
 		z.View()
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := settledHeap()
 	runtime.KeepAlive(zones)
 	return after.HeapAlloc - before.HeapAlloc, after.HeapObjects - before.HeapObjects
 }
 
 // zoneHeap parses n bench-shaped zones, compiles their views and reports
 // what holding them at rest — zone, record slab, records, names and view —
-// adds to the live heap, measured between two full collections.
+// adds to the live heap, measured between settled heaps.
 func zoneHeap(tb testing.TB, n int) (bytes, objects uint64) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := settledHeap()
 	zones := benchZones(tb, n)
 	for _, z := range zones {
 		z.View()
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	after := settledHeap()
 	runtime.KeepAlive(zones)
 	return after.HeapAlloc - before.HeapAlloc, after.HeapObjects - before.HeapObjects
 }
@@ -193,29 +198,72 @@ func BenchmarkZoneHeapPerZone(b *testing.B) {
 	b.ReportMetric(float64(objects)/n, "objects/zone")
 }
 
-// parseAllocCeiling bounds the allocations of parsing one 22-record
-// bench-shaped zone: 125 when written (under 6 per record: the line, its
-// tokens, the names, the record), 191 while Zone.Add copied every record
-// into two maps and each line was re-joined and stripped of parentheses it
-// did not have.
-const parseAllocCeiling = 140
+// The allocation counts of the load path for one 22-record bench-shaped
+// zone. Scratch comes from a pool and every slab is allocated once, at its
+// exact size; what is left is what the zone keeps, plus 20 allocations of
+// the renderings that check the two multi-record sets for duplicates.
+const (
+	// parseAllocCeiling: the zone (header, routing key, slab), its records
+	// and name strings, one string per line, and the renderings. 191 while
+	// Zone.Add copied every record into two maps and each line was re-joined
+	// and stripped of parentheses it did not have; 125 while each parse grew
+	// a fresh scanner buffer, token slices and record slab.
+	parseAllocCeiling = 86
+	// compileAllocCeiling: the view header and its five slabs (arena,
+	// nodes, sets, names, records); 20 while the arena was packed into an
+	// estimate and trimmed, and glue and names were gathered in garbage.
+	compileAllocCeiling = 6
+	// transferAllocCeiling: the zone's header, routing key and slab, and the
+	// renderings; 29 while the slab grew one record at a time and was sorted
+	// on first read.
+	transferAllocCeiling = 21
+)
 
-// BenchmarkParseMasterBenchZone parses one bench-shaped zone per iteration
-// and fails when a parse allocates more than parseAllocCeiling times.
-func BenchmarkParseMasterBenchZone(b *testing.B) {
+// TestLoadPathAllocs holds ParseMaster, a view compile and FromTransfer on a
+// bench-shaped zone to their allocation ceilings.
+func TestLoadPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
 	origin, text := benchZoneText(7)
-	parse := func() {
-		if _, err := ParseMaster(strings.NewReader(text), origin); err != nil {
-			b.Fatal(err)
+	z := MustParseMaster(text, origin)
+	stream := append(z.AllRecords(), z.SOA())
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		load    func()
+	}{
+		{"ParseMaster", parseAllocCeiling, func() {
+			if _, err := ParseMaster(strings.NewReader(text), origin); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"compile", compileAllocCeiling, func() {
+			z.rlockSorted()
+			z.compileViewLocked()
+			z.mu.RUnlock()
+		}},
+		{"FromTransfer", transferAllocCeiling, func() {
+			if _, err := FromTransfer(origin, stream); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(20, c.load); allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocs per bench zone, ceiling %.0f", c.name, allocs, c.ceiling)
 		}
 	}
-	if allocs := testing.AllocsPerRun(20, parse); allocs > parseAllocCeiling {
-		b.Fatalf("ParseMaster: %.0f allocs per bench zone, ceiling %d", allocs, parseAllocCeiling)
-	}
+}
+
+// BenchmarkParseMasterBenchZone parses one bench-shaped zone per iteration.
+func BenchmarkParseMasterBenchZone(b *testing.B) {
+	origin, text := benchZoneText(7)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(text)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parse()
+		if _, err := ParseMaster(strings.NewReader(text), origin); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

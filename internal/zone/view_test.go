@@ -2,6 +2,7 @@ package zone
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -429,18 +430,19 @@ func TestStoreFindWireZeroAlloc(t *testing.T) {
 
 // TestZoneHeapPerZone pins what a hosted zone costs to hold at rest — the
 // number every machine of the fleet multiplies by its zone count: over
-// 2 000 bench-shaped zones, zone and view together may keep at most 4.5 KB
-// and 60 objects live each (7 371 B and 83 objects while the zone kept its
-// records in two maps; 4 502 B and 56 when written).
+// 2 000 bench-shaped zones, zone and view together may keep at most 4 400 B
+// and 52 objects live each (7 371 B and 83 objects while the zone kept its
+// records in two maps; 4 499 B and 56 while every record resolved its own
+// copy of each host name; 4 350 B and 49 when written).
 func TestZoneHeapPerZone(t *testing.T) {
 	const n = 2000
 	bytes, objects := zoneHeap(t, n)
 	t.Logf("%d B and %.2f heap objects per zone", bytes/n, float64(objects)/n)
-	if bytes > 4608*n {
-		t.Errorf("zones cost %d B each, want <= 4608", bytes/n)
+	if bytes > 4400*n {
+		t.Errorf("zones cost %d B each, want <= 4400", bytes/n)
 	}
-	if objects > 60*n {
-		t.Errorf("zones cost %.2f heap objects each, want <= 60", float64(objects)/n)
+	if objects > 52*n {
+		t.Errorf("zones cost %.2f heap objects each, want <= 52", float64(objects)/n)
 	}
 }
 
@@ -452,8 +454,18 @@ func TestZoneHeapPerZone(t *testing.T) {
 // answering from it must not allocate.
 func TestViewFootprint(t *testing.T) {
 	const n = 2000
-	zones := benchZones(t, n)
-	bytes, objects := viewHeap(zones)
+	// A measurement now and then also counts an object of the runtime's own,
+	// most often a 96-byte goroutine wait record (sudog) that a processor
+	// caches: in about 1 of 20 measurements, whatever the views hold. What
+	// the views keep recurs in every measurement, so the fewest over three
+	// fresh sets of zones is theirs.
+	var zones []*Zone
+	bytes, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		zones = benchZones(t, n)
+		b, o := viewHeap(zones)
+		bytes, objects = min(bytes, b), min(objects, o)
+	}
 	t.Logf("%d B and %.2f heap objects per view", bytes/n, float64(objects)/n)
 	if bytes > 3<<10*n {
 		t.Errorf("views cost %d B each, want <= 3072", bytes/n)

@@ -72,9 +72,10 @@ type Zone struct {
 
 // New creates an empty zone rooted at origin.
 func New(origin dnswire.Name) *Zone {
+	var wire [256]byte // a wire name is at most 255 octets
 	return &Zone{
 		origin:     origin,
-		originWire: string(origin.AppendWire(nil)),
+		originWire: string(origin.AppendWire(wire[:0])),
 		sorted:     true,
 	}
 }
@@ -144,16 +145,20 @@ func (z *Zone) rlockSorted() {
 	}
 }
 
-// sortLocked puts an unsorted slab into its sorted state: a stable sort
-// (O(n log n) compares whatever order the records came in), then one pass
-// that drops duplicate records (same owner, type and rendering; the first
-// stays) and all but the last apex SOA, into an exactly sized slab. z.mu held
+// sortLocked puts an unsorted slab into its sorted state. z.mu held
 // exclusively.
 func (z *Zone) sortLocked() {
-	if z.sorted {
-		return
+	if !z.sorted {
+		z.recs, z.sorted = canonical(z.recs), true
 	}
-	recs := z.recs
+}
+
+// canonical sorts recs in place — a stable sort, O(n log n) compares
+// whatever order the records came in — drops duplicate records (same owner,
+// type and rendering; the first stays) and all but the last apex SOA, and
+// returns what is left copied into an exactly sized slab. recs itself is
+// left as scratch.
+func canonical(recs []dnswire.RR) []dnswire.RR {
 	slices.SortStableFunc(recs, func(a, b dnswire.RR) int { return compareKey(a, keyOf(b)) })
 	out := recs[:0]
 	var seen []string // renderings of the current set, once it has a second record
@@ -177,8 +182,55 @@ func (z *Zone) sortLocked() {
 		}
 		out = append(out, rr)
 	}
-	z.recs = append(make([]dnswire.RR, 0, len(out)), out...)
-	z.sorted = true
+	return append(make([]dnswire.RR, 0, len(out)), out...)
+}
+
+// scratch is the reusable working memory of a zone build and of a view
+// compile, pooled so that loading many zones allocates little beyond what
+// each zone keeps. Fields hold pointers only while in use: putScratch clears
+// them, so the pool never pins a record or a line.
+type scratch struct {
+	line  []byte                  // ParseMaster: the line scanner's starting buffer
+	toks  []string                // ParseMaster: one line's fields
+	names map[string]dnswire.Name // ParseMaster: name tokens resolved so far
+	// recs collects a build's records before canonical sorts them into the
+	// zone's own slab; a compile collects every cut's glue in it.
+	recs  []dnswire.RR
+	ends  []int  // compile: where each cut's glue ends in recs
+	arena []byte // compile: the view's arena, before its exact copy
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{line: make([]byte, 4096), names: make(map[string]dnswire.Name)}
+}}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func putScratch(sc *scratch) {
+	clear(sc.toks[:cap(sc.toks)])
+	clear(sc.recs)
+	clear(sc.names)
+	sc.toks, sc.recs = sc.toks[:0], sc.recs[:0]
+	scratchPool.Put(sc)
+}
+
+// add appends rr to the records of a zone at origin being built, once
+// checkRecord accepts it.
+func (sc *scratch) add(origin dnswire.Name, rr dnswire.RR) error {
+	if err := checkRecord(origin, rr); err != nil {
+		return err
+	}
+	sc.recs = append(sc.recs, rr)
+	return nil
+}
+
+// zone returns a new zone at origin holding the records added so far, in its
+// sorted state. It is how ParseMaster, FromTransfer and Apply finish: each
+// zone's slab is allocated once, at its exact size.
+func (sc *scratch) zone(origin dnswire.Name) *Zone {
+	z := New(origin)
+	z.recs = canonical(sc.recs)
+	return z
 }
 
 // rangeLocked returns where in the sorted slab the RRset (name, typ) sits:
@@ -227,24 +279,31 @@ func (z *Zone) Serial() uint32 {
 // published one. The owner name must be within the zone. Duplicate records
 // (same name/type/rdata rendering) are dropped silently; a zone holds one
 // SOA, so a second apex SOA replaces the first.
-func (z *Zone) Add(rr dnswire.RR) error { return z.add(rr.Copy()) }
-
-// add is Add for a record the caller hands over: the zone stores rr itself.
-func (z *Zone) add(rr dnswire.RR) error {
-	h := rr.Header()
-	if !h.Name.IsSubdomainOf(z.origin) {
-		return fmt.Errorf("zone %s: record %s out of zone", z.origin, h.Name)
+func (z *Zone) Add(rr dnswire.RR) error {
+	if err := checkRecord(z.origin, rr); err != nil {
+		return err
 	}
-	if h.Type == dnswire.TypeOPT {
-		return errors.New("zone: OPT pseudo-records cannot be stored")
-	}
-	if h.Type == dnswire.TypeSOA && h.Name != z.origin {
-		return fmt.Errorf("zone %s: SOA at non-apex %s", z.origin, h.Name)
-	}
+	rr = rr.Copy()
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.editLocked("Add")
 	z.recs, z.sorted = append(z.recs, rr), false
+	return nil
+}
+
+// checkRecord reports why rr cannot be stored in a zone at origin, if it
+// cannot.
+func checkRecord(origin dnswire.Name, rr dnswire.RR) error {
+	h := rr.Header()
+	if !h.Name.IsSubdomainOf(origin) {
+		return fmt.Errorf("zone %s: record %s out of zone", origin, h.Name)
+	}
+	if h.Type == dnswire.TypeOPT {
+		return errors.New("zone: OPT pseudo-records cannot be stored")
+	}
+	if h.Type == dnswire.TypeSOA && h.Name != origin {
+		return fmt.Errorf("zone %s: SOA at non-apex %s", origin, h.Name)
+	}
 	return nil
 }
 
@@ -294,29 +353,45 @@ func (z *Zone) NameExists(name dnswire.Name) bool {
 	return lo < len(z.recs) && name.IsSubdomainOf(z.origin) && z.recs[lo].Header().Name.IsSubdomainOf(name)
 }
 
-// namesLocked returns every name of the zone in canonical order: the apex,
-// then each owner, preceded by those of its ancestors no earlier owner sits
-// at or below (the empty non-terminals). z.mu held, slab sorted.
+// namesLocked returns every name of the zone in canonical order, in an
+// exactly sized slab: the apex, then each owner, preceded by those of its
+// ancestors no earlier owner sits at or below (the empty non-terminals).
+// z.mu held, slab sorted.
 func (z *Zone) namesLocked() []dnswire.Name {
 	if len(z.recs) == 0 {
 		return nil
 	}
-	out := append(make([]dnswire.Name, 0, len(z.recs)), z.origin)
-	for _, rr := range z.recs {
-		if owner := rr.Header().Name; owner != out[len(out)-1] {
-			out = z.appendNewNames(out, owner)
+	n := 1
+	for i := range z.recs {
+		_, k := z.newNamesLocked(i)
+		n += k
+	}
+	out := make([]dnswire.Name, n)
+	out[0], n = z.origin, 1
+	for i := range z.recs {
+		a, k := z.newNamesLocked(i)
+		// a and its k-1 nearest ancestors, filled in bottom up.
+		for j := n + k - 1; j >= n; j, a = j-1, a.Parent() {
+			out[j] = a
 		}
+		n += k
 	}
 	return out
 }
 
-// appendNewNames appends, top down, a and those of its ancestors that out
-// lacks: the ones its last name is not at or below.
-func (z *Zone) appendNewNames(out []dnswire.Name, a dnswire.Name) []dnswire.Name {
-	if a == z.origin || out[len(out)-1].IsSubdomainOf(a) {
-		return out
+// newNamesLocked returns the owner of record i and how many names it adds
+// after the record before it: itself and each ancestor below the apex that
+// the previous owner is not at or below.
+func (z *Zone) newNamesLocked(i int) (owner dnswire.Name, k int) {
+	prev := z.origin
+	if i > 0 {
+		prev = z.recs[i-1].Header().Name
 	}
-	return append(z.appendNewNames(out, a.Parent()), a)
+	owner = z.recs[i].Header().Name
+	for a := owner; a != z.origin && !prev.IsSubdomainOf(a); a = a.Parent() {
+		k++
+	}
+	return owner, k
 }
 
 // Cuts returns the zone's delegation points: non-apex names holding NS

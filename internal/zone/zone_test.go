@@ -434,6 +434,33 @@ func TestParseMasterLineCap(t *testing.T) {
 	}
 }
 
+// TestParseMasterOriginSwitch: a relative name means what the $ORIGIN in
+// force says, so a token seen under one origin is resolved afresh under the
+// next, as an owner and as a target.
+func TestParseMasterOriginSwitch(t *testing.T) {
+	text := "www IN A 192.0.2.1\nalias IN CNAME www\n$ORIGIN sub.example.com.\nwww IN A 192.0.2.2\nalias IN CNAME www\n"
+	z, err := ParseMaster(strings.NewReader(text), n("example.com"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ owner, want string }{
+		{"www.example.com", "192.0.2.1"},
+		{"www.sub.example.com", "192.0.2.2"},
+	} {
+		if rrs := z.RRset(n(c.owner), dnswire.TypeA); len(rrs) != 1 || rrs[0].(*dnswire.A).Addr.String() != c.want {
+			t.Errorf("%s A = %v, want %s", c.owner, rrs, c.want)
+		}
+	}
+	for _, c := range []struct{ owner, want string }{
+		{"alias.example.com", "www.example.com"},
+		{"alias.sub.example.com", "www.sub.example.com"},
+	} {
+		if rrs := z.RRset(n(c.owner), dnswire.TypeCNAME); len(rrs) != 1 || rrs[0].(*dnswire.CNAME).Target != n(c.want) {
+			t.Errorf("%s CNAME = %v, want %s", c.owner, rrs, c.want)
+		}
+	}
+}
+
 func TestParseMasterContinuationOwner(t *testing.T) {
 	text := "www IN A 192.0.2.1\n    IN A 192.0.2.2\n"
 	z, err := ParseMaster(strings.NewReader(text), n("example.com"))
