@@ -29,32 +29,19 @@ type Result struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
-// Doc is the emitted document. Baseline is carried over verbatim from the
-// previous version of the output file (see -keep-baseline), so the
-// pre-optimization numbers survive regeneration.
+// Doc is the emitted document.
 type Doc struct {
-	Baseline   json.RawMessage `json:"baseline,omitempty"`
-	Goos       string          `json:"goos,omitempty"`
-	Goarch     string          `json:"goarch,omitempty"`
-	CPU        string          `json:"cpu,omitempty"`
-	Benchmarks []Result        `json:"benchmarks"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	Benchmarks []Result `json:"benchmarks"`
 }
 
 func main() {
-	keep := flag.String("keep-baseline", "BENCH_netserve.json",
-		"preserve the 'baseline' key from this existing JSON file ('' disables)")
 	assertZeroAlloc := flag.String("assert-zero-alloc", "",
 		"regexp over (trimmed) benchmark names that must report 0 allocs/op; exits 1 on any allocation or if nothing matches")
 	flag.Parse()
 	var doc Doc
-	if *keep != "" {
-		if prev, err := os.ReadFile(*keep); err == nil {
-			var old Doc
-			if json.Unmarshal(prev, &old) == nil {
-				doc.Baseline = old.Baseline
-			}
-		}
-	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"strings"
@@ -35,7 +36,7 @@ func benchScoredServer(b *testing.B) *Server {
 	rl := filters.NewRateLimit()
 	rl.Learn(benchSrc.Addr().String(), 1e12)
 	nx := filters.NewNXDomain(nameserver.StoreZoneInfo{Store: store}, filters.PerHotZone)
-	nx.Threshold = 1 << 40
+	nx.Threshold = math.MaxInt
 	return New(DefaultConfig(), nameserver.NewEngine(store), filters.NewPipeline(rl, nx))
 }
 

@@ -97,6 +97,28 @@ func (d *Dist) Percentile(p float64) float64 {
 // Median is Percentile(50).
 func (d *Dist) Median() float64 { return d.Percentile(50) }
 
+// Quartiles returns the three cut points of Python's
+// statistics.quantiles(samples, n=4), the exclusive method: the k-th cut
+// sits at 1-based position k(n+1)/4, interpolated between its neighbours
+// and extrapolated from the end pair beyond them. This is the spread the
+// benchmark contract measures; Percentile interpolates inclusively and
+// gives a narrower one. One sample is all three cuts; none gives NaN.
+func (d *Dist) Quartiles() (q1, q2, q3 float64) {
+	v, n := d.sorted, len(d.sorted)
+	switch n {
+	case 0:
+		return math.NaN(), math.NaN(), math.NaN()
+	case 1:
+		return v[0], v[0], v[0]
+	}
+	cut := func(k int) float64 {
+		j := min(max(k*(n+1)/4, 1), n-1)
+		delta := float64(k*(n+1) - 4*j)
+		return (v[j-1]*(4-delta) + v[j]*delta) / 4
+	}
+	return cut(1), cut(2), cut(3)
+}
+
 // CDF returns the empirical P(X ≤ x).
 func (d *Dist) CDF(x float64) float64 {
 	if len(d.sorted) == 0 {

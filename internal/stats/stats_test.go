@@ -55,6 +55,48 @@ func TestDistCDF(t *testing.T) {
 	}
 }
 
+func TestQuartilesMatchPython(t *testing.T) {
+	// Each want is statistics.quantiles(samples, n=4): the exclusive
+	// method, extrapolating past the ends on two samples.
+	for _, c := range []struct {
+		samples []float64
+		want    [3]float64
+	}{
+		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, [3]float64{2.75, 5.5, 8.25}},
+		{[]float64{5, 1, 4, 2, 3}, [3]float64{1.5, 3, 4.5}},
+		{[]float64{1, 2}, [3]float64{0.75, 1.5, 2.25}},
+		{[]float64{7}, [3]float64{7, 7, 7}},
+	} {
+		q1, q2, q3 := NewDist(c.samples).Quartiles()
+		if [3]float64{q1, q2, q3} != c.want {
+			t.Errorf("Quartiles(%v) = %v %v %v, want %v", c.samples, q1, q2, q3, c.want)
+		}
+	}
+	if q1, _, _ := NewDist(nil).Quartiles(); !math.IsNaN(q1) {
+		t.Errorf("Quartiles on empty dist = %v, want NaN", q1)
+	}
+}
+
+func TestPropertyQuartileMedianIsMedian(t *testing.T) {
+	f := func(raw []float64) bool {
+		var xs []float64
+		for _, x := range raw {
+			if !math.IsNaN(x) && !math.IsInf(x, 0) {
+				xs = append(xs, math.Mod(x, 1e6))
+			}
+		}
+		d := NewDist(xs)
+		if d.N() == 0 {
+			return true
+		}
+		q1, q2, q3 := d.Quartiles()
+		return almostEq(q2, d.Median(), 1e-9) && q1 <= q2 && q2 <= q3
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDistPercentileInterpolation(t *testing.T) {
 	d := NewDist([]float64{0, 10})
 	if got := d.Percentile(50); got != 5 {

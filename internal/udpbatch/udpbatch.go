@@ -13,8 +13,8 @@
 // platforms without recvmmsg/sendmmsg — anything but linux/amd64 and
 // linux/arm64 here — Supported is false and the same API degrades to one
 // datagram per syscall. That fallback is what netserve's one UDP loop and
-// cmd/dnsblast run on every other platform, so it is a serving path, not a
-// stub.
+// the benchmark's load generator (bench/gen.go) run on every other
+// platform, so it is a serving path, not a stub.
 //
 // Concurrency: the receive state (ReadBatch/Packet/Src/LoadPacket) and
 // the send state (Stage*/Flush) are disjoint, down to the fields each

@@ -71,8 +71,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConnectedStage drives the send path of a connected socket (the
-// dnsblast client shape) and the reply path via Stage.
+// TestConnectedStage drives the send path of a connected-socket sender
+// (the shape bench/gen.go uses) and the reply path via Stage.
 func TestConnectedStage(t *testing.T) {
 	srv := listen(t)
 	cs, err := New(srv, 4)
