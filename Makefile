@@ -39,7 +39,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
 	$(call race-suite,./internal/zone/,-run,TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzStoreModel,-count=2)
 	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
-	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill|TestSimSocketParity,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneSamplingDecision|TestOneOutcomePerQuery|TestIXFRLargeDelta|TestSecondaryStatsWhileRefreshing,-count=2)
 	go test -race -count=2 ./internal/udpbatch/
@@ -110,6 +110,7 @@ fuzz:
 	go test -fuzz=FuzzHotCacheVersions -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzCanExistWire -fuzztime=$(FUZZTIME) ./internal/nameserver/
 	go test -fuzz=FuzzPlanApply -fuzztime=$(FUZZTIME) ./internal/ctlplane/
+	go test -fuzz=FuzzSignatureMatch -fuzztime=$(FUZZTIME) ./internal/qod/
 
 # Deterministic fault-injection harness: every scenario once at the default
 # seed, plus the determinism and regression suites and the live-socket

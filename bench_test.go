@@ -246,7 +246,7 @@ func BenchmarkPipelineScoreClean(b *testing.B) {
 	lo.Observe("r1", 0)
 	lo.SetActive(true)
 	pipe := filters.NewPipeline(rl, al, nx, hc, lo)
-	q := &filters.Query{Resolver: "r1", Name: dnswire.MustName("www.bench.test"),
+	q := &filters.Query{Resolver: "r1", Qname: dnswire.MustName("www.bench.test").AppendWire(nil),
 		Type: dnswire.TypeA, Zone: dnswire.MustName("bench.test"), IPTTL: 56}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -392,7 +392,8 @@ func BenchmarkAblationLeakyVsFixedWindow(b *testing.B) {
 }
 
 // BenchmarkAblationQoDFirewall quantifies §4.2.4 containment: crashes per
-// 1000 QoD queries with and without the firewall.
+// 1000 QoD queries with and without the firewall. The queries cycle three
+// trap names, and the quarantine holds one signature per name.
 func BenchmarkAblationQoDFirewall(b *testing.B) {
 	run := func(firewall bool) uint64 {
 		sched := simtime.NewScheduler()

@@ -69,7 +69,7 @@ func main() {
 		for i := 0; i < n; i++ {
 			ev := gen.Next()
 			fq := &filters.Query{
-				Resolver: ev.Resolver, Name: ev.Msg.Questions[0].Name,
+				Resolver: ev.Resolver, Qname: ev.Msg.Questions[0].Name.AppendWire(nil),
 				Type: dnswire.TypeA, Zone: zoneName, IPTTL: ev.IPTTL, Now: now,
 			}
 			score, _ := pipe.Score(fq)
@@ -91,14 +91,14 @@ func main() {
 	gen5 := attack.NewGenerator(attack.SpoofedIPTTL, zoneName, 200, victims, rng)
 	ev := gen5.Next()
 	foreignScore := foreignLoyalty.Score(&filters.Query{
-		Resolver: ev.Resolver, Name: ev.Msg.Questions[0].Name,
+		Resolver: ev.Resolver, Qname: ev.Msg.Questions[0].Name.AppendWire(nil),
 		Type: dnswire.TypeA, Zone: zoneName, IPTTL: ev.IPTTL, Now: now,
 	})
 	fmt.Printf("%-18s -> %6.1f  (at the PoP the attacker is actually routed to)\n",
 		"spoofed-ip-ttl", foreignScore)
 
 	// Legit baseline after all that.
-	legit := &filters.Query{Resolver: "isp-resolver-3", Name: dnswire.MustName("www.shop.test"),
+	legit := &filters.Query{Resolver: "isp-resolver-3", Qname: dnswire.MustName("www.shop.test").AppendWire(nil),
 		Type: dnswire.TypeA, Zone: zoneName, IPTTL: 48, Now: now}
 	score, _ := pipe.Score(legit)
 	fmt.Printf("%-18s -> %6.1f\n", "legitimate", score)
@@ -116,11 +116,12 @@ func main() {
 		fmt.Printf("  %+v\n    -> %s\n", s, attack.Decide(s))
 	}
 
-	// Finally, the query-of-death: containment on, the first crash arms a
-	// firewall rule; similar queries are dropped, dissimilar ones served.
+	// Finally, the query-of-death: containment on, the first crash of each
+	// trap name quarantines its minimized signature in the qod.Quarantine
+	// the socket server also uses; matching queries are dropped for TQoD,
+	// dissimilar ones served.
 	cfg2 := nameserver.DefaultConfig("qod-canary")
 	cfg2.QoDFirewall = true
-	cfg2.TQoD = 10 * time.Minute
 	srv2 := nameserver.NewServer(sched, cfg2, nameserver.NewEngine(store), nil)
 	gen := attack.NewGenerator(attack.QueryOfDeath, zoneName, 10, nil, rng)
 	for i := 0; i < 50; i++ {
@@ -136,6 +137,6 @@ func main() {
 	})
 	sched.Run()
 	m := srv2.Snapshot()
-	fmt.Printf("\nquery-of-death: %d attempts -> %d crashes, %d blocked by firewall rule, legit still answered: %v\n",
+	fmt.Printf("\nquery-of-death: %d attempts -> %d crashes (one per trap name), %d blocked by the quarantine, legit still answered: %v\n",
 		50, m.Crashes, m.QoDBlocked, answered == 1)
 }

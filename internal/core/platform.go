@@ -144,10 +144,10 @@ type Platform struct {
 	Allowlist *filters.Allowlist
 	// History and Source are set under PullPropagation: the controller's
 	// bounded version history and the pull-protocol server over it.
-	History  *zone.History
-	Source   *propagate.Source
-	PoPs     []*pop.PoP
-	Machines []*PlatformMachine
+	History   *zone.History
+	Source    *propagate.Source
+	PoPs      []*pop.PoP
+	Machines  []*PlatformMachine
 	rng       *rand.Rand
 	clientSeq int
 	edgeSeq   int
@@ -252,9 +252,6 @@ func (p *Platform) addMachine(pp *pop.PoP, id string, delayed bool) {
 	}
 	if p.Opts.QoDFirewallFraction > 0 && p.rng.Float64() < p.Opts.QoDFirewallFraction {
 		cfg.QoDFirewall = true
-		if cfg.TQoD == 0 {
-			cfg.TQoD = 10 * time.Minute
-		}
 	}
 	// Under PullPropagation a regular machine serves from its own store,
 	// kept current by a pull loop; everything else shares the

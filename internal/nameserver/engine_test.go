@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"akamaidns/internal/dnswire"
@@ -273,14 +272,52 @@ func TestStoreZoneInfoAdapter(t *testing.T) {
 	}
 }
 
-func TestQoDSignature(t *testing.T) {
-	sig := qodSignature(n("x" + dnswire.QoDMarkerLabel + "y.ex.com"))
-	if !strings.HasPrefix(sig, dnswire.QoDMarkerLabel+".") {
-		t.Fatalf("sig = %q", sig)
+// panicTailor panics while tailoring the A answer of www.edge.ex.com: a
+// query of death that is a real Go panic, and only for one qtype.
+type panicTailor struct{}
+
+func (panicTailor) TailorA(qname dnswire.Name, _ ClientKey) ([]netip.Addr, uint32, bool) {
+	if qname == n("www.edge.ex.com") {
+		panic("tailoring bug")
 	}
-	plain := qodSignature(n("www.ex.com"))
-	if plain != "www.ex.com." {
-		t.Fatalf("plain sig = %q", plain)
+	return nil, 0, false
+}
+
+// TestMinimizeQoD: the minimizer widens a crash to the shortest crashing
+// suffix, drops the qtype and flag pins only when probes crash without
+// them, counts a probe's panic as a crash, and reports a query that does
+// not crash as such.
+func TestMinimizeQoD(t *testing.T) {
+	eng := NewEngine(testStore(t))
+	eng.Tailor = panicTailor{}
+	wire := func(name string) string { return string(n(name).AppendWire(nil)) }
+	for _, tc := range []struct {
+		qname      string
+		qtype      dnswire.Type
+		suffix     string
+		pinnedType dnswire.Type
+	}{
+		// The engine's trap fires on the marker anywhere in the name: the
+		// label that carries it is the shortest crashing suffix.
+		{"a.b." + dnswire.QoDMarkerLabel + ".ex.com", dnswire.TypeMX, dnswire.QoDMarkerLabel + ".ex.com", 0},
+		// Only the A answer of www.edge.ex.com panics: the type stays pinned.
+		{"www.edge.ex.com", dnswire.TypeA, "www.edge.ex.com", dnswire.TypeA},
+		// The CNAME leads to the panicking owner; no suffix of cdn.ex.com does.
+		{"cdn.ex.com", dnswire.TypeA, "cdn.ex.com", dnswire.TypeA},
+	} {
+		q := dnswire.NewQuery(7, n(tc.qname), tc.qtype)
+		q.RecursionDesired = true
+		sig, crashed := eng.MinimizeQoD(q)
+		if !crashed {
+			t.Fatalf("%s: query did not crash", tc.qname)
+		}
+		if string(sig.Suffix) != wire(tc.suffix) || sig.QType != uint16(tc.pinnedType) || sig.FlagMask != 0 {
+			t.Errorf("%s: signature %s type %d mask %#x, want %s type %d mask 0",
+				tc.qname, sig.SuffixString(), sig.QType, sig.FlagMask, tc.suffix, tc.pinnedType)
+		}
+	}
+	if sig, crashed := eng.MinimizeQoD(dnswire.NewQuery(7, n("www.ex.com"), dnswire.TypeA)); crashed {
+		t.Errorf("clean query reported as a crash: %+v", sig)
 	}
 }
 

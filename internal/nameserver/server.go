@@ -1,7 +1,7 @@
 package nameserver
 
 import (
-	"strings"
+	"fmt"
 	"sync"
 	"time"
 
@@ -9,6 +9,7 @@ import (
 	"akamaidns/internal/filters"
 	"akamaidns/internal/obs"
 	"akamaidns/internal/pubsub"
+	"akamaidns/internal/qod"
 	"akamaidns/internal/queue"
 	"akamaidns/internal/simtime"
 )
@@ -27,10 +28,11 @@ type Config struct {
 	IOBurst float64
 	// Queues configures the penalty ladder.
 	Queues queue.Config
-	// QoDFirewall enables §4.2.4 containment (deployed on a subset of
-	// nameservers in production).
+	// QoDFirewall enables §4.2.4 containment through a qod.Quarantine
+	// (deployed on a subset of nameservers in production).
 	QoDFirewall bool
-	// TQoD expunges QoD firewall rules so false positives are retried.
+	// TQoD is the quarantine TTL: a signature blocks for TQoD, then lets one
+	// probe through, so false positives are retried.
 	TQoD time.Duration
 	// StaleAfter is the metadata staleness threshold that triggers
 	// self-suspension; zero disables the check.
@@ -64,14 +66,20 @@ type Request struct {
 	// Respond receives the response; nil responses indicate a drop or
 	// crash (the resolver would time out).
 	Respond func(now simtime.Time, resp *dnswire.Message)
+
+	// fq is the filter-visible view of the request, built once by Receive.
+	fq filters.Query
+	// probation is the quarantine entry this request probes, if any.
+	probation *qod.Entry
 }
 
 // filterQuery is the filter-visible view of the request at time now, its
 // zone left for the caller to fill in.
-func (r *Request) filterQuery(now simtime.Time) *filters.Query {
-	fq := &filters.Query{Resolver: r.Resolver, ASN: r.ASN, IPTTL: r.IPTTL, Now: now}
+func (r *Request) filterQuery(now simtime.Time) filters.Query {
+	fq := filters.Query{Resolver: r.Resolver, ASN: r.ASN, IPTTL: r.IPTTL, Now: now}
 	if len(r.Msg.Questions) == 1 {
-		fq.Name, fq.Type = r.Msg.Questions[0].Name, r.Msg.Questions[0].Type
+		name := r.Msg.Questions[0].Name
+		fq.Qname, fq.Type = name.AppendWire(make([]byte, 0, name.WireLen())), r.Msg.Questions[0].Type
 	}
 	return fq
 }
@@ -118,7 +126,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		receivedLegit: reg.Counter(obs.MetricReceivedLegit, "Ground-truth legitimate queries received (experiments only)."),
 		nxdomain:      reg.Counter(obs.MetricNXDomainTotal, "NXDOMAIN answers."),
 		crashes:       reg.Counter(obs.MetricCrashesTotal, "Process crashes (query-of-death kills)."),
-		qodBlocked:    reg.Counter(obs.MetricQoDBlockedTotal, "Queries blocked by an active QoD firewall rule."),
+		qodBlocked:    reg.Counter(obs.MetricQoDBlockedTotal, "Queries dropped by the query-of-death quarantine."),
 		suspensions:   reg.Counter(obs.MetricSuspensionsTotal, "Self-suspension transitions."),
 	}
 }
@@ -145,16 +153,19 @@ type Server struct {
 	ioLast  simtime.Time
 	// pumpBusy marks an armed compute event.
 	pumpBusy bool
-	// qodRules maps blocked signatures to expiry.
-	qodRules map[string]simtime.Time
 	// lastInput per metadata topic for staleness checks.
 	lastInput map[pubsub.Topic]simtime.Time
 	// zoneCounts attributes answered queries to zones for the Data
 	// Collection/Aggregation reports (§3.2).
 	zoneCounts map[dnswire.Name]uint64
 
+	// quarantine holds the query-of-death signatures the firewall blocks
+	// (nil without QoDFirewall).
+	quarantine *qod.Quarantine
+
 	// OnCrash is invoked (post-restart bookkeeping) when a QoD kills the
-	// process; the monitoring agent hooks this.
+	// process, with the crashing query's name; the monitoring agent hooks
+	// this.
 	OnCrash func(now simtime.Time, sig string)
 	// OnSuspendChange observes suspension transitions; the BGP speaker
 	// hooks this to withdraw/re-advertise.
@@ -176,15 +187,29 @@ func NewServer(sched *simtime.Scheduler, cfg Config, eng *Engine, pipe *filters.
 	q = qq
 	reg := obs.NewRegistry()
 	qq.Instrument(reg)
-	return &Server{
+	s := &Server{
 		Cfg: cfg, Engine: eng, Pipeline: pipe, sched: sched, queues: q,
-		qodRules:   make(map[string]simtime.Time),
 		lastInput:  make(map[pubsub.Topic]simtime.Time),
 		zoneCounts: make(map[dnswire.Name]uint64),
 		reg:        reg,
 		met:        newServerMetrics(reg),
 	}
+	if cfg.QoDFirewall {
+		if cfg.TQoD <= 0 {
+			panic(fmt.Sprintf("nameserver: %s: QoDFirewall needs a positive TQoD, have %v", cfg.ID, cfg.TQoD))
+		}
+		s.quarantine = qod.NewQuarantine(qod.DefaultQuarantineMax, cfg.TQoD)
+	}
+	return s
 }
+
+// qodEpoch is the wall time simtime 0 maps onto for the quarantine, whose
+// clock is a time.Time.
+var qodEpoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// Quarantine exposes the query-of-death quarantine (nil without
+// QoDFirewall).
+func (s *Server) Quarantine() *qod.Quarantine { return s.quarantine }
 
 // Obs exposes the machine's metric registry — the snapshot source for the
 // Figure-5 Data Collection/Aggregation loop and any exposition endpoint.
@@ -296,37 +321,6 @@ func (s *Server) CheckStaleness(now simtime.Time) bool {
 	return stale
 }
 
-// qodSignature reduces a query to the signature the firewall rule matches.
-// The production system writes the crashing payload to disk and a separate
-// process derives a rule; here the signature is the label that triggered
-// the trap plus the zone tail, so "similar" queries are blocked while
-// dissimilar ones flow.
-func qodSignature(name dnswire.Name) string {
-	labels := name.Labels()
-	for _, l := range labels {
-		if strings.Contains(l, dnswire.QoDMarkerLabel) {
-			return dnswire.QoDMarkerLabel + "." + name.Parent().String()
-		}
-	}
-	return name.String()
-}
-
-// qodBlocked reports whether an active firewall rule matches the name.
-func (s *Server) qodBlocked(name dnswire.Name, now simtime.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sig := qodSignature(name)
-	exp, ok := s.qodRules[sig]
-	if !ok {
-		return false
-	}
-	if now > exp {
-		delete(s.qodRules, sig) // rule expunged after TQoD
-		return false
-	}
-	return true
-}
-
 // Receive is the ingress path: IO admission, QoD firewall, scoring, and
 // enqueueing. Processing happens asynchronously at ComputeQPS.
 func (s *Server) Receive(now simtime.Time, req *Request) {
@@ -359,23 +353,26 @@ func (s *Server) Receive(now simtime.Time, req *Request) {
 	}
 	s.mu.Unlock()
 
-	if len(req.Msg.Questions) == 1 {
-		qname := req.Msg.Questions[0].Name
-		if s.Cfg.QoDFirewall && s.qodBlocked(qname, now) {
-			s.mu.Lock()
+	req.fq, req.probation = req.filterQuery(now), nil
+	if s.quarantine != nil && len(req.Msg.Questions) == 1 {
+		e, state := s.quarantine.Check(req.fq.Qname, uint16(req.fq.Type), qodFlags(req.Msg), qodEpoch.Add(time.Duration(now)))
+		switch state {
+		case qod.Blocked:
 			s.met.qodBlocked.Inc()
-			s.mu.Unlock()
 			return
+		case qod.Probation:
+			// TTL lapsed: this query is the re-admission probe, acquitted
+			// if answered, re-struck if it crashes.
+			req.probation = e
 		}
 	}
 
 	score := 0.0
 	if s.Pipeline != nil && len(req.Msg.Questions) == 1 {
-		fq := req.filterQuery(now)
-		if z := s.Engine.Store.Find(fq.Name); z != nil {
-			fq.Zone = z.Origin()
+		if z := s.Engine.Store.Find(req.Msg.Questions[0].Name); z != nil {
+			req.fq.Zone = z.Origin()
 		}
-		score, _ = s.Pipeline.Score(fq)
+		score, _ = s.Pipeline.Score(&req.fq)
 	}
 	switch s.queues.Enqueue(score, req) {
 	case queue.Discarded:
@@ -422,6 +419,9 @@ func (s *Server) processOne(now simtime.Time) {
 	if crashed {
 		s.crash(now, req)
 	} else {
+		if req.probation != nil {
+			s.quarantine.Acquit(req.probation)
+		}
 		s.mu.Lock()
 		s.met.answered.Inc()
 		if req.Legit {
@@ -436,9 +436,8 @@ func (s *Server) processOne(now simtime.Time) {
 		}
 		s.mu.Unlock()
 		if s.Pipeline != nil {
-			fq := req.filterQuery(now)
-			fq.Zone = matchedZone
-			s.Pipeline.ObserveAnswer(fq, nx)
+			req.fq.Zone, req.fq.Now = matchedZone, now
+			s.Pipeline.ObserveAnswer(&req.fq, nx)
 		}
 		if req.Respond != nil {
 			req.Respond(now, resp)
@@ -451,18 +450,25 @@ func (s *Server) processOne(now simtime.Time) {
 }
 
 // crash models a QoD kill: pending queries are lost, the monitoring agent
-// is notified, and (when enabled) a firewall rule blocks similar queries
-// for TQoD.
+// is notified, and (when enabled) the quarantine blocks the query's
+// signature — re-striking the entry a probation probe matched, or adding
+// the exact signature and minimizing it at once, nothing in the simulation
+// being asynchronous.
 func (s *Server) crash(now simtime.Time, req *Request) {
 	sig := ""
 	if len(req.Msg.Questions) == 1 {
-		sig = qodSignature(req.Msg.Questions[0].Name)
+		sig = req.Msg.Questions[0].Name.String()
+		if s.quarantine != nil {
+			exact := ExactSignature(req.fq.Qname, req.fq.Type, qodFlags(req.Msg))
+			if _, fresh := s.quarantine.Add(exact, qodEpoch.Add(time.Duration(now))); fresh {
+				if min, crashed := s.Engine.MinimizeQoD(req.Msg); crashed {
+					s.quarantine.Replace(exact, min)
+				}
+			}
+		}
 	}
 	s.mu.Lock()
 	s.met.crashes.Inc()
-	if s.Cfg.QoDFirewall && sig != "" {
-		s.qodRules[sig] = now.Add(s.Cfg.TQoD)
-	}
 	hook := s.OnCrash
 	s.mu.Unlock()
 	s.queues.Drain() // in-flight queries die with the process

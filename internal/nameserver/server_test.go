@@ -194,6 +194,11 @@ func TestServerInputDelayedNeverStaleSuspends(t *testing.T) {
 	}
 }
 
+// TestServerQoDCrashAndFirewall: a crash quarantines the minimized
+// signature of its query — the crashing name under any type and flags, the
+// engine's trap firing on the marker anywhere in the name — for TQoD; then
+// one probe is let through, and a probe that crashes again is held for
+// 2×TQoD.
 func TestServerQoDCrashAndFirewall(t *testing.T) {
 	cfg := DefaultConfig("m1")
 	cfg.QoDFirewall = true
@@ -201,34 +206,92 @@ func TestServerQoDCrashAndFirewall(t *testing.T) {
 	sched, srv := newTestServer(t, cfg)
 	var crashSigs []string
 	srv.OnCrash = func(_ simtime.Time, sig string) { crashSigs = append(crashSigs, sig) }
+	send := func(qname string, qtype dnswire.Type) (answered bool) {
+		t.Helper()
+		req := mkReq("attacker", qname, false, func(simtime.Time, *dnswire.Message) { answered = true })
+		req.Msg.Questions[0].Type = qtype
+		srv.Receive(sched.Now(), req)
+		sched.Run()
+		return answered
+	}
+	want := func(step string, crashes, blocked uint64) {
+		t.Helper()
+		if m := srv.Snapshot(); m.Crashes != crashes || m.QoDBlocked != blocked {
+			t.Fatalf("%s: crashes %d blocked %d, want %d and %d", step, m.Crashes, m.QoDBlocked, crashes, blocked)
+		}
+	}
 	evil := dnswire.QoDMarkerLabel + ".ex.com"
-	srv.Receive(0, mkReq("attacker", evil, false, nil))
-	sched.Run()
-	if srv.Snapshot().Crashes != 1 || len(crashSigs) != 1 {
-		t.Fatalf("crashes = %d", srv.Snapshot().Crashes)
+	send(evil, dnswire.TypeA)
+	want("first trap query", 1, 0)
+	if len(crashSigs) != 1 || crashSigs[0] != evil+"." {
+		t.Fatalf("crash signatures %q", crashSigs)
 	}
-	// Similar queries now blocked by the firewall rule.
-	srv.Receive(sched.Now(), mkReq("attacker", "x"+dnswire.QoDMarkerLabel+"y.ex.com", false, nil))
-	sched.Run()
-	m := srv.Snapshot()
-	if m.Crashes != 1 || m.QoDBlocked != 1 {
-		t.Fatalf("after rule: %+v", m)
-	}
-	// Dissimilar queries still answered.
-	answered := false
-	srv.Receive(sched.Now(), mkReq("r1", "www.ex.com", true, func(simtime.Time, *dnswire.Message) { answered = true }))
-	sched.Run()
-	if !answered {
+	// The same name under another type is blocked.
+	send(evil, dnswire.TypeTXT)
+	want("same name, other type", 1, 1)
+	// A different trap name is a signature of its own: one crash, then
+	// blocked.
+	other := "x" + dnswire.QoDMarkerLabel + "y.ex.com"
+	send(other, dnswire.TypeA)
+	want("other trap name", 2, 1)
+	send(other, dnswire.TypeA)
+	want("other trap name again", 2, 2)
+	// Dissimilar names are still answered.
+	if !send("www.ex.com", dnswire.TypeA) {
 		t.Fatal("dissimilar query not answered during QoD containment")
 	}
-	// After TQoD the rule expires and the next QoD crashes again (rate
-	// limited to once per TQoD).
-	sched.RunUntil(sched.Now().Add(2 * time.Minute))
-	srv.Receive(sched.Now(), mkReq("attacker", evil, false, nil))
-	sched.Run()
-	if srv.Snapshot().Crashes != 2 {
-		t.Fatalf("crashes after expiry = %d", srv.Snapshot().Crashes)
+	// After TQoD one probe is let through; it crashes again, and the entry
+	// is re-struck for 2×TQoD.
+	sched.RunUntil(sched.Now().Add(cfg.TQoD + time.Second))
+	send(evil, dnswire.TypeA)
+	want("probation probe", 3, 2)
+	struck := sched.Now()
+	sched.RunUntil(struck.Add(2*cfg.TQoD - time.Second))
+	send(evil, dnswire.TypeA)
+	want("inside 2×TQoD", 3, 3)
+	sched.RunUntil(struck.Add(2*cfg.TQoD + time.Second))
+	send(evil, dnswire.TypeA)
+	want("after 2×TQoD", 4, 3)
+	if snap := srv.Quarantine().Snapshot(); len(snap) != 2 || snap[0].Strikes != 2 || snap[1].Strikes != 0 {
+		t.Fatalf("quarantine %+v", snap)
 	}
+}
+
+// TestServerQoDProbationAcquits: a signature whose probe is answered
+// cleanly — a false positive — is dropped from the quarantine.
+func TestServerQoDProbationAcquits(t *testing.T) {
+	cfg := DefaultConfig("m1")
+	cfg.QoDFirewall = true
+	cfg.TQoD = time.Minute
+	sched, srv := newTestServer(t, cfg)
+	req := mkReq("r1", "www.ex.com", true, nil)
+	srv.Quarantine().Add(ExactSignature(n("www.ex.com").AppendWire(nil), dnswire.TypeA, qodFlags(req.Msg)), qodEpoch)
+	srv.Receive(0, req)
+	sched.Run()
+	if m := srv.Snapshot(); m.QoDBlocked != 1 || m.Answered != 0 {
+		t.Fatalf("quarantined name: %+v", m)
+	}
+	answered := false
+	sched.RunUntil(sched.Now().Add(cfg.TQoD + time.Second))
+	srv.Receive(sched.Now(), mkReq("r1", "www.ex.com", true, func(simtime.Time, *dnswire.Message) { answered = true }))
+	sched.Run()
+	if !answered || srv.Quarantine().Len() != 0 {
+		t.Fatalf("probe answered %v, quarantine %+v", answered, srv.Quarantine().Snapshot())
+	}
+}
+
+// TestServerQoDFirewallNeedsTQoD: the firewall refuses a zero TTL instead
+// of quietly taking the quarantine's own default.
+func TestServerQoDFirewallNeedsTQoD(t *testing.T) {
+	cfg := DefaultConfig("m1")
+	cfg.QoDFirewall = true
+	cfg.TQoD = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewServer accepted QoDFirewall with TQoD 0")
+		}
+	}()
+	newTestServer(t, cfg)
 }
 
 func TestServerQoDWithoutFirewallKeepsCrashing(t *testing.T) {

@@ -10,7 +10,6 @@ package netserve
 import (
 	"errors"
 	"net"
-	"strings"
 	"time"
 
 	"akamaidns/internal/dnswire"
@@ -24,10 +23,6 @@ import (
 // parsing bug would (§4.2.4: "a query of death which crashes the
 // nameserver").
 var errQueryOfDeath = errors.New("netserve: query of death (engine crashed)")
-
-// sigFlagMask is the header-bit mask provisional signatures pin: opcode and
-// RD are the only request bits that steer query-processing code paths.
-const sigFlagMask = qod.FlagMaskOpcode | qod.FlagMaskRD
 
 // containPanic is the crash handler behind the recover boundary: it counts
 // the panic, feeds the watchdog, synchronously quarantines the provisional
@@ -47,12 +42,7 @@ func (s *Server) containPanic(r any, wire []byte, j *qod.Journal) {
 		// contained and counted; a storm of these trips the watchdog.
 		return
 	}
-	provisional := qod.Signature{
-		Suffix:   qod.FoldName(v.QnameWire(wire)),
-		QType:    uint16(v.QType),
-		FlagMask: sigFlagMask,
-		FlagBits: v.Flags & sigFlagMask,
-	}
+	provisional := nameserver.ExactSignature(v.QnameWire(wire), v.QType, v.Flags)
 	if _, fresh := s.qodGuard.Add(provisional, now); !fresh {
 		return // known pattern re-struck (e.g. a probation probe crashed again)
 	}
@@ -70,117 +60,27 @@ func (s *Server) containPanic(r any, wire []byte, j *qod.Journal) {
 }
 
 // refineSignature replays the crash off-path to minimize the quarantined
-// signature: the shortest label-aligned qname suffix that still crashes the
-// engine, widened to any qtype and any flags when probes show those don't
-// matter. Runs in a throwaway goroutine under its own recover boundary —
-// it handles poison by design.
+// signature through the engine's shared minimizer (Engine.MinimizeQoD).
+// Runs in a throwaway goroutine under its own recover boundary — it handles
+// poison by design.
 func (s *Server) refineSignature(provisional qod.Signature, culprit []byte, recent [][]byte) {
 	defer s.minimizing.Store(false)
 	defer func() { recover() }() // replaying poison; nothing may escape
 
-	// Confirm the packet in hand reproduces the crash; if not (the panic
-	// came from elsewhere mid-handler), hunt through the journal snapshot,
-	// newest first.
-	if !replayPanics(s, culprit) {
-		found := false
-		for _, w := range recent {
-			if replayPanics(s, w) {
-				culprit = w
-				found = true
-				break
-			}
-		}
-		if !found {
-			return // not query-triggered; leave the provisional signature
-		}
-	}
-	q, err := dnswire.Unpack(culprit)
-	if err != nil || len(q.Questions) != 1 {
-		return
-	}
-	orig := q.Questions[0]
-	labels := orig.Name.Labels()
-
-	// Minimal suffix: probe from the shortest (rightmost label) outward;
-	// the first suffix that still crashes is the minimal generalization.
-	minName := orig.Name
-	for i := len(labels) - 1; i > 0; i-- {
-		n, err := dnswire.ParseName(strings.Join(labels[i:], ".") + ".")
+	// Minimize the packet in hand if it reproduces the crash; if not (the
+	// panic came from elsewhere mid-handler), hunt through the journal
+	// snapshot, newest first. A panic no recorded query reproduces is not
+	// query-triggered and keeps its provisional signature.
+	for _, w := range append([][]byte{culprit}, recent...) {
+		q, err := dnswire.Unpack(w)
 		if err != nil {
 			continue
 		}
-		if replayMessage(s, probeQuery(n, orig.Type, q.RecursionDesired)) {
-			minName = n
-			break
+		if sig, crashed := s.Engine.MinimizeQoD(q); crashed {
+			s.qodGuard.Replace(provisional, sig)
+			return
 		}
 	}
-	sig := qod.Signature{
-		Suffix:   qod.FoldName(nameWire(minName)),
-		QType:    uint16(orig.Type),
-		FlagMask: sigFlagMask,
-		FlagBits: provisional.FlagBits,
-	}
-	// QType pin: if an alternate type also crashes, the type is irrelevant.
-	alt := dnswire.TypeTXT
-	if orig.Type == dnswire.TypeTXT {
-		alt = dnswire.TypeA
-	}
-	if replayMessage(s, probeQuery(minName, alt, q.RecursionDesired)) {
-		sig.QType = 0
-	}
-	// Flag pin: if flipping RD still crashes, the header bits are
-	// irrelevant too.
-	if replayMessage(s, probeQuery(minName, orig.Type, !q.RecursionDesired)) {
-		sig.FlagMask, sig.FlagBits = 0, 0
-	}
-	if !sig.Equal(provisional) {
-		s.qodGuard.Replace(provisional, sig)
-	}
-}
-
-// probeQuery builds a minimization probe.
-func probeQuery(n dnswire.Name, t dnswire.Type, rd bool) *dnswire.Message {
-	q := dnswire.NewQuery(1, n, t)
-	q.RecursionDesired = rd
-	return q
-}
-
-// nameWire renders a Name in wire form (for signature suffixes). Probe names
-// come from ParseName, so encoding cannot fail; a zero name maps to the root.
-func nameWire(n dnswire.Name) []byte {
-	q := dnswire.NewQuery(1, n, dnswire.TypeA)
-	wire, err := q.Pack()
-	if err != nil || len(wire) < 12+1+4 {
-		return []byte{0}
-	}
-	return wire[12 : len(wire)-4]
-}
-
-// replayPanics replays one recorded packet against the engine inside its own
-// recover boundary, reporting whether it reproduces the crash (a Go panic or
-// the engine's simulated crashed return).
-func replayPanics(s *Server, wire []byte) (crashed bool) {
-	defer func() {
-		if recover() != nil {
-			crashed = true
-		}
-	}()
-	q, err := dnswire.Unpack(wire)
-	if err != nil {
-		return false
-	}
-	return replayMessage(s, q)
-}
-
-// replayMessage answers one decoded query in a recover boundary.
-func replayMessage(s *Server, q *dnswire.Message) (crashed bool) {
-	defer func() {
-		if recover() != nil {
-			crashed = true
-		}
-	}()
-	_, _, crashed = s.Engine.Answer(q, nameserver.ResolverKey("qod-replay"))
-	return crashed
 }
 
 // refusedFor builds a REFUSED reply directly as wire bytes for a quarantined

@@ -1,6 +1,5 @@
 // Package qod is the self-protection toolkit for the real serving path
-// (§4.2, §4.3 of the paper, applied to live sockets rather than the
-// simulation):
+// (§4.2, §4.3 of the paper, applied to live sockets):
 //
 //   - Journal: a per-worker ring of the last N raw queries, recorded on the
 //     hot path for near-zero cost, snapshotted when a handler panics so the
@@ -10,17 +9,17 @@
 //     decoded; quarantined patterns are REFUSED at near-zero cost, with
 //     probationary re-admission after a TTL (§4.3: "the platform quarantines
 //     the query of death and the nameserver returns to service").
-//   - Watchdog: windowed panic-rate / malformed-rate / answer-latency
-//     tracking that flips the machine into live self-suspension (the
-//     socket-level analogue of the §4.2.1 BGP self-withdrawal) and lifts it
-//     after a quiet period.
+//   - Watchdog: windowed panic-rate / malformed-rate tracking that flips
+//     the machine into live self-suspension (the socket-level analogue of
+//     the §4.2.1 BGP self-withdrawal) and lifts it after a quiet period.
 //   - Ladder: the overload degradation ladder keyed on in-flight handler
 //     count — full service, then hot-cache/allowlist-only, then
 //     clean-score-tier-only, then drop — so overload sheds by score rather
 //     than at the kernel's whim (§5.2).
 //
 // The package depends only on the standard library; the socket server wires
-// the pieces together and exports their state through obs.
+// the pieces together and exports their state through obs. The simulated
+// nameserver contains crashes through the same Quarantine.
 package qod
 
 import (
@@ -86,25 +85,22 @@ func FoldName(wire []byte) []byte {
 }
 
 // MatchesName reports whether qname (raw wire form, any case) ends with the
-// signature's suffix at a label boundary.
+// signature's suffix at a label boundary. A qname that is not a sequence of
+// 1..63-octet labels ending in the root label at its last octet matches
+// nothing.
 func (s Signature) MatchesName(qname []byte) bool {
 	off := len(qname) - len(s.Suffix)
 	if off < 0 {
 		return false
 	}
-	if off > 0 {
-		// The suffix must begin exactly where a label does.
-		pos := 0
-		for pos < off {
-			c := int(qname[pos])
-			if c == 0 || c > 63 {
-				return false
-			}
-			pos += 1 + c
-		}
-		if pos != off {
-			return false
-		}
+	// Walk the labels to the root label, which must be the last octet; the
+	// suffix must begin exactly where a label does.
+	pos, aligned := 0, false
+	for ; pos < len(qname) && qname[pos] != 0 && qname[pos] <= 63; pos += 1 + int(qname[pos]) {
+		aligned = aligned || pos == off
+	}
+	if pos != len(qname)-1 || qname[pos] != 0 || !aligned && pos != off {
+		return false
 	}
 	for i := range s.Suffix {
 		if foldByte(qname[off+i]) != s.Suffix[i] {
