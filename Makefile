@@ -37,7 +37,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache|FuzzHotCacheVersions,-count=2)
 	$(call race-suite,./internal/nameserver/,-run,TestHotCache|TestAnswerIntoMatchesAnswer,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
-	$(call race-suite,./internal/zone/,-run,TestViewConcurrentMutate|TestSetSerialCopyOnWrite|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzStoreModel,-count=2)
+	$(call race-suite,./internal/zone/,-run,TestSetSerialCopyOnWrite|TestViewInvalidation|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzStoreModel,-count=2)
 	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
 	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill|TestSimSocketParity,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
@@ -46,7 +46,7 @@ race-suites:
 	$(call race-suite,./internal/udpbatch/,-run,TestReadWhileWrite,-count=10)
 	$(call race-suite,./internal/filters/,-run,TestLoyaltyBounded|TestRateLimitBucketsBounded|TestHopCountBounded|TestNXDomainHotWhileScoring|TestFiltersConcurrencySafety,)
 	$(call race-suite,./internal/monitor/,-run,TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant,-count=2)
-	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace|TestApplyCatchesSameSerialSwap,)
+	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace|TestApplyCatchesSameSerialSwap|TestReplanSameChangelist|TestApplyRevalidation,)
 	$(call race-suite,./internal/propagate/,-run,TestPullLoopRace,-count=2)
 
 # The second and third lines cross-compile the portable udpbatch.Conn, the

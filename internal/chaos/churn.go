@@ -95,10 +95,9 @@ func (tr *churnTracker) applyOnce(h *Harness, origin dnswire.Name) {
 	if err != nil {
 		return
 	}
-	desired := zone.New(origin)
-	for _, rr := range cur.AllRecords() {
-		c := rr.Copy()
-		switch r := c.(type) {
+	recs := cur.AllRecords()
+	for _, rr := range recs {
+		switch r := rr.(type) {
 		case *dnswire.SOA:
 			r.Serial = serial
 		case *dnswire.A:
@@ -106,10 +105,11 @@ func (tr *churnTracker) applyOnce(h *Harness, origin dnswire.Name) {
 				r.Addr = addr
 			}
 		}
-		if err := desired.Add(c); err != nil {
-			h.violate("churn-apply", "rebuilding %s for serial %d: %v", origin, serial, err)
-			return
-		}
+	}
+	desired, err := zone.Build(origin, recs)
+	if err != nil {
+		h.violate("churn-apply", "rebuilding %s for serial %d: %v", origin, serial, err)
+		return
 	}
 	p, err := tr.ctl.SubmitApply(ctlplane.Changelist{Zones: []ctlplane.ZoneChange{
 		{Origin: origin, Desired: desired},

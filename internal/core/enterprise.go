@@ -41,23 +41,25 @@ func (p *Platform) AddEnterprise(name string, origin dnswire.Name, zoneText stri
 // AddEnterpriseZone hosts another zone for an existing enterprise using its
 // delegation set.
 func (p *Platform) AddEnterpriseZone(ent *Enterprise, origin dnswire.Name, zoneText string) error {
-	z, err := zone.ParseMaster(strings.NewReader(zoneText), origin)
+	parsed, err := zone.ParseMaster(strings.NewReader(zoneText), origin)
 	if err != nil {
 		return fmt.Errorf("core: zone %s rejected by portal validation: %w", origin, err)
 	}
-	if z.SOA() == nil {
+	if parsed.SOA() == nil {
 		return fmt.Errorf("core: zone %s has no SOA", origin)
 	}
-	// Install the delegation-set NS records (the enterprise also adds
-	// these at its parent; we serve the child copy).
+	// Serve the delegation-set NS records beside the enterprise's own (the
+	// enterprise also adds these at its parent; we serve the child copy).
+	recs := parsed.AllRecords()
 	for _, c := range ent.DelegationSet {
-		nsName := dnswire.MustName(c.NSName())
-		if err := z.Add(&dnswire.NS{
+		recs = append(recs, &dnswire.NS{
 			RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeNS, Class: dnswire.ClassINET, TTL: 86400},
-			Target:   nsName,
-		}); err != nil {
-			return err
-		}
+			Target:   dnswire.MustName(c.NSName()),
+		})
+	}
+	z, err := zone.Build(origin, recs)
+	if err != nil {
+		return err
 	}
 	p.Store.Put(z)
 	p.ensureInfraZone()
@@ -75,20 +77,29 @@ func (p *Platform) ensureInfraZone() {
 	if p.Store.Get(InfraZone) != nil {
 		return
 	}
-	z := zone.New(InfraZone)
-	z.Add(&dnswire.SOA{
+	recs := []dnswire.RR{&dnswire.SOA{
 		RRHeader: dnswire.RRHeader{Name: InfraZone, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 86400},
 		MName:    dnswire.MustName("a0.ns.akamaidns.test"),
 		RName:    dnswire.MustName("hostmaster.akamaidns.test"),
 		Serial:   1, Refresh: 3600, Retry: 600, Expire: 604800, Minimum: 300,
-	})
+	}}
 	for c := anycast.CloudID(0); c < anycast.NumClouds; c++ {
-		z.Add(&dnswire.A{
+		recs = append(recs, &dnswire.A{
 			RRHeader: dnswire.RRHeader{Name: dnswire.MustName(c.NSName()), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 86400},
 			Addr:     CloudAddr(c),
 		})
 	}
-	p.Store.Put(z)
+	p.Store.Put(mustBuild(InfraZone, recs))
+}
+
+// mustBuild builds one of the platform's own zones, whose records are in zone
+// by construction: an error is a bug.
+func mustBuild(origin dnswire.Name, recs []dnswire.RR) *zone.Zone {
+	z, err := zone.Build(origin, recs)
+	if err != nil {
+		panic(err)
+	}
+	return z
 }
 
 // CDNProperty configures a CDN-accelerated hostname: the enterprise CNAMEs
@@ -112,14 +123,12 @@ var CDNZone = dnswire.MustName("edge.akamaidns.test")
 // every machine's engine. Call once before AddCDNProperty.
 func (p *Platform) SetupCDN() {
 	if p.Store.Get(CDNZone) == nil {
-		z := zone.New(CDNZone)
-		z.Add(&dnswire.SOA{
+		p.Store.Put(mustBuild(CDNZone, []dnswire.RR{&dnswire.SOA{
 			RRHeader: dnswire.RRHeader{Name: CDNZone, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300},
 			MName:    dnswire.MustName("a0.ns.akamaidns.test"),
 			RName:    dnswire.MustName("hostmaster.akamaidns.test"),
 			Serial:   1, Refresh: 3600, Retry: 600, Expire: 604800, Minimum: 30,
-		})
-		p.Store.Put(z)
+		}}))
 		p.ensureInfraZone()
 	}
 	for _, m := range p.Machines {

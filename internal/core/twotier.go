@@ -100,42 +100,33 @@ func (p *Platform) SetupTwoTier(hostLabels ...string) ([]dnswire.Name, error) {
 		return nil, fmt.Errorf("core: no lowlevels deployed")
 	}
 	// Toplevel zone with the delegation.
-	top := zone.New(TwoTierZone)
-	top.Add(&dnswire.SOA{
+	top := []dnswire.RR{&dnswire.SOA{
 		RRHeader: dnswire.RRHeader{Name: TwoTierZone, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300},
 		MName:    dnswire.MustName("a0.ns.akamaidns.test"),
 		RName:    dnswire.MustName("hostmaster.akamaidns.test"),
 		Serial:   1, Refresh: 3600, Retry: 600, Expire: 604800, Minimum: 30,
-	})
-	low := zone.New(LowlevelZone)
-	low.Add(&dnswire.SOA{
+	}}
+	low := []dnswire.RR{&dnswire.SOA{
 		RRHeader: dnswire.RRHeader{Name: LowlevelZone, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 30},
 		MName:    dnswire.MustName("a0.ns.akamaidns.test"),
 		RName:    dnswire.MustName("hostmaster.akamaidns.test"),
 		Serial:   1, Refresh: 3600, Retry: 600, Expire: 604800, Minimum: 30,
-	})
+	}}
 	for _, ll := range p.lowlevels {
 		nsName := dnswire.MustName(fmt.Sprintf("ns-%s.%s", ll.ID, LowlevelZone))
-		top.Add(&dnswire.NS{
+		ns := &dnswire.NS{
 			RRHeader: dnswire.RRHeader{Name: LowlevelZone, Type: dnswire.TypeNS, Class: dnswire.ClassINET,
 				TTL: twotier.ToplevelDelegationTTLSeconds},
 			Target: nsName,
-		})
-		top.Add(&dnswire.A{
+		}
+		glue := &dnswire.A{
 			RRHeader: dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET,
 				TTL: twotier.ToplevelDelegationTTLSeconds},
 			Addr: ll.Addr,
-		})
-		low.Add(&dnswire.NS{
-			RRHeader: dnswire.RRHeader{Name: LowlevelZone, Type: dnswire.TypeNS, Class: dnswire.ClassINET,
-				TTL: twotier.ToplevelDelegationTTLSeconds},
-			Target: nsName,
-		})
-		low.Add(&dnswire.A{
-			RRHeader: dnswire.RRHeader{Name: nsName, Type: dnswire.TypeA, Class: dnswire.ClassINET,
-				TTL: twotier.ToplevelDelegationTTLSeconds},
-			Addr: ll.Addr,
-		})
+		}
+		// Build copies its records: both zones may share these.
+		top = append(top, ns, glue)
+		low = append(low, ns, glue)
 	}
 	var hosts []dnswire.Name
 	for i, label := range hostLabels {
@@ -143,15 +134,23 @@ func (p *Platform) SetupTwoTier(hostLabels ...string) ([]dnswire.Name, error) {
 		if err != nil {
 			return nil, err
 		}
-		low.Add(&dnswire.A{
+		low = append(low, &dnswire.A{
 			RRHeader: dnswire.RRHeader{Name: host, Type: dnswire.TypeA, Class: dnswire.ClassINET,
 				TTL: twotier.CDNHostTTLSeconds},
 			Addr: netip.AddrFrom4([4]byte{198, 18, 200, byte(i + 1)}),
 		})
 		hosts = append(hosts, host)
 	}
-	p.Store.Put(top)     // anycast toplevels serve the delegation
-	p.llStore().Put(low) // unicast lowlevels serve the hostnames
+	topZone, err := zone.Build(TwoTierZone, top)
+	if err != nil {
+		return nil, err
+	}
+	lowZone, err := zone.Build(LowlevelZone, low)
+	if err != nil {
+		return nil, err
+	}
+	p.Store.Put(topZone)     // anycast toplevels serve the delegation
+	p.llStore().Put(lowZone) // unicast lowlevels serve the hostnames
 	p.ensureInfraZone()
 	p.Bus.Publish(TopicZones, "twotier:"+TwoTierZone.String())
 	return hosts, nil

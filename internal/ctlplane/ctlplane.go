@@ -44,8 +44,7 @@ const (
 )
 
 // ZoneChange is one entry of a changelist: the full desired state of one
-// zone, or its deletion. The controller takes ownership of Desired on
-// submission (it may patch the SOA in and install it into the store).
+// zone, or its deletion.
 type ZoneChange struct {
 	Origin dnswire.Name
 	// Delete removes the zone entirely; Desired is ignored.
@@ -383,12 +382,13 @@ func (c *Controller) planZone(p *Plan, zc *ZoneChange) {
 			return
 		}
 		inherited.Serial = curSerial + 1
-		if err := desired.Add(inherited); err != nil {
+		versioned, err := zone.Build(zc.Origin, append(desired.AllRecords(), inherited))
+		if err != nil {
 			p.Rejections = append(p.Rejections, Rejection{Origin: zc.Origin,
 				Reason: "no-soa", Detail: err.Error()})
 			return
 		}
-		inheritSOA = true
+		desired, inheritSOA = versioned, true
 	case soa.Serial == curSerial && delta.Empty():
 		p.NoOps++ // byte-for-byte the serving state
 		return
@@ -554,8 +554,10 @@ func (c *Controller) applyPlan(p *Plan, revalidate bool) (int, error) {
 					case zp.inheritSOA:
 						// Re-inherit: the platform owns this zone's serial,
 						// so version the same content against the serial
-						// now serving.
-						zp.desired.SetSerial(curSerial + 1)
+						// now serving. An empty delta from desired's own
+						// serial cannot fail: desired holds the SOA it
+						// inherited.
+						zp.desired, _ = zone.Apply(zp.desired, zone.Delta{FromSerial: zp.desired.Serial(), ToSerial: curSerial + 1})
 						delta := zone.Diff(cur, zp.desired)
 						if delta.Empty() {
 							// The earlier commit already installed this

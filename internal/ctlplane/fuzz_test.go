@@ -45,14 +45,12 @@ func FuzzPlanApply(f *testing.F) {
 			t.Fatalf("seed: %v %+v", err, p)
 		}
 
-		// The controller takes ownership of desired zones, so build the
-		// changelist twice: once to submit, once to re-plan.
 		cl := buildFuzzChangelist(data)
 		p, err := c.SubmitApply(cl)
 		if err != nil {
 			t.Fatalf("SubmitApply: %v", err)
 		}
-		replan := c.Plan(buildFuzzChangelist(data))
+		replan := c.Plan(cl)
 
 		switch p.Status {
 		case StatusApplied:

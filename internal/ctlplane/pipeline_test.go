@@ -220,6 +220,38 @@ func TestApplyRevalidation(t *testing.T) {
 	})
 }
 
+// TestReplanSameChangelist: planning never edits the changelist it is given.
+// A records-only changelist planned once, then again after another commit
+// moved the serial, versions against the serial serving at each plan, and
+// its desired zone holds no SOA after either plan or the apply.
+func TestReplanSameChangelist(t *testing.T) {
+	const origin = "replan.test"
+	c := New(zone.NewStore(), Config{})
+	seedZone(t, c, origin, 1)
+	cl := Changelist{Zones: []ZoneChange{{Origin: dnswire.MustName(origin),
+		Desired: recordsOnly(t, origin, "10.1.1.1")}}}
+	desired := cl.Zones[0].Desired
+	if p := c.Plan(cl); p.Status != StatusPlanned || p.Zones[0].ToSerial != 2 || desired.SOA() != nil {
+		t.Fatalf("first plan: %s %v to=%d; desired SOA %v", p.Status, p.Rejections, p.Zones[0].ToSerial, desired.SOA())
+	}
+	submitOK(t, c, Changelist{Zones: []ZoneChange{{Origin: dnswire.MustName(origin),
+		Desired: churnDesired(t, origin, 5)}}})
+	p := c.Plan(cl)
+	if p.Status != StatusPlanned || desired.SOA() != nil {
+		t.Fatalf("re-plan: %s %v; desired SOA %v", p.Status, p.Rejections, desired.SOA())
+	}
+	if p.Zones[0].FromSerial != 5 || p.Zones[0].ToSerial != 6 {
+		t.Fatalf("re-plan versions %d -> %d, want 5 -> 6", p.Zones[0].FromSerial, p.Zones[0].ToSerial)
+	}
+	if err := c.Apply(p); err != nil || p.Status != StatusApplied || desired.SOA() != nil {
+		t.Fatalf("apply: %v %s; desired SOA %v", err, p.Status, desired.SOA())
+	}
+	z := c.Store().Get(dnswire.MustName(origin))
+	if rr := z.RRset(dnswire.MustName("www."+origin), dnswire.TypeA); z.Serial() != 6 || len(rr) != 1 || rr[0].(*dnswire.A).Addr.String() != "10.1.1.1" {
+		t.Fatalf("serving serial %d, www %v; want 6 and 10.1.1.1", z.Serial(), rr)
+	}
+}
+
 // benchCtlApply measures end-to-end changelist throughput over a seeded
 // store: records-only single-zone updates either applied serially
 // (SubmitApply: validate and commit on the caller) or through the pipeline

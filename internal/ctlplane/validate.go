@@ -10,9 +10,9 @@ import (
 
 // validateZone is the pre-serve gate for one desired zone: the checks that
 // must hold before any machine is allowed to answer from this content.
-// zone.Zone.Add already enforces per-record hygiene (records in-zone, SOA
+// Building a zone already enforces per-record hygiene (records in-zone, SOA
 // only at apex, dedup); this layer checks the cross-record invariants a
-// record-at-a-time builder cannot see — CNAME discipline, delegation/glue
+// record-at-a-time check cannot see — CNAME discipline, delegation/glue
 // consistency, occlusion — because at fleet scale a structurally broken
 // zone is an outage multiplied by every edge machine it reaches.
 func validateZone(z *zone.Zone) []Rejection {

@@ -159,28 +159,24 @@ func TestHotCacheModel(t *testing.T) {
 
 // TestStoreGenAdvancesOnChanges: the store generation moves exactly once per
 // Update that installs or removes a zone, however many zones it touches, and
-// never when a zone that is not installed is edited.
+// never when a zone is built that is not installed.
 func TestStoreGenAdvancesOnChanges(t *testing.T) {
 	store := zone.NewStore()
 	origin := dnswire.MustName("ex.test")
+	serial := uint32(0)
 	build := func(o dnswire.Name) *zone.Zone {
-		z := zone.New(o)
-		if err := z.Add(&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: o,
+		serial++
+		z, err := zone.Build(o, []dnswire.RR{&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: o,
 			Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 300},
 			MName: dnswire.MustName("ns1.ex.test"), RName: dnswire.MustName("host.ex.test"),
-			Serial: 1, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: 30}); err != nil {
+			Serial: serial, Refresh: 3600, Retry: 600, Expire: 86400, Minimum: 30},
+			&dnswire.A{RRHeader: dnswire.RRHeader{Name: dnswire.MustName("www." + o.String()),
+				Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
+				Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(serial)})}})
+		if err != nil {
 			t.Fatal(err)
 		}
 		return z
-	}
-	free := build(origin)
-	edit := func() {
-		free.SetSerial(free.Serial() + 1)
-		if err := free.Add(&dnswire.A{RRHeader: dnswire.RRHeader{Name: dnswire.MustName("www.ex.test"),
-			Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300},
-			Addr: netip.AddrFrom4([4]byte{192, 0, 2, byte(free.Serial())})}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	next := func(tx *zone.Tx) {
 		cur := tx.Get(origin)
@@ -206,9 +202,9 @@ func TestStoreGenAdvancesOnChanges(t *testing.T) {
 		{"Delete", func(tx *zone.Tx) { tx.Delete(origin) }, 1},
 	} {
 		g := store.Gen()
-		edit()
+		build(origin)
 		if store.Gen() != g {
-			t.Fatalf("before %s: editing a free zone moved the generation", step.name)
+			t.Fatalf("before %s: building a zone that is not installed moved the generation", step.name)
 		}
 		store.Update(step.update)
 		if store.Gen() != g+step.moves {

@@ -49,11 +49,12 @@ func outcomeServer(t *testing.T, every int, fs ...filters.Filter) *Server {
 	t.Helper()
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
-	raw := zone.MustParseMaster(rawZone, dnswire.MustName("raw.test"))
-	if err := raw.Add(&dnswire.TXT{
+	rawOrigin := dnswire.MustName("raw.test")
+	raw, err := zone.Build(rawOrigin, append(zone.MustParseMaster(rawZone, rawOrigin).AllRecords(), &dnswire.TXT{
 		RRHeader: dnswire.RRHeader{Name: dnswire.MustName("odd.raw.test"), Type: dnswire.TypeTXT, Class: dnswire.ClassINET, TTL: 300},
 		Texts:    []string{strings.Repeat("x", 300)},
-	}); err != nil {
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	store.Put(raw)

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -61,22 +62,14 @@ func sortRRs(rrs []dnswire.RR) {
 }
 
 // Apply produces a new zone by applying the delta to base — how the next
-// version of a published zone is built. It fails when a deleted record is
-// absent (the delta does not chain from this version).
+// version of a zone is built; an empty delta re-versions base at
+// d.ToSerial. Base's records keep their order and are shared, not copied (a
+// zone never writes through a record); added ones follow them, copied. It
+// fails when a deleted record is absent (the delta does not chain from this
+// version).
 func Apply(base *Zone, d Delta) (*Zone, error) {
 	if base.Serial() != d.FromSerial {
 		return nil, fmt.Errorf("zone: delta chains from serial %d, zone is at %d", d.FromSerial, base.Serial())
-	}
-	have := renderSet(base)
-	for _, rr := range d.Deleted {
-		key := rr.String()
-		if _, ok := have[key]; !ok {
-			return nil, fmt.Errorf("zone: delta deletes missing record %s", key)
-		}
-		delete(have, key)
-	}
-	for _, rr := range d.Added {
-		have[rr.String()] = rr.Copy()
 	}
 	// SOA: base's SOA advanced to the new serial.
 	soa := base.SOA()
@@ -84,19 +77,38 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 		return nil, fmt.Errorf("zone: base has no SOA")
 	}
 	soa.Serial = d.ToSerial
+	// deleted holds the renderings of the records to delete that base has
+	// not yet been seen to hold.
+	deleted := make(map[string]bool, len(d.Deleted))
+	for _, rr := range d.Deleted {
+		deleted[rr.String()] = true
+	}
+	if len(deleted) < len(d.Deleted) {
+		return nil, errors.New("zone: delta deletes a record twice")
+	}
 	origin := base.Origin()
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := sc.add(origin, soa); err != nil {
-		return nil, err
+	sc.recs = append(sc.recs, soa)
+	for _, rr := range base.recs {
+		if _, isSOA := rr.(*dnswire.SOA); isSOA {
+			continue
+		}
+		if len(deleted) > 0 {
+			if key := rr.String(); deleted[key] {
+				delete(deleted, key)
+				continue
+			}
+		}
+		sc.recs = append(sc.recs, rr)
 	}
-	keys := make([]string, 0, len(have))
-	for k := range have {
-		keys = append(keys, k)
+	for _, rr := range d.Deleted {
+		if key := rr.String(); deleted[key] {
+			return nil, fmt.Errorf("zone: delta deletes missing record %s", key)
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := sc.add(origin, have[k]); err != nil {
+	for _, rr := range d.Added {
+		if err := sc.add(origin, rr.Copy()); err != nil {
 			return nil, err
 		}
 	}
@@ -107,7 +119,7 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 // serial and the current one can be served. It is safe for concurrent use.
 type History struct {
 	mu sync.Mutex
-	// per origin: published versions in serial order, newest last.
+	// per origin: recorded versions in serial order, newest last.
 	versions map[dnswire.Name][]*Zone
 	// Keep bounds retained versions per origin.
 	Keep int
@@ -123,11 +135,10 @@ func NewHistory(keep int) *History {
 	return &History{versions: make(map[dnswire.Name][]*Zone), Keep: keep}
 }
 
-// Record keeps a zone version (call after each serial change) and publishes
-// it: the history holds the zone itself, which from then on never changes.
-// Recording the same serial twice replaces the version.
+// Record keeps a zone version (call after each serial change): the history
+// holds the zone itself. Recording the same serial twice replaces the
+// version.
 func (h *History) Record(z *Zone) {
-	z.publish()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	vs := h.versions[z.Origin()]
@@ -199,7 +210,7 @@ func (h *History) DeltaFrom(origin dnswire.Name, fromSerial uint32) (Delta, Delt
 }
 
 // Version returns the retained version at exactly serial, or nil when it
-// is not retained. The returned zone is published: it never changes.
+// is not retained.
 func (h *History) Version(origin dnswire.Name, serial uint32) *Zone {
 	h.mu.Lock()
 	defer h.mu.Unlock()

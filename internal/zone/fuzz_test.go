@@ -28,7 +28,7 @@ func FuzzParseMaster(f *testing.F) {
 		}
 		// And snapshot/transfer machinery must hold.
 		_ = z.AllRecords()
-		_ = zoneNames(z)
+		_ = z.names()
 		_ = z.Cuts()
 	})
 }

@@ -110,15 +110,6 @@ func inOrder(rrs []dnswire.RR) []string {
 	return out
 }
 
-// copyOf builds a free zone holding copies of z's records.
-func copyOf(z *Zone) *Zone {
-	out := New(z.Origin())
-	for _, rr := range z.AllRecords() {
-		out.Add(rr)
-	}
-	return out
-}
-
 // The fuzzer's vocabulary: owners chosen to collide on label prefixes and
 // tails, to nest empty non-terminals three deep, and to put wildcards and
 // data at, beside and below a cut.
@@ -164,72 +155,102 @@ func modelRR(owner dnswire.Name, typ dnswire.Type, variant byte) dnswire.RR {
 	}
 }
 
-// FuzzZoneModel drives arbitrary Add/SetSerial sequences against a zone
-// being built and the map model and holds every read — AllRecords order, RRset,
-// NameExists, Names, Cuts, NumRecords, Serial/SOA, the compiled view's
-// answers and the Diff/Apply round trip — to the model after every step,
-// while readers compile and query views concurrently (run with -race).
+// FuzzZoneModel builds a zone from every record of an arbitrary sequence so
+// far, step by step, and re-serials it with Apply, and holds every read of
+// each version — AllRecords order, RRset, NameExists, Names, Cuts,
+// NumRecords, Serial/SOA, the compiled view's answers and the Diff/Apply
+// round trip from the version before — to the map model, while readers race
+// the first View() of each version against its install in a store, whose
+// view gauge must then count that view exactly (run with -race). The
+// sequence also splits in two, a and b, and Apply(a, Diff(a, b)) must give
+// b, whichever serial is the larger.
 func FuzzZoneModel(f *testing.F) {
-	// Each step is three bytes: op, owner, type + 7×variant.
+	// Each step is three bytes: op, owner, type + 7×variant. Op 0 adds the
+	// record to a, op 1 to b, op 2 sets the serial.
 	f.Add([]byte{0, 0, 3, 0, 0, 1, 0, 10, 0, 0, 11, 5, 0, 12, 0})                         // SOA, apex NS, then an ENT chain three deep
 	f.Add([]byte{0, 9, 0, 0, 8, 0, 0, 6, 0, 0, 7, 0, 0, 3, 0, 0, 2, 0, 0, 1, 0, 0, 0, 3}) // owners in reverse canonical order
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 0, 1, 7, 0, 1, 0})                                     // duplicates
-	f.Add([]byte{2, 0, 9, 0, 0, 3, 0, 0, 10, 2, 2, 2, 0, 9, 0, 2, 0, 9})                  // SetSerial without an SOA, two SOAs, SetSerial, SetSerial again
+	f.Add([]byte{2, 0, 9, 0, 0, 3, 0, 0, 10, 2, 2, 2, 0, 9, 0, 2, 0, 9})                  // a serial without an SOA, two SOAs, a serial, a serial again
 	f.Add([]byte{0, 0, 3, 0, 13, 1, 0, 14, 0, 0, 15, 0, 0, 16, 5, 0, 13, 8})              // a cut with glue, a wildcard and data below it
 	f.Add([]byte{0, 4, 2, 0, 5, 0, 0, 12, 5, 0, 6, 0, 0, 7, 0, 0, 1, 0})                  // wildcards and label-prefix neighbours
 	f.Add([]byte{0, 1, 3, 0, 0, 3, 2, 17, 0})                                             // an SOA off the apex is refused
+	f.Add([]byte{0, 0, 38, 0, 1, 0, 1, 0, 3, 1, 1, 7, 1, 13, 1, 0, 9, 4})                 // a at serial 5, b at serial 0 with other records
+	f.Add([]byte{1, 0, 31, 1, 1, 0, 0, 1, 7, 0, 2, 0})                                    // b at serial 4 with a and b sharing an owner
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*64 {
 			ops = ops[:3*64]
 		}
-		z := New(modelOrigin)
 		m := &zoneModel{origin: modelOrigin, sets: make(map[rrKey][]dnswire.RR)}
-
-		// Readers: compile and query views while the zone is mutated. What
-		// a view answers is checked on the writer's side, against a view of
-		// a known state; here only races and panics can fail.
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				buf := make([]byte, 0, 512)
-				for i := byte(0); ; i++ {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					v, q := z.View(), modelName(i)
-					v.Lookup(q, dnswire.TypeA)
-					v.AppendAnswer(buf[:0], q.AppendWire(nil), 12, dnswire.TypeA)
-				}
-			}()
-		}
-		defer wg.Wait()
-		defer close(done)
-
+		// recs is every record the zone holds so far, in the order given;
+		// a and b split the added ones by op.
+		var recs, a, b []dnswire.RR
+		z, s := New(modelOrigin), NewStore()
 		for ; len(ops) >= 3; ops = ops[3:] {
-			before := copyOf(z)
+			before := z
 			owner, typ := modelName(ops[1]), modelTypes[int(ops[2])%len(modelTypes)]
-			switch ops[0] % 3 {
-			case 0, 1: // Add, twice as likely as SetSerial
+			switch op := ops[0] % 3; op {
+			case 0, 1:
 				rr := modelRR(owner, typ, ops[2]/byte(len(modelTypes)))
-				err := z.Add(rr)
+				next, err := Build(modelOrigin, append(recs[:len(recs):len(recs)], rr))
 				if refused := typ == dnswire.TypeSOA && owner != modelOrigin; refused != (err != nil) {
-					t.Fatalf("Add(%s) = %v", rr, err)
-				} else if !refused {
-					m.add(rr)
+					t.Fatalf("Build with %s: %v", rr, err)
+				} else if refused {
+					continue
+				}
+				z, recs = next, append(recs, rr)
+				m.add(rr)
+				if op == 0 {
+					a = append(a, rr)
+				} else {
+					b = append(b, rr)
 				}
 			case 2:
-				z.SetSerial(uint32(ops[1])<<8 | uint32(ops[2]))
-				m.setSerial(uint32(ops[1])<<8 | uint32(ops[2]))
+				serial := uint32(ops[1])<<8 | uint32(ops[2])
+				next, err := Apply(z, Delta{FromSerial: z.Serial(), ToSerial: serial})
+				if (z.SOA() == nil) != (err != nil) {
+					t.Fatalf("Apply(serial %d) with SOA %v: %v", serial, z.SOA(), err)
+				} else if err != nil {
+					continue
+				}
+				m.setSerial(serial)
+				z, recs = next, append(recs, next.SOA())
 			}
+			wait := raceFirstView(z)
+			s.Put(z)
 			checkZoneAgainstModel(t, z, m)
+			wait()
+			if s.ViewBytes() != int64(z.ViewBytes()) {
+				t.Fatalf("store counts %d view bytes, its one zone publishes %d", s.ViewBytes(), z.ViewBytes())
+			}
 			checkDiffApply(t, before, z)
 		}
+		// Each side needs an SOA for Apply to carry a serial; one that has
+		// none gets a fixed one, b's below a's.
+		za := mustBuild(t, modelOrigin, append([]dnswire.RR{modelRR(modelOrigin, dnswire.TypeSOA, 200)}, a...)...)
+		zb := mustBuild(t, modelOrigin, append([]dnswire.RR{modelRR(modelOrigin, dnswire.TypeSOA, 100)}, b...)...)
+		checkDiffApply(t, za, zb)
 	})
+}
+
+// raceFirstView starts readers that compile and query z's view while the
+// caller reads it too: a zone's first View() is the one moment of its life
+// that goroutines race on. What a view answers is checked on the caller's
+// side; here only races and panics can fail. It returns the wait for them.
+func raceFirstView(z *Zone) (wait func()) {
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, buf := z.View(), make([]byte, 0, 512)
+			for i := range modelOwners {
+				q := modelName(byte(i))
+				v.Lookup(q, dnswire.TypeA)
+				v.AppendAnswer(buf[:0], q.AppendWire(nil), 12, dnswire.TypeA)
+			}
+		}()
+	}
+	return wg.Wait
 }
 
 func checkZoneAgainstModel(t *testing.T, z *Zone, m *zoneModel) {
@@ -242,7 +263,7 @@ func checkZoneAgainstModel(t *testing.T, z *Zone, m *zoneModel) {
 		t.Fatalf("NumRecords = %d, want %d", z.NumRecords(), len(want))
 	}
 	names := m.names()
-	if got := zoneNames(z); !slices.Equal(got, names) {
+	if got := z.names(); !slices.Equal(got, names) {
 		t.Fatalf("Names = %v, want %v", got, names)
 	}
 	if got, want := z.Cuts(), m.cuts(); !slices.Equal(got, want) {
@@ -288,10 +309,10 @@ func checkZoneAgainstModel(t *testing.T, z *Zone, m *zoneModel) {
 	}
 }
 
-// checkDiffApply: the delta between the zone before and after a step, applied
-// to the zone before, must give the zone after — record for record, and as
-// an AXFR stream once more through FromTransfer. (Apply needs an SOA to
-// carry the serial; without one on both sides there is nothing to check.)
+// checkDiffApply: the delta between two zones, applied to the first, must
+// give the second — record for record and serial, and as an AXFR stream once
+// more through FromTransfer. (Apply needs an SOA to carry the serial;
+// without one on both sides there is nothing to check.)
 func checkDiffApply(t *testing.T, before, after *Zone) {
 	t.Helper()
 	if before.SOA() == nil || after.SOA() == nil {
@@ -305,8 +326,8 @@ func checkDiffApply(t *testing.T, before, after *Zone) {
 	sort.Strings(want)
 	got := inOrder(applied.AllRecords())
 	sort.Strings(got)
-	if !slices.Equal(got, want) {
-		t.Fatalf("Diff/Apply round trip:\n got %q\nwant %q", got, want)
+	if !slices.Equal(got, want) || applied.Serial() != after.Serial() {
+		t.Fatalf("Diff/Apply round trip:\n got %q at serial %d\nwant %q at serial %d", got, applied.Serial(), want, after.Serial())
 	}
 	stream := after.AllRecords()
 	again, err := FromTransfer(after.Origin(), append(stream, after.SOA()))
@@ -344,17 +365,12 @@ func TestOneSOA(t *testing.T) {
 // TestRemoveSOAClearsSerial: the serial is read off the SOA, so a version
 // built without it has none.
 func TestRemoveSOAClearsSerial(t *testing.T) {
-	z := New(n("example.com"))
-	for _, rr := range buildZone(t).AllRecords() {
-		if rr.Header().Type != dnswire.TypeSOA {
-			mustAdd(t, z, rr)
-		}
-	}
+	z := buildZone(t)
+	z = mustBuild(t, z.Origin(), z.AllRecords()[1:]...) // AllRecords puts the SOA first
 	if z.SOA() != nil || z.Serial() != 0 || z.View().Serial() != 0 {
 		t.Fatalf("without the SOA: SOA %v, Serial %d, view %d", z.SOA(), z.Serial(), z.View().Serial())
 	}
-	z.SetSerial(9) // a no-op without an SOA
-	if z.Serial() != 0 {
-		t.Fatalf("SetSerial conjured serial %d", z.Serial())
+	if _, err := Apply(z, Delta{ToSerial: 9}); err == nil {
+		t.Fatal("Apply conjured a serial for a zone without an SOA")
 	}
 }

@@ -15,8 +15,7 @@ import (
 // syntax: one record per line, "$ORIGIN" and "$TTL" directives, "@" for the
 // origin, relative names, comments with ";", and quoted TXT strings.
 // Parenthesized multi-line records are joined before parsing. A physical
-// line longer than maxMasterLine is an error. The returned zone is already
-// sorted: its records sit in one exactly sized slab.
+// line longer than maxMasterLine is an error.
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	sc := getScratch()
 	defer putScratch(sc)

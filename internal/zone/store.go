@@ -186,13 +186,11 @@ type Tx struct {
 	overlay map[dnswire.Name]*Zone
 }
 
-// Put installs (or replaces) a zone within the batch and publishes it: from
-// here on the zone never changes.
+// Put installs (or replaces) a zone within the batch.
 func (tx *Tx) Put(z *Zone) {
 	if old := tx.Get(z.Origin()); old != nil && old != z {
 		old.setStore(nil)
 	}
-	z.publish()
 	z.setStore(tx.s)
 	tx.overlay[z.Origin()] = z
 }
@@ -234,7 +232,7 @@ func (s *Store) Update(fn func(tx *Tx)) {
 	s.mu.Unlock()
 }
 
-// Put installs (or replaces) a zone and publishes it. A single-zone batch:
+// Put installs (or replaces) a zone. A single-zone batch:
 // use Update to install many zones with one republish.
 func (s *Store) Put(z *Zone) {
 	s.Update(func(tx *Tx) { tx.Put(z) })

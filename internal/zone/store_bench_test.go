@@ -15,11 +15,11 @@ func mustAddr(s string) netip.Addr { return netip.MustParseAddr(s) }
 func benchStoreFind(b *testing.B, n int) {
 	s := NewStore()
 	for i := 0; i < n; i++ {
-		z := New(dnswire.MustName(fmt.Sprintf("zone%03d.example.", i)))
-		if err := z.Add(&dnswire.A{RRHeader: dnswire.RRHeader{
+		z, err := Build(dnswire.MustName(fmt.Sprintf("zone%03d.example.", i)), []dnswire.RR{&dnswire.A{RRHeader: dnswire.RRHeader{
 			Name: dnswire.MustName(fmt.Sprintf("www.zone%03d.example.", i)),
 			Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 300,
-		}, Addr: mustAddr("192.0.2.1")}); err != nil {
+		}, Addr: mustAddr("192.0.2.1")}})
+		if err != nil {
 			b.Fatal(err)
 		}
 		s.Put(z)

@@ -36,12 +36,15 @@ func below(o dnswire.Name, labels ...string) dnswire.Name {
 // its view is compiled before it is installed, so the install carries the
 // view's bytes into the store.
 func storeModelVersion(origin dnswire.Name, serial uint32, compile bool) *Zone {
-	z := New(origin)
+	recs := []dnswire.RR{modelRR(below(origin, "www"), dnswire.TypeA, byte(serial))}
 	if serial != 0 {
-		z.Add(&dnswire.SOA{RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 60},
+		recs = append(recs, &dnswire.SOA{RRHeader: dnswire.RRHeader{Name: origin, Type: dnswire.TypeSOA, Class: dnswire.ClassINET, TTL: 60},
 			MName: n("ns.model.test"), RName: n("host.model.test"), Serial: serial, Refresh: 2, Retry: 3, Expire: 4, Minimum: 5})
 	}
-	z.Add(modelRR(below(origin, "www"), dnswire.TypeA, byte(serial)))
+	z, err := Build(origin, recs)
+	if err != nil {
+		panic(err)
+	}
 	if compile {
 		z.View()
 	}

@@ -1,7 +1,7 @@
 package zone
 
 // This file is the compiled read path: an immutable per-zone View compiled
-// on first use and published through an atomic pointer, so
+// by the zone's first reader and published through an atomic pointer, so
 // lookups — including the random-subdomain NXDOMAIN floods of §5.3 that are
 // cache-busting by construction — run with no locks, no RR deep copies, and
 // (on the wire path) no allocations. The reference implementation it is held
@@ -31,10 +31,9 @@ import (
 	"akamaidns/internal/dnswire"
 )
 
-// View is an immutable compiled snapshot of one zone. All fields — including
-// every RR reachable through it — are frozen at compile time: readers share
-// them freely, and edits to a zone being built never touch a compiled View
-// (they drop the zone's pointer and the next reader compiles a fresh one).
+// View is the immutable compiled form of one zone. All fields — including
+// every RR reachable through it — are frozen at compile time, and readers
+// share them freely.
 type View struct {
 	// The fields a lookup reads come first, so a cold view costs it few
 	// cache lines of header.
@@ -105,23 +104,18 @@ func (v *View) Origin() dnswire.Name { return v.origin }
 // Serial returns the SOA serial frozen into the view.
 func (v *View) Serial() uint32 { return v.serial }
 
-// View returns the zone's compiled snapshot, building it on first use after
-// an edit (and sorting the slab first if an Add left it unsorted); a
-// published zone compiles at most once. Publication is race-free: edits
-// invalidate under the write lock, compilation happens under the read lock,
-// so a compiled view can never overwrite a later invalidation; of two
-// readers compiling the same state at once, one publishes and both return
-// that view.
+// View returns the zone's compiled snapshot, compiling it on first use: a
+// zone compiles at most once. Of two first readers compiling at once, one
+// publishes and both return that view. Publishing charges the view to the
+// zone's store under z.mu, which setStore also takes, so a view is counted
+// in exactly the store the zone is in.
 func (z *Zone) View() *View {
 	if v := z.view.Load(); v != nil {
 		return v
 	}
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	if v := z.view.Load(); v != nil {
-		return v
-	}
-	v := z.compileViewLocked()
+	v := z.compileView()
+	z.mu.Lock()
+	defer z.mu.Unlock()
 	if !z.view.CompareAndSwap(nil, v) {
 		return z.view.Load()
 	}
@@ -141,19 +135,18 @@ func (z *Zone) ViewBytes() int {
 	return 0
 }
 
-// compileViewLocked builds the snapshot from the sorted slab; z.mu held (read
-// suffices — mutators hold it exclusively). Canonical order puts a name
+// compileView builds the snapshot from the slab. Canonical order puts a name
 // before everything below it and keeps an owner's records together by type,
 // so the slab is consumed front to back: nothing is sorted, and nothing is
 // looked up but glue.
-func (z *Zone) compileViewLocked() *View {
+func (z *Zone) compileView() *View {
 	recs := z.recs
 	sc := getScratch()
 	defer putScratch(sc)
 	// Count names and sets and resolve each cut's glue first, so every slab
 	// is allocated once, exactly; the glue and the arena are gathered in
 	// scratch.
-	names := z.namesLocked()
+	names := z.names()
 	nn, nsets := len(names), 1
 	glue, glueEnd := sc.recs[:0], sc.ends[:0] // every cut's glue, cut by cut in slab order, and where each ends
 	for i := 0; i < len(recs); {
@@ -161,7 +154,7 @@ func (z *Zone) compileViewLocked() *View {
 		nsets++
 		if k.typ == dnswire.TypeNS && k.name != z.origin {
 			nsets++
-			glue = z.appendGlueLocked(glue, recs[i:j])
+			glue = z.appendGlue(glue, recs[i:j])
 			glueEnd = append(glueEnd, len(glue))
 		}
 		i = j
@@ -236,7 +229,7 @@ func (z *Zone) compileViewLocked() *View {
 	return v
 }
 
-// setEnd returns where the RRset that starts at recs[i] ends in a sorted slab.
+// setEnd returns where the RRset that starts at recs[i] ends in a zone's slab.
 func setEnd(recs []dnswire.RR, i int) int {
 	k := keyOf(recs[i])
 	for i++; i < len(recs) && keyOf(recs[i]) == k; i++ {

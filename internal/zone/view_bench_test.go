@@ -161,10 +161,7 @@ func BenchmarkViewCompile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z := zones[i%len(zones)]
-		z.rlockSorted()
-		v := z.compileViewLocked()
-		z.mu.RUnlock()
-		if v.Serial() != 1 {
+		if v := z.compileView(); v.Serial() != 1 {
 			b.Fatal("bad view")
 		}
 	}
@@ -239,9 +236,7 @@ func TestLoadPathAllocs(t *testing.T) {
 			}
 		}},
 		{"compile", compileAllocCeiling, func() {
-			z.rlockSorted()
-			z.compileViewLocked()
-			z.mu.RUnlock()
+			z.compileView()
 		}},
 		{"FromTransfer", transferAllocCeiling, func() {
 			if _, err := FromTransfer(origin, stream); err != nil {

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"akamaidns/internal/dnswire"
@@ -257,24 +258,26 @@ func TestViewWireZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestViewInvalidation holds the RCU contract: mutations invalidate the
-// compiled view, readers see the new data, and an untouched zone keeps
-// serving the same snapshot without recompiling.
+// TestViewInvalidation holds the RCU contract: a zone compiles its view once
+// and keeps serving that snapshot; the next version is a new zone whose view
+// shows the new data, and the old version's view is left as it was.
 func TestViewInvalidation(t *testing.T) {
 	z := buildZone(t)
 	v1 := z.View()
 	if z.View() != v1 {
 		t.Fatal("stable zone must reuse its compiled view")
 	}
-	if err := z.Add(mustRRHelper(t, "new.example.com.", "A", "192.0.2.200")); err != nil {
+	next, err := Apply(z, Delta{FromSerial: z.Serial(), ToSerial: z.Serial() + 1,
+		Added: []dnswire.RR{mustRRHelper(t, "new.example.com.", "A", "192.0.2.200")}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := z.View()
-	if v2 == v1 {
-		t.Fatal("mutation must invalidate the compiled view")
+	v2 := next.View()
+	if v2 == v1 || z.View() != v1 {
+		t.Fatal("each version must have its own compiled view")
 	}
 	if got := v2.Lookup(n("new.example.com"), dnswire.TypeA); got.Result != Success {
-		t.Fatalf("new record not visible in recompiled view: %v", got.Result)
+		t.Fatalf("new record not visible in the next version's view: %v", got.Result)
 	}
 	if got := v1.Lookup(n("new.example.com"), dnswire.TypeA); got.Result != NXDomain {
 		t.Fatalf("old snapshot must be immutable: %v", got.Result)
@@ -292,53 +295,6 @@ func mustRRHelper(t *testing.T, owner, typ, rdata string) dnswire.RR {
 		t.Fatalf("helper parsed %d records", len(rrs))
 	}
 	return rrs[0]
-}
-
-// TestViewConcurrentMutate hammers the compiled view from reader goroutines
-// while a writer builds the zone on; run under -race this proves the serve
-// path takes no read-side locks yet never observes a torn snapshot.
-func TestViewConcurrentMutate(t *testing.T) {
-	z := buildZone(t)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			qw := n("www.example.com").AppendWire(nil)
-			miss := n("nope.example.com").AppendWire(nil)
-			buf := make([]byte, 0, 4096)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				v := z.View()
-				if got := v.Lookup(n("www.example.com"), dnswire.TypeA); got.Result != Success {
-					t.Errorf("www lookup: %v", got.Result)
-					return
-				}
-				if _, wa, ok := v.AppendAnswer(buf[:0], qw, 12, dnswire.TypeA); !ok || wa.Result != Success {
-					t.Errorf("wire hit failed: ok=%v result=%v", ok, wa.Result)
-					return
-				}
-				if _, wa, ok := v.AppendAnswer(buf[:0], miss, 12, dnswire.TypeA); !ok || wa.Result != NXDomain {
-					t.Errorf("wire miss failed: ok=%v result=%v", ok, wa.Result)
-					return
-				}
-			}
-		}()
-	}
-	for i := 0; i < 200; i++ {
-		rr := mustRRHelper(t, fmt.Sprintf("gen%d.example.com.", i), "A", "192.0.2.77")
-		if err := z.Add(rr); err != nil {
-			t.Fatal(err)
-		}
-		z.SetSerial(uint32(2020010102 + i))
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestStoreFindParity checks the lock-free router against the reference
@@ -430,16 +386,17 @@ func TestStoreFindWireZeroAlloc(t *testing.T) {
 
 // TestZoneHeapPerZone pins what a hosted zone costs to hold at rest — the
 // number every machine of the fleet multiplies by its zone count: over
-// 2 000 bench-shaped zones, zone and view together may keep at most 4 400 B
+// 2 000 bench-shaped zones, zone and view together may keep at most 4 384 B
 // and 52 objects live each (7 371 B and 83 objects while the zone kept its
 // records in two maps; 4 499 B and 56 while every record resolved its own
-// copy of each host name; 4 350 B and 49 when written).
+// copy of each host name; 4 350 B and 49 while the zone header carried a
+// records lock and a sorted flag; 4 334 B and 49 when written).
 func TestZoneHeapPerZone(t *testing.T) {
 	const n = 2000
 	bytes, objects := zoneHeap(t, n)
 	t.Logf("%d B and %.2f heap objects per zone", bytes/n, float64(objects)/n)
-	if bytes > 4400*n {
-		t.Errorf("zones cost %d B each, want <= 4400", bytes/n)
+	if bytes > 4384*n {
+		t.Errorf("zones cost %d B each, want <= 4384", bytes/n)
 	}
 	if objects > 52*n {
 		t.Errorf("zones cost %.2f heap objects each, want <= 52", float64(objects)/n)
@@ -530,12 +487,15 @@ func hasPointers(t reflect.Type) bool {
 	return false
 }
 
-// TestSetSerialCopyOnWrite: views share the zone's records, so a serial bump
-// must replace the SOA rather than write through it. A view taken before
-// the bump keeps returning and packing the old serial, while readers run
-// against both (the race detector sees any write-through).
+// TestSetSerialCopyOnWrite: views share the zone's records, so the next
+// version at a new serial — Apply with an empty delta — must copy the SOA
+// rather than write through it. A view of the version before keeps returning
+// and packing the old serial while readers run against both it and the
+// newest version's view (the race detector sees any write-through).
 func TestSetSerialCopyOnWrite(t *testing.T) {
 	z := buildZone(t)
+	var latest atomic.Pointer[Zone]
+	latest.Store(z)
 	const oldSerial = 2020010101
 	old := z.View()
 	miss := n2w("nope.example.com")
@@ -562,7 +522,7 @@ func TestSetSerialCopyOnWrite(t *testing.T) {
 		}
 		return nil
 	}
-	// The writer bumps for as long as the readers read.
+	// The writer builds versions for as long as the readers read.
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
@@ -573,7 +533,7 @@ func TestSetSerialCopyOnWrite(t *testing.T) {
 					t.Errorf("view taken before the bumps: %v", err)
 					return
 				}
-				v := z.View()
+				v := latest.Load().View()
 				if err := check(v, v.Serial()); err != nil {
 					t.Errorf("current view: %v", err)
 					return
@@ -589,18 +549,23 @@ func TestSetSerialCopyOnWrite(t *testing.T) {
 		case <-done:
 			bumping = false
 		default:
+			cur := latest.Load()
 			serial++
-			z.SetSerial(serial)
+			next, err := Apply(cur, Delta{FromSerial: cur.Serial(), ToSerial: serial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			latest.Store(next)
 		}
 	}
 	if err := check(old, oldSerial); err != nil {
 		t.Fatalf("view taken before the bumps, after them: %v", err)
 	}
-	if err := check(z.View(), serial); err != nil {
+	if err := check(latest.Load().View(), serial); err != nil {
 		t.Fatalf("after the bumps: %v", err)
 	}
-	if z.Serial() != serial || z.SOA().Serial != serial {
-		t.Fatalf("zone serial = %d / %d, want %d", z.Serial(), z.SOA().Serial, serial)
+	if cur := latest.Load(); cur.Serial() != serial || cur.SOA().Serial != serial || z.Serial() != oldSerial {
+		t.Fatalf("serials = %d / %d, want %d; first version %d, want %d", cur.Serial(), cur.SOA().Serial, serial, z.Serial(), oldSerial)
 	}
 }
 
@@ -677,14 +642,6 @@ func TestStoreViewCounters(t *testing.T) {
 // labels, every one of which — and a miss beside it — must resolve as the
 // locked lookup does.
 func TestViewLargeZoneParity(t *testing.T) {
-	z := New(n("big.test"))
-	add := func(owner string) {
-		t.Helper()
-		if err := z.Add(&dnswire.A{RRHeader: dnswire.RRHeader{Name: n(owner), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
-			Addr: mustAddr("192.0.2.1")}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var owners []string
 	for i := 0; i < 10000; i++ {
 		owners = append(owners,
@@ -693,9 +650,12 @@ func TestViewLargeZoneParity(t *testing.T) {
 			fmt.Sprintf("x.ent%d.h%d.big.test", i, i%7), // below an empty non-terminal
 		)
 	}
-	for _, o := range owners {
-		add(o)
+	recs := make([]dnswire.RR, len(owners))
+	for i, o := range owners {
+		recs[i] = &dnswire.A{RRHeader: dnswire.RRHeader{Name: n(o), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60},
+			Addr: mustAddr("192.0.2.1")}
 	}
+	z := mustBuild(t, n("big.test"), recs...)
 	v, ref := z.View(), newOracle(z)
 	canExist := canExistChecker(z, v)
 	buf := make([]byte, 0, 512)

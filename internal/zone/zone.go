@@ -2,6 +2,10 @@
 // nameservers: RRset storage, the RFC 1034 §4.3.2 lookup algorithm (exact
 // match, CNAME chasing, wildcard synthesis, delegation, NXDOMAIN vs NODATA),
 // a master-file parser, and AXFR-style snapshots.
+//
+// A zone is a version: complete when it is made — by Build, ParseMaster,
+// FromTransfer or Apply — and never changed after. The next version is a new
+// zone, swapped in whole through Store.Update.
 package zone
 
 import (
@@ -36,39 +40,35 @@ func keyOf(rr dnswire.RR) rrKey {
 	return rrKey{h.Name, h.Type}
 }
 
-// Zone is one authoritative zone: an apex name and the records at or below
-// it. A zone has one lifecycle: built (Add, SetSerial), then published — by
-// Tx.Put installing it or History.Record keeping it — then replaced. A
-// published zone is a version and never changes: the next version is a new
-// zone (Apply builds one from a Delta) swapped in through Store.Update. A
-// Zone is safe for concurrent lookups interleaved with the edits that build
-// it.
+// Zone is one version of an authoritative zone: an apex name and the records
+// at or below it, fixed when the zone is made. Its records are read with no
+// lock, by any number of goroutines.
 type Zone struct {
-	mu     sync.RWMutex
 	origin dnswire.Name
 	// originWire is the origin's wire-form routing key, rendered once at
 	// construction so store router republishes never re-encode names.
 	originWire string
-	// recs is the zone at rest: every record in one slab. Sorted, it is in
+	// recs is the zone at rest: every record in one exactly sized slab, in
 	// canonical order — owner (Name.Compare), then type, then insertion
-	// order — and holds no duplicate and at most one SOA. Add appends and
-	// leaves the slab unsorted; the first read after it sorts. The records
-	// are shared with compiled views and never written through. Empty
-	// non-terminals are not stored: a name exists iff the record at its
-	// lower bound is at or below it.
-	recs   []dnswire.RR
-	sorted bool
-	// version numbers the zone once published (see Version); 0 while it is
-	// still being built. Add and SetSerial panic once it is set.
+	// order — with no duplicate and at most one SOA. The records are shared
+	// with the compiled view and never written through. Empty non-terminals
+	// are not stored: a name exists iff the record at its lower bound is at
+	// or below it.
+	recs []dnswire.RR
+	// version numbers the zone (see Version).
 	version uint64
-	// store is the Store the zone is installed in (nil otherwise), whose
-	// view counters the zone's compile moves.
-	store *Store
-	// view is the compiled read-only snapshot (see view.go), dropped by every
-	// edit of a free zone and lazily compiled by the next View() caller — at
-	// most once after the zone is published.
+	// view is the compiled read-only snapshot (see view.go), compiled by the
+	// first View() caller.
 	view atomic.Pointer[View]
+	// mu orders moving the zone between stores against publishing its view,
+	// so each store's view gauges count the view exactly once.
+	mu sync.Mutex
+	// store is the Store the zone is installed in (nil otherwise), whose
+	// view counters the zone's compile moves. Guarded by mu.
+	store *Store
 }
+
+var versionSeq atomic.Uint64 // numbers zones, process-wide
 
 // New creates an empty zone rooted at origin.
 func New(origin dnswire.Name) *Zone {
@@ -76,8 +76,23 @@ func New(origin dnswire.Name) *Zone {
 	return &Zone{
 		origin:     origin,
 		originWire: string(origin.AppendWire(wire[:0])),
-		sorted:     true,
+		version:    versionSeq.Add(1),
 	}
+}
+
+// Build makes a zone rooted at origin holding copies of recs. Every owner
+// must be within the zone, and an SOA only at the apex. Duplicate records
+// (same name/type/rdata rendering) are kept once; a zone holds one SOA, so of
+// several apex SOAs the last one stays.
+func Build(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, rr := range recs {
+		if err := sc.add(origin, rr.Copy()); err != nil {
+			return nil, err
+		}
+	}
+	return sc.zone(origin), nil
 }
 
 // Origin returns the zone apex.
@@ -98,59 +113,13 @@ func (z *Zone) setStore(s *Store) {
 	z.mu.Unlock()
 }
 
-var versionSeq atomic.Uint64 // numbers published zones, process-wide
-
-// publish makes the zone a version: from now on it never changes. The first
-// publish numbers it; a later one (History.Record, then Tx.Put) keeps it.
-func (z *Zone) publish() {
-	z.mu.Lock()
-	if z.version == 0 {
-		z.version = versionSeq.Add(1)
-	}
-	z.mu.Unlock()
-}
-
-// Version identifies a published zone: no two zones published in one
-// process share it, and it never changes. It is 0 for a zone still being
-// built and for a nil zone (no zone at all). It takes no lock: a published
-// zone reaches readers through the Store or History that published it.
+// Version identifies a zone: no two zones made in one process share it, and
+// it never changes. It is 0 only for a nil zone (no zone at all).
 func (z *Zone) Version() uint64 {
 	if z == nil {
 		return 0
 	}
 	return z.version
-}
-
-// editLocked readies the zone for an edit — op names it — and drops the
-// compiled view. Editing a published version is a programming error. Callers
-// hold z.mu exclusively, so no concurrent View() call can republish a stale
-// snapshot after the drop.
-func (z *Zone) editLocked(op string) {
-	if z.version != 0 {
-		panic(fmt.Sprintf("zone %s: %s on a published version; build the next version with zone.Apply and Put it", z.origin, op))
-	}
-	z.view.Store(nil)
-}
-
-// rlockSorted takes the read lock with the slab sorted, sorting it first —
-// under the write lock — when an Add has left it unsorted.
-func (z *Zone) rlockSorted() {
-	z.mu.RLock()
-	for !z.sorted {
-		z.mu.RUnlock()
-		z.mu.Lock()
-		z.sortLocked()
-		z.mu.Unlock()
-		z.mu.RLock()
-	}
-}
-
-// sortLocked puts an unsorted slab into its sorted state. z.mu held
-// exclusively.
-func (z *Zone) sortLocked() {
-	if !z.sorted {
-		z.recs, z.sorted = canonical(z.recs), true
-	}
 }
 
 // canonical sorts recs in place — a stable sort, O(n log n) compares
@@ -224,71 +193,13 @@ func (sc *scratch) add(origin dnswire.Name, rr dnswire.RR) error {
 	return nil
 }
 
-// zone returns a new zone at origin holding the records added so far, in its
-// sorted state. It is how ParseMaster, FromTransfer and Apply finish: each
-// zone's slab is allocated once, at its exact size.
+// zone returns a new zone at origin holding the records added so far. It is
+// how Build, ParseMaster, FromTransfer and Apply finish: each zone's slab is
+// allocated once, at its exact size.
 func (sc *scratch) zone(origin dnswire.Name) *Zone {
 	z := New(origin)
 	z.recs = canonical(sc.recs)
 	return z
-}
-
-// rangeLocked returns where in the sorted slab the RRset (name, typ) sits:
-// a binary search for its lower bound, then a scan to its end. z.mu held.
-func (z *Zone) rangeLocked(name dnswire.Name, typ dnswire.Type) (lo, hi int) {
-	k := rrKey{name, typ}
-	lo, _ = slices.BinarySearchFunc(z.recs, k, compareKey)
-	for hi = lo; hi < len(z.recs) && keyOf(z.recs[hi]) == k; hi++ {
-	}
-	return lo, hi
-}
-
-// setLocked returns the zone's own (shared, uncopied) records for (name,
-// typ). The three-index slice keeps appending callers out of the slab.
-func (z *Zone) setLocked(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
-	lo, hi := z.rangeLocked(name, typ)
-	return z.recs[lo:hi:hi]
-}
-
-// soaLocked returns the zone's own SOA record and its place in the sorted
-// slab, or nil. The apex sorts first and the SOA among its lowest types, so
-// this reads a record or three. z.mu held.
-func (z *Zone) soaLocked() (*dnswire.SOA, int) {
-	for i, rr := range z.recs {
-		if h := rr.Header(); h.Name != z.origin || h.Type > dnswire.TypeSOA {
-			break
-		}
-		if soa, ok := rr.(*dnswire.SOA); ok {
-			return soa, i
-		}
-	}
-	return nil, -1
-}
-
-// Serial returns the zone's SOA serial (0 when no SOA is present).
-func (z *Zone) Serial() uint32 {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	if soa, _ := z.soaLocked(); soa != nil {
-		return soa.Serial
-	}
-	return 0
-}
-
-// Add inserts a copy of a record into a zone being built; it panics on a
-// published one. The owner name must be within the zone. Duplicate records
-// (same name/type/rdata rendering) are dropped silently; a zone holds one
-// SOA, so a second apex SOA replaces the first.
-func (z *Zone) Add(rr dnswire.RR) error {
-	if err := checkRecord(z.origin, rr); err != nil {
-		return err
-	}
-	rr = rr.Copy()
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.editLocked("Add")
-	z.recs, z.sorted = append(z.recs, rr), false
-	return nil
 }
 
 // checkRecord reports why rr cannot be stored in a zone at origin, if it
@@ -307,29 +218,48 @@ func checkRecord(origin dnswire.Name, rr dnswire.RR) error {
 	return nil
 }
 
-// SetSerial sets the SOA serial of a zone being built (no-op without an
-// SOA); it panics on a published one. The SOA record is replaced, never
-// written through: compiled views share the zone's records, and a view taken
-// before the change keeps answering with the old serial.
-func (z *Zone) SetSerial(serial uint32) {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	z.editLocked("SetSerial")
-	z.sortLocked()
-	soa, i := z.soaLocked()
-	if soa == nil {
-		return
+// span returns where in the slab the RRset (name, typ) sits: a binary search
+// for its lower bound, then a scan to its end.
+func (z *Zone) span(name dnswire.Name, typ dnswire.Type) (lo, hi int) {
+	k := rrKey{name, typ}
+	lo, _ = slices.BinarySearchFunc(z.recs, k, compareKey)
+	for hi = lo; hi < len(z.recs) && keyOf(z.recs[hi]) == k; hi++ {
 	}
-	bumped := *soa
-	bumped.Serial = serial
-	z.recs[i] = &bumped
+	return lo, hi
 }
 
-// SOA returns the zone's SOA record, or nil.
+// set returns the zone's own (shared, uncopied) records for (name, typ). The
+// three-index slice keeps appending callers out of the slab.
+func (z *Zone) set(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
+	lo, hi := z.span(name, typ)
+	return z.recs[lo:hi:hi]
+}
+
+// soa returns the zone's own SOA record, or nil. The apex sorts first and the
+// SOA among its lowest types, so this reads a record or three.
+func (z *Zone) soa() *dnswire.SOA {
+	for _, rr := range z.recs {
+		if h := rr.Header(); h.Name != z.origin || h.Type > dnswire.TypeSOA {
+			break
+		}
+		if soa, ok := rr.(*dnswire.SOA); ok {
+			return soa
+		}
+	}
+	return nil
+}
+
+// Serial returns the zone's SOA serial (0 when no SOA is present).
+func (z *Zone) Serial() uint32 {
+	if soa := z.soa(); soa != nil {
+		return soa.Serial
+	}
+	return 0
+}
+
+// SOA returns a copy of the zone's SOA record, or nil.
 func (z *Zone) SOA() *dnswire.SOA {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	if soa, _ := z.soaLocked(); soa != nil {
+	if soa := z.soa(); soa != nil {
 		return soa.Copy().(*dnswire.SOA)
 	}
 	return nil
@@ -337,39 +267,34 @@ func (z *Zone) SOA() *dnswire.SOA {
 
 // RRset returns a copy of the records for (name, typ).
 func (z *Zone) RRset(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	return copyRRs(z.setLocked(name, typ))
+	return copyRRs(z.set(name, typ))
 }
 
 // NameExists reports whether the name exists in the zone (has records or is
 // an empty non-terminal).
 func (z *Zone) NameExists(name dnswire.Name) bool {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
 	// A name's subtree is contiguous in canonical order and starts at the
 	// name: it exists iff the record at its lower bound is at or below it.
 	lo, _ := slices.BinarySearchFunc(z.recs, rrKey{name: name}, compareKey)
 	return lo < len(z.recs) && name.IsSubdomainOf(z.origin) && z.recs[lo].Header().Name.IsSubdomainOf(name)
 }
 
-// namesLocked returns every name of the zone in canonical order, in an
-// exactly sized slab: the apex, then each owner, preceded by those of its
-// ancestors no earlier owner sits at or below (the empty non-terminals).
-// z.mu held, slab sorted.
-func (z *Zone) namesLocked() []dnswire.Name {
+// names returns every name of the zone in canonical order, in an exactly
+// sized slab: the apex, then each owner, preceded by those of its ancestors
+// no earlier owner sits at or below (the empty non-terminals).
+func (z *Zone) names() []dnswire.Name {
 	if len(z.recs) == 0 {
 		return nil
 	}
 	n := 1
 	for i := range z.recs {
-		_, k := z.newNamesLocked(i)
+		_, k := z.newNames(i)
 		n += k
 	}
 	out := make([]dnswire.Name, n)
 	out[0], n = z.origin, 1
 	for i := range z.recs {
-		a, k := z.newNamesLocked(i)
+		a, k := z.newNames(i)
 		// a and its k-1 nearest ancestors, filled in bottom up.
 		for j := n + k - 1; j >= n; j, a = j-1, a.Parent() {
 			out[j] = a
@@ -379,10 +304,10 @@ func (z *Zone) namesLocked() []dnswire.Name {
 	return out
 }
 
-// newNamesLocked returns the owner of record i and how many names it adds
-// after the record before it: itself and each ancestor below the apex that
-// the previous owner is not at or below.
-func (z *Zone) newNamesLocked(i int) (owner dnswire.Name, k int) {
+// newNames returns the owner of record i and how many names it adds after
+// the record before it: itself and each ancestor below the apex that the
+// previous owner is not at or below.
+func (z *Zone) newNames(i int) (owner dnswire.Name, k int) {
 	prev := z.origin
 	if i > 0 {
 		prev = z.recs[i-1].Header().Name
@@ -398,8 +323,6 @@ func (z *Zone) newNamesLocked(i int) (owner dnswire.Name, k int) {
 // records. Queries at or below a cut are answered with referrals, never
 // NXDOMAIN.
 func (z *Zone) Cuts() []dnswire.Name {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
 	var out []dnswire.Name
 	for _, rr := range z.recs {
 		h := rr.Header()
@@ -413,13 +336,11 @@ func (z *Zone) Cuts() []dnswire.Name {
 // AllRecords returns a copy of every record in the zone (an AXFR-style
 // snapshot), SOA first, in canonical owner order.
 func (z *Zone) AllRecords() []dnswire.RR {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
 	if len(z.recs) == 0 {
 		return nil
 	}
 	out := make([]dnswire.RR, 0, len(z.recs))
-	lo, hi := z.rangeLocked(z.origin, dnswire.TypeSOA)
+	lo, hi := z.span(z.origin, dnswire.TypeSOA)
 	for _, part := range [][]dnswire.RR{z.recs[lo:hi], z.recs[:lo], z.recs[hi:]} {
 		for _, rr := range part {
 			out = append(out, rr.Copy())
@@ -429,11 +350,7 @@ func (z *Zone) AllRecords() []dnswire.RR {
 }
 
 // NumRecords reports the total record count.
-func (z *Zone) NumRecords() int {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	return len(z.recs)
-}
+func (z *Zone) NumRecords() int { return len(z.recs) }
 
 // Result classifies the outcome of a lookup.
 type Result int
@@ -482,16 +399,16 @@ type Answer struct {
 // maxCNAMEChain bounds in-zone CNAME chasing.
 const maxCNAMEChain = 8
 
-// appendGlueLocked appends the zone's own (shared, uncopied) in-zone A/AAAA
+// appendGlue appends the zone's own (shared, uncopied) in-zone A/AAAA
 // records for the NS set's targets to dst: per target, A then AAAA.
-func (z *Zone) appendGlueLocked(dst, nsSet []dnswire.RR) []dnswire.RR {
+func (z *Zone) appendGlue(dst, nsSet []dnswire.RR) []dnswire.RR {
 	for _, rr := range nsSet {
 		ns, ok := rr.(*dnswire.NS)
 		if !ok || !ns.Target.IsSubdomainOf(z.origin) {
 			continue
 		}
-		dst = append(dst, z.setLocked(ns.Target, dnswire.TypeA)...)
-		dst = append(dst, z.setLocked(ns.Target, dnswire.TypeAAAA)...)
+		dst = append(dst, z.set(ns.Target, dnswire.TypeA)...)
+		dst = append(dst, z.set(ns.Target, dnswire.TypeAAAA)...)
 	}
 	return dst
 }

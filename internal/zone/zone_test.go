@@ -3,7 +3,6 @@ package zone
 import (
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,14 +11,6 @@ import (
 )
 
 func n(s string) dnswire.Name { return dnswire.MustName(s) }
-
-// zoneNames returns all of z's owner names (including empty non-terminals)
-// in canonical order.
-func zoneNames(z *Zone) []dnswire.Name {
-	z.rlockSorted()
-	defer z.mu.RUnlock()
-	return z.namesLocked()
-}
 
 const exampleZone = `
 $ORIGIN example.com.
@@ -225,10 +216,9 @@ func TestLookupOutOfZone(t *testing.T) {
 }
 
 func TestCNAMELoopBounded(t *testing.T) {
-	z := New(n("loop.test"))
-	mustAdd(t, z, &dnswire.SOA{RRHeader: hdr("loop.test", dnswire.TypeSOA), MName: n("ns.loop.test"), RName: n("h.loop.test"), Serial: 1, Minimum: 30})
-	mustAdd(t, z, &dnswire.CNAME{RRHeader: hdr("a.loop.test", dnswire.TypeCNAME), Target: n("b.loop.test")})
-	mustAdd(t, z, &dnswire.CNAME{RRHeader: hdr("b.loop.test", dnswire.TypeCNAME), Target: n("a.loop.test")})
+	z := mustBuild(t, n("loop.test"), soaAt("loop.test"),
+		&dnswire.CNAME{RRHeader: hdr("a.loop.test", dnswire.TypeCNAME), Target: n("b.loop.test")},
+		&dnswire.CNAME{RRHeader: hdr("b.loop.test", dnswire.TypeCNAME), Target: n("a.loop.test")})
 	a := lookupBoth(t, z, n("a.loop.test"), dnswire.TypeA)
 	if a.Result != Success {
 		t.Fatalf("loop result: %v", a.Result)
@@ -242,36 +232,45 @@ func hdr(name string, typ dnswire.Type) dnswire.RRHeader {
 	return dnswire.RRHeader{Name: n(name), Type: typ, Class: dnswire.ClassINET, TTL: 60}
 }
 
-func mustAdd(t *testing.T, z *Zone, rr dnswire.RR) {
+func mustBuild(t *testing.T, origin dnswire.Name, rrs ...dnswire.RR) *Zone {
 	t.Helper()
-	if err := z.Add(rr); err != nil {
+	z, err := Build(origin, rrs)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return z
+}
+
+// soaAt is an SOA record at origin, serial 1.
+func soaAt(origin string) *dnswire.SOA {
+	return &dnswire.SOA{RRHeader: hdr(origin, dnswire.TypeSOA), MName: n("ns." + origin), RName: n("h." + origin), Serial: 1, Minimum: 30}
 }
 
 func TestAddRejectsOutOfZone(t *testing.T) {
-	z := New(n("example.com"))
-	err := z.Add(&dnswire.A{RRHeader: hdr("www.other.net", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")})
+	_, err := Build(n("example.com"), []dnswire.RR{&dnswire.A{RRHeader: hdr("www.other.net", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")}})
 	if err == nil {
-		t.Fatal("out-of-zone Add accepted")
+		t.Fatal("out-of-zone record accepted")
 	}
 }
 
 func TestAddRejectsNonApexSOA(t *testing.T) {
-	z := New(n("example.com"))
-	err := z.Add(&dnswire.SOA{RRHeader: hdr("sub.example.com", dnswire.TypeSOA), MName: n("a.example.com"), RName: n("b.example.com")})
+	_, err := Build(n("example.com"), []dnswire.RR{&dnswire.SOA{RRHeader: hdr("sub.example.com", dnswire.TypeSOA), MName: n("a.example.com"), RName: n("b.example.com")}})
 	if err == nil {
 		t.Fatal("non-apex SOA accepted")
 	}
 }
 
+// TestAddDeduplicates: Build keeps a record once however often it is given,
+// and keeps copies — the caller's records stay its own.
 func TestAddDeduplicates(t *testing.T) {
-	z := New(n("example.com"))
 	rr := &dnswire.A{RRHeader: hdr("www.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")}
-	mustAdd(t, z, rr)
-	mustAdd(t, z, rr)
+	z := mustBuild(t, n("example.com"), rr, rr)
 	if z.NumRecords() != 1 {
-		t.Fatalf("NumRecords = %d after duplicate Add", z.NumRecords())
+		t.Fatalf("NumRecords = %d after a duplicate record", z.NumRecords())
+	}
+	rr.TTL = 9999
+	if got := z.RRset(n("www.example.com"), dnswire.TypeA)[0].Header().TTL; got != 60 {
+		t.Fatalf("Build aliased the caller's record: TTL %d", got)
 	}
 }
 
@@ -286,15 +285,9 @@ func without(t *testing.T, z *Zone, name dnswire.Name, typ dnswire.Type) *Zone {
 	return next
 }
 
-func withSOA(t *testing.T, z *Zone) *Zone {
-	t.Helper()
-	mustAdd(t, z, &dnswire.SOA{RRHeader: hdr(z.Origin().String(), dnswire.TypeSOA), MName: n("ns.example.com"), RName: n("h.example.com"), Serial: 1, Minimum: 30})
-	return z
-}
-
 func TestRemoveRebuildsNames(t *testing.T) {
-	z := withSOA(t, New(n("example.com")))
-	mustAdd(t, z, &dnswire.A{RRHeader: hdr("deep.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")})
+	z := mustBuild(t, n("example.com"), soaAt("example.com"),
+		&dnswire.A{RRHeader: hdr("deep.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")})
 	if !z.NameExists(n("a.example.com")) {
 		t.Fatal("empty non-terminal missing")
 	}
@@ -307,75 +300,35 @@ func TestRemoveRebuildsNames(t *testing.T) {
 	}
 }
 
-func TestSetSerial(t *testing.T) {
-	z := buildZone(t)
-	z.SetSerial(42)
-	if z.Serial() != 42 || z.SOA().Serial != 42 {
-		t.Fatalf("serial after SetSerial: %d / %d", z.Serial(), z.SOA().Serial)
-	}
-}
-
-// panicMessage runs f and returns what it panicked with ("" when it did not).
-func panicMessage(f func()) (msg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			msg = fmt.Sprint(r)
-		}
-	}()
-	f()
-	return ""
-}
-
-// TestPublishedZoneIsFrozen: Tx.Put and History.Record publish a zone, and a
-// published zone is a version. Add and SetSerial on it panic with a message
-// naming the fix and leave it as it was; before publication they edit.
-func TestPublishedZoneIsFrozen(t *testing.T) {
-	late := &dnswire.A{RRHeader: hdr("late.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("192.0.2.99")}
-	for name, publish := range map[string]func(*Zone){
-		"Store.Put":      func(z *Zone) { NewStore().Put(z) },
-		"History.Record": func(z *Zone) { NewHistory(2).Record(z) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			z := buildZone(t)
-			z.SetSerial(7)
-			mustAdd(t, z, &dnswire.A{RRHeader: hdr("early.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("192.0.2.98")})
-			publish(z)
-			want := inOrder(z.AllRecords())
-			for op, edit := range map[string]func(){
-				"Add":       func() { z.Add(late) },
-				"SetSerial": func() { z.SetSerial(8) },
-			} {
-				if msg := panicMessage(edit); !strings.Contains(msg, op) || !strings.Contains(msg, "zone.Apply") {
-					t.Errorf("%s on a published zone: panic %q, want one naming %s and zone.Apply", op, msg, op)
-				}
-			}
-			if got := inOrder(z.AllRecords()); z.Serial() != 7 || !slices.Equal(got, want) {
-				t.Errorf("published zone changed: serial %d, records %q", z.Serial(), got)
-			}
-		})
-	}
-}
-
-// TestZoneVersion: a zone has version 0 until it is published, the first
-// publish numbers it and a later one keeps the number, and two zones
-// published in one Update — which share a store generation — do not share a
-// version. A nil zone, no zone at all, is version 0.
+// TestZoneVersion: every zone is numbered when it is made, however it is
+// made, and keeps its number through Put and Record; no two zones share one.
+// A nil zone, no zone at all, is version 0.
 func TestZoneVersion(t *testing.T) {
 	z := buildZone(t)
-	if z.Version() != 0 || (*Zone)(nil).Version() != 0 {
-		t.Fatalf("versions before publishing: %d, nil %d", z.Version(), (*Zone)(nil).Version())
+	next, err := Apply(z, Delta{FromSerial: z.Serial(), ToSerial: z.Serial() + 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	NewHistory(2).Record(z)
+	again, err := FromTransfer(z.Origin(), append(z.AllRecords(), z.SOA()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	for _, m := range []*Zone{z, next, again, New(n("a.example.com")), mustBuild(t, n("b.example.com")),
+		MustParseMaster("www IN A 192.0.2.1", n("c.example.com"))} {
+		if v := m.Version(); v == 0 || seen[v] {
+			t.Fatalf("zone %s has version %d (seen before: %v)", m.Origin(), v, seen[v])
+		}
+		seen[m.Version()] = true
+	}
 	v := z.Version()
-	s := NewStore()
-	s.Put(z)
-	if v == 0 || z.Version() != v {
-		t.Fatalf("version %d after History.Record, %d after Put", v, z.Version())
+	NewHistory(2).Record(z)
+	NewStore().Put(z)
+	if z.Version() != v {
+		t.Fatalf("version %d became %d after Record and Put", v, z.Version())
 	}
-	a, b := New(n("a.example.com")), New(n("b.example.com"))
-	s.Update(func(tx *Tx) { tx.Put(a); tx.Put(b) })
-	if a.Version() == b.Version() || a.Version() == v || b.Version() == v {
-		t.Fatalf("versions %d, %d beside %d", a.Version(), b.Version(), v)
+	if (*Zone)(nil).Version() != 0 {
+		t.Fatalf("nil zone: version %d", (*Zone)(nil).Version())
 	}
 }
 
@@ -579,7 +532,7 @@ func TestTransferMissingZone(t *testing.T) {
 
 func TestZoneNamesSorted(t *testing.T) {
 	z := buildZone(t)
-	names := zoneNames(z)
+	names := z.names()
 	for i := 1; i < len(names); i++ {
 		if names[i-1].Compare(names[i]) >= 0 {
 			t.Fatalf("Names not sorted: %v >= %v", names[i-1], names[i])
@@ -649,9 +602,9 @@ func TestMustParseMasterOK(t *testing.T) {
 }
 
 func TestRemoveKeepsSiblingNames(t *testing.T) {
-	z := withSOA(t, New(n("example.com")))
-	mustAdd(t, z, &dnswire.A{RRHeader: hdr("x.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")})
-	mustAdd(t, z, &dnswire.A{RRHeader: hdr("y.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.5")})
+	z := mustBuild(t, n("example.com"), soaAt("example.com"),
+		&dnswire.A{RRHeader: hdr("x.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.4")},
+		&dnswire.A{RRHeader: hdr("y.a.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("1.2.3.5")})
 	z = without(t, z, n("x.a.example.com"), dnswire.TypeA)
 	if !z.NameExists(n("a.example.com")) {
 		t.Fatal("shared ancestor lost after removing one child")
@@ -666,9 +619,8 @@ func TestRemoveKeepsSiblingNames(t *testing.T) {
 
 func TestWildcardAtApexLevel(t *testing.T) {
 	// "*.example.com" covering direct children of the apex.
-	z := New(n("example.com"))
-	mustAdd(t, z, &dnswire.SOA{RRHeader: hdr("example.com", dnswire.TypeSOA), MName: n("ns.example.com"), RName: n("h.example.com"), Serial: 1, Minimum: 30})
-	mustAdd(t, z, &dnswire.A{RRHeader: hdr("*.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("9.9.9.9")})
+	z := mustBuild(t, n("example.com"), soaAt("example.com"),
+		&dnswire.A{RRHeader: hdr("*.example.com", dnswire.TypeA), Addr: netip.MustParseAddr("9.9.9.9")})
 	a := lookupBoth(t, z, n("anything.example.com"), dnswire.TypeA)
 	if a.Result != Success || len(a.Answer) != 1 {
 		t.Fatalf("apex wildcard: %v/%d", a.Result, len(a.Answer))
@@ -713,7 +665,7 @@ func TestParseMasterSRVAndCAAErrors(t *testing.T) {
 // never Success unless a wildcard covers them.
 func TestPropertyLookupClassification(t *testing.T) {
 	z := buildZone(t)
-	names := zoneNames(z)
+	names := z.names()
 	f := func(pick uint16, label uint8) bool {
 		// An existing name.
 		ex := names[int(pick)%len(names)]
@@ -746,7 +698,7 @@ func TestPropertyTransferPreservesAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range zoneNames(src) {
+	for _, name := range src.names() {
 		for _, typ := range []dnswire.Type{dnswire.TypeA, dnswire.TypeNS, dnswire.TypeTXT, dnswire.TypeCNAME} {
 			a := lookupBoth(t, src, name, typ)
 			b := lookupBoth(t, copyZ, name, typ)
