@@ -37,7 +37,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache|FuzzHotCacheVersions,-count=2)
 	$(call race-suite,./internal/nameserver/,-run,TestHotCache|TestAnswerIntoMatchesAnswer,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
-	$(call race-suite,./internal/zone/,-run,TestSetSerialCopyOnWrite|TestViewInvalidation|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzStoreModel,-count=2)
+	$(call race-suite,./internal/zone/,-run,TestSetSerialCopyOnWrite|TestViewInvalidation|TestZoneHeapPerZone|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzZoneArena|FuzzStoreModel,-count=2)
 	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
 	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill|TestSimSocketParity,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
@@ -104,6 +104,7 @@ fuzz:
 	go test -fuzz=FuzzParseMaster -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzViewLookupParity -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzZoneModel -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzZoneArena -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzStoreModel -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzTCPFrameReader -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzTransferStream -fuzztime=$(FUZZTIME) ./internal/netserve/

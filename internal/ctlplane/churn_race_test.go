@@ -144,8 +144,8 @@ func TestChurnWhileServing(t *testing.T) {
 					fail("reader %d: %s answered %T", rd, qname, ans.Answer[0])
 					return
 				}
-				if got, want := churnSerialOf(a.Addr), v.Serial(); got != want {
-					fail("reader %d: TORN READ on %s: answer encodes serial %d, view serial %d",
+				if got, want := churnSerialOf(a.Addr), z.Serial(); got != want {
+					fail("reader %d: TORN READ on %s: answer encodes serial %d, zone serial %d",
 						rd, origin, got, want)
 					return
 				}
@@ -363,8 +363,8 @@ api IN A 192.0.2.200
 						return 0, false
 					}
 					got := churnSerialOf(a.Addr)
-					if want := v.Serial(); got != want {
-						fail("reader %d: TORN READ on %s: answer serial %d, view serial %d",
+					if want := z.Serial(); got != want {
+						fail("reader %d: TORN READ on %s: answer serial %d, zone serial %d",
 							rd, q, got, want)
 						return 0, false
 					}

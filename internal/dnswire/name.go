@@ -44,6 +44,11 @@ func ParseName(s string) (Name, error) {
 	if s == "." {
 		return Root, nil
 	}
+	// Text that is already canonical — what String renders, and what a zone
+	// keeps its owner names as — is the name: one pass, no copy.
+	if s[len(s)-1] == '.' && checkName(s) == nil {
+		return Name{s: s}, nil
+	}
 	s = strings.ToLower(s)
 	if !strings.HasSuffix(s, ".") {
 		s += "."
@@ -59,33 +64,42 @@ func ParseName(s string) (Name, error) {
 func checkName[T string | []byte](s T) error {
 	wire := 1
 	start := 0
+	bad := uint8(0) // nonzero: the label so far holds an octet no label may
 	for i := 0; i < len(s); i++ {
-		if s[i] != '.' {
+		if c := s[i]; c != '.' {
+			bad |= badOctet[c]
 			continue
 		}
-		label := s[start:i]
+		n := i - start
 		start = i + 1
-		if len(label) == 0 {
+		if n == 0 {
 			return errEmptyLabel
 		}
-		if len(label) > maxLabelLen {
+		if n > maxLabelLen {
 			return errLabelTooLong
 		}
-		for j := 0; j < len(label); j++ {
-			c := label[j]
-			ok := c == '-' || c == '_' || c == '*' ||
-				(c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
-			if !ok {
-				return errBadLabelChar
-			}
+		if bad != 0 {
+			return errBadLabelChar
 		}
-		wire += len(label) + 1
+		wire += n + 1
 	}
 	if wire > maxNameWire {
 		return errNameTooLong
 	}
 	return nil
 }
+
+// badOctet is 1 for every octet a label may not hold: a label holds only
+// lower-case letters, digits, hyphen, underscore and the wildcard asterisk.
+var badOctet = func() (t [256]uint8) {
+	for c := range t {
+		ok := 'a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '-' || c == '_' || c == '*'
+		if !ok {
+			t[c] = 1
+		}
+	}
+	return t
+}()
 
 // MustName is ParseName that panics on error; for literals in tests and
 // configuration tables.
@@ -179,9 +193,6 @@ func (n Name) FirstLabel() string {
 	i := strings.IndexByte(n.s, '.')
 	return n.s[:i]
 }
-
-// IsWildcard reports whether the name's first label is "*".
-func (n Name) IsWildcard() bool { return n.FirstLabel() == "*" }
 
 // Compare orders names in canonical DNS order (by reversed label sequence),
 // which groups subdomains under their parents. Returns -1, 0, or 1. It

@@ -111,15 +111,6 @@ func TestNamePrepend(t *testing.T) {
 	}
 }
 
-func TestNameWildcard(t *testing.T) {
-	if !MustName("*.example.com").IsWildcard() {
-		t.Fatal("IsWildcard false for *.example.com")
-	}
-	if MustName("a.example.com").IsWildcard() {
-		t.Fatal("IsWildcard true for a.example.com")
-	}
-}
-
 func TestNameCompare(t *testing.T) {
 	order := []Name{
 		Root,

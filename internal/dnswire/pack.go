@@ -159,25 +159,76 @@ func (c *compressor) appendRData(buf []byte, rr RR) ([]byte, error) {
 	return rr.packRData(buf)
 }
 
-// AppendRR appends one record in fully uncompressed wire form: owner name,
-// TYPE, CLASS, TTL, RDLENGTH, RDATA, with no compression pointers anywhere.
-// The resulting bytes are position-independent and may be spliced into any
-// message (compiled zone views pre-pack glue records this way).
-func AppendRR(buf []byte, rr RR) ([]byte, error) {
-	h := rr.Header()
-	buf, err := h.Name.appendWire(buf)
-	if err != nil {
-		return nil, err
-	}
-	return AppendRRBody(buf, rr)
-}
-
 // AppendRRBody appends a record's owner-less wire form — TYPE, CLASS, TTL,
 // RDLENGTH, RDATA with uncompressed RDATA names — so a caller can prefix its
 // own owner encoding (a compression pointer into the question name, or a
-// literal name) when splicing the body into a response.
+// literal name) when splicing the body into a response. It refuses a record
+// whose bytes UnpackRRBody would not read back as written: one whose header
+// TYPE is not the type of its RDATA, or a RawRecord whose RDATA does not
+// parse as the type it claims.
 func AppendRRBody(buf []byte, rr RR) ([]byte, error) {
-	return appendBody(buf, rr, nil)
+	h := rr.Header()
+	if t, typed := rdataType(rr); typed && t != h.Type {
+		return nil, fmt.Errorf("dnswire: %s record %s carries %s RDATA", h.Type, h.Name, t)
+	}
+	start := len(buf)
+	buf, err := appendBody(buf, rr, nil)
+	if err != nil {
+		return nil, err
+	}
+	if _, raw := rr.(*RawRecord); raw {
+		if err := readsBack(h.Name, buf[start:]); err != nil {
+			return nil, fmt.Errorf("dnswire: %s record %s does not read back: %w", h.Type, h.Name, err)
+		}
+	}
+	return buf, nil
+}
+
+// rdataType reports the TYPE a record's RDATA encodes; typed is false for a
+// RawRecord, whose RDATA is whatever its header says.
+func rdataType(rr RR) (t Type, typed bool) {
+	switch rr.(type) {
+	case *A:
+		return TypeA, true
+	case *AAAA:
+		return TypeAAAA, true
+	case *NS:
+		return TypeNS, true
+	case *CNAME:
+		return TypeCNAME, true
+	case *PTR:
+		return TypePTR, true
+	case *SOA:
+		return TypeSOA, true
+	case *MX:
+		return TypeMX, true
+	case *TXT:
+		return TypeTXT, true
+	case *SRV:
+		return TypeSRV, true
+	case *CAA:
+		return TypeCAA, true
+	case *OPTRecord:
+		return TypeOPT, true
+	}
+	return 0, false
+}
+
+// readsBack checks that a record body decodes and, when it decodes as a
+// type this codec interprets, packs back to the same bytes.
+func readsBack(owner Name, body []byte) error {
+	rr, _, err := UnpackRRBody(owner, body)
+	if err != nil {
+		return err
+	}
+	if _, raw := rr.(*RawRecord); raw {
+		return nil
+	}
+	again, err := appendBody(nil, rr, nil)
+	if err == nil && string(again) != string(body) {
+		err = fmt.Errorf("RDATA reads back as %s", rr)
+	}
+	return err
 }
 
 // Pack serializes the message into wire format. Section counts are derived
@@ -282,18 +333,13 @@ func appendBody(buf []byte, rr RR, c *compressor) ([]byte, error) {
 	return buf, nil
 }
 
-// TruncateTo produces a copy of the response fitted to the given payload
-// size: answer/authority/additional records are dropped whole (preserving
-// any OPT record) and the TC bit is set if anything was removed. It packs
-// iteratively; for the platform's small responses one or two passes suffice.
-func (m *Message) TruncateTo(size int) (*Message, []byte, error) {
-	return m.AppendTruncateTo(size, make([]byte, 0, 512))
-}
-
-// AppendTruncateTo is TruncateTo packing into a caller-owned buffer: the
-// fitted wire is appended to buf (pass buf[:0] to reuse a pooled buffer).
-// A message that fits is returned as it is, so the common case copies
-// nothing; only a truncation pass works on a copy, leaving m untouched.
+// AppendTruncateTo packs the response fitted to the given payload size,
+// appended to buf (pass buf[:0] to reuse a pooled buffer): answer, authority
+// and additional records are dropped whole (preserving any OPT record) and
+// the TC bit is set if anything was removed. It packs iteratively; for the
+// platform's small responses one or two passes suffice. A message that fits
+// is returned as it is, so the common case copies nothing; only a
+// truncation pass works on a copy, leaving m untouched.
 func (m *Message) AppendTruncateTo(size int, buf []byte) (*Message, []byte, error) {
 	base := len(buf)
 	wire, err := m.AppendPack(buf)

@@ -81,16 +81,12 @@ func TestOPTAccessors(t *testing.T) {
 	if NewOPT(100).UDPSize() != 512 {
 		t.Fatal("UDPSize floor")
 	}
-	if o.Version() != 0 || o.ExtendedRCode() != 0 {
-		t.Fatal("fresh OPT version/ercode")
+	if o.Version() != 0 || o.Do() {
+		t.Fatal("fresh OPT version/DO")
 	}
-	o.SetDo(true)
+	o.TTL |= 1 << 15
 	if !o.Do() {
 		t.Fatal("Do set")
-	}
-	o.SetDo(false)
-	if o.Do() {
-		t.Fatal("Do clear")
 	}
 	if !strings.Contains(o.String(), "udp=4096") {
 		t.Fatalf("OPT String = %q", o.String())

@@ -303,20 +303,8 @@ func (r *OPTRecord) UDPSize() uint16 {
 	return uint16(r.Class)
 }
 
-// ExtendedRCode reports the upper 8 bits of the extended response code.
-func (r *OPTRecord) ExtendedRCode() uint8 { return uint8(r.TTL >> 24) }
-
 // Version reports the EDNS version.
 func (r *OPTRecord) Version() uint8 { return uint8(r.TTL >> 16) }
-
-// SetDo sets the DNSSEC-OK flag.
-func (r *OPTRecord) SetDo(on bool) {
-	if on {
-		r.TTL |= 1 << 15
-	} else {
-		r.TTL &^= 1 << 15
-	}
-}
 
 // Do reports the DNSSEC-OK flag.
 func (r *OPTRecord) Do() bool { return r.TTL&(1<<15) != 0 }

@@ -129,7 +129,6 @@ type OpCode uint8
 const (
 	OpQuery  OpCode = 0
 	OpNotify OpCode = 4
-	OpUpdate OpCode = 5
 )
 
 // Header is the fixed 12-byte DNS message header (RFC 1035 §4.1.1).

@@ -239,6 +239,21 @@ func (p *parser) rr() (RR, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.body(name)
+}
+
+// UnpackRRBody decodes the owner-less record at the front of b — TYPE,
+// CLASS, TTL, RDLENGTH and RDATA, as AppendRRBody writes it — as a record
+// owned by owner, and reports how many bytes of b it took. Names in the
+// RDATA must be written in full; the record shares no memory with b.
+func UnpackRRBody(owner Name, b []byte) (RR, int, error) {
+	p := parser{msg: b}
+	rr, err := p.body(owner)
+	return rr, p.off, err
+}
+
+// body decodes a record's TYPE, CLASS, TTL, RDLENGTH and RDATA.
+func (p *parser) body(name Name) (RR, error) {
 	t16, err := p.uint16()
 	if err != nil {
 		return nil, err

@@ -140,7 +140,7 @@ func TestHeaderFlagsRoundTrip(t *testing.T) {
 
 func TestECSRoundTrip(t *testing.T) {
 	opt := NewOPT(4096)
-	opt.SetDo(true)
+	opt.TTL |= 1 << 15 // DNSSEC OK
 	want := ECS{Family: 1, SourcePrefix: 24, Addr: netip.MustParseAddr("198.51.100.0")}
 	if err := opt.SetClientSubnet(want); err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestTruncateTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, wire, err := m.TruncateTo(len(full) - 10)
+	small, wire, err := m.AppendTruncateTo(len(full)-10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestTruncateTo(t *testing.T) {
 	}
 	// Original untouched.
 	if m.Truncated || len(m.Additional) != 2 {
-		t.Fatal("TruncateTo mutated the original message")
+		t.Fatal("AppendTruncateTo mutated the original message")
 	}
 }
 
@@ -300,7 +300,7 @@ func TestTruncatePreservesOPT(t *testing.T) {
 	m := sampleMessage()
 	m.Additional = append(m.Additional, NewOPT(4096))
 	// Force dropping everything droppable.
-	tiny, _, err := m.TruncateTo(56)
+	tiny, _, err := m.AppendTruncateTo(56, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestTruncatePreservesOPT(t *testing.T) {
 
 func TestTruncateImpossible(t *testing.T) {
 	m := sampleMessage()
-	if _, _, err := m.TruncateTo(10); err == nil {
+	if _, _, err := m.AppendTruncateTo(10, nil); err == nil {
 		t.Fatal("fitting into 10 bytes should fail")
 	}
 }

@@ -142,8 +142,8 @@ func (e *Engine) AnswerInto(resp, q *dnswire.Message, client ClientKey) (z *zone
 
 // lookup fills resp's sections from z's compiled view: the lookup algorithm
 // (FuzzViewLookupParity holds it to the reference oracle) with no lock
-// acquisition and no per-record copies on the serve path. It reports
-// whether tailoring rewrote the answer.
+// acquisition, answered with records decoded from the view's arena for
+// this response alone. It reports whether tailoring rewrote the answer.
 func (e *Engine) lookup(resp *dnswire.Message, z *zone.Zone, question dnswire.Question, client ClientKey) (tailored bool) {
 	resp.Authoritative = true
 	ans := z.View().Lookup(question.Name, question.Type)

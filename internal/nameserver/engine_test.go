@@ -89,7 +89,7 @@ func TestEngineFormErr(t *testing.T) {
 		t.Fatalf("rcode = %v", resp.RCode)
 	}
 	q2 := dnswire.NewQuery(6, n("www.ex.com"), dnswire.TypeA)
-	q2.OpCode = dnswire.OpUpdate
+	q2.OpCode = dnswire.OpNotify
 	resp2, _, _ := e.Answer(q2, ResolverKey("r1"))
 	if resp2.RCode != dnswire.RCodeFormErr {
 		t.Fatalf("non-query opcode rcode = %v", resp2.RCode)

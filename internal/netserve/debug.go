@@ -106,8 +106,8 @@ type viewsZoneJSON struct {
 	Origin  string `json:"origin"`
 	Serial  uint32 `json:"serial"`
 	Records int    `json:"records"`
-	// ViewBytes is the heap footprint of the zone's compiled view (0 until
-	// the installed version's first reader compiles it).
+	// ViewBytes is the heap footprint of the zone's compiled view, which is
+	// the zone at rest.
 	ViewBytes int `json:"view_bytes"`
 }
 

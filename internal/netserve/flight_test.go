@@ -168,8 +168,8 @@ func TestFlightForensicsEndToEnd(t *testing.T) {
 		viewsDoc.Zones[0].Serial != 7 || viewsDoc.Zones[0].Records == 0 {
 		t.Fatalf("views debug = %+v", viewsDoc)
 	}
-	// The one hosted zone has been served from, so its view is compiled and
-	// is the whole of the store's view memory.
+	// The one hosted zone is held as its compiled view, the whole of the
+	// store's view memory.
 	if viewsDoc.ViewBytes <= 0 || viewsDoc.Zones[0].ViewBytes != viewsDoc.ViewBytes {
 		t.Fatalf("view bytes: store %d, zone %d", viewsDoc.ViewBytes, viewsDoc.Zones[0].ViewBytes)
 	}

@@ -133,6 +133,26 @@ func BenchmarkHandleUDPEDNS(b *testing.B) {
 	benchHandle(b, srv, wire)
 }
 
+// BenchmarkHandleUDPECS is the slow path a miss_mix ECS query takes: an A
+// query at a host carrying a client subnet, which neither wire tier answers,
+// so every iteration decodes the query, looks the name up in the zone's view
+// and packs the tailored-scope reply.
+func BenchmarkHandleUDPECS(b *testing.B) {
+	wire, err := dnswire.NewQuery(1, dnswire.MustName("www.ex.test"), dnswire.TypeA).Pack()
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := dnswire.Unpack(wire)
+	if err != nil {
+		b.Fatal(err)
+	}
+	withECS(q)
+	if wire, err = q.Pack(); err != nil {
+		b.Fatal(err)
+	}
+	benchHandle(b, benchServer(b), wire)
+}
+
 // BenchmarkHandleUDPNoCache is the slow path every query took before the
 // hot cache and compiled views existed — full decode, zone lookup, and pack
 // per packet — reached by calling the reference tier directly.
@@ -299,10 +319,12 @@ func BenchmarkHandleUDPViewFill(b *testing.B) {
 }
 
 // TestDecodePathAllocs holds the decode path — UnpackInto, AnswerInto and
-// AppendTruncateTo on the worker's reused messages — to the one allocation
-// it cannot shed, the question name's string, for the queries the wire
-// tiers hand it on a real workload: ECS-bearing A and ANY for existing
-// hosts.
+// AppendTruncateTo on the worker's reused messages — to the allocations it
+// cannot shed, for the queries the wire tiers hand it on a real workload:
+// ECS-bearing A and ANY for existing hosts, each answered by one record.
+// They are the question name's string, and the record the zone decodes
+// from its arena with the slice that carries it (1 while zones kept their
+// records as objects the answer could share).
 func TestDecodePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
@@ -326,7 +348,7 @@ func TestDecodePathAllocs(t *testing.T) {
 		}
 	}
 	ask() // the worker's messages grow their sections once
-	if allocs := testing.AllocsPerRun(200, ask) / float64(len(wires)); allocs > 1 {
-		t.Errorf("the decode path allocates %.2f per query, want at most 1", allocs)
+	if allocs := testing.AllocsPerRun(200, ask) / float64(len(wires)); allocs > 3 {
+		t.Errorf("the decode path allocates %.2f per query, want at most 3", allocs)
 	}
 }

@@ -246,11 +246,11 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 		"Datagrams returned per batched UDP read.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	// Compiled-view health, read off the store's own atomics at scrape time
-	// (a rebuild storm shows up as these racing; view bytes over hosted
+	// (an install storm shows up as these racing; view bytes over hosted
 	// zones is the memory each zone costs to serve).
-	reg.CounterFunc(obs.MetricViewRebuildsTotal, "Compiled zone view rebuilds of hosted zones.",
+	reg.CounterFunc(obs.MetricViewRebuildsTotal, "Compiled zone views installed: one per hosted zone version.",
 		func() float64 { return float64(eng.Store.ViewRebuilds()) })
-	reg.GaugeFunc(obs.MetricViewBytes, "Heap bytes of the compiled views hosted zones currently publish.",
+	reg.GaugeFunc(obs.MetricViewBytes, "Heap bytes of the hosted zones, each held as its compiled view.",
 		func() float64 { return float64(eng.Store.ViewBytes()) })
 	reg.GaugeFunc(obs.MetricRouterRebuilds, "Zone set republishes: the store generation.",
 		func() float64 { return float64(eng.Store.Gen()) })

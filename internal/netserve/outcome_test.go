@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
-	"strings"
 	"testing"
 
 	"akamaidns/internal/dnswire"
@@ -15,17 +14,6 @@ import (
 	"akamaidns/internal/queue"
 	"akamaidns/internal/zone"
 )
-
-// rawZone's view cannot pre-pack (a TXT string over 255 octets, added below
-// the parser), so every query into it crosses hot miss → view → decode.
-const rawZone = `
-$ORIGIN raw.test.
-$TTL 300
-@    IN SOA ns1 host ( 3 3600 600 604800 30 )
-@    IN NS ns1
-ns1  IN A 198.51.100.2
-www  IN A 192.0.2.2
-`
 
 // probeFilter scores every query at penalty and counts what the pipeline is
 // told about answers; last is the folded wire name of the latest.
@@ -42,22 +30,13 @@ func (p *probeFilter) ObserveAnswer(q *filters.Query, _ bool) {
 	p.last = string(q.Qname)
 }
 
-// outcomeServer is a socketless server over ex.test and raw.test sampling
+// outcomeServer is a socketless server over ex.test sampling
 // 1-in-every queries (1 records every query and stamps its every stage), an
 // overload ladder to push, and whatever filters the test scores with.
 func outcomeServer(t *testing.T, every int, fs ...filters.Filter) *Server {
 	t.Helper()
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(serveZone, dnswire.MustName("ex.test")))
-	rawOrigin := dnswire.MustName("raw.test")
-	raw, err := zone.Build(rawOrigin, append(zone.MustParseMaster(rawZone, rawOrigin).AllRecords(), &dnswire.TXT{
-		RRHeader: dnswire.RRHeader{Name: dnswire.MustName("odd.raw.test"), Type: dnswire.TypeTXT, Class: dnswire.ClassINET, TTL: 300},
-		Texts:    []string{strings.Repeat("x", 300)},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Put(raw)
 	cfg := DefaultConfig()
 	cfg.Flight = &flight.Config{SampleEvery: every}
 	cfg.MaxInflight = 100
@@ -111,8 +90,7 @@ func enqueued(srv *Server) float64 {
 }
 
 // TestAdmittedOnce: a query that the view tier admits and then cannot answer
-// — the reply would not fit, or the zone's view has no pre-packed wire — is
-// not admitted again by the decode path: one enqueue, one token from its
+// — the reply would not fit — is not admitted again by the decode path: one enqueue, one token from its
 // resolver's bucket.
 func TestAdmittedOnce(t *testing.T) {
 	for _, tc := range []struct {
@@ -122,7 +100,6 @@ func TestAdmittedOnce(t *testing.T) {
 		truncated bool
 	}{
 		{"oversize TXT without EDNS", [3]string{"big.ex.test", "big.ex.test", "big.ex.test"}, dnswire.TypeTXT, true},
-		{"view without pre-packed wire", [3]string{"www.raw.test", "ns1.raw.test", "raw.test"}, dnswire.TypeA, false},
 	} {
 		rl := filters.NewRateLimit()
 		rl.DefaultQPS, rl.BurstSeconds = 0.001, 2500 // a bucket of 2.5 tokens that does not drain
@@ -188,7 +165,6 @@ func TestOneSpanPerQuery(t *testing.T) {
 		{packQuery(t, "nope.ex.test", dnswire.TypeA, nil), false},    // view NXDOMAIN
 		{packQuery(t, "www.other.test", dnswire.TypeA, nil), false},  // view REFUSED
 		{packQuery(t, "big.ex.test", dnswire.TypeTXT, nil), false},   // view → decode, TC
-		{packQuery(t, "www.raw.test", dnswire.TypeA, nil), false},    // view → decode
 		{packQuery(t, "www.ex.test", dnswire.TypeA, withECS), false}, // decode
 		{packQuery(t, "www.ex.test", dnswire.TypeA, nil), true},      // decode over TCP
 		{append([]byte(nil), www[:len(www)-3]...), false},            // undecodable: FORMERR
@@ -361,8 +337,6 @@ func TestOneOutcomePerQuery(t *testing.T) {
 			verdict: flight.VerdictView, rcode: refused, qname: "www.other.test.", reply: true, observed: true},
 		{name: "view to decode, oversize", wire: func(t *testing.T) []byte { return packQuery(t, "big.ex.test", dnswire.TypeTXT, nil) },
 			verdict: flight.VerdictServed, qname: "big.ex.test.", reply: true, observed: true},
-		{name: "view to decode, no pre-packed wire", wire: func(t *testing.T) []byte { return packQuery(t, "www.raw.test", dnswire.TypeA, nil) },
-			verdict: flight.VerdictServed, qname: "www.raw.test.", reply: true, observed: true, inserted: true},
 		{name: "decode, ECS", wire: func(t *testing.T) []byte { return packQuery(t, "www.ex.test", dnswire.TypeA, withECS) },
 			verdict: flight.VerdictServed, qname: "www.ex.test.", reply: true, observed: true},
 		{name: "decode, ANY", wire: func(t *testing.T) []byte { return packQuery(t, "www.ex.test", dnswire.TypeANY, nil) },

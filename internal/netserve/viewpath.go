@@ -31,9 +31,9 @@ var optEcho = []byte{0, 0, 0x29, 0x04, 0xD0, 0, 0, 0, 0, 0, 0}
 
 // handleView serves one client-agnostic UDP query (see dispatch) from the
 // compiled view of the zone it was routed to (see route). It reports
-// done=false when the query needs the decode path: no compiled wire
-// available, or a response too large for the client's payload limit (the
-// decode path owns truncation). A query this tier admitted and then could
+// done=false when the query needs the decode path: a type the wire path
+// does not assemble (ANY), or a response too large for the client's
+// payload limit (the decode path owns truncation). A query this tier admitted and then could
 // not answer carries that in the outcome, so the decode path does not admit
 // it again.
 func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort, sc *scratch, level int) ([]byte, bool) {
@@ -71,7 +71,7 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	out = append(out, wire[12:12+v.QnameLen+4]...)
 	out, wa, okA := view.AppendAnswer(out, qfold, 12, v.QType)
 	if !okA {
-		// View has no pre-packed wire (exotic record) — decode path.
+		// ANY, or a name outside the zone — decode path.
 		sc.out = out[:0]
 		return nil, false
 	}

@@ -1,9 +1,10 @@
 package zone
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"akamaidns/internal/dnswire"
@@ -25,48 +26,53 @@ type Delta struct {
 // Empty reports whether the delta carries no record changes.
 func (d Delta) Empty() bool { return len(d.Deleted) == 0 && len(d.Added) == 0 }
 
-// Diff computes the delta from old to new. Records are compared by their
-// canonical presentation rendering.
+// Diff computes the delta from old to new: a merge walk over the two
+// zones' records in canonical order. Records are the same when their owner,
+// type and packed body are; the delta lists them in canonical order.
 func Diff(old, new *Zone) Delta {
-	d := Delta{FromSerial: old.Serial(), ToSerial: new.Serial()}
-	oldSet := renderSet(old)
-	newSet := renderSet(new)
-	for key, rr := range oldSet {
-		if _, ok := newSet[key]; !ok {
-			d.Deleted = append(d.Deleted, rr)
-		}
+	a, b := old.view.entries(nil), new.view.entries(nil)
+	return Delta{
+		FromSerial: old.Serial(), ToSerial: new.Serial(),
+		Deleted: missing(a, b), Added: missing(b, a),
 	}
-	for key, rr := range newSet {
-		if _, ok := oldSet[key]; !ok {
-			d.Added = append(d.Added, rr)
-		}
-	}
-	sortRRs(d.Deleted)
-	sortRRs(d.Added)
-	return d
 }
 
-func renderSet(z *Zone) map[string]dnswire.RR {
-	out := make(map[string]dnswire.RR)
-	for _, rr := range z.AllRecords() {
-		if _, isSOA := rr.(*dnswire.SOA); isSOA {
-			continue
+// missing decodes the records of a that b lacks; both are in canonical
+// order.
+func missing(a, b []entry) []dnswire.RR {
+	var out []dnswire.RR
+	for _, e := range a {
+		for len(b) > 0 && compareEntry(b[0], e) < 0 {
+			b = b[1:]
 		}
-		out[rr.String()] = rr
+		if setIndex(b, e) < 0 {
+			rr, _ := decode(e.owner, e.body)
+			out = append(out, rr)
+		}
 	}
 	return out
 }
 
-func sortRRs(rrs []dnswire.RR) {
-	sort.Slice(rrs, func(i, j int) bool { return rrs[i].String() < rrs[j].String() })
+// setIndex returns the index of e's body among the entries that start set,
+// the run of e's owner and type, or -1.
+func setIndex(set []entry, e entry) int {
+	for i, have := range set {
+		if compareEntry(have, e) != 0 {
+			break
+		}
+		if bytes.Equal(have.body, e.body) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Apply produces a new zone by applying the delta to base — how the next
 // version of a zone is built; an empty delta re-versions base at
-// d.ToSerial. Base's records keep their order and are shared, not copied (a
-// zone never writes through a record); added ones follow them, copied. It
-// fails when a deleted record is absent (the delta does not chain from this
-// version).
+// d.ToSerial. Base's records keep their order and are copied from its arena
+// as they are, never decoded; added ones follow them. Records match by
+// owner, type and packed body, as Diff compares them. It fails when a
+// deleted record is absent (the delta does not chain from this version).
 func Apply(base *Zone, d Delta) (*Zone, error) {
 	if base.Serial() != d.FromSerial {
 		return nil, fmt.Errorf("zone: delta chains from serial %d, zone is at %d", d.FromSerial, base.Serial())
@@ -77,38 +83,42 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 		return nil, fmt.Errorf("zone: base has no SOA")
 	}
 	soa.Serial = d.ToSerial
-	// deleted holds the renderings of the records to delete that base has
-	// not yet been seen to hold.
-	deleted := make(map[string]bool, len(d.Deleted))
-	for _, rr := range d.Deleted {
-		deleted[rr.String()] = true
-	}
-	if len(deleted) < len(d.Deleted) {
-		return nil, errors.New("zone: delta deletes a record twice")
-	}
 	origin := base.Origin()
 	sc := getScratch()
 	defer putScratch(sc)
-	sc.recs = append(sc.recs, soa)
-	for _, rr := range base.recs {
-		if _, isSOA := rr.(*dnswire.SOA); isSOA {
+	// The records to delete, packed and sorted as a zone's are: each must
+	// match one of base's, once.
+	for _, rr := range d.Deleted {
+		if err := sc.add(origin, rr); err != nil {
+			return nil, fmt.Errorf("zone: delta deletes missing record %s", rr)
+		}
+	}
+	deleted := canonical(slices.Clone(sc.ents))
+	if len(deleted) < len(sc.ents) {
+		return nil, errors.New("zone: delta deletes a record twice")
+	}
+	matched := make([]bool, len(deleted))
+	sc.ents = sc.ents[:0]
+	if err := sc.add(origin, soa); err != nil {
+		return nil, err
+	}
+	j := 0
+	for _, e := range base.view.entries(nil) {
+		for j < len(deleted) && compareEntry(deleted[j], e) < 0 {
+			j++
+		}
+		if i := setIndex(deleted[j:], e); i >= 0 {
+			matched[j+i] = true
 			continue
 		}
-		if len(deleted) > 0 {
-			if key := rr.String(); deleted[key] {
-				delete(deleted, key)
-				continue
-			}
-		}
-		sc.recs = append(sc.recs, rr)
+		sc.ents = append(sc.ents, e)
 	}
-	for _, rr := range d.Deleted {
-		if key := rr.String(); deleted[key] {
-			return nil, fmt.Errorf("zone: delta deletes missing record %s", key)
-		}
+	if i := slices.Index(matched, false); i >= 0 {
+		rr, _ := decode(deleted[i].owner, deleted[i].body)
+		return nil, fmt.Errorf("zone: delta deletes missing record %s", rr)
 	}
 	for _, rr := range d.Added {
-		if err := sc.add(origin, rr.Copy()); err != nil {
+		if err := sc.add(origin, rr); err != nil {
 			return nil, err
 		}
 	}

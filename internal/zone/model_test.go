@@ -26,7 +26,7 @@ func (m *zoneModel) add(rr dnswire.RR) {
 		return
 	}
 	for _, have := range m.sets[k] {
-		if have.String() == rr.String() {
+		if string(packBody(have)) == string(packBody(rr)) {
 			return
 		}
 	}
@@ -102,6 +102,16 @@ func (m *zoneModel) cuts() []dnswire.Name {
 	return out
 }
 
+// packBody is a record's identity within its RRset: its packed body, as a
+// zone compares records.
+func packBody(rr dnswire.RR) []byte {
+	b, err := dnswire.AppendRRBody(nil, rr)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func inOrder(rrs []dnswire.RR) []string {
 	out := make([]string, len(rrs))
 	for i, rr := range rrs {
@@ -160,8 +170,8 @@ func modelRR(owner dnswire.Name, typ dnswire.Type, variant byte) dnswire.RR {
 // each version — AllRecords order, RRset, NameExists, Names, Cuts,
 // NumRecords, Serial/SOA, the compiled view's answers and the Diff/Apply
 // round trip from the version before — to the map model, while readers race
-// the first View() of each version against its install in a store, whose
-// view gauge must then count that view exactly (run with -race). The
+// each version's install in a store, whose view gauge must then count that
+// version's bytes exactly (run with -race). The
 // sequence also splits in two, a and b, and Apply(a, Diff(a, b)) must give
 // b, whichever serial is the larger.
 func FuzzZoneModel(f *testing.F) {
@@ -215,7 +225,7 @@ func FuzzZoneModel(f *testing.F) {
 				m.setSerial(serial)
 				z, recs = next, append(recs, next.SOA())
 			}
-			wait := raceFirstView(z)
+			wait := raceReaders(z)
 			s.Put(z)
 			checkZoneAgainstModel(t, z, m)
 			wait()
@@ -232,11 +242,11 @@ func FuzzZoneModel(f *testing.F) {
 	})
 }
 
-// raceFirstView starts readers that compile and query z's view while the
-// caller reads it too: a zone's first View() is the one moment of its life
-// that goroutines race on. What a view answers is checked on the caller's
-// side; here only races and panics can fail. It returns the wait for them.
-func raceFirstView(z *Zone) (wait func()) {
+// raceReaders starts readers that query z's view while the caller installs
+// it in a store and reads it too. What a view answers is checked on the
+// caller's side; here only races and panics can fail. It returns the wait
+// for them.
+func raceReaders(z *Zone) (wait func()) {
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
@@ -279,8 +289,8 @@ func checkZoneAgainstModel(t *testing.T, z *Zone, m *zoneModel) {
 		t.Fatalf("SOA = %v, want none", soa)
 	}
 	v := z.View()
-	if z.Serial() != serial || v.Serial() != serial {
-		t.Fatalf("Serial = %d, view %d, want %d", z.Serial(), v.Serial(), serial)
+	if z.Serial() != serial {
+		t.Fatalf("Serial = %d, want %d", z.Serial(), serial)
 	}
 	ref := newOracle(z)
 	for i := range modelOwners {
@@ -347,8 +357,8 @@ func TestOneSOA(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := z.View()
-	if z.Serial() != 2 || z.SOA().Serial != 2 || v.Serial() != 2 || z.NumRecords() != 2 {
-		t.Fatalf("Serial %d, SOA %d, view %d, %d records; want serial 2 throughout and 2 records", z.Serial(), z.SOA().Serial, v.Serial(), z.NumRecords())
+	if z.Serial() != 2 || z.SOA().Serial != 2 || z.NumRecords() != 2 {
+		t.Fatalf("Serial %d, SOA %d, %d records; want serial 2 throughout and 2 records", z.Serial(), z.SOA().Serial, z.NumRecords())
 	}
 	if got := v.Lookup(n("nope.soa.test"), dnswire.TypeA); got.Result != NXDomain || got.SOA.Serial != 2 {
 		t.Fatalf("NXDOMAIN authority: %v %v", got.Result, got.SOA)
@@ -367,8 +377,8 @@ func TestOneSOA(t *testing.T) {
 func TestRemoveSOAClearsSerial(t *testing.T) {
 	z := buildZone(t)
 	z = mustBuild(t, z.Origin(), z.AllRecords()[1:]...) // AllRecords puts the SOA first
-	if z.SOA() != nil || z.Serial() != 0 || z.View().Serial() != 0 {
-		t.Fatalf("without the SOA: SOA %v, Serial %d, view %d", z.SOA(), z.Serial(), z.View().Serial())
+	if z.SOA() != nil || z.Serial() != 0 {
+		t.Fatalf("without the SOA: SOA %v, Serial %d", z.SOA(), z.Serial())
 	}
 	if _, err := Apply(z, Delta{ToSerial: 9}); err == nil {
 		t.Fatal("Apply conjured a serial for a zone without an SOA")

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -8,24 +9,69 @@ import (
 	"akamaidns/internal/dnswire"
 )
 
+// rrKey identifies an RRset within a zone.
+type rrKey struct {
+	name dnswire.Name
+	typ  dnswire.Type
+}
+
+func keyOf(rr dnswire.RR) rrKey {
+	h := rr.Header()
+	return rrKey{h.Name, h.Type}
+}
+
+func copyRRs(rrs []dnswire.RR) []dnswire.RR {
+	if len(rrs) == 0 {
+		return nil
+	}
+	out := make([]dnswire.RR, len(rrs))
+	for i, rr := range rrs {
+		out[i] = rr.Copy()
+	}
+	return out
+}
+
+// names returns every name of the zone in canonical order, read off the
+// view's nodes: the apex, each owner and each empty non-terminal.
+func (z *Zone) names() []dnswire.Name {
+	v := z.View()
+	var out []dnswire.Name
+	for n := range uint32(len(v.nodes) - 1) {
+		out = append(out, v.nodeName(n))
+	}
+	return out
+}
+
 // oracle is the reference implementation of the RFC 1034 §4.3.2 lookup that
 // the compiled view is held to. It shares no code and no data structure with
-// the serving path: it reads a zone's AllRecords snapshot into two maps — the
-// RRsets, and every owner name with its empty-non-terminal ancestors — and
-// walks names by string surgery, copying whatever it returns.
+// the serving path: it reads records into two maps — the RRsets, and every
+// owner name with its empty-non-terminal ancestors — and walks names by
+// string surgery, copying whatever it returns.
 type oracle struct {
 	origin dnswire.Name
 	sets   map[rrKey][]dnswire.RR
 	names  map[dnswire.Name]bool
 }
 
-func newOracle(z *Zone) *oracle {
-	o := &oracle{origin: z.Origin(), sets: make(map[rrKey][]dnswire.RR), names: make(map[dnswire.Name]bool)}
-	for _, rr := range z.AllRecords() {
-		h := rr.Header()
-		k := rrKey{h.Name, h.Type}
-		o.sets[k] = append(o.sets[k], rr)
-		for n := h.Name; ; n = n.Parent() {
+// newOracle builds the oracle of a zone's own AllRecords snapshot.
+func newOracle(z *Zone) *oracle { return oracleOf(z.Origin(), z.AllRecords()) }
+
+// oracleOf builds the oracle of the records a zone was made from, applying
+// the build's rules itself: a record repeated (same owner, type and packed
+// body) counts once, and of several apex SOAs the last stands. Each record
+// is taken as its wire form reads back, as a zone's readers return it.
+func oracleOf(origin dnswire.Name, recs []dnswire.RR) *oracle {
+	o := &oracle{origin: origin, sets: make(map[rrKey][]dnswire.RR), names: make(map[dnswire.Name]bool)}
+	for _, rr := range recs {
+		rr = wireNormal(rr)
+		k := keyOf(rr)
+		switch {
+		case k.typ == dnswire.TypeSOA:
+			o.sets[k] = []dnswire.RR{rr}
+		case !slices.ContainsFunc(o.sets[k], func(have dnswire.RR) bool { return string(packBody(have)) == string(packBody(rr)) }):
+			o.sets[k] = append(o.sets[k], rr)
+		}
+		for n := k.name; ; n = n.Parent() {
 			o.names[n] = true
 			if n == o.origin || n.IsRoot() {
 				break
@@ -33,6 +79,15 @@ func newOracle(z *Zone) *oracle {
 		}
 	}
 	return o
+}
+
+// wireNormal returns rr as its packed body decodes.
+func wireNormal(rr dnswire.RR) dnswire.RR {
+	out, _, err := dnswire.UnpackRRBody(rr.Header().Name, packBody(rr))
+	if err != nil {
+		panic(err)
+	}
+	return out
 }
 
 // oracleLookup answers one query from a fresh oracle of z.

@@ -19,6 +19,16 @@ import (
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	sc := getScratch()
 	defer putScratch(sc)
+	if err := readMaster(r, origin, sc, func(rr dnswire.RR) error { return sc.add(origin, rr) }); err != nil {
+		return nil, err
+	}
+	return sc.zone(origin), nil
+}
+
+// readMaster parses a master file into records for a zone at origin,
+// handing each to add in file order; sc lends the scanner buffer, the token
+// slice and the resolved-name map.
+func readMaster(r io.Reader, origin dnswire.Name, sc *scratch, add func(dnswire.RR) error) error {
 	lines := bufio.NewScanner(r)
 	// The scanner starts at the pooled buffer and grows past it on demand;
 	// only the cap is raised, so a typical zone costs no scanner buffer at
@@ -37,7 +47,7 @@ func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 		opens, closes := strings.Count(line, "("), strings.Count(line, ")")
 		parens += opens - closes
 		if parens < 0 {
-			return nil, fmt.Errorf("line %d: unbalanced parentheses", lineNo)
+			return fmt.Errorf("line %d: unbalanced parentheses", lineNo)
 		}
 		if pending == "" {
 			// Leading whitespace on the record's first line means "same
@@ -54,17 +64,21 @@ func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 			line = strings.ReplaceAll(strings.ReplaceAll(pending, "(", " "), ")", " ")
 			pending = ""
 		}
-		if err := p.parseLine(line, pendingLead); err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		rr, err := p.parseLine(line, pendingLead)
+		if err == nil && rr != nil {
+			err = add(rr)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
 	if err := lines.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if parens != 0 {
-		return nil, fmt.Errorf("unclosed parentheses at end of file")
+		return fmt.Errorf("unclosed parentheses at end of file")
 	}
-	return sc.zone(origin), nil
+	return nil
 }
 
 // maxMasterLine bounds one physical master-file line, newline included.
@@ -101,19 +115,20 @@ type lineParser struct {
 	curOrigin  dnswire.Name // the $ORIGIN relative names are completed with
 	defaultTTL uint32
 	lastName   dnswire.Name // the previous record's owner
-	sc         *scratch     // tokens and records
+	sc         *scratch     // tokens and resolved names
 }
 
-// parseLine parses one logical line into the scratch's records.
-func (p *lineParser) parseLine(line string, ownerFromPrev bool) error {
+// parseLine parses one logical line: its record, or nil for a blank line or
+// a directive.
+func (p *lineParser) parseLine(line string, ownerFromPrev bool) (dnswire.RR, error) {
 	var err error
 	p.sc.toks, err = tokenize(p.sc.toks[:0], line)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fields := p.sc.toks
 	if len(fields) == 0 {
-		return nil
+		return nil, nil
 	}
 	// Directives start with "$"; only they are compared in upper case.
 	directive := ""
@@ -123,27 +138,27 @@ func (p *lineParser) parseLine(line string, ownerFromPrev bool) error {
 	switch directive {
 	case "$ORIGIN":
 		if len(fields) != 2 {
-			return fmt.Errorf("$ORIGIN wants 1 argument")
+			return nil, fmt.Errorf("$ORIGIN wants 1 argument")
 		}
 		n, err := dnswire.ParseName(fields[1])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p.curOrigin = n
 		clear(p.sc.names) // relative names now resolve differently
-		return nil
+		return nil, nil
 	case "$TTL":
 		if len(fields) != 2 {
-			return fmt.Errorf("$TTL wants 1 argument")
+			return nil, fmt.Errorf("$TTL wants 1 argument")
 		}
 		ttl, err := parseTTL(fields[1])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p.defaultTTL = ttl
-		return nil
+		return nil, nil
 	case "$INCLUDE":
-		return fmt.Errorf("$INCLUDE is not supported")
+		return nil, fmt.Errorf("$INCLUDE is not supported")
 	}
 
 	// Owner name.
@@ -151,13 +166,13 @@ func (p *lineParser) parseLine(line string, ownerFromPrev bool) error {
 	rest := fields
 	if ownerFromPrev {
 		if p.lastName.IsZero() {
-			return fmt.Errorf("continuation line with no previous owner")
+			return nil, fmt.Errorf("continuation line with no previous owner")
 		}
 		owner = p.lastName
 	} else {
 		owner, err = p.name(fields[0])
 		if err != nil {
-			return fmt.Errorf("owner %q: %w", fields[0], err)
+			return nil, fmt.Errorf("owner %q: %w", fields[0], err)
 		}
 		rest = fields[1:]
 	}
@@ -172,7 +187,7 @@ func (p *lineParser) parseLine(line string, ownerFromPrev bool) error {
 			continue
 		}
 		if strings.EqualFold(rest[0], "CH") || strings.EqualFold(rest[0], "HS") {
-			return fmt.Errorf("class %s not supported", strings.ToUpper(rest[0]))
+			return nil, fmt.Errorf("class %s not supported", strings.ToUpper(rest[0]))
 		}
 		// A TTL starts with a digit. Asking parseTTL about anything else
 		// (here: the type mnemonic that ends the loop, once per record)
@@ -188,19 +203,19 @@ func (p *lineParser) parseLine(line string, ownerFromPrev bool) error {
 		rest = rest[1:]
 	}
 	if len(rest) == 0 {
-		return fmt.Errorf("missing record type")
+		return nil, fmt.Errorf("missing record type")
 	}
 	typ, ok := dnswire.TypeFromString(rest[0])
 	if !ok {
-		return fmt.Errorf("unknown record type %q", rest[0])
+		return nil, fmt.Errorf("unknown record type %q", rest[0])
 	}
 	rdata := rest[1:]
 	h := dnswire.RRHeader{Name: owner, Type: typ, Class: class, TTL: ttl}
 	rr, err := p.buildRR(h, rdata)
 	if err != nil {
-		return fmt.Errorf("%s %s: %w", owner, typ, err)
+		return nil, fmt.Errorf("%s %s: %w", owner, typ, err)
 	}
-	return p.sc.add(p.origin, rr)
+	return rr, nil
 }
 
 // tokenize appends to out the fields of s, split on whitespace but keeping

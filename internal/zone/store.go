@@ -17,10 +17,10 @@ type Store struct {
 	// each Update that installs or removes a zone. Every reader reads it.
 	set           atomic.Pointer[zoneSet]
 	shardRebuilds atomic.Uint64
-	// viewRebuilds counts view compiles of installed zones, monotonically;
-	// viewBytes is the footprint of the views currently published by
-	// installed zones. Both are moved by the zones themselves as they
-	// compile, install and leave — never by walking the store.
+	// viewRebuilds counts the zone versions installed, each with the view
+	// compiled when it was made, monotonically; viewBytes is the footprint
+	// of the installed zones. Both are moved by the zones themselves as
+	// they are installed and leave — never by walking the store.
 	viewRebuilds atomic.Uint64
 	viewBytes    atomic.Int64
 }
@@ -108,7 +108,7 @@ func (s *Store) publishLocked(prev *zoneSet, overlay map[dnswire.Name]*Zone) {
 	for o, z := range overlay {
 		var key string
 		if z != nil {
-			key = z.originWire
+			key = z.view.originWire
 		} else {
 			key = string(o.AppendWire(nil))
 		}
@@ -150,13 +150,13 @@ func (s *Store) ShardRebuilds() uint64 { return s.shardRebuilds.Load() }
 // RouterShards reports the fixed shard count of the routing index.
 func (s *Store) RouterShards() int { return routerShards }
 
-// ViewRebuilds reports how many views zones have compiled while installed
-// in the store. It is a total: replacing or deleting a zone never lowers it.
+// ViewRebuilds reports how many compiled views — zone versions, each
+// compiled when it was made — have been installed in the store. It is a
+// total: replacing or deleting a zone never lowers it.
 func (s *Store) ViewRebuilds() uint64 { return s.viewRebuilds.Load() }
 
-// ViewBytes reports the heap footprint of the compiled views the installed
-// zones currently publish (arena, table and slabs; a zone whose view is
-// not yet compiled contributes nothing).
+// ViewBytes reports the heap footprint of the installed zones: each is its
+// compiled view (header, arena, slabs and names).
 func (s *Store) ViewBytes() int64 { return s.viewBytes.Load() }
 
 // NewStore returns an empty zone store.
@@ -337,11 +337,9 @@ func (s *Store) SerialSum() uint64 { return s.set.Load().sum }
 func (s *Store) Len() int { return s.set.Load().n }
 
 // Transfer produces an AXFR-style record stream for the zone at origin:
-// SOA, all other records, SOA again (RFC 5936 framing). Returns nil when
-// the zone does not exist or has no SOA. The full-slice expression pins the
-// append to a fresh backing array, so the trailing SOA can never scribble
-// into spare capacity owned by AllRecords' snapshot (the ownership contract
-// TestTransferOwnership asserts).
+// SOA, all other records, SOA again (RFC 5936 framing), every record decoded
+// afresh from the zone's arena and the caller's own. Returns nil when the
+// zone does not exist or has no SOA.
 func (s *Store) Transfer(origin dnswire.Name) []dnswire.RR {
 	z := s.Get(origin)
 	if z == nil {
@@ -351,18 +349,14 @@ func (s *Store) Transfer(origin dnswire.Name) []dnswire.RR {
 	if soa == nil {
 		return nil
 	}
-	recs := z.AllRecords()
-	return append(recs[:len(recs):len(recs)], soa)
+	return append(z.AllRecords(), soa)
 }
 
 // FromTransfer reassembles a zone from an AXFR-style stream, validating
 // the SOA framing, without installing it anywhere: callers Put it, the
-// propagation plane once it has verified the content. The caller hands the
-// stream's records over:
-// the zone keeps them, not copies, and serves them lock-free, so they must
-// not be modified afterwards (handing one unmodified stream to two zones is
-// fine — a zone never writes through a record). Store.Transfer's stream is
-// the caller's own and may be handed straight on.
+// propagation plane once it has verified the content. The zone packs the
+// stream's records and keeps none of them, so the caller may reuse or
+// modify them afterwards.
 func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	if len(recs) < 2 {
 		return nil, errBadTransfer

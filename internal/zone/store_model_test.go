@@ -211,7 +211,7 @@ func checkStoreAgainstModel(t *testing.T, s *Store, model map[dnswire.Name]*Zone
 			}
 			wire := name.AppendWire(nil)
 			got, off, ok := s.FindWire(wire)
-			if got != want || ok != (want != nil) || (ok && string(wire[off:]) != got.originWire) {
+			if got != want || ok != (want != nil) || (ok && string(wire[off:]) != got.view.originWire) {
 				t.Fatalf("FindWire(%s) = %p,%d,%v, brute force %p", name, got, off, ok, want)
 			}
 		}

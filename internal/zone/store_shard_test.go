@@ -59,7 +59,7 @@ func TestShardedRouterParity(t *testing.T) {
 			if got != want || ok != (want != nil) {
 				t.Fatalf("%s: FindWire(%s) = %v,%v, brute force says %v", stage, name, got, ok, want)
 			}
-			if ok && string(wire[off:]) != got.originWire {
+			if ok && string(wire[off:]) != got.view.originWire {
 				t.Fatalf("%s: FindWire(%s) offset %d does not start the origin %s", stage, name, off, got.Origin())
 			}
 		}
@@ -291,9 +291,9 @@ txt IN TXT "hello"
 }
 
 // TestApplyTransferTakesRecords pins the hand-over on the receiving side: the
-// zone FromTransfer builds, once installed, serves the stream's own records,
-// not copies — which is what forbids the caller to modify them — while
-// nothing ties it to the zone the stream was taken from.
+// zone FromTransfer builds takes the stream's records in packed form and
+// keeps none of them — the caller may scribble on the stream — while nothing
+// ties it to the zone the stream was taken from.
 func TestApplyTransferTakesRecords(t *testing.T) {
 	origin := dnswire.MustName("xfer.test.")
 	www := dnswire.MustName("www.xfer.test.")
@@ -305,9 +305,12 @@ func TestApplyTransferTakesRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst.Put(z)
+	for _, rr := range stream {
+		rr.Header().TTL = 12345
+	}
 	got := dst.Get(origin).View().Lookup(www, dnswire.TypeA).Answer
-	if len(got) != 1 || !slices.Contains(stream, got[0]) {
-		t.Fatalf("installed zone serves %v, not the stream's own record", got)
+	if len(got) != 1 || got[0].Header().TTL != 300 || slices.Contains(stream, got[0]) {
+		t.Fatalf("installed zone serves %v, which the stream's records reach", got)
 	}
 	// The source moves on to a version without www; the installed zone is a
 	// separate one.

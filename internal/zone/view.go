@@ -1,22 +1,24 @@
 package zone
 
-// This file is the compiled read path: an immutable per-zone View compiled
-// by the zone's first reader and published through an atomic pointer, so
-// lookups — including the random-subdomain NXDOMAIN floods of §5.3 that are
-// cache-busting by construction — run with no locks, no RR deep copies, and
-// (on the wire path) no allocations. The reference implementation it is held
-// to lives in the tests (oracle_test.go): FuzzViewLookupParity holds the two
-// to identical answers.
+// This file is the zone at rest: an immutable View compiled when the zone is
+// made, from which every read is served — lookups, including the
+// random-subdomain NXDOMAIN floods of §5.3 that are cache-busting by
+// construction, run with no locks and (on the wire path) no allocations.
+// The records a zone is built from die with the build: the structured
+// readers (Lookup, AllRecords, RRset, SOA, Diff, Apply) decode what they
+// return from the arena. The reference implementation the view is held to
+// lives in the tests (oracle_test.go): FuzzViewLookupParity and
+// FuzzZoneArena hold the two to identical answers.
 //
-// A View is flat: one header, one pointer-free byte arena, two pointer-free
-// index arrays and two pointer-bearing slabs, whatever the zone's size.
+// A View is flat: one header, one byte arena, two index arrays and one
+// block of names, whatever the zone's size, and none but the header holds a
+// pointer for the collector to trace.
 //
 //	arena  [child table][node labels][set bodies and glue, set by set]
 //	nodes  one per owner name and empty non-terminal, apex first
-//	sets   one per RRset, node by node and type-sorted within a node
-//	names  nodes[i]'s owner as a dnswire.Name (strings shared with the zone)
-//	rrs    the zone's own records, set by set (shared, never deep-copied),
-//	       each cut's glue after its sets
+//	sets   one per RRset, node by node and type-sorted within a node, each
+//	       cut's glue after its sets
+//	names  the origin's wire form, then every node's owner text
 //
 // Every name lookup is one top-down walk from the apex: each label below the
 // origin costs one probe of the child table, and the walk yields the topmost
@@ -31,16 +33,12 @@ import (
 	"akamaidns/internal/dnswire"
 )
 
-// View is the immutable compiled form of one zone. All fields — including
-// every RR reachable through it — are frozen at compile time, and readers
-// share them freely.
+// View is the immutable compiled form of one zone. All fields are frozen
+// when the zone is made, and readers share them freely.
 type View struct {
 	// The fields a lookup reads come first, so a cold view costs it few
 	// cache lines of header.
 
-	// wireOK gates the wire path; a record that cannot be pre-packed (never
-	// expected in practice) downgrades the view to structured-only.
-	wireOK       bool
 	originLabels int32
 	// arena starts with the child table: tableMask+1 little-endian uint32
 	// slots, open-addressed with linear probing. A slot's low idxMask bits
@@ -53,25 +51,25 @@ type View struct {
 	tableMask uint32
 	idxMask   uint32
 	arena     []byte
-	// originWire is the origin's folded wire name. It is the zone's own
-	// routing key, the bytes Store.FindWire has just compared: holding a
-	// query to it costs no cache miss.
+	// originWire is the origin's folded wire name, the head of names. It is
+	// the zone's own routing key, the bytes Store.FindWire has just
+	// compared: holding a query to it costs no cache miss.
 	originWire string
-	// nodes and sets each end in a sentinel, so a node's sets end where the
-	// next node's begin and a set's records and bytes end where the next
-	// set's begin.
+	// nodes and sets each end in a sentinel, so a node's sets and owner text
+	// end where the next node's begin, and a set's records and bytes end
+	// where the next set's begin.
 	nodes []viewNode
 	sets  []viewSet
 	// soaBody aliases the arena: the apex SOA's pre-packed body for negative
 	// answers (nil when the zone has no SOA).
 	soaBody []byte
-
-	names  []dnswire.Name
-	rrs    []dnswire.RR
-	soa    *dnswire.SOA
+	// names is the block every node's owner text lives in, so a node's
+	// dnswire.Name is a substring of it and costs no allocation.
+	names  string
 	origin dnswire.Name
 	serial uint32
-	// size is the view's heap footprint in bytes: header, arena and slabs.
+	// size is the zone's heap footprint in bytes: header, arena, slabs and
+	// names.
 	size int
 }
 
@@ -79,6 +77,7 @@ type View struct {
 type viewNode struct {
 	parent uint32 // node index of the parent name
 	label  uint32 // arena offset of the node's own length-prefixed label
+	name   uint32 // offset of the node's owner text in names
 	sets   uint32 // index of the node's first set
 	// wildcard is the node index of the "*" child, so wildcard synthesis is
 	// an array read instead of a name construction; 0 when there is none
@@ -90,10 +89,11 @@ type viewNode struct {
 	cut bool
 }
 
-// viewSet is one compiled RRset: a range of the record slab plus the
-// records' pre-packed bodies in the arena.
+// viewSet is one compiled RRset: its records' pre-packed bodies in the
+// arena, and the ordinal of its first record, so a set's record count is
+// the difference to the next set's.
 type viewSet struct {
-	rr   uint32
+	rec  uint32
 	body uint32
 	typ  dnswire.Type
 }
@@ -101,150 +101,162 @@ type viewSet struct {
 // Origin returns the compiled zone's apex.
 func (v *View) Origin() dnswire.Name { return v.origin }
 
-// Serial returns the SOA serial frozen into the view.
-func (v *View) Serial() uint32 { return v.serial }
-
-// View returns the zone's compiled snapshot, compiling it on first use: a
-// zone compiles at most once. Of two first readers compiling at once, one
-// publishes and both return that view. Publishing charges the view to the
-// zone's store under z.mu, which setStore also takes, so a view is counted
-// in exactly the store the zone is in.
-func (z *Zone) View() *View {
-	if v := z.view.Load(); v != nil {
-		return v
-	}
-	v := z.compileView()
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if !z.view.CompareAndSwap(nil, v) {
-		return z.view.Load()
-	}
-	if z.store != nil {
-		z.store.viewRebuilds.Add(1)
-		z.store.viewBytes.Add(int64(v.size))
-	}
-	return v
-}
-
-// ViewBytes reports the heap footprint of the zone's published view, 0
-// while none is compiled (it never triggers a compile).
-func (z *Zone) ViewBytes() int {
-	if v := z.view.Load(); v != nil {
-		return v.size
-	}
-	return 0
-}
-
-// compileView builds the snapshot from the slab. Canonical order puts a name
-// before everything below it and keeps an owner's records together by type,
-// so the slab is consumed front to back: nothing is sorted, and nothing is
-// looked up but glue.
-func (z *Zone) compileView() *View {
-	recs := z.recs
-	sc := getScratch()
-	defer putScratch(sc)
-	// Count names and sets and resolve each cut's glue first, so every slab
-	// is allocated once, exactly; the glue and the arena are gathered in
-	// scratch.
-	names := z.names()
-	nn, nsets := len(names), 1
-	glue, glueEnd := sc.recs[:0], sc.ends[:0] // every cut's glue, cut by cut in slab order, and where each ends
-	for i := 0; i < len(recs); {
-		k, j := keyOf(recs[i]), setEnd(recs, i)
-		nsets++
-		if k.typ == dnswire.TypeNS && k.name != z.origin {
-			nsets++
-			glue = z.appendGlue(glue, recs[i:j])
-			glueEnd = append(glueEnd, len(glue))
+// zone compiles the records added so far into a new zone at origin: how
+// New, Build, ParseMaster, FromTransfer and Apply finish. canonical order
+// puts a name before everything below it and keeps an owner's records
+// together by type, so the records are consumed front to back: nothing is
+// sorted after canonical, and nothing is looked up but glue. Every slab is
+// allocated once, at its exact size; the arena and the names block are
+// gathered in scratch.
+func (sc *scratch) zone(origin dnswire.Name) *Zone {
+	ents := canonical(sc.ents)
+	z := &Zone{version: versionSeq.Add(1)}
+	v := &z.view
+	v.origin, v.originLabels = origin, int32(origin.NumLabels())
+	// Every name of the zone in canonical order — the apex, then each
+	// owner, preceded by those of its ancestors no earlier owner sits at or
+	// below (the empty non-terminals) — and where each name's records start.
+	names, first := sc.nodeNames[:0], sc.first[:0]
+	nsets := 1
+	for i, e := range ents {
+		if i > 0 && e.owner == ents[i-1].owner {
+			if e.typ != ents[i-1].typ {
+				nsets++
+			}
+			continue
 		}
-		i = j
+		nsets++
+		if i == 0 {
+			names, first = append(names, origin), append(first, 0)
+		}
+		prev := origin
+		if i > 0 {
+			prev = ents[i-1].owner
+		}
+		k := 0
+		for a := e.owner; a != origin && !prev.IsSubdomainOf(a); a = a.Parent() {
+			k++
+		}
+		// The owner and its k-1 nearest ancestors, filled in bottom up.
+		n := len(names)
+		names = slices.Grow(names, k)[:n+k]
+		for j, a := n+k-1, e.owner; j >= n; j, a = j-1, a.Parent() {
+			names[j] = a
+			first = append(first, i)
+		}
 	}
-	sc.recs, sc.ends = glue, glueEnd
-	v := &View{
-		origin:       z.origin,
-		originWire:   z.originWire,
-		originLabels: int32(z.origin.NumLabels()),
-		tableMask:    1<<bits.Len(uint(nn+nn/2)) - 1, // load factor under 2/3
-		idxMask:      1<<bits.Len(uint(nn)) - 1,
-		wireOK:       true,
-		names:        names,
+	first = append(first, len(ents))
+	sc.nodeNames, sc.first = names, first
+	nn := len(names)
+	for n := 1; n < nn; n++ {
+		if slices.ContainsFunc(ents[first[n]:first[n+1]], isNS) {
+			nsets++ // a cut's glue pseudo-set
+		}
 	}
+
+	v.tableMask = 1<<bits.Len(uint(nn+nn/2)) - 1 // load factor under 2/3
+	v.idxMask = 1<<bits.Len(uint(nn)) - 1
 	table := 4 * int(v.tableMask+1)
 	v.arena = slices.Grow(sc.arena[:0], table)[:table]
 	clear(v.arena)
+	text := origin.AppendWire(sc.text[:0])
 	v.nodes = make([]viewNode, 0, nn+1)
 	v.sets = make([]viewSet, 0, nsets)
-	v.rrs = make([]dnswire.RR, 0, len(recs)+len(glue))
 	// The nodes: a name's parent is the last node made one label up.
 	var path [maxWireLabels + 1]uint32
-	for i, n := range names {
+	for i, name := range names {
 		if i == 0 {
 			v.nodes = append(v.nodes, viewNode{})
-			continue
+		} else {
+			d := name.NumLabels() - int(v.originLabels)
+			path[d] = v.addNode(path[d-1], name)
 		}
-		d := n.NumLabels() - int(v.originLabels)
-		path[d] = v.addNode(path[d-1], n)
+		v.nodes[i].name = uint32(len(text))
+		text = append(text, name.String()...)
 	}
+	v.nodes = append(v.nodes, viewNode{name: uint32(len(text))})
+	v.names = string(text)
+	v.originWire = v.names[:v.nodes[0].name]
+	sc.text = text[:0]
 	// The sets, node by node; a cut's glue follows its sets.
-	i, g := 0, 0
-	for n := range v.nodes {
-		v.nodes[n].sets = uint32(len(v.sets))
-		for i < len(recs) && recs[i].Header().Name == v.names[n] {
-			typ, j := recs[i].Header().Type, setEnd(recs, i)
-			v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena)), typ: typ})
-			v.rrs = append(v.rrs, recs[i:j]...)
-			for _, rr := range recs[i:j] {
-				v.appendPacked(dnswire.AppendRRBody, rr)
+	rec := uint32(0)
+	for n := range nn {
+		nd := &v.nodes[n]
+		nd.sets = uint32(len(v.sets))
+		nodeEnts := ents[first[n]:first[n+1]]
+		for i := 0; i < len(nodeEnts); {
+			typ := nodeEnts[i].typ
+			v.sets = append(v.sets, viewSet{rec: rec, body: uint32(len(v.arena)), typ: typ})
+			for ; i < len(nodeEnts) && nodeEnts[i].typ == typ; i++ {
+				v.arena = append(v.arena, nodeEnts[i].body...)
+				rec++
 			}
-			v.nodes[n].cut = v.nodes[n].cut || typ == dnswire.TypeNS && n != 0
-			i = j
+			nd.cut = nd.cut || typ == dnswire.TypeNS && n != 0
 		}
-		if v.nodes[n].cut {
-			v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena))})
-			end := glueEnd[0]
-			for _, rr := range glue[g:end] {
-				v.appendPacked(dnswire.AppendRR, rr)
-			}
-			v.rrs = append(v.rrs, glue[g:end]...)
-			g, glueEnd = end, glueEnd[1:]
-		}
-	}
-	v.nodes = append(v.nodes, viewNode{sets: uint32(len(v.sets))})
-	v.sets = append(v.sets, viewSet{rr: uint32(len(v.rrs)), body: uint32(len(v.arena))})
-	// The arena was packed in scratch: the view keeps an exact copy.
-	sc.arena, v.arena = v.arena[:0], append(make([]byte, 0, len(v.arena)), v.arena...)
-	if nn > 0 {
-		if s, ok := v.findSet(0, dnswire.TypeSOA); ok {
-			if soa, isSOA := v.rrs[v.sets[s].rr].(*dnswire.SOA); isSOA {
-				v.soa, v.serial = soa, soa.Serial
-				if v.wireOK {
-					v.soaBody = firstBody(v.setWire(s))
+		if nd.cut {
+			v.sets = append(v.sets, viewSet{rec: rec, body: uint32(len(v.arena))})
+			for _, e := range nodeEnts {
+				if e.typ == dnswire.TypeNS {
+					rec += v.appendGlue(ents, first, e.body[10:])
 				}
 			}
 		}
 	}
-	v.size = int(unsafe.Sizeof(*v)) + cap(v.arena) +
-		cap(v.nodes)*int(unsafe.Sizeof(viewNode{})) + cap(v.sets)*int(unsafe.Sizeof(viewSet{})) +
-		cap(v.names)*int(unsafe.Sizeof(dnswire.Name{})) + cap(v.rrs)*int(unsafe.Sizeof(dnswire.RR(nil)))
-	return v
+	v.nodes[nn].sets = uint32(len(v.sets))
+	v.sets = append(v.sets, viewSet{rec: rec, body: uint32(len(v.arena))})
+	// The arena was packed in scratch: the view keeps an exact copy.
+	sc.arena, v.arena = v.arena[:0], append(make([]byte, 0, len(v.arena)), v.arena...)
+	if nn > 0 {
+		if s, ok := v.findSet(0, dnswire.TypeSOA); ok {
+			v.soaBody = firstBody(v.setWire(s))
+			v.serial = soaSerial(v.soaBody)
+		}
+	}
+	v.size = int(unsafe.Sizeof(*z)) + cap(v.arena) + len(v.names) +
+		cap(v.nodes)*int(unsafe.Sizeof(viewNode{})) + cap(v.sets)*int(unsafe.Sizeof(viewSet{}))
+	return z
 }
 
-// setEnd returns where the RRset that starts at recs[i] ends in a zone's slab.
-func setEnd(recs []dnswire.RR, i int) int {
-	k := keyOf(recs[i])
-	for i++; i < len(recs) && keyOf(recs[i]) == k; i++ {
+func isNS(e entry) bool { return e.typ == dnswire.TypeNS }
+
+// appendGlue packs, with literal owners, the in-zone A then AAAA records of
+// the NS target whose wire name is target, and returns how many it packed.
+// The node table is complete, so the target is found by one walk.
+func (v *View) appendGlue(ents []entry, first []int, target []byte) uint32 {
+	node, ok := v.node(target)
+	if !ok {
+		return 0
 	}
-	return i
+	k := uint32(0)
+	for _, typ := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
+		for _, e := range ents[first[node]:first[node+1]] {
+			if e.typ == typ {
+				v.arena = append(append(v.arena, target...), e.body...)
+				k++
+			}
+		}
+	}
+	return k
 }
 
-// appendPacked packs one record into the arena; a record that will not pack
-// leaves the arena as it was and switches the wire path off.
-func (v *View) appendPacked(pack func([]byte, dnswire.RR) ([]byte, error), rr dnswire.RR) {
-	if b, err := pack(v.arena, rr); err == nil {
-		v.arena = b
-	} else {
-		v.wireOK = false
+// soaSerial reads the serial out of an SOA body: past the fixed fields and
+// RDLEN, then the two names.
+func soaSerial(body []byte) uint32 {
+	o := 10
+	for range 2 {
+		o += wireNameLen(body[o:])
 	}
+	return binary.BigEndian.Uint32(body[o:])
+}
+
+// wireNameLen returns the length of the uncompressed wire name at the front
+// of b, root octet included.
+func wireNameLen(b []byte) int {
+	o := 0
+	for b[o] != 0 {
+		o += 1 + int(b[o])
+	}
+	return o + 1
 }
 
 // addNode appends the node for n, a child of node parent, and enters it in
@@ -353,10 +365,20 @@ func (v *View) locate(name []byte, offs *labelOffsets, rel int) (node uint32, i 
 // NXDOMAIN.
 func (v *View) empty() bool { return len(v.nodes) == 1 }
 
+// setRange returns the indexes of node's RRsets: [lo, hi), its glue
+// pseudo-set excluded.
+func (v *View) setRange(node uint32) (lo, hi uint32) {
+	lo, hi = v.nodes[node].sets, v.nodes[node+1].sets
+	if v.nodes[node].cut {
+		hi--
+	}
+	return lo, hi
+}
+
 // findSet returns the index of node's RRset of type t. (A cut's trailing
-// glue pseudo-set carries type 0 and is only ever reached by index.)
+// glue pseudo-set is only ever reached by index.)
 func (v *View) findSet(node uint32, t dnswire.Type) (uint32, bool) {
-	for s, end := v.nodes[node].sets, v.nodes[node+1].sets; s < end; s++ {
+	for s, end := v.setRange(node); s < end; s++ {
 		if typ := v.sets[s].typ; typ >= t {
 			return s, typ == t
 		}
@@ -367,13 +389,8 @@ func (v *View) findSet(node uint32, t dnswire.Type) (uint32, bool) {
 // glueSet returns the index of a cut's glue pseudo-set: its last set.
 func (v *View) glueSet(cut uint32) uint32 { return v.nodes[cut+1].sets - 1 }
 
-// setRRs returns set s's records. The three-index slice keeps callers that
-// append (the engine chains glue ahead of its OPT record) from ever writing
-// into the slab, where the next set's records follow.
-func (v *View) setRRs(s uint32) []dnswire.RR {
-	lo, hi := v.sets[s].rr, v.sets[s+1].rr
-	return v.rrs[lo:hi:hi]
-}
+// setLen returns set s's record count.
+func (v *View) setLen(s uint32) int { return int(v.sets[s+1].rec - v.sets[s].rec) }
 
 // setWire returns set s's arena bytes: its records' bodies back to back.
 func (v *View) setWire(s uint32) []byte {
@@ -414,11 +431,104 @@ func (v *View) CanExist(qname []byte) bool {
 	return cut || ok
 }
 
+// node returns the node of a folded wire-form name, exactly: the walk does
+// not stop at delegation points, so names below a cut (glue owners, for
+// one) are found too.
+func (v *View) node(name []byte) (uint32, bool) {
+	var offs labelOffsets
+	rel := splitLabels(name, &offs) - int(v.originLabels)
+	if v.empty() || rel < 0 || string(name[offs[rel]:]) != v.originWire {
+		return 0, false
+	}
+	node := uint32(0)
+	for i := rel; i > 0; i-- {
+		c, found := v.child(node, name[offs[i-1]:offs[i]])
+		if !found {
+			return 0, false
+		}
+		node = c
+	}
+	return node, true
+}
+
+// nodeName returns node's owner name: a substring of the names block.
+func (v *View) nodeName(node uint32) dnswire.Name {
+	name, _ := dnswire.ParseName(v.names[v.nodes[node].name:v.nodes[node+1].name])
+	return name
+}
+
+// records appends set s's records, decoded from the arena and owned by
+// owner.
+func (v *View) records(dst []dnswire.RR, s uint32, owner dnswire.Name) []dnswire.RR {
+	for w := v.setWire(s); len(w) > 0; {
+		rr, n := decode(owner, w)
+		dst = append(dst, rr)
+		w = w[n:]
+	}
+	return dst
+}
+
+// glue appends cut's glue records, each owned by the in-zone name its
+// literal owner bytes spell.
+func (v *View) glue(dst []dnswire.RR, cut uint32) []dnswire.RR {
+	for w := v.setWire(v.glueSet(cut)); len(w) > 0; {
+		l := wireNameLen(w)
+		node, _ := v.node(w[:l])
+		rr, n := decode(v.nodeName(node), w[l:])
+		dst = append(dst, rr)
+		w = w[l+n:]
+	}
+	return dst
+}
+
+// decode reads the record body at the front of w. The arena holds only
+// bodies dnswire.AppendRRBody wrote, which it guarantees read back.
+func decode(owner dnswire.Name, w []byte) (dnswire.RR, int) {
+	rr, n, err := dnswire.UnpackRRBody(owner, w)
+	if err != nil {
+		panic("zone: arena record does not decode: " + err.Error())
+	}
+	return rr, n
+}
+
+// entries appends the view's records to dst as build entries, in canonical
+// order — owner, type, insertion — the apex SOA and glue left out: what
+// AllRecords decodes, and what Diff and Apply compare without decoding.
+func (v *View) entries(dst []entry) []entry {
+	for n := range uint32(len(v.nodes) - 1) {
+		lo, hi := v.setRange(n)
+		if lo == hi {
+			continue
+		}
+		owner := v.nodeName(n)
+		for s := lo; s < hi; s++ {
+			typ := v.sets[s].typ
+			if n == 0 && typ == dnswire.TypeSOA {
+				continue
+			}
+			for w := v.setWire(s); len(w) > 0; {
+				body := firstBody(w)
+				dst = append(dst, entry{owner: owner, typ: typ, body: body})
+				w = w[len(body):]
+			}
+		}
+	}
+	return dst
+}
+
+// soaRecord decodes the apex SOA, or returns nil when the zone has none.
+func (v *View) soaRecord() *dnswire.SOA {
+	if v.soaBody == nil {
+		return nil
+	}
+	rr, _ := decode(v.origin, v.soaBody)
+	return rr.(*dnswire.SOA)
+}
+
 // Lookup is the structured read off the compiled view: the RFC 1034 §4.3.2
-// algorithm with no lock and no RR copies — returned records, and the slices
-// holding them, are shared with the view and must be treated as read-only
-// (wildcard-synthesized records are fresh copies, as their owner is
-// rewritten). A shared slice is capped, so appending to it copies.
+// algorithm with no lock. The records it returns are decoded from the arena
+// for this call and are the caller's; a wildcard-synthesized record is owned
+// by the name asked for.
 func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 	if v.empty() || !qname.IsSubdomainOf(v.origin) {
 		return Answer{Result: NXDomain}
@@ -435,30 +545,36 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 		if cut {
 			ns, _ := v.findSet(node, dnswire.TypeNS)
 			ans.Result = Delegation
-			ans.NS = v.setRRs(ns)
-			ans.Glue = v.setRRs(v.glueSet(node))
+			ans.NS = v.records(nil, ns, v.nodeName(node))
+			ans.Glue = v.glue(nil, node)
 			return ans
 		}
 		exact := i == 0
+		owner := name
+		if exact {
+			owner = v.nodeName(node)
+		}
 		if src, found := v.source(node, exact); found {
 			if s, hit := v.findSet(src, qtype); hit {
 				ans.Result = Success
-				ans.Answer = appendOwned(ans.Answer, v.setRRs(s), name, exact)
+				ans.Answer = v.records(ans.Answer, s, owner)
 				return ans
 			}
 			if exact && qtype == dnswire.TypeANY {
 				// Every set at the node, ordered by type then insertion
-				// order: its sets sit back to back in the slab.
-				lo, hi := v.sets[v.nodes[node].sets].rr, v.sets[v.nodes[node+1].sets].rr
-				if lo < hi {
+				// order.
+				if lo, hi := v.setRange(node); lo < hi {
+					for s := lo; s < hi; s++ {
+						ans.Answer = v.records(ans.Answer, s, owner)
+					}
 					ans.Result = Success
-					ans.Answer = appendOwned(ans.Answer, v.rrs[lo:hi:hi], name, true)
 					return ans
 				}
 			}
 			if s, hit := v.findSet(src, dnswire.TypeCNAME); hit && qtype != dnswire.TypeCNAME {
-				ans.Answer = appendOwned(ans.Answer, v.setRRs(s)[:1:1], name, exact)
-				cname := ans.Answer[len(ans.Answer)-1].(*dnswire.CNAME)
+				rr, _ := decode(owner, v.setWire(s))
+				ans.Answer = append(ans.Answer, rr)
+				cname := rr.(*dnswire.CNAME)
 				if hop < maxCNAMEChain && cname.Target.IsSubdomainOf(v.origin) {
 					name = cname.Target
 					continue
@@ -469,33 +585,14 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 			}
 			if exact {
 				ans.Result = NoData
-				ans.SOA = v.soa
+				ans.SOA = v.soaRecord()
 				return ans
 			}
 		}
 		ans.Result = NXDomain
-		ans.SOA = v.soa
+		ans.SOA = v.soaRecord()
 		return ans
 	}
-}
-
-// appendOwned appends a set's records to an answer: shared as they are when
-// the owner matched exactly — the set's own capped slice when the answer is
-// still empty — and as copies re-owned to name when a wildcard synthesized
-// them.
-func appendOwned(dst, rrs []dnswire.RR, name dnswire.Name, exact bool) []dnswire.RR {
-	if exact {
-		if len(dst) == 0 {
-			return rrs
-		}
-		return append(dst, rrs...)
-	}
-	for _, rr := range rrs {
-		c := rr.Copy()
-		c.Header().Name = name
-		dst = append(dst, c)
-	}
-	return dst
 }
 
 // WireAnswer summarizes a response assembled by AppendAnswer.
@@ -517,15 +614,15 @@ type WireAnswer struct {
 // the folded wire-form query name (dnswire.QueryView.AppendQnameFolded),
 // already routed to this view (Store.FindWire), and qnameOff is the
 // absolute message offset where the client's qname bytes sit, so owners can
-// be rendered as compression pointers into the question. TypeANY, a name
-// outside the zone and any view that failed to pre-pack report ok=false:
+// be rendered as compression pointers into the question. TypeANY and a name
+// outside the zone report ok=false:
 // the caller must fall back to the decode path. The structured results
 // match View.Lookup exactly, including the engine's convention that
 // negative and referral responses drop any chased CNAMEs from the answer
 // section.
 func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswire.Type) ([]byte, WireAnswer, bool) {
 	var wa WireAnswer
-	if !v.wireOK || qtype == dnswire.TypeANY {
+	if qtype == dnswire.TypeANY {
 		return out, wa, false
 	}
 	if v.empty() {
@@ -567,14 +664,14 @@ func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswir
 			out, wa.Authority = appendBodies(out, ptr, cur[offs[i]:], v.setWire(ns))
 			glue := v.glueSet(node)
 			out = append(out, v.setWire(glue)...)
-			wa.Additional = len(v.setRRs(glue))
+			wa.Additional = v.setLen(glue)
 			wa.Result = Delegation
 			return out, wa, true
 		}
 		exact := i == 0
 		if exact && hop == 0 {
 			wa.Cacheable = true
-			wa.Name = v.names[node]
+			wa.Name = v.nodeName(node)
 		}
 		if src, found := v.source(node, exact); found {
 			if s, hit := v.findSet(src, qtype); hit {
