@@ -37,7 +37,7 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestConcurrentMixedLoad|TestConcurrentUDPClients|TestHotCache|FuzzHotCacheVersions,-count=2)
 	$(call race-suite,./internal/nameserver/,-run,TestHotCache|TestAnswerIntoMatchesAnswer,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
-	$(call race-suite,./internal/zone/,-run,TestSetSerialCopyOnWrite|TestViewInvalidation|TestZoneHeapPerZone|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzZoneArena|FuzzStoreModel,-count=2)
+	$(call race-suite,./internal/zone/,-run,TestSetSerialCopyOnWrite|TestViewInvalidation|TestZoneHeapPerZone|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzZoneArena|FuzzStoreModel|FuzzParseMasterParity,-count=2)
 	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
 	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill|TestSimSocketParity,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
@@ -101,7 +101,8 @@ fuzz:
 	go test -fuzz=FuzzAppendPack -fuzztime=$(FUZZTIME) ./internal/dnswire/
 	go test -fuzz=FuzzPackParity -fuzztime=$(FUZZTIME) ./internal/dnswire/
 	go test -fuzz=FuzzIsSubdomainOf -fuzztime=$(FUZZTIME) ./internal/dnswire/
-	go test -fuzz=FuzzParseMaster -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzParseMaster\$$ -fuzztime=$(FUZZTIME) ./internal/zone/
+	go test -fuzz=FuzzParseMasterParity -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzViewLookupParity -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzZoneModel -fuzztime=$(FUZZTIME) ./internal/zone/
 	go test -fuzz=FuzzZoneArena -fuzztime=$(FUZZTIME) ./internal/zone/

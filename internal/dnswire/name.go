@@ -59,6 +59,94 @@ func ParseName(s string) (Name, error) {
 	return Name{s: s}, nil
 }
 
+// AppendNameWire appends to buf the folded, uncompressed wire form of the
+// textual name s, completed when it does not end in a dot with origin, a
+// folded wire name: the name ParseName(s) returns when s ends in a dot or
+// origin is the root, and ParseName(s + "." + origin) otherwise — "" with
+// the root origin is the root. Text that ParseName would refuse is refused
+// with the same error, and buf is then returned as it was. Only text outside
+// ASCII, which ParseName folds rune by rune, costs an allocation.
+func AppendNameWire(buf, s, origin []byte) ([]byte, error) {
+	start := len(buf)
+	switch {
+	case len(s) == 0 && len(origin) == 1:
+		return append(buf, 0), nil
+	case len(s) == 0:
+		return buf, errEmptyLabel
+	case len(s) == 1 && s[0] == '.':
+		return append(buf, 0), nil
+	}
+	// Each label is copied behind a length octet filled in when the label
+	// ends.
+	lenAt, bad := len(buf), uint8(0)
+	buf = append(buf, 0)
+	for _, c := range s {
+		if c >= 0x80 {
+			return appendParsedName(buf[:start], s, origin)
+		}
+		if c != '.' {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			bad |= badOctet[c]
+			buf = append(buf, c)
+			continue
+		}
+		if err := endLabel(buf, lenAt, bad); err != nil {
+			return buf[:start], err
+		}
+		lenAt, bad = len(buf), 0
+		buf = append(buf, 0)
+	}
+	// An absolute name's last dot left the root octet behind; a relative
+	// name's last label is still open, and origin follows it.
+	if s[len(s)-1] != '.' {
+		if err := endLabel(buf, lenAt, bad); err != nil {
+			return buf[:start], err
+		}
+		buf = append(buf, origin...)
+	}
+	if len(buf)-start > maxNameWire {
+		return buf[:start], errNameTooLong
+	}
+	return buf, nil
+}
+
+// endLabel ends the label appended to buf behind the length octet at lenAt,
+// with the checks checkName makes: bad is nonzero when the label holds an
+// octet no label may.
+func endLabel(buf []byte, lenAt int, bad uint8) error {
+	switch n := len(buf) - lenAt - 1; {
+	case n == 0:
+		return errEmptyLabel
+	case n > maxLabelLen:
+		return errLabelTooLong
+	case bad != 0:
+		return errBadLabelChar
+	default:
+		buf[lenAt] = byte(n)
+		return nil
+	}
+}
+
+// appendParsedName is AppendNameWire by way of ParseName, for text outside
+// ASCII.
+func appendParsedName(buf, s, origin []byte) ([]byte, error) {
+	text := string(s)
+	if s[len(s)-1] != '.' && len(origin) > 1 {
+		o, ok := NameFromFoldedWire(origin)
+		if !ok {
+			return buf, errors.New("dnswire: origin is not a folded wire name")
+		}
+		text += "." + o.s
+	}
+	n, err := ParseName(text)
+	if err != nil {
+		return buf, err
+	}
+	return n.AppendWire(buf), nil
+}
+
 // checkName validates lower-case, dot-terminated text: its labels and its
 // wire length, where each label costs len+1, plus the terminal zero octet.
 func checkName[T string | []byte](s T) error {
@@ -134,14 +222,6 @@ func (n Name) Labels() []string {
 	return strings.Split(strings.TrimSuffix(n.s, "."), ".")
 }
 
-// NumLabels reports the label count.
-func (n Name) NumLabels() int {
-	if n.s == "." || n.s == "" {
-		return 0
-	}
-	return strings.Count(n.s, ".")
-}
-
 // Parent returns the name with the leftmost label removed; the parent of a
 // single-label name is the root; the parent of the root is the root.
 func (n Name) Parent() Name {
@@ -183,15 +263,6 @@ func (n Name) Prepend(label string) (Name, error) {
 		return ParseName(label + ".")
 	}
 	return ParseName(label + "." + n.s)
-}
-
-// FirstLabel returns the leftmost label, or "" for the root.
-func (n Name) FirstLabel() string {
-	if n.s == "." || n.s == "" {
-		return ""
-	}
-	i := strings.IndexByte(n.s, '.')
-	return n.s[:i]
 }
 
 // Compare orders names in canonical DNS order (by reversed label sequence),

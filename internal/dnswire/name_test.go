@@ -86,14 +86,8 @@ func TestNameLabels(t *testing.T) {
 	if len(labels) != 3 || labels[0] != "a" || labels[2] != "com" {
 		t.Fatalf("Labels = %v", labels)
 	}
-	if n.NumLabels() != 3 {
-		t.Fatalf("NumLabels = %d", n.NumLabels())
-	}
-	if Root.NumLabels() != 0 || len(Root.Labels()) != 0 {
+	if len(Root.Labels()) != 0 {
 		t.Fatal("root has labels")
-	}
-	if n.FirstLabel() != "a" {
-		t.Fatalf("FirstLabel = %q", n.FirstLabel())
 	}
 }
 
@@ -174,7 +168,7 @@ func TestPropertyParentSubdomain(t *testing.T) {
 			string(rune('a'+c%26)) + "yz",
 		}
 		n := MustName(strings.Join(labels, "."))
-		return n.IsSubdomainOf(n.Parent()) && n.Parent().NumLabels() == n.NumLabels()-1
+		return n.IsSubdomainOf(n.Parent()) && len(n.Parent().Labels()) == len(n.Labels())-1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -200,5 +194,38 @@ func TestZeroName(t *testing.T) {
 	}
 	if z.IsSubdomainOf(Root) || MustName("a.com").IsSubdomainOf(z) {
 		t.Fatal("zero Name participates in hierarchy")
+	}
+}
+
+// TestAppendNameWireMatchesParseName holds AppendNameWire to ParseName of
+// the text it completes, on names valid and not, in and out of ASCII.
+func TestAppendNameWireMatchesParseName(t *testing.T) {
+	long := strings.Repeat("a", 63)
+	for _, origin := range []string{".", "example.com."} {
+		ow := MustName(origin).AppendWire(nil)
+		for _, s := range []string{
+			"", ".", "..", "a", "a.", "A.B", "a..b", ".a", "www.Example.COM.", "*", "_dns._udp", "a b", "a@b",
+			long, long + "a", strings.Repeat(long+".", 3) + "a", strings.Repeat(long+".", 4), "Key", "İx",
+			"xé", "\xff", "\x00", "a.K.",
+		} {
+			text := s
+			if s != "" && !strings.HasSuffix(s, ".") {
+				text = s + "." + strings.TrimPrefix(origin, ".")
+			} else if s == "" && origin == "." {
+				text = "."
+			}
+			want, wantErr := ParseName(text)
+			got, err := AppendNameWire([]byte("x"), []byte(s), ow)
+			if (err != nil) != (wantErr != nil) {
+				t.Errorf("AppendNameWire(%q, %s): %v, ParseName(%q): %v", s, origin, err, text, wantErr)
+				continue
+			}
+			if err == nil && string(got) != "x"+string(want.AppendWire(nil)) {
+				t.Errorf("AppendNameWire(%q, %s) = %q, want %q", s, origin, got, want.AppendWire(nil))
+			}
+			if err != nil && string(got) != "x" {
+				t.Errorf("AppendNameWire(%q, %s) refused but left %q", s, origin, got)
+			}
+		}
 	}
 }

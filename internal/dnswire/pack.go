@@ -309,12 +309,8 @@ func (m *Message) AppendPack(buf []byte) ([]byte, error) {
 // RDATA names RFC 1035 allows to be compressed when c is not nil.
 func appendBody(buf []byte, rr RR, c *compressor) ([]byte, error) {
 	h := rr.Header()
-	buf = appendUint16(buf, uint16(h.Type))
-	buf = appendUint16(buf, uint16(h.Class))
-	buf = appendUint32(buf, h.TTL)
-	// Reserve RDLENGTH; fill after RDATA is known.
-	lenAt := len(buf)
-	buf = append(buf, 0, 0)
+	start := len(buf)
+	buf = BeginRRBody(buf, h.Type, h.Class, h.TTL)
 	var err error
 	if c != nil {
 		buf, err = c.appendRData(buf, rr)
@@ -324,12 +320,27 @@ func appendBody(buf []byte, rr RR, c *compressor) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rdlen := len(buf) - lenAt - 2
+	return EndRRBody(buf, start)
+}
+
+// BeginRRBody appends a record body's TYPE, CLASS and TTL and reserves its
+// RDLENGTH: the caller appends the RDATA, then EndRRBody fills RDLENGTH in.
+func BeginRRBody(buf []byte, t Type, c Class, ttl uint32) []byte {
+	buf = appendUint16(buf, uint16(t))
+	buf = appendUint16(buf, uint16(c))
+	return append(appendUint32(buf, ttl), 0, 0)
+}
+
+// EndRRBody sets the RDLENGTH of the record body BeginRRBody began at
+// buf[start:] to the RDATA appended since, refusing RDATA longer than 65535
+// octets.
+func EndRRBody(buf []byte, start int) ([]byte, error) {
+	rdlen := len(buf) - start - 10
 	if rdlen > 0xFFFF {
 		return nil, fmt.Errorf("dnswire: RDATA length %d exceeds 65535", rdlen)
 	}
-	buf[lenAt] = byte(rdlen >> 8)
-	buf[lenAt+1] = byte(rdlen)
+	buf[start+8] = byte(rdlen >> 8)
+	buf[start+9] = byte(rdlen)
 	return buf, nil
 }
 

@@ -181,14 +181,22 @@ func (r *TXT) packRData(buf []byte) ([]byte, error) {
 		// A TXT record must carry at least one (possibly empty) string.
 		return append(buf, 0), nil
 	}
+	var err error
 	for _, t := range r.Texts {
-		if len(t) > 255 {
-			return nil, fmt.Errorf("dnswire: TXT string exceeds 255 octets")
+		if buf, err = AppendCharString(buf, t); err != nil {
+			return nil, err
 		}
-		buf = append(buf, byte(len(t)))
-		buf = append(buf, t...)
 	}
 	return buf, nil
+}
+
+// AppendCharString appends s as a <character-string> (RFC 1035 §3.3): a
+// length octet, then s, which may hold at most 255 octets.
+func AppendCharString[S string | []byte](buf []byte, s S) ([]byte, error) {
+	if len(s) > 255 {
+		return nil, fmt.Errorf("dnswire: TXT string exceeds 255 octets")
+	}
+	return append(append(buf, byte(len(s))), s...), nil
 }
 
 // SRV is a service-location record (RFC 2782). Its target name is never
@@ -225,12 +233,19 @@ func (r *CAA) String() string {
 }
 func (r *CAA) Copy() RR { c := *r; return &c }
 func (r *CAA) packRData(buf []byte) ([]byte, error) {
-	if len(r.Tag) == 0 || len(r.Tag) > 255 {
-		return nil, fmt.Errorf("dnswire: CAA tag length %d invalid", len(r.Tag))
+	return AppendCAA(buf, r.Flags, r.Tag, r.Value)
+}
+
+// AppendCAA appends CAA RDATA (RFC 8659 §4.1): the flags, the tag — 1 to
+// 255 octets — behind its length octet, and the value, which runs to the
+// end of the RDATA.
+func AppendCAA[S string | []byte](buf []byte, flags uint8, tag, value S) ([]byte, error) {
+	if len(tag) == 0 || len(tag) > 255 {
+		return nil, fmt.Errorf("dnswire: CAA tag length %d invalid", len(tag))
 	}
-	buf = append(buf, r.Flags, byte(len(r.Tag)))
-	buf = append(buf, r.Tag...)
-	return append(buf, r.Value...), nil
+	buf = append(buf, flags, byte(len(tag)))
+	buf = append(buf, tag...)
+	return append(buf, value...), nil
 }
 
 // RawRecord carries an RR of a type this codec does not interpret. Its RDATA

@@ -1222,8 +1222,10 @@ func Exchange(addr string, q *dnswire.Message, tcp bool, timeout time.Duration) 
 }
 
 // LoadZonesInto parses origin=path pairs into the store (the authdns CLI's
-// -zone flag).
+// -zone flag). Every zone is parsed before any is installed, and then all
+// are installed in one Store.Update: a spec that fails installs nothing.
 func LoadZonesInto(store *zone.Store, specs []string, open func(string) (io.ReadCloser, error)) error {
+	zones := make([]*zone.Zone, 0, len(specs))
 	for _, spec := range specs {
 		origin, path, ok := strings.Cut(spec, "=")
 		if !ok {
@@ -1242,7 +1244,12 @@ func LoadZonesInto(store *zone.Store, specs []string, open func(string) (io.Read
 		if err != nil {
 			return fmt.Errorf("netserve: zone %s: %w", origin, err)
 		}
-		store.Put(z)
+		zones = append(zones, z)
 	}
+	store.Update(func(tx *zone.Tx) {
+		for _, z := range zones {
+			tx.Put(z)
+		}
+	})
 	return nil
 }

@@ -254,6 +254,34 @@ func TestLoadZonesInto(t *testing.T) {
 	}
 }
 
+// TestLoadZonesIntoOneBatch holds LoadZonesInto to one store generation
+// for all its zones, and to installing none when any spec fails.
+func TestLoadZonesIntoOneBatch(t *testing.T) {
+	files := map[string]string{
+		"a.zone":   serveZone,
+		"b.zone":   "@ IN NS ns1\nns1 IN A 192.0.2.1\n",
+		"bad.zone": "www IN A not-an-address\n",
+	}
+	open := func(path string) (io.ReadCloser, error) {
+		return io.NopCloser(strings.NewReader(files[path])), nil
+	}
+	store := zone.NewStore()
+	gen := store.Gen()
+	if err := LoadZonesInto(store, []string{"ex.test=a.zone", "other.test=b.zone"}, open); err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() != 2 || store.Gen() != gen+1 {
+		t.Fatalf("two zones: %d installed, generation %d → %d, want 2 in one", store.Len(), gen, store.Gen())
+	}
+	store = zone.NewStore()
+	if err := LoadZonesInto(store, []string{"ex.test=a.zone", "other.test=bad.zone"}, open); err == nil {
+		t.Fatal("a bad zone file was accepted")
+	}
+	if store.Len() != 0 {
+		t.Fatalf("a failed load left %d zones installed", store.Len())
+	}
+}
+
 func TestConcurrentUDPClients(t *testing.T) {
 	srv := startServer(t, nil)
 	done := make(chan error, 16)

@@ -10,14 +10,13 @@ import (
 	"akamaidns/internal/dnswire"
 )
 
-// masterRecords parses a master file into the records ParseMaster builds its
-// zone from, in file order.
+// masterRecords parses a master file into records with the reference
+// parser (master_ref_test.go), in file order: the records ParseMaster's
+// zone holds.
 func masterRecords(tb testing.TB, text string, origin dnswire.Name) []dnswire.RR {
 	tb.Helper()
-	sc := getScratch()
-	defer putScratch(sc)
 	var recs []dnswire.RR
-	if err := readMaster(strings.NewReader(text), origin, sc, func(rr dnswire.RR) error {
+	if err := refReadMaster(strings.NewReader(text), origin, func(rr dnswire.RR) error {
 		recs = append(recs, rr)
 		return nil
 	}); err != nil {

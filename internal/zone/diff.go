@@ -46,7 +46,7 @@ func missing(a, b []entry) []dnswire.RR {
 			b = b[1:]
 		}
 		if setIndex(b, e) < 0 {
-			rr, _ := decode(e.owner, e.body)
+			rr, _ := decode(ownerName(e.owner), e.body)
 			out = append(out, rr)
 		}
 	}
@@ -114,7 +114,7 @@ func Apply(base *Zone, d Delta) (*Zone, error) {
 		sc.ents = append(sc.ents, e)
 	}
 	if i := slices.Index(matched, false); i >= 0 {
-		rr, _ := decode(deleted[i].owner, deleted[i].body)
+		rr, _ := decode(ownerName(deleted[i].owner), deleted[i].body)
 		return nil, fmt.Errorf("zone: delta deletes missing record %s", rr)
 	}
 	for _, rr := range d.Added {

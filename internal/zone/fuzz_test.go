@@ -1,6 +1,8 @@
 package zone
 
 import (
+	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,4 +107,89 @@ func FuzzViewLookupParity(f *testing.F) {
 			t.Fatalf("wire parity %s %v: additional %v, want %v", name, typ, got, want)
 		}
 	})
+}
+
+// FuzzParseMasterParity holds ParseMaster, which packs master-file text
+// straight into wire bytes, to the text → dnswire.RR → Build path it
+// replaced (master_ref_test.go): for any text at any origin, either both
+// refuse it, or both make the same zone — byte for byte in every field of
+// the view, and record for record in AllRecords.
+func FuzzParseMasterParity(f *testing.F) {
+	_, bench := benchZoneText(7)
+	for _, c := range []struct{ origin, text string }{
+		{"example.com", exampleZone},
+		{".", rootFuzzZone},
+		{"z00007corp.org", bench},
+		{"fuzz.test", "@ IN SOA ns1 host (\n 1 ; serial\n 2 3 4 5 )\n@ IN NS ns1\n"},
+		{"fuzz.test", "a IN TXT \"x; not a comment\" \"(y)\" ; a comment\n"},
+		{"fuzz.test", "$ORIGIN sub.fuzz.test.\nwww IN A 192.0.2.1\n$ORIGIN fuzz.test.\nwww IN CNAME www.sub\n 60 IN MX 10 @\n"},
+		{"Fuzz.TEST", "WWW.Fuzz.Test. 1H in a 192.0.2.1\nSRV 1w IN SRV 1 2 53 Target.FUZZ.test.\n"},
+		{"fuzz.test", "www.other.test. IN A 192.0.2.1\n"},
+		{"fuzz.test", "a IN TXT \"" + strings.Repeat("x", 256) + "\"\n"},
+		{"fuzz.test", "a IN AAAA fe80::1%eth0\nc IN AAAA 2001:db8::192.0.2.1\nd IN AAAA ::\n"},
+		{"fuzz.test", "b IN AAAA ::ffff:c000:201\n"},
+		{"fuzz.test", "\u212aey IN A 192.0.2.1\n\u0130 IN N\u017f ns\n$or\u0131g\u0131n other.\n"},
+		{"fuzz.test", "a IN A \"192.0.2.1\"\n"},
+		{"fuzz.test", "\"@\" IN CAA 0 \"issue\" \"ca\"\n\x00b IN TXT \x00c\n"},
+		{".", "\"\" IN A 192.0.2.1\n"},
+	} {
+		f.Add(c.origin, c.text)
+	}
+	f.Fuzz(func(t *testing.T, originText, text string) {
+		origin, err := dnswire.ParseName(originText)
+		if err != nil {
+			return
+		}
+		got, gotErr := ParseMaster(strings.NewReader(text), origin)
+		var recs []dnswire.RR
+		var want *Zone
+		wantErr := refReadMaster(strings.NewReader(text), origin, func(rr dnswire.RR) error {
+			recs = append(recs, rr)
+			return nil
+		})
+		if wantErr == nil {
+			want, wantErr = Build(origin, recs)
+		}
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("ParseMaster: %v; reference: %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		a, b := got.View(), want.View()
+		if string(a.arena) != string(b.arena) || a.names != b.names || !slices.Equal(a.nodes, b.nodes) ||
+			!slices.Equal(a.sets, b.sets) || a.serial != b.serial || string(a.soaBody) != string(b.soaBody) ||
+			a.origin != b.origin || a.originWire != b.originWire || a.originLabels != b.originLabels ||
+			a.tableMask != b.tableMask || a.idxMask != b.idxMask || a.size != b.size {
+			t.Fatalf("ParseMaster compiled other bytes than the reference:\n got %+v\nwant %+v", *a, *b)
+		}
+		if got, want := rrStrings(got.AllRecords()), rrStrings(want.AllRecords()); !slices.Equal(got, want) {
+			t.Fatalf("AllRecords:\n got %q\nwant %q", got, want)
+		}
+	})
+}
+
+// TestAddrParsersMatchNetip holds the master-file address parsers to
+// netip.ParseAddr on the shapes an address field takes, well-formed or not.
+func TestAddrParsersMatchNetip(t *testing.T) {
+	for _, s := range []string{
+		"", ".", "1.2.3.4", "0.0.0.0", "255.255.255.255", "256.1.1.1", "01.2.3.4", "1.2.3", "1.2.3.4.5",
+		"1..2.3", ".1.2.3", "1.2.3.", "1.2.3.4:5", "1.2.3.4%e", "1.2.3.a", "\"1.2.3.4", "\x001.2.3.4",
+		"::", "::1", "1::", "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:9",
+		"1:2:3:4:5:6:7", "12345::", "1:::2", ":1::", "1::2::3", "1:", ":", ":::", "1:2:3:4:5:6::7:8",
+		"abcd:EF01::", "g::", "2001:db8::1", "0:0:0:0:0:ffff:c000:201", "::ffff:c000:201", "::ffff:1.2.3.4",
+		"::1.2.3.4", "2001:db8::1.2.3.4", "1:2:3:4:5:6:1.2.3.4", "fe80::1%eth0", "fe80::1%", "%eth0", "1.2.3.4::",
+		"0001:0002::", "00001::", "::ffff", "ffff::", "1::ffff:c000:201",
+	} {
+		a, err := netip.ParseAddr(s)
+		want4, want6 := err == nil && a.Is4(), err == nil && a.Is6() && !a.Is4In6()
+		ip4, ok4 := parseIPv4([]byte(s))
+		ip6, ok6 := parseIPv6([]byte(s))
+		if ok4 != want4 || ok4 && ip4 != a.As4() {
+			t.Errorf("parseIPv4(%q) = %v %v, netip: %v %v", s, ip4, ok4, a, err)
+		}
+		if ok6 != want6 || ok6 && ip6 != a.As16() {
+			t.Errorf("parseIPv6(%q) = %v %v, netip: %v %v", s, ip6, ok6, a, err)
+		}
+	}
 }

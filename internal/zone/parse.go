@@ -2,11 +2,13 @@ package zone
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
-	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"akamaidns/internal/dnswire"
 )
@@ -16,59 +18,67 @@ import (
 // origin, relative names, comments with ";", and quoted TXT strings.
 // Parenthesized multi-line records are joined before parsing. A physical
 // line longer than maxMasterLine is an error.
+//
+// Each record goes from its text straight to the wire bytes the zone keeps:
+// its owner is resolved into folded wire form and its body (TYPE CLASS TTL
+// RDLEN RDATA) packed from its tokens into the build scratch, through the
+// dnswire helpers dnswire.AppendRRBody packs the same fields with, so a
+// record is accepted or refused here exactly as its dnswire.RR would be. No
+// line string, record or name string is made on the way.
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if err := readMaster(r, origin, sc, func(rr dnswire.RR) error { return sc.add(origin, rr) }); err != nil {
+	if err := sc.readMaster(r, origin); err != nil {
 		return nil, err
 	}
 	return sc.zone(origin), nil
 }
 
-// readMaster parses a master file into records for a zone at origin,
-// handing each to add in file order; sc lends the scanner buffer, the token
-// slice and the resolved-name map.
-func readMaster(r io.Reader, origin dnswire.Name, sc *scratch, add func(dnswire.RR) error) error {
+// readMaster packs a master file's records into sc as build entries of a
+// zone at origin, in file order.
+func (sc *scratch) readMaster(r io.Reader, origin dnswire.Name) error {
 	lines := bufio.NewScanner(r)
 	// The scanner starts at the pooled buffer and grows past it on demand;
 	// only the cap is raised, so a typical zone costs no scanner buffer at
 	// all, not a megabyte.
 	lines.Buffer(sc.line, maxMasterLine)
-	p := lineParser{origin: origin, curOrigin: origin, defaultTTL: 300, sc: sc}
+	sc.apex = origin.AppendWire(sc.apex[:0])
+	sc.origin = append(sc.origin[:0], sc.apex...)
+	p := masterParser{sc: sc, origin: sc.origin, ttl: 300}
 	lineNo := 0
-	var pending string   // the physical lines of a parenthesized record so far
-	pendingLead := false // first physical line of the record began with whitespace
+	lead := false // the first physical line of the record began with whitespace
 	parens := 0
 	for lines.Scan() {
 		lineNo++
-		// Text copies the line out of the scanner's buffer, which the next
-		// Scan and the next parse reuse: names and TXT strings may alias it.
-		line := stripComment(lines.Text())
-		opens, closes := strings.Count(line, "("), strings.Count(line, ")")
+		// The line aliases the scanner's buffer, which the next Scan
+		// reuses: what a record keeps of it is copied into sc.bodies.
+		line := stripComment(lines.Bytes())
+		opens, closes := bytes.Count(line, []byte("(")), bytes.Count(line, []byte(")"))
 		parens += opens - closes
 		if parens < 0 {
 			return fmt.Errorf("line %d: unbalanced parentheses", lineNo)
 		}
-		if pending == "" {
+		if len(sc.pending) == 0 {
 			// Leading whitespace on the record's first line means "same
 			// owner as the previous record" (RFC 1035 §5.1).
-			pendingLead = len(line) > 0 && (line[0] == ' ' || line[0] == '\t')
+			lead = len(line) > 0 && (line[0] == ' ' || line[0] == '\t')
 		}
 		// Only a record that uses parentheses pays for joining its lines
 		// and blanking them out; nearly every line is a whole record as is.
-		if pending != "" || opens+closes > 0 {
-			pending += " " + line
+		if len(sc.pending) > 0 || opens+closes > 0 {
+			sc.pending = append(append(sc.pending, ' '), line...)
 			if parens > 0 {
 				continue
 			}
-			line = strings.ReplaceAll(strings.ReplaceAll(pending, "(", " "), ")", " ")
-			pending = ""
+			line = sc.pending
+			for i, c := range line {
+				if c == '(' || c == ')' {
+					line[i] = ' '
+				}
+			}
+			sc.pending = sc.pending[:0]
 		}
-		rr, err := p.parseLine(line, pendingLead)
-		if err == nil && rr != nil {
-			err = add(rr)
-		}
-		if err != nil {
+		if err := p.parseLine(line, lead); err != nil {
 			return fmt.Errorf("line %d: %w", lineNo, err)
 		}
 	}
@@ -94,10 +104,10 @@ func MustParseMaster(text string, origin dnswire.Name) *Zone {
 	return z
 }
 
-func stripComment(s string) string {
+func stripComment(s []byte) []byte {
 	inQuote := false
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
+	for i, c := range s {
+		switch c {
 		case '"':
 			inQuote = !inQuote
 		case ';':
@@ -109,85 +119,79 @@ func stripComment(s string) string {
 	return s
 }
 
-// lineParser carries a master file's state from line to line.
-type lineParser struct {
-	origin     dnswire.Name // the zone's apex: every record must be at or below it
-	curOrigin  dnswire.Name // the $ORIGIN relative names are completed with
-	defaultTTL uint32
-	lastName   dnswire.Name // the previous record's owner
-	sc         *scratch     // tokens and resolved names
+// masterParser carries a master file's state from line to line. Every name
+// it holds is folded wire form in the build scratch.
+type masterParser struct {
+	sc     *scratch // the build: tokens, entries and their bytes
+	origin []byte   // the $ORIGIN relative names are completed with
+	ttl    uint32   // the $TTL
+	last   []byte   // the previous record's owner
 }
 
-// parseLine parses one logical line: its record, or nil for a blank line or
-// a directive.
-func (p *lineParser) parseLine(line string, ownerFromPrev bool) (dnswire.RR, error) {
+// parseLine parses one logical line: it packs its record, if it has one
+// and is not a blank line or a directive, into the build.
+func (p *masterParser) parseLine(line []byte, ownerFromPrev bool) error {
+	sc := p.sc
 	var err error
-	p.sc.toks, err = tokenize(p.sc.toks[:0], line)
-	if err != nil {
-		return nil, err
+	if sc.toks, err = tokenize(sc.toks[:0], line); err != nil {
+		return err
 	}
-	fields := p.sc.toks
+	fields := sc.toks
 	if len(fields) == 0 {
-		return nil, nil
+		return nil
 	}
 	// Directives start with "$"; only they are compared in upper case.
-	directive := ""
 	if fields[0][0] == '$' {
-		directive = strings.ToUpper(fields[0])
-	}
-	switch directive {
-	case "$ORIGIN":
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("$ORIGIN wants 1 argument")
+		switch {
+		case isDirective(fields[0], "$ORIGIN"):
+			if len(fields) != 2 {
+				return fmt.Errorf("$ORIGIN wants 1 argument")
+			}
+			if sc.origin, err = dnswire.AppendNameWire(sc.origin[:0], fields[1], rootWire); err != nil {
+				return err
+			}
+			p.origin = sc.origin
+			return nil
+		case isDirective(fields[0], "$TTL"):
+			if len(fields) != 2 {
+				return fmt.Errorf("$TTL wants 1 argument")
+			}
+			ttl, err := parseTTL(fields[1])
+			if err != nil {
+				return err
+			}
+			p.ttl = ttl
+			return nil
+		case isDirective(fields[0], "$INCLUDE"):
+			return fmt.Errorf("$INCLUDE is not supported")
 		}
-		n, err := dnswire.ParseName(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		p.curOrigin = n
-		clear(p.sc.names) // relative names now resolve differently
-		return nil, nil
-	case "$TTL":
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("$TTL wants 1 argument")
-		}
-		ttl, err := parseTTL(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		p.defaultTTL = ttl
-		return nil, nil
-	case "$INCLUDE":
-		return nil, fmt.Errorf("$INCLUDE is not supported")
 	}
 
-	// Owner name.
-	var owner dnswire.Name
-	rest := fields
+	// Owner name: the previous record's, or resolved into the scratch
+	// ahead of the body.
+	owner, rest := p.last, fields
 	if ownerFromPrev {
-		if p.lastName.IsZero() {
-			return nil, fmt.Errorf("continuation line with no previous owner")
+		if owner == nil {
+			return fmt.Errorf("continuation line with no previous owner")
 		}
-		owner = p.lastName
 	} else {
-		owner, err = p.name(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("owner %q: %w", fields[0], err)
+		start := len(sc.bodies)
+		if sc.bodies, err = p.appendName(sc.bodies, fields[0]); err != nil {
+			return fmt.Errorf("owner %q: %w", fields[0], err)
 		}
-		rest = fields[1:]
+		owner, rest = sc.bodies[start:len(sc.bodies):len(sc.bodies)], fields[1:]
 	}
-	p.lastName = owner
+	p.last = owner
 
 	// Optional TTL and class in either order.
-	ttl := p.defaultTTL
-	class := dnswire.ClassINET
+	ttl := p.ttl
 	for len(rest) > 0 {
-		if strings.EqualFold(rest[0], "IN") {
+		if bytes.EqualFold(rest[0], []byte("IN")) {
 			rest = rest[1:]
 			continue
 		}
-		if strings.EqualFold(rest[0], "CH") || strings.EqualFold(rest[0], "HS") {
-			return nil, fmt.Errorf("class %s not supported", strings.ToUpper(rest[0]))
+		if bytes.EqualFold(rest[0], []byte("CH")) || bytes.EqualFold(rest[0], []byte("HS")) {
+			return fmt.Errorf("class %s not supported", bytes.ToUpper(rest[0]))
 		}
 		// A TTL starts with a digit. Asking parseTTL about anything else
 		// (here: the type mnemonic that ends the loop, once per record)
@@ -203,25 +207,67 @@ func (p *lineParser) parseLine(line string, ownerFromPrev bool) (dnswire.RR, err
 		rest = rest[1:]
 	}
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("missing record type")
+		return fmt.Errorf("missing record type")
 	}
-	typ, ok := dnswire.TypeFromString(rest[0])
+	typ, ok := dnswire.TypeFromString(string(rest[0]))
 	if !ok {
-		return nil, fmt.Errorf("unknown record type %q", rest[0])
+		return fmt.Errorf("unknown record type %q", rest[0])
 	}
-	rdata := rest[1:]
-	h := dnswire.RRHeader{Name: owner, Type: typ, Class: class, TTL: ttl}
-	rr, err := p.buildRR(h, rdata)
+	if !isSubdomainWire(owner, sc.apex) {
+		return fmt.Errorf("record %s out of zone", ownerName(owner))
+	}
+	if typ == dnswire.TypeSOA && !bytes.Equal(owner, sc.apex) {
+		return fmt.Errorf("SOA at non-apex %s", ownerName(owner))
+	}
+	start := len(sc.bodies)
+	buf, err := p.appendRData(dnswire.BeginRRBody(sc.bodies, typ, dnswire.ClassINET, ttl), typ, rest[1:])
+	if err == nil {
+		buf, err = dnswire.EndRRBody(buf, start)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%s %s: %w", owner, typ, err)
+		return fmt.Errorf("%s %s: %w", ownerName(owner), typ, err)
 	}
-	return rr, nil
+	sc.bodies = buf
+	sc.ents = append(sc.ents, entry{owner: owner, typ: typ, body: buf[start:len(buf):len(buf)]})
+	return nil
+}
+
+// rootWire is the root name in wire form.
+var rootWire = []byte{0}
+
+// isDirective reports whether tok, upper-cased as strings.ToUpper does,
+// is the directive name; ASCII text is compared in place.
+func isDirective(tok []byte, name string) bool {
+	if !isASCII(tok) {
+		return strings.ToUpper(string(tok)) == name
+	}
+	if len(tok) != len(name) {
+		return false
+	}
+	for i, c := range tok {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != name[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // tokenize appends to out the fields of s, split on whitespace but keeping
-// quoted strings intact (quotes removed, content preserved verbatim). The
-// tokens alias s.
-func tokenize(out []string, s string) ([]string, error) {
+// quoted strings intact: a quoted field is its opening quote and its
+// content verbatim, the closing quote dropped. The tokens alias s.
+func tokenize(out [][]byte, s []byte) ([][]byte, error) {
 	i := 0
 	for i < len(s) {
 		c := s[i]
@@ -229,19 +275,18 @@ func tokenize(out []string, s string) ([]string, error) {
 			i++
 			continue
 		}
+		j := i + 1
 		if c == '"' {
-			j := i + 1
 			for j < len(s) && s[j] != '"' {
 				j++
 			}
 			if j >= len(s) {
 				return nil, fmt.Errorf("unterminated quote")
 			}
-			out = append(out, "\x00"+s[i+1:j]) // NUL prefix marks "was quoted"
+			out = append(out, s[i:j])
 			i = j + 1
 			continue
 		}
-		j := i
 		for j < len(s) && s[j] != ' ' && s[j] != '\t' {
 			j++
 		}
@@ -251,65 +296,50 @@ func tokenize(out []string, s string) ([]string, error) {
 	return out, nil
 }
 
-func unquote(tok string) (string, bool) {
-	if strings.HasPrefix(tok, "\x00") {
-		return tok[1:], true
+// unquote returns a field's text: a quoted field without its quote. A
+// field that starts with a NUL octet loses that octet too, as in the
+// reference parser (master_ref_test.go), which marks quoted fields so.
+// Where a field is read as it is — a number, an address, a type or class,
+// a directive's name — the quote makes a quoted field fail to parse.
+func unquote(tok []byte) []byte {
+	if len(tok) > 0 && (tok[0] == '"' || tok[0] == 0) {
+		return tok[1:]
 	}
-	return tok, false
+	return tok
 }
 
-// name resolves a name token against the current $ORIGIN. A zone names its
-// hosts again and again — as owners, and as the targets of NS, CNAME, SOA
-// and MX records — so each distinct token is resolved once per $ORIGIN, and
-// the records that name one host share one name string.
-func (p *lineParser) name(tok string) (dnswire.Name, error) {
-	if n, ok := p.sc.names[tok]; ok {
-		return n, nil
+// appendName appends the folded wire form of a name field, "@" or resolved
+// against the current $ORIGIN.
+func (p *masterParser) appendName(buf, tok []byte) ([]byte, error) {
+	tok = unquote(tok)
+	if len(tok) == 1 && tok[0] == '@' {
+		return append(buf, p.origin...), nil
 	}
-	n, err := resolveName(tok, p.curOrigin)
-	if err == nil {
-		p.sc.names[tok] = n
-	}
-	return n, err
-}
-
-func resolveName(tok string, origin dnswire.Name) (dnswire.Name, error) {
-	tok, _ = unquote(tok)
-	if tok == "@" {
-		return origin, nil
-	}
-	if strings.HasSuffix(tok, ".") {
-		return dnswire.ParseName(tok)
-	}
-	// Relative: append origin.
-	if origin.IsRoot() {
-		return dnswire.ParseName(tok + ".")
-	}
-	return dnswire.ParseName(tok + "." + origin.String())
+	return dnswire.AppendNameWire(buf, tok, p.origin)
 }
 
 // parseTTL accepts plain seconds or BIND-style unit suffixes (30s 20m 4h 1d 1w).
-func parseTTL(tok string) (uint32, error) {
-	if tok == "" {
+func parseTTL(tok []byte) (uint32, error) {
+	if len(tok) == 0 {
 		return 0, fmt.Errorf("empty TTL")
 	}
 	mult := uint64(1)
-	last := tok[len(tok)-1]
-	digits := tok
-	switch last {
+	digits := tok[:len(tok)-1]
+	switch tok[len(tok)-1] {
 	case 's', 'S':
-		digits = tok[:len(tok)-1]
 	case 'm', 'M':
-		mult, digits = 60, tok[:len(tok)-1]
+		mult = 60
 	case 'h', 'H':
-		mult, digits = 3600, tok[:len(tok)-1]
+		mult = 3600
 	case 'd', 'D':
-		mult, digits = 86400, tok[:len(tok)-1]
+		mult = 86400
 	case 'w', 'W':
-		mult, digits = 604800, tok[:len(tok)-1]
+		mult = 604800
+	default:
+		digits = tok
 	}
-	v, err := strconv.ParseUint(digits, 10, 32)
-	if err != nil {
+	v, ok := parseUint(digits, 32)
+	if !ok {
 		return 0, fmt.Errorf("bad TTL %q", tok)
 	}
 	v *= mult
@@ -319,132 +349,214 @@ func parseTTL(tok string) (uint32, error) {
 	return uint32(v), nil
 }
 
-func (p *lineParser) buildRR(h dnswire.RRHeader, rdata []string) (dnswire.RR, error) {
-	need := func(n int) error {
-		if len(rdata) != n {
-			return fmt.Errorf("want %d RDATA fields, have %d", n, len(rdata))
-		}
-		return nil
+// parseUint is strconv.ParseUint(s, 10, bits) over bytes: decimal digits
+// only, at least one, the value below 1<<bits.
+func parseUint(s []byte, bits int) (uint64, bool) {
+	if len(s) == 0 {
+		return 0, false
 	}
-	switch h.Type {
-	case dnswire.TypeA:
-		if err := need(1); err != nil {
-			return nil, err
+	maxVal := uint64(1)<<bits - 1
+	v := uint64(0)
+	for _, c := range s {
+		d := uint64(c - '0')
+		if d > 9 || v > (maxVal-d)/10 {
+			return 0, false
 		}
-		addr, err := netip.ParseAddr(rdata[0])
-		if err != nil || !addr.Is4() {
+		v = v*10 + d
+	}
+	return v, true
+}
+
+// rdataFields is the field count of each type's RDATA in a master file;
+// TXT takes one or more.
+var rdataFields = map[dnswire.Type]int{
+	dnswire.TypeA: 1, dnswire.TypeAAAA: 1, dnswire.TypeNS: 1, dnswire.TypeCNAME: 1, dnswire.TypePTR: 1,
+	dnswire.TypeSOA: 7, dnswire.TypeMX: 2, dnswire.TypeSRV: 4, dnswire.TypeCAA: 3,
+}
+
+// appendRData packs a record's RDATA from its fields.
+func (p *masterParser) appendRData(buf []byte, typ dnswire.Type, rdata [][]byte) ([]byte, error) {
+	if n, fixed := rdataFields[typ]; fixed && len(rdata) != n {
+		return nil, fmt.Errorf("want %d RDATA fields, have %d", n, len(rdata))
+	}
+	switch typ {
+	case dnswire.TypeA:
+		ip, ok := parseIPv4(rdata[0])
+		if !ok {
 			return nil, fmt.Errorf("bad IPv4 address %q", rdata[0])
 		}
-		return &dnswire.A{RRHeader: h, Addr: addr}, nil
+		return append(buf, ip[:]...), nil
 	case dnswire.TypeAAAA:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		addr, err := netip.ParseAddr(rdata[0])
-		if err != nil || !addr.Is6() || addr.Is4In6() {
+		ip, ok := parseIPv6(rdata[0])
+		if !ok {
 			return nil, fmt.Errorf("bad IPv6 address %q", rdata[0])
 		}
-		return &dnswire.AAAA{RRHeader: h, Addr: addr}, nil
-	case dnswire.TypeNS:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		n, err := p.name(rdata[0])
-		if err != nil {
-			return nil, err
-		}
-		return &dnswire.NS{RRHeader: h, Target: n}, nil
-	case dnswire.TypeCNAME:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		n, err := p.name(rdata[0])
-		if err != nil {
-			return nil, err
-		}
-		return &dnswire.CNAME{RRHeader: h, Target: n}, nil
-	case dnswire.TypePTR:
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		n, err := p.name(rdata[0])
-		if err != nil {
-			return nil, err
-		}
-		return &dnswire.PTR{RRHeader: h, Target: n}, nil
+		return append(buf, ip[:]...), nil
+	case dnswire.TypeNS, dnswire.TypeCNAME, dnswire.TypePTR:
+		return p.appendName(buf, rdata[0])
 	case dnswire.TypeSOA:
-		if err := need(7); err != nil {
-			return nil, err
+		var err error
+		for _, tok := range rdata[:2] {
+			if buf, err = p.appendName(buf, tok); err != nil {
+				return nil, err
+			}
 		}
-		mname, err := p.name(rdata[0])
-		if err != nil {
-			return nil, err
-		}
-		rname, err := p.name(rdata[1])
-		if err != nil {
-			return nil, err
-		}
-		var nums [5]uint32
-		for i := 0; i < 5; i++ {
-			t, err := parseTTL(rdata[2+i])
+		for _, tok := range rdata[2:] {
+			t, err := parseTTL(tok)
 			if err != nil {
 				return nil, err
 			}
-			nums[i] = t
+			buf = binary.BigEndian.AppendUint32(buf, t)
 		}
-		return &dnswire.SOA{RRHeader: h, MName: mname, RName: rname,
-			Serial: nums[0], Refresh: nums[1], Retry: nums[2], Expire: nums[3], Minimum: nums[4]}, nil
+		return buf, nil
 	case dnswire.TypeMX:
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		pref, err := strconv.ParseUint(rdata[0], 10, 16)
-		if err != nil {
+		pref, ok := parseUint(rdata[0], 16)
+		if !ok {
 			return nil, fmt.Errorf("bad MX preference %q", rdata[0])
 		}
-		n, err := p.name(rdata[1])
-		if err != nil {
-			return nil, err
-		}
-		return &dnswire.MX{RRHeader: h, Preference: uint16(pref), Exchange: n}, nil
+		return p.appendName(binary.BigEndian.AppendUint16(buf, uint16(pref)), rdata[1])
 	case dnswire.TypeTXT:
 		if len(rdata) == 0 {
 			return nil, fmt.Errorf("TXT needs at least one string")
 		}
-		texts := make([]string, len(rdata))
-		for i, tok := range rdata {
-			texts[i], _ = unquote(tok)
-		}
-		return &dnswire.TXT{RRHeader: h, Texts: texts}, nil
-	case dnswire.TypeSRV:
-		if err := need(4); err != nil {
-			return nil, err
-		}
-		var nums [3]uint16
-		for i := 0; i < 3; i++ {
-			v, err := strconv.ParseUint(rdata[i], 10, 16)
-			if err != nil {
-				return nil, fmt.Errorf("bad SRV field %q", rdata[i])
+		var err error
+		for _, tok := range rdata {
+			if buf, err = dnswire.AppendCharString(buf, unquote(tok)); err != nil {
+				return nil, err
 			}
-			nums[i] = uint16(v)
 		}
-		n, err := p.name(rdata[3])
-		if err != nil {
-			return nil, err
+		return buf, nil
+	case dnswire.TypeSRV:
+		for _, tok := range rdata[:3] {
+			v, ok := parseUint(tok, 16)
+			if !ok {
+				return nil, fmt.Errorf("bad SRV field %q", tok)
+			}
+			buf = binary.BigEndian.AppendUint16(buf, uint16(v))
 		}
-		return &dnswire.SRV{RRHeader: h, Priority: nums[0], Weight: nums[1], Port: nums[2], Target: n}, nil
+		return p.appendName(buf, rdata[3])
 	case dnswire.TypeCAA:
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		flags, err := strconv.ParseUint(rdata[0], 10, 8)
-		if err != nil {
+		flags, ok := parseUint(rdata[0], 8)
+		if !ok {
 			return nil, fmt.Errorf("bad CAA flags %q", rdata[0])
 		}
-		tag, _ := unquote(rdata[1])
-		val, _ := unquote(rdata[2])
-		return &dnswire.CAA{RRHeader: h, Flags: uint8(flags), Tag: tag, Value: val}, nil
+		return dnswire.AppendCAA(buf, uint8(flags), unquote(rdata[1]), unquote(rdata[2]))
 	default:
-		return nil, fmt.Errorf("type %s not supported in master files", h.Type)
+		return nil, fmt.Errorf("type %s not supported in master files", typ)
 	}
+}
+
+// parseIPv4 parses an address as netip.ParseAddr does and reports whether
+// it is IPv4: four decimal octets, no leading zeros.
+func parseIPv4(s []byte) (ip [4]byte, ok bool) {
+	val, pos, digits := 0, 0, 0
+	for i, c := range s {
+		switch {
+		case '0' <= c && c <= '9':
+			if digits == 1 && val == 0 {
+				return ip, false
+			}
+			val = val*10 + int(c-'0')
+			digits++
+			if val > 255 {
+				return ip, false
+			}
+		case c == '.':
+			if i == 0 || i == len(s)-1 || s[i-1] == '.' || pos == 3 {
+				return ip, false
+			}
+			ip[pos] = byte(val)
+			pos++
+			val, digits = 0, 0
+		default:
+			return ip, false
+		}
+	}
+	if pos < 3 {
+		return ip, false
+	}
+	ip[3] = byte(val)
+	return ip, true
+}
+
+// parseIPv6 parses an address as netip.ParseAddr does and reports whether
+// it is IPv6 and not an IPv4-mapped one. Hex groups with at most one "::"
+// are parsed here; an address with a zone or an embedded IPv4 address goes
+// through netip.
+func parseIPv6(s []byte) (ip [16]byte, ok bool) {
+	if bytes.ContainsAny(s, ".%") {
+		a, err := netip.ParseAddr(string(s))
+		return a.As16(), err == nil && a.Is6() && !a.Is4In6()
+	}
+	if bytes.IndexByte(s, ':') < 0 {
+		return ip, false
+	}
+	ellipsis := -1 // where "::" sits in ip
+	if len(s) >= 2 && s[0] == ':' && s[1] == ':' {
+		ellipsis = 0
+		if s = s[2:]; len(s) == 0 {
+			return ip, true
+		}
+	}
+	i := 0
+	for i < 16 {
+		off, acc := 0, uint32(0)
+		for ; off < len(s); off++ {
+			d, isHex := hexDigit(s[off])
+			if !isHex {
+				break
+			}
+			if off > 3 {
+				return ip, false
+			}
+			acc = acc<<4 | d
+		}
+		if off == 0 {
+			return ip, false
+		}
+		ip[i], ip[i+1] = byte(acc>>8), byte(acc)
+		i += 2
+		if s = s[off:]; len(s) == 0 {
+			break
+		}
+		if s[0] != ':' || len(s) == 1 {
+			return ip, false
+		}
+		if s = s[1:]; s[0] == ':' {
+			if ellipsis >= 0 {
+				return ip, false
+			}
+			ellipsis = i
+			if s = s[1:]; len(s) == 0 {
+				break
+			}
+		}
+	}
+	if len(s) != 0 {
+		return ip, false
+	}
+	if i < 16 {
+		if ellipsis < 0 {
+			return ip, false
+		}
+		n := 16 - i
+		copy(ip[ellipsis+n:], ip[ellipsis:i])
+		clear(ip[ellipsis : ellipsis+n])
+	} else if ellipsis >= 0 {
+		return ip, false
+	}
+	mapped := [12]byte{10: 0xff, 11: 0xff}
+	return ip, [12]byte(ip[:12]) != mapped
+}
+
+func hexDigit(c byte) (uint32, bool) {
+	switch {
+	case '0' <= c && c <= '9':
+		return uint32(c - '0'), true
+	case 'a' <= c && c <= 'f':
+		return uint32(c - 'a' + 10), true
+	case 'A' <= c && c <= 'F':
+		return uint32(c - 'A' + 10), true
+	}
+	return 0, false
 }

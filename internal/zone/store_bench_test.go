@@ -3,7 +3,10 @@ package zone
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"akamaidns/internal/dnswire"
 )
@@ -126,3 +129,40 @@ func BenchmarkRouterRebuildFull1e6(b *testing.B)    { benchRouterRebuildFull(b, 
 func BenchmarkRouterRebuildDirty1_1e4(b *testing.B) { benchRouterRebuildDirty1(b, 1e4) }
 func BenchmarkRouterRebuildDirty1_1e5(b *testing.B) { benchRouterRebuildDirty1(b, 1e5) }
 func BenchmarkRouterRebuildDirty1_1e6(b *testing.B) { benchRouterRebuildDirty1(b, 1e6) }
+
+// BenchmarkStoreAtScale is what a nameserver hosting 10⁶ zones holds and
+// how fast it loads them: every bench-shaped zone's text is rendered on the
+// fly and dropped once parsed, and all of them go through ParseMaster into
+// one Store.Update. It reports the live heap each hosted zone costs at rest
+// (B/zone and objects/zone, the store's router included) and the load's
+// wall time per zone (load-ns/zone, rendering the text excluded).
+func BenchmarkStoreAtScale(b *testing.B) {
+	const n = 1_000_000
+	for i := 0; i < b.N; i++ {
+		before := settledHeap()
+		var render time.Duration
+		start := time.Now()
+		store := NewStore()
+		store.Update(func(tx *Tx) {
+			for j := range n {
+				t := time.Now()
+				origin, text := benchZoneText(j)
+				render += time.Since(t)
+				z, err := ParseMaster(strings.NewReader(text), origin)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tx.Put(z)
+			}
+		})
+		load := time.Since(start) - render
+		after := settledHeap()
+		if store.Len() != n {
+			b.Fatalf("store holds %d zones, want %d", store.Len(), n)
+		}
+		runtime.KeepAlive(store)
+		b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/n, "B/zone")
+		b.ReportMetric(float64(after.HeapObjects-before.HeapObjects)/n, "objects/zone")
+		b.ReportMetric(float64(load.Nanoseconds())/n, "load-ns/zone")
+	}
+}

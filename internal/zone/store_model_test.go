@@ -56,7 +56,7 @@ func storeModelVersion(origin dnswire.Name, serial uint32, compile bool) *Zone {
 func modelFind(model map[dnswire.Name]*Zone, name dnswire.Name) *Zone {
 	var best *Zone
 	for o, z := range model {
-		if name.IsSubdomainOf(o) && (best == nil || o.NumLabels() > best.Origin().NumLabels()) {
+		if name.IsSubdomainOf(o) && (best == nil || len(o.Labels()) > len(best.Origin().Labels())) {
 			best = z
 		}
 	}

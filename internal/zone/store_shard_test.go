@@ -13,7 +13,7 @@ import (
 func bruteFind(s *Store, name dnswire.Name) *Zone {
 	var best *Zone
 	s.set.Load().each(func(z *Zone) {
-		if o := z.Origin(); name.IsSubdomainOf(o) && (best == nil || o.NumLabels() > best.Origin().NumLabels()) {
+		if o := z.Origin(); name.IsSubdomainOf(o) && (best == nil || len(o.Labels()) > len(best.Origin().Labels())) {
 			best = z
 		}
 	})

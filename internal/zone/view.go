@@ -25,6 +25,7 @@ package zone
 // delegation point, the exact node and the closest encloser together.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
 	"slices"
@@ -65,7 +66,9 @@ type View struct {
 	soaBody []byte
 	// names is the block every node's owner text lives in, so a node's
 	// dnswire.Name is a substring of it and costs no allocation.
-	names  string
+	names string
+	// origin is the apex's owner text in names (the Name the zone was made
+	// with only for an empty zone, which has no apex node).
 	origin dnswire.Name
 	serial uint32
 	// size is the zone's heap footprint in bytes: header, arena, slabs and
@@ -102,24 +105,30 @@ type viewSet struct {
 func (v *View) Origin() dnswire.Name { return v.origin }
 
 // zone compiles the records added so far into a new zone at origin: how
-// New, Build, ParseMaster, FromTransfer and Apply finish. canonical order
-// puts a name before everything below it and keeps an owner's records
-// together by type, so the records are consumed front to back: nothing is
-// sorted after canonical, and nothing is looked up but glue. Every slab is
-// allocated once, at its exact size; the arena and the names block are
-// gathered in scratch.
+// New, Build, ParseMaster, FromTransfer and Apply finish. Every name is
+// handled in folded wire form, as the entries carry their owners. canonical
+// order puts a name before everything below it and keeps an owner's
+// records together by type, so the records are consumed front to back:
+// nothing is sorted after canonical, and nothing is looked up but glue.
+// Every slab is allocated once, at its exact size; the arena and the names
+// block are gathered in scratch.
 func (sc *scratch) zone(origin dnswire.Name) *Zone {
 	ents := canonical(sc.ents)
 	z := &Zone{version: versionSeq.Add(1)}
 	v := &z.view
-	v.origin, v.originLabels = origin, int32(origin.NumLabels())
+	// The names block starts with the origin's wire form, which is also
+	// the apex's name below.
+	text := origin.AppendWire(sc.text[:0])
+	apex := text[:len(text):len(text)]
+	v.originLabels = int32(wireLabels(apex))
 	// Every name of the zone in canonical order — the apex, then each
 	// owner, preceded by those of its ancestors no earlier owner sits at or
 	// below (the empty non-terminals) — and where each name's records start.
+	// An ancestor's wire name is a suffix of its descendant's.
 	names, first := sc.nodeNames[:0], sc.first[:0]
 	nsets := 1
 	for i, e := range ents {
-		if i > 0 && e.owner == ents[i-1].owner {
+		if i > 0 && bytes.Equal(e.owner, ents[i-1].owner) {
 			if e.typ != ents[i-1].typ {
 				nsets++
 			}
@@ -127,20 +136,20 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 		}
 		nsets++
 		if i == 0 {
-			names, first = append(names, origin), append(first, 0)
+			names, first = append(names, apex), append(first, 0)
 		}
-		prev := origin
+		prev := apex
 		if i > 0 {
 			prev = ents[i-1].owner
 		}
 		k := 0
-		for a := e.owner; a != origin && !prev.IsSubdomainOf(a); a = a.Parent() {
+		for a := e.owner; len(a) != len(apex) && !isSubdomainWire(prev, a); a = a[1+a[0]:] {
 			k++
 		}
 		// The owner and its k-1 nearest ancestors, filled in bottom up.
 		n := len(names)
 		names = slices.Grow(names, k)[:n+k]
-		for j, a := n+k-1, e.owner; j >= n; j, a = j-1, a.Parent() {
+		for j, a := n+k-1, e.owner; j >= n; j, a = j-1, a[1+a[0]:] {
 			names[j] = a
 			first = append(first, i)
 		}
@@ -159,7 +168,6 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 	table := 4 * int(v.tableMask+1)
 	v.arena = slices.Grow(sc.arena[:0], table)[:table]
 	clear(v.arena)
-	text := origin.AppendWire(sc.text[:0])
 	v.nodes = make([]viewNode, 0, nn+1)
 	v.sets = make([]viewSet, 0, nsets)
 	// The nodes: a name's parent is the last node made one label up.
@@ -168,16 +176,22 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 		if i == 0 {
 			v.nodes = append(v.nodes, viewNode{})
 		} else {
-			d := name.NumLabels() - int(v.originLabels)
+			d := wireLabels(name) - int(v.originLabels)
 			path[d] = v.addNode(path[d-1], name)
 		}
 		v.nodes[i].name = uint32(len(text))
-		text = append(text, name.String()...)
+		text = appendWireText(text, name)
 	}
 	v.nodes = append(v.nodes, viewNode{name: uint32(len(text))})
 	v.names = string(text)
 	v.originWire = v.names[:v.nodes[0].name]
 	sc.text = text[:0]
+	// The origin is the apex's text in the block; an empty zone, which
+	// has no apex node, keeps the one it was made with.
+	v.origin = origin
+	if !v.empty() {
+		v.origin = v.nodeName(0)
+	}
 	// The sets, node by node; a cut's glue follows its sets.
 	rec := uint32(0)
 	for n := range nn {
@@ -249,6 +263,26 @@ func soaSerial(body []byte) uint32 {
 	return binary.BigEndian.Uint32(body[o:])
 }
 
+// wireLabels returns the label count of a wire name.
+func wireLabels(name []byte) int {
+	n := 0
+	for o := 0; name[o] != 0; o += 1 + int(name[o]) {
+		n++
+	}
+	return n
+}
+
+// appendWireText appends the canonical text of a folded wire name.
+func appendWireText(text, name []byte) []byte {
+	if name[0] == 0 {
+		return append(text, '.')
+	}
+	for o := 0; name[o] != 0; o += 1 + int(name[o]) {
+		text = append(append(text, name[o+1:o+1+int(name[o])]...), '.')
+	}
+	return text
+}
+
 // wireNameLen returns the length of the uncompressed wire name at the front
 // of b, root octet included.
 func wireNameLen(b []byte) int {
@@ -259,17 +293,17 @@ func wireNameLen(b []byte) int {
 	return o + 1
 }
 
-// addNode appends the node for n, a child of node parent, and enters it in
-// the child table.
-func (v *View) addNode(parent uint32, n dnswire.Name) uint32 {
-	first := n.FirstLabel()
+// addNode appends the node for the wire name n, a child of node parent, and
+// enters it in the child table.
+func (v *View) addNode(parent uint32, n []byte) uint32 {
+	label := n[:1+n[0]]
 	idx := uint32(len(v.nodes))
 	v.nodes = append(v.nodes, viewNode{parent: parent, label: uint32(len(v.arena))})
-	v.arena = append(append(v.arena, byte(len(first))), first...)
-	if first == "*" {
+	v.arena = append(v.arena, label...)
+	if string(label) == "\x01*" {
 		v.nodes[parent].wildcard = idx
 	}
-	h := childHash(parent, v.arena[v.nodes[idx].label:])
+	h := childHash(parent, label)
 	for s := uint32(h) & v.tableMask; ; s = (s + 1) & v.tableMask {
 		if slot := v.arena[4*s:]; binary.LittleEndian.Uint32(slot) == 0 {
 			binary.LittleEndian.PutUint32(slot, uint32(h>>32)&^v.idxMask|(idx+1))
@@ -493,14 +527,19 @@ func decode(owner dnswire.Name, w []byte) (dnswire.RR, int) {
 
 // entries appends the view's records to dst as build entries, in canonical
 // order — owner, type, insertion — the apex SOA and glue left out: what
-// AllRecords decodes, and what Diff and Apply compare without decoding.
+// Diff and Apply compare without decoding. The owners are spelled out of
+// the node labels into a buffer of their own, sized for every node: a
+// name's wire form is one octet longer than its text in names.
 func (v *View) entries(dst []entry) []entry {
+	wire := make([]byte, 0, len(v.names)+len(v.nodes))
 	for n := range uint32(len(v.nodes) - 1) {
 		lo, hi := v.setRange(n)
 		if lo == hi {
 			continue
 		}
-		owner := v.nodeName(n)
+		start := len(wire)
+		wire = v.appendNodeWire(wire, n)
+		owner := wire[start:len(wire):len(wire)]
 		for s := lo; s < hi; s++ {
 			typ := v.sets[s].typ
 			if n == 0 && typ == dnswire.TypeSOA {
@@ -514,6 +553,16 @@ func (v *View) entries(dst []entry) []entry {
 		}
 	}
 	return dst
+}
+
+// appendNodeWire appends node's owner name in wire form: its labels, read
+// from the arena up the tree, then the origin's.
+func (v *View) appendNodeWire(buf []byte, node uint32) []byte {
+	for ; node != 0; node = v.nodes[node].parent {
+		l := v.arena[v.nodes[node].label:]
+		buf = append(buf, l[:1+l[0]]...)
+	}
+	return append(buf, v.originWire...)
 }
 
 // soaRecord decodes the apex SOA, or returns nil when the zone has none.

@@ -179,17 +179,21 @@ func BenchmarkZoneHeapPerZone(b *testing.B) {
 
 // The allocation counts of the load path for one 22-record bench-shaped
 // zone. Scratch comes from a pool and every slab is allocated once, at its
-// exact size; what is left is what the zone keeps, plus what parsing makes
-// and drops.
+// exact size; what is left is what the zone keeps.
 const (
-	// parseAllocCeiling: the zone (header, arena, nodes, sets, names), the
-	// records and name strings the parse makes and the build drops, and one
-	// string per line. 191 while Zone.Add copied every record into two maps
-	// and each line was re-joined and stripped of parentheses it did not
-	// have; 125 while each parse grew a fresh scanner buffer, token slices
-	// and record slab; 86 (without the compile, 6 more) while the zone kept
-	// its records and compared renderings for duplicates.
-	parseAllocCeiling = 70
+	// parseAllocCeiling: the zone (header, arena, nodes, sets, names) and
+	// the caller's strings.Reader. 191 while Zone.Add copied every record
+	// into two maps and each line was re-joined and stripped of parentheses
+	// it did not have; 125 while each parse grew a fresh scanner buffer,
+	// token slices and record slab; 86 (without the compile, 6 more) while
+	// the zone kept its records and compared renderings for duplicates; 70
+	// while each line was copied into a string, each record built as a
+	// dnswire.RR and each name resolved into a string of its own.
+	parseAllocCeiling = 6
+	// parseByteCeiling bounds the bytes those allocations take: 2 112 B,
+	// the zone's 2 080 and the reader's 32; 4 296 B while the parse made
+	// lines, records and names.
+	parseByteCeiling = 2400
 	// transferAllocCeiling: the zone (header, arena, nodes, sets, names); 29
 	// while the slab grew one record at a time and was sorted on first read,
 	// 21 while the zone kept the stream's records and compared renderings for
@@ -198,7 +202,8 @@ const (
 )
 
 // TestLoadPathAllocs holds ParseMaster and FromTransfer on a bench-shaped
-// zone to their allocation ceilings. Either ends in the zone's compile.
+// zone to their allocation ceilings, and ParseMaster to its byte ceiling.
+// Either ends in the zone's compile.
 func TestLoadPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random")
@@ -206,16 +211,17 @@ func TestLoadPathAllocs(t *testing.T) {
 	origin, text := benchZoneText(7)
 	z := MustParseMaster(text, origin)
 	stream := append(z.AllRecords(), z.SOA())
+	parse := func() {
+		if _, err := ParseMaster(strings.NewReader(text), origin); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, c := range []struct {
 		name    string
 		ceiling float64
 		load    func()
 	}{
-		{"ParseMaster", parseAllocCeiling, func() {
-			if _, err := ParseMaster(strings.NewReader(text), origin); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"ParseMaster", parseAllocCeiling, parse},
 		{"FromTransfer", transferAllocCeiling, func() {
 			if _, err := FromTransfer(origin, stream); err != nil {
 				t.Fatal(err)
@@ -228,6 +234,25 @@ func TestLoadPathAllocs(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per bench zone, ceiling %.0f", c.name, allocs, c.ceiling)
 		}
 	}
+	b := bytesPerRun(20, parse)
+	t.Logf("ParseMaster: %.0f B per bench zone", b)
+	if b > parseByteCeiling {
+		t.Errorf("ParseMaster: %.0f B per bench zone, ceiling %d", b, parseByteCeiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // BenchmarkParseMasterBenchZone parses one bench-shaped zone per iteration.

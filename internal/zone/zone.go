@@ -147,9 +147,13 @@ func (z *Zone) AllRecords() []dnswire.RR {
 	if soa := v.soaRecord(); soa != nil {
 		out = append(out, soa)
 	}
-	for _, e := range v.entries(nil) {
-		rr, _ := decode(e.owner, e.body)
-		out = append(out, rr)
+	for n := range uint32(len(v.nodes) - 1) {
+		lo, hi := v.setRange(n)
+		for s := lo; s < hi; s++ {
+			if n != 0 || v.sets[s].typ != dnswire.TypeSOA {
+				out = v.records(out, s, v.nodeName(n))
+			}
+		}
 	}
 	return out
 }
@@ -166,21 +170,63 @@ func (z *Zone) NumRecords() int {
 	return total
 }
 
-// entry is one record of a zone being built: its owner and type, and its
-// packed body (AppendRRBody's bytes), which canonical compares and the
-// compile copies into the arena.
+// entry is one record of a zone being built: its owner in folded wire
+// form, its type, and its packed body (AppendRRBody's bytes), which
+// canonical compares and the compile copies into the arena.
 type entry struct {
-	owner dnswire.Name
+	owner []byte
 	typ   dnswire.Type
 	body  []byte
 }
 
-// compareEntry orders records canonically: owner (Name.Compare), then type.
+// compareEntry orders records canonically: owner (compareWire), then type.
 func compareEntry(a, b entry) int {
-	if a.owner != b.owner {
-		return a.owner.Compare(b.owner)
+	if c := compareWire(a.owner, b.owner); c != 0 {
+		return c
 	}
 	return int(a.typ) - int(b.typ)
+}
+
+// compareWire orders folded wire names as dnswire.Name.Compare orders the
+// names they spell: label by label from the root, an ancestor first. Past
+// the labels the longer name has in front, the two are walked in step; the
+// rightmost pair of labels that differ decides.
+func compareWire(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return 0
+	}
+	na, nb := wireLabels(a), wireLabels(b)
+	for k := na; k > nb; k-- {
+		a = a[1+a[0]:]
+	}
+	for k := nb; k > na; k-- {
+		b = b[1+b[0]:]
+	}
+	c := 0
+	for ; a[0] != 0; a, b = a[1+a[0]:], b[1+b[0]:] {
+		if d := bytes.Compare(a[1:1+a[0]], b[1:1+b[0]]); d != 0 {
+			c = d
+		}
+	}
+	if c != 0 {
+		return c
+	}
+	return na - nb
+}
+
+// isSubdomainWire reports whether the folded wire name n is at or below
+// parent.
+func isSubdomainWire(n, parent []byte) bool {
+	for len(n) > len(parent) {
+		n = n[1+n[0]:]
+	}
+	return bytes.Equal(n, parent)
+}
+
+// ownerName returns the name a folded wire owner spells.
+func ownerName(wire []byte) dnswire.Name {
+	n, _ := dnswire.NameFromFoldedWire(wire)
+	return n
 }
 
 // canonical sorts ents in place — a stable sort, O(n log n) compares
@@ -209,24 +255,29 @@ func canonical(ents []entry) []entry {
 // hold pointers only while in use: putScratch clears them, so the pool never
 // pins a record or a line.
 type scratch struct {
-	line  []byte                  // ParseMaster: the line scanner's starting buffer
-	toks  []string                // ParseMaster: one line's fields
-	names map[string]dnswire.Name // ParseMaster: name tokens resolved so far
-	// ents collects a build's records, their bodies packed into bodies,
-	// before canonical sorts them in place.
+	// ParseMaster's: the line scanner's starting buffer, one line's fields,
+	// the physical lines of a parenthesized record so far, and the zone's
+	// origin and the current $ORIGIN in wire form.
+	line    []byte
+	toks    [][]byte
+	pending []byte
+	apex    []byte
+	origin  []byte
+	// ents collects a build's records before canonical sorts them in
+	// place; each one's owner and body bytes are packed into bodies.
 	ents   []entry
 	bodies []byte
 	// The compile's working set: every name of the zone in canonical order,
 	// the index of each name's first entry, and the view's arena and names
 	// block before their exact copies.
-	nodeNames []dnswire.Name
+	nodeNames [][]byte
 	first     []int
 	arena     []byte
 	text      []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{line: make([]byte, 4096), names: make(map[string]dnswire.Name)}
+	return &scratch{line: make([]byte, 4096)}
 }}
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
@@ -235,22 +286,24 @@ func putScratch(sc *scratch) {
 	clear(sc.toks[:cap(sc.toks)])
 	clear(sc.ents)
 	clear(sc.nodeNames)
-	clear(sc.names)
 	sc.toks, sc.ents, sc.nodeNames = sc.toks[:0], sc.ents[:0], sc.nodeNames[:0]
-	sc.bodies = sc.bodies[:0]
+	sc.pending, sc.bodies = sc.pending[:0], sc.bodies[:0]
 	scratchPool.Put(sc)
 }
 
 // add packs rr into the records of a zone at origin being built, once
-// checkRecord accepts it.
+// checkRecord accepts it: its owner's wire form, then its body.
 func (sc *scratch) add(origin dnswire.Name, rr dnswire.RR) error {
 	start := len(sc.bodies)
+	sc.bodies = rr.Header().Name.AppendWire(sc.bodies)
+	mid := len(sc.bodies)
 	var err error
 	if sc.bodies, err = checkRecord(origin, rr, sc.bodies); err != nil {
+		sc.bodies = sc.bodies[:start]
 		return err
 	}
-	h := rr.Header()
-	sc.ents = append(sc.ents, entry{owner: h.Name, typ: h.Type, body: sc.bodies[start:len(sc.bodies):len(sc.bodies)]})
+	end := len(sc.bodies)
+	sc.ents = append(sc.ents, entry{owner: sc.bodies[start:mid:mid], typ: rr.Header().Type, body: sc.bodies[mid:end:end]})
 	return nil
 }
 

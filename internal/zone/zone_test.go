@@ -708,3 +708,19 @@ func TestPropertyTransferPreservesAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareWireMatchesNameCompare holds the build's wire-name order to
+// dnswire.Name.Compare, which canonical order is defined by.
+func TestCompareWireMatchesNameCompare(t *testing.T) {
+	names := []string{".", "com", "a.com", "b.com", "ab.com", "a.b.com", "*.com", "-.com", "_x.com",
+		"z.a.com", "a.z", "aa.com", "a.ab.com", "b.a.com", "a.com.net", "x.y.z.a.com"}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	for _, a := range names {
+		for _, b := range names {
+			na, nb := n(a), n(b)
+			if got, want := sign(compareWire(na.AppendWire(nil), nb.AppendWire(nil))), na.Compare(nb); got != want {
+				t.Errorf("compareWire(%s, %s) = %d, Name.Compare %d", na, nb, got, want)
+			}
+		}
+	}
+}
