@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race race-suites vet bench bench-compile bench-smoke bench-json bench-alloc-guard experiments fuzz chaos chaos-soak churn churn-smoke churn-smoke-sharded propagate-smoke examples clean
+.PHONY: all build test race race-suites vet fmt-check deadcode bench bench-compile bench-smoke bench-json bench-alloc-guard experiments fuzz chaos chaos-soak churn churn-smoke churn-smoke-sharded propagate-smoke examples clean
 
 all: build test
 
@@ -55,6 +55,16 @@ vet:
 	go vet ./...
 	GOOS=darwin GOARCH=arm64 go vet ./...
 	GOOS=linux GOARCH=386 go vet ./...
+
+# Every Go file as gofmt would write it.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
+# Exported names that no non-test code reached from a main package uses,
+# other than those deadcode_allow.txt lists with a reason. Standard library
+# only (go/types); not part of tier-1.
+deadcode:
+	go test -tags deadcode -run '^TestDeadcode$$' -count=1 .
 
 bench:
 	go test -bench=. -benchmem -benchtime=1x .

@@ -354,43 +354,6 @@ func BenchmarkAblationQueuesVsFIFO(b *testing.B) {
 	b.ReportMetric(without*100, "%legit-fifo")
 }
 
-// BenchmarkAblationLeakyVsFixedWindow quantifies the rate-limiter choice
-// (§4.3.4): false-positive rate on bursty-but-legitimate traffic.
-func BenchmarkAblationLeakyVsFixedWindow(b *testing.B) {
-	burstTraffic := func(score func(*filters.Query) float64) float64 {
-		flagged, total := 0, 0
-		now := simtime.Time(0)
-		rng := rand.New(rand.NewSource(1))
-		for burst := 0; burst < 50; burst++ {
-			// Idle gap then a 100-query burst (Figure 3 behaviour).
-			now = now.Add(time.Duration(10+rng.Intn(20)) * time.Second)
-			for i := 0; i < 100; i++ {
-				q := &filters.Query{Resolver: "bursty", Now: now}
-				if score(q) > 0 {
-					flagged++
-				}
-				total++
-				now = now.Add(2 * time.Millisecond)
-			}
-		}
-		return float64(flagged) / float64(total)
-	}
-	var leakyFP, fixedFP float64
-	for i := 0; i < b.N; i++ {
-		rl := filters.NewRateLimit()
-		rl.Learn("bursty", 10)
-		fw := filters.NewFixedWindowRateLimit()
-		fw.Learn("bursty", 10)
-		leakyFP = burstTraffic(rl.Score)
-		fixedFP = burstTraffic(fw.Score)
-	}
-	if leakyFP >= fixedFP {
-		b.Fatalf("leaky bucket FP %.3f not better than fixed window %.3f", leakyFP, fixedFP)
-	}
-	b.ReportMetric(leakyFP*100, "%fp-leaky")
-	b.ReportMetric(fixedFP*100, "%fp-fixed")
-}
-
 // BenchmarkAblationQoDFirewall quantifies §4.2.4 containment: crashes per
 // 1000 QoD queries with and without the firewall. The queries cycle three
 // trap names, and the quarantine holds one signature per name.

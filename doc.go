@@ -13,8 +13,10 @@
 // fabric, a caching recursive resolver, the Two-Tier delegation model, a
 // workload generator calibrated to the paper's production traffic
 // characterization, the attack taxonomy with the Figure 9 traffic
-// engineering decision tree — plus a real UDP/TCP authoritative server
-// (cmd/authdns) running the same code over sockets.
+// engineering decision tree (the operators' manual procedure; the
+// automation §4.3.2 names as future work is not built) — plus a real
+// UDP/TCP authoritative server (cmd/authdns) running the same code over
+// sockets.
 //
 // Every figure and in-text result of the paper's evaluation is regenerated
 // by internal/experiments (driven by cmd/experiments and the benchmarks in

@@ -99,8 +99,10 @@ func main() {
 	}
 	fmt.Printf("drill 3 (poisoned input, all regular machines down): %d/%d delegation clouds still answering via input-delayed instances\n",
 		len(answeredBy), len(ent.DelegationSet))
-	for c, who := range answeredBy {
-		fmt.Printf("  cloud %2d -> %s\n", c, who)
+	for _, c := range ent.DelegationSet.Clouds() {
+		if who, ok := answeredBy[c]; ok {
+			fmt.Printf("  cloud %2d -> %s\n", c, who)
+		}
 	}
 
 	// The input-delayed machines froze their inputs on first use, giving

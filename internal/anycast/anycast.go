@@ -68,29 +68,6 @@ func (d DelegationSet) String() string {
 // Clouds returns the set as a slice.
 func (d DelegationSet) Clouds() []CloudID { return append([]CloudID(nil), d[:]...) }
 
-// Contains reports whether the set includes cloud c.
-func (d DelegationSet) Contains(c CloudID) bool {
-	for _, x := range d {
-		if x == c {
-			return true
-		}
-	}
-	return false
-}
-
-// Overlap counts clouds shared with another set. The paper's collateral-
-// damage argument (§4.3.1) rests on any two distinct sets differing in at
-// least one cloud, i.e. Overlap < DelegationSetSize.
-func (d DelegationSet) Overlap(o DelegationSet) int {
-	n := 0
-	for _, c := range d {
-		if o.Contains(c) {
-			n++
-		}
-	}
-	return n
-}
-
 // Assigner hands out unique delegation sets. It enumerates combinations in
 // a deterministic shuffled order so consecutive enterprises receive
 // well-spread sets.
@@ -125,15 +102,6 @@ func (a *Assigner) Assign(enterprise string) (DelegationSet, error) {
 			return ds, nil
 		}
 	}
-}
-
-// Assigned reports the number of delegation sets handed out.
-func (a *Assigner) Assigned() int { return len(a.used) }
-
-// Of returns the set previously assigned to an enterprise.
-func (a *Assigner) Of(enterprise string) (DelegationSet, bool) {
-	ds, ok := a.byEnt[enterprise]
-	return ds, ok
 }
 
 func (a *Assigner) randomSet() DelegationSet {

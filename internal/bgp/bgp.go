@@ -26,11 +26,10 @@ type ASN uint32
 // Community is a BGP community tag (RFC 1997).
 type Community uint32
 
-// Well-known communities used by the traffic-engineering decision tree.
-const (
-	CommunityBlackhole Community = 0xFFFF029A // RFC 7999 BLACKHOLE
-	CommunityNoExport  Community = 0xFFFFFF01
-)
+// CommunityNoExport is the RFC 1997 NO_EXPORT community, which scopes an
+// announcement to the neighbouring AS (§4.3.2's per-link traffic
+// engineering).
+const CommunityNoExport Community = 0xFFFFFF01
 
 // Route is one path to a prefix.
 type Route struct {
@@ -134,10 +133,6 @@ type peerState struct {
 	// pending marks prefixes with an armed MRAI-deferred send.
 	pending map[netsim.Prefix]bool
 	up      bool
-	// gated suppresses advertisements to this peer while the session stays
-	// up (the §4.3.2 traffic-engineering "withdraw from link" action: stop
-	// attracting traffic over the link without tearing the session down).
-	gated bool
 }
 
 // registry associates nodes with speakers so sessions can be wired by node.
@@ -191,9 +186,6 @@ func (w *World) Peer(a, b *Speaker, aExport, bExport ExportPolicy) {
 	b.sendAll(a.node.ID)
 }
 
-// ASN reports the speaker's AS number.
-func (s *Speaker) ASN() ASN { return s.asn }
-
 // SetMRAI overrides this speaker's MinRouteAdvertisementInterval. Real
 // deployments mix modern (sub-second) and classic (tens of seconds)
 // pacing; the heterogeneity drives the withdraw-convergence tail.
@@ -205,12 +197,6 @@ func (s *Speaker) SetMRAI(d time.Duration) { s.cfg.MRAI = d }
 func (s *Speaker) SetProcDelay(min, max time.Duration) {
 	s.cfg.ProcMin, s.cfg.ProcMax = min, max
 }
-
-// Node reports the underlying netsim node.
-func (s *Speaker) Node() *netsim.Node { return s.node }
-
-// Best returns the current best route for prefix (nil when unreachable).
-func (s *Speaker) Best(prefix netsim.Prefix) *Route { return s.best[prefix] }
 
 // Originate injects a locally-originated route and propagates it.
 func (s *Speaker) Originate(prefix netsim.Prefix, med uint32, comms ...Community) {
@@ -258,36 +244,6 @@ func (s *Speaker) SessionUp(peer netsim.NodeID) {
 	ps.up = true
 	s.sendAll(peer)
 	ps.speaker.sendAll(s.node.ID)
-}
-
-// SetAdvertise gates (on=false) or restores (on=true) advertisements to one
-// peer while keeping the session up — the per-link traffic-engineering
-// action of §4.3.2. Gating sends explicit withdrawals; restoring resends
-// the full table.
-func (s *Speaker) SetAdvertise(peer netsim.NodeID, on bool) {
-	ps, ok := s.peers[peer]
-	if !ok || ps.gated == !on {
-		return
-	}
-	ps.gated = !on
-	if on {
-		s.sendAll(peer)
-		return
-	}
-	prefixes := make([]netsim.Prefix, 0, len(s.best))
-	for p := range s.best {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
-	for _, p := range prefixes {
-		s.enqueue(ps, &update{from: s.node.ID, prefix: p, withdraw: true})
-	}
-}
-
-// Gated reports whether advertisements to the peer are suppressed.
-func (s *Speaker) Gated(peer netsim.NodeID) bool {
-	ps, ok := s.peers[peer]
-	return ok && ps.gated
 }
 
 // sendAll advertises every current best route to one peer.
@@ -443,7 +399,7 @@ func (s *Speaker) advertiseTo(peer netsim.NodeID, prefix netsim.Prefix) {
 // exportRoute applies split-horizon, loop prevention, prepending, and the
 // per-peer export policy. Returns nil when nothing should be advertised.
 func (s *Speaker) exportRoute(ps *peerState, best *Route) *Route {
-	if best == nil || ps.gated {
+	if best == nil {
 		return nil
 	}
 	// Split horizon: do not re-advertise to the peer the route came from.

@@ -362,38 +362,3 @@ func TestPeerWithoutLinkPanics(t *testing.T) {
 	}()
 	w.Peer(sa, sb, nil, nil)
 }
-
-func TestSetAdvertiseGating(t *testing.T) {
-	w, sp := buildLine(t)
-	sp[0].Originate(pfx, 0)
-	w.Net.Sched.RunFor(time.Second)
-	if sp[1].Best(pfx) == nil {
-		t.Fatal("route missing before gating")
-	}
-	// Gate A's advertisements to B: B (and C behind it) lose the route,
-	// but the session stays up.
-	sp[0].SetAdvertise(sp[1].Node().ID, false)
-	w.Net.Sched.RunFor(5 * time.Second)
-	if sp[1].Best(pfx) != nil || sp[2].Best(pfx) != nil {
-		t.Fatal("route survived advertisement gating")
-	}
-	if !sp[0].Gated(sp[1].Node().ID) {
-		t.Fatal("Gated() false")
-	}
-	// New originations while gated also stay suppressed.
-	const pfx2 = netsim.Prefix("192.0.3.0/24")
-	sp[0].Originate(pfx2, 0)
-	w.Net.Sched.RunFor(5 * time.Second)
-	if sp[1].Best(pfx2) != nil {
-		t.Fatal("new origination leaked through gate")
-	}
-	// Restore: full table returns.
-	sp[0].SetAdvertise(sp[1].Node().ID, true)
-	w.Net.Sched.RunFor(5 * time.Second)
-	if sp[1].Best(pfx) == nil || sp[2].Best(pfx) == nil || sp[1].Best(pfx2) == nil {
-		t.Fatal("routes did not return after restore")
-	}
-	if sp[0].Gated(sp[1].Node().ID) {
-		t.Fatal("still gated after restore")
-	}
-}

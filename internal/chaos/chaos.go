@@ -236,9 +236,6 @@ type Harness struct {
 	churn *churnTracker
 }
 
-// Platform exposes the assembled platform (for tests poking at internals).
-func (h *Harness) Platform() *core.Platform { return h.p }
-
 const chaosZone = `
 $TTL 300
 @    IN SOA ns1.ent.test. host.ent.test. ( 1 3600 600 604800 30 )

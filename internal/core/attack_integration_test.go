@@ -204,7 +204,6 @@ func TestSpoofedTTLAttackThroughPlatform(t *testing.T) {
 		}
 		if m.Filters.Loyalty != nil {
 			m.Filters.Loyalty.SetActive(true)
-			m.Filters.Loyalty.SetLearning(false)
 		}
 	}
 	// Teach every machine the victim's expected arrival TTL: 64 minus the

@@ -48,10 +48,6 @@ func (p *Platform) AddClient(name, region string) *Client {
 	for cl := anycast.CloudID(0); cl < anycast.NumClouds; cl++ {
 		node.SetRoute(cl.Prefix(), node.Neighbors()[0])
 	}
-	for _, prefix := range p.unicast {
-		node.SetRoute(prefix, node.Neighbors()[0])
-	}
-	p.clients = append(p.clients, c)
 	node.SetHandler(c.handle)
 	// Register the client's location with the mapper (EdgeScape-style
 	// geolocation).
@@ -111,12 +107,8 @@ func (t transport) Send(now simtime.Time, server string, q *dnswire.Message, don
 	if err != nil {
 		return
 	}
-	var prefix netsim.Prefix
-	if cloud, ok := AddrCloud(addr); ok {
-		prefix = cloud.Prefix()
-	} else if up, ok := t.c.p.unicast[addr]; ok {
-		prefix = up // a unicast lowlevel nameserver
-	} else {
+	cloud, ok := AddrCloud(addr)
+	if !ok {
 		return
 	}
 	c := t.c
@@ -127,7 +119,7 @@ func (t transport) Send(now simtime.Time, server string, q *dnswire.Message, don
 	c.pending[id] = func(tn simtime.Time, resp *pop.DNSResponse) {
 		done(tn, resp.Msg)
 	}
-	c.Node.Send(prefix, &pop.DNSPacket{
+	c.Node.Send(cloud.Prefix(), &pop.DNSPacket{
 		Resolver: c.Addr,
 		SrcPort:  1024 + c.nextPort%60000,
 		Msg:      q,
@@ -158,12 +150,6 @@ func (c *Client) NewResolver(cfg resolver.Config, ent *Enterprise) *resolver.Res
 		})
 	}
 	return resolver.New(c.p.Sched, cfg, transport{c}, hints, c.p.rng)
-}
-
-// NewTwoTierResolver builds a resolver hinted at the Two-Tier toplevel
-// clouds (see Platform.SetupTwoTier).
-func (c *Client) NewTwoTierResolver(cfg resolver.Config) *resolver.Resolver {
-	return resolver.New(c.p.Sched, cfg, transport{c}, c.p.TwoTierHints(), c.p.rng)
 }
 
 // InjectRaw sends an arbitrary pre-built DNS packet (attack traffic) into a

@@ -34,7 +34,6 @@ func (p *Platform) AddEnterprise(name string, origin dnswire.Name, zoneText stri
 	if err := p.AddEnterpriseZone(ent, origin, zoneText); err != nil {
 		return nil, err
 	}
-	p.ents = append(p.ents, ent)
 	return ent, nil
 }
 

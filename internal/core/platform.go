@@ -152,20 +152,7 @@ type Platform struct {
 	clientSeq int
 	edgeSeq   int
 	nextASN   bgp.ASN
-	// Two-Tier state (twotier.go).
-	llSeq     int
-	lowlevels []*Lowlevel
-	lowStore  *zone.Store
-	unicast   map[netip.Addr]netsim.Prefix
-	clients   []*Client
-	ents      []*Enterprise
 }
-
-// Enterprises lists every onboarded enterprise in onboarding order.
-func (p *Platform) Enterprises() []*Enterprise { return p.ents }
-
-// Clients lists every attached client in attachment order.
-func (p *Platform) Clients() []*Client { return p.clients }
 
 // New assembles a platform.
 func New(opts Options) (*Platform, error) {
@@ -205,7 +192,6 @@ func New(opts Options) (*Platform, error) {
 		Allowlist: filters.NewAllowlist(),
 		rng:       rng,
 		nextASN:   60000,
-		unicast:   make(map[netip.Addr]netsim.Prefix),
 	}
 	p.Mapper = mapping.New(mapping.DefaultConfig(), p.Bus)
 	if opts.PullPropagation {

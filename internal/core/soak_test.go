@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -10,16 +11,14 @@ import (
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/pop"
 	"akamaidns/internal/simtime"
-	"akamaidns/internal/telemetry"
 	"akamaidns/internal/workload"
 )
 
 // TestWorkloadSoak drives the §2-calibrated synthetic workload through the
 // live platform: skewed resolvers in weighted regions querying skewed
-// zones (with the ~0.5% NXDOMAIN background), across all 24 clouds, with
-// telemetry collecting the Figure 5 reports. It asserts the platform
-// serves essentially everything and the observed traffic keeps the
-// generator's shape.
+// zones (with the ~0.5% NXDOMAIN background), across all 24 clouds. It
+// asserts the platform serves essentially everything and the answered
+// traffic keeps the generator's shape.
 func TestWorkloadSoak(t *testing.T) {
 	p := newPlatform(t, func(o *Options) { o.NumPoPs = 24; o.MachinesPerPoP = 1 })
 	// Host 30 enterprise zones.
@@ -33,9 +32,6 @@ func TestWorkloadSoak(t *testing.T) {
 		}
 		ents[i] = ent
 	}
-	col, tick := p.StartTelemetry(20*time.Second, telemetry.DefaultThresholds())
-	defer tick.Stop()
-
 	// A calibrated population scaled to the soak: 40 client sites stand in
 	// for the resolver population, weighted by the generator's skew.
 	rng := rand.New(rand.NewSource(99))
@@ -78,27 +74,23 @@ func TestWorkloadSoak(t *testing.T) {
 	if frac := float64(answered) / float64(sent); frac < 0.999 {
 		t.Fatalf("soak answered %.4f of %d queries", frac, sent)
 	}
-	// The zone skew survives the platform: the busiest zone in telemetry's
-	// enterprise reports should carry a large multiple of the median.
-	reports := col.TrafficReports()
-	if len(reports) < nZones/2 {
-		t.Fatalf("only %d zones in reports", len(reports))
+	// The zone skew survives the platform: the busiest zone should carry a
+	// large multiple of the median zone's answered queries.
+	if len(zoneHits) < nZones/2 {
+		t.Fatalf("only %d zones answered", len(zoneHits))
 	}
-	top := reports[0].Queries
-	med := reports[len(reports)/2].Queries
-	if top < 3*med {
+	hits := make([]int, 0, len(zoneHits))
+	for _, n := range zoneHits {
+		hits = append(hits, n)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(hits)))
+	if top, med := hits[0], hits[len(hits)/2]; top < 3*med {
 		t.Fatalf("zone skew lost in transit: top=%d median=%d", top, med)
 	}
 	// The platform-wide NXDOMAIN background matches the generator's
-	// ~0.5% (both counted against answered queries).
-	fleet := col.Fleet()
-	nxFrac := float64(nxTotal(p)) / float64(fleet.Answered)
-	if nxFrac > 0.03 {
+	// ~0.5% (counted against answered queries).
+	if nxFrac := float64(nxTotal(p)) / float64(answered); nxFrac > 0.03 {
 		t.Fatalf("NXDOMAIN background %.4f, want ~0.005", nxFrac)
-	}
-	// No NOCC alerts under healthy load.
-	if alerts := col.Alerts(); len(alerts) != 0 {
-		t.Fatalf("alerts during healthy soak: %v", alerts)
 	}
 }
 

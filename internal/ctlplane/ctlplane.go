@@ -142,10 +142,6 @@ type Plan struct {
 	AppliedAt   time.Time
 }
 
-// Empty reports whether the plan carries no zone changes — the fixed point
-// of reconciliation: re-submitting applied desired state plans nothing.
-func (p *Plan) Empty() bool { return len(p.Zones) == 0 }
-
 // Config parameterizes a Controller.
 type Config struct {
 	// Registry receives the control-plane metrics (nil = private registry).
@@ -250,9 +246,6 @@ func New(store *zone.Store, cfg Config) *Controller {
 		})
 	return c
 }
-
-// Store exposes the serving store the controller reconciles against.
-func (c *Controller) Store() *zone.Store { return c.store }
 
 // rejectCounter lazily materializes the per-reason rejection series.
 func (c *Controller) rejectCounter(reason string) *obs.Counter {

@@ -72,7 +72,7 @@ func TestLifecycleCreateUpdateDelete(t *testing.T) {
 	p = submitOK(t, c, Changelist{Zones: []ZoneChange{
 		{Origin: origin, Desired: testZone(t, "ex.test", 5, "api IN A 192.0.2.11")},
 	}})
-	if !p.Empty() || p.NoOps != 1 {
+	if len(p.Zones) != 0 || p.NoOps != 1 {
 		t.Fatalf("identical resubmit: plan not empty (%d zones, %d noops)", len(p.Zones), p.NoOps)
 	}
 
@@ -119,7 +119,7 @@ func TestLifecycleCreateUpdateDelete(t *testing.T) {
 	}
 	// Deleting an absent zone is already reconciled.
 	p = submitOK(t, c, Changelist{Zones: []ZoneChange{{Origin: origin, Delete: true}}})
-	if !p.Empty() || p.NoOps != 1 {
+	if len(p.Zones) != 0 || p.NoOps != 1 {
 		t.Fatalf("delete-absent: plan not a no-op: %+v", p)
 	}
 }

@@ -68,9 +68,6 @@ func (t *Ticket) Wait() (*Plan, error) {
 	return t.plan, t.err
 }
 
-// Done returns a channel closed when the changelist has finished.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
 // dirtyShardBuckets spans 1 shard to all 256 of the router's one wire-keyed
 // index: the most a publish can clone.
 var dirtyShardBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}

@@ -34,27 +34,11 @@ func (a *Allowlist) Add(resolvers ...string) {
 	}
 }
 
-// Remove forgets resolvers.
-func (a *Allowlist) Remove(resolvers ...string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, r := range resolvers {
-		delete(a.known, r)
-	}
-}
-
 // Contains reports membership.
 func (a *Allowlist) Contains(resolver string) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	return a.known[resolver]
-}
-
-// Len reports the list size.
-func (a *Allowlist) Len() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.known)
 }
 
 // SetActive toggles enforcement. When inactive the filter scores nothing
@@ -63,13 +47,6 @@ func (a *Allowlist) SetActive(on bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.active = on
-}
-
-// Active reports enforcement state.
-func (a *Allowlist) Active() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.active
 }
 
 // Score implements Filter.

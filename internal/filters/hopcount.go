@@ -45,26 +45,11 @@ func (h *HopCount) Learn(resolver string, ttl int) {
 	h.expected[resolver] = ttl
 }
 
-// Expected reports the learned TTL, if any.
-func (h *HopCount) Expected(resolver string) (int, bool) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	t, ok := h.expected[resolver]
-	return t, ok
-}
-
 // SetActive toggles enforcement.
 func (h *HopCount) SetActive(on bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.active = on
-}
-
-// Active reports enforcement state.
-func (h *HopCount) Active() bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.active
 }
 
 // Score implements Filter: known resolvers whose observed TTL deviates from

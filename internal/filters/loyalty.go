@@ -20,10 +20,6 @@ type Loyalty struct {
 	// passes Retention: a flood of newcomers is swept once per expiry.
 	sweepAt simtime.Time
 	active  bool
-	// learning gates whether Observe records new resolvers; during an
-	// attack learning is frozen so attack sources don't launder themselves
-	// into the set.
-	learning bool
 
 	// Retention drops resolvers not seen for this long.
 	Retention simtime.Time
@@ -38,7 +34,6 @@ type Loyalty struct {
 func NewLoyalty() *Loyalty {
 	return &Loyalty{
 		seen:      make(map[string]simtime.Time),
-		learning:  true,
 		Retention: 7 * simtime.Day,
 		Penalty:   PenaltyLoyalty,
 	}
@@ -54,9 +49,6 @@ func (l *Loyalty) Name() string { return "loyalty" }
 func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.learning {
-		return
-	}
 	if _, ok := l.seen[resolver]; !ok && len(l.seen) >= maxSources {
 		if now < l.sweepAt {
 			return
@@ -81,25 +73,11 @@ func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 // one.
 func (l *Loyalty) ObserveAnswer(q *Query, _ bool) { l.Observe(q.Resolver, q.Now) }
 
-// SetLearning gates Observe.
-func (l *Loyalty) SetLearning(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.learning = on
-}
-
 // SetActive toggles enforcement.
 func (l *Loyalty) SetActive(on bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.active = on
-}
-
-// Active reports enforcement state.
-func (l *Loyalty) Active() bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.active
 }
 
 // Known reports whether the resolver is in the loyalty set (subject to
@@ -109,13 +87,6 @@ func (l *Loyalty) Known(resolver string, now simtime.Time) bool {
 	defer l.mu.RUnlock()
 	last, ok := l.seen[resolver]
 	return ok && now.Sub(last) <= l.Retention.Duration()
-}
-
-// Len reports the loyalty set size.
-func (l *Loyalty) Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.seen)
 }
 
 // Score implements Filter.

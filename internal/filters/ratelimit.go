@@ -60,13 +60,6 @@ func (r *RateLimit) Learn(resolver string, qps float64) {
 	}
 }
 
-// Limit reports the effective qps limit for a resolver.
-func (r *RateLimit) Limit(resolver string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.limitLocked(resolver)
-}
-
 func (r *RateLimit) limitLocked(resolver string) float64 {
 	if l, ok := r.limits[resolver]; ok {
 		return l
@@ -119,75 +112,4 @@ func (r *RateLimit) sweepLocked(now simtime.Time) {
 	if len(r.buckets) >= maxSources {
 		r.buckets = make(map[string]*bucket)
 	}
-}
-
-// ResetBuckets clears dynamic state (not learned limits); used when traffic
-// engineering shifts resolver populations between PoPs, which invalidates
-// short-term state (§4.3.4 discussion).
-func (r *RateLimit) ResetBuckets() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buckets = make(map[string]*bucket)
-}
-
-// FixedWindowRateLimit is the ablation comparator: a naive per-second
-// window counter. Bursty-but-legitimate traffic (Figure 3) trips it far
-// more often than the leaky bucket; BenchmarkAblationRateLimiter quantifies
-// the difference.
-type FixedWindowRateLimit struct {
-	mu      sync.Mutex
-	limits  map[string]float64
-	windows map[string]*window
-	// DefaultQPS and Penalty mirror RateLimit.
-	DefaultQPS float64
-	Penalty    float64
-	Over       uint64
-}
-
-type window struct {
-	start simtime.Time
-	count float64
-}
-
-// NewFixedWindowRateLimit returns the ablation limiter.
-func NewFixedWindowRateLimit() *FixedWindowRateLimit {
-	return &FixedWindowRateLimit{
-		limits:     make(map[string]float64),
-		windows:    make(map[string]*window),
-		DefaultQPS: 20,
-		Penalty:    PenaltyRate,
-	}
-}
-
-// Name implements Filter.
-func (r *FixedWindowRateLimit) Name() string { return "ratelimit-fixed" }
-
-// Learn installs the per-resolver rate.
-func (r *FixedWindowRateLimit) Learn(resolver string, qps float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if qps > 0 {
-		r.limits[resolver] = qps
-	}
-}
-
-// Score implements Filter with a strict one-second window.
-func (r *FixedWindowRateLimit) Score(q *Query) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	limit, ok := r.limits[q.Resolver]
-	if !ok {
-		limit = r.DefaultQPS
-	}
-	w := r.windows[q.Resolver]
-	if w == nil || q.Now.Sub(w.start) >= simtime.Second.Duration() {
-		w = &window{start: q.Now}
-		r.windows[q.Resolver] = w
-	}
-	w.count++
-	if w.count > limit {
-		r.Over++
-		return r.Penalty
-	}
-	return 0
 }

@@ -56,13 +56,6 @@ type replica struct {
 // Cap reports the global bound on concurrent suspensions.
 func (c *Coordinator) Cap() int { return c.cap }
 
-// NumReplicas reports the replica count.
-func (c *Coordinator) NumReplicas() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.replicas)
-}
-
 // NewCoordinator builds a coordinator with n replicas and the given cap on
 // concurrent suspensions.
 func NewCoordinator(nReplicas, cap int) *Coordinator {
@@ -74,15 +67,6 @@ func NewCoordinator(nReplicas, cap int) *Coordinator {
 		c.replicas = append(c.replicas, &replica{up: true, active: make(map[string]bool)})
 	}
 	return c
-}
-
-// Protect marks agents as never-suspendable.
-func (c *Coordinator) Protect(agentIDs ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range agentIDs {
-		c.protected[id] = true
-	}
 }
 
 // SetReplicaUp changes a replica's availability (for failure injection).
@@ -340,11 +324,4 @@ func (a *Agent) OnCrash(now simtime.Time, sig string) {
 			}
 		}
 	})
-}
-
-// HoldingSuspension reports whether the agent currently holds a slot.
-func (a *Agent) HoldingSuspension() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.suspendedBy
 }

@@ -155,9 +155,6 @@ type Server struct {
 	pumpBusy bool
 	// lastInput per metadata topic for staleness checks.
 	lastInput map[pubsub.Topic]simtime.Time
-	// zoneCounts attributes answered queries to zones for the Data
-	// Collection/Aggregation reports (§3.2).
-	zoneCounts map[dnswire.Name]uint64
 
 	// quarantine holds the query-of-death signatures the firewall blocks
 	// (nil without QoDFirewall).
@@ -189,10 +186,9 @@ func NewServer(sched *simtime.Scheduler, cfg Config, eng *Engine, pipe *filters.
 	qq.Instrument(reg)
 	s := &Server{
 		Cfg: cfg, Engine: eng, Pipeline: pipe, sched: sched, queues: q,
-		lastInput:  make(map[pubsub.Topic]simtime.Time),
-		zoneCounts: make(map[dnswire.Name]uint64),
-		reg:        reg,
-		met:        newServerMetrics(reg),
+		lastInput: make(map[pubsub.Topic]simtime.Time),
+		reg:       reg,
+		met:       newServerMetrics(reg),
 	}
 	if cfg.QoDFirewall {
 		if cfg.TQoD <= 0 {
@@ -223,9 +219,6 @@ func (s *Server) UseFIFO() {
 	total := s.Cfg.Queues.Capacity * len(s.Cfg.Queues.MaxScores)
 	s.queues = queue.NewFIFO(total)
 }
-
-// Queues exposes queue statistics.
-func (s *Server) Queues() queue.Stats { return s.queues.Stats() }
 
 // Suspended reports whether the machine has withdrawn itself.
 func (s *Server) Suspended() bool {
@@ -431,9 +424,6 @@ func (s *Server) processOne(now simtime.Time) {
 		if nx {
 			s.met.nxdomain.Inc()
 		}
-		if !matchedZone.IsZero() {
-			s.zoneCounts[matchedZone]++
-		}
 		s.mu.Unlock()
 		if s.Pipeline != nil {
 			req.fq.Zone, req.fq.Now = matchedZone, now
@@ -475,17 +465,6 @@ func (s *Server) crash(now simtime.Time, req *Request) {
 	if hook != nil {
 		hook(now, sig)
 	}
-}
-
-// ZoneCounts returns a snapshot of per-zone answered-query attribution.
-func (s *Server) ZoneCounts() map[dnswire.Name]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[dnswire.Name]uint64, len(s.zoneCounts))
-	for z, n := range s.zoneCounts {
-		out[z] = n
-	}
-	return out
 }
 
 // Snapshot returns a copy of the metrics (reads the live registry-backed

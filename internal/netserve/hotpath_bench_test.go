@@ -230,7 +230,7 @@ func BenchmarkHandleUDPDelegation(b *testing.B) {
 
 // BenchmarkHandleUDPBatch32 measures one full 32-packet batch through the
 // recvmmsg serving path — handle + stage for every slot — with the kernel
-// out of the loop (packets synthesized via LoadPacket, no Flush). One op is
+// out of the loop (packets loaded once by loadBatch, no Flush). One op is
 // 32 queries; divide ns/op by 32 to compare against BenchmarkHandleUDP.
 func BenchmarkHandleUDPBatch32(b *testing.B) {
 	if !udpbatch.Supported {
@@ -252,10 +252,7 @@ func BenchmarkHandleUDPBatch32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		wire[0], wire[1] = byte(i>>8), byte(i)
-		bc.LoadPacket(i, wire, benchSrc)
-	}
+	loadBatch(b, dummy, bc, k, wire)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	if staged := srv.handleBatch(bc, nil, k, sc); staged != k { // warm the hot cache

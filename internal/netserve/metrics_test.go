@@ -31,6 +31,17 @@ func scrape(t *testing.T, addr, path string) (int, string) {
 }
 
 // metricValue extracts one sample's value from exposition text.
+// histogramQuantile estimates quantile q of the unlabelled histogram
+// series name in snap.
+func histogramQuantile(snap obs.Snapshot, name string, q float64) (float64, bool) {
+	for _, p := range snap {
+		if p.Name == name && p.Labels == "" && p.Kind == obs.KindHistogram {
+			return obs.BucketQuantile(p.Buckets, q), true
+		}
+	}
+	return 0, false
+}
+
 func metricValue(t *testing.T, body, sample string) float64 {
 	t.Helper()
 	re := regexp.MustCompile("(?m)^" + regexp.QuoteMeta(sample) + " ([0-9.e+-]+)$")
@@ -64,7 +75,7 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 	cfg.Flight = &flight.Config{SampleEvery: 1}
 	srv := startServerCfg(t, cfg, pipe)
 
-	ms, err := obs.Serve("127.0.0.1:0", srv.Reg, func() bool { return true })
+	ms, err := obs.ServeWith("127.0.0.1:0", srv.Reg, func() bool { return true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +141,11 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 		t.Fatalf("latency count = %v", got)
 	}
 	snap := srv.Reg.Snapshot()
-	p50, ok := snap.HistogramQuantile(obs.MetricQueryDuration, 0.5)
+	p50, ok := histogramQuantile(snap, obs.MetricQueryDuration, 0.5)
 	if !ok || p50 <= 0 {
 		t.Fatalf("p50 = %v %v", p50, ok)
 	}
-	p99, ok := snap.HistogramQuantile(obs.MetricQueryDuration, 0.99)
+	p99, ok := histogramQuantile(snap, obs.MetricQueryDuration, 0.99)
 	if !ok || p99 < p50 {
 		t.Fatalf("p99 = %v (p50 = %v)", p99, p50)
 	}

@@ -153,7 +153,7 @@ type Server struct {
 	Engine   *nameserver.Engine
 	Pipeline *filters.Pipeline
 	Metrics  Metrics
-	// Reg is the server's metric registry; serve it with obs.Serve for a
+	// Reg is the server's metric registry; serve it with obs.ServeWith for a
 	// Prometheus-style /metrics endpoint.
 	Reg *obs.Registry
 	// Tracer stamps each query's end-to-end latency, and the lifecycle stages

@@ -120,12 +120,6 @@ func questionLen(wire []byte) int {
 	return len(wire)
 }
 
-// Suspended reports whether the watchdog currently holds the server in live
-// self-suspension (the socket-level §4.2.1 self-withdrawal).
-func (s *Server) Suspended() bool {
-	return s.watchdog != nil && s.watchdog.Suspended(time.Now())
-}
-
 // Healthy is the /healthz predicate: false while draining or self-suspended,
 // so the load balancer (or the monitoring agent that would withdraw the BGP
 // route) steers traffic away.

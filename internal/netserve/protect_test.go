@@ -30,7 +30,7 @@ func TestQueryOfDeathDrill(t *testing.T) {
 		Quiet:     800 * time.Millisecond,
 	}
 	srv := startServerCfg(t, cfg, nil)
-	ms, err := obs.Serve("127.0.0.1:0", srv.Reg, srv.Healthy)
+	ms, err := obs.ServeWith("127.0.0.1:0", srv.Reg, srv.Healthy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

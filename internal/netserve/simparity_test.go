@@ -121,9 +121,11 @@ func simParityPipeline(store *zone.Store, legit []netip.Addr, bot netip.Addr, ta
 	al.SetActive(true)
 	hc.SetActive(true)
 	lo.SetActive(true)
-	lo.SetLearning(false)
 	var fs []filters.Filter
-	for _, f := range []filters.Filter{rl, al, nx, hc, lo} {
+	// Loyalty rides the pipeline without its AnswerObserver, so answers
+	// teach it nothing: its learning is frozen, as under attack.
+	frozen := struct{ filters.Filter }{lo}
+	for _, f := range []filters.Filter{rl, al, nx, hc, frozen} {
 		fs = append(fs, tallyFilter{f, tally})
 	}
 	return filters.NewPipeline(fs...), nx

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -126,6 +127,37 @@ var rootDiffQueries = []viewDiffQuery{
 	{"ns1", dnswire.TypeA},       // plain hit
 }
 
+// cornerDiffQueries are the rows of zone.TestLookupCornerCases, the cases
+// "Reachability Analysis of the Domain Name System" finds authoritative
+// servers get wrong, over that test's zone (zone/testdata/corner.zone):
+// empty non-terminals, wildcards under them, wildcard CNAMEs in and out of
+// zone, a sibling blocking a wildcard, and names, data, an empty
+// non-terminal and a wildcard occluded below a cut.
+var cornerDiffQueries = []viewDiffQuery{
+	{"ent1.ent2.corner.test", dnswire.TypeA},
+	{"ent2.corner.test", dnswire.TypeA},
+	{"other.ent1.ent2.corner.test", dnswire.TypeA},
+	{"x.leaf.ent1.ent2.corner.test", dnswire.TypeA},
+	{"any.w.ent.corner.test", dnswire.TypeA},
+	{"a.b.w.ent.corner.test", dnswire.TypeA},
+	{"w.ent.corner.test", dnswire.TypeA},
+	{"v.ent.corner.test", dnswire.TypeA},
+	{"*.w.ent.corner.test", dnswire.TypeA},
+	{"any.w.ent.corner.test", dnswire.TypeTXT},
+	{"x.cw.corner.test", dnswire.TypeA},
+	{"x.cw.corner.test", dnswire.TypeCNAME},
+	{"x.out.corner.test", dnswire.TypeA},
+	{"host.star.corner.test", dnswire.TypeTXT},
+	{"other.star.corner.test", dnswire.TypeTXT},
+	{"x.host.star.corner.test", dnswire.TypeTXT},
+	{"cut.corner.test", dnswire.TypeNS},
+	{"occluded.cut.corner.test", dnswire.TypeA},
+	{"anything.cut.corner.test", dnswire.TypeA},
+	{"under.cut.corner.test", dnswire.TypeA},
+	{"no.such.name.cut.corner.test", dnswire.TypeA},
+	{"corner.test", dnswire.TypeNS},
+}
+
 // TestViewServeDifferential sends the same queries through the compiled-view
 // tier and the reference decode path and requires identical decoded
 // responses — plain and with an EDNS OPT attached.
@@ -137,6 +169,7 @@ func TestViewServeDifferential(t *testing.T) {
 	}{
 		{benchDelegationZone, dnswire.MustName("ex.test"), viewDiffQueries},
 		{rootDiffZone, dnswire.Root, rootDiffQueries},
+		{cornerZone(t), dnswire.MustName("corner.test"), cornerDiffQueries},
 	} {
 		viewSrv, reference, _ := viewTestServers(t, zc.master, zc.origin)
 		id := uint16(100)
@@ -273,4 +306,14 @@ www  IN A 192.0.2.9
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// cornerZone reads zone.TestLookupCornerCases' zone.
+func cornerZone(t *testing.T) string {
+	t.Helper()
+	text, err := os.ReadFile("../zone/testdata/corner.zone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
 }

@@ -70,9 +70,6 @@ type Packet struct {
 	SentAt simtime.Time
 }
 
-// HopCount reports how many forwarding hops the packet has taken.
-func (p *Packet) HopCount() int { return len(p.Hops) }
-
 // Handler consumes packets that arrive at a node which originates their
 // destination prefix.
 type Handler func(now simtime.Time, at *Node, pkt *Packet)
@@ -118,28 +115,6 @@ func (l *Link) SetCapacity(pps, burstSeconds float64) {
 	l.capacity = pps
 	l.burst = burstSeconds
 	l.level = [2]float64{}
-}
-
-// Utilization reports the current bucket fill fraction for the direction
-// from `from` (0..1; 0 when unconstrained).
-func (l *Link) Utilization(from NodeID, now simtime.Time) float64 {
-	if l.capacity <= 0 {
-		return 0
-	}
-	d := l.dir(from)
-	level := l.level[d] - now.Sub(l.last[d]).Seconds()*l.capacity
-	if level < 0 {
-		level = 0
-	}
-	max := l.capacity * l.burst
-	if max <= 0 {
-		return 0
-	}
-	u := level / max
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 func (l *Link) dir(from NodeID) int {

@@ -98,14 +98,10 @@ type HTTPServer struct {
 	srv *http.Server
 }
 
-// Serve starts the exposition endpoint on addr (":0" picks an ephemeral
-// port; read it back with Addr). healthy may be nil.
-func Serve(addr string, r *Registry, healthy func() bool) (*HTTPServer, error) {
-	return ServeWith(addr, r, healthy, nil)
-}
-
-// ServeWith is Serve with a hook to mount extra handlers (forensics
-// endpoints, pprof) on the same listener. mount may be nil.
+// ServeWith starts the exposition endpoint on addr (":0" picks an
+// ephemeral port; read it back with Addr), with a hook to mount extra
+// handlers (forensics endpoints, pprof) on the same listener. healthy and
+// mount may be nil.
 func ServeWith(addr string, r *Registry, healthy func() bool, mount func(*http.ServeMux)) (*HTTPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -28,12 +28,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

@@ -154,17 +154,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return s.c
 }
 
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getFamily(name, help, KindGauge).getSeries(labels, func(s *series) {
-		s.g = &Gauge{}
-	})
-	if s.g == nil {
-		panic(fmt.Sprintf("obs: metric %q%s is a gauge func, not a gauge", name, s.labels))
-	}
-	return s.g
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at collection
 // time (queue depths, cache sizes). fn must not call back into the
 // registry. Re-registering the same series replaces fn.
@@ -268,33 +257,6 @@ func (s Snapshot) Value(name string, labels ...string) (float64, bool) {
 	for _, p := range s {
 		if p.Name == name && p.Labels == key {
 			return p.Value, true
-		}
-	}
-	return 0, false
-}
-
-// Total sums every series of a family — e.g. queries across transports.
-func (s Snapshot) Total(name string) float64 {
-	var sum float64
-	for _, p := range s {
-		if p.Name == name {
-			sum += p.Value
-		}
-	}
-	return sum
-}
-
-// CounterValue is Total truncated to the uint64 counters are kept in.
-func (s Snapshot) CounterValue(name string) uint64 {
-	return uint64(s.Total(name))
-}
-
-// HistogramQuantile estimates quantile q of the named histogram series.
-func (s Snapshot) HistogramQuantile(name string, q float64, labels ...string) (float64, bool) {
-	key := renderLabels(labels)
-	for _, p := range s {
-		if p.Name == name && p.Labels == key && p.Kind == KindHistogram {
-			return BucketQuantile(p.Buckets, q), true
 		}
 	}
 	return 0, false

@@ -58,13 +58,6 @@ func (l *Link) SetFaults(f Faults) {
 	l.mu.Unlock()
 }
 
-// Faults returns the current fault configuration.
-func (l *Link) Faults() Faults {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.faults
-}
-
 // Send schedules the request for handling and response delivery after the
 // link's round-trip delay, subject to its faults. The response is
 // produced by the source at delivery time.

@@ -32,12 +32,6 @@ func NewSource(store *zone.Store, hist *zone.History) *Source {
 	return &Source{store: store, hist: hist}
 }
 
-// History exposes the delta history (for wiring into ctlplane config).
-func (s *Source) History() *zone.History { return s.hist }
-
-// Store exposes the authoritative store the source serves from.
-func (s *Source) Store() *zone.Store { return s.store }
-
 // sync records any installed version whose serial is not the newest
 // retained one. The history keeps the store's own zone, copying nothing: an
 // installed version never changes.

@@ -72,13 +72,6 @@ func (s *Subscription) SetLost(lost bool) {
 	s.lost = lost
 }
 
-// Cancel removes the subscription.
-func (s *Subscription) Cancel() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cancelled = true
-}
-
 func (s *Subscription) deliverable() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -84,9 +84,6 @@ func MustNew(cfg Config) *Q {
 	return q
 }
 
-// NumQueues reports the ladder depth.
-func (q *Q) NumQueues() int { return len(q.queues) }
-
 // Enqueue places an item by score. It reports what happened: Accepted,
 // Discarded (S ≥ Smax), or TailDropped (target queue full).
 func (q *Q) Enqueue(score float64, payload any) Outcome {

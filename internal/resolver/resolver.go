@@ -87,12 +87,6 @@ func New(sched *simtime.Scheduler, cfg Config, trans Transport, hints []Hint, rn
 	}
 }
 
-// SRTT reports the smoothed RTT for a server, if measured.
-func (r *Resolver) SRTT(server string) (time.Duration, bool) {
-	d, ok := r.srtt[server]
-	return d, ok
-}
-
 // Resolve answers (name, typ), driving the iterative algorithm, and calls
 // done exactly once.
 func (r *Resolver) Resolve(now simtime.Time, name dnswire.Name, typ dnswire.Type, done func(Result)) {

@@ -40,9 +40,6 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // Duration converts t to a time.Duration since the simulation epoch.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds reports t as floating-point seconds since the epoch.
-func (t Time) Seconds() float64 { return time.Duration(t).Seconds() }
-
 func (t Time) String() string {
 	if t == Never {
 		return "never"
@@ -60,15 +57,9 @@ type Event struct {
 	cancel bool
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Cancel prevents the event from running. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.cancel = true }
-
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.cancel }
 
 type eventHeap []*Event
 
@@ -116,10 +107,6 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Fired reports how many events have run so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
-
-// Pending reports how many events are queued (including cancelled events not
-// yet reaped).
-func (s *Scheduler) Pending() int { return len(s.events) }
 
 // At schedules fn to run at the absolute virtual time at. Scheduling in the
 // past (before Now) panics: the simulation would no longer be causal.

@@ -50,9 +50,6 @@ func TestSchedulerCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
 }
 
 func TestSchedulerPastPanics(t *testing.T) {
@@ -233,8 +230,5 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if a.Sub(Hour) != 30*time.Minute {
 		t.Fatalf("Sub: %v", a.Sub(Hour))
-	}
-	if got := (1500 * Millisecond).Seconds(); got != 1.5 {
-		t.Fatalf("Seconds: %v", got)
 	}
 }

@@ -5,10 +5,8 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Dist is an immutable empirical distribution over float64 samples.
@@ -24,9 +22,6 @@ func NewDist(samples []float64) *Dist {
 	sort.Float64s(s)
 	return &Dist{sorted: s}
 }
-
-// N reports the sample count.
-func (d *Dist) N() int { return len(d.sorted) }
 
 // Min returns the smallest sample.
 func (d *Dist) Min() float64 {
@@ -54,21 +49,6 @@ func (d *Dist) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(d.sorted))
-}
-
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := d.Mean()
-	ss := 0.0
-	for _, v := range d.sorted {
-		dv := v - m
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
@@ -138,16 +118,6 @@ func (d *Dist) FractionAbove(x float64) float64 {
 	return 1 - c
 }
 
-// CDFSeries samples the CDF at each of xs, returning the matching
-// cumulative fractions. Useful for printing a figure's line.
-func (d *Dist) CDFSeries(xs []float64) []float64 {
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = d.CDF(x)
-	}
-	return ys
-}
-
 // WeightedDist is an empirical distribution where each sample carries a
 // weight (e.g. resolvers weighted by query volume, as in Figures 4 and 11).
 type WeightedDist struct {
@@ -188,12 +158,6 @@ func NewWeightedDist(vals, weights []float64) *WeightedDist {
 	return w
 }
 
-// N reports the number of samples.
-func (w *WeightedDist) N() int { return len(w.vals) }
-
-// TotalWeight reports the sum of weights.
-func (w *WeightedDist) TotalWeight() float64 { return w.total }
-
 // CDF returns the weight fraction with value ≤ x.
 func (w *WeightedDist) CDF(x float64) float64 {
 	if len(w.vals) == 0 || w.total == 0 {
@@ -215,32 +179,6 @@ func (w *WeightedDist) FractionAbove(x float64) float64 {
 	return 1 - c
 }
 
-// Mean returns the weighted mean.
-func (w *WeightedDist) Mean() float64 {
-	if w.total == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for i, v := range w.vals {
-		sum += v * w.weights[i]
-	}
-	return sum / w.total
-}
-
-// Percentile returns the smallest value v such that at least p% of the weight
-// is ≤ v.
-func (w *WeightedDist) Percentile(p float64) float64 {
-	if len(w.vals) == 0 || w.total == 0 {
-		return math.NaN()
-	}
-	target := p / 100 * w.total
-	i := sort.SearchFloat64s(w.cum, target)
-	if i >= len(w.vals) {
-		i = len(w.vals) - 1
-	}
-	return w.vals[i]
-}
-
 // Histogram is a fixed-width-bin histogram over [min, max).
 type Histogram struct {
 	Min, Max float64
@@ -260,9 +198,6 @@ func NewHistogram(min, max float64, n int) *Histogram {
 	return &Histogram{Min: min, Max: max, Counts: make([]float64, n), width: (max - min) / float64(n)}
 }
 
-// Add records one observation of x.
-func (h *Histogram) Add(x float64) { h.AddWeighted(x, 1) }
-
 // AddWeighted records an observation of x with weight w.
 func (h *Histogram) AddWeighted(x, w float64) {
 	h.total += w
@@ -279,9 +214,6 @@ func (h *Histogram) AddWeighted(x, w float64) {
 		h.Counts[i] += w
 	}
 }
-
-// Total reports the summed weight including overflow bins.
-func (h *Histogram) Total() float64 { return h.total }
 
 // PDF returns, per bin, the probability mass (fraction of total weight).
 func (h *Histogram) PDF() []float64 {
@@ -346,15 +278,6 @@ func (c *Concentration) ShareOfTopKey() float64 {
 		return math.NaN()
 	}
 	return c.volumes[0] / c.total
-}
-
-// Curve samples TopShare at each p in ps.
-func (c *Concentration) Curve(ps []float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = c.TopShare(p)
-	}
-	return out
 }
 
 // Hexbin2D is a coarse 2D binning summary used for Figure 12. Despite the
@@ -441,28 +364,4 @@ func LogSpace(lo, hi float64, n int) []float64 {
 	}
 	out[n-1] = hi
 	return out
-}
-
-// LinSpace returns n points linearly spaced between lo and hi (inclusive).
-func LinSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("stats: LinSpace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
-}
-
-// FormatSeries renders aligned "x y" rows for a figure line; used by
-// cmd/experiments to print reproduction output.
-func FormatSeries(name string, xs, ys []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n", name)
-	for i := range xs {
-		fmt.Fprintf(&b, "%12.6g %12.6g\n", xs[i], ys[i])
-	}
-	return b.String()
 }

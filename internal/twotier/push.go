@@ -21,13 +21,6 @@ func PushSpeedup(T, L, rT float64) float64 {
 	return T / PushTime(T, L, rT)
 }
 
-// PushAlwaysWins reports the paper's claim for one (T, L): with push,
-// Two-Tier beats the single tier whenever L < T, for every rT in [0, 1].
-//
-//	S_push = T / ((1-rT)L + rT·T) ≥ 1  ⇔  (1-rT)L + rT·T ≤ T
-//	                                   ⇔  (1-rT)(L-T) ≤ 0  ⇔  L ≤ T.
-func PushAlwaysWins(T, L float64) bool { return L <= T }
-
 // PushSpeedupSamples evaluates the push variant over a combined dataset.
 func PushSpeedupSamples(ds []SimResolver) (speedups, weights []float64) {
 	speedups = make([]float64, len(ds))

@@ -95,3 +95,10 @@ func TestPushOnCombinedDataset(t *testing.T) {
 		t.Fatalf("push wins %d, want %d..%d", pushWins, lCloser, lCloser+rt1Outliers)
 	}
 }
+
+// PushAlwaysWins reports the paper's claim for one (T, L): with push,
+// Two-Tier beats the single tier whenever L < T, for every rT in [0, 1].
+//
+//	S_push = T / ((1-rT)L + rT·T) ≥ 1  ⇔  (1-rT)L + rT·T ≤ T
+//	                                   ⇔  (1-rT)(L-T) ≤ 0  ⇔  L ≤ T.
+func PushAlwaysWins(T, L float64) bool { return L <= T }

@@ -132,12 +132,6 @@ func New(uc *net.UDPConn, k int) (*Conn, error) {
 	return c, nil
 }
 
-// K reports the batch capacity.
-func (c *Conn) K() int { return c.k }
-
-// Slot reports the per-datagram payload capacity.
-func (c *Conn) Slot() int { return c.slot }
-
 // ReadBatch blocks until at least one datagram arrives (or the read
 // deadline set on the wrapped conn fires, or the conn closes) and
 // returns how many of the first K slots the kernel filled.
@@ -159,7 +153,7 @@ func (c *Conn) ReadBatch() (int, error) {
 // Packet returns the payload received into slot i of the last ReadBatch.
 // A datagram larger than the slot was truncated by the kernel and is
 // reported as nil — callers must not serve clipped bytes as a query. The
-// slice is valid until the next ReadBatch or LoadPacket.
+// slice is valid until the next ReadBatch.
 func (c *Conn) Packet(i int) []byte {
 	if c.rhdrs[i].hdr.Flags&syscall.MSG_TRUNC != 0 {
 		return nil
@@ -185,24 +179,6 @@ func decodeSockaddr(b []byte) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
-// encodeSockaddr writes ap into b and returns the socklen.
-func encodeSockaddr(b []byte, ap netip.AddrPort) uint32 {
-	port := ap.Port()
-	b[2], b[3] = byte(port>>8), byte(port)
-	if a := ap.Addr(); a.Is4() || a.Is4In6() {
-		*(*uint16)(unsafe.Pointer(&b[0])) = syscall.AF_INET
-		a4 := a.Unmap().As4()
-		copy(b[4:8], a4[:])
-		return syscall.SizeofSockaddrInet4
-	}
-	*(*uint16)(unsafe.Pointer(&b[0])) = syscall.AF_INET6
-	a16 := ap.Addr().As16()
-	b[4], b[5], b[6], b[7] = 0, 0, 0, 0 // flowinfo
-	copy(b[8:24], a16[:])
-	b[24], b[25], b[26], b[27] = 0, 0, 0, 0 // scope id
-	return syscall.SizeofSockaddrInet6
-}
-
 // Stage copies payload into send slot j, addressed to the source of
 // receive slot from (the reply shape: the header aliases the receive
 // arena's sockaddr, so the batch must be flushed before the next
@@ -216,18 +192,6 @@ func (c *Conn) Stage(j int, payload []byte, from int) bool {
 	c.siovs[j].Len = uint64(len(payload))
 	c.shdrs[j].hdr.Name = &c.rnames[from*nameSize]
 	c.shdrs[j].hdr.Namelen = c.rhdrs[from].hdr.Namelen
-	return true
-}
-
-// StageAddr copies payload into send slot j addressed to dst.
-func (c *Conn) StageAddr(j int, payload []byte, dst netip.AddrPort) bool {
-	if len(payload) > c.slot {
-		return false
-	}
-	copy(c.sbuf[j*c.slot:], payload)
-	c.siovs[j].Len = uint64(len(payload))
-	c.shdrs[j].hdr.Name = &c.snames[j*nameSize]
-	c.shdrs[j].hdr.Namelen = encodeSockaddr(c.snames[j*nameSize:], dst)
 	return true
 }
 
@@ -275,14 +239,4 @@ func (c *Conn) Flush(m int) (sent, dropped int, err error) {
 		}
 	}
 	return sent, dropped, err
-}
-
-// LoadPacket synthesizes a received datagram in slot i — payload plus
-// source — as if ReadBatch had just filled it. Tests and benchmarks use
-// it to exercise batch processing without a kernel in the loop.
-func (c *Conn) LoadPacket(i int, payload []byte, src netip.AddrPort) {
-	n := copy(c.rbuf[i*c.slot:(i+1)*c.slot], payload)
-	c.rhdrs[i].len = uint32(n)
-	c.rhdrs[i].hdr.Flags = 0
-	c.rhdrs[i].hdr.Namelen = encodeSockaddr(c.rnames[i*nameSize:], src)
 }

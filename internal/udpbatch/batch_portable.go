@@ -52,12 +52,6 @@ func New(uc *net.UDPConn, k int) (*Conn, error) {
 	}, nil
 }
 
-// K reports the staging capacity.
-func (c *Conn) K() int { return c.k }
-
-// Slot reports the per-datagram payload capacity.
-func (c *Conn) Slot() int { return c.slot }
-
 // ReadBatch reads one datagram into slot 0 and returns 1.
 func (c *Conn) ReadBatch() (int, error) {
 	n, src, err := c.uc.ReadFromUDPAddrPort(c.rbuf)
@@ -104,15 +98,6 @@ func (c *Conn) Stage(j int, payload []byte, from int) bool {
 	return true
 }
 
-// StageAddr copies payload into send slot j addressed to dst.
-func (c *Conn) StageAddr(j int, payload []byte, dst netip.AddrPort) bool {
-	if !c.stage(j, payload) {
-		return false
-	}
-	c.sdsts[j], c.sconn[j] = dst, false
-	return true
-}
-
 // StageConnected copies payload into send slot j for a connected socket.
 func (c *Conn) StageConnected(j int, payload []byte) bool {
 	if !c.stage(j, payload) {
@@ -142,13 +127,4 @@ func (c *Conn) Flush(m int) (sent, dropped int, err error) {
 		sent++
 	}
 	return sent, dropped, err
-}
-
-// LoadPacket synthesizes a received datagram (slot 0 only).
-func (c *Conn) LoadPacket(i int, payload []byte, src netip.AddrPort) {
-	if i != 0 {
-		return
-	}
-	c.rlen = copy(c.rbuf, payload)
-	c.rsrc = src
 }

@@ -16,7 +16,7 @@
 // the benchmark's load generator (bench/gen.go) run on every other
 // platform, so it is a serving path, not a stub.
 //
-// Concurrency: the receive state (ReadBatch/Packet/Src/LoadPacket) and
+// Concurrency: the receive state (ReadBatch/Packet/Src) and
 // the send state (Stage*/Flush) are disjoint, down to the fields each
 // direction's syscall reports its result through, so one goroutine may
 // read while another writes — the shape a load generator wants

@@ -185,7 +185,7 @@ func TestStageOversize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big := make([]byte, c.Slot()+1)
+	big := make([]byte, c.slot+1)
 	if c.StageAddr(0, big, netip.MustParseAddrPort("127.0.0.1:9")) {
 		t.Fatal("oversize StageAddr accepted")
 	}

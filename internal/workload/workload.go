@@ -228,11 +228,6 @@ type Config struct {
 	TotalQPS float64
 }
 
-// DefaultConfig is laptop-sized but shape-faithful.
-func DefaultConfig() Config {
-	return Config{NumResolvers: 100_000, NumASNs: 2_000, NumZones: 10_000, TotalQPS: 4_750}
-}
-
 // Population is the calibrated synthetic world.
 type Population struct {
 	Cfg       Config

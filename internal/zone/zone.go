@@ -236,16 +236,57 @@ func ownerName(wire []byte) dnswire.Name {
 func canonical(ents []entry) []entry {
 	slices.SortStableFunc(ents, compareEntry)
 	out := ents[:0]
-	for i, set := 0, 0; i < len(ents); i++ {
-		e := ents[i]
-		if i == 0 || compareEntry(ents[i-1], e) != 0 {
-			set = len(out)
-		} else if e.typ == dnswire.TypeSOA {
-			out = out[:set]
-		} else if slices.ContainsFunc(out[set:], func(have entry) bool { return bytes.Equal(have.body, e.body) }) {
-			continue
+	for i := 0; i < len(ents); {
+		j := i + 1
+		for j < len(ents) && compareEntry(ents[i], ents[j]) == 0 {
+			j++
 		}
-		out = append(out, e)
+		if ents[i].typ == dnswire.TypeSOA {
+			out = append(out, ents[j-1])
+		} else {
+			out = appendUnique(out, ents[i:j])
+		}
+		i = j
+	}
+	return out
+}
+
+// linearSet is the RRset size up to which appendUnique compares each
+// record with those kept before it, which allocates nothing; past it, it
+// sorts an index by body.
+const linearSet = 16
+
+// appendUnique appends the records of one RRset to out, in set's order,
+// leaving out each record whose body an earlier one already has. out may
+// share set's backing array, ending at or before set's start. A large set
+// costs O(n log n), not the O(n²) of comparing each record with every
+// kept one.
+func appendUnique(out, set []entry) []entry {
+	if len(set) <= linearSet {
+		kept := len(out)
+		for _, e := range set {
+			if !slices.ContainsFunc(out[kept:], func(have entry) bool { return bytes.Equal(have.body, e.body) }) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	// Stable, so of equal bodies the first in set's order sorts first.
+	idx := make([]int32, len(set))
+	for k := range idx {
+		idx[k] = int32(k)
+	}
+	slices.SortStableFunc(idx, func(a, b int32) int { return bytes.Compare(set[a].body, set[b].body) })
+	dup := make([]bool, len(set))
+	for k := 1; k < len(idx); k++ {
+		if bytes.Equal(set[idx[k-1]].body, set[idx[k]].body) {
+			dup[idx[k]] = true
+		}
+	}
+	for k, e := range set {
+		if !dup[k] {
+			out = append(out, e)
+		}
 	}
 	return out
 }

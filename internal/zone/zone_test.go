@@ -724,3 +724,37 @@ func TestCompareWireMatchesNameCompare(t *testing.T) {
 		}
 	}
 }
+
+// largeSet returns the records of one RRset of distinct A records at
+// big.example.com, in an order unrelated to their addresses, with every
+// fifth followed by a copy of an earlier one; and the addresses a zone
+// keeps, in the order it keeps them: each once, as first given.
+func largeSet(distinct int) (recs []dnswire.RR, want []netip.Addr) {
+	for i := 0; i < distinct; i++ {
+		p := i * 7919 % distinct // 7919 is prime and does not divide distinct
+		a := netip.AddrFrom4([4]byte{10, byte(p >> 16), byte(p >> 8), byte(p)})
+		recs = append(recs, &dnswire.A{RRHeader: hdr("big.example.com", dnswire.TypeA), Addr: a})
+		want = append(want, a)
+		if i%5 == 4 {
+			recs = append(recs, &dnswire.A{RRHeader: hdr("big.example.com", dnswire.TypeA), Addr: want[i/2]})
+		}
+	}
+	return recs, want
+}
+
+// TestCanonicalLargeRRset: a build keeps each record of a 20 000-record
+// RRset once, in the order first given, however many copies follow.
+func TestCanonicalLargeRRset(t *testing.T) {
+	recs, want := largeSet(20000)
+	recs = append(recs, soaAt("example.com"), recs[0], recs[len(recs)/2])
+	z := mustBuild(t, n("example.com"), recs...)
+	got := z.RRset(n("big.example.com"), dnswire.TypeA)
+	if len(got) != len(want) {
+		t.Fatalf("kept %d records, want %d", len(got), len(want))
+	}
+	for i, rr := range got {
+		if a := rr.(*dnswire.A).Addr; a != want[i] {
+			t.Fatalf("record %d is %v, want %v", i, a, want[i])
+		}
+	}
+}
