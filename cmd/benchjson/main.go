@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -40,7 +41,14 @@ type Doc struct {
 func main() {
 	assertZeroAlloc := flag.String("assert-zero-alloc", "",
 		"regexp over (trimmed) benchmark names that must report 0 allocs/op; exits 1 on any allocation or if nothing matches")
+	assertMaxAllocs := flag.String("assert-max-allocs", "",
+		"comma-separated NAME=N: the benchmark of that exact (trimmed) name must report at most N allocs/op; exits 1 if it reports more or is missing")
 	flag.Parse()
+	maxAllocs, err := parseMaxAllocs(*assertMaxAllocs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson: -assert-max-allocs:", err)
+		os.Exit(1)
+	}
 	var doc Doc
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -140,4 +148,56 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "benchjson: zero-alloc guard ok (%d benchmarks)\n", matched)
 	}
+	// Ceilings for paths that allocate by design: a row may not gain an
+	// allocation, nor vanish from the run.
+	if len(maxAllocs) > 0 {
+		if bad := checkMaxAllocs(doc.Benchmarks, maxAllocs); len(bad) > 0 {
+			for _, msg := range bad {
+				fmt.Fprintln(os.Stderr, "benchjson:", msg)
+			}
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: alloc ceilings ok (%d benchmarks)\n", len(maxAllocs))
+	}
+}
+
+// parseMaxAllocs reads -assert-max-allocs: NAME=N pairs, comma-separated.
+func parseMaxAllocs(s string) (map[string]int64, error) {
+	out := make(map[string]int64)
+	for _, pair := range strings.Split(s, ",") {
+		if pair = strings.TrimSpace(pair); pair == "" {
+			continue
+		}
+		name, n, ok := strings.Cut(pair, "=")
+		ceiling, err := strconv.ParseInt(n, 10, 64)
+		if !ok || name == "" || err != nil || ceiling < 0 {
+			return nil, fmt.Errorf("%q is not NAME=N", pair)
+		}
+		out[name] = ceiling
+	}
+	return out, nil
+}
+
+// checkMaxAllocs returns one message per ceiling broken: a named benchmark
+// that allocates more than its ceiling, or that no line of the run reports.
+func checkMaxAllocs(results []Result, ceilings map[string]int64) []string {
+	seen := make(map[string]bool)
+	var bad []string
+	for _, r := range results {
+		ceiling, ok := ceilings[r.Name]
+		if !ok {
+			continue
+		}
+		seen[r.Name] = true
+		if r.AllocsPerOp > ceiling {
+			bad = append(bad, fmt.Sprintf("%s allocates %d allocs/op (%d B/op), ceiling %d", r.Name, r.AllocsPerOp, r.BytesPerOp, ceiling))
+		}
+	}
+	for name := range ceilings {
+		if !seen[name] {
+			bad = append(bad, fmt.Sprintf("-assert-max-allocs names %s, which the run does not report", name))
+		}
+	}
+	slices.Sort(bad)
+	return bad
 }

@@ -64,8 +64,11 @@ type HotEntry struct {
 	// QnameLen is the question name's wire length (terminal zero included),
 	// so hits can restore the client's 0x20 mixed-case spelling.
 	QnameLen int
-	// Name and Zone feed the scoring pipeline on hits without re-parsing.
+	// Name is the question name where the inserter spelled one. netserve
+	// leaves it zero: a hit's question is the packet's own. bench/trace.go
+	// still sets it, and that file changes only with the benchmark.
 	Name dnswire.Name
+	// Zone feeds the scoring pipeline on hits without re-parsing.
 	Zone dnswire.Name
 	// RCode drives the per-rcode server counters.
 	RCode dnswire.RCode

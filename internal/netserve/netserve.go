@@ -394,10 +394,10 @@ type outcome struct {
 	// filed under its Version.
 	from *zone.Zone
 	// The disposal. verdict stays VerdictNone for a silently filtered
-	// packet. qnameWire aliases the packet when it parsed canonically, name
-	// is the parsed question name where a tier had one, zone the matched
-	// zone; cacheable marks a reply replayable for every client of its size
-	// class.
+	// packet. qnameWire aliases the packet when it parsed canonically — as
+	// it always has on the wire tiers — name is the question name the
+	// decode path parsed, zone the matched zone; cacheable marks a reply
+	// replayable for every client of its size class.
 	verdict   flight.Verdict
 	rcode     dnswire.RCode
 	qtype     dnswire.Type
@@ -779,7 +779,6 @@ func (s *Server) settle(resp []byte, src netip.AddrPort, tcp bool, sc *scratch) 
 		sc.hot.Insert(sc.key, &nameserver.HotEntry{
 			Wire:     resp,
 			QnameLen: len(oc.qnameWire),
-			Name:     oc.name,
 			Zone:     oc.zone,
 			RCode:    oc.rcode,
 		}, oc.from.Version())
@@ -894,7 +893,7 @@ func (s *Server) handleFast(wire []byte, v dnswire.QueryView, src netip.AddrPort
 		}
 	}
 	oc.span.Mark(obs.StageLookup)
-	oc.verdict, oc.rcode, oc.name, oc.zone = flight.VerdictCached, e.RCode, e.Name, e.Zone
+	oc.verdict, oc.rcode, oc.zone = flight.VerdictCached, e.RCode, e.Zone
 	out := append(sc.out[:0], e.Wire...)
 	out[0], out[1] = byte(v.ID>>8), byte(v.ID)
 	if v.RecursionDesired() {

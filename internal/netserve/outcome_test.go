@@ -486,8 +486,8 @@ func TestOneOutcomePerQuery(t *testing.T) {
 				t.Fatalf("hot entry under this packet's key: %v", hit)
 			}
 			if hit {
-				if e.Name.String() != tc.qname || e.RCode != tc.rcode {
-					t.Errorf("hot entry %s %v under the key of %s", e.Name, e.RCode, tc.qname)
+				if e.RCode != tc.rcode {
+					t.Errorf("hot entry %v under the key of %s", e.RCode, tc.qname)
 				}
 				cached, err := dnswire.Unpack(e.Wire)
 				if err != nil || len(cached.Questions) != 1 || cached.Questions[0].Name.String() != tc.qname {

@@ -107,7 +107,7 @@ func (s *Server) handleView(wire []byte, v dnswire.QueryView, src netip.AddrPort
 	// hot cache's key space stays bounded by zone contents, so repeat
 	// queries graduate to the packed-response tier while random-subdomain
 	// floods never insert (and never allocate).
-	oc.verdict, oc.rcode, oc.name, oc.zone, oc.cacheable = flight.VerdictView, rcode, wa.Name, view.Origin(), wa.Cacheable
+	oc.verdict, oc.rcode, oc.zone, oc.cacheable = flight.VerdictView, rcode, view.Origin(), wa.Cacheable
 	// AppendAnswer looks up and writes in one call: one lookup stage.
 	oc.span.Mark(obs.StageLookup)
 	s.Metrics.ViewServed.Add(1)

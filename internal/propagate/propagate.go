@@ -25,7 +25,6 @@ package propagate
 
 import (
 	"hash/fnv"
-	"sort"
 	"strconv"
 
 	"akamaidns/internal/dnswire"
@@ -124,8 +123,9 @@ func ZoneSum(z *zone.Zone) uint64 {
 	return hashStr("zone:"+z.Origin().String()) ^ recordsSum(z.AllRecords())
 }
 
-// payloadSum computes the transit checksum for a response. It must be
-// stable under map iteration order, so catalog entries are sorted.
+// payloadSum computes the transit checksum for a response. Catalog entries
+// are XORed in one hash each, so the map's iteration order cannot change
+// the sum.
 func payloadSum(r *Response) uint64 {
 	sum := hashStr("op:" + r.Op.String() + ":" + r.Origin.String() +
 		":to=" + strconv.FormatUint(uint64(r.ToSerial), 10) +
@@ -133,15 +133,8 @@ func payloadSum(r *Response) uint64 {
 	if r.Resync {
 		sum ^= hashStr("resync")
 	}
-	if r.Serials != nil {
-		origins := make([]dnswire.Name, 0, len(r.Serials))
-		for o := range r.Serials {
-			origins = append(origins, o)
-		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i].Compare(origins[j]) < 0 })
-		for _, o := range origins {
-			sum ^= hashStr("cat:" + o.String() + "=" + strconv.FormatUint(uint64(r.Serials[o]), 10))
-		}
+	for o, serial := range r.Serials {
+		sum ^= hashStr("cat:" + o.String() + "=" + strconv.FormatUint(uint64(serial), 10))
 	}
 	sum ^= hashStr("delta:" + strconv.FormatUint(uint64(r.Delta.FromSerial), 10) +
 		"->" + strconv.FormatUint(uint64(r.Delta.ToSerial), 10))

@@ -276,6 +276,23 @@ func TestSourceNoHistoryBootstrapsFromStore(t *testing.T) {
 	}
 }
 
+// TestSourceSyncAfterLateRecord: a version recorded after a newer one —
+// two control-plane applies recording out of order — leaves the older
+// serial newest in the history while the store's Gen stands still. The
+// next request must still sync, so a delta ends at the serving serial.
+func TestSourceSyncAfterLateRecord(t *testing.T) {
+	ctl, hist := zone.NewStore(), zone.NewHistory(8)
+	v1 := mkZone(t, "a.test", 1, "x IN A 192.0.2.1\n")
+	ctl.Put(mkZone(t, "a.test", 2, "x IN A 192.0.2.2\n"))
+	src := NewSource(ctl, hist)
+	src.Handle(Request{Op: OpCatalog})
+	hist.Record(v1)
+	resp := src.Handle(Request{Op: OpIXFR, Origin: dnswire.MustName("a.test"), FromSerial: 1})
+	if !resp.Verify() || resp.Resync || resp.ToSerial != 2 {
+		t.Fatalf("delta from 1 after a late record: %+v", resp)
+	}
+}
+
 func TestResponseSealVerify(t *testing.T) {
 	ctl := zone.NewStore()
 	ctl.Put(mkZone(t, "a.test", 1, "r1 IN A 192.0.2.61\nr2 IN A 192.0.2.62\n"))
@@ -292,6 +309,34 @@ func TestResponseSealVerify(t *testing.T) {
 		if m := mangle(resp); m.Verify() {
 			t.Fatalf("%v: mangled response still verifies", req.Op)
 		}
+	}
+}
+
+// TestCatalogSumOrderFree: a catalog's checksum XORs one hash per origin,
+// so it needs no sorting. The same serials inserted in two orders seal
+// alike, every verification ranges over the map in an order of its own and
+// passes, and a mangled catalog still fails.
+func TestCatalogSumOrderFree(t *testing.T) {
+	const n = 200
+	up, down := make(map[dnswire.Name]uint32), make(map[dnswire.Name]uint32)
+	for i := range n {
+		up[dnswire.MustName(fmt.Sprintf("z%03d.test", i))] = uint32(i + 1)
+		j := n - 1 - i
+		down[dnswire.MustName(fmt.Sprintf("z%03d.test", j))] = uint32(j + 1)
+	}
+	a, b := &Response{Op: OpCatalog, Serials: up}, &Response{Op: OpCatalog, Serials: down}
+	a.Seal()
+	b.Seal()
+	if a.Sum != b.Sum {
+		t.Fatalf("insertion order moved the catalog sum: %x vs %x", a.Sum, b.Sum)
+	}
+	for range 10 {
+		if !a.Verify() || !b.Verify() {
+			t.Fatal("a sealed catalog fails verification")
+		}
+	}
+	if mangle(a).Verify() {
+		t.Fatal("mangled catalog still verifies")
 	}
 }
 

@@ -22,6 +22,10 @@ type Source struct {
 	store *zone.Store
 	hist  *zone.History
 	mu    sync.Mutex // serializes lazy history sync
+	// gen and writes are the store Gen and history Writes the last
+	// completed sync read before its scan; scanned reports there was one.
+	gen, writes uint64
+	scanned     bool
 }
 
 // NewSource serves the pull protocol from store, using hist for deltas.
@@ -35,9 +39,22 @@ func NewSource(store *zone.Store, hist *zone.History) *Source {
 // sync records any installed version whose serial is not the newest
 // retained one. The history keeps the store's own zone, copying nothing: an
 // installed version never changes.
+//
+// After a scan every installed serial is the newest retained one, and it
+// stays so until the store installs a new set (its Gen moves) or the
+// history records a version (its Writes move): Record is the history's only
+// writer, and eviction keeps each origin's newest version. So the scan is
+// skipped while both read as they did before the last one. Writes matter
+// because the control plane records each version after installing it: two
+// applies can record out of order, leaving an older serial newest under an
+// unchanged Gen.
 func (s *Source) sync() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	gen, writes := s.store.Gen(), s.hist.Writes()
+	if s.scanned && s.gen == gen && s.writes == writes {
+		return
+	}
 	for origin, serial := range s.store.Serials() {
 		if s.hist.Latest(origin) != serial {
 			if z := s.store.Get(origin); z != nil {
@@ -45,6 +62,7 @@ func (s *Source) sync() {
 			}
 		}
 	}
+	s.gen, s.writes, s.scanned = gen, writes, true
 }
 
 // Handle answers one request synchronously. Transports call it at

@@ -89,7 +89,7 @@ func arenaRR(owner dnswire.Name, kind, variant byte) dnswire.RR {
 // decode: Build refuses exactly when a record is refusable; otherwise
 // AllRecords, RRset, NameExists, Cuts, SOA, NumRecords and View.Lookup agree
 // with the reference, and FromTransfer of the zone's own AXFR stream gives a
-// zone with byte-identical arena, nodes, sets and names.
+// zone with byte-identical arena, nodes, sets and origin.
 func FuzzZoneArena(f *testing.F) {
 	// Each record is three bytes: owner, kind, variant.
 	f.Add([]byte{0, 4, 0, 0, 2, 1, 13, 2, 0, 14, 0, 1, 13, 2, 3, 15, 0, 2}) // SOA, apex NS, a cut with glue
@@ -127,8 +127,8 @@ func FuzzZoneArena(f *testing.F) {
 				t.Fatalf("FromTransfer: %v", err)
 			}
 			a, b := z.View(), again.View()
-			if string(a.arena) != string(b.arena) || a.names != b.names || !slices.Equal(a.nodes, b.nodes) ||
-				!slices.Equal(a.sets, b.sets) || a.serial != b.serial || string(a.soaBody) != string(b.soaBody) {
+			if string(a.arena) != string(b.arena) || a.originWire != b.originWire || a.origin != b.origin || !slices.Equal(a.nodes, b.nodes) ||
+				!slices.Equal(a.sets, b.sets) || a.serial != b.serial || a.soa != b.soa {
 				t.Fatal("FromTransfer of the zone's own stream compiled other bytes")
 			}
 		}

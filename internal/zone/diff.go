@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"akamaidns/internal/dnswire"
 )
@@ -132,7 +133,8 @@ type History struct {
 	// per origin: recorded versions in serial order, newest last.
 	versions map[dnswire.Name][]*Zone
 	// Keep bounds retained versions per origin.
-	Keep int
+	Keep   int
+	writes atomic.Uint64 // Record calls so far
 }
 
 // NewHistory retains up to keep versions per origin. keep <= 1 —
@@ -161,7 +163,11 @@ func (h *History) Record(z *Zone) {
 		vs = vs[len(vs)-h.Keep:]
 	}
 	h.versions[z.Origin()] = vs
+	h.writes.Add(1)
 }
+
+// Writes counts the Record calls so far.
+func (h *History) Writes() uint64 { return h.writes.Load() }
 
 // DeltaStatus classifies a DeltaFrom result so callers can tell "this
 // origin has no history at all" apart from "the requested serial fell

@@ -280,47 +280,9 @@ func render(rrs []dnswire.RR) string {
 // testdata/corner.zone, also goes through the socket server's wire tier in
 // netserve's TestViewServeDifferential.
 func TestLookupCornerCases(t *testing.T) {
-	text, err := os.ReadFile("testdata/corner.zone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, err := ParseMaster(bytes.NewReader(text), n("corner.test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		why   string
-		qname string
-		qtype dnswire.Type
-		want  Result
-		// answer is the rendered answer section ("" to skip the check).
-		answer string
-	}{
-		{"an empty non-terminal exists: NODATA, not NXDOMAIN", "ent1.ent2.corner.test", dnswire.TypeA, NoData, ""},
-		{"so does the empty non-terminal above it", "ent2.corner.test", dnswire.TypeA, NoData, ""},
-		{"a sibling of the leaf under the ENT does not", "other.ent1.ent2.corner.test", dnswire.TypeA, NXDomain, ""},
-		{"nor does a name under the leaf", "x.leaf.ent1.ent2.corner.test", dnswire.TypeA, NXDomain, ""},
-		{"a wildcard under an ENT synthesizes", "any.w.ent.corner.test", dnswire.TypeA, Success, "any.w.ent.corner.test.\t60\tIN\tA\t192.0.2.3"},
-		{"and at any depth below its parent", "a.b.w.ent.corner.test", dnswire.TypeA, Success, "a.b.w.ent.corner.test.\t60\tIN\tA\t192.0.2.3"},
-		{"the wildcard's parent is itself an ENT", "w.ent.corner.test", dnswire.TypeA, NoData, ""},
-		{"the ENT above that has no wildcard child: NXDOMAIN beside it", "v.ent.corner.test", dnswire.TypeA, NXDomain, ""},
-		{"a wildcard owner queried literally is an exact match", "*.w.ent.corner.test", dnswire.TypeA, Success, "*.w.ent.corner.test.\t60\tIN\tA\t192.0.2.3"},
-		{"a wildcard without the type is NXDOMAIN (no node to hang NODATA on)", "any.w.ent.corner.test", dnswire.TypeTXT, NXDomain, ""},
-		{"CNAME at a wildcard is re-owned and chased in zone", "x.cw.corner.test", dnswire.TypeA, Success, "x.cw.corner.test.\t60\tIN\tCNAME\tleaf.ent1.ent2.corner.test.|leaf.ent1.ent2.corner.test.\t60\tIN\tA\t192.0.2.2"},
-		{"asked for the CNAME itself, a wildcard CNAME is the answer", "x.cw.corner.test", dnswire.TypeCNAME, Success, "x.cw.corner.test.\t60\tIN\tCNAME\tleaf.ent1.ent2.corner.test."},
-		{"a wildcard CNAME out of zone ends the chain", "x.out.corner.test", dnswire.TypeA, Success, "x.out.corner.test.\t60\tIN\tCNAME\twww.elsewhere.example."},
-		{"an existing sibling blocks the wildcard for its own name", "host.star.corner.test", dnswire.TypeTXT, NoData, ""},
-		{"but not for names beside it", "other.star.corner.test", dnswire.TypeTXT, Success, "other.star.corner.test.\t60\tIN\tTXT\t\"star\""},
-		{"nor does the wildcard apply below the existing sibling", "x.host.star.corner.test", dnswire.TypeTXT, NXDomain, ""},
-		{"a name at a cut is a referral, whatever the type", "cut.corner.test", dnswire.TypeNS, Delegation, ""},
-		{"data below a cut is occluded", "occluded.cut.corner.test", dnswire.TypeA, Delegation, ""},
-		{"a wildcard below a cut is occluded", "anything.cut.corner.test", dnswire.TypeA, Delegation, ""},
-		{"an ENT below a cut is occluded", "under.cut.corner.test", dnswire.TypeA, Delegation, ""},
-		{"a missing name below a cut is a referral, never NXDOMAIN", "no.such.name.cut.corner.test", dnswire.TypeA, Delegation, ""},
-		{"the apex NS set is an answer, not a cut", "corner.test", dnswire.TypeNS, Success, "corner.test.\t60\tIN\tNS\tns1.corner.test."},
-	}
+	z := cornerZone(t)
 	o, v := newOracle(z), z.View()
-	for _, c := range cases {
+	for _, c := range cornerCases {
 		for impl, got := range map[string]Answer{"oracle": o.Lookup(n(c.qname), c.qtype), "view": v.Lookup(n(c.qname), c.qtype)} {
 			if got.Result != c.want {
 				t.Errorf("%s: %s %s %v = %v, want %v", c.why, impl, c.qname, c.qtype, got.Result, c.want)
@@ -344,4 +306,53 @@ func TestLookupCornerCases(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cornerZone parses testdata/corner.zone.
+func cornerZone(t *testing.T) *Zone {
+	text, err := os.ReadFile("testdata/corner.zone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := ParseMaster(bytes.NewReader(text), n("corner.test"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return z
+}
+
+// cornerCases are TestLookupCornerCases' rows.
+var cornerCases = []struct {
+	why   string
+	qname string
+	qtype dnswire.Type
+	want  Result
+	// answer is the rendered answer section ("" to skip the check).
+	answer string
+	// allocs is what View.Lookup allocates answering the row: its records
+	// and the slices holding them, no owner (TestLookupOwners).
+	allocs float64
+}{
+	{"an empty non-terminal exists: NODATA, not NXDOMAIN", "ent1.ent2.corner.test", dnswire.TypeA, NoData, "", 3},
+	{"so does the empty non-terminal above it", "ent2.corner.test", dnswire.TypeA, NoData, "", 3},
+	{"a sibling of the leaf under the ENT does not", "other.ent1.ent2.corner.test", dnswire.TypeA, NXDomain, "", 3},
+	{"nor does a name under the leaf", "x.leaf.ent1.ent2.corner.test", dnswire.TypeA, NXDomain, "", 3},
+	{"a wildcard under an ENT synthesizes", "any.w.ent.corner.test", dnswire.TypeA, Success, "any.w.ent.corner.test.\t60\tIN\tA\t192.0.2.3", 2},
+	{"and at any depth below its parent", "a.b.w.ent.corner.test", dnswire.TypeA, Success, "a.b.w.ent.corner.test.\t60\tIN\tA\t192.0.2.3", 2},
+	{"the wildcard's parent is itself an ENT", "w.ent.corner.test", dnswire.TypeA, NoData, "", 3},
+	{"the ENT above that has no wildcard child: NXDOMAIN beside it", "v.ent.corner.test", dnswire.TypeA, NXDomain, "", 3},
+	{"a wildcard owner queried literally is an exact match", "*.w.ent.corner.test", dnswire.TypeA, Success, "*.w.ent.corner.test.\t60\tIN\tA\t192.0.2.3", 2},
+	{"a wildcard without the type is NXDOMAIN (no node to hang NODATA on)", "any.w.ent.corner.test", dnswire.TypeTXT, NXDomain, "", 3},
+	{"CNAME at a wildcard is re-owned and chased in zone", "x.cw.corner.test", dnswire.TypeA, Success, "x.cw.corner.test.\t60\tIN\tCNAME\tleaf.ent1.ent2.corner.test.|leaf.ent1.ent2.corner.test.\t60\tIN\tA\t192.0.2.2", 5},
+	{"asked for the CNAME itself, a wildcard CNAME is the answer", "x.cw.corner.test", dnswire.TypeCNAME, Success, "x.cw.corner.test.\t60\tIN\tCNAME\tleaf.ent1.ent2.corner.test.", 3},
+	{"a wildcard CNAME out of zone ends the chain", "x.out.corner.test", dnswire.TypeA, Success, "x.out.corner.test.\t60\tIN\tCNAME\twww.elsewhere.example.", 3},
+	{"an existing sibling blocks the wildcard for its own name", "host.star.corner.test", dnswire.TypeTXT, NoData, "", 3},
+	{"but not for names beside it", "other.star.corner.test", dnswire.TypeTXT, Success, "other.star.corner.test.\t60\tIN\tTXT\t\"star\"", 4},
+	{"nor does the wildcard apply below the existing sibling", "x.host.star.corner.test", dnswire.TypeTXT, NXDomain, "", 3},
+	{"a name at a cut is a referral, whatever the type", "cut.corner.test", dnswire.TypeNS, Delegation, "", 8},
+	{"data below a cut is occluded", "occluded.cut.corner.test", dnswire.TypeA, Delegation, "", 8},
+	{"a wildcard below a cut is occluded", "anything.cut.corner.test", dnswire.TypeA, Delegation, "", 8},
+	{"an ENT below a cut is occluded", "under.cut.corner.test", dnswire.TypeA, Delegation, "", 8},
+	{"a missing name below a cut is a referral, never NXDOMAIN", "no.such.name.cut.corner.test", dnswire.TypeA, Delegation, "", 8},
+	{"the apex NS set is an answer, not a cut", "corner.test", dnswire.TypeNS, Success, "corner.test.\t60\tIN\tNS\tns1.corner.test.", 3},
 }

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -156,7 +157,7 @@ func (s *Store) RouterShards() int { return routerShards }
 func (s *Store) ViewRebuilds() uint64 { return s.viewRebuilds.Load() }
 
 // ViewBytes reports the heap footprint of the installed zones: each is its
-// compiled view (header, arena, slabs and names).
+// compiled view (header and slab).
 func (s *Store) ViewBytes() int64 { return s.viewBytes.Load() }
 
 // NewStore returns an empty zone store.
@@ -376,8 +377,4 @@ func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	return sc.zone(origin), nil
 }
 
-var errBadTransfer = errSentinel("zone: malformed transfer stream")
-
-type errSentinel string
-
-func (e errSentinel) Error() string { return string(e) }
+var errBadTransfer = errors.New("zone: malformed transfer stream")

@@ -10,15 +10,19 @@ package zone
 // lives in the tests (oracle_test.go): FuzzViewLookupParity and
 // FuzzZoneArena hold the two to identical answers.
 //
-// A View is flat: one header, one byte arena, two index arrays and one
-// block of names, whatever the zone's size, and none but the header holds a
-// pointer for the collector to trace.
+// A View is flat: one header and one slab, whatever the zone's size, and the
+// slab holds no pointer for the collector to trace.
 //
+//	slab   [nodes][sets][arena][origin wire][origin text]
+//	nodes  one 16-byte row per owner name and empty non-terminal, apex first
+//	sets   one 12-byte row per RRset, node by node and type-sorted within a
+//	       node, each cut's glue after its sets
 //	arena  [child table][node labels][set bodies and glue, set by set]
-//	nodes  one per owner name and empty non-terminal, apex first
-//	sets   one per RRset, node by node and type-sorted within a node, each
-//	       cut's glue after its sets
-//	names  the origin's wire form, then every node's owner text
+//
+// No owner is kept as text. The wire tiers point owners into the question;
+// Lookup takes each owner from a name it already holds (the query name, a
+// suffix of it, a decoded target, the origin); the control-plane readers
+// spell owners from the node labels.
 //
 // Every name lookup is one top-down walk from the apex: each label below the
 // origin costs one probe of the child table, and the walk yields the topmost
@@ -51,46 +55,45 @@ type View struct {
 	// their RDLEN. A cut's glue is fully packed with literal owners.
 	tableMask uint32
 	idxMask   uint32
-	arena     []byte
-	// originWire is the origin's folded wire name, the head of names. It is
-	// the zone's own routing key, the bytes Store.FindWire has just
-	// compared: holding a query to it costs no cache miss.
+	// soa is the arena offset of the apex SOA's pre-packed body, for
+	// negative answers: 0, the child table's, when the zone has none.
+	soa   uint32
+	arena []byte
+	// originWire is the origin's folded wire form in the slab. It is the
+	// zone's own routing key, the bytes Store.FindWire has just compared:
+	// holding a query to it costs no cache miss.
 	originWire string
-	// nodes and sets each end in a sentinel, so a node's sets and owner text
-	// end where the next node's begin, and a set's records and bytes end
-	// where the next set's begin.
+	// nodes and sets each end in a sentinel, so a node's sets end where the
+	// next node's begin, and a set's records and bytes end where the next
+	// set's begin.
 	nodes []viewNode
 	sets  []viewSet
-	// soaBody aliases the arena: the apex SOA's pre-packed body for negative
-	// answers (nil when the zone has no SOA).
-	soaBody []byte
-	// names is the block every node's owner text lives in, so a node's
-	// dnswire.Name is a substring of it and costs no allocation.
-	names string
-	// origin is the apex's owner text in names (the Name the zone was made
-	// with only for an empty zone, which has no apex node).
+	// origin is the apex, its text in the slab.
 	origin dnswire.Name
 	serial uint32
-	// size is the zone's heap footprint in bytes: header, arena, slabs and
-	// names.
-	size int
+	// size is the zone's heap footprint in bytes: header and slab.
+	size uint32
 }
 
 // viewNode is one owner name (or empty non-terminal) of the zone tree.
 type viewNode struct {
-	parent uint32 // node index of the parent name
+	// parent is the node index of the parent name, with cutBit set on a
+	// delegation point (non-apex NS owner). A cut's last set is its glue
+	// pseudo-set: the in-zone A/AAAA records of the NS targets in the legacy
+	// glue order, its bytes the same records fully packed.
+	parent uint32
 	label  uint32 // arena offset of the node's own length-prefixed label
-	name   uint32 // offset of the node's owner text in names
 	sets   uint32 // index of the node's first set
 	// wildcard is the node index of the "*" child, so wildcard synthesis is
 	// an array read instead of a name construction; 0 when there is none
 	// (the apex is nobody's child).
 	wildcard uint32
-	// cut marks a delegation point (non-apex NS owner). A cut's last set is
-	// its glue pseudo-set: the in-zone A/AAAA records of the NS targets in
-	// the legacy glue order, its bytes the same records fully packed.
-	cut bool
 }
+
+// cutBit marks a delegation point in viewNode.parent.
+const cutBit = 1 << 31
+
+func (nd *viewNode) cut() bool { return nd.parent&cutBit != 0 }
 
 // viewSet is one compiled RRset: its records' pre-packed bodies in the
 // arena, and the ordinal of its first record, so a set's record count is
@@ -110,16 +113,12 @@ func (v *View) Origin() dnswire.Name { return v.origin }
 // order puts a name before everything below it and keeps an owner's
 // records together by type, so the records are consumed front to back:
 // nothing is sorted after canonical, and nothing is looked up but glue.
-// Every slab is allocated once, at its exact size; the arena and the names
-// block are gathered in scratch.
 func (sc *scratch) zone(origin dnswire.Name) *Zone {
 	ents := canonical(sc.ents)
 	z := &Zone{version: versionSeq.Add(1)}
 	v := &z.view
-	// The names block starts with the origin's wire form, which is also
-	// the apex's name below.
-	text := origin.AppendWire(sc.text[:0])
-	apex := text[:len(text):len(text)]
+	sc.apex = origin.AppendWire(sc.apex[:0])
+	apex := sc.apex
 	v.originLabels = int32(wireLabels(apex))
 	// Every name of the zone in canonical order — the apex, then each
 	// owner, preceded by those of its ancestors no earlier owner sits at or
@@ -158,7 +157,7 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 	sc.nodeNames, sc.first = names, first
 	nn := len(names)
 	for n := 1; n < nn; n++ {
-		if slices.ContainsFunc(ents[first[n]:first[n+1]], isNS) {
+		if slices.ContainsFunc(ents[first[n]:first[n+1]], func(e entry) bool { return e.typ == dnswire.TypeNS }) {
 			nsets++ // a cut's glue pseudo-set
 		}
 	}
@@ -168,8 +167,7 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 	table := 4 * int(v.tableMask+1)
 	v.arena = slices.Grow(sc.arena[:0], table)[:table]
 	clear(v.arena)
-	v.nodes = make([]viewNode, 0, nn+1)
-	v.sets = make([]viewSet, 0, nsets)
+	v.nodes, v.sets = slices.Grow(sc.nodes[:0], nn+1), slices.Grow(sc.sets[:0], nsets)
 	// The nodes: a name's parent is the last node made one label up.
 	var path [maxWireLabels + 1]uint32
 	for i, name := range names {
@@ -179,19 +177,8 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 			d := wireLabels(name) - int(v.originLabels)
 			path[d] = v.addNode(path[d-1], name)
 		}
-		v.nodes[i].name = uint32(len(text))
-		text = appendWireText(text, name)
 	}
-	v.nodes = append(v.nodes, viewNode{name: uint32(len(text))})
-	v.names = string(text)
-	v.originWire = v.names[:v.nodes[0].name]
-	sc.text = text[:0]
-	// The origin is the apex's text in the block; an empty zone, which
-	// has no apex node, keeps the one it was made with.
-	v.origin = origin
-	if !v.empty() {
-		v.origin = v.nodeName(0)
-	}
+	v.nodes = append(v.nodes, viewNode{})
 	// The sets, node by node; a cut's glue follows its sets.
 	rec := uint32(0)
 	for n := range nn {
@@ -205,49 +192,68 @@ func (sc *scratch) zone(origin dnswire.Name) *Zone {
 				v.arena = append(v.arena, nodeEnts[i].body...)
 				rec++
 			}
-			nd.cut = nd.cut || typ == dnswire.TypeNS && n != 0
+			if typ == dnswire.TypeNS && n != 0 {
+				nd.parent |= cutBit
+			}
 		}
-		if nd.cut {
+		if nd.cut() {
 			v.sets = append(v.sets, viewSet{rec: rec, body: uint32(len(v.arena))})
 			for _, e := range nodeEnts {
 				if e.typ == dnswire.TypeNS {
-					rec += v.appendGlue(ents, first, e.body[10:])
+					rec += v.appendGlue(ents, e.body[10:])
 				}
 			}
 		}
 	}
 	v.nodes[nn].sets = uint32(len(v.sets))
 	v.sets = append(v.sets, viewSet{rec: rec, body: uint32(len(v.arena))})
-	// The arena was packed in scratch: the view keeps an exact copy.
-	sc.arena, v.arena = v.arena[:0], append(make([]byte, 0, len(v.arena)), v.arena...)
 	if nn > 0 {
 		if s, ok := v.findSet(0, dnswire.TypeSOA); ok {
-			v.soaBody = firstBody(v.setWire(s))
-			v.serial = soaSerial(v.soaBody)
+			v.soa = v.sets[s].body
+			v.serial = soaSerial(v.arena[v.soa:])
 		}
 	}
-	v.size = int(unsafe.Sizeof(*z)) + cap(v.arena) + len(v.names) +
-		cap(v.nodes)*int(unsafe.Sizeof(viewNode{})) + cap(v.sets)*int(unsafe.Sizeof(viewSet{}))
+	// The origin's wire form and text follow the arena into the slab.
+	bodies := len(v.arena)
+	v.arena = append(append(v.arena, apex...), origin.String()...)
+	sc.lay(v, bodies, len(apex))
 	return z
 }
 
-func isNS(e entry) bool { return e.typ == dnswire.TypeNS }
+// lay moves the view's rows from scratch into its slab, allocated at its
+// exact size: the nodes, the sets, then the arena, whose bytes past bodies
+// are the origin's wire form, wire bytes long, and its text. It is the one
+// place the slab is viewed as typed rows; none of them holds a pointer.
+func (sc *scratch) lay(v *View, bodies, wire int) {
+	nb, sb := len(v.nodes)*int(unsafe.Sizeof(viewNode{})), len(v.sets)*int(unsafe.Sizeof(viewSet{}))
+	words := make([]uint32, (nb+sb+len(v.arena)+3)/4) // words, so the rows are aligned
+	base := unsafe.Pointer(unsafe.SliceData(words))
+	sc.nodes, v.nodes = v.nodes, unsafe.Slice((*viewNode)(base), len(v.nodes))
+	sc.sets, v.sets = v.sets, unsafe.Slice((*viewSet)(unsafe.Add(base, nb)), len(v.sets))
+	sc.arena, v.arena = v.arena, unsafe.Slice((*byte)(unsafe.Add(base, nb+sb)), len(v.arena))
+	copy(v.nodes, sc.nodes)
+	copy(v.sets, sc.sets)
+	copy(v.arena, sc.arena)
+	v.originWire = unsafe.String(&v.arena[bodies], wire)
+	v.origin, _ = dnswire.ParseName(unsafe.String(&v.arena[bodies+wire], len(v.arena)-bodies-wire))
+	v.arena = v.arena[:bodies:bodies]
+	v.size = uint32(unsafe.Sizeof(Zone{})) + 4*uint32(len(words))
+}
 
 // appendGlue packs, with literal owners, the in-zone A then AAAA records of
 // the NS target whose wire name is target, and returns how many it packed.
-// The node table is complete, so the target is found by one walk.
-func (v *View) appendGlue(ents []entry, first []int, target []byte) uint32 {
-	node, ok := v.node(target)
-	if !ok {
-		return 0
-	}
+// ents is in canonical order — by owner, then type — so the target's
+// records are one run, found by one binary search.
+func (v *View) appendGlue(ents []entry, target []byte) uint32 {
+	i, _ := slices.BinarySearchFunc(ents, target, func(e entry, t []byte) int { return compareWire(e.owner, t) })
 	k := uint32(0)
-	for _, typ := range [...]dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-		for _, e := range ents[first[node]:first[node+1]] {
-			if e.typ == typ {
-				v.arena = append(append(v.arena, target...), e.body...)
-				k++
-			}
+	for _, e := range ents[i:] {
+		if !bytes.Equal(e.owner, target) {
+			break
+		}
+		if e.typ == dnswire.TypeA || e.typ == dnswire.TypeAAAA {
+			v.arena = append(append(v.arena, target...), e.body...)
+			k++
 		}
 	}
 	return k
@@ -270,17 +276,6 @@ func wireLabels(name []byte) int {
 		n++
 	}
 	return n
-}
-
-// appendWireText appends the canonical text of a folded wire name.
-func appendWireText(text, name []byte) []byte {
-	if name[0] == 0 {
-		return append(text, '.')
-	}
-	for o := 0; name[o] != 0; o += 1 + int(name[o]) {
-		text = append(append(text, name[o+1:o+1+int(name[o])]...), '.')
-	}
-	return text
 }
 
 // wireNameLen returns the length of the uncompressed wire name at the front
@@ -346,7 +341,7 @@ func (v *View) child(parent uint32, label []byte) (uint32, bool) {
 		nd := &v.nodes[idx]
 		// The length octet leads both labels, so equal bytes over
 		// len(label) mean equal labels.
-		if have := v.arena[nd.label:]; nd.parent == parent && len(have) >= len(label) && string(have[:len(label)]) == string(label) {
+		if have := v.arena[nd.label:]; nd.parent&^cutBit == parent && len(have) >= len(label) && string(have[:len(label)]) == string(label) {
 			return idx, true
 		}
 	}
@@ -389,7 +384,7 @@ func (v *View) locate(name []byte, offs *labelOffsets, rel int) (node uint32, i 
 		if !found {
 			break
 		}
-		node, cut = c, v.nodes[c].cut
+		node, cut = c, v.nodes[c].cut()
 	}
 	return node, i, cut
 }
@@ -403,7 +398,7 @@ func (v *View) empty() bool { return len(v.nodes) == 1 }
 // pseudo-set excluded.
 func (v *View) setRange(node uint32) (lo, hi uint32) {
 	lo, hi = v.nodes[node].sets, v.nodes[node+1].sets
-	if v.nodes[node].cut {
+	if v.nodes[node].cut() {
 		hi--
 	}
 	return lo, hi
@@ -427,14 +422,10 @@ func (v *View) glueSet(cut uint32) uint32 { return v.nodes[cut+1].sets - 1 }
 func (v *View) setLen(s uint32) int { return int(v.sets[s+1].rec - v.sets[s].rec) }
 
 // setWire returns set s's arena bytes: its records' bodies back to back.
-func (v *View) setWire(s uint32) []byte {
-	return v.arena[v.sets[s].body:v.sets[s+1].body]
-}
+func (v *View) setWire(s uint32) []byte { return v.arena[v.sets[s].body:v.sets[s+1].body] }
 
 // firstBody cuts the first record body off a set's bytes.
-func firstBody(w []byte) []byte {
-	return w[:10+int(w[8])<<8+int(w[9])]
-}
+func firstBody(w []byte) []byte { return w[:10+int(w[8])<<8+int(w[9])] }
 
 // source picks the node that answers for a located name: the node itself
 // when the name exists, else the closest encloser's wildcard child (matching
@@ -474,21 +465,17 @@ func (v *View) node(name []byte) (uint32, bool) {
 	if v.empty() || rel < 0 || string(name[offs[rel]:]) != v.originWire {
 		return 0, false
 	}
-	node := uint32(0)
-	for i := rel; i > 0; i-- {
-		c, found := v.child(node, name[offs[i-1]:offs[i]])
-		if !found {
-			return 0, false
-		}
-		node = c
+	node, found := uint32(0), true
+	for i := rel; i > 0 && found; i-- {
+		node, found = v.child(node, name[offs[i-1]:offs[i]])
 	}
-	return node, true
+	return node, found
 }
 
-// nodeName returns node's owner name: a substring of the names block.
+// nodeName spells node's owner name from the labels up the tree.
 func (v *View) nodeName(node uint32) dnswire.Name {
-	name, _ := dnswire.ParseName(v.names[v.nodes[node].name:v.nodes[node+1].name])
-	return name
+	var buf [256]byte
+	return ownerName(v.appendNodeWire(buf[:0], node))
 }
 
 // records appends set s's records, decoded from the arena and owned by
@@ -502,13 +489,18 @@ func (v *View) records(dst []dnswire.RR, s uint32, owner dnswire.Name) []dnswire
 	return dst
 }
 
-// glue appends cut's glue records, each owned by the in-zone name its
-// literal owner bytes spell.
-func (v *View) glue(dst []dnswire.RR, cut uint32) []dnswire.RR {
+// glue appends cut's glue records. Each is owned by the target of one of
+// ns, the cut's NS records, which its literal owner bytes spell; the glue
+// follows the order of its targets in ns.
+func (v *View) glue(dst []dnswire.RR, cut uint32, ns []dnswire.RR) []dnswire.RR {
+	var buf [256]byte
+	k := 0
 	for w := v.setWire(v.glueSet(cut)); len(w) > 0; {
 		l := wireNameLen(w)
-		node, _ := v.node(w[:l])
-		rr, n := decode(v.nodeName(node), w[l:])
+		for string(ns[k].(*dnswire.NS).Target.AppendWire(buf[:0])) != string(w[:l]) {
+			k++
+		}
+		rr, n := decode(ns[k].(*dnswire.NS).Target, w[l:])
 		dst = append(dst, rr)
 		w = w[l+n:]
 	}
@@ -528,10 +520,10 @@ func decode(owner dnswire.Name, w []byte) (dnswire.RR, int) {
 // entries appends the view's records to dst as build entries, in canonical
 // order — owner, type, insertion — the apex SOA and glue left out: what
 // Diff and Apply compare without decoding. The owners are spelled out of
-// the node labels into a buffer of their own, sized for every node: a
-// name's wire form is one octet longer than its text in names.
+// the node labels into a buffer of their own; those already spelled keep
+// their bytes when it grows.
 func (v *View) entries(dst []entry) []entry {
-	wire := make([]byte, 0, len(v.names)+len(v.nodes))
+	wire := make([]byte, 0, len(v.nodes)*len(v.originWire))
 	for n := range uint32(len(v.nodes) - 1) {
 		lo, hi := v.setRange(n)
 		if lo == hi {
@@ -558,7 +550,7 @@ func (v *View) entries(dst []entry) []entry {
 // appendNodeWire appends node's owner name in wire form: its labels, read
 // from the arena up the tree, then the origin's.
 func (v *View) appendNodeWire(buf []byte, node uint32) []byte {
-	for ; node != 0; node = v.nodes[node].parent {
+	for ; node != 0; node = v.nodes[node].parent &^ cutBit {
 		l := v.arena[v.nodes[node].label:]
 		buf = append(buf, l[:1+l[0]]...)
 	}
@@ -567,17 +559,19 @@ func (v *View) appendNodeWire(buf []byte, node uint32) []byte {
 
 // soaRecord decodes the apex SOA, or returns nil when the zone has none.
 func (v *View) soaRecord() *dnswire.SOA {
-	if v.soaBody == nil {
+	if v.soa == 0 {
 		return nil
 	}
-	rr, _ := decode(v.origin, v.soaBody)
+	rr, _ := decode(v.origin, v.arena[v.soa:])
 	return rr.(*dnswire.SOA)
 }
 
 // Lookup is the structured read off the compiled view: the RFC 1034 §4.3.2
 // algorithm with no lock. The records it returns are decoded from the arena
-// for this call and are the caller's; a wildcard-synthesized record is owned
-// by the name asked for.
+// for this call and are the caller's. Each is owned by a name the lookup
+// already holds, so spelling owners allocates nothing: an answer (exact or
+// wildcard-synthesized) by the name asked for, a referral by that name less
+// the labels below the cut, glue by an NS target, the SOA by the origin.
 func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 	if v.empty() || !qname.IsSubdomainOf(v.origin) {
 		return Answer{Result: NXDomain}
@@ -592,21 +586,21 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 		wire := name.AppendWire(buf[:0])
 		node, i, cut := v.locate(wire, &offs, splitLabels(wire, &offs)-int(v.originLabels))
 		if cut {
+			owner := name
+			for range i {
+				owner = owner.Parent()
+			}
 			ns, _ := v.findSet(node, dnswire.TypeNS)
 			ans.Result = Delegation
-			ans.NS = v.records(nil, ns, v.nodeName(node))
-			ans.Glue = v.glue(nil, node)
+			ans.NS = v.records(nil, ns, owner)
+			ans.Glue = v.glue(nil, node, ans.NS)
 			return ans
 		}
 		exact := i == 0
-		owner := name
-		if exact {
-			owner = v.nodeName(node)
-		}
 		if src, found := v.source(node, exact); found {
 			if s, hit := v.findSet(src, qtype); hit {
 				ans.Result = Success
-				ans.Answer = v.records(ans.Answer, s, owner)
+				ans.Answer = v.records(ans.Answer, s, name)
 				return ans
 			}
 			if exact && qtype == dnswire.TypeANY {
@@ -614,14 +608,14 @@ func (v *View) Lookup(qname dnswire.Name, qtype dnswire.Type) Answer {
 				// order.
 				if lo, hi := v.setRange(node); lo < hi {
 					for s := lo; s < hi; s++ {
-						ans.Answer = v.records(ans.Answer, s, owner)
+						ans.Answer = v.records(ans.Answer, s, name)
 					}
 					ans.Result = Success
 					return ans
 				}
 			}
 			if s, hit := v.findSet(src, dnswire.TypeCNAME); hit && qtype != dnswire.TypeCNAME {
-				rr, _ := decode(owner, v.setWire(s))
+				rr, _ := decode(name, v.setWire(s))
 				ans.Answer = append(ans.Answer, rr)
 				cname := rr.(*dnswire.CNAME)
 				if hop < maxCNAMEChain && cname.Target.IsSubdomainOf(v.origin) {
@@ -654,7 +648,8 @@ type WireAnswer struct {
 	// a bounded key space, safe to admit into a packed-response cache
 	// (random-subdomain floods are never cacheable by construction).
 	Cacheable bool
-	// Name is the interned decoded qname when Cacheable.
+	// Name is never set: a wire answer spells no name. bench/trace.go,
+	// which changes only with the benchmark, still copies it.
 	Name dnswire.Name
 }
 
@@ -720,7 +715,6 @@ func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswir
 		exact := i == 0
 		if exact && hop == 0 {
 			wa.Cacheable = true
-			wa.Name = v.nodeName(node)
 		}
 		if src, found := v.source(node, exact); found {
 			if s, hit := v.findSet(src, qtype); hit {
@@ -753,10 +747,10 @@ func (v *View) AppendAnswer(out []byte, qname []byte, qnameOff int, qtype dnswir
 		if exact {
 			wa.Result = NoData
 		}
-		if v.soaBody != nil {
+		if v.soa != 0 {
 			// The owner points at the origin's bytes inside the question.
 			out = appendWireOwner(out, originPtr, v.originWire)
-			out = append(out, v.soaBody...)
+			out = append(out, firstBody(v.arena[v.soa:])...)
 			wa.Authority = 1
 		}
 		return out, wa, true

@@ -178,27 +178,28 @@ func BenchmarkZoneHeapPerZone(b *testing.B) {
 }
 
 // The allocation counts of the load path for one 22-record bench-shaped
-// zone. Scratch comes from a pool and every slab is allocated once, at its
+// zone. Scratch comes from a pool and the slab is allocated once, at its
 // exact size; what is left is what the zone keeps.
 const (
-	// parseAllocCeiling: the zone (header, arena, nodes, sets, names) and
-	// the caller's strings.Reader. 191 while Zone.Add copied every record
-	// into two maps and each line was re-joined and stripped of parentheses
-	// it did not have; 125 while each parse grew a fresh scanner buffer,
-	// token slices and record slab; 86 (without the compile, 6 more) while
-	// the zone kept its records and compared renderings for duplicates; 70
-	// while each line was copied into a string, each record built as a
-	// dnswire.RR and each name resolved into a string of its own.
-	parseAllocCeiling = 6
-	// parseByteCeiling bounds the bytes those allocations take: 2 112 B,
-	// the zone's 2 080 and the reader's 32; 4 296 B while the parse made
-	// lines, records and names.
-	parseByteCeiling = 2400
-	// transferAllocCeiling: the zone (header, arena, nodes, sets, names); 29
-	// while the slab grew one record at a time and was sorted on first read,
-	// 21 while the zone kept the stream's records and compared renderings for
-	// duplicates.
-	transferAllocCeiling = 5
+	// parseAllocCeiling: the zone (header and slab) and the caller's
+	// strings.Reader. 191 while Zone.Add copied every record into two maps
+	// and each line was re-joined and stripped of parentheses it did not
+	// have; 125 while each parse grew a fresh scanner buffer, token slices
+	// and record slab; 86 (without the compile, 6 more) while the zone kept
+	// its records and compared renderings for duplicates; 70 while each line
+	// was copied into a string, each record built as a dnswire.RR and each
+	// name resolved into a string of its own; 6 while the view's nodes, sets
+	// and owner names were slabs of their own beside the arena.
+	parseAllocCeiling = 3
+	// parseByteCeiling bounds the bytes those allocations take: 1 584 B,
+	// the zone's 1 552 and the reader's 32; 4 296 B while the parse made
+	// lines, records and names, 2 112 B while the view kept four slabs.
+	parseByteCeiling = 1700
+	// transferAllocCeiling: the zone (header and slab); 29 while the slab
+	// grew one record at a time and was sorted on first read, 21 while the
+	// zone kept the stream's records and compared renderings for
+	// duplicates, 5 while the view kept four slabs.
+	transferAllocCeiling = 2
 )
 
 // TestLoadPathAllocs holds ParseMaster and FromTransfer on a bench-shaped

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"akamaidns/internal/dnswire"
 )
@@ -386,56 +387,73 @@ func TestStoreFindWireZeroAlloc(t *testing.T) {
 // TestZoneHeapPerZone pins what a hosted zone costs to hold at rest — the
 // number every machine of the fleet multiplies by its zone count: over
 // 2 000 bench-shaped zones (22 records, 20 names each) a zone may keep at
-// most 2182 B and 6 objects live: its header, which holds the view, and
-// the view's arena, nodes, sets and names. The origin is the apex's text in
-// the names block, so the zone pins no string of its caller's. (7 371 B and
-// 83 objects while the zone kept its records in two maps; 4 499 B and 56
-// while every record resolved its own copy of each host name; 4 334 B and
-// 49 while the zone kept its records beside the view, whose names and
-// records slabs pointed back at them; 5.75 objects while the view held the
-// caller's origin.)
+// most 1600 B and 2.5 objects live (it reads 2): its header, which holds the view, and
+// the view's slab. The origin's text is in the slab, so the zone pins no
+// string of its caller's. (7 371 B and 83 objects while the zone kept its
+// records in two maps; 4 499 B and 56 while every record resolved its own
+// copy of each host name; 4 334 B and 49 while the zone kept its records
+// beside the view, whose names and records slabs pointed back at them;
+// 5.75 objects while the view held the caller's origin; 2 116 B and 4.75
+// while the nodes, the sets and a block of every node's owner text were
+// slabs of their own beside the arena.)
 func TestZoneHeapPerZone(t *testing.T) {
 	const n = 2000
 	bytes, objects := zoneHeap(t, n)
-	t.Logf("%d B and %.2f heap objects per zone", bytes/n, float64(objects)/n)
-	if bytes > 2182*n {
-		t.Errorf("zones cost %d B each, want <= 2182", bytes/n)
+	t.Logf("%d B and %.3f heap objects per zone", bytes/n, float64(objects)/n)
+	if bytes > 1600*n {
+		t.Errorf("zones cost %d B each, want <= 1600", bytes/n)
 	}
-	if objects > 6*n {
-		t.Errorf("zones cost %.2f heap objects each, want <= 6", float64(objects)/n)
+	if 2*objects > 5*n {
+		t.Errorf("zones cost %.2f heap objects each, want <= 2.5", float64(objects)/n)
 	}
 }
 
-// TestViewFootprint pins what a zone's view is made of: three slabs beside
-// the arena-aliasing SOA body, none of them holding a pointer for the
-// collector to trace and none holding a record; a size ViewBytes reports
-// within the per-zone bound of TestZoneHeapPerZone; and answering from it
-// without allocating.
+// TestViewFootprint pins what a zone's view is made of: one slab that the
+// rows, the arena and the origin's two spellings all lie in, holding no
+// pointer for the collector to trace and no record; a size ViewBytes
+// reports within the per-zone bound of TestZoneHeapPerZone; and answering
+// from it without allocating.
 func TestViewFootprint(t *testing.T) {
-	// Every slice field of the view is one heap object (soaBody aliases the
-	// arena); none may hold what the collector must scan, and no field may
-	// hold a record.
-	slabs := 0
+	zones := benchZones(t, 1)
+	v := zones[0].View()
+	// Every field of the view that points anywhere points into the slab,
+	// which starts at the first node row and is as long as ViewBytes counts
+	// beyond the header.
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(v.nodes)))
+	hi := lo + uintptr(zones[0].ViewBytes()) - unsafe.Sizeof(Zone{})
+	origin := v.origin.String()
+	for name, f := range map[string]struct {
+		p unsafe.Pointer
+		n uintptr
+	}{
+		"nodes":      {unsafe.Pointer(unsafe.SliceData(v.nodes)), uintptr(len(v.nodes)) * unsafe.Sizeof(viewNode{})},
+		"sets":       {unsafe.Pointer(unsafe.SliceData(v.sets)), uintptr(len(v.sets)) * unsafe.Sizeof(viewSet{})},
+		"arena":      {unsafe.Pointer(unsafe.SliceData(v.arena)), uintptr(len(v.arena))},
+		"originWire": {unsafe.Pointer(unsafe.StringData(v.originWire)), uintptr(len(v.originWire))},
+		"origin":     {unsafe.Pointer(unsafe.StringData(origin)), uintptr(len(origin))},
+	} {
+		if p := uintptr(f.p); p < lo || p+f.n > hi {
+			t.Errorf("View.%s lies outside the slab", name)
+		}
+	}
+	pointing := 0
 	vt := reflect.TypeOf(View{})
 	for i := 0; i < vt.NumField(); i++ {
 		f := vt.Field(i)
-		if f.Type.Kind() == reflect.Slice && f.Name != "soaBody" {
-			slabs++
-			if hasPointers(f.Type.Elem()) {
-				t.Errorf("View.%s is a pointer-bearing slab", f.Name)
-			}
+		if hasPointers(f.Type) {
+			pointing++
+		}
+		if f.Type.Kind() == reflect.Slice && hasPointers(f.Type.Elem()) {
+			t.Errorf("View.%s is a pointer-bearing slab", f.Name)
 		}
 	}
-	if slabs != 3 {
-		t.Errorf("View has %d slabs, want 3", slabs)
+	if pointing != 5 {
+		t.Errorf("View has %d fields that point, want the 5 checked above", pointing)
 	}
-	zones := benchZones(t, 1)
-	if got := zones[0].ViewBytes(); got <= 0 || got > 2182 {
-		t.Errorf("ViewBytes = %d, want within (0, 2182]", got)
+	if got := zones[0].ViewBytes(); got <= 0 || got > 1600 {
+		t.Errorf("ViewBytes = %d, want within (0, 1600]", got)
 	}
 
-	v := zones[0].View()
-	origin := v.Origin().String()
 	buf := make([]byte, 0, 4096)
 	for _, q := range []string{"r4nd0m." + origin, "h.sub." + origin, "w.wild." + origin, "alias." + origin, "www." + origin} {
 		qw := n2w(q)
@@ -450,6 +468,63 @@ func TestViewFootprint(t *testing.T) {
 }
 
 func n2w(s string) []byte { return n(s).AppendWire(nil) }
+
+// TestLookupOwners puts the bench zone's query shapes and
+// TestLookupCornerCases' rows to View.Lookup. Every record's owner must be
+// the oracle's, though the view spells none from text of its own: each is
+// the query name, a suffix of it, a decoded target or the origin. And no
+// row may allocate more than it did while the view kept every owner's text
+// in a names block: taking owners from the question costs nothing.
+func TestLookupOwners(t *testing.T) {
+	type row struct {
+		z      *Zone
+		qname  string
+		qtype  dnswire.Type
+		allocs float64
+	}
+	var rows []row
+	bench := benchZones(t, 1)[0]
+	for _, q := range []struct {
+		label  string // below the origin
+		qtype  dnswire.Type
+		allocs float64
+	}{
+		{"", dnswire.TypeSOA, 4}, {"", dnswire.TypeNS, 6}, {"", dnswire.TypeANY, 10},
+		{"www.", dnswire.TypeA, 2}, {"www.", dnswire.TypeAAAA, 3}, {"static.", dnswire.TypeAAAA, 2},
+		{"www.", dnswire.TypeANY, 2}, {"alias.", dnswire.TypeA, 8}, {"alias.", dnswire.TypeCNAME, 3},
+		{"w.wild.", dnswire.TypeA, 2}, {"wild.", dnswire.TypeA, 3}, {"sub.", dnswire.TypeNS, 10},
+		{"h.sub.", dnswire.TypeA, 10}, {"ns1.sub.", dnswire.TypeA, 10}, {"r4nd0m.", dnswire.TypeA, 3},
+		{"a.b.r4nd0m.", dnswire.TypeTXT, 3},
+	} {
+		rows = append(rows, row{bench, q.label + bench.Origin().String(), q.qtype, q.allocs})
+	}
+	corner := cornerZone(t)
+	for _, c := range cornerCases {
+		rows = append(rows, row{corner, c.qname, c.qtype, c.allocs})
+	}
+	owners := func(rrs []dnswire.RR) []dnswire.Name {
+		out := make([]dnswire.Name, len(rrs))
+		for i, rr := range rrs {
+			out[i] = rr.Header().Name
+		}
+		return out
+	}
+	for _, r := range rows {
+		v, q := r.z.View(), n(r.qname)
+		got, want := v.Lookup(q, r.qtype), newOracle(r.z).Lookup(q, r.qtype)
+		for _, sec := range [][2][]dnswire.RR{{got.Answer, want.Answer}, {got.NS, want.NS}, {got.Glue, want.Glue}} {
+			if g, w := owners(sec[0]), owners(sec[1]); !slices.Equal(g, w) {
+				t.Errorf("%s %v: owners %v, oracle %v", r.qname, r.qtype, g, w)
+			}
+		}
+		if (got.SOA == nil) != (want.SOA == nil) || got.SOA != nil && got.SOA.Name != want.SOA.Name {
+			t.Errorf("%s %v: SOA %v, oracle %v", r.qname, r.qtype, got.SOA, want.SOA)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { v.Lookup(q, r.qtype) }); allocs > r.allocs {
+			t.Errorf("%s %v: Lookup allocates %v times, want <= %v", r.qname, r.qtype, allocs, r.allocs)
+		}
+	}
+}
 
 // hasPointers reports whether values of t hold anything the garbage
 // collector has to trace.

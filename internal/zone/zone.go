@@ -66,8 +66,8 @@ func (z *Zone) Origin() dnswire.Name { return z.view.origin }
 func (z *Zone) View() *View { return &z.view }
 
 // ViewBytes reports the heap footprint of the zone's view, which is the
-// zone's own: header, arena and slabs.
-func (z *Zone) ViewBytes() int { return z.view.size }
+// zone's own: header and slab.
+func (z *Zone) ViewBytes() int { return int(z.view.size) }
 
 // setStore moves the zone into s (out of any store, with nil), carrying its
 // view's bytes from the old store's gauge to the new one's and counting an
@@ -102,7 +102,8 @@ func (z *Zone) Serial() uint32 { return z.view.serial }
 // SOA returns the zone's SOA record, decoded afresh, or nil.
 func (z *Zone) SOA() *dnswire.SOA { return z.view.soaRecord() }
 
-// RRset returns the records for (name, typ), decoded afresh.
+// RRset returns the records for (name, typ), decoded afresh and owned by
+// name.
 func (z *Zone) RRset(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
 	var buf [256]byte
 	v := &z.view
@@ -114,7 +115,7 @@ func (z *Zone) RRset(name dnswire.Name, typ dnswire.Type) []dnswire.RR {
 	if !hit {
 		return nil
 	}
-	return v.records(nil, s, v.nodeName(node))
+	return v.records(nil, s, name)
 }
 
 // NameExists reports whether the name exists in the zone (has records or is
@@ -132,7 +133,7 @@ func (z *Zone) Cuts() []dnswire.Name {
 	v := &z.view
 	var out []dnswire.Name
 	for n := range v.nodes[:len(v.nodes)-1] {
-		if v.nodes[n].cut {
+		if v.nodes[n].cut() {
 			out = append(out, v.nodeName(uint32(n)))
 		}
 	}
@@ -149,9 +150,10 @@ func (z *Zone) AllRecords() []dnswire.RR {
 	}
 	for n := range uint32(len(v.nodes) - 1) {
 		lo, hi := v.setRange(n)
+		owner := v.nodeName(n)
 		for s := lo; s < hi; s++ {
 			if n != 0 || v.sets[s].typ != dnswire.TypeSOA {
-				out = v.records(out, s, v.nodeName(n))
+				out = v.records(out, s, owner)
 			}
 		}
 	}
@@ -163,7 +165,7 @@ func (z *Zone) NumRecords() int {
 	v := &z.view
 	total := int(v.sets[len(v.sets)-1].rec)
 	for n := range uint32(len(v.nodes) - 1) {
-		if v.nodes[n].cut {
+		if v.nodes[n].cut() {
 			total -= v.setLen(v.glueSet(n))
 		}
 	}
@@ -298,7 +300,7 @@ func appendUnique(out, set []entry) []entry {
 type scratch struct {
 	// ParseMaster's: the line scanner's starting buffer, one line's fields,
 	// the physical lines of a parenthesized record so far, and the zone's
-	// origin and the current $ORIGIN in wire form.
+	// origin (the compile's too) and the current $ORIGIN in wire form.
 	line    []byte
 	toks    [][]byte
 	pending []byte
@@ -309,12 +311,13 @@ type scratch struct {
 	ents   []entry
 	bodies []byte
 	// The compile's working set: every name of the zone in canonical order,
-	// the index of each name's first entry, and the view's arena and names
-	// block before their exact copies.
+	// the index of each name's first entry, and the view's rows before
+	// their copies into the slab.
 	nodeNames [][]byte
 	first     []int
+	nodes     []viewNode
+	sets      []viewSet
 	arena     []byte
-	text      []byte
 }
 
 var scratchPool = sync.Pool{New: func() any {
