@@ -39,14 +39,14 @@ race-suites:
 	$(call race-suite,./internal/netserve/,-run,TestViewServeWhileSwapping,-count=2)
 	$(call race-suite,./internal/zone/,-run,TestSetSerialCopyOnWrite|TestViewInvalidation|TestZoneHeapPerZone|TestViewFootprint|TestStoreViewCounters|FuzzZoneModel|FuzzZoneArena|FuzzStoreModel|FuzzParseMasterParity,-count=2)
 	$(call race-suite,./internal/zone/,-bench,BenchmarkView|BenchmarkParseMasterBenchZone,-run='^$$' -benchtime=1x)
-	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill|TestSimSocketParity,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestContainmentPanicStorm|TestQueryOfDeathDrill|TestSimSocketParity|TestStormProbeSuspends|TestSuspensionCapAcrossServers,-count=2)
 	$(call race-suite,./internal/netserve/,-run,TestScrapeWhileServing|TestFlightForensicsEndToEnd,-count=2)
-	$(call race-suite,./internal/netserve/,-run,TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestAdmittedOnce|TestOneSpanPerQuery|TestOneSamplingDecision|TestOneOutcomePerQuery|TestIXFRLargeDelta|TestSecondaryStatsWhileRefreshing,-count=2)
+	$(call race-suite,./internal/netserve/,-run,TestBatchParity|TestBatchDrainWakes|TestUDPGroupSamePort|TestFiltersLearnOverSockets|TestHotZoneSeesNewNames|TestLoyaltyIgnoresSpoofedFlood|TestAdmittedOnce|TestOneSpanPerQuery|TestOneSamplingDecision|TestOneOutcomePerQuery|TestIXFRLargeDelta|TestSecondaryStatsWhileRefreshing,-count=2)
 	go test -race -count=2 ./internal/udpbatch/
 	$(call race-suite,./internal/udpbatch/,-run,TestReadWhileWrite,-count=10)
 	$(call race-suite,./internal/filters/,-run,TestLoyaltyBounded|TestRateLimitBucketsBounded|TestHopCountBounded|TestNXDomainHotWhileScoring|TestFiltersConcurrencySafety,)
 	$(call race-suite,./internal/monitor/,-run,TestCoordinatorRaceStress|TestCoordinatorQuorumUnionOverGrant,-count=2)
-	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace|TestApplyCatchesSameSerialSwap|TestReplanSameChangelist|TestApplyRevalidation,)
+	$(call race-suite,./internal/ctlplane/,-run,TestChurnWhileServing|TestChurnPipelinedWhileServing|TestPublishOrderingUnderRace|TestApplyCatchesSameSerialSwap|TestReplanSameChangelist|TestApplyRevalidation|TestHistoryRecordsInInstallOrder,)
 	$(call race-suite,./internal/propagate/,-run,TestPullLoopRace,-count=2)
 
 # The second and third lines cross-compile the portable udpbatch.Conn, the
@@ -123,6 +123,8 @@ fuzz:
 	go test -fuzz=FuzzHotCacheVersions -fuzztime=$(FUZZTIME) ./internal/netserve/
 	go test -fuzz=FuzzCanExistWire -fuzztime=$(FUZZTIME) ./internal/nameserver/
 	go test -fuzz=FuzzPlanApply -fuzztime=$(FUZZTIME) ./internal/ctlplane/
+	go test -fuzz=FuzzZoneSum -fuzztime=$(FUZZTIME) ./internal/propagate/
+	go test -fuzz=FuzzVerifyBeforeInstall -fuzztime=$(FUZZTIME) ./internal/propagate/
 	go test -fuzz=FuzzSignatureMatch -fuzztime=$(FUZZTIME) ./internal/qod/
 
 # Deterministic fault-injection harness: every scenario once at the default

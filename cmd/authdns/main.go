@@ -29,9 +29,11 @@ import (
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/filters"
 	"akamaidns/internal/flight"
+	"akamaidns/internal/monitor"
 	"akamaidns/internal/nameserver"
 	"akamaidns/internal/netserve"
 	"akamaidns/internal/obs"
+	"akamaidns/internal/propagate"
 	"akamaidns/internal/zone"
 )
 
@@ -55,7 +57,7 @@ func main() {
 	requireCookies := flag.Bool("require-cookies", false, "refuse UDP queries without a valid server cookie")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text /metrics and /healthz on this address ('' disables)")
 	maxInflight := flag.Int("max-inflight", 0, "overload ladder in-flight handler ceiling (0 disables shedding)")
-	watchdog := flag.Bool("watchdog", true, "self-suspend on panic/malformed storms (flips /healthz to 503)")
+	watchdog := flag.Bool("watchdog", true, "run the monitoring agent: self-suspend on panic/malformed storms (flips /healthz to 503)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "grace period for in-flight queries on SIGTERM before sockets are force-closed")
 	flightSample := flag.Int("flight-sample", 0, "head sampling: 1-in-N queries stamp the stage histograms and are captured by the flight recorder, anomalies always (0 = default 16, negative disables the recorder)")
 	withCtl := flag.Bool("ctlplane", false, "mount the zone control-plane changelist API (/ctl/...) on the debug/metrics listener")
@@ -118,9 +120,6 @@ func main() {
 	cfg.RequireCookies = *requireCookies
 	cfg.CookieSecret = uint64(os.Getpid())*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 	cfg.MaxInflight = *maxInflight
-	if !*watchdog {
-		cfg.Watchdog = nil
-	}
 	if *flightSample < 0 {
 		cfg.Flight = nil
 	} else if *flightSample > 0 {
@@ -162,6 +161,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "authdns:", err)
 		os.Exit(1)
 	}
+	// The §4.2.1 monitoring agent is the one authority that suspends the
+	// machine: it sweeps the server's storm probe once a second.
+	if *watchdog {
+		agent := monitor.NewAgent(propagate.NewWallClock(), monitor.DefaultAgentConfig("authdns"), srv, nil)
+		agent.AddProbe(srv.StormProbe())
+		agent.Start()
+		defer agent.Stop()
+	}
 	for _, s := range secs {
 		s.Start()
 		fmt.Printf("authdns: secondary for %s from %s\n", s.Origin, s.Primary)
@@ -192,7 +199,7 @@ func main() {
 		}
 	}
 	if *metricsAddr != "" {
-		// /healthz reflects the live server state: 503 while the watchdog
+		// /healthz reflects the live server state: 503 while the agent
 		// holds a self-suspension or once a drain has begun, so whatever
 		// steers traffic at this machine stops before the sockets do.
 		mount := mountDebug

@@ -60,8 +60,8 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Printf("ok   live drill: panics=%d refused=%d quarantined=%d trips=%d recorded=%d\n",
-			res.Panics, res.Refused, res.Quarantined, res.WatchdogTrips, res.Recorded)
+		fmt.Printf("ok   live drill: panics=%d refused=%d quarantined=%d suspensions=%d recorded=%d\n",
+			res.Panics, res.Refused, res.Quarantined, res.Suspensions, res.Recorded)
 		return
 	}
 

@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"errors"
 	"time"
 
 	"akamaidns/internal/attack"
+	"akamaidns/internal/monitor"
 	"akamaidns/internal/netsim"
 	"akamaidns/internal/simtime"
 )
@@ -180,58 +182,50 @@ func (h *Harness) injectQoD() {
 	}
 }
 
-// injectSuspensionStorm emulates a buggy monitoring-agent wave: a majority
-// of regular machines simultaneously ask the coordinator to suspend, while
-// two coordinator replicas flap mid-wave. The consensus cap must hold the
-// line — only cap-many grants — and the replicas must resync on recovery so
-// the released slots are accounted for.
+// injectSuspensionStorm is a buggy monitoring-agent wave: the agents of a
+// majority of regular machines start failing a health probe at once, and
+// ask the coordinator to suspend their machines on every sweep, while two
+// coordinator replicas flap mid-wave. The consensus cap must hold the line
+// — only cap-many grants at a time — and the replicas must resync on
+// recovery so the slots the agents release once the probe passes again
+// are accounted for.
 func (h *Harness) injectSuspensionStorm() {
 	regs := h.regulars
 	want := len(regs) * 3 / 5
 	dur := h.randIn(15*time.Second, 30*time.Second)
 	at := h.faultStart(dur)
-	var granted []*struct {
-		id string
-		m  int
-	}
 	order := h.rng.Perm(len(regs))
-	h.p.Sched.After(at, func(now simtime.Time) {
-		h.p.Coord.SetReplicaUp(1, false)
-		grants, denials := 0, 0
-		for _, idx := range order[:want] {
-			m := regs[idx]
-			if h.p.Coord.RequestSuspend(m.ID) {
-				m.Server.SetSuspended(now, true)
-				granted = append(granted, &struct {
-					id string
-					m  int
-				}{m.ID, idx})
-				grants++
-			} else {
-				denials++
-			}
+	storming := false
+	buggy := monitor.Probe{Name: "buggy", Run: func(simtime.Time) error {
+		if storming {
+			return errBuggyProbe
 		}
-		h.logf("storm", "suspension wave over %d machines: %d granted, %d denied (cap %d), replica 1 down",
-			want, grants, denials, h.p.Coord.Cap())
+		return nil
+	}}
+	var grants, denials uint64
+	h.p.Sched.After(at, func(simtime.Time) {
+		h.p.Coord.SetReplicaUp(1, false)
+		storming = true
+		for _, idx := range order[:want] {
+			regs[idx].Agent.AddProbe(buggy)
+		}
+		grants, denials = h.p.Coord.Grants, h.p.Coord.Denials
+		h.logf("storm", "buggy probe on %d machines' agents (cap %d), replica 1 down", want, h.p.Coord.Cap())
 	})
 	h.p.Sched.After(at+dur/2, func(simtime.Time) {
 		h.p.Coord.SetReplicaUp(3, false)
 		h.p.Coord.SetReplicaUp(1, true)
 		h.logf("storm", "replica 3 down, replica 1 resynced")
 	})
-	h.p.Sched.After(at+dur, func(now simtime.Time) {
-		for _, g := range granted {
-			regs[g.m].Server.SetSuspended(now, false)
-			// Lifting a suspension re-runs the input-freshness validation,
-			// like the agent's recovery sweeps do: a machine whose metadata
-			// went stale during the storm must not return to service.
-			regs[g.m].Server.CheckStaleness(now)
-			h.p.Coord.Release(g.id)
-		}
+	h.p.Sched.After(at+dur, func(simtime.Time) {
+		storming = false
 		h.p.Coord.SetReplicaUp(3, true)
-		h.logf("storm", "wave healed: %d suspensions released, replica 3 resynced", len(granted))
+		h.logf("storm", "buggy probe cleared: %d grants, %d denials in the wave; replica 3 resynced",
+			h.p.Coord.Grants-grants, h.p.Coord.Denials-denials)
 	})
 }
+
+var errBuggyProbe = errors.New("buggy agent probe")
 
 // injectFlood runs a random-subdomain attack (§4.3.4 class 3) against one
 // enterprise's cloud, laundered through the vantage-point resolvers so the

@@ -3,18 +3,18 @@ package chaos
 // The live scenario runs the query-of-death drill against the real socket
 // server (internal/netserve) instead of the simulated platform: real UDP
 // packets, real handler panics contained by the recover boundary, a real
-// watchdog flipping health. Unlike the simulated scenarios it runs on the
-// wall clock, so its event log is human-readable but not byte-deterministic;
-// the invariants it checks are exact regardless:
+// monitoring agent flipping health. Unlike the simulated scenarios it runs
+// on the wall clock, so its event log is human-readable but not
+// byte-deterministic; the invariants it checks are exact regardless:
 //
 //   - containment: one poison signature costs at most one crash per UDP
 //     worker before the quarantine refuses it, and unrelated queries are
 //     answered throughout;
-//   - suspension: a storm of distinct poison signatures trips the watchdog
-//     and the server reports unhealthy (the /healthz 503 that would pull the
-//     anycast route, §4.2.1);
-//   - recovery: after the quiet period the server resumes answering on its
-//     own;
+//   - suspension: a storm of distinct poison signatures fails the server's
+//     storm probe, its monitoring agent suspends it, and the server reports
+//     unhealthy (the /healthz 503 that would pull the anycast route, §4.2.1);
+//   - recovery: once the storm stops, the agent's passing sweeps lift the
+//     suspension and the server answers again;
 //   - forensics: the attack is reconstructable after the fact from the query
 //     flight recorder's live HTTP surface — the flood suffix is a /debug/topk
 //     heavy hitter, quarantine refusals have matching /debug/queries records,
@@ -32,10 +32,11 @@ import (
 
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/flight"
+	"akamaidns/internal/monitor"
 	"akamaidns/internal/nameserver"
 	"akamaidns/internal/netserve"
 	"akamaidns/internal/obs"
-	"akamaidns/internal/qod"
+	"akamaidns/internal/propagate"
 	"akamaidns/internal/zone"
 )
 
@@ -45,12 +46,13 @@ type LiveConfig struct {
 	// containment invariant caps crashes per poison signature at this count.
 	UDPWorkers int
 	// StormSize is how many distinct poison signatures the suspension phase
-	// may fire before declaring the watchdog broken (default 40).
+	// fires at once (default 40).
 	StormSize int
 	// ProbeTimeout bounds each client exchange (default 300ms).
 	ProbeTimeout time.Duration
 	// RecoveryDeadline bounds how long the drill waits for the suspension to
-	// lift (default 5s; must exceed the watchdog quiet period).
+	// take hold, and then to lift (default 5s; must exceed the agent's
+	// liveAgentInterval times its RecoverThreshold).
 	RecoveryDeadline time.Duration
 }
 
@@ -72,12 +74,12 @@ func (c LiveConfig) withDefaults() LiveConfig {
 
 // LiveResult summarizes one live drill.
 type LiveResult struct {
-	Panics        uint64 // handler panics contained by the recover boundary
-	Refused       uint64 // queries refused pre-decode by the quarantine
-	Quarantined   uint64 // distinct signatures admitted to the quarantine
-	WatchdogTrips uint64 // panic-tripwire firings
-	Recorded      uint64 // flight-recorder records captured across the drill
-	Violations    []string
+	Panics      uint64 // handler panics contained by the recover boundary
+	Refused     uint64 // queries refused pre-decode by the quarantine
+	Quarantined uint64 // distinct signatures admitted to the quarantine
+	Suspensions uint64 // times the monitoring agent suspended the server
+	Recorded    uint64 // flight-recorder records captured across the drill
+	Violations  []string
 	// Log is the wall-clock event narration (not deterministic across runs).
 	Log []byte
 }
@@ -137,16 +139,17 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	scfg := netserve.DefaultConfig()
 	scfg.UDPWorkers = cfg.UDPWorkers
 	scfg.QuarantineTTL = time.Minute // no probation lapses mid-drill
-	scfg.Watchdog = &qod.WatchdogConfig{
-		Window:    10 * time.Second,
-		MaxPanics: 3,
-		Quiet:     800 * time.Millisecond,
-	}
 	srv := netserve.New(scfg, nameserver.NewEngine(store), nil)
 	if err := srv.Start(); err != nil {
 		return nil, err
 	}
 	defer srv.Close()
+	acfg := monitor.DefaultAgentConfig("live")
+	acfg.Interval, acfg.FailThreshold, acfg.RecoverThreshold = liveAgentInterval, 1, 4
+	agent := monitor.NewAgent(propagate.NewWallClock(), acfg, srv, nil)
+	agent.AddProbe(srv.StormProbe())
+	agent.Start()
+	defer agent.Stop()
 
 	// The forensics surface the drill interrogates over real HTTP: the same
 	// /metrics + /debug mount cmd/authdns serves.
@@ -182,17 +185,21 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	}
 	d.checkServing(4, "during containment")
 
-	// Phase 2 — suspension: distinct poison signatures until the watchdog
-	// trips and the server self-withdraws.
-	fired := 0
-	for i := 0; i < cfg.StormSize && srv.Healthy(); i++ {
-		d.probe(uint16(100+i), fmt.Sprintf("%s.s%d.live.test", dnswire.QoDMarkerLabel, i), dnswire.TypeA)
-		fired++
+	// Phase 2 — suspension: a burst of distinct poison signatures, each a
+	// contained crash, fails the storm probe at the agent's next sweep and
+	// the server self-withdraws.
+	fired := d.fire(cfg.StormSize, func(i int) string {
+		return fmt.Sprintf("%s.s%d.live.test", dnswire.QoDMarkerLabel, i)
+	})
+	deadline := time.Now().Add(cfg.RecoveryDeadline)
+	for srv.Healthy() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
 	}
 	if srv.Healthy() {
-		d.violate("live-suspension", "watchdog never tripped after %d distinct poison signatures", fired)
+		d.violate("live-suspension", "agent never suspended after %d distinct poison signatures (%d panics)",
+			fired, srv.Metrics.Panics.Load())
 	} else {
-		d.logf("suspend", "watchdog tripped after %d distinct signatures; health=503", fired)
+		d.logf("suspend", "agent suspended after %d distinct signatures; health=503", fired)
 		// While suspended, UDP traffic is read and discarded: an answered
 		// probe while still unhealthy would mean the withdrawal is a lie.
 		if resp, err := d.probe(200, "www.live.test", dnswire.TypeA); err == nil && !srv.Healthy() {
@@ -200,8 +207,8 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 		}
 	}
 
-	// Phase 3 — recovery: the quiet period lapses and service resumes.
-	deadline := time.Now().Add(cfg.RecoveryDeadline)
+	// Phase 3 — recovery: the agent's sweeps pass again and service resumes.
+	deadline = time.Now().Add(cfg.RecoveryDeadline)
 	for !srv.Healthy() {
 		if time.Now().After(deadline) {
 			d.violate("live-recovery", "still suspended after %s", cfg.RecoveryDeadline)
@@ -210,7 +217,7 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if srv.Healthy() {
-		d.logf("recover", "suspension lapsed; health=200")
+		d.logf("recover", "agent lifted the suspension; health=200")
 		d.checkServing(201, "after recovery")
 	}
 
@@ -232,34 +239,43 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	d.checkQoDForensics(base, poison)
 	d.checkRollupSeries(base)
 
-	d.logf("summary", "panics=%d refused=%d quarantined=%d trips=%d recorded=%d violations=%d",
+	d.logf("summary", "panics=%d refused=%d quarantined=%d suspensions=%d recorded=%d violations=%d",
 		srv.Metrics.Panics.Load(), srv.Metrics.QoDRefused.Load(),
-		srv.Quarantine().Admitted(), srv.Watchdog().Trips(qod.TripPanic),
+		srv.Quarantine().Admitted(), agent.Suspensions(),
 		srv.FlightRecorder().Recorded(), len(d.viols))
 	return &LiveResult{
-		Panics:        srv.Metrics.Panics.Load(),
-		Refused:       srv.Metrics.QoDRefused.Load(),
-		Quarantined:   srv.Quarantine().Admitted(),
-		WatchdogTrips: srv.Watchdog().Trips(qod.TripPanic),
-		Recorded:      srv.FlightRecorder().Recorded(),
-		Violations:    d.viols,
-		Log:           append([]byte(nil), d.log.Bytes()...),
+		Panics:      srv.Metrics.Panics.Load(),
+		Refused:     srv.Metrics.QoDRefused.Load(),
+		Quarantined: srv.Quarantine().Admitted(),
+		Suspensions: agent.Suspensions(),
+		Recorded:    srv.FlightRecorder().Recorded(),
+		Violations:  d.viols,
+		Log:         append([]byte(nil), d.log.Bytes()...),
 	}, nil
 }
 
-// flood fires n random-subdomain A queries under flood.live.test without
-// waiting for answers, pacing lightly so the loopback socket buffer keeps
-// up. Reports how many packets were written.
+// liveAgentInterval is the drill's agent sweep interval: short, so the
+// drill takes well under a second per phase.
+const liveAgentInterval = 100 * time.Millisecond
+
+// flood fires n random-subdomain A queries under flood.live.test.
 func (d *liveDrill) flood(n int) int {
+	return d.fire(n, func(i int) string { return fmt.Sprintf("f%04d.flood.live.test", i) })
+}
+
+// fire sends n A queries for name(0..n-1) without waiting for answers,
+// pacing lightly so the loopback socket buffer keeps up. Reports how many
+// packets were written.
+func (d *liveDrill) fire(n int, name func(i int) string) int {
 	conn, err := net.Dial("udp", d.srv.UDPAddrActual())
 	if err != nil {
-		d.violate("flood-forensics", "flood socket: %v", err)
+		d.violate("live-socket", "client socket: %v", err)
 		return 0
 	}
 	defer conn.Close()
 	sent := 0
 	for i := 0; i < n; i++ {
-		q := dnswire.NewQuery(uint16(1000+i), dnswire.MustName(fmt.Sprintf("f%04d.flood.live.test", i)), dnswire.TypeA)
+		q := dnswire.NewQuery(uint16(1000+i), dnswire.MustName(name(i)), dnswire.TypeA)
 		wire, err := q.Pack()
 		if err != nil {
 			continue

@@ -573,10 +573,20 @@ func (c *Controller) applyPlan(p *Plan, revalidate bool) (int, error) {
 			}
 			applied = append(applied, zp)
 		}
+		// Record each installed version in the critical section that
+		// installs it: two applies of one origin then record in the order
+		// they install, so the history's newest is the serving version.
+		if c.cfg.History != nil {
+			for _, zp := range applied {
+				if zp.Op != OpDelete {
+					c.cfg.History.Record(zp.desired)
+				}
+			}
+		}
 	})
 
-	// Write re-pinned plan fields back under c.mu before History/Publish
-	// reads them: renderPlan snapshots concurrently under the same lock.
+	// Write re-pinned plan fields back under c.mu before Publish reads
+	// them: renderPlan snapshots concurrently under the same lock.
 	if len(revals) > 0 || len(revalNoops) > 0 {
 		c.mu.Lock()
 		for _, r := range revals {
@@ -601,9 +611,6 @@ func (c *Controller) applyPlan(p *Plan, revalidate bool) (int, error) {
 		c.zoneChanges[zp.Op].Inc()
 		for _, ch := range zp.Changes {
 			c.rrsetChanges[ch.Op].Inc()
-		}
-		if c.cfg.History != nil && zp.Op != OpDelete {
-			c.cfg.History.Record(zp.desired)
 		}
 		if c.cfg.Publish != nil {
 			c.cfg.Publish(zp.Origin, zp.ToSerial)

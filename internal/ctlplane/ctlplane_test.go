@@ -458,3 +458,42 @@ func TestPublishOrderingUnderRace(t *testing.T) {
 	close(notes)
 	sub.Wait()
 }
+
+// TestHistoryRecordsInInstallOrder holds two concurrent applies of
+// successive serials of one origin to the install order. The first apply
+// installs x.test and y.test at serial 2; while it publishes x.test, a
+// second apply installs y.test at serial 3 and returns. Each apply records
+// its versions where it installs them, so the history's newest y.test is
+// the one the store serves, not the first apply's late record.
+func TestHistoryRecordsInInstallOrder(t *testing.T) {
+	store := zone.NewStore()
+	hist := zone.NewHistory(8)
+	var c *Controller
+	var once sync.Once
+	c = New(store, Config{
+		History: hist,
+		Publish: func(o dnswire.Name, _ uint32) {
+			if o != dnswire.MustName("x.test") {
+				return
+			}
+			once.Do(func() {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					submitOK(t, c, Changelist{Zones: []ZoneChange{
+						{Origin: dnswire.MustName("y.test"), Desired: testZone(t, "y.test", 3, "")},
+					}})
+				}()
+				<-done
+			})
+		},
+	})
+	submitOK(t, c, Changelist{Zones: []ZoneChange{
+		{Origin: dnswire.MustName("x.test"), Desired: testZone(t, "x.test", 2, "")},
+		{Origin: dnswire.MustName("y.test"), Desired: testZone(t, "y.test", 2, "")},
+	}})
+	y := dnswire.MustName("y.test")
+	if got, want := hist.Latest(y), store.Get(y).Serial(); got != want || want != 3 {
+		t.Fatalf("history's newest y.test serial %d, store serves %d (want 3)", got, want)
+	}
+}

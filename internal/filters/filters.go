@@ -39,6 +39,10 @@ type Query struct {
 	IPTTL int
 	// Now is the virtual arrival time.
 	Now simtime.Time
+	// Score is the total penalty Pipeline.Score gave the query: 0 until it
+	// is scored, and 0 for a calm query. Score sums into it filter by
+	// filter, so a filter reads the penalty of those before it.
+	Score float64
 }
 
 // qnameWire returns the folded wire-form question name: Qname when the
@@ -89,9 +93,12 @@ const maxSources = 1 << 16
 // Pipeline runs filters in order and sums penalties. Its filter list is
 // fixed at construction, so reading it takes no lock.
 type Pipeline struct {
-	filters    []Filter
-	observers  []AnswerObserver
-	allowlists []*Allowlist
+	filters []Filter
+	// zoneObservers learn per zone and see every answer; calmObservers
+	// learn per resolver and see only calm ones (see ObserveAnswer).
+	zoneObservers []AnswerObserver
+	calmObservers []AnswerObserver
+	allowlists    []*Allowlist
 	// hits, once Instrument has published it, holds one per-filter hit
 	// counter parallel to filters (incremented whenever the filter
 	// contributes a penalty).
@@ -103,7 +110,11 @@ func NewPipeline(fs ...Filter) *Pipeline {
 	p := &Pipeline{filters: fs}
 	for _, f := range fs {
 		if o, ok := f.(AnswerObserver); ok {
-			p.observers = append(p.observers, o)
+			if _, perZone := f.(*NXDomain); perZone {
+				p.zoneObservers = append(p.zoneObservers, o)
+			} else {
+				p.calmObservers = append(p.calmObservers, o)
+			}
 		}
 		if a, ok := f.(*Allowlist); ok {
 			p.allowlists = append(p.allowlists, a)
@@ -139,28 +150,39 @@ func (p *Pipeline) Allowlisted(resolver string) bool {
 	return false
 }
 
-// ObserveAnswer forwards one answered query to every filter that learns from
+// ObserveAnswer forwards one answered query to the filters that learn from
 // answers. It is the filters' only feedback path: a server calls it once per
-// answer it sends and wires no filter by hand.
+// answer it sends and wires no filter by hand. One rule decides who learns:
+// the NXDOMAIN filter's per-zone tree sees every answer, since the flood is
+// what it learns from; a per-resolver learner (Loyalty) learns only from an
+// answer whose query scored 0, so a penalised query — a spoofed flood
+// source, a bot — never becomes a resolver the filter vouches for.
 func (p *Pipeline) ObserveAnswer(q *Query, nxdomain bool) {
-	for _, o := range p.observers {
+	for _, o := range p.zoneObservers {
+		o.ObserveAnswer(q, nxdomain)
+	}
+	if q.Score != 0 {
+		return
+	}
+	for _, o := range p.calmObservers {
 		o.ObserveAnswer(q, nxdomain)
 	}
 }
 
-// Score runs every filter and returns the total penalty. The second result
-// is always nil: per-filter hits are counted on akamaidns_filter_hits_total,
-// and no breakdown is built per query.
+// Score runs every filter and returns the total penalty, which it also
+// leaves in q.Score for ObserveAnswer. The second result is always nil:
+// per-filter hits are counted on akamaidns_filter_hits_total, and no
+// breakdown is built per query.
 func (p *Pipeline) Score(q *Query) (float64, map[string]float64) {
 	hits := p.hits.Load()
-	total := 0.0
+	q.Score = 0
 	for i, f := range p.filters {
 		if s := f.Score(q); s > 0 {
-			total += s
+			q.Score += s
 			if hits != nil {
 				(*hits)[i].Inc()
 			}
 		}
 	}
-	return total, nil
+	return q.Score, nil
 }

@@ -301,8 +301,9 @@ func TestPipelineSumsAndReports(t *testing.T) {
 }
 
 // TestPipelineObserveAnswer: the pipeline is the filters' one feedback path.
-// Answers forwarded through it make a zone hot and a resolver loyal; filters
-// that do not learn from answers are passed over.
+// Answers forwarded through it make a zone hot from every answer, and a
+// resolver loyal only from answers to its calm queries; filters that do not
+// learn from answers are passed over.
 func TestPipelineObserveAnswer(t *testing.T) {
 	zi, zn := newFakeZone()
 	nx := NewNXDomain(zi, PerHotZone)
@@ -326,8 +327,22 @@ func TestPipelineObserveAnswer(t *testing.T) {
 	if hot := nx.HotZones(); len(hot) != 1 || hot[0] != zn {
 		t.Fatalf("HotZones = %v, want [%v]", hot, zn)
 	}
-	if total, detail := p.Score(attack); total != PenaltyNXDomain {
-		t.Fatalf("after ten NXDOMAIN answers: score %v (%v), want the nxdomain penalty alone", total, detail)
+	// The answers to a penalised query taught loyalty nothing.
+	if total, _ := p.Score(attack); total != PenaltyNXDomain+PenaltyLoyalty {
+		t.Fatalf("after ten NXDOMAIN answers: score %v, want the nxdomain and loyalty penalties", total)
+	}
+	// With loyalty standing down, r1's query for a name that exists scores
+	// 0, and its answer makes r1 loyal.
+	lo.SetActive(false)
+	calm := q("r1", "www.example.com", 0)
+	calm.Zone = zn
+	if total, _ := p.Score(calm); total != 0 {
+		t.Fatalf("calm query scored %v", total)
+	}
+	p.ObserveAnswer(calm, false)
+	lo.SetActive(true)
+	if total, _ := p.Score(attack); total != PenaltyNXDomain {
+		t.Fatalf("after a calm answer: score %v, want the nxdomain penalty alone", total)
 	}
 }
 

@@ -70,7 +70,7 @@ func (l *Loyalty) Observe(resolver string, now simtime.Time) {
 }
 
 // ObserveAnswer implements AnswerObserver: an answered query is an accepted
-// one.
+// one. A Pipeline forwards only answers to calm queries.
 func (l *Loyalty) ObserveAnswer(q *Query, _ bool) { l.Observe(q.Resolver, q.Now) }
 
 // SetActive toggles enforcement.

@@ -11,10 +11,12 @@ import (
 	"sync"
 	"time"
 
+	"akamaidns/internal/propagate"
 	"akamaidns/internal/simtime"
 )
 
-// Suspender is the slice of nameserver.Server the agent drives.
+// Suspender is the machine the agent drives: the simulated
+// nameserver.Server, or the socket server netserve.Server.
 type Suspender interface {
 	SetSuspended(now simtime.Time, suspended bool)
 	Suspended() bool
@@ -187,19 +189,26 @@ func DefaultAgentConfig(id string) AgentConfig {
 	}
 }
 
-// Agent is the on-machine monitoring agent of Figure 6.
+// Agent is the on-machine monitoring agent of Figure 6: the one code path
+// that suspends or resumes its machine. Its clock decides where it runs — a
+// propagate.SimClock inside the simulation, a propagate.WallClock beside
+// the socket server, whose timers fire on their own goroutines; everything
+// a sweep touches is guarded by mu.
 type Agent struct {
 	Cfg    AgentConfig
 	target Suspender
 	coord  *Coordinator
-	sched  *simtime.Scheduler
-	probes []Probe
+	clock  propagate.Clock
 
 	mu          sync.Mutex
+	probes      []Probe
 	consecFail  int
 	consecOK    int
 	suspendedBy bool // we hold a suspension slot
-	ticker      *simtime.Ticker
+	suspensions uint64
+	// run is the live sweep loop; nil while stopped. A timer that fires
+	// for a loop Stop has replaced neither sweeps nor re-arms.
+	run *sweepLoop
 
 	// LastFailure records the most recent failing probe for the NOCC
 	// alert stream.
@@ -208,9 +217,13 @@ type Agent struct {
 	Sweeps uint64
 }
 
+// sweepLoop is one Start..Stop run of sweeps: the cancel of its pending
+// timer.
+type sweepLoop struct{ cancel func() }
+
 // NewAgent attaches an agent to its machine.
-func NewAgent(sched *simtime.Scheduler, cfg AgentConfig, target Suspender, coord *Coordinator) *Agent {
-	return &Agent{Cfg: cfg, target: target, coord: coord, sched: sched}
+func NewAgent(clock propagate.Clock, cfg AgentConfig, target Suspender, coord *Coordinator) *Agent {
+	return &Agent{Cfg: cfg, target: target, coord: coord, clock: clock}
 }
 
 // AddProbe registers a health test.
@@ -220,32 +233,63 @@ func (a *Agent) AddProbe(p Probe) {
 	a.probes = append(a.probes, p)
 }
 
-// Start begins periodic sweeps.
+// Start begins periodic sweeps, the first one Interval from now.
 func (a *Agent) Start() {
-	if a.ticker != nil {
-		return
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.run == nil {
+		a.run = &sweepLoop{}
+		a.armLocked(a.run)
 	}
-	a.ticker = a.sched.Every(a.Cfg.Interval, a.sweep)
+}
+
+// armLocked schedules loop's next sweep. The sweep re-arms after it runs,
+// as simtime.Ticker does, so on a SimClock the events fall in the order a
+// ticker's would.
+func (a *Agent) armLocked(loop *sweepLoop) {
+	loop.cancel = a.clock.After(a.Cfg.Interval, func(now simtime.Time) {
+		a.mu.Lock()
+		live := a.run == loop
+		a.mu.Unlock()
+		if !live {
+			return
+		}
+		a.sweep(now)
+		a.mu.Lock()
+		if a.run == loop {
+			a.armLocked(loop)
+		}
+		a.mu.Unlock()
+	})
 }
 
 // Stop halts sweeps.
 func (a *Agent) Stop() {
-	if a.ticker != nil {
-		a.ticker.Stop()
-		a.ticker = nil
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.run != nil {
+		a.run.cancel()
+		a.run = nil
 	}
+}
+
+// Suspensions counts the times the agent has suspended its machine.
+func (a *Agent) Suspensions() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.suspensions
 }
 
 // sweep runs the full test suite once.
 func (a *Agent) sweep(now simtime.Time) {
 	a.mu.Lock()
 	probes := append([]Probe(nil), a.probes...)
-	a.mu.Unlock()
 	a.Sweeps++
+	a.mu.Unlock()
 
 	// Staleness is part of every sweep (§4.2.2); the target self-suspends
 	// internally when stale.
-	a.target.CheckStaleness(now)
+	stale := a.target.CheckStaleness(now)
 
 	var failure string
 	for _, p := range probes {
@@ -263,6 +307,7 @@ func (a *Agent) sweep(now simtime.Time) {
 		if a.consecFail >= a.Cfg.FailThreshold && !a.suspendedBy {
 			if a.coord == nil || a.coord.RequestSuspend(a.Cfg.ID) {
 				a.suspendedBy = true
+				a.suspensions++
 				a.target.SetSuspended(now, true)
 			}
 		}
@@ -272,7 +317,11 @@ func (a *Agent) sweep(now simtime.Time) {
 	a.consecFail = 0
 	if a.suspendedBy && a.consecOK >= a.Cfg.RecoverThreshold {
 		a.suspendedBy = false
-		a.target.SetSuspended(now, false)
+		// As after a restart: a machine whose inputs went stale while it
+		// was suspended stays suspended, now by staleness.
+		if !stale {
+			a.target.SetSuspended(now, false)
+		}
 		if a.coord != nil {
 			a.coord.Release(a.Cfg.ID)
 		}
@@ -296,6 +345,7 @@ func (a *Agent) OnCrash(now simtime.Time, sig string) {
 		// regardless; the coordinator is still informed so the cap tracks
 		// reality.
 		a.suspendedBy = true
+		a.suspensions++
 	}
 	a.mu.Unlock()
 	if !already {
@@ -304,7 +354,7 @@ func (a *Agent) OnCrash(now simtime.Time, sig string) {
 		}
 		a.target.SetSuspended(now, true)
 	}
-	a.sched.After(a.Cfg.RestartDelay, func(t simtime.Time) {
+	a.clock.After(a.Cfg.RestartDelay, func(t simtime.Time) {
 		a.mu.Lock()
 		wasSuspended := a.suspendedBy
 		a.suspendedBy = false

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"akamaidns/internal/propagate"
 	"akamaidns/internal/simtime"
 )
 
@@ -32,7 +33,7 @@ func TestAgentSuspendsAfterThreshold(t *testing.T) {
 	sched := simtime.NewScheduler()
 	tgt := &fakeTarget{}
 	coord := NewCoordinator(3, 10)
-	a := NewAgent(sched, DefaultAgentConfig("m1"), tgt, coord)
+	a := NewAgent(propagate.SimClock{Sched: sched}, DefaultAgentConfig("m1"), tgt, coord)
 	healthy := true
 	a.AddProbe(Probe{Name: "dns", Run: func(simtime.Time) error {
 		if healthy {
@@ -80,7 +81,7 @@ func TestCoordinatorCapsConcurrentSuspensions(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tgt := &fakeTarget{}
 		targets = append(targets, tgt)
-		a := NewAgent(sched, DefaultAgentConfig(fmt.Sprintf("m%d", i)), tgt, coord)
+		a := NewAgent(propagate.SimClock{Sched: sched}, DefaultAgentConfig(fmt.Sprintf("m%d", i)), tgt, coord)
 		a.AddProbe(Probe{Name: "dns", Run: func(simtime.Time) error { return errors.New("bad") }})
 		a.Start()
 	}
@@ -148,7 +149,7 @@ func TestAgentCrashHandling(t *testing.T) {
 	tgt := &fakeTarget{}
 	cfg := DefaultAgentConfig("m1")
 	cfg.RestartDelay = 3 * time.Second
-	a := NewAgent(sched, cfg, tgt, NewCoordinator(3, 10))
+	a := NewAgent(propagate.SimClock{Sched: sched}, cfg, tgt, NewCoordinator(3, 10))
 	a.OnCrash(sched.Now(), "sig")
 	if !tgt.suspended || !a.HoldingSuspension() {
 		t.Fatal("crash did not suspend immediately")
@@ -165,7 +166,7 @@ func TestAgentCrashHandling(t *testing.T) {
 func TestAgentChecksStalenessEachSweep(t *testing.T) {
 	sched := simtime.NewScheduler()
 	tgt := &fakeTarget{stale: true}
-	a := NewAgent(sched, DefaultAgentConfig("m1"), tgt, nil)
+	a := NewAgent(propagate.SimClock{Sched: sched}, DefaultAgentConfig("m1"), tgt, nil)
 	a.Start()
 	sched.RunFor(2 * time.Second)
 	if !tgt.suspended {
@@ -176,7 +177,7 @@ func TestAgentChecksStalenessEachSweep(t *testing.T) {
 func TestAgentStopHaltsSweeps(t *testing.T) {
 	sched := simtime.NewScheduler()
 	tgt := &fakeTarget{}
-	a := NewAgent(sched, DefaultAgentConfig("m1"), tgt, nil)
+	a := NewAgent(propagate.SimClock{Sched: sched}, DefaultAgentConfig("m1"), tgt, nil)
 	a.Start()
 	sched.RunFor(3 * time.Second)
 	before := a.Sweeps
@@ -196,11 +197,38 @@ func TestAgentStopHaltsSweeps(t *testing.T) {
 func TestAgentWithoutCoordinator(t *testing.T) {
 	sched := simtime.NewScheduler()
 	tgt := &fakeTarget{}
-	a := NewAgent(sched, DefaultAgentConfig("m1"), tgt, nil)
+	a := NewAgent(propagate.SimClock{Sched: sched}, DefaultAgentConfig("m1"), tgt, nil)
 	a.AddProbe(Probe{Name: "dns", Run: func(simtime.Time) error { return errors.New("bad") }})
 	a.Start()
 	sched.RunFor(10 * time.Second)
 	if !tgt.suspended {
 		t.Fatal("agent without coordinator cannot suspend")
+	}
+}
+
+func TestAgentRecoveryKeepsStaleMachineSuspended(t *testing.T) {
+	// A machine whose inputs went stale while the agent held it suspended
+	// stays suspended when the probes pass again, as after a restart.
+	sched := simtime.NewScheduler()
+	tgt := &fakeTarget{}
+	cfg := DefaultAgentConfig("m1")
+	cfg.FailThreshold, cfg.RecoverThreshold = 1, 2
+	a := NewAgent(propagate.SimClock{Sched: sched}, cfg, tgt, nil)
+	healthy := false
+	a.AddProbe(Probe{Name: "dns", Run: func(simtime.Time) error {
+		if healthy {
+			return nil
+		}
+		return errors.New("no answer")
+	}})
+	a.Start()
+	sched.RunFor(time.Second)
+	if !tgt.suspended {
+		t.Fatal("failing probe did not suspend")
+	}
+	healthy, tgt.stale = true, true
+	sched.RunFor(3 * time.Second)
+	if !tgt.suspended || a.HoldingSuspension() {
+		t.Fatalf("after recovery while stale: suspended=%v holding=%v, want true, false", tgt.suspended, a.HoldingSuspension())
 	}
 }

@@ -3,14 +3,13 @@
 // recvmmsg/sendmmsg on linux/amd64 and linux/arm64, one datagram per
 // syscall elsewhere behind the same API), runs every packet through
 // handlePacket — hot cache, compiled views, slow path, quarantine,
-// watchdog, ladder, flight recorder — and flushes the accumulated
+// ladder, flight recorder — and flushes the accumulated
 // responses with one send. Steady state allocates nothing.
 
 package netserve
 
 import (
 	"net"
-	"time"
 
 	"akamaidns/internal/udpbatch"
 )
@@ -25,7 +24,7 @@ const udpBatch = 32
 // serveUDP is one UDP worker: it returns on read error (socket closed, or
 // deadline-poked by Drain — udpbatch.ReadBatch honors SetReadDeadline),
 // counts every packet, and reads-and-discards whole batches while the
-// watchdog holds a self-suspension.
+// server is self-suspended.
 func (s *Server) serveUDP(bc *udpbatch.Conn, conn *net.UDPConn) {
 	defer s.wg.Done()
 	sc := scratchPool.Get().(*scratch)
@@ -37,7 +36,7 @@ func (s *Server) serveUDP(bc *udpbatch.Conn, conn *net.UDPConn) {
 		}
 		s.Metrics.UDPQueries.Add(uint64(n))
 		s.batchSize.Observe(float64(n))
-		if s.watchdog != nil && s.watchdog.Engaged() && s.watchdog.Suspended(time.Now()) {
+		if s.suspended.Load() {
 			// Live self-suspension: traffic is read and discarded unanswered
 			// — the socket-level emulation of withdrawing the anycast route
 			// (§4.2.1). Reading (rather than pausing) keeps the kernel

@@ -36,16 +36,15 @@ ns2.sub  IN A 203.0.113.2
 `
 
 // newParityServer builds a server of the given UDP workers with a
-// capture-everything flight recorder and the watchdog disabled (a
-// malformed-rate trip mid-corpus would fork the socket server from its
-// socketless twin for reasons unrelated to the read loop).
+// capture-everything flight recorder. No monitoring agent drives it, so no
+// storm of malformed packets mid-corpus can suspend it and fork it from its
+// socketless twin.
 func newParityServer(workers int) *Server {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(batchParityZone, dnswire.MustName("ex.test")))
 	cfg := DefaultConfig()
 	cfg.TCPAddr = ""
 	cfg.UDPWorkers = workers
-	cfg.Watchdog = nil
 	cfg.Flight = &flight.Config{SampleEvery: 1}
 	return New(cfg, nameserver.NewEngine(store), nil)
 }

@@ -21,7 +21,7 @@ import (
 //	/debug/queries  recent flight-recorder records (filters: n, verdict,
 //	                rcode, qtype, suffix, anomalous)
 //	/debug/topk     heavy-hitter qname suffixes, qtypes, and resolvers
-//	/debug/qod      quarantine table, strikes, and watchdog state
+//	/debug/qod      quarantine table, strikes, and overload state
 //	/debug/views    zone router/view generations and rebuild counts
 //
 // Endpoints whose subsystem is disabled report 404.
@@ -54,18 +54,12 @@ type qodDebugJSON struct {
 	Refused     uint64             `json:"refused_total"`
 	Panics      uint64             `json:"contained_panics_total"`
 	Signatures  []qodSignatureJSON `json:"signatures"`
-	Watchdog    *watchdogJSON      `json:"watchdog,omitempty"`
 	Overload    string             `json:"overload_level"`
 	InflightNow int64              `json:"inflight"`
 }
 
-type watchdogJSON struct {
-	Suspended bool              `json:"suspended"`
-	Trips     map[string]uint64 `json:"trips"`
-}
-
 // qodDebug serves the quarantine table and strike history alongside the
-// watchdog and ladder state an operator needs to read it.
+// ladder state an operator needs to read it.
 func (s *Server) qodDebug(w http.ResponseWriter, req *http.Request) {
 	now := time.Now()
 	doc := qodDebugJSON{
@@ -85,15 +79,6 @@ func (s *Server) qodDebug(w http.ResponseWriter, req *http.Request) {
 			Strikes:   sig.Strikes,
 			ExpiresIn: sig.Expires.Sub(now).Round(time.Millisecond).String(),
 		})
-	}
-	if s.watchdog != nil {
-		doc.Watchdog = &watchdogJSON{
-			Suspended: s.watchdog.Suspended(now),
-			Trips: map[string]uint64{
-				qod.TripPanic:     s.watchdog.Trips(qod.TripPanic),
-				qod.TripMalformed: s.watchdog.Trips(qod.TripMalformed),
-			},
-		}
 	}
 	if s.ladder != nil {
 		doc.InflightNow = s.ladder.Inflight()

@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"fmt"
+	"net/netip"
 	"slices"
 	"sync"
 	"testing"
@@ -144,5 +145,70 @@ func TestHotZoneSeesNewNames(t *testing.T) {
 	l.ask("fresh.learn.test", true, dnswire.RCodeNoError)
 	if got := l.hits(); got != 1 {
 		t.Fatalf("nxdomain hits = %v: a name added after the zone went hot was penalized", got)
+	}
+}
+
+// TestLoyaltyIgnoresSpoofedFlood drives the socketless handler with a
+// spoofed random-subdomain flood from 2^17 source addresses against an
+// active loyalty filter. Every flood query is penalised, so its answer
+// teaches loyalty nothing: the set holds the one incumbent it started with.
+// The NXDOMAIN filter still learns from every answer and turns the zone
+// hot. Once loyalty stands down, a new resolver's calm query is learned.
+func TestLoyaltyIgnoresSpoofedFlood(t *testing.T) {
+	store := zone.NewStore()
+	store.Put(zone.MustParseMaster(learnZone, learnOrigin))
+	nx := filters.NewNXDomain(nameserver.StoreZoneInfo{Store: store}, filters.PerHotZone)
+	lo := filters.NewLoyalty()
+	lo.Observe("192.0.2.200", 0)
+	lo.SetActive(true)
+	cfg := DefaultConfig()
+	cfg.UDPAddr, cfg.TCPAddr = "", ""
+	srv := New(cfg, nameserver.NewEngine(store), filters.NewPipeline(nx, lo))
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	ask := func(src netip.Addr, name string) dnswire.RCode {
+		t.Helper()
+		wire, err := dnswire.NewQuery(1, dnswire.MustName(name), dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := srv.handlePacket(wire, netip.AddrPortFrom(src, 5353), false, sc)
+		if resp == nil {
+			return dnswire.RCodeRefused // dropped: no answer to learn from
+		}
+		m, err := dnswire.Unpack(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.RCode
+	}
+	spoofed := func(i int) netip.Addr { return netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)}) }
+	const sources = 1 << 17
+	nxdomains := 0
+	for i := 0; i < sources; i++ {
+		if ask(spoofed(i), fmt.Sprintf("r%d.learn.test", i)) == dnswire.RCodeNXDomain {
+			nxdomains++
+		}
+	}
+	if nxdomains == 0 || !slices.Equal(nx.HotZones(), []dnswire.Name{learnOrigin}) {
+		t.Fatalf("the flood was answered NXDOMAIN %d times and made %v hot, want learn.test hot", nxdomains, nx.HotZones())
+	}
+	now := srv.now()
+	for i := 0; i < sources; i++ {
+		if lo.Known(spoofed(i).String(), now) {
+			t.Fatalf("loyalty learned spoofed source %v", spoofed(i))
+		}
+	}
+	if !lo.Known("192.0.2.200", now) {
+		t.Fatal("the incumbent left the loyalty set")
+	}
+
+	calm := netip.MustParseAddr("198.51.100.77")
+	lo.SetActive(false)
+	if rc := ask(calm, "www.learn.test"); rc != dnswire.RCodeNoError {
+		t.Fatalf("calm query rcode %v", rc)
+	}
+	if !lo.Known(calm.String(), srv.now()) {
+		t.Fatal("a calm new resolver was not learned")
 	}
 }

@@ -75,11 +75,6 @@ type Config struct {
 	// QuarantineTTL is how long a signature stays quarantined before its
 	// probationary re-admission (0 = default 30s).
 	QuarantineTTL time.Duration
-	// Watchdog enables live self-suspension (nil disables): the panic rate
-	// and the malformed-packet rate per window flip the server unhealthy and
-	// its UDP readers into discard mode until a quiet period passes (§4.2.1
-	// applied to the sockets).
-	Watchdog *qod.WatchdogConfig
 	// MaxInflight is the overload degradation ladder's in-flight handler
 	// ceiling (0 disables the ladder). Shedding by reputation needs a
 	// Pipeline; without one only the saturated-drop backstop applies.
@@ -114,7 +109,6 @@ func DefaultConfig() Config {
 		UDPAddr:       "127.0.0.1:0",
 		TCPAddr:       "127.0.0.1:0",
 		AllowTransfer: true,
-		Watchdog:      &qod.WatchdogConfig{},
 		Flight:        &flight.Config{},
 	}
 }
@@ -187,9 +181,10 @@ type Server struct {
 	closed  atomic.Bool
 
 	// Protection layer (protect.go): query-of-death quarantine consulted
-	// pre-decode, crash watchdog, and overload degradation ladder.
+	// pre-decode, the self-suspension a monitoring agent sets, and overload
+	// degradation ladder.
 	qodGuard   *qod.Quarantine
-	watchdog   *qod.Watchdog
+	suspended  atomic.Bool
 	ladder     *qod.Ladder
 	minimizing atomic.Bool
 	shed       [qod.LevelSaturated + 1]*obs.Counter
@@ -277,9 +272,6 @@ func NewWithRegistry(cfg Config, eng *nameserver.Engine, pipeline *filters.Pipel
 		"Packed responses currently resident in the workers' hot caches.",
 		func() float64 { _, _, _, n := s.hotTotals(); return float64(n) })
 	s.qodGuard = qod.NewQuarantine(qod.DefaultQuarantineMax, cfg.QuarantineTTL)
-	if cfg.Watchdog != nil {
-		s.watchdog = qod.NewWatchdog(*cfg.Watchdog)
-	}
 	if cfg.MaxInflight > 0 {
 		s.ladder = qod.NewLadder(cfg.MaxInflight)
 	}
@@ -920,9 +912,6 @@ func (s *Server) handleSlow(wire []byte, src netip.AddrPort, tcp bool, sc *scrat
 	oc.span.Mark(obs.StageReceive)
 	if err != nil {
 		s.Metrics.DecodeErrors.Add(1)
-		if s.watchdog != nil {
-			s.watchdog.RecordMalformed(time.Now())
-		}
 		oc.verdict = flight.VerdictError
 		out := formErrFor(wire, sc.out[:0])
 		if out != nil {

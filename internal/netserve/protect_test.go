@@ -9,27 +9,30 @@ import (
 	"time"
 
 	"akamaidns/internal/dnswire"
+	"akamaidns/internal/monitor"
 	"akamaidns/internal/obs"
-	"akamaidns/internal/qod"
+	"akamaidns/internal/propagate"
 )
 
 // TestQueryOfDeathDrill is the end-to-end §4.2/§4.3 drill over real sockets:
 // one poison pattern crashes at most one handler per worker before the
 // quarantine refuses it, unrelated queries are answered throughout, the
 // minimized signature widens to any qtype, and a storm of distinct poison
-// patterns trips the watchdog into live self-suspension (/healthz 503) from
-// which the server recovers on its own after the quiet period.
+// patterns fails the storm probe, so the monitoring agent, on the wall
+// clock as cmd/authdns runs it, suspends the server (/healthz 503, UDP read
+// and discarded) and resumes it once the storm has stopped.
 func TestQueryOfDeathDrill(t *testing.T) {
 	const workers = 2
 	cfg := DefaultConfig()
 	cfg.UDPWorkers = workers
 	cfg.QuarantineTTL = time.Minute
-	cfg.Watchdog = &qod.WatchdogConfig{
-		Window:    10 * time.Second,
-		MaxPanics: 3,
-		Quiet:     800 * time.Millisecond,
-	}
 	srv := startServerCfg(t, cfg, nil)
+	acfg := monitor.DefaultAgentConfig("drill")
+	acfg.Interval, acfg.FailThreshold, acfg.RecoverThreshold = 100*time.Millisecond, 1, 3
+	agent := monitor.NewAgent(propagate.NewWallClock(), acfg, srv, nil)
+	agent.AddProbe(srv.StormProbe())
+	agent.Start()
+	t.Cleanup(agent.Stop)
 	ms, err := obs.ServeWith("127.0.0.1:0", srv.Reg, srv.Healthy, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,26 +107,36 @@ func TestQueryOfDeathDrill(t *testing.T) {
 	}
 
 	// Phase 2 — self-suspension. Distinct poison names evade the quarantine
-	// (each is a new signature), so the panic rate climbs until the watchdog
-	// trips and the server withdraws itself: /healthz flips to 503 and UDP
-	// traffic is read-and-discarded.
-	trips := srv.Watchdog().Trips(qod.TripPanic)
-	for i := 0; i < 40 && srv.Healthy(); i++ {
-		n := dnswire.MustName(fmt.Sprintf("%s.s%d.ex.test", dnswire.QoDMarkerLabel, i))
-		Exchange(srv.UDPAddrActual(), dnswire.NewQuery(uint16(100+i), n, dnswire.TypeA), false, 150*time.Millisecond)
+	// (each is a new signature), so one burst of them is a storm of
+	// contained panics: the next sweep's probe fails and the agent
+	// withdraws the server. /healthz flips to 503 and UDP traffic is read
+	// and discarded.
+	if agent.Suspensions() != 0 {
+		t.Fatal("suspended before the storm")
 	}
-	if srv.Healthy() {
-		t.Fatal("watchdog never tripped under the panic storm")
-	}
-	if srv.Watchdog().Trips(qod.TripPanic) == trips {
-		t.Fatal("suspension without a panic trip")
+	firePoison(t, srv, "s", 40)
+	deadline = time.Now().Add(5 * time.Second)
+	for srv.Healthy() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the agent never suspended the server under the panic storm (%d panics)", srv.Metrics.Panics.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	if healthz() != http.StatusServiceUnavailable {
 		t.Fatal("healthz not 503 while suspended")
 	}
+	read := srv.Metrics.UDPQueries.Load()
+	q := dnswire.NewQuery(6, dnswire.MustName("www.ex.test"), dnswire.TypeA)
+	if _, err := Exchange(srv.UDPAddrActual(), q, false, 50*time.Millisecond); err == nil && !srv.Healthy() {
+		t.Fatal("query answered while suspended")
+	}
+	if srv.Metrics.UDPQueries.Load() == read && !srv.Healthy() {
+		t.Fatal("suspended server stopped reading its socket")
+	}
 
-	// Phase 3 — recovery. After the quiet period the suspension lapses on
-	// its own and service resumes.
+	// Phase 3 — recovery. The storm has stopped, so RecoverThreshold
+	// passing sweeps later the agent lifts the suspension and service
+	// resumes.
 	deadline = time.Now().Add(5 * time.Second)
 	for !srv.Healthy() {
 		if time.Now().After(deadline) {
@@ -135,6 +148,39 @@ func TestQueryOfDeathDrill(t *testing.T) {
 		t.Fatal("healthz not OK after recovery")
 	}
 	askWWW(5)
+	if agent.Suspensions() != 1 {
+		t.Fatalf("agent suspensions = %d, want 1", agent.Suspensions())
+	}
+}
+
+// firePoison sends n distinct poison queries to srv over one UDP socket
+// without waiting for answers (a poison query gets none), and waits until
+// the server has read them all.
+func firePoison(t *testing.T, srv *Server, tag string, n int) {
+	t.Helper()
+	conn, err := net.Dial("udp", srv.UDPAddrActual())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	read := srv.Metrics.UDPQueries.Load()
+	for i := 0; i < n; i++ {
+		name := dnswire.MustName(fmt.Sprintf("%s.%s%d.ex.test", dnswire.QoDMarkerLabel, tag, i))
+		wire, err := dnswire.NewQuery(uint16(i), name, dnswire.TypeA).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics.UDPQueries.Load() < read+uint64(n) {
+		if time.Now().After(deadline) {
+			t.Fatalf("server read %d of %d poison queries", srv.Metrics.UDPQueries.Load()-read, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestQuarantineProbationRestrike exercises the TTL lapse end to end: the
@@ -144,7 +190,6 @@ func TestQuarantineProbationRestrike(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UDPWorkers = 1
 	cfg.QuarantineTTL = 400 * time.Millisecond
-	cfg.Watchdog = nil
 	srv := startServerCfg(t, cfg, nil)
 	poison := dnswire.MustName(dnswire.QoDMarkerLabel + ".ex.test")
 	// Poison is never answered, so a short client timeout keeps each probe
@@ -189,11 +234,6 @@ func TestContainmentPanicStorm(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.UDPWorkers = 4
 	cfg.QuarantineTTL = time.Minute
-	cfg.Watchdog = &qod.WatchdogConfig{
-		Window:       time.Second,
-		MaxPanics:    1 << 20, // count, never trip: suspension is drilled elsewhere
-		MaxMalformed: 1 << 20,
-	}
 	srv := startServerCfg(t, cfg, nil)
 	const goroutines = 32
 	var wg sync.WaitGroup

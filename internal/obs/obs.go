@@ -54,16 +54,15 @@ const (
 
 	// Self-protection: query-of-death containment, live self-suspension,
 	// and the overload degradation ladder on the socket server.
-	MetricPanicsTotal        = "akamaidns_server_handler_panics_total"
-	MetricQoDRefusedTotal    = "akamaidns_server_qod_refused_total"
-	MetricQuarantineEntries  = "akamaidns_qod_quarantine_entries"
-	MetricQuarantinedTotal   = "akamaidns_qod_quarantined_total"
-	MetricWatchdogTripsTotal = "akamaidns_watchdog_trips_total" // label: reason
-	MetricSuspended          = "akamaidns_server_suspended"
-	MetricOverloadLevel      = "akamaidns_server_overload_level"
-	MetricInflightHandlers   = "akamaidns_server_inflight_handlers"
-	MetricShedTotal          = "akamaidns_server_shed_total" // label: level
-	MetricTCPRejectedTotal   = "akamaidns_server_tcp_rejected_total"
+	MetricPanicsTotal       = "akamaidns_server_handler_panics_total"
+	MetricQoDRefusedTotal   = "akamaidns_server_qod_refused_total"
+	MetricQuarantineEntries = "akamaidns_qod_quarantine_entries"
+	MetricQuarantinedTotal  = "akamaidns_qod_quarantined_total"
+	MetricSuspended         = "akamaidns_server_suspended"
+	MetricOverloadLevel     = "akamaidns_server_overload_level"
+	MetricInflightHandlers  = "akamaidns_server_inflight_handlers"
+	MetricShedTotal         = "akamaidns_server_shed_total" // label: level
+	MetricTCPRejectedTotal  = "akamaidns_server_tcp_rejected_total"
 
 	// Attack pipeline.
 	MetricFilterHitsTotal = "akamaidns_filter_hits_total" // label: filter

@@ -5,6 +5,7 @@ import (
 	"akamaidns/internal/filters"
 	"akamaidns/internal/monitor"
 	"akamaidns/internal/nameserver"
+	"akamaidns/internal/propagate"
 	"akamaidns/internal/simtime"
 	"akamaidns/internal/zone"
 )
@@ -43,7 +44,7 @@ func BuildMachine(sched *simtime.Scheduler, spec MachineSpec, store *zone.Store,
 	if acfg.ID == "" {
 		acfg = monitor.DefaultAgentConfig(spec.ID)
 	}
-	agent := monitor.NewAgent(sched, acfg, srv, coord)
+	agent := monitor.NewAgent(propagate.SimClock{Sched: sched}, acfg, srv, coord)
 	srv.OnCrash = agent.OnCrash
 	// Test suite: one query per hosted zone must come back with an answer
 	// or referral — "DNS queries for each DNS zone" (§4.2.1).

@@ -115,12 +115,13 @@ func recordsSum(rrs []dnswire.RR) uint64 {
 	return sum ^ hashStr("n="+strconv.Itoa(len(rrs)))
 }
 
-// ZoneSum is the end-to-end content hash of a zone version.
+// ZoneSum is the end-to-end content hash of a zone version:
+// zone.Zone.ContentSum, 0 for no zone.
 func ZoneSum(z *zone.Zone) uint64 {
 	if z == nil {
 		return 0
 	}
-	return hashStr("zone:"+z.Origin().String()) ^ recordsSum(z.AllRecords())
+	return z.ContentSum()
 }
 
 // payloadSum computes the transit checksum for a response. Catalog entries

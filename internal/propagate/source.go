@@ -3,7 +3,6 @@ package propagate
 import (
 	"sync"
 
-	"akamaidns/internal/dnswire"
 	"akamaidns/internal/zone"
 )
 
@@ -103,18 +102,13 @@ func (s *Source) handleIXFR(req Request, resp *Response) {
 }
 
 func (s *Source) handleAXFR(req Request, resp *Response) {
-	recs := s.store.Transfer(req.Origin)
-	if recs == nil {
+	z := s.store.Get(req.Origin)
+	if z == nil {
 		// Origin gone (or never served): nil Records tells the client to
 		// delete its copy.
 		return
 	}
-	resp.Records = recs
-	if soa, ok := recs[0].(*dnswire.SOA); ok {
-		resp.ToSerial = soa.Serial
+	if resp.Records = z.Transfer(); resp.Records != nil {
+		resp.ToSerial, resp.ZoneSum = z.Serial(), ZoneSum(z)
 	}
-	// Transfer frames SOA ... SOA; the zone content is the stream minus
-	// the trailing SOA, and its multiset hash equals the hash of the
-	// reassembled zone on the client.
-	resp.ZoneSum = hashStr("zone:"+req.Origin.String()) ^ recordsSum(recs[:len(recs)-1])
 }

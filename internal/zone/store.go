@@ -72,12 +72,14 @@ func (zs *zoneSet) each(fn func(*Zone)) {
 	}
 }
 
-// fnv1a hashes a key in either of its two spellings. The []byte
-// instantiation keeps FindWire allocation-free: converting a suffix to a
-// string for a plain argument would copy it, while m[string(b)] map probes
-// do not.
-func fnv1a[K string | []byte](k K) uint64 {
-	h := uint64(14695981039346656037)
+// fnvOffset is FNV-1a's 64-bit offset basis: the hash of nothing.
+const fnvOffset = 14695981039346656037
+
+// fnv1a extends the FNV-1a hash h over a key in either of its two
+// spellings. The []byte instantiation keeps FindWire allocation-free:
+// converting a suffix to a string for a plain argument would copy it, while
+// m[string(b)] map probes do not.
+func fnv1a[K string | []byte](h uint64, k K) uint64 {
 	for i := 0; i < len(k); i++ {
 		h ^= uint64(k[i])
 		h *= 1099511628211
@@ -89,7 +91,7 @@ func fnv1a[K string | []byte](k K) uint64 {
 // real and synthetic fleets cluster under shared parent suffixes, and
 // hashing only the trailing label would collapse them into one shard.
 func shardIndex[K string | []byte](k K) int {
-	return int(fnv1a(k) & routerShardMask)
+	return int(fnv1a(fnvOffset, k) & routerShardMask)
 }
 
 // publishLocked publishes the set that follows prev once the batch's
@@ -291,7 +293,7 @@ func (s *Store) FindWire(qname []byte) (*Zone, int, bool) {
 // iteration order and patchable per changed zone; the splitmix64 finalizer
 // keeps near-identical pairs from producing correlated summands.
 func mixSerial(o dnswire.Name, serial uint32) uint64 {
-	h := fnv1a(o.String())
+	h := fnv1a(fnvOffset, o.String())
 	h ^= uint64(serial) * 0x9E3779B97F4A7C15
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
@@ -337,15 +339,20 @@ func (s *Store) SerialSum() uint64 { return s.set.Load().sum }
 // Len reports the number of zones.
 func (s *Store) Len() int { return s.set.Load().n }
 
-// Transfer produces an AXFR-style record stream for the zone at origin:
-// SOA, all other records, SOA again (RFC 5936 framing), every record decoded
-// afresh from the zone's arena and the caller's own. Returns nil when the
-// zone does not exist or has no SOA.
+// Transfer is Zone.Transfer for the zone at origin, nil when the store
+// holds none.
 func (s *Store) Transfer(origin dnswire.Name) []dnswire.RR {
-	z := s.Get(origin)
-	if z == nil {
-		return nil
+	if z := s.Get(origin); z != nil {
+		return z.Transfer()
 	}
+	return nil
+}
+
+// Transfer produces the zone's AXFR-style record stream: SOA, all other
+// records, SOA again (RFC 5936 framing), every record decoded afresh from
+// the zone's arena and the caller's own. Returns nil when the zone has no
+// SOA.
+func (z *Zone) Transfer() []dnswire.RR {
 	soa := z.SOA()
 	if soa == nil {
 		return nil
