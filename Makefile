@@ -61,10 +61,12 @@ fmt-check:
 	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Exported names that no non-test code reached from a main package uses,
-# other than those deadcode_allow.txt lists with a reason. Standard library
-# only (go/types); not part of tier-1.
+# and Config/Options fields that none sets outside its package's defaults,
+# other than those deadcode_allow.txt lists with a reason. -v prints the
+# line "settable options: N (fields F, flags G)". Standard library only
+# (go/types); not part of tier-1.
 deadcode:
-	go test -tags deadcode -run '^TestDeadcode$$' -count=1 .
+	go test -tags deadcode -run '^TestDeadcode$$' -count=1 -v .
 
 bench:
 	go test -bench=. -benchmem -benchtime=1x .

@@ -323,8 +323,6 @@ func BenchmarkAblationQueuesVsFIFO(b *testing.B) {
 		cfg := nameserver.DefaultConfig("ab")
 		cfg.ComputeQPS = 1000
 		cfg.IOQPS = 1e9
-		cfg.Queues.Smax = 1e9 // never discard: isolate the queueing effect
-		cfg.Queues.MaxScores = []float64{0, 100}
 		srv := nameserver.NewServer(sched, cfg, nameserver.NewEngine(store), pipe)
 		if fifo {
 			srv.UseFIFO()
@@ -362,7 +360,6 @@ func BenchmarkAblationQoDFirewall(b *testing.B) {
 		sched := simtime.NewScheduler()
 		cfg := nameserver.DefaultConfig("qod")
 		cfg.QoDFirewall = firewall
-		cfg.TQoD = time.Hour
 		srv := nameserver.NewServer(sched, cfg, nameserver.NewEngine(benchStore(b)), nil)
 		gen := attack.NewGenerator(attack.QueryOfDeath, dnswire.MustName("bench.test"), 10, nil,
 			rand.New(rand.NewSource(1)))

@@ -45,7 +45,7 @@ func main() {
 	}
 
 	if *live {
-		res, err := chaos.RunLive(chaos.LiveConfig{})
+		res, err := chaos.RunLive()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			os.Exit(2)

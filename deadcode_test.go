@@ -17,9 +17,20 @@ package akamaidns
 // is used: `go list` for the package graph, go/parser and go/types for the
 // rest, with standard-library imports read from compiler export data.
 //
+// It also counts the settable options: every exported field of a struct
+// whose type name ends in Config or Options, and every flag a main package
+// defines. A field is reported when no reached declaration writes it (a
+// composite-literal key, an assignment, ++/--, or &) outside its own
+// package's defaults: a Default* constructor or withDefaults, unless the
+// value comes from the function's parameters, and a zero-value fallback,
+// an assignment inside an if whose condition reads the same field. The
+// test logs "settable options: N (fields F, flags G)".
+//
 // deadcode_allow.txt lists the names the scan may report, one per line
-// with a reason after "#". The test fails on a reported name that is not
-// listed and on a listed name that is no longer reported.
+// with a reason after "#"; an option's reason names a writer the scan
+// cannot see, bench/, or a deployment setting. The test fails on a
+// reported name that is not listed and on a listed name that is no longer
+// reported.
 
 import (
 	"bufio"
@@ -170,7 +181,7 @@ func TestDeadcode(t *testing.T) {
 							for _, n := range s.Names {
 								if n.Name == "_" {
 									if inProgram[path] && dcCalls(s, c.info) {
-										rootNodes = append(rootNodes, dcRoot{s, c.info})
+										rootNodes = append(rootNodes, dcRoot{s, c.info, c.pkg})
 									}
 									continue
 								}
@@ -318,13 +329,99 @@ func TestDeadcode(t *testing.T) {
 	}
 	sort.Strings(report)
 
+	// Settable options: the exported fields of every Config or Options
+	// struct, and every flag a main package defines. A field no reached
+	// code writes, outside its own package's defaults, is reported.
+	fields := make(map[*types.Var]string)
+	for path, c := range checked {
+		pkg := strings.TrimPrefix(path, "akamaidns/")
+		for _, f := range c.files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, s := range gd.Specs {
+					ts, ok := s.(*ast.TypeSpec)
+					if !ok || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Options")) {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							if v, ok := c.info.Defs[n].(*types.Var); ok && n.IsExported() {
+								fields[v] = fmt.Sprintf("(%s.%s).%s", pkg, ts.Name.Name, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	written := make(map[*types.Var]bool)
+	flags := 0
+	seenNode := make(map[ast.Node]bool)
+	scan := func(n ast.Node, info *types.Info, pkg *types.Package) {
+		if seenNode[n] {
+			return
+		}
+		seenNode[n] = true
+		// A package's Default* constructors and withDefaults write its
+		// defaults, except where the value comes from a parameter: then
+		// the caller chooses it, as DefaultConfig(id) does for an ID.
+		defaults := false
+		params := make(map[types.Object]bool)
+		if fd, ok := n.(*ast.FuncDecl); ok && (strings.HasPrefix(fd.Name.Name, "Default") || fd.Name.Name == "withDefaults") {
+			defaults = true
+			for _, fl := range fd.Type.Params.List {
+				for _, id := range fl.Names {
+					params[info.Defs[id]] = true
+				}
+			}
+		}
+		dcWrites(n, info, fields, func(v *types.Var, guarded bool, value ast.Expr) {
+			if v.Pkg() == pkg && (guarded || defaults && !dcMentions(value, info, params)) {
+				return
+			}
+			written[v] = true
+		})
+		if pkg.Name() == "main" {
+			flags += dcFlagDefs(n, info)
+		}
+	}
+	for obj := range reached {
+		if d, ok := decls[obj]; ok {
+			scan(d, infoOf[obj], obj.Pkg())
+		}
+	}
+	for _, r := range rootNodes {
+		scan(r.node, r.info, r.pkg)
+	}
+	var unset []string
+	for v, name := range fields {
+		if !written[v] {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+
 	allow := dcReadAllow(t, "deadcode_allow.txt")
-	reported := make(map[string]bool, len(report))
-	var bad []string
+	reported := make(map[string]bool, len(report)+len(unset))
 	for _, name := range report {
 		reported[name] = true
 		if _, ok := allow[name]; !ok {
-			bad = append(bad, name)
+			t.Errorf("unused outside tests: %s", name)
+		}
+	}
+	for _, name := range unset {
+		reported[name] = true
+		if reason, ok := allow[name]; !ok {
+			t.Errorf("option no non-test code sets: %s", name)
+		} else if !dcOptionReason(reason) {
+			t.Errorf("deadcode_allow.txt: %s stays for %q, which names no non-test writer, bench/ or deployment setting", name, reason)
 		}
 	}
 	var stale []string
@@ -334,13 +431,158 @@ func TestDeadcode(t *testing.T) {
 		}
 	}
 	sort.Strings(stale)
-	for _, name := range bad {
-		t.Errorf("unused outside tests: %s", name)
-	}
 	for _, name := range stale {
 		t.Errorf("deadcode_allow.txt lists %s, which the scan no longer reports", name)
 	}
-	t.Logf("%d packages from %d mains; %d exported names unused, %d allow-listed", len(inProgram), len(mains), len(report), len(allow))
+	t.Logf("%d packages from %d mains; %d exported names unused, %d options unset, %d allow-listed", len(inProgram), len(mains), len(report), len(unset), len(allow))
+	t.Logf("settable options: %d (fields %d, flags %d)", len(fields)+flags, len(fields), flags)
+}
+
+// dcWrites calls write for every field of fields that n writes: a key of a
+// composite literal (or a position in an unkeyed one), the left side of an
+// assignment or an increment, or an operand of &. guarded is true when the
+// write sits in the body of an if whose condition reads the same field: a
+// zero-value fallback such as `if cfg.X <= 0 { cfg.X = 5 }`. value is the
+// expression written, or nil where there is none (&, ++).
+func dcWrites(n ast.Node, info *types.Info, fields map[*types.Var]string, write func(v *types.Var, guarded bool, value ast.Expr)) {
+	field := func(e ast.Expr) *types.Var {
+		for {
+			p, ok := e.(*ast.ParenExpr)
+			if !ok {
+				break
+			}
+			e = p.X
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if v, ok := info.Uses[sel.Sel].(*types.Var); ok {
+				if _, ok := fields[v]; ok {
+					return v
+				}
+			}
+		}
+		return nil
+	}
+	var walk func(n ast.Node, guard map[*types.Var]bool)
+	walk = func(n ast.Node, guard map[*types.Var]bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.IfStmt:
+				if n.Init != nil {
+					walk(n.Init, guard)
+				}
+				walk(n.Cond, guard)
+				inner := make(map[*types.Var]bool, len(guard)+1)
+				for v := range guard {
+					inner[v] = true
+				}
+				ast.Inspect(n.Cond, func(c ast.Node) bool {
+					if e, ok := c.(ast.Expr); ok {
+						if v := field(e); v != nil {
+							inner[v] = true
+						}
+					}
+					return true
+				})
+				walk(n.Body, inner)
+				if n.Else != nil {
+					walk(n.Else, guard)
+				}
+				return false
+			case *ast.CompositeLit:
+				st, _ := info.Types[n].Type.Underlying().(*types.Struct)
+				for i, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if v, ok := info.Uses[id].(*types.Var); ok {
+								if _, ok := fields[v]; ok {
+									write(v, false, kv.Value)
+								}
+							}
+						}
+					} else if st != nil && i < st.NumFields() {
+						if _, ok := fields[st.Field(i)]; ok {
+							write(st.Field(i), false, elt)
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					var value ast.Expr
+					if len(n.Rhs) == len(n.Lhs) {
+						value = n.Rhs[i]
+					}
+					if v := field(l); v != nil {
+						write(v, guard[v], value)
+					}
+				}
+			case *ast.IncDecStmt:
+				if v := field(n.X); v != nil {
+					write(v, guard[v], nil)
+				}
+			case *ast.UnaryExpr:
+				if v := field(n.X); n.Op == token.AND && v != nil {
+					write(v, false, nil)
+				}
+			}
+			return true
+		})
+	}
+	walk(n, nil)
+}
+
+// dcMentions reports whether e names any of objs.
+func dcMentions(e ast.Expr, info *types.Info, objs map[types.Object]bool) bool {
+	found := false
+	if e != nil {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && objs[info.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+// dcFlagDefs counts the flag definitions in n: calls of the flag package's
+// functions, or of a *flag.FlagSet's methods, that define a flag.
+func dcFlagDefs(n ast.Node, info *types.Info) int {
+	count := 0
+	ast.Inspect(n, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		var id *ast.Ident
+		switch f := call.Fun.(type) {
+		case *ast.SelectorExpr:
+			id = f.Sel
+		case *ast.Ident:
+			id = f
+		}
+		if id == nil {
+			return true
+		}
+		fn, ok := info.Uses[id].(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+			return true
+		}
+		switch fn.Name() {
+		case "Bool", "BoolVar", "BoolFunc", "Duration", "DurationVar", "Float64", "Float64Var",
+			"Func", "Int", "Int64", "Int64Var", "IntVar", "String", "StringVar", "TextVar",
+			"Uint", "Uint64", "Uint64Var", "UintVar", "Var":
+			count++
+		}
+		return true
+	})
+	return count
+}
+
+// dcOptionReason reports whether an allow-list reason for an option names
+// what keeps it: a non-test writer the scan cannot see, the benchmark in
+// bench/, or a setting a deployment makes.
+func dcOptionReason(reason string) bool {
+	return strings.Contains(reason, "writer") || strings.Contains(reason, "bench/") || strings.Contains(reason, "deployment setting")
 }
 
 type dcImporter func(path string) (*types.Package, error)
@@ -355,6 +597,7 @@ type dcPair struct {
 type dcRoot struct {
 	node ast.Node
 	info *types.Info
+	pkg  *types.Package
 }
 
 // dcCalls reports whether a blank var spec's initializer calls a function

@@ -47,106 +47,47 @@ type Config struct {
 	Seed int64
 	// Scenario names the fault schedule; see Scenarios().
 	Scenario string
-
-	// Platform sizing.
-	NumPoPs        int
-	MachinesPerPoP int
-	Enterprises    int
-	Clients        int
-	// SuspensionCap bounds coordinator grants; 0 = regulars/4.
-	SuspensionCap int
-
 	// FaultWindow is the span faults are injected into; the run then keeps
-	// the workload going for Drain so late faults can heal.
+	// the workload going for drain so late faults can heal.
 	FaultWindow time.Duration
-	Drain       time.Duration
-
-	// Workload timing.
-	QueryEvery   time.Duration
-	ProbeTimeout time.Duration
-
-	// Invariant thresholds.
-	Envelope    time.Duration // max application-layer failover time (Fig 8)
-	StaleWindow time.Duration // nameserver StaleAfter
-	StaleGrace  time.Duration // detection+propagation slack on staleness
-	CheckEvery  time.Duration // periodic invariant sweep interval
-
-	// HeartbeatEvery paces the zone-serial heartbeat that keeps the
-	// metadata staleness machinery live.
-	HeartbeatEvery time.Duration
 }
 
-// DefaultConfig returns a laptop-scale run: ~36 machines over 12 PoPs,
-// four enterprises, four vantage points, two minutes of faults.
+// DefaultConfig returns the "mixed" scenario at seed 1 with two minutes of
+// faults.
 func DefaultConfig() Config {
-	return Config{
-		Seed:           1,
-		Scenario:       "mixed",
-		NumPoPs:        12,
-		MachinesPerPoP: 2,
-		Enterprises:    4,
-		Clients:        4,
-		FaultWindow:    2 * time.Minute,
-		Drain:          2 * time.Minute,
-		QueryEvery:     500 * time.Millisecond,
-		ProbeTimeout:   2 * time.Second,
-		Envelope:       90 * time.Second,
-		StaleWindow:    20 * time.Second,
-		StaleGrace:     10 * time.Second,
-		CheckEvery:     5 * time.Second,
-		HeartbeatEvery: 5 * time.Second,
-	}
+	return Config{Seed: 1, Scenario: "mixed", FaultWindow: 2 * time.Minute}
 }
 
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.NumPoPs == 0 {
-		c.NumPoPs = d.NumPoPs
-	}
-	if c.MachinesPerPoP == 0 {
-		c.MachinesPerPoP = d.MachinesPerPoP
-	}
-	if c.Enterprises == 0 {
-		c.Enterprises = d.Enterprises
-	}
-	if c.Clients == 0 {
-		c.Clients = d.Clients
-	}
-	if c.SuspensionCap == 0 {
-		c.SuspensionCap = maxInt(1, c.NumPoPs*c.MachinesPerPoP/4)
-	}
-	if c.FaultWindow == 0 {
-		c.FaultWindow = d.FaultWindow
-	}
-	if c.Drain == 0 {
-		c.Drain = d.Drain
-	}
-	if c.QueryEvery == 0 {
-		c.QueryEvery = d.QueryEvery
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = d.ProbeTimeout
-	}
-	if c.Envelope == 0 {
-		c.Envelope = d.Envelope
-	}
-	if c.StaleWindow == 0 {
-		c.StaleWindow = d.StaleWindow
-	}
-	if c.StaleGrace == 0 {
-		c.StaleGrace = d.StaleGrace
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = d.CheckEvery
-	}
-	if c.HeartbeatEvery == 0 {
-		c.HeartbeatEvery = d.HeartbeatEvery
-	}
-	if c.Scenario == "" {
-		c.Scenario = d.Scenario
-	}
-	return c
-}
+// A run's fixed operating point: a laptop-scale platform of 12 PoPs with
+// two regular machines each (plus the input-delayed ones), four
+// enterprises and four vantage points.
+const (
+	numPoPs        = 12
+	machinesPerPoP = 2
+	enterprises    = 4
+	clients        = 4
+	// suspensionCap bounds coordinator grants: a quarter of the regulars.
+	suspensionCap = numPoPs * machinesPerPoP / 4
+	// drain keeps the workload going after the fault window so late
+	// faults can heal.
+	drain = 2 * time.Minute
+	// queryEvery paces each (client, enterprise) probe; probeTimeout
+	// bounds one probe.
+	queryEvery   = 500 * time.Millisecond
+	probeTimeout = 2 * time.Second
+	// envelope is the longest application-layer failover the Figure 8
+	// invariant allows.
+	envelope = 90 * time.Second
+	// staleWindow is every machine's nameserver StaleAfter (§4.2.2);
+	// staleGrace is the detection and propagation slack on top of it.
+	staleWindow = 20 * time.Second
+	staleGrace  = 10 * time.Second
+	// checkEvery paces the periodic invariant sweep.
+	checkEvery = 5 * time.Second
+	// heartbeatEvery paces the zone-serial heartbeat that keeps the
+	// metadata staleness machinery live.
+	heartbeatEvery = 5 * time.Second
+)
 
 // Violation is one invariant breach, pinned to the event-log index where it
 // was detected so a reproducer is just (seed, index).
@@ -247,7 +188,6 @@ api  IN A 192.0.2.81
 // error return covers setup problems (bad scenario name, platform assembly);
 // invariant breaches are data, in Result.Violations.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	scn, ok := scenarios[cfg.Scenario]
 	if !ok {
 		return nil, fmt.Errorf("chaos: unknown scenario %q (have %v)", cfg.Scenario, Scenarios())
@@ -256,20 +196,20 @@ func Run(cfg Config) (*Result, error) {
 	opts := core.DefaultOptions()
 	opts.Seed = cfg.Seed
 	opts.PullPropagation = pullScenarios[cfg.Scenario]
-	opts.NumPoPs = cfg.NumPoPs
-	opts.MachinesPerPoP = cfg.MachinesPerPoP
+	opts.NumPoPs = numPoPs
+	opts.MachinesPerPoP = machinesPerPoP
 	opts.InputDelayed = true
 	opts.StartAgents = true
 	opts.EnableFilters = true
 	opts.QoDFirewallFraction = 0.5
-	opts.SuspensionCap = cfg.SuspensionCap
+	opts.SuspensionCap = suspensionCap
 	opts.ServerConfig = func(id string) nameserver.Config {
 		c := nameserver.DefaultConfig(id)
 		// Small enough that attack floods exert real queue pressure at
 		// simulation-scale rates.
 		c.ComputeQPS = 2500
 		c.IOQPS = 25000
-		c.StaleAfter = cfg.StaleWindow
+		c.StaleAfter = staleWindow
 		return c
 	}
 	p, err := core.New(opts)
@@ -313,7 +253,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Onboard enterprises and vantage points.
-	for i := 0; i < cfg.Enterprises; i++ {
+	for i := 0; i < enterprises; i++ {
 		origin := dnswire.MustName(fmt.Sprintf("ent%d.example.test", i))
 		ent, err := p.AddEnterprise(fmt.Sprintf("ent%d", i), origin, chaosZone)
 		if err != nil {
@@ -321,8 +261,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		h.ents = append(h.ents, ent)
 	}
-	regions := p.Opts.Regions
-	for i := 0; i < cfg.Clients; i++ {
+	regions := p.Topo.Regions
+	for i := 0; i < clients; i++ {
 		rg := regions[i%len(regions)].Name
 		cc := &chaosClient{c: p.AddClient(fmt.Sprintf("vp%d", i), rg), region: rg}
 		for _, ent := range h.ents {
@@ -336,14 +276,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// The metadata heartbeat must run from the very beginning: zone inputs
-	// older than StaleWindow trigger self-suspension, so a late-starting
+	// older than staleWindow trigger self-suspension, so a late-starting
 	// publisher would mass-suspend the fleet during convergence.
 	h.startHeartbeat()
 
 	// Let BGP settle before any measurement starts.
 	p.Converge(time.Minute)
 	h.start = p.Sched.Now()
-	h.end = h.start.Add(cfg.FaultWindow + cfg.Drain)
+	h.end = h.start.Add(cfg.FaultWindow + drain)
 
 	h.startWorkload()
 	h.startChecker()
@@ -412,10 +352,10 @@ func (h *Harness) violate(invariant, format string, args ...any) {
 // startHeartbeat swaps in the next version of a rotating enterprise zone —
 // the same records at serial+1 — and publishes the update, keeping the
 // §4.2.2 input-staleness machinery exercised: machines whose subscriptions
-// stall will see their input age grow past StaleWindow.
+// stall will see their input age grow past staleWindow.
 func (h *Harness) startHeartbeat() {
 	beat := 0
-	h.p.Sched.Every(h.cfg.HeartbeatEvery, func(now simtime.Time) {
+	h.p.Sched.Every(heartbeatEvery, func(now simtime.Time) {
 		if h.end != 0 && now >= h.end {
 			return
 		}
@@ -461,13 +401,13 @@ func (h *Harness) probeOnce(pp *probePair) {
 	ds := pp.ent.DelegationSet
 	pp.cloudIdx++
 	cloud := ds[pp.cloudIdx%len(ds)]
-	pp.client.c.Probe(cloud, pp.qname, dnswire.TypeA, h.cfg.ProbeTimeout, func(now simtime.Time, resp *pop.DNSResponse) {
+	pp.client.c.Probe(cloud, pp.qname, dnswire.TypeA, probeTimeout, func(now simtime.Time, resp *pop.DNSResponse) {
 		if resp != nil && resp.Msg != nil && resp.Msg.RCode == dnswire.RCodeNoError && len(resp.Msg.Answers) > 0 {
 			h.probeSucceeded(pp, now, resp)
 		} else {
 			h.probeFailed(pp, now)
 		}
-		h.p.Sched.After(h.cfg.QueryEvery, func(simtime.Time) { h.probeOnce(pp) })
+		h.p.Sched.After(queryEvery, func(simtime.Time) { h.probeOnce(pp) })
 	})
 }
 
@@ -479,9 +419,9 @@ func (h *Harness) probeSucceeded(pp *probePair, now simtime.Time, resp *pop.DNSR
 		pp.outages++
 		h.logf("recovered", "%s/%s after %s (rotated to cloud idx %d, served by %s)",
 			pp.client.c.Name, pp.ent.Name, outage, pp.cloudIdx%len(pp.ent.DelegationSet), resp.Machine)
-		if outage > h.cfg.Envelope && now > h.excuseUntil && !pp.reported {
+		if outage > envelope && now > h.excuseUntil && !pp.reported {
 			h.violate("failover-envelope", "%s/%s outage %s exceeds envelope %s",
-				pp.client.c.Name, pp.ent.Name, outage, h.cfg.Envelope)
+				pp.client.c.Name, pp.ent.Name, outage, envelope)
 		}
 		pp.reported = false
 	}
@@ -499,13 +439,6 @@ func (h *Harness) probeFailed(pp *probePair, now simtime.Time) {
 	// Application-layer failover: rotate to the next cloud of the
 	// delegation set (the resolver picking another NS, §4.1 / Fig 8).
 	pp.cloudIdx++
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func upDown(up bool) string {

@@ -274,7 +274,7 @@ func (h *Harness) injectZoneStall() {
 		k = len(regs)
 	}
 	order := h.rng.Perm(len(regs))
-	dur := h.cfg.StaleWindow + h.randIn(10*time.Second, 20*time.Second)
+	dur := staleWindow + h.randIn(10*time.Second, 20*time.Second)
 	at := h.faultStart(dur)
 	h.p.Sched.After(at, func(simtime.Time) {
 		for _, idx := range order[:k] {

@@ -13,7 +13,7 @@ import (
 // recover (the workload only notices an envelope breach on the next
 // success).
 func (h *Harness) startChecker() {
-	h.p.Sched.Every(h.cfg.CheckEvery, func(now simtime.Time) {
+	h.p.Sched.Every(checkEvery, func(now simtime.Time) {
 		if now >= h.end {
 			return
 		}
@@ -106,15 +106,15 @@ func (h *Harness) checkStaleSuspend(now simtime.Time) {
 			continue
 		}
 		age, ok := m.Server.InputAge(core.TopicZones, now)
-		if ok && age > h.cfg.StaleWindow+h.cfg.StaleGrace {
+		if ok && age > staleWindow+staleGrace {
 			h.violate("stale-suspend", "machine %s serving with zone input %s old (window %s + grace %s)",
-				m.ID, age, h.cfg.StaleWindow, h.cfg.StaleGrace)
+				m.ID, age, staleWindow, staleGrace)
 		}
 	}
 }
 
 // checkStaleServe asserts, on every answered probe, that the answer did not
-// come from state older than the allowance: StaleWindow (+grace) for
+// come from state older than the allowance: staleWindow (+grace) for
 // regular machines, the full input delay (+grace) for input-delayed ones —
 // "answers never served from a zone older than the input-delay window".
 func (h *Harness) checkStaleServe(pp *probePair, now simtime.Time, resp *pop.DNSResponse) {
@@ -126,9 +126,9 @@ func (h *Harness) checkStaleServe(pp *probePair, now simtime.Time, resp *pop.DNS
 	if !ok {
 		return
 	}
-	allowed := h.cfg.StaleWindow + h.cfg.StaleGrace
+	allowed := staleWindow + staleGrace
 	if m.Delayed() {
-		allowed = h.p.Opts.InputDelay + h.cfg.StaleGrace
+		allowed = core.InputDelay + staleGrace
 	}
 	if age > allowed {
 		h.violate("stale-serve", "machine %s answered %s/%s from zone input %s old (allowed %s)",
@@ -148,10 +148,10 @@ func (h *Harness) checkOpenOutages(now simtime.Time) {
 			if !pp.down || pp.reported {
 				continue
 			}
-			if d := now.Sub(pp.failSince); d > h.cfg.Envelope {
+			if d := now.Sub(pp.failSince); d > envelope {
 				pp.reported = true
 				h.violate("failover-envelope", "%s/%s dark for %s with no recovery (envelope %s)",
-					cc.c.Name, pp.ent.Name, d, h.cfg.Envelope)
+					cc.c.Name, pp.ent.Name, d, envelope)
 			}
 		}
 	}

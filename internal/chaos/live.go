@@ -40,37 +40,21 @@ import (
 	"akamaidns/internal/zone"
 )
 
-// LiveConfig parameterizes the live-server drill.
-type LiveConfig struct {
-	// UDPWorkers sets the server's parallel UDP read loops (default 2); the
-	// containment invariant caps crashes per poison signature at this count.
-	UDPWorkers int
-	// StormSize is how many distinct poison signatures the suspension phase
-	// fires at once (default 40).
-	StormSize int
-	// ProbeTimeout bounds each client exchange (default 300ms).
-	ProbeTimeout time.Duration
-	// RecoveryDeadline bounds how long the drill waits for the suspension to
-	// take hold, and then to lift (default 5s; must exceed the agent's
-	// liveAgentInterval times its RecoverThreshold).
-	RecoveryDeadline time.Duration
-}
-
-func (c LiveConfig) withDefaults() LiveConfig {
-	if c.UDPWorkers <= 0 {
-		c.UDPWorkers = 2
-	}
-	if c.StormSize <= 0 {
-		c.StormSize = 40
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 300 * time.Millisecond
-	}
-	if c.RecoveryDeadline <= 0 {
-		c.RecoveryDeadline = 5 * time.Second
-	}
-	return c
-}
+// The live drill's fixed operating point.
+const (
+	// liveWorkers is the server's parallel UDP read loops; the containment
+	// invariant caps crashes per poison signature at this count.
+	liveWorkers = 2
+	// liveStormSize is how many distinct poison signatures the suspension
+	// phase fires at once.
+	liveStormSize = 40
+	// liveProbeTimeout bounds each client exchange.
+	liveProbeTimeout = 300 * time.Millisecond
+	// liveDeadline bounds how long the drill waits for the suspension to
+	// take hold, and then to lift; it must exceed liveAgentInterval times
+	// the agent's RecoverThreshold.
+	liveDeadline = 5 * time.Second
+)
 
 // LiveResult summarizes one live drill.
 type LiveResult struct {
@@ -94,7 +78,6 @@ www  IN A 192.0.2.1
 
 // liveDrill carries one run's state.
 type liveDrill struct {
-	cfg   LiveConfig
 	srv   *netserve.Server
 	start time.Time
 	log   bytes.Buffer
@@ -114,7 +97,7 @@ func (d *liveDrill) violate(invariant, format string, args ...any) {
 
 func (d *liveDrill) probe(id uint16, name string, qtype dnswire.Type) (*dnswire.Message, error) {
 	q := dnswire.NewQuery(id, dnswire.MustName(name), qtype)
-	return netserve.Exchange(d.srv.UDPAddrActual(), q, false, d.cfg.ProbeTimeout)
+	return netserve.Exchange(d.srv.UDPAddrActual(), q, false, liveProbeTimeout)
 }
 
 // checkServing asserts an unrelated query is answered right now.
@@ -132,12 +115,11 @@ func (d *liveDrill) checkServing(id uint16, phase string) {
 
 // RunLive executes the live-server drill and reports the result. The error
 // return covers setup problems; invariant breaches are data, in Violations.
-func RunLive(cfg LiveConfig) (*LiveResult, error) {
-	cfg = cfg.withDefaults()
+func RunLive() (*LiveResult, error) {
 	store := zone.NewStore()
 	store.Put(zone.MustParseMaster(liveZone, dnswire.MustName("live.test")))
 	scfg := netserve.DefaultConfig()
-	scfg.UDPWorkers = cfg.UDPWorkers
+	scfg.UDPWorkers = liveWorkers
 	scfg.QuarantineTTL = time.Minute // no probation lapses mid-drill
 	srv := netserve.New(scfg, nameserver.NewEngine(store), nil)
 	if err := srv.Start(); err != nil {
@@ -159,9 +141,9 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	}
 	defer ms.Close()
 
-	d := &liveDrill{cfg: cfg, srv: srv, start: time.Now()}
+	d := &liveDrill{srv: srv, start: time.Now()}
 	d.logf("run", "live drill: udp=%s debug=http://%s workers=%d",
-		srv.UDPAddrActual(), ms.Addr(), cfg.UDPWorkers)
+		srv.UDPAddrActual(), ms.Addr(), liveWorkers)
 	d.checkServing(1, "baseline")
 
 	// Phase 1 — containment: one poison signature, repeated.
@@ -179,19 +161,19 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	default:
 		d.logf("quarantine", "%s refused pre-decode", poison)
 	}
-	if got := srv.Metrics.Panics.Load(); got > uint64(cfg.UDPWorkers) {
+	if got := srv.Metrics.Panics.Load(); got > uint64(liveWorkers) {
 		d.violate("qod-containment", "%d crashes for one signature, cap %d (one per worker)",
-			got, cfg.UDPWorkers)
+			got, liveWorkers)
 	}
 	d.checkServing(4, "during containment")
 
 	// Phase 2 — suspension: a burst of distinct poison signatures, each a
 	// contained crash, fails the storm probe at the agent's next sweep and
 	// the server self-withdraws.
-	fired := d.fire(cfg.StormSize, func(i int) string {
+	fired := d.fire(liveStormSize, func(i int) string {
 		return fmt.Sprintf("%s.s%d.live.test", dnswire.QoDMarkerLabel, i)
 	})
-	deadline := time.Now().Add(cfg.RecoveryDeadline)
+	deadline := time.Now().Add(liveDeadline)
 	for srv.Healthy() && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -208,10 +190,10 @@ func RunLive(cfg LiveConfig) (*LiveResult, error) {
 	}
 
 	// Phase 3 — recovery: the agent's sweeps pass again and service resumes.
-	deadline = time.Now().Add(cfg.RecoveryDeadline)
+	deadline = time.Now().Add(liveDeadline)
 	for !srv.Healthy() {
 		if time.Now().After(deadline) {
-			d.violate("live-recovery", "still suspended after %s", cfg.RecoveryDeadline)
+			d.violate("live-recovery", "still suspended after %s", liveDeadline)
 			break
 		}
 		time.Sleep(20 * time.Millisecond)

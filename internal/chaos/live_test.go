@@ -6,7 +6,7 @@ import "testing"
 // server: containment, self-suspension, and recovery must all hold, and the
 // counters must show the drill actually exercised each mechanism.
 func TestLiveServerDrill(t *testing.T) {
-	res, err := RunLive(LiveConfig{})
+	res, err := RunLive()
 	if err != nil {
 		t.Fatalf("RunLive: %v", err)
 	}

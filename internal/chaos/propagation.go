@@ -75,12 +75,12 @@ func (h *Harness) injectPropagationStorm() {
 		if m.PullLink == nil {
 			continue
 		}
-		dur := h.cfg.StaleWindow + h.randIn(15*time.Second, 25*time.Second)
+		dur := staleWindow + h.randIn(15*time.Second, 25*time.Second)
 		at := h.faultStart(dur)
 		h.p.Sched.After(at, func(simtime.Time) {
 			m.PullLink.SetFaults(propagate.Faults{Down: true})
 			h.logf("pull-outage", "%s pull link down for %s (past staleness window %s)",
-				m.ID, dur, h.cfg.StaleWindow)
+				m.ID, dur, staleWindow)
 		})
 		h.p.Sched.After(at+dur, func(simtime.Time) {
 			m.PullLink.SetFaults(propagate.Faults{Delay: 2 * time.Millisecond})

@@ -19,7 +19,7 @@ var regressions = []struct {
 		// 34.5s-old zone state for one sweep interval. Exposed two gaps:
 		// Agent.OnCrash's restart path did not re-validate staleness before
 		// unsuspending (and did not reset the health streaks, letting the
-		// pre-crash OK run short-circuit RestartDelay), and suspension
+		// pre-crash OK run short-circuit the restart delay), and suspension
 		// lifts generally must re-run CheckStaleness.
 		name:      "stale-revival-after-storm",
 		scenario:  "mixed",

@@ -55,17 +55,8 @@ type Options struct {
 	// QoDFirewallFraction of machines get the §4.2.4 firewall (production
 	// deploys it on a subset).
 	QoDFirewallFraction float64
-	// BGP tunes protocol timing.
-	BGP bgp.Config
-	// Regions defaults to netsim.DefaultRegions().
-	Regions []netsim.Region
 	// SuspensionCap bounds concurrent suspensions via the coordinator.
 	SuspensionCap int
-	// MetadataDelay is the base pubsub delivery latency ("updates
-	// propagate in less than 1 second", §4.2.2).
-	MetadataDelay time.Duration
-	// InputDelay is the artificial delay of input-delayed machines.
-	InputDelay time.Duration
 	// ServerConfig, when non-nil, overrides per-machine nameserver config.
 	ServerConfig func(id string) nameserver.Config
 	// PullPropagation gives every regular machine its own zone store fed
@@ -75,10 +66,14 @@ type Options struct {
 	// can break individual propagation paths. Input-delayed machines
 	// keep the shared store (their discipline is about inputs, §4.2.3).
 	PullPropagation bool
-	// PullInterval and PullTimeout tune the pull loop (defaults 2s and
-	// 500ms). Only meaningful with PullPropagation.
-	PullInterval, PullTimeout time.Duration
 }
+
+// metadataDelay is the base pubsub delivery latency ("updates propagate in
+// less than 1 second", §4.2.2).
+const metadataDelay = 500 * time.Millisecond
+
+// InputDelay is the artificial delay of input-delayed machines (§4.2.3).
+const InputDelay = time.Hour
 
 // DefaultOptions is a laptop-scale platform faithful in structure.
 func DefaultOptions() Options {
@@ -90,10 +85,7 @@ func DefaultOptions() Options {
 		StartAgents:         false,
 		EnableFilters:       true,
 		QoDFirewallFraction: 0.5,
-		BGP:                 bgp.DefaultConfig(),
 		SuspensionCap:       1000,
-		MetadataDelay:       500 * time.Millisecond,
-		InputDelay:          time.Hour,
 	}
 }
 
@@ -159,14 +151,11 @@ func New(opts Options) (*Platform, error) {
 	if opts.NumPoPs*anycast.MaxCloudsPerPoP < anycast.NumClouds {
 		return nil, fmt.Errorf("core: %d PoPs cannot host %d clouds", opts.NumPoPs, anycast.NumClouds)
 	}
-	if opts.Regions == nil {
-		opts.Regions = netsim.DefaultRegions()
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	sched := simtime.NewScheduler()
 	net := netsim.New(sched)
-	topo := netsim.GenTopology(net, opts.Regions, rng)
-	world := bgp.NewWorld(net, opts.BGP, rng)
+	topo := netsim.GenTopology(net, netsim.DefaultRegions(), rng)
+	world := bgp.NewWorld(net, bgp.DefaultConfig(), rng)
 	// BGP on the transit core.
 	for i, nd := range topo.Core {
 		world.AddSpeaker(nd, bgp.ASN(1000+i))
@@ -193,7 +182,7 @@ func New(opts Options) (*Platform, error) {
 		rng:       rng,
 		nextASN:   60000,
 	}
-	p.Mapper = mapping.New(mapping.DefaultConfig(), p.Bus)
+	p.Mapper = mapping.New(p.Bus)
 	if opts.PullPropagation {
 		p.History = zone.NewHistory(8)
 		p.Source = propagate.NewSource(p.Store, p.History)
@@ -267,7 +256,6 @@ func (p *Platform) addMachine(pp *pop.PoP, id string, delayed bool) {
 		pm.PullLink = propagate.NewLink(clock, p.Source, p.rng.Int63())
 		pm.Puller = propagate.New(propagate.Config{
 			ID: id, Clock: clock, Transport: pm.PullLink, Store: store,
-			Interval: p.Opts.PullInterval, Timeout: p.Opts.PullTimeout,
 			Seed: p.rng.Int63(),
 			// The only zone-freshness signal is a confirmed sync: a
 			// machine whose pull path is broken goes stale (and then
@@ -288,8 +276,8 @@ func (p *Platform) addMachine(pp *pop.PoP, id string, delayed bool) {
 		zoneHandler = func(now simtime.Time, msg pubsub.Message) { pm.Puller.Poke() }
 	}
 	if delayed {
-		pm.sub = p.Bus.SubscribeInputDelayed(TopicZones, p.Opts.MetadataDelay, p.Opts.InputDelay, zoneHandler)
-		sub2 := p.Bus.SubscribeInputDelayed(mapping.TopicMapping, p.Opts.MetadataDelay, p.Opts.InputDelay, record)
+		pm.sub = p.Bus.SubscribeInputDelayed(TopicZones, metadataDelay, InputDelay, zoneHandler)
+		sub2 := p.Bus.SubscribeInputDelayed(mapping.TopicMapping, metadataDelay, InputDelay, record)
 		m.SetOnFirstUse(func(now simtime.Time) {
 			// §4.2.3: upon use, input-delayed nameservers stop receiving
 			// any new inputs.
@@ -297,8 +285,8 @@ func (p *Platform) addMachine(pp *pop.PoP, id string, delayed bool) {
 			sub2.Freeze()
 		})
 	} else {
-		pm.sub = p.Bus.Subscribe(TopicZones, p.Opts.MetadataDelay, zoneHandler)
-		p.Bus.Subscribe(mapping.TopicMapping, p.Opts.MetadataDelay, record)
+		pm.sub = p.Bus.Subscribe(TopicZones, metadataDelay, zoneHandler)
+		p.Bus.Subscribe(mapping.TopicMapping, metadataDelay, record)
 	}
 	pp.AddMachine(m)
 	p.Machines = append(p.Machines, pm)

@@ -153,16 +153,13 @@ type Config struct {
 	// store batch commits — the hook the simulated platform wires to its
 	// pubsub fabric so every machine's zone input refreshes.
 	Publish func(origin dnswire.Name, serial uint32)
-	// MaxZones bounds zones per changelist (0 = 4096).
-	MaxZones int
-	// MaxPlans bounds retained plans for status polling (0 = 128).
-	MaxPlans int
 }
 
-// Defaults for Config zero values.
 const (
-	DefaultMaxZones = 4096
-	DefaultMaxPlans = 128
+	// maxZones bounds the zones of one changelist.
+	maxZones = 4096
+	// maxPlans bounds the plans retained for status polling.
+	maxPlans = 128
 )
 
 // Controller owns the plan/apply pipeline over one zone store.
@@ -199,12 +196,6 @@ var changeSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4
 
 // New builds a controller over the store.
 func New(store *zone.Store, cfg Config) *Controller {
-	if cfg.MaxZones <= 0 {
-		cfg.MaxZones = DefaultMaxZones
-	}
-	if cfg.MaxPlans <= 0 {
-		cfg.MaxPlans = DefaultMaxPlans
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -259,10 +250,10 @@ func (c *Controller) rejectCounter(reason string) *obs.Counter {
 // was installed.
 func (c *Controller) Plan(cl Changelist) *Plan {
 	p := &Plan{Created: time.Now(), Status: StatusPlanned}
-	if len(cl.Zones) > c.cfg.MaxZones {
+	if len(cl.Zones) > maxZones {
 		p.Rejections = append(p.Rejections, Rejection{
 			Reason: "changelist-too-large",
-			Detail: fmt.Sprintf("%d zones, limit %d", len(cl.Zones), c.cfg.MaxZones),
+			Detail: fmt.Sprintf("%d zones, limit %d", len(cl.Zones), maxZones),
 		})
 	}
 	seen := make(map[dnswire.Name]bool, len(cl.Zones))
@@ -657,7 +648,7 @@ func (c *Controller) SubmitApply(cl Changelist) (*Plan, error) {
 }
 
 // register assigns an ID and retains the plan, evicting the oldest beyond
-// MaxPlans.
+// maxPlans.
 func (c *Controller) register(p *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -666,7 +657,7 @@ func (c *Controller) register(p *Plan) {
 	c.plans[p.ID] = p
 	c.order = append(c.order, p.ID)
 	c.lastID = p.ID
-	for len(c.order) > c.cfg.MaxPlans {
+	for len(c.order) > maxPlans {
 		delete(c.plans, c.order[0])
 		c.order = c.order[1:]
 	}

@@ -359,16 +359,16 @@ func TestPublishAndHistory(t *testing.T) {
 }
 
 func TestPlanRetention(t *testing.T) {
-	c := New(zone.NewStore(), Config{MaxPlans: 3})
+	c := New(zone.NewStore(), Config{})
 	var first *Plan
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxPlans+2; i++ {
 		p := c.Plan(Changelist{})
 		if first == nil {
 			first = p
 		}
 	}
 	if c.Get(first.ID) != nil {
-		t.Fatal("oldest plan not evicted at MaxPlans")
+		t.Fatal("oldest plan not evicted at maxPlans")
 	}
 	latest := c.Latest()
 	if latest == nil || c.Get(latest.ID) != latest {
@@ -391,9 +391,9 @@ func TestStatusCounters(t *testing.T) {
 }
 
 func TestChangelistTooLarge(t *testing.T) {
-	c := New(zone.NewStore(), Config{MaxZones: 2})
+	c := New(zone.NewStore(), Config{})
 	var cl Changelist
-	for i := 0; i < 3; i++ {
+	for i := 0; i < maxZones+1; i++ {
 		cl.Zones = append(cl.Zones, ZoneChange{Origin: dnswire.MustName(fmt.Sprintf("z%d.test", i)), Delete: true})
 	}
 	p, _ := c.SubmitApply(cl)

@@ -259,7 +259,7 @@ func TestReplanSameChangelist(t *testing.T) {
 func benchCtlApply(b *testing.B, pipelined bool) {
 	const seedZones = 4096
 	store := zone.NewStore()
-	c := New(store, Config{MaxPlans: 8})
+	c := New(store, Config{})
 	var seed Changelist
 	for i := 0; i < seedZones; i++ {
 		origin := fmt.Sprintf("b%04d.apply.bench", i)

@@ -53,7 +53,7 @@ func buildTwoTierData(small bool, seed int64) twoTierData {
 	for i := 0; i < nLow; i++ {
 		lows = append(lows, draw())
 	}
-	rtts := twotier.MeasureRTTs(probes, pops, lows, twotier.DefaultMeasureConfig(), rng)
+	rtts := twotier.MeasureRTTs(probes, pops, lows, rng)
 
 	// rT: per-resolver CDN-hostname query rates span six decades — most of
 	// the 575K resolver IPs in the paper's log study are nearly idle

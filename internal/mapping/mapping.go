@@ -33,29 +33,23 @@ type Edge struct {
 // real-time overlay multicast path).
 const TopicMapping = pubsub.Topic("mapping")
 
-// Config tunes the mapper.
-type Config struct {
-	// AnswersPerQuery is how many addresses each tailored answer carries.
-	AnswersPerQuery int
-	// TTL is the tailored answer TTL — 20 seconds in production (§5.2),
-	// low so reaction to changing conditions is quick.
-	TTL uint32
-	// LoadPenaltyKm converts one unit of utilization into kilometers of
+// The mapper's operating point, the paper's observable behaviour.
+const (
+	// answersPerQuery is how many addresses each tailored answer carries.
+	answersPerQuery = 2
+	// answerTTL is the tailored answer TTL — 20 seconds in production
+	// (§5.2), low so reaction to changing conditions is quick.
+	answerTTL uint32 = 20
+	// loadPenaltyKm converts one unit of utilization into kilometers of
 	// virtual distance, trading proximity against hot servers.
-	LoadPenaltyKm float64
-	// OverloadThreshold removes edges above this utilization from answers
+	loadPenaltyKm = 4000
+	// overloadThreshold removes edges above this utilization from answers
 	// entirely (unless nothing else is alive).
-	OverloadThreshold float64
-}
-
-// DefaultConfig mirrors the paper's observable behaviour.
-func DefaultConfig() Config {
-	return Config{AnswersPerQuery: 2, TTL: 20, LoadPenaltyKm: 4000, OverloadThreshold: 0.95}
-}
+	overloadThreshold = 0.95
+)
 
 // Mapper is the mapping system.
 type Mapper struct {
-	cfg Config
 	bus *pubsub.Bus // optional; updates are published when set
 
 	mu sync.RWMutex
@@ -72,9 +66,8 @@ type Mapper struct {
 }
 
 // New creates a mapper. bus may be nil.
-func New(cfg Config, bus *pubsub.Bus) *Mapper {
+func New(bus *pubsub.Bus) *Mapper {
 	return &Mapper{
-		cfg:        cfg,
 		bus:        bus,
 		properties: make(map[dnswire.Name][]string),
 		edges:      make(map[string]*Edge),
@@ -163,7 +156,7 @@ func (m *Mapper) TailorA(qname dnswire.Name, client nameserver.ClientKey) ([]net
 	for i, e := range picks {
 		addrs[i] = e.Addr
 	}
-	return addrs, m.cfg.TTL, true
+	return addrs, answerTTL, true
 }
 
 // Select returns the best edges for a client, nearest-and-least-loaded
@@ -191,12 +184,12 @@ func (m *Mapper) Select(qname dnswire.Name, client nameserver.ClientKey) []Edge 
 		if hasLoc {
 			score += netsim.DistanceKm(loc, e.Loc)
 		}
-		score += e.Load * m.cfg.LoadPenaltyKm
+		score += e.Load * loadPenaltyKm
 		if e.Capacity > 0 {
 			score /= e.Capacity
 		}
 		s := scored{*e, score}
-		if e.Load >= m.cfg.OverloadThreshold {
+		if e.Load >= overloadThreshold {
 			overloaded = append(overloaded, s)
 		} else {
 			alive = append(alive, s)
@@ -211,7 +204,7 @@ func (m *Mapper) Select(qname dnswire.Name, client nameserver.ClientKey) []Edge 
 		}
 		return alive[i].e.ID < alive[j].e.ID
 	})
-	n := m.cfg.AnswersPerQuery
+	n := answersPerQuery
 	if n > len(alive) {
 		n = len(alive)
 	}

@@ -20,7 +20,7 @@ var (
 
 func newMapper(t *testing.T) *Mapper {
 	t.Helper()
-	m := New(DefaultConfig(), nil)
+	m := New(nil)
 	m.AddEdge("e-nyc", netip.MustParseAddr("198.51.100.1"), nyc, 1)
 	m.AddEdge("e-lon", netip.MustParseAddr("198.51.100.2"), lon, 1)
 	m.AddEdge("e-tok", netip.MustParseAddr("198.51.100.3"), tok, 1)
@@ -135,7 +135,7 @@ func TestPublishesOnChange(t *testing.T) {
 	bus.Subscribe(TopicMapping, 100*time.Millisecond, func(_ simtime.Time, m pubsub.Message) {
 		updates = append(updates, m)
 	})
-	m := New(DefaultConfig(), bus)
+	m := New(bus)
 	m.AddEdge("e1", netip.MustParseAddr("198.51.100.9"), nyc, 1)
 	m.SetAlive("e1", false)
 	m.SetLoad("e1", 0.5)
@@ -149,7 +149,7 @@ func TestPublishesOnChange(t *testing.T) {
 }
 
 func TestCapacityWeighting(t *testing.T) {
-	m := New(DefaultConfig(), nil)
+	m := New(nil)
 	// Two co-located edges; e-big has 4x capacity and wins despite equal
 	// distance and load.
 	m.AddEdge("e-small", netip.MustParseAddr("198.51.100.1"), nyc, 1)

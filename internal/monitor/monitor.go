@@ -174,9 +174,10 @@ type AgentConfig struct {
 	FailThreshold int
 	// RecoverThreshold consecutive passing sweeps lift it.
 	RecoverThreshold int
-	// RestartDelay is the process restart time after a crash.
-	RestartDelay time.Duration
 }
+
+// restartDelay is the process restart time after a crash.
+const restartDelay = 5 * time.Second
 
 // DefaultAgentConfig returns production-flavoured timing.
 func DefaultAgentConfig(id string) AgentConfig {
@@ -185,7 +186,6 @@ func DefaultAgentConfig(id string) AgentConfig {
 		Interval:         time.Second,
 		FailThreshold:    3,
 		RecoverThreshold: 5,
-		RestartDelay:     5 * time.Second,
 	}
 }
 
@@ -336,7 +336,7 @@ func (a *Agent) OnCrash(now simtime.Time, sig string) {
 	a.LastFailure = "crash: " + sig
 	// Reset the health streaks: the OK run that preceded the crash says
 	// nothing about the restarting process, and leaving it in place would
-	// let the very next sweep lift the suspension long before RestartDelay.
+	// let the very next sweep lift the suspension long before restartDelay.
 	a.consecOK = 0
 	a.consecFail = 0
 	already := a.suspendedBy
@@ -354,7 +354,7 @@ func (a *Agent) OnCrash(now simtime.Time, sig string) {
 		}
 		a.target.SetSuspended(now, true)
 	}
-	a.clock.After(a.Cfg.RestartDelay, func(t simtime.Time) {
+	a.clock.After(restartDelay, func(t simtime.Time) {
 		a.mu.Lock()
 		wasSuspended := a.suspendedBy
 		a.suspendedBy = false

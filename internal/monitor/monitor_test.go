@@ -147,14 +147,16 @@ func TestCoordinatorIdempotentGrant(t *testing.T) {
 func TestAgentCrashHandling(t *testing.T) {
 	sched := simtime.NewScheduler()
 	tgt := &fakeTarget{}
-	cfg := DefaultAgentConfig("m1")
-	cfg.RestartDelay = 3 * time.Second
-	a := NewAgent(propagate.SimClock{Sched: sched}, cfg, tgt, NewCoordinator(3, 10))
+	a := NewAgent(propagate.SimClock{Sched: sched}, DefaultAgentConfig("m1"), tgt, NewCoordinator(3, 10))
 	a.OnCrash(sched.Now(), "sig")
 	if !tgt.suspended || !a.HoldingSuspension() {
 		t.Fatal("crash did not suspend immediately")
 	}
-	sched.RunFor(5 * time.Second)
+	sched.RunFor(restartDelay - time.Second)
+	if !tgt.suspended {
+		t.Fatal("machine restored before the restart delay")
+	}
+	sched.RunFor(2 * time.Second)
 	if tgt.suspended {
 		t.Fatal("machine not restored after restart delay")
 	}

@@ -1,7 +1,6 @@
 package nameserver
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -26,14 +25,9 @@ type Config struct {
 	IOQPS float64
 	// IOBurst sizes the socket buffer in seconds of IOQPS.
 	IOBurst float64
-	// Queues configures the penalty ladder.
-	Queues queue.Config
 	// QoDFirewall enables §4.2.4 containment through a qod.Quarantine
 	// (deployed on a subset of nameservers in production).
 	QoDFirewall bool
-	// TQoD is the quarantine TTL: a signature blocks for TQoD, then lets one
-	// probe through, so false positives are retried.
-	TQoD time.Duration
 	// StaleAfter is the metadata staleness threshold that triggers
 	// self-suspension; zero disables the check.
 	StaleAfter time.Duration
@@ -49,11 +43,13 @@ func DefaultConfig(id string) Config {
 		ComputeQPS: 50_000,
 		IOQPS:      250_000,
 		IOBurst:    0.05,
-		Queues:     queue.DefaultConfig(),
-		TQoD:       10 * time.Minute,
 		StaleAfter: 30 * time.Second,
 	}
 }
+
+// TQoD is the §4.2.4 quarantine TTL: a signature blocks for TQoD, then
+// lets one probe through, so false positives are retried.
+const TQoD = 10 * time.Minute
 
 // Request is one in-flight query in the simulation.
 type Request struct {
@@ -176,25 +172,17 @@ type Server struct {
 
 // NewServer builds a simulated machine over the engine.
 func NewServer(sched *simtime.Scheduler, cfg Config, eng *Engine, pipe *filters.Pipeline) *Server {
-	var q queue.Interface
-	qq, err := queue.New(cfg.Queues)
-	if err != nil {
-		panic(err)
-	}
-	q = qq
+	qq := queue.MustNew(queue.DefaultConfig())
 	reg := obs.NewRegistry()
 	qq.Instrument(reg)
 	s := &Server{
-		Cfg: cfg, Engine: eng, Pipeline: pipe, sched: sched, queues: q,
+		Cfg: cfg, Engine: eng, Pipeline: pipe, sched: sched, queues: qq,
 		lastInput: make(map[pubsub.Topic]simtime.Time),
 		reg:       reg,
 		met:       newServerMetrics(reg),
 	}
 	if cfg.QoDFirewall {
-		if cfg.TQoD <= 0 {
-			panic(fmt.Sprintf("nameserver: %s: QoDFirewall needs a positive TQoD, have %v", cfg.ID, cfg.TQoD))
-		}
-		s.quarantine = qod.NewQuarantine(qod.DefaultQuarantineMax, cfg.TQoD)
+		s.quarantine = qod.NewQuarantine(qod.DefaultQuarantineMax, TQoD)
 	}
 	return s
 }
@@ -216,8 +204,8 @@ func (s *Server) Obs() *obs.Registry { return s.reg }
 func (s *Server) UseFIFO() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	total := s.Cfg.Queues.Capacity * len(s.Cfg.Queues.MaxScores)
-	s.queues = queue.NewFIFO(total)
+	ladder := queue.DefaultConfig()
+	s.queues = queue.NewFIFO(ladder.Capacity * len(ladder.MaxScores))
 }
 
 // Suspended reports whether the machine has withdrawn itself.

@@ -8,6 +8,7 @@ import (
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/filters"
 	"akamaidns/internal/pubsub"
+	"akamaidns/internal/queue"
 	"akamaidns/internal/simtime"
 	"akamaidns/internal/zone"
 )
@@ -57,8 +58,10 @@ func TestServerComputeSaturation(t *testing.T) {
 	cfg := DefaultConfig("m1")
 	cfg.ComputeQPS = 100 // can answer 100/sec
 	cfg.IOQPS = 1e9
-	cfg.Queues.Capacity = 50
 	sched, srv := newTestServer(t, cfg)
+	ladder := queue.DefaultConfig()
+	ladder.Capacity = 50
+	srv.queues = queue.MustNew(ladder)
 	answered := 0
 	// Offer 1000 queries over one second: only ~100 can be served, rest
 	// tail-drop once queues fill.
@@ -108,11 +111,10 @@ func TestServerScoringDiscards(t *testing.T) {
 	rl := filters.NewRateLimit()
 	rl.Learn("spoofer", 0.0001)
 	pipe := filters.NewPipeline(rl, al, hc, lo)
-	cfg := DefaultConfig("m1")
-	cfg.Queues.Smax = 100 // rate(40)+allow(30)+hop(50)+loyal(20) = 140 >= 100
-	cfg.Queues.MaxScores = []float64{0, 99}
 	sched := simtime.NewScheduler()
-	srv := NewServer(sched, cfg, NewEngine(testStore(t)), pipe)
+	srv := NewServer(sched, DefaultConfig("m1"), NewEngine(testStore(t)), pipe)
+	// rate(40)+allow(30)+hop(50)+loyal(20) = 140 >= Smax 100.
+	srv.queues = queue.MustNew(queue.Config{MaxScores: []float64{0, 99}, Smax: 100, Capacity: 4096})
 	req := mkReq("spoofer", "www.ex.com", false, nil)
 	req.IPTTL = 10 // far from learned 40
 	// Two queries: the second trips the rate limiter (limit ~0) and with
@@ -202,7 +204,6 @@ func TestServerInputDelayedNeverStaleSuspends(t *testing.T) {
 func TestServerQoDCrashAndFirewall(t *testing.T) {
 	cfg := DefaultConfig("m1")
 	cfg.QoDFirewall = true
-	cfg.TQoD = time.Minute
 	sched, srv := newTestServer(t, cfg)
 	var crashSigs []string
 	srv.OnCrash = func(_ simtime.Time, sig string) { crashSigs = append(crashSigs, sig) }
@@ -242,14 +243,14 @@ func TestServerQoDCrashAndFirewall(t *testing.T) {
 	}
 	// After TQoD one probe is let through; it crashes again, and the entry
 	// is re-struck for 2×TQoD.
-	sched.RunUntil(sched.Now().Add(cfg.TQoD + time.Second))
+	sched.RunUntil(sched.Now().Add(TQoD + time.Second))
 	send(evil, dnswire.TypeA)
 	want("probation probe", 3, 2)
 	struck := sched.Now()
-	sched.RunUntil(struck.Add(2*cfg.TQoD - time.Second))
+	sched.RunUntil(struck.Add(2*TQoD - time.Second))
 	send(evil, dnswire.TypeA)
 	want("inside 2×TQoD", 3, 3)
-	sched.RunUntil(struck.Add(2*cfg.TQoD + time.Second))
+	sched.RunUntil(struck.Add(2*TQoD + time.Second))
 	send(evil, dnswire.TypeA)
 	want("after 2×TQoD", 4, 3)
 	if snap := srv.Quarantine().Snapshot(); len(snap) != 2 || snap[0].Strikes != 2 || snap[1].Strikes != 0 {
@@ -262,7 +263,6 @@ func TestServerQoDCrashAndFirewall(t *testing.T) {
 func TestServerQoDProbationAcquits(t *testing.T) {
 	cfg := DefaultConfig("m1")
 	cfg.QoDFirewall = true
-	cfg.TQoD = time.Minute
 	sched, srv := newTestServer(t, cfg)
 	req := mkReq("r1", "www.ex.com", true, nil)
 	srv.Quarantine().Add(ExactSignature(n("www.ex.com").AppendWire(nil), dnswire.TypeA, qodFlags(req.Msg)), qodEpoch)
@@ -272,26 +272,12 @@ func TestServerQoDProbationAcquits(t *testing.T) {
 		t.Fatalf("quarantined name: %+v", m)
 	}
 	answered := false
-	sched.RunUntil(sched.Now().Add(cfg.TQoD + time.Second))
+	sched.RunUntil(sched.Now().Add(TQoD + time.Second))
 	srv.Receive(sched.Now(), mkReq("r1", "www.ex.com", true, func(simtime.Time, *dnswire.Message) { answered = true }))
 	sched.Run()
 	if !answered || srv.Quarantine().Len() != 0 {
 		t.Fatalf("probe answered %v, quarantine %+v", answered, srv.Quarantine().Snapshot())
 	}
-}
-
-// TestServerQoDFirewallNeedsTQoD: the firewall refuses a zero TTL instead
-// of quietly taking the quarantine's own default.
-func TestServerQoDFirewallNeedsTQoD(t *testing.T) {
-	cfg := DefaultConfig("m1")
-	cfg.QoDFirewall = true
-	cfg.TQoD = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewServer accepted QoDFirewall with TQoD 0")
-		}
-	}()
-	newTestServer(t, cfg)
 }
 
 func TestServerQoDWithoutFirewallKeepsCrashing(t *testing.T) {

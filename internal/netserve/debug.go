@@ -61,7 +61,7 @@ type qodDebugJSON struct {
 // qodDebug serves the quarantine table and strike history alongside the
 // ladder state an operator needs to read it.
 func (s *Server) qodDebug(w http.ResponseWriter, req *http.Request) {
-	now := time.Now()
+	now := s.qodNow()
 	doc := qodDebugJSON{
 		Enabled:    true,
 		Refused:    s.Metrics.QoDRefused.Load(),

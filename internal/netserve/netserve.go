@@ -289,6 +289,13 @@ func (s *Server) now() simtime.Time {
 	return simtime.Time(time.Since(s.started))
 }
 
+// qodNow is the quarantine's clock: the same timeline as now, on the
+// time.Time the quarantine keeps, as the simulated server's quarantine
+// reads its virtual clock.
+func (s *Server) qodNow() time.Time {
+	return time.Time{}.Add(time.Since(s.started))
+}
+
 // internTable maps source addresses to their canonical string form once,
 // so the per-packet filter and engine keys stop paying netip.Addr.String.
 // Bounded: a flood of distinct spoofed sources resets the table rather than
@@ -578,7 +585,7 @@ func (s *Server) handlePacket(wire []byte, src netip.AddrPort, tcp bool, sc *scr
 		// allocation-free view parse, so a quarantined pattern costs
 		// near-nothing no matter how hard it hits.
 		if v, ok := dnswire.ParseQueryView(wire); ok {
-			e, state := s.qodGuard.Check(v.QnameWire(wire), uint16(v.QType), v.Flags, time.Now())
+			e, state := s.qodGuard.Check(v.QnameWire(wire), uint16(v.QType), v.Flags, s.qodNow())
 			switch state {
 			case qod.Blocked:
 				s.Metrics.QoDRefused.Add(1)

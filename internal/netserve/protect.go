@@ -41,7 +41,7 @@ func (s *Server) containPanic(r any, wire []byte, j *qod.Journal) {
 		return
 	}
 	provisional := nameserver.ExactSignature(v.QnameWire(wire), v.QType, v.Flags)
-	if _, fresh := s.qodGuard.Add(provisional, time.Now()); !fresh {
+	if _, fresh := s.qodGuard.Add(provisional, s.qodNow()); !fresh {
 		return // known pattern re-struck (e.g. a probation probe crashed again)
 	}
 	culprit := append([]byte(nil), wire...)

@@ -31,20 +31,15 @@ ns1  IN A 198.51.100.3
 www  IN A 192.0.2.30
 `
 
-// simParityTTL is both servers' quarantine TTL. The socket server's
-// quarantine runs on wall time, so the queries between a crash and the
-// test's wait for the TTL must take less than it.
-const simParityTTL = time.Second
-
-// simParityStep is one query of the sequence, sent at a simulated time;
-// expire first lets the quarantine TTL lapse on both servers.
+// simParityStep is one query of the sequence, sent at a simulated time.
+// Both servers read it: the simulation's scheduler runs to it, and the
+// twin's filter and quarantine clock is set to it.
 type simParityStep struct {
-	at     simtime.Time
-	src    netip.Addr
-	qname  string
-	qtype  dnswire.Type
-	rd     bool
-	expire bool
+	at    simtime.Time
+	src   netip.Addr
+	qname string
+	qtype dnswire.Type
+	rd    bool
 }
 
 // simParityResult is what one server did with one query.
@@ -188,8 +183,9 @@ func simParitySequence(seed int64, legit []netip.Addr, bot, attacker netip.Addr)
 			clean()
 		}
 	}
-	at = at.Add(simParityTTL + simParityTTL/2)
-	add(simParityStep{src: attacker, qname: traps[0], expire: true})
+	// The quarantine TTL lapses on both servers.
+	at = at.Add(nameserver.TQoD + nameserver.TQoD/2)
+	add(simParityStep{src: attacker, qname: traps[0]})
 	for i := 0; i < 30; i++ {
 		if rng.Intn(2) == 0 {
 			trap()
@@ -248,7 +244,6 @@ func TestSimSocketParity(t *testing.T) {
 	scfg := nameserver.DefaultConfig("sim")
 	scfg.ComputeQPS = 1e6
 	scfg.QoDFirewall = true
-	scfg.TQoD = simParityTTL
 	sim := nameserver.NewServer(sched, scfg, nameserver.NewEngine(store), simPipe)
 
 	// The socket server's twin, served without sockets.
@@ -256,7 +251,7 @@ func TestSimSocketParity(t *testing.T) {
 	netPipe, netNX := simParityPipeline(store, legit, bot, &netTally)
 	ncfg := DefaultConfig()
 	ncfg.TCPAddr = ""
-	ncfg.QuarantineTTL = simParityTTL
+	ncfg.QuarantineTTL = nameserver.TQoD
 	twin := New(ncfg, nameserver.NewEngine(store), netPipe)
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -293,7 +288,8 @@ func TestSimSocketParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The twin's filter clock reads the simulated time of the step.
+		// The twin's filter and quarantine clock reads the simulated time
+		// of the step.
 		twin.started = time.Now().Add(-s.at.Duration())
 		resp := twin.handlePacket(wire, netip.AddrPortFrom(s.src, 5353), false, sc)
 		// Let the off-path minimizer finish before the next packet.
@@ -322,9 +318,6 @@ func TestSimSocketParity(t *testing.T) {
 	var prev simParityResult
 	var discards int
 	for i, s := range seq {
-		if s.expire {
-			time.Sleep(simParityTTL + simParityTTL/2)
-		}
 		want, got := simRun(i, s), netRun(i, s)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("step %d (%s %s %v from %v): servers disagree\n  simulation %+v\n  sockets    %+v",

@@ -314,15 +314,23 @@ func (p *Puller) onResponse(id uint64, now simtime.Time, resp *Response) {
 	}
 }
 
+// handleCatalogLocked compares the catalog with the local store in place:
+// one probe per catalog origin, and a walk of the local set only when it
+// holds zones the catalog did not name. It builds no serial map of the
+// local set: under churn every cycle installs a new set, and a map per set
+// would allocate O(zones) each time.
 func (p *Puller) handleCatalogLocked(now simtime.Time, resp *Response) func(simtime.Time) {
-	locals := p.cfg.Store.Serials()
+	store := p.cfg.Store
 	var items []workItem
+	held := 0
 	for origin, serial := range resp.Serials {
-		local, ok := locals[origin]
-		switch {
-		case !ok:
+		z := store.Get(origin)
+		if z == nil {
 			items = append(items, workItem{origin: origin, op: OpAXFR})
-		case local != serial:
+			continue
+		}
+		held++
+		if local := z.Serial(); local != serial {
 			items = append(items, workItem{origin: origin, op: OpIXFR, from: local})
 		}
 	}
@@ -331,13 +339,15 @@ func (p *Puller) handleCatalogLocked(now simtime.Time, resp *Response) func(simt
 	// them: a mass-deprovision catalog costs one dirty-shard republish
 	// instead of a republish per origin.
 	var gone []dnswire.Name
-	for origin := range locals {
-		if _, ok := resp.Serials[origin]; !ok {
-			gone = append(gone, origin)
-		}
+	if store.Len() > held {
+		store.Each(func(z *zone.Zone) {
+			if _, ok := resp.Serials[z.Origin()]; !ok {
+				gone = append(gone, z.Origin())
+			}
+		})
 	}
 	if len(gone) > 0 {
-		p.cfg.Store.Update(func(tx *zone.Tx) {
+		store.Update(func(tx *zone.Tx) {
 			for _, origin := range gone {
 				if tx.Delete(origin) {
 					p.st.Deletes++

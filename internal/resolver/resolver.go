@@ -18,30 +18,26 @@ type Transport interface {
 	Send(now simtime.Time, server string, q *dnswire.Message, done func(now simtime.Time, resp *dnswire.Message))
 }
 
-// Selection is the delegation-selection behaviour among a zone's NS set.
-type Selection int
-
-// Selection behaviours bracketing real resolvers (§5.2: "from apparent
-// uniformity to preferencing delegations with lower RTT").
-const (
-	SelectUniform Selection = iota
-	SelectRTTWeighted
-)
-
-// Config tunes the resolver.
+// Config names the resolver.
 type Config struct {
-	ID         string
-	Timeout    time.Duration
-	MaxRetries int // per resolution, across servers
-	Selection  Selection
-	// NegativeTTLCap bounds negative caching.
-	NegativeTTLCap uint32
+	ID string
 }
 
-// DefaultConfig mirrors common resolver behaviour.
+// DefaultConfig returns the configuration of resolver id.
 func DefaultConfig(id string) Config {
-	return Config{ID: id, Timeout: 800 * time.Millisecond, MaxRetries: 6, Selection: SelectUniform, NegativeTTLCap: 300}
+	return Config{ID: id}
 }
+
+// Every resolver's behaviour, that of a common resolver (§5.2): it picks
+// among a zone's delegations uniformly at random.
+const (
+	// timeout bounds one upstream try before the next server is asked.
+	timeout = 800 * time.Millisecond
+	// maxRetries bounds the upstream tries per resolution, across servers.
+	maxRetries = 6
+	// negativeTTLCap bounds negative caching.
+	negativeTTLCap uint32 = 300
+)
 
 // Hint is one root/authority hint: a zone, its nameserver name, and the
 // server address key the transport understands.
@@ -71,9 +67,6 @@ type Resolver struct {
 	trans Transport
 	rng   *rand.Rand
 	hints []Hint
-	// srtt tracks smoothed RTT per server address for RTT-weighted
-	// selection.
-	srtt map[string]time.Duration
 	// Sent counts upstream queries; Timeouts counts per-try timeouts.
 	Sent, Timeouts uint64
 	nextID         uint16
@@ -83,7 +76,7 @@ type Resolver struct {
 func New(sched *simtime.Scheduler, cfg Config, trans Transport, hints []Hint, rng *rand.Rand) *Resolver {
 	return &Resolver{
 		Cfg: cfg, Cache: NewCache(), sched: sched, trans: trans,
-		rng: rng, hints: hints, srtt: make(map[string]time.Duration),
+		rng: rng, hints: hints,
 	}
 }
 
@@ -197,35 +190,10 @@ func (r *Resolver) knownServers(now simtime.Time, name dnswire.Name) []string {
 	}
 }
 
-// pick orders candidate servers per the configured selection behaviour and
-// returns the try-th choice.
+// pick returns the try-th choice among servers, starting from a uniformly
+// random one.
 func (r *Resolver) pick(servers []string, try int) string {
-	switch r.Cfg.Selection {
-	case SelectRTTWeighted:
-		// Preference inversely proportional to SRTT; unmeasured servers get
-		// a small exploration share.
-		weights := make([]float64, len(servers))
-		total := 0.0
-		for i, s := range servers {
-			if d, ok := r.srtt[s]; ok && d > 0 {
-				weights[i] = 1 / d.Seconds()
-			} else {
-				weights[i] = 1000 // explore unknown servers eagerly
-			}
-			total += weights[i]
-		}
-		x := r.rng.Float64() * total
-		for i, w := range weights {
-			x -= w
-			if x <= 0 {
-				// Skip already-tried servers by rotating.
-				return servers[(i+try)%len(servers)]
-			}
-		}
-		return servers[try%len(servers)]
-	default:
-		return servers[(r.rng.Intn(len(servers))+try)%len(servers)]
-	}
+	return servers[(r.rng.Intn(len(servers))+try)%len(servers)]
 }
 
 // ask sends the query to one server with timeout/retry.
@@ -233,7 +201,7 @@ func (st *resolution) ask(now simtime.Time, name dnswire.Name, servers []string,
 	if st.finished {
 		return
 	}
-	if st.retries >= st.r.Cfg.MaxRetries {
+	if st.retries >= maxRetries {
 		st.finish(now, Result{Err: fmt.Errorf("resolver: retries exhausted for %s", name)})
 		return
 	}
@@ -244,16 +212,14 @@ func (st *resolution) ask(now simtime.Time, name dnswire.Name, servers []string,
 	st.retries++
 	st.r.Sent++
 	answered := false
-	sentAt := now
 	st.r.trans.Send(now, server, q, func(tnow simtime.Time, resp *dnswire.Message) {
 		if answered || st.finished {
 			return
 		}
 		answered = true
-		st.r.observeRTT(server, tnow.Sub(sentAt))
 		st.handleResponse(tnow, name, resp, depth)
 	})
-	st.r.sched.After(st.r.Cfg.Timeout, func(tnow simtime.Time) {
+	st.r.sched.After(timeout, func(tnow simtime.Time) {
 		if answered || st.finished {
 			return
 		}
@@ -263,19 +229,11 @@ func (st *resolution) ask(now simtime.Time, name dnswire.Name, servers []string,
 	})
 }
 
-func (r *Resolver) observeRTT(server string, rtt time.Duration) {
-	if cur, ok := r.srtt[server]; ok {
-		r.srtt[server] = (cur*7 + rtt) / 8
-	} else {
-		r.srtt[server] = rtt
-	}
-}
-
 func (st *resolution) handleResponse(now simtime.Time, name dnswire.Name, resp *dnswire.Message, depth int) {
 	r := st.r
 	switch {
 	case resp.RCode == dnswire.RCodeNXDomain:
-		ttl := r.Cfg.NegativeTTLCap
+		ttl := negativeTTLCap
 		if soa := negativeSOA(resp); soa != nil && soa.Minimum < ttl {
 			ttl = soa.Minimum
 		}
@@ -351,7 +309,7 @@ func (st *resolution) handleResponse(now simtime.Time, name dnswire.Name, resp *
 		return
 	}
 	// NODATA.
-	ttl := r.Cfg.NegativeTTLCap
+	ttl := negativeTTLCap
 	if soa := negativeSOA(resp); soa != nil && soa.Minimum < ttl {
 		ttl = soa.Minimum
 	}

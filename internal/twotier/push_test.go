@@ -50,7 +50,7 @@ func TestPushRecoversLosingRegion(t *testing.T) {
 func TestPushOnCombinedDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	probes, pops, lls := geoWorld(rng)
-	rtts := MeasureRTTs(probes, pops, lls, DefaultMeasureConfig(), rng)
+	rtts := MeasureRTTs(probes, pops, lls, rng)
 	var rts []RTSample
 	for i := 0; i < 100; i++ {
 		var lambda float64

@@ -47,40 +47,35 @@ type ProbeRTT struct {
 	L float64
 }
 
-// MeasureConfig tunes the synthetic measurement.
-type MeasureConfig struct {
-	// Toplevels is the number of toplevel delegations (13 in production).
-	Toplevels int
-	// CatchmentSkew is the probability that anycast routes a probe to its
-	// k-th nearest PoP decays as CatchmentSkew^k; lower values model worse
-	// anycast routing. Typical anycast sends most probes to one of the few
-	// nearest sites but rarely the absolute nearest for every cloud.
-	CatchmentSkew float64
-	// MappingAccuracy is the probability the mapping system tailors the
+// The synthetic measurement's setting, the paper's (Figure 11).
+const (
+	// toplevels is the number of toplevel delegations (13 in production).
+	toplevels = 13
+	// catchmentSkew: the probability that anycast routes a probe to its
+	// k-th nearest PoP decays as catchmentSkew^k. Typical anycast sends
+	// most probes to one of the few nearest sites but rarely the absolute
+	// nearest for every cloud.
+	catchmentSkew = 0.5
+	// mappingAccuracy is the probability the mapping system tailors the
 	// truly nearest lowlevel (otherwise a nearby alternate).
-	MappingAccuracy float64
-}
-
-// DefaultMeasureConfig mirrors the paper's setting.
-func DefaultMeasureConfig() MeasureConfig {
-	return MeasureConfig{Toplevels: 13, CatchmentSkew: 0.5, MappingAccuracy: 0.8}
-}
+	mappingAccuracy = 0.8
+)
 
 // MeasureRTTs computes per-probe (AvgT, WgtT, L) against toplevel PoP sites
 // and lowlevel sites, reproducing the RIPE Atlas methodology on the geo
 // model. RTT = 2 × one-way propagation delay.
-func MeasureRTTs(probes, toplevelPoPs, lowlevels []netsim.GeoPoint, cfg MeasureConfig, rng *rand.Rand) []ProbeRTT {
+func MeasureRTTs(probes, toplevelPoPs, lowlevels []netsim.GeoPoint, rng *rand.Rand) []ProbeRTT {
 	out := make([]ProbeRTT, 0, len(probes))
 	for _, p := range probes {
 		// Distance-sorted PoP list for this probe.
 		popRTT := rttsTo(p, toplevelPoPs)
 		sort.Float64s(popRTT)
-		// Each of the Toplevels clouds is advertised from a different PoP
+		// Each of the toplevels clouds is advertised from a different PoP
 		// subset, so each cloud's catchment lands on a (skewed-random)
 		// near-ish PoP.
 		var ts []float64
-		for c := 0; c < cfg.Toplevels; c++ {
-			k := geometricRank(rng, cfg.CatchmentSkew, len(popRTT))
+		for c := 0; c < toplevels; c++ {
+			k := geometricRank(rng, catchmentSkew, len(popRTT))
 			ts = append(ts, popRTT[k])
 		}
 		avg := mean(ts)
@@ -89,7 +84,7 @@ func MeasureRTTs(probes, toplevelPoPs, lowlevels []netsim.GeoPoint, cfg MeasureC
 		llRTT := rttsTo(p, lowlevels)
 		sort.Float64s(llRTT)
 		li := 0
-		if rng.Float64() > cfg.MappingAccuracy && len(llRTT) > 1 {
+		if rng.Float64() > mappingAccuracy && len(llRTT) > 1 {
 			li = 1 + geometricRank(rng, 0.5, len(llRTT)-1)
 		}
 		out = append(out, ProbeRTT{AvgT: avg, WgtT: wgt, L: llRTT[li]})

@@ -117,7 +117,7 @@ func geoWorld(rng *rand.Rand) (probes, pops, lowlevels []netsim.GeoPoint) {
 func TestMeasureRTTsLowlevelUsuallyCloser(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	probes, pops, lls := geoWorld(rng)
-	rtts := MeasureRTTs(probes, pops, lls, DefaultMeasureConfig(), rng)
+	rtts := MeasureRTTs(probes, pops, lls, rng)
 	if len(rtts) != len(probes) {
 		t.Fatalf("rtts = %d", len(rtts))
 	}
@@ -152,7 +152,7 @@ func TestMeasureRTTsLowlevelUsuallyCloser(t *testing.T) {
 func TestCombineAndSpeedupShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	probes, pops, lls := geoWorld(rng)
-	rtts := MeasureRTTs(probes, pops, lls, DefaultMeasureConfig(), rng)
+	rtts := MeasureRTTs(probes, pops, lls, rng)
 	// rT samples: busy resolvers dominate query volume.
 	var rts []RTSample
 	for i := 0; i < 200; i++ {

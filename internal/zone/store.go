@@ -315,11 +315,17 @@ func (s *Store) Origins() []dnswire.Name {
 	return zs.origins
 }
 
-// Serials maps every zone's origin to its SOA serial. Callers that audit
-// propagation (the chaos harness's zone-stall invariants, soak summaries)
-// compare these maps instead of holding zone references. The returned map
-// belongs to the installed set: treat it as read-only and copy before
-// mutating.
+// Each calls fn for every zone of the installed set, in no particular
+// order, without copying the set. fn must not update the store.
+func (s *Store) Each(fn func(*Zone)) { s.set.Load().each(fn) }
+
+// Serials maps every zone's origin to its SOA serial. It is built once per
+// installed set, by its first caller: the controller's catalog
+// (propagate.Source), which every pull cycle sends whole, /debug/views, and
+// the propagation audits (the chaos harness's zone-stall invariants,
+// cmd/churn -pull). An edge compares a catalog with Get and Each instead,
+// so it never builds one. The returned map belongs to the installed set:
+// treat it as read-only and copy before mutating.
 func (s *Store) Serials() map[dnswire.Name]uint32 {
 	zs := s.set.Load()
 	zs.serialsOnce.Do(func() {
