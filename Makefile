@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race race-suites vet fmt-check deadcode bench bench-compile bench-smoke bench-json bench-alloc-guard experiments fuzz chaos chaos-soak churn churn-smoke churn-smoke-sharded propagate-smoke examples clean
+.PHONY: all build test race race-suites vet fmt-check deadcode bench bench-compile bench-smoke bench-json bench-alloc-guard experiments fuzz chaos chaos-soak examples clean
 
 all: build test
 
@@ -140,40 +140,6 @@ chaos:
 SEEDS ?= 1:25
 chaos-soak:
 	go run ./cmd/chaos -scenarios all -seeds $(SEEDS) -quiet
-
-# Serve-under-churn experiment: a live UDP server + control-plane HTTP API,
-# a driver pushing changelists while query workers verify byte-identical
-# answers for an untouched control zone and measure propagation lag. The
-# full run drives 10^6 zone changes; -assert exits non-zero on any
-# violation (control-zone drift, >1 rebuild per batch, lag p99 over bound).
-# -lag-bound scales with batch size: lag is measured from POST to
-# UDP-visible, so a 256-zone batch's apply pipeline (plan+validate+diff+
-# compile on one core) is inside every sample.
-churn:
-	go run ./cmd/churn -zones 2048 -batch 256 -changes 1000000 -workers 2 -pace 2ms -lag-bound 1s -assert
-
-# CI-shaped smoke: ~20k changes with a fixed seed, same assertions.
-churn-smoke:
-	go run ./cmd/churn -zones 256 -batch 128 -changes 20000 -workers 2 -seed 7 -pace 1ms -assert
-
-# Sharded-router smoke at an elevated zone count through the pipelined
-# control plane: four posters over disjoint ranges exercise the
-# revalidation fast path while the shard-clone invariant (≤1 per changed
-# zone) proves applies stay O(Δ) rather than O(zones).
-churn-smoke-sharded:
-	go run ./cmd/churn -zones 8192 -batch 256 -changes 20000 -workers 2 -seed 7 -pipeline -posters 4 -lag-bound 2s -assert
-
-# Propagation-plane smoke: the pull fleet against a lossy, corrupting,
-# duplicating link plus the propagation-storm chaos battery (seeds 1-8 with
-# convergence, staleness, and churn-atomicity invariants). Every edge
-# machine must end byte-identical to the controller; corrupt transfers are
-# rejected by checksum before install, never served.
-propagate-smoke:
-	go run ./cmd/churn -zones 128 -batch 32 -changes 1500 -workers 1 -seed 7 \
-		-pull 4 -pull-drop 0.1 -pull-corrupt 0.02 -pull-dup 0.05 \
-		-pull-delay 2ms -pull-delay-jitter 3ms -pull-timeout 100ms \
-		-lag-bound 1s -assert
-	go test ./internal/chaos -run 'TestPropagationStorm' -v
 
 examples:
 	go run ./examples/quickstart

@@ -2,7 +2,8 @@
 // interleaved pairs and prints, per end-to-end metric, one Markdown row per
 // workload: the parent's median and quartile spread, the change's median,
 // the median per-pair ratio b/a, the wins, and a bootstrap 95 % interval of
-// that ratio with its verdict.
+// that ratio with its verdict. A last table sums each side's attempted and
+// failed queries per workload.
 //
 //	go run ./cmd/benchpair -a /tmp/parent -b .
 //	go run ./cmd/benchpair -a . -b . -workload hot_hits -pairs 4
@@ -136,6 +137,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 				w, num(row.aMedian), num(row.aIQR), num(row.bMedian), row.ratio,
 				row.bWins, row.aWins, row.lo, row.hi, row.verdict)
 		}
+	}
+
+	fmt.Fprintf(stdout, "\n**queries** (attempted and failed, summed over %d pairs)\n\n", *pairs)
+	fmt.Fprintln(stdout, "| workload | a attempted | a failed (share) | b attempted | b failed (share) |")
+	fmt.Fprintln(stdout, "|---|---|---|---|---|")
+	for _, w := range workloads {
+		var cells [2]string
+		for side, rs := range reports[w] {
+			var attempted, failed uint64
+			for _, r := range rs {
+				attempted, failed = attempted+r.Attempted, failed+r.Failed
+			}
+			share := 0.0
+			if attempted > 0 {
+				share = 100 * float64(failed) / float64(attempted)
+			}
+			cells[side] = fmt.Sprintf("%d | %d (%.3g %%)", attempted, failed, share)
+		}
+		fmt.Fprintf(stdout, "| %s | %s | %s |\n", w, cells[0], cells[1])
 	}
 	return nil
 }

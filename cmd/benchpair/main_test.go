@@ -141,6 +141,29 @@ func TestConstantRatioIsResolved(t *testing.T) {
 	}
 }
 
+func TestAttemptedAndFailedPrinted(t *testing.T) {
+	root := t.TempDir()
+	a := tree(t, root, "a", 1000, 50, "true", "")
+	b := tree(t, root, "b", 1000, 50, "true", "")
+	// b fails 2·seed of its 100 queries: 110 of 1000 over seeds 1..10.
+	script := filepath.Join(b, "bench", "run.sh")
+	raw, err := os.ReadFile(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(script, []byte(strings.Replace(string(raw),
+		`\"failed\":0`, `\"failed\":$((2*seed))`, 1)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := pair(t, "-a", a, "-b", b, "-workload", "w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rowFor(t, out, "queries", "w1"); r != "| w1 | 1000 | 0 (0 %) | 1000 | 110 (11 %) |" {
+		t.Errorf("queries: %s", r)
+	}
+}
+
 func TestBadRunFails(t *testing.T) {
 	root := t.TempDir()
 	good := tree(t, root, "good", 1000, 50, "true", "")

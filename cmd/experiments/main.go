@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"akamaidns/internal/experiments"
 )
@@ -23,25 +24,6 @@ func main() {
 	fig := flag.String("fig", "all", "artifact id to regenerate, or 'all'")
 	scale := flag.String("scale", "small", "'small' (laptop) or 'large' (paper-sized populations)")
 	flag.Parse()
-
-	small := *scale != "large"
-	runners := map[string]func() experiments.Report{
-		"fig1":        func() experiments.Report { return experiments.Fig1WorkloadWeek(small) },
-		"fig2":        func() experiments.Report { return experiments.Fig2Concentration(small) },
-		"fig3":        func() experiments.Report { return experiments.Fig3PerResolverRates(small) },
-		"fig4":        func() experiments.Report { return experiments.Fig4WeeklyChange(small) },
-		"consistency": func() experiments.Report { return experiments.TableResolverConsistency(small) },
-		"fig8":        func() experiments.Report { return experiments.Fig8Failover(small) },
-		"fig9":        func() experiments.Report { return experiments.Fig9DecisionTree() },
-		"fig10":       func() experiments.Report { return experiments.Fig10NXDomainFilter(small) },
-		"fig11":       func() experiments.Report { return experiments.Fig11TwoTierSpeedup(small) },
-		"fig12":       func() experiments.Report { return experiments.Fig12ResolutionTimes(small) },
-		"rt":          func() experiments.Report { return experiments.TableRT(small) },
-		"ipttl":       func() experiments.Report { return experiments.TableIPTTLConsistency(small) },
-		"delegation":  experiments.TableDelegationCapacity,
-		"push":        func() experiments.Report { return experiments.ExtPushSpeedup(small) },
-		"predict":     func() experiments.Report { return experiments.ExtCatchmentPrediction(small) },
-	}
 
 	if *fig == "all" {
 		ok := true
@@ -57,16 +39,16 @@ func main() {
 		}
 		return
 	}
-	run, found := runners[*fig]
-	if !found {
+	i := slices.IndexFunc(experiments.Artifacts, func(a experiments.Artifact) bool { return a.ID == *fig })
+	if i < 0 {
 		fmt.Fprintf(os.Stderr, "unknown artifact %q; known:", *fig)
-		for k := range runners {
-			fmt.Fprintf(os.Stderr, " %s", k)
+		for _, a := range experiments.Artifacts {
+			fmt.Fprintf(os.Stderr, " %s", a.ID)
 		}
 		fmt.Fprintln(os.Stderr)
 		os.Exit(2)
 	}
-	rep := run()
+	rep := experiments.Artifacts[i].Run(*scale != "large")
 	fmt.Println(rep)
 	if !rep.Pass {
 		os.Exit(1)

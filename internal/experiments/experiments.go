@@ -42,26 +42,39 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// All runs every experiment at the given scale and returns the reports in
-// paper order. scale selects laptop-friendly ("small") or full ("large")
-// parameters.
+// Artifact is one paper artifact: its id and the runner that regenerates
+// it, at laptop scale when small.
+type Artifact struct {
+	ID  string
+	Run func(small bool) Report
+}
+
+// Artifacts lists every artifact in paper order, the extensions last.
+var Artifacts = []Artifact{
+	{"fig1", Fig1WorkloadWeek},
+	{"fig2", Fig2Concentration},
+	{"fig3", Fig3PerResolverRates},
+	{"fig4", Fig4WeeklyChange},
+	{"consistency", TableResolverConsistency},
+	{"fig8", Fig8Failover},
+	{"fig9", func(bool) Report { return Fig9DecisionTree() }},
+	{"fig10", Fig10NXDomainFilter},
+	{"fig11", Fig11TwoTierSpeedup},
+	{"fig12", Fig12ResolutionTimes},
+	{"rt", TableRT},
+	{"ipttl", TableIPTTLConsistency},
+	{"delegation", func(bool) Report { return TableDelegationCapacity() }},
+	{"push", ExtPushSpeedup},
+	{"predict", ExtCatchmentPrediction},
+}
+
+// All runs every artifact at the given scale and returns the reports in
+// Artifacts' order. scale selects laptop-friendly ("small") or full
+// ("large") parameters.
 func All(scale string) []Report {
-	small := scale != "large"
-	return []Report{
-		Fig1WorkloadWeek(small),
-		Fig2Concentration(small),
-		Fig3PerResolverRates(small),
-		Fig4WeeklyChange(small),
-		TableResolverConsistency(small),
-		Fig8Failover(small),
-		Fig9DecisionTree(),
-		Fig10NXDomainFilter(small),
-		Fig11TwoTierSpeedup(small),
-		Fig12ResolutionTimes(small),
-		TableRT(small),
-		TableIPTTLConsistency(small),
-		TableDelegationCapacity(),
-		ExtPushSpeedup(small),
-		ExtCatchmentPrediction(small),
+	reports := make([]Report, len(Artifacts))
+	for i, a := range Artifacts {
+		reports[i] = a.Run(scale != "large")
 	}
+	return reports
 }

@@ -53,7 +53,8 @@ func TestReportString(t *testing.T) {
 }
 
 // TestAllRegistryComplete guards the artifact registry: All() must return
-// every paper artifact plus the extensions, each with a unique id.
+// every paper artifact plus the extensions, each with a unique id that is
+// the one Artifacts lists it under.
 func TestAllRegistryComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -69,8 +70,8 @@ func TestAllRegistryComplete(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i, rep := range reps {
-		if rep.ID != want[i] {
-			t.Errorf("artifact %d = %s, want %s", i, rep.ID, want[i])
+		if rep.ID != want[i] || Artifacts[i].ID != want[i] {
+			t.Errorf("artifact %d = %s, listed as %s, want %s", i, rep.ID, Artifacts[i].ID, want[i])
 		}
 		if seen[rep.ID] {
 			t.Errorf("duplicate artifact id %s", rep.ID)

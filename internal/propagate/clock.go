@@ -9,7 +9,7 @@ import (
 
 // Clock abstracts time for the pull loop so the same Puller runs inside
 // the deterministic simulation (chaos scenarios) and against wall-clock
-// time (cmd/churn's live experiment).
+// time (the live edges of bench/ and of the serve-under-churn test).
 type Clock interface {
 	// Now returns the current time as a duration since the clock epoch.
 	Now() simtime.Time

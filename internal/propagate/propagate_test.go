@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"akamaidns/internal/backoff"
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/simtime"
 	"akamaidns/internal/zone"
@@ -40,11 +41,10 @@ func newRig(t testing.TB, interval time.Duration) *simRig {
 	r.src = NewSource(r.ctl, r.hist)
 	r.link = NewLink(r.clock, r.src, 99)
 	r.link.SetFaults(Faults{Delay: 10 * time.Millisecond})
-	r.puller = New(Config{
-		ID: "m0", Clock: r.clock, Transport: r.link, Store: r.local,
-		Interval: interval, Timeout: 500 * time.Millisecond, Seed: 7,
+	r.puller = NewTimed(Config{
+		ID: "m0", Clock: r.clock, Transport: r.link, Store: r.local, Seed: 7,
 		OnSync: func(simtime.Time) { r.syncs++ },
-	})
+	}, interval, 500*time.Millisecond, backoff.Default())
 	return r
 }
 

@@ -25,12 +25,6 @@ type Config struct {
 	// Store is the machine's own zone store, the one its nameserver
 	// engine serves from.
 	Store *zone.Store
-	// Interval between poll cycles when in sync (default 2s).
-	Interval time.Duration
-	// Timeout per request attempt (default 1s).
-	Timeout time.Duration
-	// Backoff for failed cycles (zero value: backoff.Default()).
-	Backoff backoff.Policy
 	// Seed drives poll jitter and backoff jitter deterministically.
 	Seed int64
 	// OnSync fires after every fully successful pull cycle — the only
@@ -42,6 +36,13 @@ type Config struct {
 	// Obs, when non-nil, gets the propagate_* metric series.
 	Obs *obs.Registry
 }
+
+const (
+	// pollInterval is the time between poll cycles while in sync.
+	pollInterval = 2 * time.Second
+	// attemptTimeout bounds one request attempt.
+	attemptTimeout = time.Second
+)
 
 // Status is a point-in-time snapshot of a puller's counters.
 type Status struct {
@@ -70,7 +71,10 @@ type workItem struct {
 // use (wall-clock timers fire on separate goroutines).
 type Puller struct {
 	cfg Config
-	pol backoff.Policy
+	// interval, timeout and pol are pollInterval, attemptTimeout and
+	// backoff.Default(); tests shorten them to run the loop faster.
+	interval, timeout time.Duration
+	pol               backoff.Policy
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -101,17 +105,10 @@ func New(cfg Config) *Puller {
 	if cfg.Clock == nil || cfg.Transport == nil || cfg.Store == nil {
 		panic("propagate: Config needs Clock, Transport, and Store")
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
+	return &Puller{
+		cfg: cfg, interval: pollInterval, timeout: attemptTimeout, pol: backoff.Default(),
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = time.Second
-	}
-	pol := cfg.Backoff
-	if pol == (backoff.Policy{}) {
-		pol = backoff.Default()
-	}
-	return &Puller{cfg: cfg, pol: pol, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Start schedules the first poll at a random offset within one interval
@@ -123,7 +120,7 @@ func (p *Puller) Start() {
 		return
 	}
 	p.started = true
-	p.schedulePollLocked(time.Duration(p.rng.Int63n(int64(p.cfg.Interval))))
+	p.schedulePollLocked(time.Duration(p.rng.Int63n(int64(p.interval))))
 	p.mu.Unlock()
 	// Registered outside p.mu: the gauge funcs take p.mu when scraped,
 	// so registering under it would invert lock order against a scrape.
@@ -200,7 +197,7 @@ func (p *Puller) sendLocked(req Request) {
 	if p.cancelTimeout != nil {
 		p.cancelTimeout()
 	}
-	p.cancelTimeout = p.cfg.Clock.After(p.cfg.Timeout, func(now simtime.Time) {
+	p.cancelTimeout = p.cfg.Clock.After(p.timeout, func(now simtime.Time) {
 		p.onTimeout(id, now)
 	})
 	p.cfg.Transport.Send(req, func(now simtime.Time, resp *Response) {
@@ -259,7 +256,7 @@ func (p *Puller) succeedCycleLocked(now simtime.Time) func(simtime.Time) {
 	p.st.Cycles++
 	p.st.Synced = true
 	p.st.LastSync = now
-	next := p.cfg.Interval
+	next := p.interval
 	// ±10% jitter de-phases the fleet; a mid-cycle poke re-polls almost
 	// immediately instead.
 	if p.poked {

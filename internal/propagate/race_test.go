@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"akamaidns/internal/backoff"
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/obs"
 	"akamaidns/internal/simtime"
@@ -35,12 +36,11 @@ func TestPullLoopRace(t *testing.T) {
 	local := zone.NewStore()
 	reg := obs.NewRegistry()
 	var syncs atomic.Int64
-	p := New(Config{
+	p := NewTimed(Config{
 		ID: "race-m0", Clock: clock, Transport: link, Store: local,
-		Interval: 5 * time.Millisecond, Timeout: 20 * time.Millisecond,
 		Seed: 11, Obs: reg,
 		OnSync: func(simtime.Time) { syncs.Add(1) },
-	})
+	}, 5*time.Millisecond, 20*time.Millisecond, backoff.Default())
 
 	// committed records every serial the controller has ever committed,
 	// so readers can verify they never see an uncommitted version.
@@ -161,10 +161,9 @@ func TestPullLoopRaceStopDuringFlight(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		link := NewLink(clock, src, int64(i))
 		link.SetFaults(Faults{Delay: time.Millisecond, DelayJitter: 3 * time.Millisecond, DuplicateRate: 0.5})
-		p := New(Config{
-			ID: "stopper", Clock: clock, Transport: link, Store: zone.NewStore(),
-			Interval: time.Millisecond, Timeout: 2 * time.Millisecond, Seed: int64(i),
-		})
+		p := NewTimed(Config{
+			ID: "stopper", Clock: clock, Transport: link, Store: zone.NewStore(), Seed: int64(i),
+		}, time.Millisecond, 2*time.Millisecond, backoff.Default())
 		p.Start()
 		time.Sleep(time.Duration(i%5) * time.Millisecond)
 		p.Stop()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"akamaidns/internal/backoff"
 	"akamaidns/internal/dnswire"
 	"akamaidns/internal/simtime"
 	"akamaidns/internal/zone"
@@ -209,8 +210,8 @@ func FuzzVerifyBeforeInstall(f *testing.F) {
 			}
 			return false
 		}}
-		p := New(Config{ID: "edge", Clock: clock, Transport: link, Store: local,
-			Interval: time.Second, Timeout: 100 * time.Millisecond, Seed: 1})
+		p := NewTimed(Config{ID: "edge", Clock: clock, Transport: link, Store: local, Seed: 1},
+			time.Second, 100*time.Millisecond, backoff.Default())
 		p.Start()
 		sched.RunFor(5 * time.Second)
 		p.Stop()

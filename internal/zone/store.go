@@ -322,8 +322,8 @@ func (s *Store) Each(fn func(*Zone)) { s.set.Load().each(fn) }
 // Serials maps every zone's origin to its SOA serial. It is built once per
 // installed set, by its first caller: the controller's catalog
 // (propagate.Source), which every pull cycle sends whole, /debug/views, and
-// the propagation audits (the chaos harness's zone-stall invariants,
-// cmd/churn -pull). An edge compares a catalog with Get and Each instead,
+// the propagation audits (the chaos harness's zone-stall invariants and
+// the convergence checks of the pull tests). An edge compares a catalog with Get and Each instead,
 // so it never builds one. The returned map belongs to the installed set:
 // treat it as read-only and copy before mutating.
 func (s *Store) Serials() map[dnswire.Name]uint32 {
