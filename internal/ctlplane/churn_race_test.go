@@ -228,7 +228,7 @@ func TestChurnPipelinedWhileServing(t *testing.T) {
 	)
 	store := zone.NewStore()
 	c := New(store, Config{})
-	pl := NewPipeline(c, PipelineConfig{Depth: 8})
+	pl := NewPipeline(c, PipelineConfig{})
 	defer pl.Close()
 
 	ownedOrigin := func(w, k int) string { return fmt.Sprintf("owned-%02d-%d.pipe.test", w, k) }

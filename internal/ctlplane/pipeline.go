@@ -40,12 +40,12 @@ type Pipeline struct {
 	dirtyShards     *obs.Histogram
 }
 
-// PipelineConfig parameterizes a Pipeline.
-type PipelineConfig struct {
-	// Depth bounds queued changelists per stage (0 = 4). A full queue
-	// blocks Submit — backpressure, not unbounded buffering.
-	Depth int
-}
+// PipelineConfig is NewPipeline's argument. It holds no options.
+type PipelineConfig struct{}
+
+// pipelineDepth bounds queued changelists per stage. A full queue blocks
+// Submit — backpressure, not unbounded buffering.
+const pipelineDepth = 4
 
 // pipeItem is one changelist in flight through the stages.
 type pipeItem struct {
@@ -75,15 +75,11 @@ var dirtyShardBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // NewPipeline starts the validate and commit stages over c and attaches
 // itself to the controller (HTTP mode=pipeline routes through it). Close
 // must be called to drain and stop the stage goroutines.
-func NewPipeline(c *Controller, cfg PipelineConfig) *Pipeline {
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 4
-	}
+func NewPipeline(c *Controller, _ PipelineConfig) *Pipeline {
 	pl := &Pipeline{
 		c:      c,
-		in:     make(chan *pipeItem, depth),
-		commit: make(chan *pipeItem, depth),
+		in:     make(chan *pipeItem, pipelineDepth),
+		commit: make(chan *pipeItem, pipelineDepth),
 	}
 	helpStage := "Pipelined changelist stage latency, by stage."
 	pl.validateSeconds = c.reg.Histogram("akamaidns_ctl_pipeline_stage_seconds", helpStage, nil, "stage", "validate")

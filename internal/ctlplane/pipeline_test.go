@@ -289,7 +289,7 @@ func benchCtlApply(b *testing.B, pipelined bool) {
 		}
 		return
 	}
-	pl := NewPipeline(c, PipelineConfig{Depth: 16})
+	pl := NewPipeline(c, PipelineConfig{})
 	defer pl.Close()
 	inflight := make(chan *Ticket, 16)
 	done := make(chan error, 1)
