@@ -330,6 +330,23 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// Lines renders the run as cmd/chaos prints it: one "ok" line when it was
+// clean; otherwise a "FAIL" line, one line per violation and the
+// reproducer.
+func (r *Result) Lines() string {
+	if len(r.Violations) == 0 {
+		return fmt.Sprintf("ok   %-16s seed=%-6d events=%-4d probes=%-5d failed=%-3d outages=%d\n",
+			r.Scenario, r.Seed, r.Events, r.Probes, r.Failures, r.Outages)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "FAIL %-16s seed=%-6d %d violations\n", r.Scenario, r.Seed, len(r.Violations))
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "     %s\n", v)
+	}
+	fmt.Fprintf(&b, "     reproduce: %s\n", r.Reproducer)
+	return b.String()
+}
+
 // logf appends one numbered line to the event log. Every line is derived
 // from deterministic state only (no map iteration, no wall clock), which is
 // what makes same-seed logs byte-identical.

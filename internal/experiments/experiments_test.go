@@ -6,7 +6,8 @@ import (
 )
 
 // Each experiment must run at small scale and report a shape match with the
-// paper. These are the repository's reproduction gates.
+// paper. These are the repository's reproduction gates; each reads the one
+// run of its artifact that TestAllGolden (golden_test.go) also renders.
 
 func check(t *testing.T, rep Report) {
 	t.Helper()
@@ -19,28 +20,28 @@ func check(t *testing.T, rep Report) {
 	}
 }
 
-func TestFig1(t *testing.T)    { check(t, Fig1WorkloadWeek(true)) }
-func TestFig2(t *testing.T)    { check(t, Fig2Concentration(true)) }
-func TestFig3(t *testing.T)    { check(t, Fig3PerResolverRates(true)) }
-func TestFig4(t *testing.T)    { check(t, Fig4WeeklyChange(true)) }
-func TestFig9(t *testing.T)    { check(t, Fig9DecisionTree()) }
-func TestFig10(t *testing.T)   { check(t, Fig10NXDomainFilter(true)) }
-func TestFig11(t *testing.T)   { check(t, Fig11TwoTierSpeedup(true)) }
-func TestFig12(t *testing.T)   { check(t, Fig12ResolutionTimes(true)) }
-func TestTableRT(t *testing.T) { check(t, TableRT(true)) }
+func TestFig1(t *testing.T)    { check(t, reportOf(t, "fig1")) }
+func TestFig2(t *testing.T)    { check(t, reportOf(t, "fig2")) }
+func TestFig3(t *testing.T)    { check(t, reportOf(t, "fig3")) }
+func TestFig4(t *testing.T)    { check(t, reportOf(t, "fig4")) }
+func TestFig9(t *testing.T)    { check(t, reportOf(t, "fig9")) }
+func TestFig10(t *testing.T)   { check(t, reportOf(t, "fig10")) }
+func TestFig11(t *testing.T)   { check(t, reportOf(t, "fig11")) }
+func TestFig12(t *testing.T)   { check(t, reportOf(t, "fig12")) }
+func TestTableRT(t *testing.T) { check(t, reportOf(t, "rt")) }
 func TestTableConsistency(t *testing.T) {
-	check(t, TableResolverConsistency(true))
+	check(t, reportOf(t, "consistency"))
 }
-func TestTableIPTTL(t *testing.T)      { check(t, TableIPTTLConsistency(true)) }
-func TestTableDelegation(t *testing.T) { check(t, TableDelegationCapacity()) }
-func TestExtPush(t *testing.T)         { check(t, ExtPushSpeedup(true)) }
-func TestExtPredict(t *testing.T)      { check(t, ExtCatchmentPrediction(true)) }
+func TestTableIPTTL(t *testing.T)      { check(t, reportOf(t, "ipttl")) }
+func TestTableDelegation(t *testing.T) { check(t, reportOf(t, "delegation")) }
+func TestExtPush(t *testing.T)         { check(t, reportOf(t, "push")) }
+func TestExtPredict(t *testing.T)      { check(t, reportOf(t, "predict")) }
 
 func TestFig8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig8 runs a wide-area BGP simulation")
 	}
-	check(t, Fig8Failover(true))
+	check(t, reportOf(t, "fig8"))
 }
 
 func TestReportString(t *testing.T) {
@@ -59,7 +60,10 @@ func TestAllRegistryComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	reps := All("small")
+	reps := make([]Report, len(Artifacts))
+	for i := range reps {
+		reps[i] = report(i)
+	}
 	want := []string{
 		"fig1", "fig2", "fig3", "fig4", "consistency",
 		"fig8", "fig9", "fig10", "fig11", "fig12",
