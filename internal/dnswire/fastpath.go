@@ -175,7 +175,8 @@ func NameFromFoldedWire(b []byte) (Name, bool) {
 	if len(b) == 1 {
 		return Root, b[0] == 0
 	}
-	text := make([]byte, 0, len(b)-1)
+	var buf [maxNameWire]byte
+	text := buf[:0]
 	off := 0
 	for {
 		if off >= len(b) {

@@ -252,12 +252,28 @@ func UnpackRRBody(owner Name, b []byte) (RR, int, error) {
 	return rr, p.off, err
 }
 
+// UnpackRRData decodes the record at the front of b that has neither owner
+// nor TYPE — CLASS, TTL, RDLENGTH and RDATA, what AppendRRBody writes after
+// the TYPE — as a record of type t owned by owner, and reports how many
+// bytes of b it took. Names in the RDATA must be written in full; the
+// record shares no memory with b.
+func UnpackRRData(owner Name, t Type, b []byte) (RR, int, error) {
+	p := parser{msg: b}
+	rr, err := p.data(owner, t)
+	return rr, p.off, err
+}
+
 // body decodes a record's TYPE, CLASS, TTL, RDLENGTH and RDATA.
 func (p *parser) body(name Name) (RR, error) {
 	t16, err := p.uint16()
 	if err != nil {
 		return nil, err
 	}
+	return p.data(name, Type(t16))
+}
+
+// data decodes a record's CLASS, TTL, RDLENGTH and RDATA, its TYPE t read.
+func (p *parser) data(name Name, t Type) (RR, error) {
 	c16, err := p.uint16()
 	if err != nil {
 		return nil, err
@@ -270,7 +286,7 @@ func (p *parser) body(name Name) (RR, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := RRHeader{Name: name, Type: Type(t16), Class: Class(c16), TTL: ttl}
+	h := RRHeader{Name: name, Type: t, Class: Class(c16), TTL: ttl}
 	end := p.off + int(rdlen)
 	if end > len(p.msg) {
 		return nil, ErrTruncatedMessage

@@ -26,7 +26,7 @@ import (
 // record is accepted or refused here exactly as its dnswire.RR would be. No
 // line string, record or name string is made on the way.
 func ParseMaster(r io.Reader, origin dnswire.Name) (*Zone, error) {
-	sc := getScratch()
+	sc := getScratch(origin)
 	defer putScratch(sc)
 	if err := sc.readMaster(r, origin); err != nil {
 		return nil, err
@@ -42,7 +42,6 @@ func (sc *scratch) readMaster(r io.Reader, origin dnswire.Name) error {
 	// only the cap is raised, so a typical zone costs no scanner buffer at
 	// all, not a megabyte.
 	lines.Buffer(sc.line, maxMasterLine)
-	sc.apex = origin.AppendWire(sc.apex[:0])
 	sc.origin = append(sc.origin[:0], sc.apex...)
 	p := masterParser{sc: sc, origin: sc.origin, ttl: 300}
 	lineNo := 0
@@ -227,8 +226,9 @@ func (p *masterParser) parseLine(line []byte, ownerFromPrev bool) error {
 	if err != nil {
 		return fmt.Errorf("%s %s: %w", ownerName(owner), typ, err)
 	}
-	sc.bodies = buf
-	sc.ents = append(sc.ents, entry{owner: owner, typ: typ, body: buf[start:len(buf):len(buf)]})
+	sc.bodies = buf[:start+len(storeBody(buf[start:], sc.apex))]
+	end := len(sc.bodies)
+	sc.ents = append(sc.ents, entry{owner: owner, typ: typ, body: sc.bodies[start:end:end]})
 	return nil
 }
 

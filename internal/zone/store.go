@@ -380,7 +380,7 @@ func FromTransfer(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
 	if !okF || !okL || first.Serial != last.Serial || first.Name != origin {
 		return nil, errBadTransfer
 	}
-	sc := getScratch()
+	sc := getScratch(origin)
 	defer putScratch(sc)
 	for _, rr := range recs[:len(recs)-1] {
 		if err := sc.add(origin, rr); err != nil {

@@ -39,7 +39,7 @@ var versionSeq atomic.Uint64 // numbers zones, process-wide
 
 // New creates an empty zone rooted at origin.
 func New(origin dnswire.Name) *Zone {
-	sc := getScratch()
+	sc := getScratch(origin)
 	defer putScratch(sc)
 	return sc.zone(origin)
 }
@@ -50,7 +50,7 @@ func New(origin dnswire.Name) *Zone {
 // packed body) are kept once; a zone holds one SOA, so of several apex SOAs
 // the last one stays.
 func Build(origin dnswire.Name, recs []dnswire.RR) (*Zone, error) {
-	sc := getScratch()
+	sc := getScratch(origin)
 	defer putScratch(sc)
 	for _, rr := range recs {
 		if err := sc.add(origin, rr); err != nil {
@@ -163,11 +163,13 @@ func (z *Zone) AllRecords() []dnswire.RR {
 
 // ContentSum hashes the zone's records straight from its arena, without
 // decoding one: the XOR of one FNV-1a hash per record, over its owner's
-// folded wire form and its packed body (TYPE CLASS TTL RDLENGTH RDATA), and
-// one over the origin and the record count. It covers the records
-// AllRecords decodes, the apex SOA included. Records are unique within a
-// zone, so the XOR is a faithful set hash, blind to the order the records
-// were loaded in. It allocates nothing.
+// folded wire form, its TYPE and its stored body (CLASS TTL RDLENGTH RDATA,
+// in-zone names relative to the origin), and one over the origin and the
+// record count. The origin is in the sum, so the stored names spell one
+// record each. It covers the records AllRecords decodes, the apex SOA
+// included. Records are unique within a zone, so the XOR is a faithful set
+// hash, blind to the order the records were loaded in. It allocates
+// nothing.
 func (z *Zone) ContentSum() uint64 {
 	v := &z.view
 	var sum, n uint64
@@ -178,30 +180,34 @@ func (z *Zone) ContentSum() uint64 {
 			continue
 		}
 		h := fnv1a(fnvOffset, v.appendNodeWire(buf[:0], node))
-		for w := v.arena[v.sets[lo].body:v.sets[hi].body]; len(w) > 0; n++ {
-			body := firstBody(w)
-			sum ^= fnv1a(h, body)
-			w = w[len(body):]
+		for s := lo; s < hi; s++ {
+			ht := fnv1a(h, binary.BigEndian.AppendUint16(buf[:0], uint16(v.sets[s].typ)))
+			for w := v.setWire(s); len(w) > 0; n++ {
+				body := firstBody(w)
+				sum ^= fnv1a(ht, body)
+				w = w[len(body):]
+			}
 		}
 	}
 	return sum ^ fnv1a(fnvOffset, binary.BigEndian.AppendUint64(append(buf[:0], v.originWire...), n))
 }
 
-// NumRecords reports the total record count.
+// NumRecords reports the total record count: a walk of every set's bodies,
+// the glue pseudo-sets left out.
 func (z *Zone) NumRecords() int {
 	v := &z.view
-	total := int(v.sets[len(v.sets)-1].rec)
+	total := 0
 	for n := range uint32(len(v.nodes) - 1) {
-		if v.nodes[n].cut() {
-			total -= v.setLen(v.glueSet(n))
-		}
+		lo, hi := v.setRange(n)
+		total += countBodies(v.arena[v.sets[lo].body:v.sets[hi].body])
 	}
 	return total
 }
 
 // entry is one record of a zone being built: its owner in folded wire
-// form, its type, and its packed body (AppendRRBody's bytes), which
-// canonical compares and the compile copies into the arena.
+// form, its type, and its body as the arena stores it (storeBody's bytes),
+// which canonical compares and the compile copies into the arena. Stored
+// bodies of one origin are equal exactly when the records are.
 type entry struct {
 	owner []byte
 	typ   dnswire.Type
@@ -326,8 +332,9 @@ func appendUnique(out, set []entry) []entry {
 // pins a record or a line.
 type scratch struct {
 	// ParseMaster's: the line scanner's starting buffer, one line's fields,
-	// the physical lines of a parenthesized record so far, and the zone's
-	// origin (the compile's too) and the current $ORIGIN in wire form.
+	// the physical lines of a parenthesized record so far. Then the zone's
+	// origin in wire form, which getScratch sets and every record stored
+	// and the compile read, and ParseMaster's current $ORIGIN.
 	line    []byte
 	toks    [][]byte
 	pending []byte
@@ -351,7 +358,12 @@ var scratchPool = sync.Pool{New: func() any {
 	return &scratch{line: make([]byte, 4096)}
 }}
 
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+// getScratch takes a scratch for building a zone at origin.
+func getScratch(origin dnswire.Name) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.apex = origin.AppendWire(sc.apex[:0])
+	return sc
+}
 
 func putScratch(sc *scratch) {
 	clear(sc.toks[:cap(sc.toks)])
@@ -363,7 +375,7 @@ func putScratch(sc *scratch) {
 }
 
 // add packs rr into the records of a zone at origin being built, once
-// checkRecord accepts it: its owner's wire form, then its body.
+// checkRecord accepts it: its owner's wire form, then its stored body.
 func (sc *scratch) add(origin dnswire.Name, rr dnswire.RR) error {
 	start := len(sc.bodies)
 	sc.bodies = rr.Header().Name.AppendWire(sc.bodies)
@@ -373,6 +385,7 @@ func (sc *scratch) add(origin dnswire.Name, rr dnswire.RR) error {
 		sc.bodies = sc.bodies[:start]
 		return err
 	}
+	sc.bodies = sc.bodies[:mid+len(storeBody(sc.bodies[mid:], sc.apex))]
 	end := len(sc.bodies)
 	sc.ents = append(sc.ents, entry{owner: sc.bodies[start:mid:mid], typ: rr.Header().Type, body: sc.bodies[mid:end:end]})
 	return nil
