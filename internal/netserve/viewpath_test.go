@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -158,9 +159,80 @@ var cornerDiffQueries = []viewDiffQuery{
 	{"corner.test", dnswire.TypeNS},
 }
 
+// chainDiffZone names in-zone targets everywhere the view stores names
+// relative to the origin — SOA, NS, CNAME, MX — and one where it must not
+// (SRV): a CNAME chain of zone.maxCNAMEChain (8) hops, a CNAME loop that
+// meets the limit, CNAMEs to the apex, into a referral and out of the zone,
+// and a cut whose NS targets lie below it, at the apex level and at the
+// cut itself.
+const chainDiffZone = `
+$ORIGIN chain.test.
+$TTL 300
+@        IN SOA ns1 hostmaster ( 9 3600 600 604800 30 )
+@        IN NS ns1
+@        IN NS ns.elsewhere.
+ns1      IN A 198.51.100.1
+ns1      IN AAAA 2001:db8::1
+c0       IN CNAME c1
+c1       IN CNAME c2
+c2       IN CNAME c3
+c3       IN CNAME c4
+c4       IN CNAME c5
+c5       IN CNAME c6
+c6       IN CNAME c7
+c7       IN CNAME c8
+c8       IN A 192.0.2.8
+loop     IN CNAME loop
+toapex   IN CNAME @
+tosub    IN CNAME h.sub
+toout    IN CNAME www.elsewhere.
+mx       IN MX 10 ns1
+srv      IN SRV 1 2 53 ns1
+nodata   IN TXT "t"
+sub      IN NS ns1.sub
+sub      IN NS ns1
+sub      IN NS sub
+sub      IN A 203.0.113.9
+ns1.sub  IN A 203.0.113.1
+`
+
+// chainDiffQueries ask every name in 0x20 mixed case, as a resolver
+// randomizing its question's case would: the view points owners and
+// targets into the question, whose case the response must echo.
+var chainDiffQueries = []viewDiffQuery{
+	{"C0.ChAiN.TeSt", dnswire.TypeA},         // 8 in-zone hops
+	{"c1.CHAIN.test", dnswire.TypeAAAA},      // chain ends in NoData
+	{"LoOp.chain.TEST", dnswire.TypeA},       // chain limit
+	{"ToApEx.Chain.Test", dnswire.TypeA},     // target is the origin: NoData
+	{"toapex.chain.test", dnswire.TypeMX},    // the apex has no MX either
+	{"ToSuB.cHaIn.TeSt", dnswire.TypeA},      // CNAME into a referral
+	{"ToOuT.Chain.Test", dnswire.TypeA},      // CNAME out of the zone
+	{"H.SuB.ChAiN.tEsT", dnswire.TypeA},      // referral, glue in and out of the cut
+	{"SUB.chain.test", dnswire.TypeNS},       // the cut itself
+	{"NoPe.Chain.Test", dnswire.TypeA},       // NXDOMAIN
+	{"a.B.nOpE.chain.test", dnswire.TypeTXT}, // NXDOMAIN, deeper
+	{"NoData.ChAiN.TeSt", dnswire.TypeA},     // NODATA
+	{"Ns1.ChAiN.TeSt", dnswire.TypeMX},       // NODATA at a glue owner
+	{"Mx.ChAiN.TeSt", dnswire.TypeMX},        // in-zone exchange
+	{"SrV.ChAiN.TeSt", dnswire.TypeSRV},      // SRV target stays uncompressed
+	{"cHaIn.TeSt", dnswire.TypeSOA},          // in-zone MNAME and RNAME
+	{"CHAIN.TEST", dnswire.TypeNS},           // one target in, one out
+}
+
+// caseQuestion spells the packed query's question name with the case of
+// qname, as a resolver using 0x20 randomization would send it.
+func caseQuestion(wire []byte, qname string) {
+	off := 12
+	for _, label := range strings.Split(strings.TrimSuffix(qname, "."), ".") {
+		copy(wire[off+1:], label)
+		off += 1 + len(label)
+	}
+}
+
 // TestViewServeDifferential sends the same queries through the compiled-view
 // tier and the reference decode path and requires identical decoded
-// responses — plain and with an EDNS OPT attached.
+// responses — plain and with an EDNS OPT attached, the question in the case
+// each query is written in.
 func TestViewServeDifferential(t *testing.T) {
 	for _, zc := range []struct {
 		master  string
@@ -170,6 +242,7 @@ func TestViewServeDifferential(t *testing.T) {
 		{benchDelegationZone, dnswire.MustName("ex.test"), viewDiffQueries},
 		{rootDiffZone, dnswire.Root, rootDiffQueries},
 		{cornerZone(t), dnswire.MustName("corner.test"), cornerDiffQueries},
+		{chainDiffZone, dnswire.MustName("chain.test"), chainDiffQueries},
 	} {
 		viewSrv, reference, _ := viewTestServers(t, zc.master, zc.origin)
 		id := uint16(100)
@@ -184,6 +257,7 @@ func TestViewServeDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				caseQuestion(wire, tc.qname)
 				got := handleOnce(t, viewSrv, wire)
 				want := slowOnce(t, reference, wire)
 				if got == nil || want == nil {

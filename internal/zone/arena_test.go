@@ -38,7 +38,9 @@ func refusable(origin dnswire.Name, rr dnswire.RR) bool {
 }
 
 // arenaRR builds one record of an arbitrary set: every type a zone stores,
-// raw records of types the codec does and does not interpret, and the
+// raw records of types the codec does and does not interpret (a DNAME and
+// a private type among them, whose in-zone target names the view keeps
+// whole), and the
 // records a zone must refuse — a TXT string over 255 octets, a header TYPE
 // that is not the RDATA's, raw RDATA that does not parse as its type, and
 // an owner out of zone.
@@ -47,7 +49,7 @@ func arenaRR(owner dnswire.Name, kind, variant byte) dnswire.RR {
 	h := dnswire.RRHeader{Name: owner, Class: dnswire.ClassINET, TTL: 60 + uint32(variant/4%2)}
 	target := modelName(v * 5)
 	set := func(t dnswire.Type) dnswire.RRHeader { h.Type = t; return h }
-	switch kind % 16 {
+	switch kind % 18 {
 	case 0:
 		return &dnswire.A{RRHeader: set(dnswire.TypeA), Addr: netip.AddrFrom4([4]byte{192, 0, 2, v})}
 	case 1:
@@ -79,6 +81,12 @@ func arenaRR(owner dnswire.Name, kind, variant byte) dnswire.RR {
 		return &dnswire.A{RRHeader: set(dnswire.TypeAAAA), Addr: netip.AddrFrom4([4]byte{192, 0, 2, v})}
 	case 14:
 		return &dnswire.CAA{RRHeader: set(dnswire.TypeCAA), Tag: ""}
+	case 16:
+		// DNAME, which the codec does not interpret: its target name is
+		// opaque RDATA, stored and sent whole.
+		return &dnswire.RawRecord{RRHeader: set(dnswire.Type(39)), Data: target.AppendWire(nil)}
+	case 17:
+		return &dnswire.RawRecord{RRHeader: set(dnswire.Type(65280)), Data: target.AppendWire(nil)}
 	default:
 		return &dnswire.A{RRHeader: dnswire.RRHeader{Name: n("out.of.zone"), Type: dnswire.TypeA, Class: dnswire.ClassINET, TTL: 60}, Addr: netip.AddrFrom4([4]byte{192, 0, 2, v})}
 	}
@@ -101,6 +109,11 @@ func FuzzZoneArena(f *testing.F) {
 	f.Add([]byte{1, 11, 0})                                                 // raw A RDATA of 3 octets
 	f.Add([]byte{1, 14, 0})                                                 // CAA without a tag
 	f.Add([]byte{1, 15, 0})                                                 // out of zone
+	// Names the view stores relative to the origin, and those it must not.
+	f.Add([]byte{0, 4, 0, 1, 3, 0, 1, 5, 0})                    // CNAME, MX and an SOA RNAME that are the origin
+	f.Add([]byte{1, 7, 1, 1, 16, 1, 1, 17, 1, 8, 0, 0})         // in-zone SRV, DNAME and private-type targets
+	f.Add([]byte{17, 2, 1, 17, 0, 0, 17, 1, 1, 13, 2, 1})       // a cut that is its own NS target, and another cut naming it
+	f.Add([]byte{1, 3, 2, 2, 3, 1, 2, 9, 3, 14, 3, 2, 0, 4, 2}) // in-zone CNAME and PTR targets
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*64 {
 			ops = ops[:3*64]

@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"fmt"
 	"net/netip"
 	"slices"
 	"strings"
@@ -42,6 +43,18 @@ const rootFuzzZone = "$TTL 60\n@ IN SOA ns1 host ( 1 2 3 4 5 )\n@ IN NS ns1\nns1
 	"* IN A 192.0.2.2\ndeep.ent IN TXT \"t\"\n*.cw IN CNAME hop.cw2\n*.cw2 IN CNAME end.nowhere\n" +
 	"sub IN NS ns1.sub\nns1.sub IN A 192.0.2.3\n"
 
+// chainFuzzZone holds a CNAME chain of maxCNAMEChain in-zone hops from c0,
+// and from x one hop more.
+var chainFuzzZone = func() string {
+	var b strings.Builder
+	b.WriteString("@ IN SOA ns1 host ( 1 2 3 4 5 )\nx IN CNAME c0\n")
+	for i := range maxCNAMEChain {
+		fmt.Fprintf(&b, "c%d IN CNAME c%d\n", i, i+1)
+	}
+	fmt.Fprintf(&b, "c%d IN A 192.0.2.1\n", maxCNAMEChain)
+	return b.String()
+}()
+
 // FuzzViewLookupParity holds the central differential invariant of the
 // compiled read path, three ways: for any zone the parser accepts at any
 // origin and any (qname, qtype), the reference oracle (oracle_test.go) built
@@ -63,6 +76,15 @@ func FuzzViewLookupParity(f *testing.F) {
 	f.Add(".", rootFuzzZone, "h.sub", uint16(dnswire.TypeAAAA)) // referral
 	f.Add(".", rootFuzzZone, ".", uint16(dnswire.TypeNS))       // the apex itself
 	f.Add(".", "", "anything", uint16(dnswire.TypeA))           // empty zone
+	// Names the view stores relative to the origin, and those it must not.
+	f.Add(".", rootFuzzZone+"mx IN MX 10 ns1\nc IN CNAME mx\n", "c", uint16(dnswire.TypeMX)) // the root zone: nothing relative
+	f.Add("fuzz.test", "@ IN SOA @ @ ( 1 2 3 4 5 )\n@ IN NS @\n@ IN A 192.0.2.1\nc IN CNAME @\nm IN MX 1 @\n", "c.fuzz.test", uint16(dnswire.TypeA))
+	f.Add("fuzz.test", "@ IN SOA @ @ ( 1 2 3 4 5 )\n@ IN NS @\n@ IN A 192.0.2.1\nc IN CNAME @\nm IN MX 1 @\n", "m.fuzz.test", uint16(dnswire.TypeMX))
+	f.Add("example.com", "@ IN SOA xexample.com. x ( 1 2 3 4 5 )\n@ IN NS xexample.com.\nx IN CNAME xexample.com.\n", "x.example.com", uint16(dnswire.TypeA))               // an origin suffix off a label boundary
+	f.Add("fuzz.test", "@ IN SOA ns1 host ( 1 2 3 4 5 )\nsrv IN SRV 1 2 53 t\nt IN A 192.0.2.1\n", "srv.fuzz.test", uint16(dnswire.TypeSRV))                                // SRV keeps its target whole
+	f.Add("fuzz.test", chainFuzzZone, "c0.fuzz.test", uint16(dnswire.TypeA))                                                                                                // maxCNAMEChain in-zone hops
+	f.Add("fuzz.test", chainFuzzZone, "x.fuzz.test", uint16(dnswire.TypeA))                                                                                                 // one hop more than the limit
+	f.Add("fuzz.test", "@ IN SOA ns1 host ( 1 2 3 4 5 )\nsub IN NS sub\nsub IN NS ns1\nsub IN A 192.0.2.7\nns1 IN A 192.0.2.1\n", "h.sub.fuzz.test", uint16(dnswire.TypeA)) // a cut that is its own NS target
 	f.Fuzz(func(t *testing.T, originText, text, qname string, qt uint16) {
 		origin, err := dnswire.ParseName(originText)
 		if err != nil {
