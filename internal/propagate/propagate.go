@@ -24,6 +24,8 @@
 package propagate
 
 import (
+	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"strconv"
 
@@ -103,14 +105,39 @@ func hashStr(s string) uint64 {
 	return h.Sum64()
 }
 
+// sealer hashes the records of a payload, each on its own, through one
+// FNV-1a state and one packing buffer that it reuses from record to record.
+type sealer struct {
+	h   hash.Hash64
+	buf []byte
+}
+
+func newSealer() *sealer { return &sealer{h: fnv.New64a()} }
+
+// record hashes tag, rr's owner in wire form and its packed body
+// (dnswire.AppendRRBody's TYPE CLASS TTL RDLENGTH RDATA). A record that
+// will not pack hashes by owner and TYPE alone: no zone can hold it, so
+// FromTransfer or Apply refuses its payload whatever the seal says.
+func (s *sealer) record(tag string, rr dnswire.RR) uint64 {
+	s.buf = rr.Header().Name.AppendWire(append(s.buf[:0], tag...))
+	if b, err := dnswire.AppendRRBody(s.buf, rr); err == nil {
+		s.buf = b
+	} else {
+		s.buf = binary.BigEndian.AppendUint16(s.buf, uint16(rr.Header().Type))
+	}
+	s.h.Reset()
+	s.h.Write(s.buf)
+	return s.h.Sum64()
+}
+
 // recordsSum hashes a record multiset order-independently: records are
-// unique within a zone (the store dedups by rendering), so XOR of
+// unique within a zone (the store dedups by packed body), so XOR of
 // per-record hashes plus the count is a faithful multiset hash and is
 // insensitive to insertion-order differences between the two ends.
-func recordsSum(rrs []dnswire.RR) uint64 {
+func recordsSum(s *sealer, rrs []dnswire.RR) uint64 {
 	var sum uint64
 	for _, rr := range rrs {
-		sum ^= hashStr(rr.String())
+		sum ^= s.record("", rr)
 	}
 	return sum ^ hashStr("n="+strconv.Itoa(len(rrs)))
 }
@@ -139,14 +166,15 @@ func payloadSum(r *Response) uint64 {
 	}
 	sum ^= hashStr("delta:" + strconv.FormatUint(uint64(r.Delta.FromSerial), 10) +
 		"->" + strconv.FormatUint(uint64(r.Delta.ToSerial), 10))
+	s := newSealer()
 	for _, rr := range r.Delta.Deleted {
-		sum ^= hashStr("del:" + rr.String())
+		sum ^= s.record("del:", rr)
 	}
 	for _, rr := range r.Delta.Added {
-		sum ^= hashStr("add:" + rr.String())
+		sum ^= s.record("add:", rr)
 	}
 	if r.Records != nil {
-		sum ^= hashStr("axfr") ^ recordsSum(r.Records)
+		sum ^= hashStr("axfr") ^ recordsSum(s, r.Records)
 	}
 	return sum
 }
